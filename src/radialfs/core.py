@@ -127,8 +127,9 @@ class Grid1D:
             parts.append(1.0 + np.arange(1, n_tail + 1) * h)
         half = np.unique(np.concatenate(parts))
         nodes = np.concatenate([-half[:0:-1], half])
+        levels = f"J={J}" if n_per == 16 else f"J={J},n_per={n_per}"
         return Grid1D(nodes, kind="composite",
-                      descriptor=f"dyadic:J={J};uniform:h={h:g},T={T:g}")
+                      descriptor=f"dyadic:{levels};uniform:h={h:g},T={T:g}")
 
     @staticmethod
     def from_descriptor(desc: str) -> "Grid1D":

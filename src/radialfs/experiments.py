@@ -106,7 +106,7 @@ def _write_csv(outdir: Path, name: str, header: str, rows) -> Path:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
     return path
 

@@ -115,6 +115,15 @@ def _generators(d: int) -> List[Tuple[bool, ...]]:
     return out
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    u, wu = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = False
+    wu.flags.writeable = False
+    return u, wu
+
+
 def _sphere_nodes(d: int, n: int):
     """Quadrature nodes and weights for the unit-sphere surface measure."""
     if d == 2:
@@ -125,7 +134,7 @@ def _sphere_nodes(d: int, n: int):
     if d == 3:
         n_u = max(8, int(math.sqrt(n / 2.0)))
         n_t = 2 * n_u
-        u, wu = np.polynomial.legendre.leggauss(n_u)
+        u, wu = _gauss_legendre(n_u)
         theta = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
         ct, st = np.cos(theta), np.sin(theta)
         su = np.sqrt(1.0 - u ** 2)
@@ -142,48 +151,71 @@ def _sphere_nodes(d: int, n: int):
 
 
 def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarray:
-    """All <surface measure, Psi_{i,j,k}> for one level, flattened over (i, k)."""
+    """All <surface measure, Psi_{i,j,k}> for one level, flattened over (i, k).
+
+    The output is generator-major (the order of ``_generators``); each block
+    is C-ordered over the k-box [k_min[0], k_max[0]] x ... x [k_min[d-1],
+    k_max[d-1]] that holds the support window of every node.
+
+    Nodes go in chunks of 20000.  Nothing a chunk shares among the 2^d - 1
+    generators is computed per generator:
+
+    * per axis, the ``width`` shifts kk of each node and the offsets
+      x = 2^j u - kk, so phi(x) and psi(x) are tabulated once per axis
+      (2d interpolations per chunk, not d (2^d - 1));
+    * one C-order flat index into the k-box, built from the per-axis
+      offsets kk - k_min.
+
+    Each generator multiplies its factors into one reused buffer in a fixed
+    order (axis 0, ..., axis d-1, node weight, 2^{jd/2}) and scatters the
+    buffer into its own block with a 1-D ``np.add.at``.  That call is
+    unbuffered and adds the values in array order, as a d-tuple index over
+    the same box does, so every coefficient receives the same terms in the
+    same order and the sums are bit-for-bit those of a d-dimensional
+    scatter per generator.
+    """
     pts, w = _sphere_nodes(d, n_nodes)
     u = pts * 2.0 ** j
     lo, hi = table.support
     width = int(math.ceil(hi - lo)) + 1
     norm_fac = 2.0 ** (j * d / 2.0)
     offs = np.arange(width)
-    coeffs_all = []
-    for flags in _generators(d):
-        k_min = [int(math.floor(u[:, ax].min() - hi)) for ax in range(d)]
-        k_max = [int(math.ceil(u[:, ax].max() - lo)) for ax in range(d)]
-        shape = tuple(k_max[ax] - k_min[ax] + 1 for ax in range(d))
-        acc = np.zeros(shape)
-        chunk = 20000
-        for start in range(0, u.shape[0], chunk):
-            ub = u[start:start + chunk]
-            wb = w[start:start + chunk]
-            vals, idx = [], []
-            for ax in range(d):
-                base = np.ceil(ub[:, ax] - hi).astype(int)
-                kk = base[:, None] + offs[None, :]
-                xx = ub[:, ax, None] - kk
-                f = table.eval_psi if flags[ax] else table.eval_phi
-                vals.append(f(xx.ravel()).reshape(xx.shape))
-                idx.append(np.clip(kk - k_min[ax], 0, shape[ax] - 1))
-            if d == 2:
-                contrib = (vals[0][:, :, None] * vals[1][:, None, :]
-                           * wb[:, None, None]) * norm_fac
-                i0 = np.broadcast_to(idx[0][:, :, None], contrib.shape)
-                i1 = np.broadcast_to(idx[1][:, None, :], contrib.shape)
-                np.add.at(acc, (i0.ravel(), i1.ravel()), contrib.ravel())
-            else:
-                contrib = (vals[0][:, :, None, None] * vals[1][:, None, :, None]
-                           * vals[2][:, None, None, :]
-                           * wb[:, None, None, None]) * norm_fac
-                i0 = np.broadcast_to(idx[0][:, :, None, None], contrib.shape)
-                i1 = np.broadcast_to(idx[1][:, None, :, None], contrib.shape)
-                i2 = np.broadcast_to(idx[2][:, None, None, :], contrib.shape)
-                np.add.at(acc, (i0.ravel(), i1.ravel(), i2.ravel()),
-                          contrib.ravel())
-        coeffs_all.append(acc.ravel())
-    return np.concatenate(coeffs_all)
+    gens = _generators(d)
+    k_min = [int(math.floor(u[:, ax].min() - hi)) for ax in range(d)]
+    k_max = [int(math.ceil(u[:, ax].max() - lo)) for ax in range(d)]
+    shape = tuple(k_max[ax] - k_min[ax] + 1 for ax in range(d))
+    acc = np.zeros((len(gens), math.prod(shape)))
+    # index placing a (nodes, width) table along axis ax of (nodes, width^d)
+    views = [(slice(None),) + tuple(slice(None) if a == ax else None
+                                    for a in range(d)) for ax in range(d)]
+    chunk = 20000
+    for start in range(0, u.shape[0], chunk):
+        ub = u[start:start + chunk]
+        wb = w[start:start + chunk]
+        m = ub.shape[0]
+        tabs, flat = [], None
+        for ax in range(d):
+            base = np.ceil(ub[:, ax] - hi).astype(int)
+            kk = base[:, None] + offs[None, :]
+            xx = (ub[:, ax, None] - kk).ravel()
+            tabs.append((table.eval_phi(xx).reshape(m, width),
+                         table.eval_psi(xx).reshape(m, width)))
+            idx = np.clip(kk - k_min[ax], 0, shape[ax] - 1)[views[ax]]
+            flat = idx if flat is None else flat * shape[ax] + idx
+        flat = flat.ravel()
+        wb = wb[(slice(None),) + (None,) * d]
+        buf = np.empty((m,) + (width,) * d)
+        for g, flags in enumerate(gens):
+            f = [tabs[ax][int(flags[ax])][views[ax]] for ax in range(d)]
+            # the leading d-1 factors span only width^(d-1) entries per node
+            lead = f[0]
+            for ax in range(1, d - 1):
+                lead = lead * f[ax]
+            np.multiply(lead, f[-1], out=buf)
+            buf *= wb
+            buf *= norm_fac
+            np.add.at(acc[g], flat, buf.ravel())
+    return acc.ravel()
 
 
 def _support_count(table: WaveletTable, d: int, j: int) -> int:

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
+
 from radialfs.cli import main
-from radialfs.experiments import (ExperimentConfig, list_experiments,
-                                  run_experiment)
+from radialfs.experiments import (ExperimentConfig, _write_csv,
+                                  list_experiments, run_experiment)
 
 
 REQUIRED_EXPERIMENTS = [
@@ -28,6 +30,16 @@ class TestListing:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "bv-decay" in out and "spherical-mean-wavelet" in out
+
+
+class TestWriteCsv:
+    def test_fields_parse_as_numbers(self, tmp_path):
+        rows = [(np.float64(0.25), 1.5, 3), (np.float64(1e-300), -0.0, 7)]
+        path = _write_csv(tmp_path, "numbers.csv", "a,b,c", rows)
+        header, *lines = path.read_text().splitlines()
+        assert header == "a,b,c"
+        parsed = [tuple(float(v) for v in line.split(",")) for line in lines]
+        assert parsed == [tuple(float(v) for v in row) for row in rows]
 
 
 class TestRun:

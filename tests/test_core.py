@@ -39,6 +39,15 @@ class TestGrid1D:
             g2 = Grid1D.from_descriptor(g.descriptor or desc)
             assert np.array_equal(g.nodes, g2.nodes)
 
+    def test_composite_descriptor_keeps_n_per(self):
+        g = Grid1D.composite(J=2, h=0.5, T=2.0, n_per=4)
+        g2 = Grid1D.from_descriptor(g.descriptor)
+        assert g.size == 31
+        assert np.array_equal(g.nodes, g2.nodes)
+        # the default level density keeps its original descriptor text
+        assert (Grid1D.composite(J=6, h=0.05, T=8.0).descriptor
+                == "dyadic:J=6;uniform:h=0.05,T=8")
+
     def test_composite_resolves_origin_and_tail(self):
         g = Grid1D.composite(J=8, h=0.05, T=4.0)
         assert g.spacing_near(2.0 ** -8) < 2.0 ** -8

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from radialfs.errors import InvalidParameterError, QuadratureError
-from radialfs.wavelets import (daubechies_filter, spherical_mean_wavelet_coeffs,
-                               wavelet_table)
+from radialfs.wavelets import (_gauss_legendre, _generators, _level_coeffs,
+                               _sphere_nodes, daubechies_filter,
+                               spherical_mean_wavelet_coeffs, wavelet_table)
 
 
 class TestWaveletTable:
@@ -38,6 +39,46 @@ class TestWaveletTable:
     def test_unknown_filter(self):
         with pytest.raises(InvalidParameterError):
             daubechies_filter("haarish")
+
+
+def _level_coeffs_reference(table, d, j, n_nodes):
+    """<surface measure, Psi_{i,j,k}> by a direct loop over the nodes, each
+    node adding to the whole k-box of every generator."""
+    pts, w = _sphere_nodes(d, n_nodes)
+    u = pts * 2.0 ** j
+    lo, hi = table.support
+    ks = [np.arange(math.floor(u[:, ax].min() - hi),
+                    math.ceil(u[:, ax].max() - lo) + 1) for ax in range(d)]
+    blocks = []
+    for flags in _generators(d):
+        acc = np.zeros(tuple(k.size for k in ks))
+        for node, weight in zip(u, w):
+            term = np.array(weight * 2.0 ** (j * d / 2.0))
+            for ax in range(d):
+                f = table.eval_psi if flags[ax] else table.eval_phi
+                term = np.multiply.outer(term, f(node[ax] - ks[ax]))
+            acc += term
+        blocks.append(acc.ravel())
+    return np.concatenate(blocks)
+
+
+class TestLevelCoeffs:
+    @pytest.mark.parametrize("d,name", [(2, "db4"), (3, "db2")])
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_matches_direct_sum(self, d, name, j):
+        table = wavelet_table(name)
+        got = _level_coeffs(table, d, j, 200)
+        ref = _level_coeffs_reference(table, d, j, 200)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_sphere_rule_integrates_area(self):
+        pts, w = _sphere_nodes(3, 800)
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-14)
+        assert w.sum() == pytest.approx(4.0 * math.pi, rel=1e-13)
+        # the cached Gauss-Legendre rule is shared, so it must be read-only
+        u, wu = _gauss_legendre(20)
+        assert not u.flags.writeable and not wu.flags.writeable
 
 
 @pytest.fixture(scope="module")
