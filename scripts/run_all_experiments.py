@@ -2,9 +2,11 @@
 """Run every registered experiment and print one status line per assertion.
 
 Usage: python scripts/run_all_experiments.py [output_dir] [--parallel]
-Exit status 0 iff every assertion of every experiment passes.
+Exit status 0 iff every assertion of every experiment passes; 2 on a bad
+command line.
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -13,12 +15,18 @@ from radialfs.experiments import REGISTRY, ExperimentConfig, run_experiment
 
 
 def main(argv):
-    args = [a for a in argv if not a.startswith("--")]
-    outdir = Path(args[0]) if args else Path("out")
-    options = {"parallel": "1"} if "--parallel" in argv else {}
+    parser = argparse.ArgumentParser(
+        description="Run every registered experiment and report each assertion.")
+    parser.add_argument("output_dir", nargs="?", default="out", type=Path,
+                        help="directory for per-experiment outputs (default: out)")
+    parser.add_argument("--parallel", action="store_true",
+                        help="witness-level parallelism with deterministic merge")
+    args = parser.parse_args(argv)
+    options = {"parallel": "1"} if args.parallel else {}
     all_ok = True
     for name in sorted(REGISTRY):
-        cfg = ExperimentConfig(name, output_dir=outdir / name, options=dict(options))
+        cfg = ExperimentConfig(name, output_dir=args.output_dir / name,
+                               options=dict(options))
         t0 = time.time()
         result = run_experiment(cfg)
         for a in result.assertions:

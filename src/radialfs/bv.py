@@ -187,7 +187,6 @@ def bv_weighted_norm(g: BVProfile, d: Optional[int] = None) -> float:
     l1 = 0.0
     for i, piece in enumerate(g.pieces):
         a = edges[i]
-        b = edges[i + 1] if i + 1 < len(edges) + 0 else math.inf
         b = g.breaks[i] if i < len(g.breaks) else math.inf
         if math.isinf(b):
             probe = piece(np.array([a + 1.0, a + 10.0, a + 100.0]))

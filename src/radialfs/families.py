@@ -17,7 +17,6 @@ import numpy as np
 from .bump import annulus_shape, psi_cutoff
 from .core import Grid1D, RadialProfile
 from .errors import InvalidParameterError
-from .spaces import in_U_t
 
 __all__ = ["TestFamily", "make_f_alpha", "make_f_alpha_delta", "make_Phi_alpha",
            "make_f_j_lambda", "make_f_alpha_sigma", "make_psi_cutoff",
@@ -155,7 +154,7 @@ def make_f_alpha_sigma(alpha: float, sigma: float) -> TestFamily:
     """psi(x) |log|x||^alpha |log|log|x|||^{-sigma}: singular or flat at 0.
 
     Membership in RB^{d/p}_{p,q} holds iff (alpha, sigma) lies in U_q
-    (delegated to in_U_t); the inner log singularity sits at |x| = 1/e.
+    (see spaces.in_U_t); the inner log singularity sits at |x| = 1/e.
     """
 
     def ev(t):
@@ -174,11 +173,6 @@ def make_f_alpha_sigma(alpha: float, sigma: float) -> TestFamily:
     return TestFamily("f_alpha_sigma", {"alpha": alpha, "sigma": sigma}, ev,
                       (0.0, 1.5), singularities=(0.0, 1.0 / math.e, 1.0),
                       doc="psi |log|x||^a |loglog|x||^-s")
-
-
-def f_alpha_sigma_in_space(alpha: float, sigma: float, q: float) -> bool:
-    """Lemma-level membership table for f_{alpha,sigma} in RB^{d/p}_{p,q}."""
-    return in_U_t(alpha, sigma, q)
 
 
 def make_psi_cutoff() -> TestFamily:

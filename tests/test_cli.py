@@ -1,6 +1,9 @@
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from radialfs.cli import main
 from radialfs.experiments import (ExperimentConfig, _write_csv,
@@ -14,6 +17,8 @@ REQUIRED_EXPERIMENTS = [
     "spherical-mean-wavelet", "sobolev-reduction", "predicate-tables",
     "classification-map",
 ]
+
+RUN_ALL = Path(__file__).resolve().parent.parent / "scripts" / "run_all_experiments.py"
 
 
 class TestListing:
@@ -30,6 +35,21 @@ class TestListing:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "bv-decay" in out and "spherical-mean-wavelet" in out
+
+
+class TestRunAllScript:
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["-h"], 0),
+                                            (["--no-such-flag"], 2)])
+    def test_bad_or_help_flags_run_nothing(self, tmp_path, monkeypatch, capsys,
+                                           argv, code):
+        monkeypatch.chdir(tmp_path)
+        script_main = runpy.run_path(str(RUN_ALL))["main"]
+        with pytest.raises(SystemExit) as exc:
+            script_main(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert "output_dir" in (out if code == 0 else err)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteCsv:

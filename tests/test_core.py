@@ -208,6 +208,57 @@ class TestGradientIdentity:
         with pytest.raises(InvalidParameterError):
             radial_gradient_identity_check(prof, 0.5, 2)
 
+    @staticmethod
+    def _full_cube_lhs(feval, T, d, p, n_grid, fd_step):
+        """Brute-force tensor route: every x_1-slab of the full axis, no fold."""
+        axis = np.linspace(-T, T, n_grid)
+        h = axis[1] - axis[0]
+        mesh_rest = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
+        rest_sq = sum(m ** 2 for m in mesh_rest)
+        total = 0.0
+        for x1 in axis:
+            grad_sq = ((feval(np.sqrt((x1 + fd_step) ** 2 + rest_sq))
+                        - feval(np.sqrt((x1 - fd_step) ** 2 + rest_sq)))
+                       / (2.0 * fd_step)) ** 2
+            for m in mesh_rest:
+                other = rest_sq - m ** 2
+                di = (feval(np.sqrt(x1 ** 2 + other + (m + fd_step) ** 2))
+                      - feval(np.sqrt(x1 ** 2 + other + (m - fd_step) ** 2))
+                      ) / (2.0 * fd_step)
+                grad_sq += di ** 2
+            total += float(np.sum(np.sqrt(grad_sq) ** p))
+        return (total * h ** d) ** (1.0 / p)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("n_grid", [15, 16])
+    def test_orthant_fold_matches_full_cube(self, d, p, n_grid):
+        # Odd n_grid puts a node at 0 (multiplicity 1 per zero coordinate).
+        # fd_step = 1e-3: the central difference carries rounding noise of
+        # about eps / fd_step per node, and np.linspace is not bit-for-bit
+        # symmetric, so at the default 1e-5 the reference's own one-ulp
+        # asymmetry moves these tiny sums by up to ~1e-12.
+        c, w, fd_step = 1.2, 0.8, 1e-3
+        ev = lambda r: bump((np.asarray(r, float) - c) / w) \
+            + bump((np.asarray(r, float) + c) / w)
+        prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w), d=d)
+        support = np.abs(prof.grid.nodes[np.abs(prof.values) > 1e-13])
+        T = float(support.max()) * 1.05 + 0.25
+        rep = radial_gradient_identity_check(prof, p, d, evaluator=ev,
+                                             n_grid=n_grid, fd_step=fd_step)
+        want = self._full_cube_lhs(ev, T, d, p, n_grid, fd_step)
+        assert abs(rep.lhs_tensor - want) <= 1e-12 * want
+
+    def test_coarse_grid_reports_failure(self):
+        # Negative control: an under-resolved tensor grid must miss the
+        # 1e-4 identity by far (measured |ratio - 1| = 3.9e-2).
+        c, w = 0.9, 0.35
+        ev = lambda r: bump((np.asarray(r, float) - c) / w) \
+            + bump((np.asarray(r, float) + c) / w)
+        prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w), d=3)
+        rep = radial_gradient_identity_check(prof, 1, 3, evaluator=ev, n_grid=16)
+        assert abs(rep.ratio - 1.0) > 1e-2
+
 
 class TestRotationInvariance:
     def test_profile_backed_field_exact(self):
