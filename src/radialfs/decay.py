@@ -104,9 +104,10 @@ def bump_train(amplitude_exponent: float, centers: Sequence[float],
 
 def _surrogate_norm(profile: RadialProfile, params: SpaceParams,
                     J: int = 8) -> float:
-    spec = AtomSpec.b_admissible(params.s, params.p, params.d)
     if params.scale == "B":
+        spec = AtomSpec.b_admissible(params.s, params.p, params.d)
         return tb_norm(profile, params, spec=spec, J=J)
+    spec = AtomSpec.f_admissible(params.s, params.p, params.q, params.d)
     return tf_norm(profile, params, spec=spec, J=J)
 
 

@@ -72,29 +72,35 @@ def _collocation_indices(j: int, k_max: int) -> np.ndarray:
     return np.arange(1, k_max + 1, 2)
 
 
+def _add_level(out: np.ndarray, t: np.ndarray, j: int, coeffs: np.ndarray,
+               n0: float) -> None:
+    """Add level j's captured atoms at points t >= 0 into out (<= 3 atoms/point)."""
+    scale = 2.0 ** j
+    rho = 2.0 ** (-j - 1)
+    kk = np.round(t * scale).astype(int)
+    for off in (-1, 0, 1):
+        k = kk + off
+        valid = (k >= 0) & (k < coeffs.size)
+        if not np.any(valid):
+            continue
+        kv = k[valid]
+        c = 2.0 ** (-j) * kv
+        vals = bump((t[valid] - c) / rho)
+        here = np.zeros_like(t)
+        here[valid] = coeffs[kv] * vals
+        # k = 0 has a single bump (already even); k >= 1 pairs with -c,
+        # which for t >= 0 only matters through the |t| reduction.
+        out += here / n0
+
+
 def _eval_capture(coeff_levels: Dict[int, np.ndarray], t: np.ndarray,
                   L: int) -> np.ndarray:
-    """Sum of captured atoms at points t, localized per level (<= 3 atoms/level)."""
+    """Sum of captured atoms at points t, added level by level in key order."""
     t = np.abs(np.asarray(t, dtype=float))
     out = np.zeros_like(t)
     n0 = atom_normalization(L)
     for j, coeffs in coeff_levels.items():
-        scale = 2.0 ** j
-        rho = 2.0 ** (-j - 1)
-        kk = np.round(t * scale).astype(int)
-        for off in (-1, 0, 1):
-            k = kk + off
-            valid = (k >= 0) & (k < coeffs.size)
-            if not np.any(valid):
-                continue
-            kv = k[valid]
-            c = 2.0 ** (-j) * kv
-            vals = bump((t[valid] - c) / rho)
-            here = np.zeros_like(t)
-            here[valid] = coeffs[kv] * vals
-            # k = 0 has a single bump (already even); k >= 1 pairs with -c,
-            # which for t >= 0 only matters through the |t| reduction above.
-            out += here / n0
+        _add_level(out, t, j, coeffs, n0)
     return out
 
 
@@ -137,14 +143,17 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     """Multilevel collocation decomposition of an even compactly supported profile.
 
     Raises DecompositionError when the residual stalls (residual at J above
-    residual at J-2) and ``raise_on_stall`` is set.  ``track_history=False``
-    skips the per-level residual norms (only the final one is computed),
-    which is the fast path for norm surrogates.
+    residual at J-2) and ``raise_on_stall`` is set.  The captured sum on the
+    grid is kept as one running array that gains only level j's atoms after
+    level j, so every level costs one pass over the grid.  ``track_history``
+    records the weighted residual norm after every level (one extra norm per
+    level); without it only the final residual norm is computed.
     """
     if not g.grid.even:
         raise InvalidParameterError("decomposition needs an even profile")
     t_grid = g.grid.nodes
-    outer = float(np.abs(t_grid).max())
+    t_abs = np.abs(t_grid)
+    outer = float(t_abs.max())
     n0 = atom_normalization(spec.L)
     d_for_norm = g.dim_context or 2
     p_norm = max(1.0, spec.p)
@@ -152,18 +161,18 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     levels: Dict[int, np.ndarray] = {}
     history: List[float] = []
     g_scale = weighted_lp_norm(g, p_norm, d_for_norm)
-
-    def residual_at(pts: np.ndarray) -> np.ndarray:
-        return g(pts) - _eval_capture(levels, pts, spec.L)
+    captured = np.zeros_like(t_abs)
 
     for j in range(J + 1):
         k_max = int(math.ceil(outer * 2.0 ** j)) + 1
         coeffs = np.zeros(k_max + 1)
         ks = _collocation_indices(j, k_max)
-        coeffs[ks] = residual_at(2.0 ** (-j) * ks) * n0
+        pts = 2.0 ** (-j) * ks
+        coeffs[ks] = (g(pts) - _eval_capture(levels, pts, spec.L)) * n0
         levels[j] = coeffs
+        _add_level(captured, t_abs, j, coeffs, n0)
         if track_history or j == J:
-            res_vals = g.values - _eval_capture(levels, t_grid, spec.L)
+            res_vals = g.values - captured
             res_prof = RadialProfile(g.grid, 0.5 * (res_vals + res_vals[::-1]))
             history.append(weighted_lp_norm(res_prof, p_norm, d_for_norm))
 
@@ -254,6 +263,20 @@ def _uniform_resample(g: RadialProfile, n_fft: int, T: Optional[float]):
     return t, g(t), T
 
 
+def _level_lowpass(xi: np.ndarray, j: int) -> np.ndarray:
+    """_lowpass_window(xi / 2^j) on ascending xi >= 0.
+
+    smoothstep is evaluated only on the transition band 2^j < xi < 2^{j+1};
+    below it the window is exactly 1 and above it exactly 0.
+    """
+    lo = int(np.searchsorted(xi, 2.0 ** j, side="right"))
+    hi = int(np.searchsorted(xi, 2.0 ** (j + 1), side="left"))
+    win = np.zeros_like(xi)
+    win[:lo] = 1.0
+    win[lo:hi] = _lowpass_window(xi[lo:hi] / 2.0 ** j)
+    return win
+
+
 def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
                          T: Optional[float] = None,
                          J: Optional[int] = None) -> DyadicBandSpectrum:
@@ -261,25 +284,27 @@ def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
 
     Band 0 is the low-pass |xi| <= 2; band j lives on 2^{j-1} <= |xi| <= 2^{j+1}.
     The telescoped windows sum to 1 on the whole discrete spectrum, so the
-    band sum reproduces the sampled profile to roundoff.
+    band sum reproduces the sampled profile to roundoff.  The windows are
+    even in xi, so the real-input transform on xi >= 0 carries the bands.
     """
     t, vals, T = _uniform_resample(g, n_fft, T)
     h = t[1] - t[0]
-    xi = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=h)
-    xi_max = float(np.abs(xi).max())
+    xi = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
+    xi_max = float(xi[-1])
     J_max = max(1, int(math.ceil(math.log2(xi_max))))
     if J is None:
         J = J_max
     elif 2.0 ** J < xi_max:
         raise ResolutionError(
             f"requested J={J} does not cover the grid spectrum (need >= {J_max})")
-    spec = np.fft.fft(vals)
+    spec = np.fft.rfft(vals)
     bands = np.empty((J + 1, n_fft))
-    low = [_lowpass_window(xi / 2.0 ** j) for j in range(J)]
-    low.append(np.ones_like(xi))  # top window absorbs the tail: exact telescoping
+    prev = np.zeros_like(xi)
     for j in range(J + 1):
-        win = low[0] if j == 0 else low[j] - low[j - 1]
-        bands[j] = np.fft.ifft(spec * win).real
+        # the top window absorbs the tail: exact telescoping
+        low = _level_lowpass(xi, j) if j < J else np.ones_like(xi)
+        bands[j] = np.fft.irfft(spec * (low - prev), n=n_fft)
+        prev = low
     return DyadicBandSpectrum(t, bands, J)
 
 

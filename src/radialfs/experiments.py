@@ -322,9 +322,8 @@ def _exp_seq_identities(cfg: ExperimentConfig) -> ExperimentResult:
         gap = seq_norm_bspqd(c, q_hi) - seq_norm_bspqd(c, q_lo)
         worst_mono = max(worst_mono, gap / max(b, 1e-300))
     art = _write_csv(cfg.output_dir, "seq-identities.csv",
-                     "check,value", [("b_eq_f_rel", worst_bf),
-                                     ("homogeneity_rel", worst_hom),
-                                     ("q_monotonicity_gap", worst_mono)])
+                     "b_eq_f_rel,homogeneity_rel,q_monotonicity_gap",
+                     [(worst_bf, worst_hom, worst_mono)])
     return ExperimentResult("seq-identities", [
         Assertion("b_eq_f_at_p_eq_q_rel", worst_bf, "<=", 1e-10, "identity"),
         Assertion("homogeneity_rel", worst_hom, "<=", 1e-12, "identity"),
@@ -366,9 +365,9 @@ def _exp_trace_roundtrip(cfg: ExperimentConfig) -> ExperimentResult:
         worst_rt = max(worst_rt, float(np.max(np.abs(back.values - prof.values))))
         for m in (0, 1):
             worst_cm = max(worst_cm, cm_norm(back, m) - cm_norm(f, m))
-    art = _write_csv(cfg.output_dir, "trace-roundtrip.csv", "check,value",
-                     [("roundtrip_max_err", worst_rt),
-                      ("cm_trace_gap_max", worst_cm)])
+    art = _write_csv(cfg.output_dir, "trace-roundtrip.csv",
+                     "roundtrip_max_err,cm_trace_gap_max",
+                     [(worst_rt, worst_cm)])
     return ExperimentResult("trace-roundtrip", [
         Assertion("roundtrip_node_exact", worst_rt, "<=", 0.0, "identity"),
         Assertion("cm_trace_leq_field", worst_cm, "<=", 1e-12, "paper-exponent"),
@@ -456,9 +455,12 @@ def _exp_predicate_tables(cfg: ExperimentConfig) -> ExperimentResult:
         ("U_t(.5,.6,2)", in_U_t(0.5, 0.6, 2.0), True),
         ("sigma_p(.5,2)=2", sigma_p(0.5, 2) == 2.0, True),
     ]
-    rows = [(name, got, want) for name, got, want in cases]
-    art = _write_csv(cfg.output_dir, "predicate-tables.csv",
-                     "predicate,value,expected", rows)
+    # one column per case (commas in the names become ';'); the first row
+    # holds the computed predicates, the second the expected ones, as 1/0
+    header = ",".join(name.replace(",", ";") for name, _, _ in cases)
+    rows = [tuple(int(got) for _, got, _ in cases),
+            tuple(int(want) for _, _, want in cases)]
+    art = _write_csv(cfg.output_dir, "predicate-tables.csv", header, rows)
     failures = sum(1 for _, got, want in cases if got != want)
     return ExperimentResult("predicate-tables", [
         Assertion("table_mismatches", float(failures), "<=", 0.0, "paper-exponent"),

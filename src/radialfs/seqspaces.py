@@ -12,6 +12,14 @@ this is an equivalent quasi-norm, and it makes the identity b_{p,p,d} =
 f_{p,p,d} exact rather than merely up-to-constants.  Outer sums over levels
 are accumulated in log-space, so large-J sweeps with big 2^{j(s-d/p)q}
 factors cannot overflow.
+
+The f-norms are evaluated exactly on the elementary intervals cut by all
+annulus endpoints, where the inner function is constant.  Annuli of one level
+have disjoint interiors, so each elementary interval meets at most one entry
+per level: the log-weighted coefficients are laid out as an intervals x
+levels array (one column per level present, -inf where a level has no entry),
+each entry filling its run of intervals found by binary search on the
+breakpoints.  The work grows with intervals x levels, not intervals x entries.
 """
 
 from __future__ import annotations
@@ -222,6 +230,7 @@ def _f_norm_exact(entries, level_log_weight, p: float, q: float, d: int,
     ent = [((j, k), abs(v)) for (j, k), v in entries if v != 0.0]
     if not ent:
         return 0.0
+    js = np.array([j for (j, _), _ in ent])
     los = np.array([2.0 ** (-j) * k for (j, k), _ in ent])
     his = np.array([2.0 ** (-j) * (k + 1) for (j, k), _ in ent])
     # shat in log space: |s| * (mass / geometric mass)^{1/p}
@@ -230,13 +239,17 @@ def _f_norm_exact(entries, level_log_weight, p: float, q: float, d: int,
     log_lvl = np.array([level_log_weight(j) for (j, k), _ in ent])
 
     bps = np.unique(np.concatenate([los, his]))
-    mids = 0.5 * (bps[:-1] + bps[1:])
-    # membership matrix: interval i belongs to entry e
-    member = (mids[:, None] >= los[None, :]) & (mids[:, None] <= his[None, :])
+    # entry e covers the elementary intervals first[e] .. first[e] + run[e] - 1
+    first = np.searchsorted(bps, los)
+    run = np.searchsorted(bps, his) - first
+    rows = np.arange(run.sum()) + np.repeat(first - (np.cumsum(run) - run), run)
+    levels, col = np.unique(js, return_inverse=True)
+    # one column per level: annuli of one level have disjoint interiors
+    log_piece = np.full((bps.size - 1, levels.size), -np.inf)
+    log_piece[rows, np.repeat(col, run)] = np.repeat(log_lvl + log_shat, run)
     # geometric weighted mass of each elementary interval: (2/d)(b^d - a^d)
     log_mass = np.log(2.0 / d) + np.log(bps[1:] ** d - bps[:-1] ** d) + mass_log_extra
 
-    log_piece = np.where(member, log_lvl[None, :] + log_shat[None, :], -np.inf)
     if math.isinf(q):
         log_inner = np.max(log_piece, axis=1)
     else:

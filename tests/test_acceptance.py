@@ -4,13 +4,33 @@ Each test prints a single pass/fail line (run with -s to see them all); the
 assertions mirror the summary rows the experiment CLI writes.
 """
 
+import csv
+
 from radialfs.experiments import ExperimentConfig, run_experiment
 
 
 def _run(name, tmp_path, **options):
     cfg = ExperimentConfig(name, output_dir=tmp_path,
                            options={k: str(v) for k, v in options.items()})
-    return run_experiment(cfg)
+    result = run_experiment(cfg)
+    _check_data_csvs(tmp_path)
+    return result
+
+
+def _check_data_csvs(outdir):
+    # every data file (all but the summary) holds plain numbers under its
+    # header, one field per header column
+    data = [path for path in sorted(outdir.iterdir())
+            if not path.name.endswith("-summary.csv")]
+    assert data, f"no data CSV written in {outdir}"
+    for path in data:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, f"{path.name}: no data rows"
+        for row in rows:
+            assert len(row) == len(header), f"{path.name}: ragged row {row}"
+            for value in row:
+                float(value)
 
 
 def _report(criterion, result):

@@ -18,7 +18,8 @@ REQUIRED_EXPERIMENTS = [
     "classification-map",
 ]
 
-RUN_ALL = Path(__file__).resolve().parent.parent / "scripts" / "run_all_experiments.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+RUN_ALL = SCRIPTS / "run_all_experiments.py"
 
 
 class TestListing:
@@ -50,6 +51,28 @@ class TestRunAllScript:
         out, err = capsys.readouterr()
         assert "output_dir" in (out if code == 0 else err)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDecomposeDemoScript:
+    def test_writes_coefficients_and_bands(self, tmp_path, monkeypatch, capsys):
+        from radialfs.core import Grid1D
+        from radialfs.families import parse_family
+        monkeypatch.setattr("sys.argv", ["decompose_profile_demo.py",
+                                         "psi_cutoff", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "decompose_profile_demo.py"),
+                           run_name="__main__")
+        assert exc.value.code == 0
+        assert "psi_cutoff" in capsys.readouterr().out
+        header = (tmp_path / "coefficients.csv").read_text().splitlines()[1]
+        assert header == "j,k,coefficient"
+        bands = np.loadtxt(tmp_path / "bands.csv", delimiter=",", skiprows=1)
+        # the script's profile, rebuilt: the bands sum back to its samples
+        fam = parse_family("psi_cutoff")
+        prof = fam.profile(Grid1D.uniform(2.0 ** -12,
+                                          max(2.0, fam.support[1] * 1.3)), d=2)
+        t = bands[:, 0]
+        assert np.max(np.abs(bands[:, 1:].sum(axis=1) - prof(t))) <= 1e-8
 
 
 class TestWriteCsv:

@@ -96,6 +96,22 @@ class TestDecay4:
         assert sups[-1] >= 1.8 * sups[0]
 
 
+class TestSurrogateNorm:
+    def test_f_scale_uses_f_admissible_atoms(self):
+        # q < min(1, p) raises the F-scale moment order above the B-scale one
+        # (sigma_{p,q} > sigma_p); the surrogate must use F-admissible atoms
+        from radialfs.covering import AtomSpec
+        from radialfs.decay import _surrogate_norm
+        from radialfs.decompose import tf_norm
+        from radialfs.families import make_f_j_lambda
+        params = SpaceParams(0.5, 2.0, 0.5, 2, "F")
+        prof = make_f_j_lambda(3, 4.0).profile(Grid1D.uniform(2.0 ** -10, 1.0), d=2)
+        val = _surrogate_norm(prof, params, J=6)
+        spec = AtomSpec.f_admissible(0.5, 2.0, 0.5, 2)
+        assert val == tf_norm(prof, params, spec=spec, J=6)
+        assert math.isfinite(val) and val > 0
+
+
 class TestDecay2:
     def test_exact_witness_cancellation(self):
         rep = check_decay2(SpaceParams(0.75, 2.0, 2.0, 2), r_range=range(2, 8))

@@ -6,10 +6,13 @@ import pytest
 from radialfs.bump import bump, psi_cutoff
 from radialfs.core import Grid1D, RadialProfile, weighted_lp_norm
 from radialfs.covering import AtomSpec, validate_even_atom
-from radialfs.decompose import (decompose_profile, dyadic_band_spectrum,
-                                lp_besov_norm_1d, sobolev_radial_norm_1,
-                                sobolev_radial_norm_2, sobolev_radial_norm_2m,
-                                tb_norm, template_atom_profile, tf_norm)
+from radialfs.decompose import (_eval_capture, _lowpass_window,
+                                atom_normalization, decompose_profile,
+                                dyadic_band_spectrum, lp_besov_norm_1d,
+                                sobolev_radial_norm_1, sobolev_radial_norm_2,
+                                sobolev_radial_norm_2m, tb_norm,
+                                template_atom_profile, template_atom_values,
+                                tf_norm)
 from radialfs.errors import (DecompositionError, InvalidParameterError,
                              ResolutionError)
 from radialfs.spaces import SpaceParams
@@ -87,6 +90,61 @@ class TestDecomposeProfile:
         assert lines[1] == "j,k,coefficient"
 
 
+def from_scratch_decomposition(g, spec, J):
+    """Level-by-level cascade that re-evaluates every captured level on the
+    whole grid after each level; returns the per-level coefficient arrays and
+    the residual norm after each level."""
+    t = g.grid.nodes
+    outer = float(np.abs(t).max())
+    n0 = atom_normalization(spec.L)
+    d, p = g.dim_context or 2, max(1.0, spec.p)
+    levels, history = {}, []
+    for j in range(J + 1):
+        k_max = int(math.ceil(outer * 2.0 ** j)) + 1
+        ks = np.arange(0, k_max + 1) if j == 0 else np.arange(1, k_max + 1, 2)
+        pts = 2.0 ** (-j) * ks
+        coeffs = np.zeros(k_max + 1)
+        coeffs[ks] = (g(pts) - _eval_capture(levels, pts, spec.L)) * n0
+        levels[j] = coeffs
+        res = g.values - _eval_capture(levels, t, spec.L)
+        history.append(weighted_lp_norm(
+            RadialProfile(g.grid, 0.5 * (res + res[::-1])), p, d))
+    return levels, history
+
+
+class TestIncrementalCapture:
+    @pytest.mark.parametrize("J", [5, 10])
+    @pytest.mark.parametrize("track_history", [True, False])
+    def test_matches_from_scratch_recomputation(self, J, track_history):
+        # h = 2^-8: at J = 10 the collocation points fall between grid nodes
+        g = RadialProfile.from_callable(
+            lambda t: bump((np.abs(t) - 1.1) / 0.7) + 0.3 * psi_cutoff(t),
+            Grid1D.uniform(2.0 ** -8, 3.0), d=2)
+        dec = decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False,
+                                track_history=track_history)
+        levels, history = from_scratch_decomposition(g, SPEC_L2, J)
+        assert list(dec._levels) == list(levels)
+        for j in levels:
+            assert np.array_equal(dec._levels[j], levels[j])
+        assert dec.residual_history == (history if track_history else history[-1:])
+        assert dec.residual_norm == history[-1]
+        expected = {(j, k): float(v) for j, arr in levels.items()
+                    for k, v in enumerate(arr) if v != 0.0}
+        assert dec.coefficients.data == expected
+
+    def test_reconstruction_is_the_sum_of_atoms(self):
+        # independent of the localized per-level evaluation: sum every
+        # captured atom over the whole grid
+        g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2.0 ** -7, 2.0),
+                                        d=2)
+        dec = decompose_profile(g, SPEC_L2, J=4, raise_on_stall=False)
+        t = g.grid.nodes
+        direct = sum(v * template_atom_values(j, k, t, SPEC_L2.L)
+                     for (j, k), v in dec.coefficients.items())
+        rec = dec.reconstruction(t)
+        assert np.max(np.abs(rec - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
 class TestTraceNorms:
     def test_single_atom_exact_value(self, fine_grid):
         # odd k: the slot is native to its level (even k aliases coarser slots)
@@ -157,6 +215,23 @@ class TestLpBesovNorm:
         spec = dyadic_band_spectrum(g, n_fft=2 ** 15, T=4.0)
         assert spec.reconstruction_error(g(spec.t)) <= 1e-8
 
+    @pytest.mark.parametrize("n_fft, J", [(2 ** 12, None), (2 ** 12 + 1, None),
+                                          (3001, 14)])
+    def test_bands_match_complex_fft_reference(self, n_fft, J):
+        g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -9, 4.0),
+                                        d=2)
+        spec = dyadic_band_spectrum(g, n_fft=n_fft, T=4.0, J=J)
+        # full complex spectrum, every window built on the whole xi axis
+        vals = g(spec.t)
+        xi = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=spec.t[1] - spec.t[0])
+        low = [_lowpass_window(xi / 2.0 ** j) for j in range(spec.J)]
+        low.append(np.ones_like(xi))
+        full = np.fft.fft(vals)
+        ref = np.array([np.fft.ifft(full * (low[j] - (low[j - 1] if j else 0.0))).real
+                        for j in range(spec.J + 1)])
+        assert spec.bands.shape == ref.shape == (spec.J + 1, n_fft)
+        assert np.max(np.abs(spec.bands - ref)) <= 1e-13 * np.max(np.abs(vals))
+
     def test_band_csv_export(self, tmp_path):
         g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -8, 4.0),
                                         d=2)
@@ -176,7 +251,6 @@ class TestLpBesovNorm:
         t = spec.t
         h = t[1] - t[0]
         xi = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-        from radialfs.decompose import _lowpass_window
         vals = g(t)
         for j in range(4):
             win = _lowpass_window(xi / 2.0 ** j) if j else _lowpass_window(xi)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from radialfs.core import Grid1D, ball_volume
 from radialfs.errors import ResolutionError
@@ -186,6 +187,45 @@ class TestBruteForceOracle:
         c = CoefficientGrid.single(6, 3, 1.0)
         with pytest.raises(ResolutionError):
             seq_norm_fpqd(c, 2.0, 2.0, 2, Grid1D.uniform(0.5, 2.0))
+
+
+def dense_f_reference(c, level_log_weight, p, q, d, mass_log_extra):
+    """f-type norm with every elementary interval tested against every entry."""
+    ent = [(j, k, abs(v)) for (j, k), v in c.items()]
+    los = np.array([2.0 ** -j * k for j, k, _ in ent])
+    his = np.array([2.0 ** -j * (k + 1) for j, k, _ in ent])
+    # level weight times the mass-normalized coefficient, in log space
+    log_coef = np.array([
+        level_log_weight(j) + math.log(a)
+        + ((d - 1) * math.log1p(k) - math.log((2.0 / d) * ((k + 1.0) ** d - k ** d))) / p
+        for j, k, a in ent])
+    bps = np.unique(np.concatenate([los, his]))
+    mids = 0.5 * (bps[:-1] + bps[1:])
+    member = (mids[:, None] >= los[None, :]) & (mids[:, None] <= his[None, :])
+    piece = np.where(member, log_coef[None, :], -np.inf)
+    if math.isinf(q):
+        inner = piece.max(axis=1)
+    else:
+        inner = logsumexp(q * piece, axis=1) / q
+    keep = inner > -np.inf
+    log_mass = np.log(2.0 / d) + np.log(bps[1:] ** d - bps[:-1] ** d) + mass_log_extra
+    return math.exp(logsumexp(p * inner[keep] + log_mass[keep]) / p)
+
+
+class TestDenseMembershipReference:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p, q", [(1.5, 0.7), (0.8, 2.5), (2.0, math.inf)])
+    def test_f_norms_match_dense_reference(self, seed, d, p, q):
+        c = random_grid(seed, J=6, K=20)
+        s = 0.7
+        f = seq_norm_fspqd(c, SpaceParams(s, p, q, d))
+        ref = dense_f_reference(c, lambda j: j * s * math.log(2.0), p, q, d, 0.0)
+        assert f == pytest.approx(ref, rel=1e-13, abs=0.0)
+        f = seq_norm_fpqd(c, p, q, d)
+        ref = dense_f_reference(c, lambda j: j * (d / p) * math.log(2.0), p, q, d,
+                                math.log(ball_volume(d)))
+        assert f == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 class TestAnnulusIndicator:
