@@ -1,9 +1,12 @@
 """Command-line experiment runner.
 
 Subcommands:
-  radialfs run <config>    run the experiment named in the config file
-  radialfs list            list experiment names with one-line docs
-  radialfs map --region=<fig1|fig2|fig3> --rect=a,b,c,d --res=N [--d=D]
+  radialfs run <config>        run the experiment named in the config file
+  radialfs run-all [out_dir]   run every experiment, each into out_dir/<name>
+  radialfs list                list experiment names with one-line docs
+  radialfs map --region=<fig1|fig2|fig3> [--rect=a,b,c,d] [--res=N] [--d=D]
+                               rasterize a (1/p, s) figure; the rectangle
+                               defaults to 0.01,3,-1,4
 
 Config files are flat key = value text with an optional [experiment] section
 (INI style); JSON files ({"experiment": ..., "seed": ..., ...}) are accepted
@@ -18,12 +21,13 @@ import argparse
 import configparser
 import json
 import sys
+import time
 from pathlib import Path
 
-from .decay import classification_map
+from .decay import FIGURE_RECT, figure_region, write_classification_csv
 from .errors import ConfigError, RadialfsError
-from .experiments import ExperimentConfig, list_experiments, run_experiment
-from .spaces import fig1_region, fig2_region, fig3_region
+from .experiments import (ExperimentConfig, ExperimentResult, list_experiments,
+                          run_experiment)
 
 
 def _load_config(path: Path) -> ExperimentConfig:
@@ -56,17 +60,30 @@ def _load_config(path: Path) -> ExperimentConfig:
                             options={k: str(v) for k, v in data.items()})
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(Path(args.config))
-    if getattr(args, "parallel", False):
-        cfg.options["parallel"] = "1"
-    result = run_experiment(cfg)
+def _print_assertions(result: ExperimentResult) -> None:
     for a in result.assertions:
         status = "pass" if a.passed else "FAIL"
         print(f"[{status}] {result.name}: {a.name} = {a.measured:.6g} "
               f"({a.kind} {a.threshold:g}; {a.provenance})")
+
+
+def _cmd_run(args) -> int:
+    result = run_experiment(_load_config(Path(args.config)))
+    _print_assertions(result)
     print(f"artifacts: {', '.join(str(p) for p in result.artifacts)}")
     return 0 if result.passed else 1
+
+
+def _cmd_run_all(args) -> int:
+    all_ok = True
+    for name, _ in list_experiments():
+        t0 = time.perf_counter()
+        result = run_experiment(ExperimentConfig(name, output_dir=args.output_dir / name))
+        _print_assertions(result)
+        print(f"         {name} finished in {time.perf_counter() - t0:.1f}s")
+        all_ok &= result.passed
+    print("ALL PASS" if all_ok else "FAILURES PRESENT")
+    return 0 if all_ok else 1
 
 
 def _cmd_list(_args) -> int:
@@ -76,21 +93,15 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_map(args) -> int:
-    try:
-        a, b, c, d = (float(x) for x in args.rect.split(","))
-    except ValueError:
-        raise ConfigError(f"--rect must be four comma-separated numbers, got {args.rect!r}")
-    makers = {"fig1": fig1_region, "fig2": fig2_region, "fig3": fig3_region}
-    if args.region not in makers:
-        raise ConfigError(f"--region must be one of {sorted(makers)}")
-    region = makers[args.region](args.d)
-    rows = classification_map(region, (a, b, c, d), args.res)
+    rect = FIGURE_RECT
+    if args.rect is not None:
+        try:
+            a, b, c, d = (float(x) for x in args.rect.split(","))
+        except ValueError:
+            raise ConfigError(f"--rect must be four comma-separated numbers, got {args.rect!r}")
+        rect = (a, b, c, d)
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        fh.write("inv_p,s,label\n")
-        for inv_p, s, label in rows:
-            fh.write(f"{inv_p!r},{s!r},{label}\n")
+    rows = write_classification_csv(out, figure_region(args.region, args.d), rect, args.res)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -102,16 +113,20 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    p_run.add_argument("--parallel", action="store_true",
-                       help="witness-level parallelism with deterministic merge")
     p_run.set_defaults(func=_cmd_run)
+
+    p_all = sub.add_parser("run-all", help="run every registered experiment")
+    p_all.add_argument("output_dir", nargs="?", default="out", type=Path,
+                       help="directory for per-experiment outputs (default: out)")
+    p_all.set_defaults(func=_cmd_run_all)
 
     p_list = sub.add_parser("list", help="list experiments")
     p_list.set_defaults(func=_cmd_list)
 
     p_map = sub.add_parser("map", help="rasterize a classification figure")
-    p_map.add_argument("--region", required=True)
-    p_map.add_argument("--rect", required=True, help="inv_p_min,inv_p_max,s_min,s_max")
+    p_map.add_argument("--region", required=True, help="fig1, fig2 or fig3")
+    p_map.add_argument("--rect", help="inv_p_min,inv_p_max,s_min,s_max "
+                       f"(default: {','.join(map(str, FIGURE_RECT))})")
     p_map.add_argument("--res", type=int, default=60)
     p_map.add_argument("--d", type=int, default=2)
     p_map.add_argument("--output", default="out/classification.csv")

@@ -235,6 +235,11 @@ def build_partition(cov: AnnularCovering, L: int = 2) -> PartitionOfUnity:
     return PartitionOfUnity(cov, L)
 
 
+def _admissible_orders(s: float, sigma: float) -> Tuple[int, int]:
+    """Least admissible (L, M) at smoothness s and threshold sigma."""
+    return max(0, math.floor(s) + 1), max(math.floor(sigma - s), -1)
+
+
 @dataclass(frozen=True)
 class AtomSpec:
     """Regularity/moment orders (L, M) with the space parameters they serve."""
@@ -252,34 +257,23 @@ class AtomSpec:
     @staticmethod
     def b_admissible(s: float, p: float, d: int, q: float = None) -> "AtomSpec":
         from .spaces import sigma_p
-        L = max(0, math.floor(s) + 1)
-        M = max(math.floor(sigma_p(p, d) - s), -1)
-        return AtomSpec(L, M, s, p, flavor="even-1D")
+        return AtomSpec(*_admissible_orders(s, sigma_p(p, d)), s, p, flavor="even-1D")
 
     @staticmethod
     def f_admissible(s: float, p: float, q: float, d: int) -> "AtomSpec":
         from .spaces import sigma_pq
-        L = max(0, math.floor(s) + 1)
-        M = max(math.floor(sigma_pq(p, q, d) - s), -1)
-        return AtomSpec(L, M, s, p, flavor="even-1D")
+        return AtomSpec(*_admissible_orders(s, sigma_pq(p, q, d)), s, p, flavor="even-1D")
 
-    def require_b_admissible(self, s: float, p: float, d: int) -> None:
-        """Raise unless (L, M) satisfy the B-scale admissibility orders."""
-        from .spaces import sigma_p
-        if self.L < max(0, math.floor(s) + 1):
+    def require_admissible(self, s: float, p: float, sigma: float) -> None:
+        """Raise unless (L, M) meet the orders at s and threshold sigma.
+
+        sigma is sigma_p(p, d) on the B scale and sigma_pq(p, q, d) on the F scale.
+        """
+        L, M = _admissible_orders(s, sigma)
+        if self.L < L:
             raise InvalidParameterError(
                 f"L = {self.L} below the required [s]+1 = {math.floor(s) + 1}")
-        if self.M < max(math.floor(sigma_p(p, d) - s), -1):
-            raise InvalidParameterError(
-                f"M = {self.M} below the required moment order at s={s}, p={p}")
-
-    def require_f_admissible(self, s: float, p: float, q: float, d: int) -> None:
-        """Raise unless (L, M) satisfy the F-scale admissibility orders."""
-        from .spaces import sigma_pq
-        if self.L < max(0, math.floor(s) + 1):
-            raise InvalidParameterError(
-                f"L = {self.L} below the required [s]+1 = {math.floor(s) + 1}")
-        if self.M < max(math.floor(sigma_pq(p, q, d) - s), -1):
+        if self.M < M:
             raise InvalidParameterError(
                 f"M = {self.M} below the required moment order at s={s}, p={p}")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,12 +20,14 @@ from .bump import bump, psi_cutoff
 from .core import Grid1D, RadialProfile
 from .covering import AtomSpec
 from .decompose import tb_norm, tf_norm
-from .errors import InvalidParameterError, OutOfHypothesisError
+from .errors import ConfigError, InvalidParameterError, OutOfHypothesisError
 from .families import make_f_alpha_sigma, make_f_j_lambda
-from .spaces import ParamRegion, SpaceParams, in_U, sigma_p
+from .spaces import (ParamRegion, SpaceParams, fig1_region, fig2_region,
+                     fig3_region, in_U, sigma_p)
 
 __all__ = ["DecayFit", "fit_loglog", "fit_decay_exponent", "bump_train",
            "check_decay4", "check_decay2", "check_lim1", "classification_map",
+           "FIGURE_RECT", "figure_region", "write_classification_csv",
            "Decay4Report", "Decay2Report", "Lim1Report"]
 
 
@@ -278,11 +281,23 @@ def check_lim1(params: SpaceParams, r_range: Sequence[int] = range(4, 13),
     return Lim1Report(params, radii, ratios, float(ratios.max() / ratios.min()))
 
 
+# The (1/p, s) figures of the paper and the rectangle their rasters cover.
+FIGURES = {"fig1": fig1_region, "fig2": fig2_region, "fig3": fig3_region}
+FIGURE_RECT = (0.01, 3.0, -1.0, 4.0)
+
+
+def figure_region(figure: str, d: int) -> ParamRegion:
+    """The parameter region of ``figure`` (fig1, fig2 or fig3) in dimension d."""
+    if figure not in FIGURES:
+        raise ConfigError(f"figure must be one of {sorted(FIGURES)}, got {figure!r}")
+    return FIGURES[figure](d)
+
+
 def classification_map(region: ParamRegion, rect: Tuple[float, float, float, float],
                        resolution: int) -> List[Tuple[float, float, str]]:
     """Rasterize a parameter region over a (1/p, s) rectangle.
 
-    Returns rows (inv_p, s, label); the CSV export is handled by the CLI.
+    Returns rows (inv_p, s, label); ``write_classification_csv`` exports them.
     """
     x0, x1, y0, y1 = rect
     out = []
@@ -290,3 +305,20 @@ def classification_map(region: ParamRegion, rect: Tuple[float, float, float, flo
         for s in np.linspace(y0, y1, resolution):
             out.append((float(inv_p), float(s), region.label(float(inv_p), float(s))))
     return out
+
+
+def write_classification_csv(path: Path, region: ParamRegion,
+                             rect: Tuple[float, float, float, float],
+                             resolution: int) -> List[Tuple[float, float, str]]:
+    """Rasterize ``region`` into a CSV of plain numbers and return the rows.
+
+    Columns: inv_p, s, then one 1/0 column per label of the region.
+    """
+    rows = classification_map(region, rect, resolution)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(",".join(("inv_p", "s") + region.labels) + "\n")
+        for inv_p, s, label in rows:
+            flags = ("1" if label == name else "0" for name in region.labels)
+            fh.write(",".join((repr(inv_p), repr(s), *flags)) + "\n")
+    return rows

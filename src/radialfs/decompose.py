@@ -32,7 +32,7 @@ from .covering import AtomSpec
 from .errors import (DecompositionError, InvalidParameterError,
                      ResolutionError)
 from .seqspaces import CoefficientGrid, seq_norm_bspqd, seq_norm_fspqd
-from .spaces import SpaceParams
+from .spaces import SpaceParams, sigma_p, sigma_pq
 
 __all__ = ["AtomicDecomposition", "DyadicBandSpectrum", "atom_normalization",
            "template_atom_values", "template_atom_profile", "decompose_profile",
@@ -74,23 +74,19 @@ def _collocation_indices(j: int, k_max: int) -> np.ndarray:
 
 def _add_level(out: np.ndarray, t: np.ndarray, j: int, coeffs: np.ndarray,
                n0: float) -> None:
-    """Add level j's captured atoms at points t >= 0 into out (<= 3 atoms/point)."""
-    scale = 2.0 ** j
-    rho = 2.0 ** (-j - 1)
-    kk = np.round(t * scale).astype(int)
-    for off in (-1, 0, 1):
-        k = kk + off
-        valid = (k >= 0) & (k < coeffs.size)
-        if not np.any(valid):
-            continue
-        kv = k[valid]
-        c = 2.0 ** (-j) * kv
-        vals = bump((t[valid] - c) / rho)
-        here = np.zeros_like(t)
-        here[valid] = coeffs[kv] * vals
-        # k = 0 has a single bump (already even); k >= 1 pairs with -c,
-        # which for t >= 0 only matters through the |t| reduction.
-        out += here / n0
+    """Add level j's captured atoms at points t >= 0 into out.
+
+    Only the atom centred at the nearest level-j lattice point round(2^j t)
+    can be nonzero at t: neighbours sit at |t - c| >= 2^{-j-1} = rho, where
+    the bump vanishes (scaling by 2^j is exact and rounding is monotone).
+    """
+    k = np.round(t * 2.0 ** j).astype(int)
+    valid = k < coeffs.size
+    kv = k[valid]
+    vals = bump((t[valid] - 2.0 ** (-j) * kv) / 2.0 ** (-j - 1))
+    # k = 0 has a single bump (already even); k >= 1 pairs with -c,
+    # which for t >= 0 only matters through the |t| reduction.
+    out[valid] += coeffs[kv] * vals / n0
 
 
 def _eval_capture(coeff_levels: Dict[int, np.ndarray], t: np.ndarray,
@@ -207,7 +203,7 @@ def tb_norm(g: RadialProfile, params: SpaceParams,
     """
     if spec is None:
         spec = AtomSpec.b_admissible(params.s, params.p, params.d)
-    spec.require_b_admissible(params.s, params.p, params.d)
+    spec.require_admissible(params.s, params.p, sigma_p(params.p, params.d))
     if decomposition is None:
         decomposition = decompose_profile(g.restrict_dim(params.d), spec, J=J,
                                           raise_on_stall=False,
@@ -221,7 +217,8 @@ def tf_norm(g: RadialProfile, params: SpaceParams,
     """f^s_{p,q,d} sequence norm of the constructed decomposition."""
     if spec is None:
         spec = AtomSpec.f_admissible(params.s, params.p, params.q, params.d)
-    spec.require_f_admissible(params.s, params.p, params.q, params.d)
+    spec.require_admissible(params.s, params.p,
+                            sigma_pq(params.p, params.q, params.d))
     if decomposition is None:
         decomposition = decompose_profile(g.restrict_dim(params.d), spec, J=J,
                                           raise_on_stall=False,

@@ -20,14 +20,14 @@ from .core import (Grid1D, RadialProfile, radial_gradient_identity_check,
                    weighted_lp_norm)
 from .bv import (bv_decay_check, bv_equivalence_check, smooth_bump_bv,
                  staircase)
-from .decay import (bump_train, check_decay2, check_decay4, check_lim1,
-                    classification_map, fit_decay_exponent)
+from .decay import (FIGURE_RECT, bump_train, check_decay2, check_decay4,
+                    check_lim1, figure_region, fit_decay_exponent,
+                    write_classification_csv)
 from .decompose import lp_besov_norm_1d, tb_norm
 from .errors import ConfigError
 from .families import make_f_j_lambda
 from .seqspaces import CoefficientGrid, seq_norm_bspqd, seq_norm_fspqd
-from .spaces import (SpaceParams, embeds_in_Linfty, fig1_region, fig2_region,
-                     fig3_region, in_U, in_U_t, sigma_p,
+from .spaces import (SpaceParams, embeds_in_Linfty, in_U, in_U_t, sigma_p,
                      trace_lands_in_Sprime, weighted_Lp_in_Sprime)
 from .traceext import cm_norm, extend, trace
 from .wavelets import spherical_mean_wavelet_coeffs
@@ -170,31 +170,16 @@ def _exp_scaling_lp(cfg: ExperimentConfig) -> ExperimentResult:
     ], [art])
 
 
-def _witness_map(cfg: ExperimentConfig, func, keys):
-    """Run func over witness keys, optionally in parallel; deterministic order."""
-    if cfg.options.get("parallel", "").lower() in ("1", "true", "yes"):
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(4, len(keys))) as pool:
-            results = dict(zip(keys, pool.map(func, keys)))
-    else:
-        results = {key: func(key) for key in keys}
-    return [results[key] for key in keys]   # merge in the fixed key order
-
-
 def _exp_decay_infinity(cfg: ExperimentConfig) -> ExperimentResult:
-    keys = [(d, p) for d in (2, 3) for p in (1.0, 2.0)]
-
-    def one(key):
-        d, p = key
-        params = SpaceParams(1.0 / p, p, 1.0, d)
-        return check_decay4(params, radii=[2.0 ** r for r in range(2, 9)])
-
     assertions, rows = [], []
-    for (d, p), rep in zip(keys, _witness_map(cfg, one, keys)):
-        for r, v in zip(rep.radii, rep.ratios):
-            rows.append((d, p, r, v))
-        assertions.append(Assertion(f"ratio_band_d{d}_p{p:g}", rep.band,
-                                    "<=", 4.0, "frozen-baseline"))
+    for d in (2, 3):
+        for p in (1.0, 2.0):
+            rep = check_decay4(SpaceParams(1.0 / p, p, 1.0, d),
+                               radii=[2.0 ** r for r in range(2, 9)])
+            for r, v in zip(rep.radii, rep.ratios):
+                rows.append((d, p, r, v))
+            assertions.append(Assertion(f"ratio_band_d{d}_p{p:g}", rep.band,
+                                        "<=", 4.0, "frozen-baseline"))
     art = _write_csv(cfg.output_dir, "decay-infinity.csv", "d,p,radius,ratio", rows)
     return ExperimentResult("decay-infinity", assertions, [art])
 
@@ -470,17 +455,15 @@ def _exp_predicate_tables(cfg: ExperimentConfig) -> ExperimentResult:
 def _exp_classification_map(cfg: ExperimentConfig) -> ExperimentResult:
     d = int(cfg.opt("d", 2, int))
     which = cfg.options.get("figure", "fig2")
-    region = {"fig1": fig1_region, "fig2": fig2_region,
-              "fig3": fig3_region}[which](d)
-    rect = (0.01, float(cfg.opt("max_inv_p", 3.0)),
-            float(cfg.opt("min_s", -1.0)), float(cfg.opt("max_s", 4.0)))
+    region = figure_region(which, d)
+    x0, x1, y0, y1 = FIGURE_RECT
+    rect = (x0, float(cfg.opt("max_inv_p", x1)),
+            float(cfg.opt("min_s", y0)), float(cfg.opt("max_s", y1)))
     resolution = int(cfg.opt("resolution", 60, int))
-    rows = classification_map(region, rect, resolution)
-    art = _write_csv(cfg.output_dir, f"classification-{which}-d{d}.csv",
-                     "inv_p,s,label", rows)
-    point = region.label(1.0, 1.0)
+    art = cfg.output_dir / f"classification-{which}-d{d}.csv"
+    write_classification_csv(art, region, rect, resolution)
     expect = {"fig1": "trace-in-Sprime", "fig2": "decay", "fig3": "bounded"}
-    ok = 0.0 if point == expect.get(which, point) else 1.0
+    ok = 0.0 if region.label(1.0, 1.0) == expect[which] else 1.0
     return ExperimentResult("classification-map", [
         Assertion("anchor_point_(1,1)", ok, "<=", 0.0, "paper-exponent"),
     ], [art])

@@ -187,25 +187,27 @@ def _combine_levels(log_terms: Dict[int, float], q: float) -> float:
     return math.exp(logsumexp([q * v for v in vals]) / q)
 
 
-def seq_norm_bspqd(c: CoefficientGrid, params: SpaceParams) -> float:
-    """(sum_j 2^{j(s-d/p)q} (sum_k (1+k)^{d-1} |s_{j,k}|^p)^{q/p})^{1/q}."""
-    s, p, q, d = params.s, params.p, params.q, params.d
+def _b_norm(c: CoefficientGrid, p: float, q: float, d: int,
+            level_log_weight) -> float:
+    """(sum_j (exp(level_log_weight(j)) (sum_k (1+k)^{d-1} |s_{j,k}|^p)^{1/p})^q)^{1/q}."""
     _check_pq(p, q, allow_p_inf=True)
     inner = _log_inner_lp(c.items(), p, d)
     ip = 0.0 if math.isinf(p) else 1.0 / p
-    log_terms = {j: j * (s - d * ip) * LN2 + ip * v if not math.isinf(p)
-                 else j * s * LN2 + v
+    log_terms = {j: level_log_weight(j) + (v if math.isinf(p) else ip * v)
                  for j, v in inner.items()}
     return _combine_levels(log_terms, q)
 
 
+def seq_norm_bspqd(c: CoefficientGrid, params: SpaceParams) -> float:
+    """(sum_j 2^{j(s-d/p)q} (sum_k (1+k)^{d-1} |s_{j,k}|^p)^{q/p})^{1/q}."""
+    s, p, q, d = params.s, params.p, params.q, params.d
+    ip = 0.0 if math.isinf(p) else 1.0 / p
+    return _b_norm(c, p, q, d, lambda j: j * (s - d * ip) * LN2)
+
+
 def seq_norm_bpqd(c: CoefficientGrid, p: float, q: float, d: int) -> float:
     """As seq_norm_bspqd but without the 2^{j(s-d/p)} level weight."""
-    _check_pq(p, q, allow_p_inf=True)
-    inner = _log_inner_lp(c.items(), p, d)
-    ip = 0.0 if math.isinf(p) else 1.0 / p
-    log_terms = {j: ip * v if not math.isinf(p) else v for j, v in inner.items()}
-    return _combine_levels(log_terms, q)
+    return _b_norm(c, p, q, d, lambda j: 0.0)
 
 
 def _mass_ratio_log(j: int, k: int, d: int) -> float:
@@ -216,6 +218,15 @@ def _mass_ratio_log(j: int, k: int, d: int) -> float:
     """
     geo = (2.0 / d) * ((k + 1.0) ** d - float(k) ** d)
     return (d - 1) * math.log1p(k) - math.log(geo)
+
+
+def _check_resolution(c: CoefficientGrid, grid: Optional[Grid1D]) -> None:
+    """Raise unless ``grid`` (when given) resolves the finest level of c."""
+    if grid is not None and len(c):
+        finest = 2.0 ** (-c.J)
+        if grid.spacing_near(0.0) > finest / 2.0:
+            raise ResolutionError(
+                f"grid spacing must be <= 2^-(J+1) = {finest / 2:g} to resolve level {c.J}")
 
 
 def _f_norm_exact(entries, level_log_weight, p: float, q: float, d: int,
@@ -271,11 +282,7 @@ def seq_norm_fspqd(c: CoefficientGrid, params: SpaceParams,
     """
     s, p, q, d = params.s, params.p, params.q, params.d
     _check_pq(p, q, allow_p_inf=False)
-    if grid is not None and len(c):
-        finest = 2.0 ** (-c.J)
-        if grid.spacing_near(0.0) > finest / 2.0:
-            raise ResolutionError(
-                f"grid spacing must be <= 2^-(J+1) = {finest / 2:g} to resolve level {c.J}")
+    _check_resolution(c, grid)
     return _f_norm_exact(c.items(), lambda j: j * s * LN2, p, q, d, 0.0)
 
 
@@ -287,10 +294,6 @@ def seq_norm_fpqd(c: CoefficientGrid, p: float, q: float, d: int,
     annulus volumes carry the mass normalization and the unit-ball constant.
     """
     _check_pq(p, q, allow_p_inf=False)
-    if grid is not None and len(c):
-        finest = 2.0 ** (-c.J)
-        if grid.spacing_near(0.0) > finest / 2.0:
-            raise ResolutionError(
-                f"grid spacing must be <= 2^-(J+1) = {finest / 2:g} to resolve level {c.J}")
+    _check_resolution(c, grid)
     return _f_norm_exact(c.items(), lambda j: j * (d / p) * LN2, p, q, d,
                          math.log(ball_volume(d)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from .errors import InvalidParameterError, OutOfHypothesisError
 
@@ -173,14 +173,16 @@ class ParamRegion:
     """A named, total, deterministic classifier over (1/p, s) points."""
 
     name: str
+    labels: Tuple[str, ...]      # every label the classifier can return
     classifier: Callable[[float, float], str]
 
     def label(self, inv_p: float, s: float) -> str:
         return self.classifier(inv_p, s)
 
 
-def fig1_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
-    """Trace existence map: trace space in S' vs not, vs out-of-hypothesis."""
+def _param_region(fig: str, d: int, q: float, scale: str, labels: Tuple[str, ...],
+                  rule: Callable[[SpaceParams], str]) -> ParamRegion:
+    """Region labelling each valid (1/p, s) point by ``rule``, others 'invalid'."""
 
     def classify(inv_p: float, s: float) -> str:
         p = INF if inv_p == 0 else 1.0 / inv_p
@@ -188,45 +190,46 @@ def fig1_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
             params = SpaceParams(s, p, q, d, scale)
         except InvalidParameterError:
             return "invalid"
+        return rule(params)
+
+    return ParamRegion(f"{fig}-d{d}-{scale}{q:g}", ("invalid",) + labels, classify)
+
+
+def fig1_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
+    """Trace existence map: trace space in S' vs not, vs out-of-hypothesis."""
+
+    def rule(params: SpaceParams) -> str:
         res = _trace_lands3(params)
         if res is None:
             return "out-of-hypothesis"
         return "trace-in-Sprime" if res else "not-in-Sprime"
 
-    return ParamRegion(f"fig1-d{d}-{scale}{q:g}", classify)
+    return _param_region("fig1", d, q, scale, ("out-of-hypothesis", "trace-in-Sprime",
+                                                "not-in-Sprime"), rule)
 
 
 def fig2_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
     """Decay-at-infinity map: decay / no-decay / singular distributions."""
 
-    def classify(inv_p: float, s: float) -> str:
-        p = INF if inv_p == 0 else 1.0 / inv_p
-        try:
-            params = SpaceParams(s, p, q, d, scale)
-        except InvalidParameterError:
-            return "invalid"
-        if s < sigma_p(p, d):
+    def rule(params: SpaceParams) -> str:
+        if params.s < sigma_p(params.p, d):
             return "singular"
         if _in_U3(params):
             return "decay"
         return "no-decay"
 
-    return ParamRegion(f"fig2-d{d}-{scale}{q:g}", classify)
+    return _param_region("fig2", d, q, scale, ("singular", "decay", "no-decay"), rule)
 
 
 def fig3_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
     """Boundedness-at-origin map: bounded / controlled blow-up / unbounded."""
 
-    def classify(inv_p: float, s: float) -> str:
-        p = INF if inv_p == 0 else 1.0 / inv_p
-        try:
-            params = SpaceParams(s, p, q, d, scale)
-        except InvalidParameterError:
-            return "invalid"
+    def rule(params: SpaceParams) -> str:
         if embeds_in_Linfty(params):
             return "bounded"
         if _in_U3(params):
             return "controlled-unboundedness"
         return "unbounded"
 
-    return ParamRegion(f"fig3-d{d}-{scale}{q:g}", classify)
+    return _param_region("fig3", d, q, scale, ("bounded", "controlled-unboundedness",
+                                                "unbounded"), rule)

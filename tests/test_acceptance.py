@@ -6,6 +6,7 @@ assertions mirror the summary rows the experiment CLI writes.
 
 import csv
 
+from radialfs.decay import figure_region
 from radialfs.experiments import ExperimentConfig, run_experiment
 
 
@@ -129,3 +130,17 @@ def test_criterion_14_predicate_tables(tmp_path):
     # every cited example row of the five predicates
     res = _run("predicate-tables", tmp_path)
     assert _report(14, res)
+
+
+def test_criterion_15_classification_map(tmp_path):
+    # fig2 at d = 2 on the shared rectangle: (1, 1) lies in the decay region,
+    # and every raster row flags exactly the label the region assigns
+    res = _run("classification-map", tmp_path)
+    region = figure_region("fig2", 2)
+    with open(tmp_path / "classification-fig2-d2.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["inv_p", "s", *region.labels]
+    for inv_p, s, *flags in rows:
+        assert flags.count("1") == 1
+        assert region.labels[flags.index("1")] == region.label(float(inv_p), float(s))
+    assert _report(15, res)

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from radialfs import experiments
 from radialfs.cli import main
-from radialfs.experiments import (ExperimentConfig, _write_csv,
-                                  list_experiments, run_experiment)
+from radialfs.experiments import (Assertion, ExperimentConfig, ExperimentResult,
+                                  _write_csv, list_experiments, run_experiment)
+from radialfs.spaces import fig3_region
 
 
 REQUIRED_EXPERIMENTS = [
@@ -19,7 +21,6 @@ REQUIRED_EXPERIMENTS = [
 ]
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-RUN_ALL = SCRIPTS / "run_all_experiments.py"
 
 
 class TestListing:
@@ -38,19 +39,35 @@ class TestListing:
         assert "bv-decay" in out and "spherical-mean-wavelet" in out
 
 
-class TestRunAllScript:
+class TestRunAll:
     @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["-h"], 0),
                                             (["--no-such-flag"], 2)])
     def test_bad_or_help_flags_run_nothing(self, tmp_path, monkeypatch, capsys,
                                            argv, code):
         monkeypatch.chdir(tmp_path)
-        script_main = runpy.run_path(str(RUN_ALL))["main"]
         with pytest.raises(SystemExit) as exc:
-            script_main(argv)
+            main(["run-all"] + argv)
         assert exc.value.code == code
         out, err = capsys.readouterr()
-        assert "output_dir" in (out if code == 0 else err)
+        assert ("output_dir" in out) if code == 0 else ("--no-such-flag" in err)
         assert list(tmp_path.iterdir()) == []
+
+    def test_failure_exits_one_and_reports_every_experiment(self, tmp_path,
+                                                            monkeypatch, capsys):
+        def fake(name, measured):
+            return lambda cfg: ExperimentResult(
+                name, [Assertion("check", measured, "<=", 1.0, "identity")])
+
+        monkeypatch.setattr(experiments, "REGISTRY", {
+            "good": (fake("good", 0.5), "passes"),
+            "bad": (fake("bad", 2.0), "fails")})
+        assert main(["run-all", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "[pass] good: check = 0.5" in out
+        assert "[FAIL] bad: check = 2" in out
+        assert "FAILURES PRESENT" in out
+        assert (tmp_path / "good" / "good-summary.csv").exists()
+        assert (tmp_path / "bad" / "bad-summary.csv").exists()
 
 
 class TestDecomposeDemoScript:
@@ -99,6 +116,13 @@ class TestRun:
                                    "output_dir": str(tmp_path), "seed": 2}))
         assert main(["run", str(cfg)]) == 0
 
+    def test_unknown_figure_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment = classification-map\nfigure = fig9\n"
+                       f"output_dir = {tmp_path}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_experiment_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"experiment = nope\noutput_dir = {tmp_path}\n")
@@ -130,17 +154,6 @@ class TestRun:
         assert header == "assertion,measured,kind,threshold,provenance,status"
         assert res.passed
 
-    def test_parallel_flag_deterministic_merge(self, tmp_path):
-        cfgfile = tmp_path / "exp.cfg"
-        cfgfile.write_text(f"experiment = decay-infinity\n"
-                           f"output_dir = {tmp_path / 'p'}\n")
-        assert main(["run", str(cfgfile), "--parallel"]) == 0
-        seq = run_experiment(ExperimentConfig("decay-infinity",
-                                              output_dir=tmp_path / "s"))
-        assert seq.passed
-        assert (tmp_path / "p" / "decay-infinity.csv").read_bytes() == \
-            (tmp_path / "s" / "decay-infinity.csv").read_bytes()
-
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -155,9 +168,22 @@ class TestMap:
         out = tmp_path / "m.csv"
         assert main(["map", "--region=fig3", "--rect=0.1,3,0,4", "--res=8",
                      f"--output={out}"]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "inv_p,s,label"
-        assert len(lines) == 65
+        header, *rows = out.read_text().splitlines()
+        assert header == "inv_p,s,invalid,bounded,controlled-unboundedness,unbounded"
+        assert len(rows) == 64
+        labels = header.split(",")[2:]
+        region = fig3_region(2)
+        for row in rows:
+            inv_p, s, *flags = row.split(",")
+            assert sorted(flags) == ["0", "0", "0", "1"]
+            assert labels[flags.index("1")] == region.label(float(inv_p), float(s))
+
+    def test_map_default_rect(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["map", "--region=fig2", "--res=2", f"--output={out}"]) == 0
+        corners = [row.split(",")[:2] for row in out.read_text().splitlines()[1:]]
+        assert corners == [["0.01", "-1.0"], ["0.01", "4.0"],
+                           ["3.0", "-1.0"], ["3.0", "4.0"]]
 
     def test_bad_rect_exit_two(self, tmp_path):
         assert main(["map", "--region=fig2", "--rect=1,2,3",

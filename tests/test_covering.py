@@ -5,7 +5,10 @@ from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile
 from radialfs.covering import (AtomSpec, build_covering, build_partition,
                                validate_even_atom, validate_spL_atom)
+from radialfs.decompose import tb_norm, tf_norm
 from radialfs.errors import InvalidParameterError
+from radialfs.families import make_f_j_lambda
+from radialfs.spaces import SpaceParams, sigma_p, sigma_pq
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +237,20 @@ class TestAtomSpecAdmissibility:
     def test_moment_free_for_large_s(self):
         spec = AtomSpec.b_admissible(2.0, 2.0, 2)
         assert spec.M == -1
+
+    def test_required_moment_order_follows_sigma(self):
+        # s = 0.5, p = 2, q = 0.5, d = 2: sigma_p = 0 asks for no moments,
+        # sigma_pq = 2 asks for M >= 1, so the B-admissible spec serves the
+        # B scale only
+        spec = AtomSpec.b_admissible(0.5, 2.0, 2)
+        assert spec.M == -1
+        spec.require_admissible(0.5, 2.0, sigma_p(2.0, 2))
+        with pytest.raises(InvalidParameterError):
+            spec.require_admissible(0.5, 2.0, sigma_pq(2.0, 0.5, 2))
+        prof = make_f_j_lambda(3, 4.0).profile(Grid1D.uniform(2.0 ** -8, 1.0), d=2)
+        assert tb_norm(prof, SpaceParams(0.5, 2.0, 0.5, 2), spec=spec, J=3) > 0
+        with pytest.raises(InvalidParameterError):
+            tf_norm(prof, SpaceParams(0.5, 2.0, 0.5, 2, "F"), spec=spec, J=3)
 
     def test_invalid_orders(self):
         with pytest.raises(InvalidParameterError):
