@@ -10,9 +10,10 @@ Subcommands:
 
 Config files are flat key = value text with an optional [experiment] section
 (INI style); JSON files ({"experiment": ..., "seed": ..., ...}) are accepted
-as an alternative.  The RADIALFS_SEED environment variable overrides the
-config seed.  Exit codes: 0 all assertions pass, 1 assertion failure,
-2 config or runtime error.
+as an alternative.  Keys other than experiment, seed and output_dir must be
+options the experiment reads (experiments.OPTIONS).  The RADIALFS_SEED
+environment variable overrides the config seed.  Exit codes: 0 all
+assertions pass, 1 assertion failure, 2 config or runtime error.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .traceext import cm_norm, extend, trace
 from .wavelets import spherical_mean_wavelet_coeffs
 
 __all__ = ["ExperimentConfig", "Assertion", "ExperimentResult",
-           "run_experiment", "list_experiments", "REGISTRY"]
+           "run_experiment", "list_experiments", "REGISTRY", "OPTIONS"]
 
 
 @dataclass
@@ -462,12 +462,26 @@ def _exp_classification_map(cfg: ExperimentConfig) -> ExperimentResult:
     resolution = int(cfg.opt("resolution", 60, int))
     art = cfg.output_dir / f"classification-{which}-d{d}.csv"
     write_classification_csv(art, region, rect, resolution)
-    expect = {"fig1": "trace-in-Sprime", "fig2": "decay", "fig3": "bounded"}
-    ok = 0.0 if region.label(1.0, 1.0) == expect[which] else 1.0
+    # the paper's label of the anchor (1/p, s) = (1, 1), from its conditions
+    # rather than from the predicates drawn above: the trace lands in S' iff
+    # s >= d/p - 1; at q = 1 the functions are bounded iff s >= d/p, and
+    # below that line the anchor's blow-up at the origin is the controlled one
+    inv_p, s = 1.0, 1.0
+    expect = {"fig1": "trace-in-Sprime" if s >= d * inv_p - 1 else "not-in-Sprime",
+              "fig2": "decay",
+              "fig3": "bounded" if s >= d * inv_p else "controlled-unboundedness"}
+    ok = 0.0 if region.label(inv_p, s) == expect[which] else 1.0
     return ExperimentResult("classification-map", [
         Assertion("anchor_point_(1,1)", ok, "<=", 0.0, "paper-exponent"),
     ], [art])
 
+
+# the config options each experiment reads; any other key is refused, and an
+# experiment not listed here reads none
+OPTIONS: Dict[str, Tuple[str, ...]] = {
+    "classification-map": ("figure", "d", "max_inv_p", "min_s", "max_s",
+                           "resolution"),
+}
 
 REGISTRY: Dict[str, Tuple[Callable[[ExperimentConfig], ExperimentResult], str]] = {
     "scaling-f-j-lambda": (_exp_scaling_fjlam,
@@ -508,8 +522,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.experiment not in REGISTRY:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; "
                           f"known: {', '.join(sorted(REGISTRY))}")
-    if "witnesses" in cfg.options and not cfg.options["witnesses"].strip():
-        raise ConfigError("empty witness set (field 'witnesses' present but blank)")
+    allowed = OPTIONS.get(cfg.experiment, ())
+    unknown = sorted(set(cfg.options) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"experiment {cfg.experiment!r} reads no option "
+            f"{', '.join(map(repr, unknown))}; it reads "
+            f"{', '.join(map(repr, allowed)) or 'none'}")
     func, _ = REGISTRY[cfg.experiment]
     result = func(cfg)
     result.write_summary(cfg.output_dir)

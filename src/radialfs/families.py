@@ -160,14 +160,16 @@ def make_f_alpha_sigma(alpha: float, sigma: float) -> TestFamily:
     def ev(t):
         t = np.abs(np.asarray(t, dtype=float))
         out = np.zeros_like(t)
-        mask = (t > 0) & (t < 1.5) & (t != 1.0 / math.e) & (t != 1.0)
-        tm = t[mask]
-        loga = np.abs(np.log(tm))
+        at = np.flatnonzero((t > 0) & (t < 1.5))
+        loga = np.abs(np.log(t.flat[at]))
+        at, loga = at[loga != 0.0], loga[loga != 0.0]         # t = 1
         inner = np.abs(np.log(loga))
-        val = psi_cutoff(tm) * loga ** alpha
+        keep = inner != 0.0                                     # |log t| = 1
+        at, loga, inner = at[keep], loga[keep], inner[keep]
+        val = psi_cutoff(t.flat[at]) * loga ** alpha
         if sigma != 0.0:
             val = val * inner ** (-sigma)
-        out[mask] = val
+        out.flat[at] = val
         return out
 
     return TestFamily("f_alpha_sigma", {"alpha": alpha, "sigma": sigma}, ev,

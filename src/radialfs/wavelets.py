@@ -2,13 +2,20 @@
 
 The scaling function is built by cascade refinement from tabulated filter
 coefficients down to resolution 2^{-10}; tensor products give the 2^d - 1
-generators used in d dimensions.  The experiment computes the coefficients
-of the unit-sphere surface measure against all wavelets meeting the sphere,
-by circle quadrature (d = 2) or a Gauss-Legendre x trapezoid product rule
-(d = 3), and returns the scaled per-level sums whose boundedness encodes the
-membership of the spherical mean in B^{1/p - 1}_{p, infinity}.
-"""
+generators used in d dimensions.  Each table also holds a shift table, phi
+and psi at the ``width`` integer shifts of every sub-step position, so the
+values of one node along one axis are one row gather and one linear blend.
 
+The experiment computes the coefficients of the unit-sphere surface measure
+against all wavelets meeting the sphere, by circle quadrature (d = 2) or a
+Gauss-Legendre x trapezoid product rule (d = 3).  The nodes go ring by ring
+(the circle, or one latitude of constant z) in arcs of consecutive nodes.
+An arc's sums for every generator come from one dense product of its x and
+y phi/psi factor matrices; at d = 3 a ring's sum enters as an outer product
+with the ring's z values.  The experiment returns the scaled per-level sums
+whose boundedness encodes the membership of the spherical mean in
+B^{1/p - 1}_{p, infinity}.
+"""
 from __future__ import annotations
 
 import math
@@ -47,13 +54,19 @@ def daubechies_filter(name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveletTable:
-    """phi and psi sampled on a dyadic grid over the common support [0, n-1]."""
+    """phi and psi sampled on a dyadic grid over the common support [0, n-1].
+
+    ``shifts[r, c, o]`` is phi (c = 0) or psi (c = 1) at hi - 1 + r step - o
+    for r = 0 .. 1/step and o = 0 .. width - 1 (zero below 0): row r holds
+    the ``width`` integer shifts of one sub-step position.
+    """
 
     name: str
     step: float
     grid: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
+    shifts: np.ndarray
 
     def eval_phi(self, x) -> np.ndarray:
         return np.interp(x, self.grid, self.phi, left=0.0, right=0.0)
@@ -104,7 +117,17 @@ def wavelet_table(name: str = "db6", levels: int = 10) -> WaveletTable:
     for k in range(n):
         psi += math.sqrt(2.0) * g[k] * np.interp(
             2.0 * grid - k, grid, phi, left=0.0, right=0.0)
-    return WaveletTable(name, float(grid[1] - grid[0]), grid, phi, psi)
+
+    # the support is [0, n - 1] with n - 1 = hi; padding one unit of zeros
+    # below 0 puts hi - 1 + r step - o at padded index (hi - o) 2^levels + r
+    steps = 2 ** levels
+    padded = np.zeros((2, steps + grid.size))
+    padded[0, steps:] = phi
+    padded[1, steps:] = psi
+    idx = (n - 1 - np.arange(n)) * steps + np.arange(steps + 1)[:, None]
+    shifts = np.ascontiguousarray(padded[:, idx].transpose(1, 0, 2))
+    shifts.flags.writeable = False
+    return WaveletTable(name, float(grid[1] - grid[0]), grid, phi, psi, shifts)
 
 
 def _generators(d: int) -> List[Tuple[bool, ...]]:
@@ -124,16 +147,26 @@ def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return u, wu
 
 
+def _ring_length(d: int, n: int) -> int:
+    """Nodes per ring of ``_sphere_nodes(d, n)``."""
+    return n if d == 2 else 2 * max(8, int(math.sqrt(n / 2.0)))
+
+
 def _sphere_nodes(d: int, n: int):
-    """Quadrature nodes and weights for the unit-sphere surface measure."""
+    """Quadrature nodes and weights for the unit-sphere surface measure.
+
+    The nodes are ring-major, with one weight per ring: the whole circle at
+    d = 2, and at d = 3 one Gauss-Legendre latitude (constant z) after
+    another, each of ``_ring_length(3, n)`` trapezoid nodes.
+    """
     if d == 2:
         theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         w = np.full(n, 2.0 * math.pi / n)
         return pts, w
     if d == 3:
-        n_u = max(8, int(math.sqrt(n / 2.0)))
-        n_t = 2 * n_u
+        n_t = _ring_length(3, n)
+        n_u = n_t // 2
         u, wu = _gauss_legendre(n_u)
         theta = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
         ct, st = np.cos(theta), np.sin(theta)
@@ -150,6 +183,39 @@ def _sphere_nodes(d: int, n: int):
     raise InvalidParameterError("sphere quadrature implemented for d in {2, 3}")
 
 
+def _window(v: np.ndarray, lo: float, hi: float) -> Tuple[int, int]:
+    """First k and count of the shifts k with v - k in [lo, hi] for some v."""
+    k0 = int(math.floor(v.min() - hi))
+    return k0, int(math.ceil(v.max() - lo)) - k0 + 1
+
+
+_BLOCK = 512   # nodes per arc in _level_coeffs
+
+
+def _factor_matrix(rows: np.ndarray, slope: np.ndarray, row: np.ndarray,
+                   frac: np.ndarray, first: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense (m, 2 K) matrix [phi | psi] of m nodes on one axis over their own
+    k window [k0, k0 + K), and k0.
+
+    Node i's ``width`` values per flag, at the shifts first_i + o, are row
+    ``row_i`` of the flattened shift table ``rows`` blended towards the next
+    row by ``frac_i`` (``slope`` is the difference of consecutive rows).
+    """
+    width = rows.shape[1] // 2
+    m = first.size
+    k0 = int(first.min())
+    n_k = int(first.max()) - k0 + width
+    # flat position of node i, flag c, shift o: (2 i + c) K + first_i - k0 + o
+    lane = np.arange(2 * width)                 # c * width + o
+    at = first - k0 + np.arange(0, 2 * m * n_k, 2 * n_k)
+    at = at[:, None] + (lane + (lane // width) * (n_k - width))
+    vals = np.take(rows, row, axis=0)
+    vals += frac[:, None] * np.take(slope, row, axis=0)
+    dense = np.zeros((m, 2 * n_k))
+    dense.reshape(-1)[at] = vals
+    return dense, k0
+
+
 def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarray:
     """All <surface measure, Psi_{i,j,k}> for one level, flattened over (i, k).
 
@@ -157,65 +223,60 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
     is C-ordered over the k-box [k_min[0], k_max[0]] x ... x [k_min[d-1],
     k_max[d-1]] that holds the support window of every node.
 
-    Nodes go in chunks of 20000.  Nothing a chunk shares among the 2^d - 1
-    generators is computed per generator:
+    A node coordinate u meets the shifts k = first + o, o = 0 .. width - 1,
+    with first = ceil(u - hi).  Since u - first lies in (hi - 1, hi], all
+    ``width`` values sit at one sub-step position of ``table.shifts``: one
+    row gather and one linear blend.
 
-    * per axis, the ``width`` shifts kk of each node and the offsets
-      x = 2^j u - kk, so phi(x) and psi(x) are tabulated once per axis
-      (2d interpolations per chunk, not d (2^d - 1));
-    * one C-order flat index into the k-box, built from the per-axis
-      offsets kk - k_min.
-
-    Each generator multiplies its factors into one reused buffer in a fixed
-    order (axis 0, ..., axis d-1, node weight, 2^{jd/2}) and scatters the
-    buffer into its own block with a 1-D ``np.add.at``.  That call is
-    unbuffered and adds the values in array order, as a d-tuple index over
-    the same box does, so every coefficient receives the same terms in the
-    same order and the sums are bit-for-bit those of a d-dimensional
-    scatter per generator.
+    ``_sphere_nodes`` is ring-major: the circle at d = 2, one Gauss-Legendre
+    latitude at a time at d = 3, where z and the weight are constant along
+    the ring.  Each ring goes in arcs of ``_BLOCK`` consecutive nodes.  An
+    arc fills dense (m, 2 K) factor matrices X = [phi | psi] and Y over its
+    own x and y k windows, and the one product X^T Y holds all four xy
+    blocks (F_x^a)^T F_y^b of the arc.  The arcs add into the ring's xy sum,
+    which goes into the k-box times the ring's weight and, at d = 3, as an
+    outer product with the ring's z-row (phi and psi at its ``width`` z
+    shifts).  The sums run over all 2^d flag tuples, indexed (flag of axis
+    d-1, ..., flag of axis 0) so that tuple i is generator i; the all-phi
+    tuple 0 is dropped at the end.
     """
     pts, w = _sphere_nodes(d, n_nodes)
-    u = pts * 2.0 ** j
+    u = np.ascontiguousarray(pts.T) * 2.0 ** j     # (axis, node)
     lo, hi = table.support
-    width = int(math.ceil(hi - lo)) + 1
-    norm_fac = 2.0 ** (j * d / 2.0)
-    offs = np.arange(width)
-    gens = _generators(d)
-    k_min = [int(math.floor(u[:, ax].min() - hi)) for ax in range(d)]
-    k_max = [int(math.ceil(u[:, ax].max() - lo)) for ax in range(d)]
-    shape = tuple(k_max[ax] - k_min[ax] + 1 for ax in range(d))
-    acc = np.zeros((len(gens), math.prod(shape)))
-    # index placing a (nodes, width) table along axis ax of (nodes, width^d)
-    views = [(slice(None),) + tuple(slice(None) if a == ax else None
-                                    for a in range(d)) for ax in range(d)]
-    chunk = 20000
-    for start in range(0, u.shape[0], chunk):
-        ub = u[start:start + chunk]
-        wb = w[start:start + chunk]
-        m = ub.shape[0]
-        tabs, flat = [], None
-        for ax in range(d):
-            base = np.ceil(ub[:, ax] - hi).astype(int)
-            kk = base[:, None] + offs[None, :]
-            xx = (ub[:, ax, None] - kk).ravel()
-            tabs.append((table.eval_phi(xx).reshape(m, width),
-                         table.eval_psi(xx).reshape(m, width)))
-            idx = np.clip(kk - k_min[ax], 0, shape[ax] - 1)[views[ax]]
-            flat = idx if flat is None else flat * shape[ax] + idx
-        flat = flat.ravel()
-        wb = wb[(slice(None),) + (None,) * d]
-        buf = np.empty((m,) + (width,) * d)
-        for g, flags in enumerate(gens):
-            f = [tabs[ax][int(flags[ax])][views[ax]] for ax in range(d)]
-            # the leading d-1 factors span only width^(d-1) entries per node
-            lead = f[0]
-            for ax in range(1, d - 1):
-                lead = lead * f[ax]
-            np.multiply(lead, f[-1], out=buf)
-            buf *= wb
-            buf *= norm_fac
-            np.add.at(acc[g], flat, buf.ravel())
-    return acc.ravel()
+    steps, width = table.shifts.shape[0] - 1, table.shifts.shape[2]
+    rows = table.shifts.reshape(steps + 1, 2 * width)
+    slope = rows[1:] - rows[:-1]
+    first = np.ceil(u - hi)
+    pos = (u - first - (hi - 1.0)) * steps
+    row = np.minimum(pos.astype(np.intp), steps - 1)
+    frac = pos - row
+    first = first.astype(np.intp)
+
+    box = [_window(u[ax], lo, hi) for ax in range(d)]
+    acc = np.zeros((2,) * d + tuple(n for _, n in box))
+    norm = 2.0 ** (j * d / 2.0)
+    ring = _ring_length(d, n_nodes)
+    for r0 in range(0, u.shape[1], ring):
+        (rx, nx), (ry, ny) = (_window(u[ax, r0:r0 + ring], lo, hi) for ax in (0, 1))
+        xy = np.zeros((2, 2, nx, ny))       # (flag y, flag x, kx - rx, ky - ry)
+        for b0 in range(r0, r0 + ring, _BLOCK):
+            sl = slice(b0, min(b0 + _BLOCK, r0 + ring))
+            fx, kx = _factor_matrix(rows, slope, row[0, sl], frac[0, sl], first[0, sl])
+            fy, ky = _factor_matrix(rows, slope, row[1, sl], frac[1, sl], first[1, sl])
+            mx, my = fx.shape[1] // 2, fy.shape[1] // 2
+            prod = (fx.T @ fy).reshape(2, mx, 2, my)
+            xy[:, :, kx - rx:kx - rx + mx, ky - ry:ky - ry + my] += \
+                prod.transpose(2, 0, 1, 3)
+        xy *= w[r0] * norm
+        x0, y0 = rx - box[0][0], ry - box[1][0]
+        if d == 2:
+            acc[..., x0:x0 + nx, y0:y0 + ny] += xy
+        else:
+            z = rows[row[2, r0]] + frac[2, r0] * slope[row[2, r0]]
+            z0 = first[2, r0] - box[2][0]
+            acc[..., x0:x0 + nx, y0:y0 + ny, z0:z0 + width] += (
+                z.reshape(2, 1, 1, 1, 1, width) * xy[None, ..., None])
+    return acc.reshape(2 ** d, -1)[1:].ravel()
 
 
 def _support_count(table: WaveletTable, d: int, j: int) -> int:

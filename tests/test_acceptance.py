@@ -6,6 +6,8 @@ assertions mirror the summary rows the experiment CLI writes.
 
 import csv
 
+import pytest
+
 from radialfs.decay import figure_region
 from radialfs.experiments import ExperimentConfig, run_experiment
 
@@ -144,3 +146,12 @@ def test_criterion_15_classification_map(tmp_path):
         assert flags.count("1") == 1
         assert region.labels[flags.index("1")] == region.label(float(inv_p), float(s))
     assert _report(15, res)
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_criterion_15_anchor_every_figure_and_dimension(tmp_path, figure, d):
+    # the anchor (1/p, s) = (1, 1) carries the paper's label in every figure
+    # and dimension, read from its conditions (s >= d/p - 1, s >= d/p)
+    res = _run("classification-map", tmp_path, figure=figure, d=d, resolution=4)
+    assert res.passed, [a.row() for a in res.assertions]

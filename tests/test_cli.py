@@ -134,6 +134,15 @@ class TestRun:
                        f"output_dir = {tmp_path}\n")
         assert main(["run", str(cfg)]) == 2
 
+    def test_misspelt_option_exit_two_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"experiment = classification-map\nfigur = fig3\n"
+                       f"output_dir = {out}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "figur" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_missing_experiment_field_exit_two(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("seed = 1\n")

@@ -154,6 +154,23 @@ class TestFAlphaSigma:
         r = np.array([2.0 ** -8])
         assert fam(r)[0] == pytest.approx(8.0 * math.log(2.0))
 
+    @pytest.mark.parametrize("alpha, sigma", [(1.0, 2.0), (-0.5, 1.0),
+                                              (0.5, 0.0), (2.0, -1.0)])
+    def test_singular_points_and_neighbours(self, alpha, sigma):
+        # log t = 0 at t = 1 and |log t| = 1 at the float 1/e: the evaluator
+        # is exactly 0 there and finite at the neighbouring floats
+        fam = make_f_alpha_sigma(alpha, sigma)
+        for c in (1.0 / math.e, 1.0):
+            near = [c]
+            for toward in (0.0, 2.0):
+                x = c
+                for _ in range(4):
+                    x = float(np.nextafter(x, toward))
+                    near.append(x)
+            v = fam(np.array(near))
+            assert v[0] == 0.0 and fam(c) == 0.0
+            assert np.all(np.isfinite(v))
+
     def test_evenness_and_cutoff(self):
         fam = make_f_alpha_sigma(0.5, 0.2)
         assert fam(np.array([1.7]))[0] == 0.0

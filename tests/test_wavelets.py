@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from radialfs.errors import InvalidParameterError, QuadratureError
-from radialfs.wavelets import (_gauss_legendre, _generators, _level_coeffs,
-                               _sphere_nodes, daubechies_filter,
+from radialfs import wavelets
+from radialfs.wavelets import (_BLOCK, _gauss_legendre, _generators,
+                               _level_coeffs, _sphere_nodes, daubechies_filter,
                                spherical_mean_wavelet_coeffs, wavelet_table)
 
 
@@ -36,6 +37,18 @@ class TestWaveletTable:
         inner = np.trapezoid(t.phi[:-sh] * t.phi[sh:], t.grid[:-sh])
         assert abs(inner) <= 1e-8
 
+    @pytest.mark.parametrize("name", ["db2", "db4", "db6"])
+    def test_shift_rows_match_eval(self, name):
+        # row r, shift o holds phi and psi at hi - 1 + r step - o
+        t = wavelet_table(name)
+        lo, hi = t.support
+        width = int(hi - lo) + 1
+        assert t.shifts.shape == (2 ** 10 + 1, 2, width)
+        x = hi - 1 + np.arange(2 ** 10 + 1)[:, None] * t.step - np.arange(width)
+        for c, f in enumerate((t.eval_phi, t.eval_psi)):
+            ref = f(x)
+            assert np.max(np.abs(t.shifts[:, c] - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_unknown_filter(self):
         with pytest.raises(InvalidParameterError):
             daubechies_filter("haarish")
@@ -62,15 +75,28 @@ def _level_coeffs_reference(table, d, j, n_nodes):
     return np.concatenate(blocks)
 
 
+def _assert_matches_reference(d, name, j, n):
+    table = wavelet_table(name)
+    got = _level_coeffs(table, d, j, n)
+    ref = _level_coeffs_reference(table, d, j, n)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestLevelCoeffs:
     @pytest.mark.parametrize("d,name", [(2, "db4"), (3, "db2")])
     @pytest.mark.parametrize("j", [0, 2])
     def test_matches_direct_sum(self, d, name, j):
-        table = wavelet_table(name)
-        got = _level_coeffs(table, d, j, 200)
-        ref = _level_coeffs_reference(table, d, j, 200)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        _assert_matches_reference(d, name, j, 200)
+
+    @pytest.mark.parametrize("d,name,j,n,block", [
+        (2, "db4", 2, 3 * _BLOCK + 37, _BLOCK),   # three full arcs and a part
+        (3, "db2", 3, 200, _BLOCK),
+        (3, "db2", 2, 200, 7),                     # rings of 20 in arcs 7, 7, 6
+    ])
+    def test_arcs_match_direct_sum(self, monkeypatch, d, name, j, n, block):
+        monkeypatch.setattr(wavelets, "_BLOCK", block)
+        _assert_matches_reference(d, name, j, n)
 
     def test_sphere_rule_integrates_area(self):
         pts, w = _sphere_nodes(3, 800)
