@@ -320,6 +320,21 @@ def radial_laplacian(g: RadialProfile, d: Optional[int] = None) -> RadialProfile
     return RadialProfile(g.grid, out, dim_context=d)
 
 
+def _permutations(idx: np.ndarray) -> np.ndarray:
+    """Distinct permutations of each row of descending indices, d! / prod(r!).
+
+    r runs over the lengths of the row's runs of equal entries; the running
+    tie length at each position multiplies out to prod(r!).
+    """
+    n, d = idx.shape
+    run = np.ones(n)
+    out = np.full(n, float(math.factorial(d)))
+    for k in range(1, d):
+        run = np.where(idx[:, k] == idx[:, k - 1], run + 1.0, 1.0)
+        out /= run
+    return out
+
+
 @dataclass(frozen=True)
 class GradientIdentityReport:
     lhs_tensor: float
@@ -348,23 +363,34 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: Optional[int] 
     accuracy instead of interpolation accuracy.
 
     The tensor route is a Riemann sum over the cube [-T, T]^d with spacing
-    h = 2T / (n_grid - 1), summed over the nonnegative orthant only: the
-    axis is the nonnegative half of np.linspace(-T, T, n_grid) (an exact
-    0.0 when ``n_grid`` is odd), and each node carries the number of its
-    mirror images, 2^(number of nonzero coordinates).  The fold is exact:
-    the integrand sees f = feval(|x|) only through norms
-    sqrt((x_i +- fd_step)^2 + sum_{k != i} x_k^2), so reflecting one
-    coordinate swaps the two central-difference terms of that component and
-    leaves every other term alone, and |grad_h f|^p at a mirrored node is
-    the same float.  This uses the evenness of feval(|x|) in each
-    coordinate, not radiality; the tensor route still never evaluates the
-    radial formula, so the two sides stay independent.
+    h = 2T / (n_grid - 1), on the axis np.linspace(-T, T, n_grid), summed
+    over the chamber x_1 >= x_2 >= ... >= x_d >= 0 only.  The chamber's axis
+    is the nonnegative half of that axis (an exact 0.0 when ``n_grid`` is
+    odd), and each chamber node stands for all of its images under
+    coordinate permutations and reflections.  The fold is exact because the
+    integrand sees f = feval(|x|) only through the norms
+    sqrt((x_i +- fd_step)^2 + sum_{k != i} x_k^2): reflecting one
+    coordinate swaps the two central-difference terms of that component, and
+    permuting coordinates permutes the components, so |grad_h f|^p is the
+    same at every image (up to the order of the float additions, which moves
+    the sum by under 1e-13 relative).  This uses the evenness and the
+    permutation symmetry of feval(|x|), not radiality; the tensor route
+    still never evaluates the radial formula, so the two sides stay
+    independent.
 
-    ``n_grid`` keeps its meaning of nodes per full axis, so the orthant
-    holds ceil(n_grid / 2)^d nodes.  Each step evaluates a block of whole
-    x_1-slabs holding about n_grid^(d-1) nodes, the size of one slab of the
-    full cube, so the working set is a few arrays of that many doubles
-    (0.46 MB each at the d = 3 default n_grid = 240).
+    A chamber node with axis indices i_1 >= ... >= i_d has weight
+    d! / prod(r!) * 2^z: r runs over the lengths of its runs of equal
+    indices (d! / prod(r!) distinct permutations) and z counts its nonzero
+    coordinates (2^z mirror images).  There are C(m + d - 1, d) chamber
+    nodes, m = ceil(n_grid / 2), against m^d in the orthant.
+
+    ``n_grid`` keeps its meaning of nodes per full axis.  The (d - 1)-index
+    chamber of x_2..x_d is built once, sorted by its leading index, so the
+    nodes under x_1 = half[i] are its prefix with leading index <= i.  Each
+    step evaluates a block of whole x_1-slabs holding at most n_grid^(d-1)
+    nodes, the size of one slab of the full cube; the working set is a few
+    arrays of that many doubles (0.46 MB each at the d = 3 default
+    n_grid = 240) and the whole chamber is never held at once.
     """
     d = _resolve_dim(g, d)
     if p < 1:
@@ -397,24 +423,47 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: Optional[int] 
     if n_grid % 2:
         half[0] = 0.0
 
-    # The other d - 1 coordinates, flattened: one row per x_1 in a block.
-    mesh_rest = [m.ravel() for m in np.meshgrid(*([half] * (d - 1)), indexing="ij")]
-    weight_rest = 2.0 ** sum(m != 0.0 for m in mesh_rest)
-    rest_sq = sum(m ** 2 for m in mesh_rest)
-    others = [rest_sq - m ** 2 for m in mesh_rest]
-    slabs = max(1, n_grid ** (d - 1) // half.size ** (d - 1))
-    total = 0.0
-    for start in range(0, half.size, slabs):
-        x1 = half[start:start + slabs, None]
-        grad_sq = ((feval(np.sqrt((x1 + fd_step) ** 2 + rest_sq))
-                    - feval(np.sqrt((x1 - fd_step) ** 2 + rest_sq)))
-                   / (2.0 * fd_step)) ** 2
-        for m, other in zip(mesh_rest, others):
-            di = (feval(np.sqrt(x1 ** 2 + other + (m + fd_step) ** 2))
-                  - feval(np.sqrt(x1 ** 2 + other + (m - fd_step) ** 2))
-                  ) / (2.0 * fd_step)
-            grad_sq += di ** 2
-        weight = np.where(x1 == 0.0, 1.0, 2.0) * weight_rest
+    # The (d - 1)-coordinate chamber of x_2..x_d as axis indices, sorted by
+    # leading index, and what its rows bring to every block: coordinates,
+    # the sum of their squares, for component k the squares of the rest
+    # other than x_k, and the node weight when x_1 ties with the row's
+    # leading index (w_tie) or exceeds it (w_free).
+    m = half.size
+    rest = np.arange(m)[:, None] if d == 2 else np.column_stack(np.tril_indices(m))
+    lead_rest = rest[:, 0]
+    x_rest = half[rest]
+    sq_rest = x_rest ** 2
+    sum_rest = np.sum(sq_rest, axis=1)
+    other_rest = np.zeros_like(sq_rest) if d == 2 else sq_rest[:, ::-1]
+    mirror = np.where(half != 0.0, 2.0, 1.0)
+    w_rest = np.prod(mirror[rest], axis=1)
+    w_tie = w_rest * _permutations(np.column_stack([lead_rest, rest]))
+    w_free = w_rest * _permutations(np.column_stack([np.full_like(lead_rest, m), rest]))
+    counts = np.searchsorted(lead_rest, np.arange(m), side="right")
+    cum = np.cumsum(counts)
+    cap = n_grid ** (d - 1)
+    total, start, done = 0.0, 0, 0
+    while start < m:
+        # the whole x_1-slabs start..stop-1: at most cap nodes, at least one slab
+        stop = max(start + 1, int(np.searchsorted(cum, done + cap, side="right")))
+        sizes = counts[start:stop]
+        # chamber row of each block node: slab i takes rows 0..counts[i]-1
+        first = cum[start:stop] - sizes - done
+        row = np.arange(cum[stop - 1] - done) - np.repeat(first, sizes)
+        x1 = np.repeat(half[start:stop], sizes)
+        sq1 = x1 ** 2
+        grad_sq = 0.0
+        for k in range(d):
+            if k == 0:
+                xk, other = x1, sum_rest[row]
+            else:
+                xk, other = x_rest[row, k - 1], sq1 + other_rest[row, k - 1]
+            dk = (feval(np.sqrt((xk + fd_step) ** 2 + other))
+                  - feval(np.sqrt((xk - fd_step) ** 2 + other))) / (2.0 * fd_step)
+            grad_sq = grad_sq + dk ** 2
+        weight = np.repeat(mirror[start:stop], sizes) * np.where(
+            x1 == x_rest[row, 0], w_tie[row], w_free[row])
         total += float(np.sum(weight * np.sqrt(grad_sq) ** p))
+        start, done = stop, int(cum[stop - 1])
     lhs = (total * h ** d) ** (1.0 / p)
     return GradientIdentityReport(float(lhs), float(rhs))

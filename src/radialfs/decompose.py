@@ -274,15 +274,17 @@ def _level_lowpass(xi: np.ndarray, j: int) -> np.ndarray:
     return win
 
 
-def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
-                         T: Optional[float] = None,
-                         J: Optional[int] = None) -> DyadicBandSpectrum:
-    """Split g into dyadic frequency bands via FFT; bands sum back to g exactly.
+def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
+                  J: Optional[int]):
+    """The uniform grid t, the top level J and a generator of bands 0..J.
 
-    Band 0 is the low-pass |xi| <= 2; band j lives on 2^{j-1} <= |xi| <= 2^{j+1}.
-    The telescoped windows sum to 1 on the whole discrete spectrum, so the
-    band sum reproduces the sampled profile to roundoff.  The windows are
-    even in xi, so the real-input transform on xi >= 0 carries the bands.
+    Each band is one ``irfft`` of the spectrum times a telescoped window, made
+    when the generator reaches it, so a caller that reduces each band holds
+    one band at a time.  Every band is written into the same buffer, which
+    the caller may overwrite before it asks for the next band.  The window,
+    product and band buffers are reused because fresh full-length arrays per
+    band are mapped and returned by the C allocator band after band, which
+    costs page faults on every band.
     """
     t, vals, T = _uniform_resample(g, n_fft, T)
     h = t[1] - t[0]
@@ -295,14 +297,36 @@ def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
         raise ResolutionError(
             f"requested J={J} does not cover the grid spectrum (need >= {J_max})")
     spec = np.fft.rfft(vals)
-    bands = np.empty((J + 1, n_fft))
-    prev = np.zeros_like(xi)
-    for j in range(J + 1):
-        # the top window absorbs the tail: exact telescoping
-        low = _level_lowpass(xi, j) if j < J else np.ones_like(xi)
-        bands[j] = np.fft.irfft(spec * (low - prev), n=n_fft)
-        prev = low
-    return DyadicBandSpectrum(t, bands, J)
+
+    def bands():
+        prev = np.zeros_like(xi)
+        window, product, band = np.empty_like(xi), np.empty_like(spec), np.empty(n_fft)
+        for j in range(J + 1):
+            # the top window absorbs the tail: exact telescoping
+            low = _level_lowpass(xi, j) if j < J else np.ones_like(xi)
+            np.subtract(low, prev, out=window)
+            np.multiply(spec, window, out=product)
+            yield np.fft.irfft(product, n=n_fft, out=band)
+            prev = low
+
+    return t, J, bands()
+
+
+def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
+                         T: Optional[float] = None,
+                         J: Optional[int] = None) -> DyadicBandSpectrum:
+    """Split g into dyadic frequency bands via FFT; bands sum back to g exactly.
+
+    Band 0 is the low-pass |xi| <= 2; band j lives on 2^{j-1} <= |xi| <= 2^{j+1}.
+    The telescoped windows sum to 1 on the whole discrete spectrum, so the
+    band sum reproduces the sampled profile to roundoff.  The windows are
+    even in xi, so the real-input transform on xi >= 0 carries the bands.
+    """
+    t, J, bands = _dyadic_bands(g, n_fft, T, J)
+    stacked = np.empty((J + 1, n_fft))
+    for j, band in enumerate(bands):
+        stacked[j] = band
+    return DyadicBandSpectrum(t, stacked, J)
 
 
 def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
@@ -314,18 +338,22 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
     ``weighted`` applies the half-line weight |t|^{d-1} inside the L_p norms,
     which makes the value a numerical stand-in for the d-dimensional norm of
     the radial extension (equivalent up to constants).  Independent of the
-    atomic machinery: serves as its cross-check.
+    atomic machinery: serves as its cross-check.  The bands are those of
+    ``dyadic_band_spectrum``, made and reduced one at a time.
     """
     s, p, q, d = params.s, params.p, params.q, params.d
-    spectrum = dyadic_band_spectrum(g, n_fft=n_fft, T=T, J=J)
-    t, h = spectrum.t, spectrum.t[1] - spectrum.t[0]
+    t, _, bands = _dyadic_bands(g, n_fft, T, J)
+    h = t[1] - t[0]
     w = np.abs(t) ** (d - 1) if weighted else np.ones_like(t)
     logs = []
-    for j in range(spectrum.J + 1):
+    for j, band in enumerate(bands):
+        np.abs(band, out=band)
         if math.isinf(p):
-            nrm = float(np.max(np.abs(spectrum.bands[j])))
+            nrm = float(np.max(band))
         else:
-            nrm = float(np.sum(np.abs(spectrum.bands[j]) ** p * w) * h) ** (1.0 / p)
+            band **= p
+            band *= w
+            nrm = float(np.sum(band) * h) ** (1.0 / p)
         if nrm > 0:
             logs.append(j * s * LN2 + math.log(nrm))
     if not logs:

@@ -50,9 +50,13 @@ class ExperimentConfig:
             self.seed = int(env_seed)
 
     def opt(self, key: str, default=None, cast=float):
-        if key in self.options:
+        if key not in self.options:
+            return default
+        try:
             return cast(self.options[key])
-        return default
+        except ValueError:
+            raise ConfigError(f"option {key!r} must be {cast.__name__}, "
+                              f"got {self.options[key]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -453,13 +457,21 @@ def _exp_predicate_tables(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _exp_classification_map(cfg: ExperimentConfig) -> ExperimentResult:
-    d = int(cfg.opt("d", 2, int))
+    d = cfg.opt("d", 2, int)
+    x0, x1, y0, y1 = FIGURE_RECT
+    rect = (x0, cfg.opt("max_inv_p", x1), cfg.opt("min_s", y0), cfg.opt("max_s", y1))
+    resolution = cfg.opt("resolution", 60, int)
+    in_range = {"d": d >= 1, "resolution": resolution >= 1,
+                "max_inv_p": x0 < rect[1] < math.inf,
+                "min_s": -math.inf < rect[2] < rect[3],
+                "max_s": rect[2] < rect[3] < math.inf}
+    bad = [key for key, ok in in_range.items() if not ok]
+    if bad:
+        raise ConfigError(
+            f"classification-map option {', '.join(bad)} out of range: it needs "
+            f"d >= 1, resolution >= 1, max_inv_p > {x0} and min_s < max_s, finite")
     which = cfg.options.get("figure", "fig2")
     region = figure_region(which, d)
-    x0, x1, y0, y1 = FIGURE_RECT
-    rect = (x0, float(cfg.opt("max_inv_p", x1)),
-            float(cfg.opt("min_s", y0)), float(cfg.opt("max_s", y1)))
-    resolution = int(cfg.opt("resolution", 60, int))
     art = cfg.output_dir / f"classification-{which}-d{d}.csv"
     write_classification_csv(art, region, rect, resolution)
     # the paper's label of the anchor (1/p, s) = (1, 1), from its conditions

@@ -143,6 +143,20 @@ class TestRun:
         assert "figur" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("key,value", [
+        ("d", "2.5"), ("d", "0"), ("resolution", "0"), ("resolution", "-3"),
+        ("resolution", "many"), ("max_inv_p", "0.01"), ("min_s", "4"),
+        ("max_s", "-2"), ("max_s", "inf")])
+    def test_bad_map_option_value_exit_two_writes_nothing(self, tmp_path, capsys,
+                                                          key, value):
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"experiment = classification-map\n{key} = {value}\n"
+                       f"output_dir = {out}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_missing_experiment_field_exit_two(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("seed = 1\n")

@@ -229,25 +229,74 @@ class TestGradientIdentity:
             total += float(np.sum(np.sqrt(grad_sq) ** p))
         return (total * h ** d) ** (1.0 / p)
 
+    def _assert_fold_matches_full_cube(self, prof, evaluator, d, p, n_grid):
+        # fd_step = 1e-3: the central difference carries rounding noise of
+        # about eps / fd_step per node, and np.linspace is not bit-for-bit
+        # symmetric, so at the default 1e-5 the reference's own one-ulp
+        # asymmetry moves these tiny sums by up to ~1e-12.
+        fd_step = 1e-3
+        support = np.abs(prof.grid.nodes[np.abs(prof.values) > 1e-13])
+        T = float(support.max()) * 1.05 + 0.25
+        rep = radial_gradient_identity_check(prof, p, d, evaluator=evaluator,
+                                             n_grid=n_grid, fd_step=fd_step)
+        feval = prof if evaluator is None else evaluator
+        want = self._full_cube_lhs(feval, T, d, p, n_grid, fd_step)
+        assert abs(rep.lhs_tensor - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("n_grid", [15, 16])
     def test_orthant_fold_matches_full_cube(self, d, p, n_grid):
         # Odd n_grid puts a node at 0 (multiplicity 1 per zero coordinate).
-        # fd_step = 1e-3: the central difference carries rounding noise of
-        # about eps / fd_step per node, and np.linspace is not bit-for-bit
-        # symmetric, so at the default 1e-5 the reference's own one-ulp
-        # asymmetry moves these tiny sums by up to ~1e-12.
-        c, w, fd_step = 1.2, 0.8, 1e-3
+        c, w = 1.2, 0.8
         ev = lambda r: bump((np.asarray(r, float) - c) / w) \
             + bump((np.asarray(r, float) + c) / w)
         prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w), d=d)
-        support = np.abs(prof.grid.nodes[np.abs(prof.values) > 1e-13])
-        T = float(support.max()) * 1.05 + 0.25
-        rep = radial_gradient_identity_check(prof, p, d, evaluator=ev,
-                                             n_grid=n_grid, fd_step=fd_step)
-        want = self._full_cube_lhs(ev, T, d, p, n_grid, fd_step)
-        assert abs(rep.lhs_tensor - want) <= 1e-12 * want
+        self._assert_fold_matches_full_cube(prof, ev, d, p, n_grid)
+
+    def test_chamber_fold_over_several_blocks(self):
+        # d = 3, n_grid = 61: the chamber holds C(33, 3) = 5456 nodes against
+        # a block cap of 61^2 = 3721, so two blocks of whole x_1-slabs, the
+        # last one partial.  The last block holds the outermost x_1-slabs,
+        # which a compactly supported bump leaves at zero; a Gaussian keeps
+        # its gradient nonzero on every slab, so no block can go missing
+        # unseen.
+        d, n_grid = 3, 61
+        m = (n_grid + 1) // 2
+        assert n_grid ** (d - 1) < math.comb(m + d - 1, d) < 2 * n_grid ** (d - 1)
+        ev = lambda r: np.exp(-np.asarray(r, float) ** 2)
+        prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, 3.0), d=d)
+        self._assert_fold_matches_full_cube(prof, ev, d, 1.5, n_grid)
+
+    @pytest.mark.parametrize("d,n_grid", [(2, 40), (3, 31)])
+    def test_chamber_fold_on_profile_interpolation(self, d, n_grid):
+        # evaluator=None: the tensor route evaluates the profile's own
+        # piecewise-linear interpolation
+        prof = RadialProfile.from_callable(
+            lambda r: bump((r - 1.0) / 0.7) + bump((r + 1.0) / 0.7),
+            Grid1D.uniform(0.01, 2.0), d=d)
+        self._assert_fold_matches_full_cube(prof, None, d, 2, n_grid)
+
+    @pytest.mark.parametrize("d,n_grid", [(2, 61), (2, 40), (3, 61), (3, 40)])
+    def test_chamber_work_and_block_size(self, d, n_grid):
+        # Every tensor-route call sees at most one full-cube slab of points,
+        # and the route evaluates 2d difference terms per chamber node.
+        sizes = []
+
+        def ev(r):
+            r = np.asarray(r, float)
+            sizes.append(r.size)
+            return bump((r - 1.2) / 0.8) + bump((r + 1.2) / 0.8)
+
+        prof = RadialProfile.from_callable(ev, Grid1D.uniform(0.01, 2.8), d=d)
+        sizes.clear()
+        radial_gradient_identity_check(prof, 1.5, d, evaluator=ev, n_grid=n_grid)
+        # the radial route's two difference quotients come first
+        assert sizes[:2] == [prof.grid.size] * 2
+        tensor = sizes[2:]
+        m = (n_grid + 1) // 2
+        assert max(tensor) <= n_grid ** (d - 1)
+        assert sum(tensor) == 2 * d * math.comb(m + d - 1, d)
 
     def test_coarse_grid_reports_failure(self):
         # Negative control: an under-resolved tensor grid must miss the

@@ -263,6 +263,33 @@ class TestLpBesovNorm:
             b = np.linalg.norm(direct) * math.sqrt(h)
             assert a == pytest.approx(b, rel=0.1)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+    @pytest.mark.parametrize("q", [1.0, math.inf])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_norm_of_stacked_bands_bit_for_bit(self, p, q, weighted):
+        # lp_besov_norm_1d reduces each band as it is made; the norm taken
+        # from the stacked bands of dyadic_band_spectrum is the same float
+        from scipy.special import logsumexp
+        s, d = 0.7, 2
+        g = RadialProfile.from_callable(
+            lambda t: bump((t - 1.2) / 0.5) + bump((t + 1.2) / 0.5),
+            Grid1D.uniform(2 ** -10, 3.0), d=d)
+        spec = dyadic_band_spectrum(g, n_fft=2 ** 13, T=4.0)
+        h = spec.t[1] - spec.t[0]
+        w = np.abs(spec.t) ** (d - 1) if weighted else np.ones_like(spec.t)
+        logs = []
+        for j, band in enumerate(spec.bands):
+            if math.isinf(p):
+                nrm = float(np.max(np.abs(band)))
+            else:
+                nrm = float(np.sum(np.abs(band) ** p * w) * h) ** (1.0 / p)
+            logs.append(j * s * math.log(2.0) + math.log(nrm))
+        want = (math.exp(max(logs)) if math.isinf(q)
+                else math.exp(logsumexp([q * v for v in logs]) / q))
+        got = lp_besov_norm_1d(g, SpaceParams(s, p, q, d), weighted=weighted,
+                               n_fft=2 ** 13, T=4.0)
+        assert got.hex() == want.hex()
+
     def test_gaussian_finite_for_all_s(self):
         g = RadialProfile.from_callable(lambda t: np.exp(-t ** 2),
                                         Grid1D.uniform(2 ** -10, 8.0), d=2)
