@@ -11,6 +11,14 @@ vanishes at all other collocation points, so a single template atom is
 reproduced exactly, and on smooth inputs the residual contracts by about a
 factor 2 per level (the residual is pinned to zero on a 2^{-j}-dense set).
 
+Support window.  Let [a, b] be the |t|-hull of the nonzero nodes of g and h
+the largest grid spacing.  g interpolates to exactly 0 more than h from a
+nonzero node, a level-i atom reaches 2^{-i-1} past its centre, and
+sum_i 2^{-i-1} < 1, so by induction every nonzero coefficient and captured
+value lies in the open window (a - h - 1, b + h + 1).  Outside it every
+coefficient is (0 - 0) n0 = 0 and every captured term adds 0, so the cascade
+visits only the lattice points and grid nodes inside, with the same floats.
+
 The trace-space norms report the sequence norm of the constructed
 decomposition: an upper bound for the infimum in the definition, equivalent
 up to constants.  All downstream assertions are therefore phrased as scaling
@@ -26,12 +34,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .bump import bump, bump_derivative_sup, smoothstep
-from .core import (Grid1D, RadialProfile, _derivatives_123,
+from .core import (Grid1D, RadialProfile, _derivatives_123, _trapezoid,
                    radial_laplacian, weighted_lp_norm)
 from .covering import AtomSpec
 from .errors import (DecompositionError, InvalidParameterError,
                      ResolutionError)
-from .seqspaces import CoefficientGrid, seq_norm_bspqd, seq_norm_fspqd
+from .seqspaces import (CoefficientGrid, _logsumexp, seq_norm_bspqd,
+                        seq_norm_fspqd)
 from .spaces import SpaceParams, sigma_p, sigma_pq
 
 __all__ = ["AtomicDecomposition", "DyadicBandSpectrum", "atom_normalization",
@@ -41,6 +50,9 @@ __all__ = ["AtomicDecomposition", "DyadicBandSpectrum", "atom_normalization",
            "sobolev_radial_norm_2m"]
 
 LN2 = math.log(2.0)
+# Nodes per _add_level call of decompose_profile: small temporaries are
+# reused from the heap, not mapped afresh on every level.
+_CHUNK = 2 ** 13
 
 
 def atom_normalization(L: int) -> float:
@@ -65,11 +77,30 @@ def template_atom_profile(j: int, k: int, grid: Grid1D, L: int = 2,
         lambda t: template_atom_values(j, k, t, L), grid, d=d)
 
 
-def _collocation_indices(j: int, k_max: int) -> np.ndarray:
-    """Level-0: all k; level j >= 1: odd k (even multiples are coarser points)."""
+def _collocation_indices(j: int, k_lo: int, k_hi: int) -> np.ndarray:
+    """Slots k_lo <= k <= k_hi of level j: all k at level 0, odd k above."""
     if j == 0:
-        return np.arange(0, k_max + 1)
-    return np.arange(1, k_max + 1, 2)
+        return np.arange(k_lo, k_hi + 1)
+    return np.arange(k_lo | 1, k_hi + 1, 2)
+
+
+def _support_window(g: RadialProfile) -> Tuple[float, float, List[slice]]:
+    """The window (lo, hi) of the module docstring in |t|, and slices of at
+    most _CHUNK nodes of the sorted even grid that cover lo < |t| < hi."""
+    t = g.grid.nodes
+    nonzero = np.abs(t[g.values != 0.0])
+    if nonzero.size == 0:
+        return 0.0, 0.0, []
+    h = float(np.max(np.diff(t)))
+    lo, hi = float(nonzero.min()) - h - 1.0, float(nonzero.max()) + h + 1.0
+    start, stop = np.searchsorted(t, -hi, "right"), np.searchsorted(t, hi, "left")
+    if lo < 0.0:
+        runs = [(start, stop)]
+    else:
+        runs = [(start, np.searchsorted(t, -lo, "left")),
+                (np.searchsorted(t, lo, "right"), stop)]
+    return lo, hi, [slice(i, min(i + _CHUNK, b)) for a, b in runs
+                    for i in range(a, b, _CHUNK)]
 
 
 def _add_level(out: np.ndarray, t: np.ndarray, j: int, coeffs: np.ndarray,
@@ -141,9 +172,11 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     Raises DecompositionError when the residual stalls (residual at J above
     residual at J-2) and ``raise_on_stall`` is set.  The captured sum on the
     grid is kept as one running array that gains only level j's atoms after
-    level j, so every level costs one pass over the grid.  ``track_history``
-    records the weighted residual norm after every level (one extra norm per
-    level); without it only the final residual norm is computed.
+    level j; only the lattice points and grid nodes in the support window of
+    the module docstring are visited (none for a zero profile), which gives
+    the floats of a pass over the whole lattice and grid.  ``track_history``
+    records the weighted residual norm after every level (one full-grid norm
+    per level); without it only the final residual norm is computed.
     """
     if not g.grid.even:
         raise InvalidParameterError("decomposition needs an even profile")
@@ -153,36 +186,45 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     n0 = atom_normalization(spec.L)
     d_for_norm = g.dim_context or 2
     p_norm = max(1.0, spec.p)
+    lo, hi, window = _support_window(g)
+    weight = t_abs ** (int(d_for_norm) - 1)
+    captured = np.zeros_like(t_abs)
+    residual, res_sym = np.empty_like(t_abs), np.empty_like(t_abs)
 
     levels: Dict[int, np.ndarray] = {}
     history: List[float] = []
-    g_scale = weighted_lp_norm(g, p_norm, d_for_norm)
-    captured = np.zeros_like(t_abs)
-
     for j in range(J + 1):
         k_max = int(math.ceil(outer * 2.0 ** j)) + 1
         coeffs = np.zeros(k_max + 1)
-        ks = _collocation_indices(j, k_max)
+        ks = _collocation_indices(j, max(0, math.floor(lo * 2.0 ** j) + 1),
+                                  min(k_max, math.ceil(hi * 2.0 ** j) - 1))
         pts = 2.0 ** (-j) * ks
         coeffs[ks] = (g(pts) - _eval_capture(levels, pts, spec.L)) * n0
         levels[j] = coeffs
-        _add_level(captured, t_abs, j, coeffs, n0)
+        for part in window:
+            _add_level(captured[part], t_abs[part], j, coeffs, n0)
         if track_history or j == J:
-            res_vals = g.values - captured
-            res_prof = RadialProfile(g.grid, 0.5 * (res_vals + res_vals[::-1]))
-            history.append(weighted_lp_norm(res_prof, p_norm, d_for_norm))
+            # weighted_lp_norm of the symmetrised residual, in reused buffers
+            np.subtract(g.values, captured, out=residual)
+            np.add(residual, residual[::-1], out=res_sym)
+            res_sym *= 0.5
+            np.abs(res_sym, out=res_sym)
+            if math.isinf(p_norm):
+                history.append(float(np.max(res_sym)))
+            else:
+                res_sym **= p_norm
+                res_sym *= weight
+                history.append(_trapezoid(res_sym, t_grid) ** (1.0 / p_norm))
 
-    if g_scale > 0 and len(history) >= 3 and raise_on_stall:
-        if history[-1] > history[-3] and history[-1] > tol * g_scale:
+    if raise_on_stall and len(history) >= 3 and history[-1] > history[-3]:
+        g_scale = weighted_lp_norm(g, p_norm, d_for_norm)
+        if g_scale > 0 and history[-1] > tol * g_scale:
             raise DecompositionError(
                 f"residual stalls: {history[-1]:.3g} at J={J} vs "
                 f"{history[-3]:.3g} at J={J - 2}")
 
-    entries = {}
-    for j, coeffs in levels.items():
-        for k, v in enumerate(coeffs):
-            if v != 0.0:
-                entries[(j, k)] = float(v)
+    entries = {(j, k): float(coeffs[k]) for j, coeffs in levels.items()
+               for k in np.flatnonzero(coeffs).tolist()}
     # j = 0 atoms play the role of 1_L-atoms; the (s,p)-normalization constant
     # they would carry (diameter 12 to the power s - d/p) is recorded, not absorbed.
     level0 = (12.0) ** (spec.s - (g.dim_context or 2) / spec.p)
@@ -360,8 +402,7 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
         return 0.0
     if math.isinf(q):
         return math.exp(max(logs))
-    from scipy.special import logsumexp
-    return math.exp(logsumexp([q * v for v in logs]) / q)
+    return math.exp(_logsumexp([q * v for v in logs]) / q)
 
 
 # ---------------------------------------------------------------------------

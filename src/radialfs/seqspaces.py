@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import Grid1D, ball_volume
 from .errors import InvalidParameterError, ResolutionError
@@ -40,6 +39,25 @@ __all__ = ["CoefficientGrid", "AnnulusIndicator",
            "seq_norm_bpqd", "seq_norm_fpqd"]
 
 LN2 = math.log(2.0)
+
+
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis``: scipy.special.logsumexp's real-input
+    steps (max split off and counted, log1p of the shifted rest, direct
+    log-sum where that is not finite), so the same floats, minus its per-call
+    array-API dispatch."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max(axis=axis, keepdims=True)
+        at_top = a == top
+        m = at_top.sum(axis=axis, keepdims=True, dtype=float)
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=axis,
+                                                           keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + top
+        if not np.isfinite(out).all():
+            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            out = np.where(np.isfinite(out), out, direct)
+    return np.squeeze(out, axis=axis)[()]
 
 
 @dataclass
@@ -173,7 +191,7 @@ def _log_inner_lp(entries, p: float, d: int) -> Dict[int, float]:
         else:
             logs = [p * math.log(a) + (d - 1) * math.log1p(k)
                     for k, a in lst if a > 0]
-            out[j] = logsumexp(logs) if logs else -math.inf
+            out[j] = _logsumexp(logs) if logs else -math.inf
     return out
 
 
@@ -184,7 +202,7 @@ def _combine_levels(log_terms: Dict[int, float], q: float) -> float:
         return 0.0
     if math.isinf(q):
         return math.exp(max(vals))
-    return math.exp(logsumexp([q * v for v in vals]) / q)
+    return math.exp(_logsumexp([q * v for v in vals]) / q)
 
 
 def _b_norm(c: CoefficientGrid, p: float, q: float, d: int,
@@ -264,11 +282,11 @@ def _f_norm_exact(entries, level_log_weight, p: float, q: float, d: int,
     if math.isinf(q):
         log_inner = np.max(log_piece, axis=1)
     else:
-        log_inner = logsumexp(q * log_piece, axis=1) / q
+        log_inner = _logsumexp(q * log_piece, axis=1) / q
     keep = log_inner > -np.inf
     if not np.any(keep):
         return 0.0
-    log_total = logsumexp(p * log_inner[keep] + log_mass[keep])
+    log_total = _logsumexp(p * log_inner[keep] + log_mass[keep])
     return math.exp(log_total / p)
 
 

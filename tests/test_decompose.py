@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radialfs import decompose
 from radialfs.bump import bump, psi_cutoff
 from radialfs.core import Grid1D, RadialProfile, weighted_lp_norm
 from radialfs.covering import AtomSpec, validate_even_atom
@@ -112,6 +113,28 @@ def from_scratch_decomposition(g, spec, J):
     return levels, history
 
 
+# Profiles that exercise each edge of the window (a - h - 1, b + h + 1).  On
+# the 0.9-grid the annulus's last nonzero node is b = 104.4, and g(105) is
+# nonzero, so the level-0 atom at 105 reaches 105.5 > b + 1: a window without
+# the h term, or with a margin of 1/2 in place of 1 + h, loses coefficients.
+WINDOW_CASES = {
+    "thin-annulus-at-104": lambda: RadialProfile.from_callable(
+        lambda t: bump((t - 104.0) / 0.6), Grid1D.uniform(0.9, 108.0), d=2),
+    "two-pieces": lambda: RadialProfile.from_callable(
+        lambda t: bump((t - 1.0) / 0.3) + 0.5 * bump((t - 4.5) / 0.4),
+        Grid1D.uniform(2.0 ** -6, 6.0), d=2),
+    "touches-origin": lambda: RadialProfile.from_callable(
+        lambda t: bump(t / 0.8), Grid1D.composite(J=6, h=0.05, T=4.0), d=2),
+    "reaches-outer-edge": lambda: RadialProfile.from_callable(
+        lambda t: bump((t - 3.0) / 1.5), Grid1D.uniform(2.0 ** -5, 3.0), d=2),
+    "single-node": lambda: RadialProfile.from_callable(
+        lambda t: np.where(np.abs(t - 2.1) < 0.1, 1.0, 0.0),
+        Grid1D.uniform(0.3, 6.0), d=2),
+    "zero": lambda: RadialProfile.from_callable(
+        lambda t: 0.0 * t, Grid1D.uniform(2.0 ** -5, 3.0), d=2),
+}
+
+
 class TestIncrementalCapture:
     @pytest.mark.parametrize("J", [5, 10])
     @pytest.mark.parametrize("track_history", [True, False])
@@ -143,6 +166,41 @@ class TestIncrementalCapture:
                      for (j, k), v in dec.coefficients.items())
         rec = dec.reconstruction(t)
         assert np.max(np.abs(rec - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("J", [0, 1, 8])
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_bit_identical_to_dense_cascade(self, case, J):
+        g = WINDOW_CASES[case]()
+        dec = decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False)
+        levels, history = from_scratch_decomposition(g, SPEC_L2, J)
+        assert list(dec._levels) == list(levels)
+        for j in levels:
+            assert dec._levels[j].tobytes() == levels[j].tobytes()
+        assert [v.hex() for v in dec.residual_history] == [v.hex() for v in history]
+        expected = {(j, k): float(v) for j, arr in levels.items()
+                    for k, v in enumerate(arr) if v != 0.0}
+        assert dec.coefficients.data == expected
+        assert (len(expected) == 0) == (case == "zero")
+
+    def test_add_level_sees_only_the_window(self, monkeypatch):
+        # a thin annulus far out: the cascade touches the 2.6-wide window,
+        # not the 16385-node grid
+        g = RadialProfile.from_callable(lambda t: bump((t - 100.0) / 0.3),
+                                        Grid1D.uniform(2.0 ** -6, 128.0), d=2)
+        seen, add_level = [], decompose._add_level
+
+        def recording(out, t, j, coeffs, n0):
+            seen.append(np.abs(t))
+            add_level(out, t, j, coeffs, n0)
+
+        monkeypatch.setattr(decompose, "_add_level", recording)
+        dec = decompose_profile(g, SPEC_L2, J=8, raise_on_stall=False)
+        r = np.abs(g.grid.nodes[g.values != 0.0])
+        h = float(np.max(np.diff(g.grid.nodes)))
+        lo, hi = r.min() - h - 1.0, r.max() + h + 1.0
+        points = np.concatenate(seen)
+        assert points.size > 0 and len(dec.coefficients) > 0
+        assert np.all((points > lo) & (points < hi))
 
 
 class TestTraceNorms:

@@ -8,8 +8,8 @@ from scipy.special import logsumexp
 from radialfs.core import Grid1D, ball_volume
 from radialfs.errors import ResolutionError
 from radialfs.seqspaces import (AnnulusIndicator, CoefficientGrid,
-                                seq_norm_bpqd, seq_norm_bspqd, seq_norm_fpqd,
-                                seq_norm_fspqd)
+                                _logsumexp, seq_norm_bpqd, seq_norm_bspqd,
+                                seq_norm_fpqd, seq_norm_fspqd)
 from radialfs.spaces import SpaceParams
 
 
@@ -226,6 +226,48 @@ class TestDenseMembershipReference:
         ref = dense_f_reference(c, lambda j: j * (d / p) * math.log(2.0), p, q, d,
                                 math.log(ball_volume(d)))
         assert f == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def float_bits(x):
+    return [v.hex() for v in np.atleast_1d(np.asarray(x, dtype=float)).tolist()]
+
+
+class TestLogSumExp:
+    """The private log-sum-exp against scipy's, float for float."""
+
+    ROWS = {
+        "single": [[0.37]],
+        "ties-at-max": [[2.5, -1.0, 2.5, 0.25, 2.5], [1.0, 1.0, 1.0, 1.0, 1.0]],
+        "some-minus-inf": [[-np.inf, 3.0, -np.inf, -7.5, 2.999],
+                           [-np.inf, -np.inf, -np.inf, -np.inf, -1e300]],
+        "all-minus-inf": [[-np.inf, -np.inf, -np.inf], [-np.inf, 0.5, -np.inf],
+                          [-np.inf, -np.inf, -np.inf]],
+        "near-1e308": [[1.7e308, 1.7e308, 1.0e308, -1.7e308],
+                       [1.79e308, 1.2e308, 1.5e308, 9e307]],
+    }
+
+    # scipy warns when -1.7e308 - 1.7e308 overflows to -inf; the values agree
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_matches_scipy_bit_for_bit(self, name):
+        rows = np.array(self.ROWS[name], dtype=float)
+        for row in rows:
+            assert float_bits(_logsumexp(row)) == float_bits(logsumexp(row))
+            assert float_bits(_logsumexp(list(row))) == float_bits(logsumexp(list(row)))
+        got = _logsumexp(rows, axis=1)
+        assert got.shape == (rows.shape[0],)
+        assert float_bits(got) == float_bits(logsumexp(rows, axis=1))
+
+    def test_matches_scipy_on_random_rows(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 40):
+            rows = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
+            rows[rng.random(rows.shape) < 0.3] = -np.inf
+            rows[1] = np.round(rows[1])
+            for row in rows:
+                assert float_bits(_logsumexp(row)) == float_bits(logsumexp(row))
+            assert float_bits(_logsumexp(rows, axis=1)) == float_bits(
+                logsumexp(rows, axis=1))
 
 
 class TestAnnulusIndicator:
