@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import scipy.fft
 
 from .bump import bump, bump_derivative_sup, smoothstep
 from .core import (Grid1D, RadialProfile, _derivatives_123, _trapezoid,
@@ -142,12 +143,7 @@ class AtomicDecomposition:
     residual_norm: float
     residual_history: List[float]
     d: Optional[int] = None
-    level0_scale: float = 1.0
     _levels: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-
-    def atoms(self) -> List[Tuple[int, int, str]]:
-        return [(j, k, f"template(L={self.spec.L})")
-                for (j, k) in sorted(self.coefficients.data)]
 
     def reconstruction(self, t) -> np.ndarray:
         return _eval_capture(self._levels, t, self.spec.L)
@@ -225,14 +221,10 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
 
     entries = {(j, k): float(coeffs[k]) for j, coeffs in levels.items()
                for k in np.flatnonzero(coeffs).tolist()}
-    # j = 0 atoms play the role of 1_L-atoms; the (s,p)-normalization constant
-    # they would carry (diameter 12 to the power s - d/p) is recorded, not absorbed.
-    level0 = (12.0) ** (spec.s - (g.dim_context or 2) / spec.p)
     return AtomicDecomposition(CoefficientGrid(entries), spec, J, g.grid,
                                residual_norm=history[-1],
                                residual_history=history,
-                               d=g.dim_context, level0_scale=level0,
-                               _levels=levels)
+                               d=g.dim_context, _levels=levels)
 
 
 def tb_norm(g: RadialProfile, params: SpaceParams,
@@ -295,13 +287,6 @@ def _lowpass_window(xi: np.ndarray) -> np.ndarray:
     return smoothstep((2.0 - np.abs(xi)) / 1.0)
 
 
-def _uniform_resample(g: RadialProfile, n_fft: int, T: Optional[float]):
-    if T is None:
-        T = float(np.abs(g.grid.nodes).max())
-    t = -T + 2.0 * T * np.arange(n_fft) / n_fft
-    return t, g(t), T
-
-
 def _level_lowpass(xi: np.ndarray, j: int) -> np.ndarray:
     """_lowpass_window(xi / 2^j) on ascending xi >= 0.
 
@@ -316,21 +301,54 @@ def _level_lowpass(xi: np.ndarray, j: int) -> np.ndarray:
     return win
 
 
+def _even_dft(X: np.ndarray, n: int, out: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+    """Write into out x[0..n//2] of the even length-n sequence (x[n-k] = x[k])
+    whose DFT is the real X[0..n//2], scaled as ``np.fft.irfft``; n times
+    this is the DFT of the even sequence x[0..n//2].  ``work`` holds at least
+    n/2 + log2(n) floats.  For n = 4m > 64, folding f with 2m - f (Makhoul
+    1980): x[2r] is half this transform at 2m of Y_f = X_f + X_{2m-f}, f <= m
+    (Y_0 = X_0 + X_{2m}, Y_m = 2 X_m), and x[2r+1] is the DCT-III of
+    Z_f = X_f - X_{2m-f}, f < m, over n.  Other n end in one irfft.
+    """
+    if n % 4 or n <= 64:
+        out[:] = np.fft.irfft(X, n)[:n // 2 + 1]
+        return out
+    m = n // 4
+    z = np.subtract(X[:m], X[2 * m:m:-1], out=work[:m])
+    np.divide(scipy.fft.dct(z, type=3, overwrite_x=True), n, out=out[1::2])
+    y = np.add(X[:m + 1], X[2 * m:m - 1:-1], out=work[:m + 1])
+    _even_dft(y, 2 * m, out[0::2], work[m + 1:])
+    out[0::2] *= 0.5
+    return out
+
+
 def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
                   J: Optional[int]):
     """The uniform grid t, the top level J and a generator of bands 0..J.
 
-    Each band is one ``irfft`` of the spectrum times a telescoped window, made
-    when the generator reaches it, so a caller that reduces each band holds
-    one band at a time.  Every band is written into the same buffer, which
-    the caller may overwrite before it asks for the next band.  The window,
-    product and band buffers are reused because fresh full-length arrays per
-    band are mapped and returned by the C allocator band after band, which
-    costs page faults on every band.
+    On the periodic grid t_k = -T + 2Tk/n (n = n_fft), t_{n-k} = -t_k, so the
+    even profile's samples are an even sequence: only the n//2 + 1 points
+    t <= 0 are evaluated, and spectrum and bands, real and even, are each one
+    _even_dft of entries 0..n//2, mirrored.  Band j's window is nonzero, and
+    computed, only between the edges 2^{j-1}, 2^{j+1} of bands j-1 and j+1.
+    Bands are made as the generator reaches them, into one buffer that the
+    caller may overwrite before it asks for the next.  All buffers are made
+    once per call: fresh full-length arrays per band cost page faults.
     """
-    t, vals, T = _uniform_resample(g, n_fft, T)
-    h = t[1] - t[0]
-    xi = 2.0 * math.pi * np.fft.rfftfreq(n_fft, d=h)
+    if n_fft < 2 or not (T is None or (math.isfinite(T) and T > 0)):
+        raise InvalidParameterError(
+            f"need n_fft >= 2 and a finite T > 0, got n_fft={n_fft}, T={T}")
+    if T is None:
+        T = float(np.abs(g.grid.nodes).max())
+    elif np.any(np.abs(g.grid.nodes[g.values != 0.0]) > T):
+        raise InvalidParameterError(f"T = {T} cuts the profile's support")
+    n, size = n_fft, n_fft // 2 + 1
+    t = -T + 2.0 * T * np.arange(n) / n
+    work = np.empty(n // 2 + int(n).bit_length())
+    spec = _even_dft(g(t[:size]), n, np.empty(size), work)
+    spec *= n
+    xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=t[1] - t[0])
     xi_max = float(xi[-1])
     J_max = max(1, int(math.ceil(math.log2(xi_max))))
     if J is None:
@@ -338,18 +356,24 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
     elif 2.0 ** J < xi_max:
         raise ResolutionError(
             f"requested J={J} does not cover the grid spectrum (need >= {J_max})")
-    spec = np.fft.rfft(vals)
 
     def bands():
-        prev = np.zeros_like(xi)
-        window, product, band = np.empty_like(xi), np.empty_like(spec), np.empty(n_fft)
+        product, band = np.zeros(size), np.empty(n)
+        prev_a, prev = 0, np.zeros(0)
         for j in range(J + 1):
+            # 2^{J+1} > xi_max, so the top band runs to the last bin
+            a, b = np.searchsorted(xi, [2.0 ** (j - 1) if j else 0.0, 2.0 ** (j + 1)])
             # the top window absorbs the tail: exact telescoping
-            low = _level_lowpass(xi, j) if j < J else np.ones_like(xi)
-            np.subtract(low, prev, out=window)
-            np.multiply(spec, window, out=product)
-            yield np.fft.irfft(product, n=n_fft, out=band)
-            prev = low
+            low = _level_lowpass(xi[a:b], j) if j < J else np.ones(b - a)
+            # band j-1's low-pass on its own slice, which ends where it is 0
+            window, below = low.copy(), prev[a - prev_a:]
+            window[:below.size] -= below
+            prev_a, prev = a, low
+            np.multiply(spec[a:b], window, out=product[a:b])
+            _even_dft(product, n, band[:size], work)
+            band[size:] = band[(n - 1) // 2:0:-1]
+            yield band
+            product[a:b] = 0.0
 
     return t, J, bands()
 
@@ -361,8 +385,10 @@ def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
 
     Band 0 is the low-pass |xi| <= 2; band j lives on 2^{j-1} <= |xi| <= 2^{j+1}.
     The telescoped windows sum to 1 on the whole discrete spectrum, so the
-    band sum reproduces the sampled profile to roundoff.  The windows are
-    even in xi, so the real-input transform on xi >= 0 carries the bands.
+    band sum reproduces the sampled profile to roundoff.  The even profile's
+    samples on the periodic grid are an even sequence and the windows are even
+    in xi, so spectrum and bands are real and even: cosine transforms, split
+    recursively into a half-length one and a quarter-length DCT-III.
     """
     t, J, bands = _dyadic_bands(g, n_fft, T, J)
     stacked = np.empty((J + 1, n_fft))

@@ -106,10 +106,6 @@ class CoefficientGrid:
     def J(self) -> int:
         return max((j for j, _ in self.data), default=0)
 
-    @property
-    def K(self) -> int:
-        return max((k for _, k in self.data), default=0)
-
     def items(self) -> Iterable[Tuple[Tuple[int, int], float]]:
         return self.data.items()
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from radialfs import decompose
 from radialfs.bump import bump, psi_cutoff
@@ -16,6 +17,7 @@ from radialfs.decompose import (_eval_capture, _lowpass_window,
                                 tf_norm)
 from radialfs.errors import (DecompositionError, InvalidParameterError,
                              ResolutionError)
+from radialfs.families import make_f_j_lambda
 from radialfs.spaces import SpaceParams
 
 SPEC_L2 = AtomSpec(2, -1, 1.0, 2.0)
@@ -382,6 +384,119 @@ class TestLpBesovNorm:
             log_ratios.append(math.log(tb / lp))
         spread = max(log_ratios) - min(log_ratios)
         assert spread <= 1.5
+
+
+def _even_dft(X, n):
+    return decompose._even_dft(X, n, np.empty(n // 2 + 1),
+                               np.empty(n // 2 + n.bit_length()))
+
+
+def _complex_fft_norm(g, params, weighted, n_fft, T):
+    """lp_besov_norm_1d from the full complex spectrum of all n_fft samples,
+    every window built on the whole xi axis, bands summed directly."""
+    s, p, q, d = params.s, params.p, params.q, params.d
+    t = -T + 2.0 * T * np.arange(n_fft) / n_fft
+    h = t[1] - t[0]
+    xi = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=h)
+    J = max(1, int(math.ceil(math.log2(np.max(np.abs(xi))))))
+    low = [_lowpass_window(xi / 2.0 ** j) for j in range(J)] + [np.ones_like(xi)]
+    full = np.fft.fft(g(t))
+    w = np.abs(t) ** (d - 1) if weighted else 1.0
+    total = 0.0
+    for j in range(J + 1):
+        band = np.fft.ifft(full * (low[j] - (low[j - 1] if j else 0.0))).real
+        total += 2.0 ** (j * s * q) * (np.sum(np.abs(band) ** p * w) * h) ** (q / p)
+    return total ** (1.0 / q)
+
+
+class TestEvenDft:
+    @pytest.mark.parametrize("n", [2, 8, 1024, 2 ** 12 + 1, 2 ** 12 + 2, 3001,
+                                   2 ** 17])
+    def test_matches_irfft_of_real_spectrum(self, n):
+        X = np.random.default_rng(n).standard_normal(n // 2 + 1)
+        ref = np.fft.irfft(X, n)
+        got = _even_dft(X, n)
+        assert got.shape == (n // 2 + 1,)
+        assert np.max(np.abs(got - ref[:n // 2 + 1])) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [8, 1024, 3001, 2 ** 12 + 2, 2 ** 17])
+    def test_n_times_helper_is_forward_transform(self, n):
+        x = np.random.default_rng(n).standard_normal(n // 2 + 1)
+        mirrored = np.concatenate([x, x[(n - 1) // 2:0:-1]])
+        ref = np.fft.rfft(mirrored).real
+        got = n * _even_dft(x, n)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_no_transform_longer_than_half(self, monkeypatch):
+        # at n_fft = 2^17 every transform of the norm, forward and per band,
+        # runs on at most n/2 points: no full-length irfft or rfft
+        lengths = []
+        for module, name, length in [
+                (np.fft, "irfft", lambda a, n=None, *args, **kw: n),
+                (np.fft, "rfft", lambda a, *args, **kw: len(a)),
+                (np.fft, "fft", lambda a, *args, **kw: len(a)),
+                (scipy.fft, "dct", lambda x, *args, **kw: len(x))]:
+            def recording(*args, _f=getattr(module, name), _len=length, **kw):
+                lengths.append(_len(*args, **kw))
+                return _f(*args, **kw)
+            monkeypatch.setattr(module, name, recording)
+        n = 2 ** 17
+        g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -12, 4.0),
+                                        d=2)
+        assert lp_besov_norm_1d(g, SpaceParams(1.0, 2.0, 2.0, 2), n_fft=n,
+                                T=4.0) > 0
+        assert lengths and max(lengths) <= n // 2
+
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("shape", ["scaling-f-j-lambda", "support-shift-2",
+                                       "support-shift-16"])
+    def test_norm_matches_complex_fft_reference(self, shape, p, q):
+        # the experiments' profiles, grids, n_fft, T and weighting
+        if shape == "scaling-f-j-lambda":
+            g = make_f_j_lambda(5, 16.0).profile(Grid1D.uniform(2 ** -14, 4.0), d=2)
+            weighted, n_fft, T = True, 2 ** 17, 4.0
+        else:
+            tau = float(shape.rsplit("-", 1)[1])
+            g = RadialProfile.from_callable(
+                lambda t: bump((np.abs(t) - (tau + 0.5)) / 0.5),
+                Grid1D.uniform(2 ** -11, tau + 2.0), d=2)
+            weighted, n_fft, T = False, 2 ** 16, tau + 2.0
+        params = SpaceParams(1.0, p, q, 2)
+        got = lp_besov_norm_1d(g, params, weighted=weighted, n_fft=n_fft, T=T)
+        want = _complex_fft_norm(g, params, weighted, n_fft, T)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestFftInputValidation:
+    @pytest.fixture
+    def bump_17(self):
+        # nonzero out to |t| < 1.7
+        return RadialProfile.from_callable(lambda t: bump((np.abs(t) - 1.2) / 0.5),
+                                           Grid1D.uniform(2 ** -8, 3.0), d=2)
+
+    def _calls(self, g, **kw):
+        return [lambda: lp_besov_norm_1d(g, SpaceParams(1.0, 2.0, 2.0, 2), **kw),
+                lambda: dyadic_band_spectrum(g, **kw)]
+
+    @pytest.mark.parametrize("n_fft", [0, 1])
+    def test_n_fft_below_two(self, bump_17, n_fft):
+        for call in self._calls(bump_17, n_fft=n_fft, T=4.0):
+            with pytest.raises(InvalidParameterError):
+                call()
+
+    @pytest.mark.parametrize("T", [0.0, -4.0, math.inf, math.nan])
+    def test_T_not_finite_positive(self, bump_17, T):
+        for call in self._calls(bump_17, n_fft=2 ** 10, T=T):
+            with pytest.raises(InvalidParameterError):
+                call()
+
+    def test_T_inside_support(self, bump_17):
+        for call in self._calls(bump_17, n_fft=2 ** 10, T=1.0):
+            with pytest.raises(InvalidParameterError):
+                call()
+        # T reaching the last nonzero node is accepted
+        for call in self._calls(bump_17, n_fft=2 ** 10, T=1.7):
+            call()
 
 
 class TestSobolevNorms:
