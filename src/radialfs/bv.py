@@ -64,9 +64,6 @@ class RadonMeasure1D:
                 total += val
         return total
 
-    def total_variation(self) -> float:
-        return self.weighted_total_variation(1)
-
 
 @dataclass(frozen=True)
 class BVProfile:
@@ -257,10 +254,6 @@ class BVDecayReport:
     @property
     def holds_with_tail(self) -> bool:
         return bool(np.all(self.lhs <= self.tail_bound * (1.0 + 1e-12)))
-
-    @property
-    def max_ratio_to_norm(self) -> float:
-        return float(np.max(self.lhs) / self.norm) if self.norm > 0 else 0.0
 
 
 def bv_decay_check(g: BVProfile, radii: Sequence[float],

@@ -54,10 +54,6 @@ class SpaceParams:
     def inv_p(self) -> float:
         return _inv(self.p)
 
-    @property
-    def inv_q(self) -> float:
-        return _inv(self.q)
-
 
 def sigma_p(p: float, d: int) -> float:
     """d * max(0, 1/p - 1)."""

@@ -8,13 +8,14 @@ values of one node along one axis are one row gather and one linear blend.
 
 The experiment computes the coefficients of the unit-sphere surface measure
 against all wavelets meeting the sphere, by circle quadrature (d = 2) or a
-Gauss-Legendre x trapezoid product rule (d = 3).  The nodes go ring by ring
-(the circle, or one latitude of constant z) in arcs of consecutive nodes.
-An arc's sums for every generator come from one dense product of its x and
-y phi/psi factor matrices; at d = 3 a ring's sum enters as an outer product
-with the ring's z values.  The experiment returns the scaled per-level sums
-whose boundedness encodes the membership of the spherical mean in
-B^{1/p - 1}_{p, infinity}.
+Gauss-Legendre x trapezoid product rule (d = 3).  The rule goes ring by ring
+(the circle, or one latitude of constant z); its nodes are never stored.  A
+ring's sums for every generator come from dense products of its x and y
+phi/psi factor matrices, arc by arc.  The mirrored latitudes z and -z share
+those sums, so at d = 3 they are computed once per pair and enter each ring
+as an outer product with its z values.  The experiment returns the scaled
+per-level sums whose boundedness encodes the membership of the spherical
+mean in B^{1/p - 1}_{p, infinity}.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InvalidParameterError, QuadratureError
 
@@ -140,47 +142,58 @@ def _generators(d: int) -> List[Tuple[bool, ...]]:
 
 @lru_cache(maxsize=32)
 def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
-    u, wu = np.polynomial.legendre.leggauss(n)
-    u.flags.writeable = False
-    wu.flags.writeable = False
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The floats of ``np.polynomial.legendre.leggauss(n)``, with a tridiagonal
+    eigensolver for its dense ``eigvalsh``; u = -u[::-1], wu = wu[::-1] exactly.
+    """
+    leg = np.polynomial.legendre
+    c = np.array([0] * n + [1])
+    m = leg.legcompanion(c)
+    u = eigvalsh_tridiagonal(np.diag(m).copy(), np.diag(m, 1).copy())
+    df = leg.legval(u, leg.legder(c))
+    u -= leg.legval(u, c) / df              # one Newton step
+    fm = leg.legval(u, c[1:])
+    wu = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    wu = (wu + wu[::-1]) / 2
+    u = (u - u[::-1]) / 2
+    wu *= 2. / wu.sum()
+    u.flags.writeable = wu.flags.writeable = False
     return u, wu
 
 
 def _ring_length(d: int, n: int) -> int:
-    """Nodes per ring of ``_sphere_nodes(d, n)``."""
+    """Nodes per ring of the sphere rule for ``n`` nodes."""
     return n if d == 2 else 2 * max(8, int(math.sqrt(n / 2.0)))
 
 
-def _sphere_nodes(d: int, n: int):
-    """Quadrature nodes and weights for the unit-sphere surface measure.
+def _sphere_rings(d: int, n: int):
+    """The unit-sphere rule as rings (z, radius, weight) and the cos, sin of
+    the trapezoid angles: ring i's nodes are (radius_i cos, radius_i sin, z_i).
 
-    The nodes are ring-major, with one weight per ring: the whole circle at
-    d = 2, and at d = 3 one Gauss-Legendre latitude (constant z) after
-    another, each of ``_ring_length(3, n)`` trapezoid nodes.
+    d = 2 has one ring, the circle (z None); d = 3 has the Gauss-Legendre
+    latitudes in ascending z, so rings i and n_u - 1 - i are mirrors.
     """
+    n_t = _ring_length(d, n)
+    theta = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
+    ct, st = np.cos(theta), np.sin(theta)
     if d == 2:
-        theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        w = np.full(n, 2.0 * math.pi / n)
-        return pts, w
+        return None, np.ones(1), np.full(1, 2.0 * math.pi / n), ct, st
     if d == 3:
-        n_t = _ring_length(3, n)
-        n_u = n_t // 2
-        u, wu = _gauss_legendre(n_u)
-        theta = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
-        ct, st = np.cos(theta), np.sin(theta)
-        su = np.sqrt(1.0 - u ** 2)
-        pts = np.empty((n_u * n_t, 3))
-        w = np.empty(n_u * n_t)
-        for i in range(n_u):
-            sl = slice(i * n_t, (i + 1) * n_t)
-            pts[sl, 0] = su[i] * ct
-            pts[sl, 1] = su[i] * st
-            pts[sl, 2] = u[i]
-            w[sl] = wu[i] * (2.0 * math.pi / n_t)
-        return pts, w
+        u, wu = _gauss_legendre(n_t // 2)
+        return u, np.sqrt(1.0 - u ** 2), wu * (2.0 * math.pi / n_t), ct, st
     raise InvalidParameterError("sphere quadrature implemented for d in {2, 3}")
+
+
+def _sphere_nodes(d: int, n: int):
+    """``_sphere_rings`` as ring-major (nodes, d) points and their weights."""
+    z, radius, weight, ct, st = _sphere_rings(d, n)
+    pts = np.empty((radius.size, ct.size, d))
+    pts[..., 0] = np.multiply.outer(radius, ct)
+    pts[..., 1] = np.multiply.outer(radius, st)
+    if d == 3:
+        pts[..., 2] = z[:, None]
+    return pts.reshape(-1, d), np.repeat(weight, ct.size)
 
 
 def _window(v: np.ndarray, lo: float, hi: float) -> Tuple[int, int]:
@@ -192,8 +205,16 @@ def _window(v: np.ndarray, lo: float, hi: float) -> Tuple[int, int]:
 _BLOCK = 512   # nodes per arc in _level_coeffs
 
 
-def _factor_matrix(rows: np.ndarray, slope: np.ndarray, row: np.ndarray,
-                   frac: np.ndarray, first: np.ndarray) -> Tuple[np.ndarray, int]:
+def _locate(v: np.ndarray, hi: float, steps: int):
+    """(first, row, frac) of coordinates v for a shift table of ``steps``."""
+    first = np.ceil(v - hi)
+    pos = (v - first - (hi - 1.0)) * steps
+    row = np.minimum(pos.astype(np.intp), steps - 1)
+    return first.astype(np.intp), row, pos - row
+
+
+def _factor_matrix(rows: np.ndarray, slope: np.ndarray, first: np.ndarray,
+                   row: np.ndarray, frac: np.ndarray) -> Tuple[np.ndarray, int]:
     """Dense (m, 2 K) matrix [phi | psi] of m nodes on one axis over their own
     k window [k0, k0 + K), and k0.
 
@@ -228,54 +249,59 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
     ``width`` values sit at one sub-step position of ``table.shifts``: one
     row gather and one linear blend.
 
-    ``_sphere_nodes`` is ring-major: the circle at d = 2, one Gauss-Legendre
-    latitude at a time at d = 3, where z and the weight are constant along
-    the ring.  Each ring goes in arcs of ``_BLOCK`` consecutive nodes.  An
-    arc fills dense (m, 2 K) factor matrices X = [phi | psi] and Y over its
-    own x and y k windows, and the one product X^T Y holds all four xy
-    blocks (F_x^a)^T F_y^b of the arc.  The arcs add into the ring's xy sum,
-    which goes into the k-box times the ring's weight and, at d = 3, as an
-    outer product with the ring's z-row (phi and psi at its ``width`` z
-    shifts).  The sums run over all 2^d flag tuples, indexed (flag of axis
-    d-1, ..., flag of axis 0) so that tuple i is generator i; the all-phi
-    tuple 0 is dropped at the end.
+    The rule goes ring by ring (``_sphere_rings``); no node array is built.
+    Mirrored latitudes z and -z share their x, y nodes and weight bit for
+    bit, so the weighted xy sum is computed once per pair, on the ring with
+    z <= 0, in arcs of ``_BLOCK`` consecutive nodes.  An arc fills dense
+    (m, 2 K) factor matrices X = [phi | psi] and Y over its own x and y k
+    windows, and the one product X^T Y holds all four xy blocks
+    (F_x^a)^T F_y^b of the arc.  Every ring, in ascending z, then adds its
+    pair's sum into the k-box, at d = 3 as an outer product with its z-row
+    (phi and psi at its ``width`` z shifts).  The sums run over all 2^d flag
+    tuples, indexed (flag of axis d-1, ..., flag of axis 0) so that tuple i
+    is generator i; the all-phi tuple 0 is dropped at the end.
     """
-    pts, w = _sphere_nodes(d, n_nodes)
-    u = np.ascontiguousarray(pts.T) * 2.0 ** j     # (axis, node)
+    z, radius, weight, ct, st = _sphere_rings(d, n_nodes)
     lo, hi = table.support
     steps, width = table.shifts.shape[0] - 1, table.shifts.shape[2]
     rows = table.shifts.reshape(steps + 1, 2 * width)
     slope = rows[1:] - rows[:-1]
-    first = np.ceil(u - hi)
-    pos = (u - first - (hi - 1.0)) * steps
-    row = np.minimum(pos.astype(np.intp), steps - 1)
-    frac = pos - row
-    first = first.astype(np.intp)
-
-    box = [_window(u[ax], lo, hi) for ax in range(d)]
-    acc = np.zeros((2,) * d + tuple(n for _, n in box))
     norm = 2.0 ** (j * d / 2.0)
-    ring = _ring_length(d, n_nodes)
-    for r0 in range(0, u.shape[1], ring):
-        (rx, nx), (ry, ny) = (_window(u[ax, r0:r0 + ring], lo, hi) for ax in (0, 1))
+    pairs = []                  # (xy, x window, y window) of each ring with z <= 0
+    for r, w in zip(radius[:(radius.size + 1) // 2], weight):
+        x, y = r * ct * 2.0 ** j, r * st * 2.0 ** j
+        (rx, nx), (ry, ny) = _window(x, lo, hi), _window(y, lo, hi)
+        at_x, at_y = _locate(x, hi, steps), _locate(y, hi, steps)
         xy = np.zeros((2, 2, nx, ny))       # (flag y, flag x, kx - rx, ky - ry)
-        for b0 in range(r0, r0 + ring, _BLOCK):
-            sl = slice(b0, min(b0 + _BLOCK, r0 + ring))
-            fx, kx = _factor_matrix(rows, slope, row[0, sl], frac[0, sl], first[0, sl])
-            fy, ky = _factor_matrix(rows, slope, row[1, sl], frac[1, sl], first[1, sl])
+        for b0 in range(0, ct.size, _BLOCK):
+            sl = slice(b0, b0 + _BLOCK)
+            fx, kx = _factor_matrix(rows, slope, *(a[sl] for a in at_x))
+            fy, ky = _factor_matrix(rows, slope, *(a[sl] for a in at_y))
             mx, my = fx.shape[1] // 2, fy.shape[1] // 2
             prod = (fx.T @ fy).reshape(2, mx, 2, my)
             xy[:, :, kx - rx:kx - rx + mx, ky - ry:ky - ry + my] += \
                 prod.transpose(2, 0, 1, 3)
-        xy *= w[r0] * norm
+        xy *= w * norm
+        pairs.append((xy, (rx, nx), (ry, ny)))
+    box = []                    # the union of the rings' windows, then z's
+    for ax in (1, 2):
+        k0 = min(p[ax][0] for p in pairs)
+        box.append((k0, max(sum(p[ax]) for p in pairs) - k0))
+    if d == 3:
+        z = z * 2.0 ** j
+        box.append(_window(z, lo, hi))
+        z_first, z_row, z_frac = _locate(z, hi, steps)
+        z_rows = rows[z_row] + z_frac[:, None] * slope[z_row]
+    acc = np.zeros((2,) * d + tuple(n for _, n in box))
+    for i in range(radius.size):
+        xy, (rx, nx), (ry, ny) = pairs[min(i, radius.size - 1 - i)]
         x0, y0 = rx - box[0][0], ry - box[1][0]
         if d == 2:
             acc[..., x0:x0 + nx, y0:y0 + ny] += xy
         else:
-            z = rows[row[2, r0]] + frac[2, r0] * slope[row[2, r0]]
-            z0 = first[2, r0] - box[2][0]
+            z0 = z_first[i] - box[2][0]
             acc[..., x0:x0 + nx, y0:y0 + ny, z0:z0 + width] += (
-                z.reshape(2, 1, 1, 1, 1, width) * xy[None, ..., None])
+                z_rows[i].reshape(2, 1, 1, 1, 1, width) * xy[None, ..., None])
     return acc.reshape(2 ** d, -1)[1:].ravel()
 
 

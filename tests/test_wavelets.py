@@ -93,10 +93,20 @@ class TestLevelCoeffs:
         (2, "db4", 2, 3 * _BLOCK + 37, _BLOCK),   # three full arcs and a part
         (3, "db2", 3, 200, _BLOCK),
         (3, "db2", 2, 200, 7),                     # rings of 20 in arcs 7, 7, 6
+        (3, "db2", 1, 242, _BLOCK),                # n_u = 11: the equator pairs itself
+        (3, "db4", 2, 242, 5),                     # rings of 22 in arcs 5, 5, 5, 5, 2
     ])
     def test_arcs_match_direct_sum(self, monkeypatch, d, name, j, n, block):
         monkeypatch.setattr(wavelets, "_BLOCK", block)
         _assert_matches_reference(d, name, j, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 11, 63, 252, 400])
+    def test_gauss_legendre_is_leggauss_and_symmetric(self, n):
+        u, wu = _gauss_legendre(n)
+        ref_u, ref_wu = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(u, ref_u) and np.array_equal(wu, ref_wu)
+        # the mirrored latitudes z = +-u share their rings bit for bit
+        assert np.array_equal(u, -u[::-1]) and np.array_equal(wu, wu[::-1])
 
     def test_sphere_rule_integrates_area(self):
         pts, w = _sphere_nodes(3, 800)
