@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InvalidParameterError, QuadratureError
 
@@ -144,21 +143,11 @@ def _generators(d: int) -> List[Tuple[bool, ...]]:
 def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
 
-    The floats of ``np.polynomial.legendre.leggauss(n)``, with a tridiagonal
-    eigensolver for its dense ``eigvalsh``; u = -u[::-1], wu = wu[::-1] exactly.
+    ``leggauss`` symmetrises its output, so u = -u[::-1] and wu = wu[::-1].
     """
-    leg = np.polynomial.legendre
-    c = np.array([0] * n + [1])
-    m = leg.legcompanion(c)
-    u = eigvalsh_tridiagonal(np.diag(m).copy(), np.diag(m, 1).copy())
-    df = leg.legval(u, leg.legder(c))
-    u -= leg.legval(u, c) / df              # one Newton step
-    fm = leg.legval(u, c[1:])
-    wu = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
-    wu = (wu + wu[::-1]) / 2
-    u = (u - u[::-1]) / 2
-    wu *= 2. / wu.sum()
-    u.flags.writeable = wu.flags.writeable = False
+    u, wu = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = False
+    wu.flags.writeable = False
     return u, wu
 
 
@@ -283,10 +272,9 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
                 prod.transpose(2, 0, 1, 3)
         xy *= w * norm
         pairs.append((xy, (rx, nx), (ry, ny)))
-    box = []                    # the union of the rings' windows, then z's
-    for ax in (1, 2):
-        k0 = min(p[ax][0] for p in pairs)
-        box.append((k0, max(sum(p[ax]) for p in pairs) - k0))
+    # r ct 2^j is monotone in r, so the ring nearest z = 0 (the widest) has
+    # the x and y windows that hold every other ring's
+    box = [pairs[-1][1], pairs[-1][2]]
     if d == 3:
         z = z * 2.0 ** j
         box.append(_window(z, lo, hi))

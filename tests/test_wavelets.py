@@ -105,6 +105,7 @@ class TestLevelCoeffs:
         u, wu = _gauss_legendre(n)
         ref_u, ref_wu = np.polynomial.legendre.leggauss(n)
         assert np.array_equal(u, ref_u) and np.array_equal(wu, ref_wu)
+        assert not (u.flags.writeable or wu.flags.writeable)
         # the mirrored latitudes z = +-u share their rings bit for bit
         assert np.array_equal(u, -u[::-1]) and np.array_equal(wu, wu[::-1])
 
