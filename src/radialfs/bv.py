@@ -7,6 +7,12 @@ The d-dimensional BV norm of the radial extension of a piecewise-smooth
 profile is computed by the exact reduction (jump spheres contribute surface
 area times jump height; smooth parts reduce to weighted 1-D integrals), not
 by grid differencing.
+
+Every integral is composite Gauss-Legendre (``quad``): panels start at the
+piece breakpoints, each panel is integrated by an n- and a 2n-point rule
+whose difference is its error estimate, and panels that miss their share of
+the tolerance are halved until all pass (Davis & Rabinowitz, *Methods of
+Numerical Integration*).
 """
 
 from __future__ import annotations
@@ -16,15 +22,62 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
-from .core import sphere_area
-from .errors import DivergenceError, InvalidParameterError
+from .core import _gauss_legendre, sphere_area
+from .errors import DivergenceError, InvalidParameterError, QuadratureError
 
 __all__ = ["RadonMeasure1D", "BVProfile", "staircase", "smooth_bump_bv",
            "bv_weighted_norm", "bv_dim_norm", "bv_equivalence_check",
            "bv_decay_check", "pairing_identity_residuals",
-           "BVEquivalenceReport", "BVDecayReport"]
+           "BVEquivalenceReport", "BVDecayReport", "quad"]
+
+QUAD_RTOL = 1e-10     # relative tolerance on the sum of |panel integrals|
+_QUAD_N = 48          # coarse rule; the fine rule has 2 * _QUAD_N points
+_QUAD_LEVELS = 40     # halvings before a panel is declared unconverged
+_QUAD_MAX_PANELS = 4096  # open panels; bounds memory on an integrand that never converges
+
+
+def quad(f: Callable[[np.ndarray], np.ndarray],
+         edges: Sequence[float]) -> Tuple[float, float]:
+    """Integral of the vectorised ``f`` over [edges[0], edges[-1]], and its estimate.
+
+    One panel per pair of consecutive ``edges`` (put the integrand's jumps
+    and kinks there).  Each panel keeps its 2n-point Gauss-Legendre value;
+    |2n-point - n-point| is its error estimate, and it passes when that is at
+    most QUAD_RTOL * (sum of |panel values|) * width / length, so the
+    estimates of all panels add up to at most QUAD_RTOL times that sum.
+    Failing panels are halved, all in one batch.  Raises QuadratureError when
+    a panel still fails after ``_QUAD_LEVELS`` halvings (a jump or
+    singularity inside a panel).  Panels of zero or negative width are dropped.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    length = float(hi.sum() - lo.sum())
+    (u1, w1), (u2, w2) = _gauss_legendre(_QUAD_N), _gauss_legendre(2 * _QUAD_N)
+    u = np.concatenate([u1, u2])
+    value = error = size = 0.0
+    level, left = 0, math.inf
+    while lo.size:
+        if level == _QUAD_LEVELS or lo.size > _QUAD_MAX_PANELS:
+            raise QuadratureError(
+                f"composite Gauss-Legendre on [{edges[0]:g}, {edges[-1]:g}]: "
+                f"estimate {left:.3g} on {lo.size} panels still above rtol "
+                f"{QUAD_RTOL:g} after {level} halvings")
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = np.asarray(f((mid[:, None] + half[:, None] * u).ravel()), dtype=float)
+        fx = fx.reshape(lo.size, u.size)
+        fine = half * (fx[:, _QUAD_N:] @ w2)
+        err = np.abs(fine - half * (fx[:, :_QUAD_N] @ w1))
+        ok = err <= QUAD_RTOL * (size + np.abs(fine).sum()) * (2.0 * half) / length
+        value += float(fine[ok].sum())
+        error += float(err[ok].sum())
+        size += float(np.abs(fine[ok]).sum())
+        left = float(err[~ok].sum())
+        lo, mid, hi = lo[~ok], mid[~ok], hi[~ok]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        level += 1
+    return value, error
 
 
 @dataclass(frozen=True)
@@ -44,25 +97,21 @@ class RadonMeasure1D:
 
     def weighted_total_variation(self, d: int) -> float:
         """integral_0^inf r^{d-1} d|nu|(r); atoms contribute exactly."""
-        total = sum(loc ** (d - 1) * abs(mass) for loc, mass in self.atoms)
-        if self.density is not None:
-            a, b = self.density_support
-            val, _ = quad(lambda r: abs(self.density(np.array([r]))[0]) * r ** (d - 1),
-                          a, b, limit=200)
-            total += val
-        return total
+        return self._tail(0.0, d)[0]
 
     def weighted_tail(self, r: float, d: int) -> float:
         """integral_r^inf t^{d-1} d|nu|(t)."""
+        return self._tail(r, d)[0]
+
+    def _tail(self, r: float, d: int) -> Tuple[float, float]:
+        """integral_r^inf t^{d-1} d|nu|(t) and the quadrature estimate of its density part."""
         total = sum(loc ** (d - 1) * abs(mass)
                     for loc, mass in self.atoms if loc >= r)
-        if self.density is not None:
-            a, b = self.density_support
-            if b > r:
-                val, _ = quad(lambda t: abs(self.density(np.array([t]))[0]) * t ** (d - 1),
-                              max(a, r), b, limit=200)
-                total += val
-        return total
+        a, b = self.density_support
+        if self.density is None or b <= r:
+            return total, 0.0
+        val, err = quad(lambda t: np.abs(self.density(t)) * t ** (d - 1), (max(a, r), b))
+        return total + val, err
 
 
 @dataclass(frozen=True)
@@ -80,22 +129,22 @@ class BVProfile:
     d: int = 2
 
     def __call__(self, r) -> np.ndarray:
+        return self._evaluate(r, left=False)
+
+    def value_left(self, r) -> np.ndarray:
+        """Left limit at r (the value governing the decay bound at a jump)."""
+        return self._evaluate(r, left=True)
+
+    def _evaluate(self, r, left: bool) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         edges = (0.0,) + self.breaks + (math.inf,)
         for i, piece in enumerate(self.pieces):
-            mask = (r >= edges[i]) & (r < edges[i + 1])
+            lo, hi = edges[i], edges[i + 1]
+            mask = (r > lo) & (r <= hi) if left else (r >= lo) & (r < hi)
             if np.any(mask):
                 out[mask] = piece(r[mask])
         return out
-
-    def value_left(self, r: float) -> float:
-        """Left limit at r (the value governing the decay bound at a jump)."""
-        edges = (0.0,) + self.breaks + (math.inf,)
-        for i, piece in enumerate(self.pieces):
-            if edges[i] < r <= edges[i + 1]:
-                return float(piece(np.array([r]))[0])
-        return 0.0
 
     def dilated(self, lam: float) -> "BVProfile":
         """g(./lam) with the derivative measure transported accordingly."""
@@ -177,23 +226,21 @@ def smooth_bump_bv(center: float, width: float, height: float = 1.0,
                      RadonMeasure1D((), dens, support), d)
 
 
+def _weighted_parts(g: BVProfile, d: int) -> Tuple[float, float, float]:
+    """||g | L_1(R^+, t^{d-1})||, integral r^{d-1} d|nu|, and the larger estimate."""
+    if len(g.pieces) > len(g.breaks):
+        tail, last = g.pieces[len(g.breaks)], (g.breaks[-1] if g.breaks else 0.0)
+        if np.any(np.abs(tail(last + np.array([1.0, 10.0, 100.0]))) > 0):
+            raise DivergenceError("profile does not vanish near infinity")
+    l1, l1_err = quad(lambda r: np.abs(g(r)) * r ** (d - 1), (0.0,) + g.breaks)
+    variation, variation_err = g.derivative._tail(0.0, d)
+    return l1, variation, max(l1_err, variation_err)
+
+
 def bv_weighted_norm(g: BVProfile, d: Optional[int] = None) -> float:
     """||g | L_1(R^+, t^{d-1})|| + integral_0^inf r^{d-1} d|nu|(r)."""
-    d = d if d is not None else g.d
-    edges = (0.0,) + g.breaks
-    l1 = 0.0
-    for i, piece in enumerate(g.pieces):
-        a = edges[i]
-        b = g.breaks[i] if i < len(g.breaks) else math.inf
-        if math.isinf(b):
-            probe = piece(np.array([a + 1.0, a + 10.0, a + 100.0]))
-            if np.any(np.abs(probe) > 0):
-                raise DivergenceError("profile does not vanish near infinity")
-            break
-        val, _ = quad(lambda r: abs(piece(np.array([r]))[0]) * r ** (d - 1),
-                      a, b, limit=200)
-        l1 += val
-    return l1 + g.derivative.weighted_total_variation(d)
+    l1, variation, _ = _weighted_parts(g, d if d is not None else g.d)
+    return l1 + variation
 
 
 def bv_dim_norm(g: BVProfile, d: Optional[int] = None) -> float:
@@ -206,17 +253,7 @@ def bv_dim_norm(g: BVProfile, d: Optional[int] = None) -> float:
     indicator this is exactly the perimeter).
     """
     d = d if d is not None else g.d
-    edges = (0.0,) + g.breaks
-    l1 = 0.0
-    for i, piece in enumerate(g.pieces):
-        a = edges[i]
-        b = g.breaks[i] if i < len(g.breaks) else math.inf
-        if math.isinf(b):
-            break
-        val, _ = quad(lambda r: abs(piece(np.array([r]))[0]) * r ** (d - 1),
-                      a, b, limit=200)
-        l1 += val
-    variation = g.derivative.weighted_total_variation(d)
+    l1, variation, _ = _weighted_parts(g, d)
     return sphere_area(d) * (l1 + variation)
 
 
@@ -224,6 +261,7 @@ def bv_dim_norm(g: BVProfile, d: Optional[int] = None) -> float:
 class BVEquivalenceReport:
     dim_norm: float
     weighted_norm: float
+    quad_error: float            # largest quadrature estimate among the integrals
 
     @property
     def ratio(self) -> float:
@@ -241,7 +279,8 @@ def bv_equivalence_check(g: BVProfile, d: Optional[int] = None) -> BVEquivalence
     d = d if d is not None else g.d
     if d not in (2, 3):
         raise InvalidParameterError("BV equivalence implemented for d in {2, 3}")
-    return BVEquivalenceReport(bv_dim_norm(g, d), bv_weighted_norm(g, d))
+    l1, variation, err = _weighted_parts(g, d)
+    return BVEquivalenceReport(sphere_area(d) * (l1 + variation), l1 + variation, err)
 
 
 @dataclass(frozen=True)
@@ -250,6 +289,7 @@ class BVDecayReport:
     lhs: np.ndarray              # r^{d-1} |g(r)| at the requested radii
     tail_bound: np.ndarray       # integral_r^inf t^{d-1} d|nu|
     norm: float
+    quad_error: float            # largest quadrature estimate among the integrals
 
     @property
     def holds_with_tail(self) -> bool:
@@ -265,9 +305,11 @@ def bv_decay_check(g: BVProfile, radii: Sequence[float],
     """
     d = d if d is not None else g.d
     radii = np.asarray(sorted(radii), dtype=float)
-    lhs = np.array([r ** (d - 1) * abs(g.value_left(r)) for r in radii])
-    tails = np.array([g.derivative.weighted_tail(r, d) for r in radii])
-    return BVDecayReport(radii, lhs, tails, bv_weighted_norm(g, d))
+    lhs = radii ** (d - 1) * np.abs(g.value_left(radii))
+    tails, tail_errs = np.array([g.derivative._tail(r, d) for r in radii]).reshape(-1, 2).T
+    l1, variation, err = _weighted_parts(g, d)
+    return BVDecayReport(radii, lhs, tails, l1 + variation,
+                         max(err, float(tail_errs.max(initial=0.0))))
 
 
 def _test_functions_c1c() -> List[Tuple[Callable, Callable, float]]:
@@ -303,21 +345,16 @@ def pairing_identity_residuals(g: BVProfile, d: Optional[int] = None) -> np.ndar
     d = d if d is not None else g.d
     res = []
     atol = 1e-3 * (1.0 + bv_weighted_norm(g, d))
+    locs, masses = np.array(g.derivative.atoms, dtype=float).reshape(-1, 2).T
     for phi, dphi, b in _test_functions_c1c():
-        def integrand(t):
-            tt = np.array([t])
-            return float(g(tt)[0] * (dphi(tt)[0] * t ** (d - 1)
-                                     + phi(tt)[0] * (d - 1) * t ** (d - 2)))
-
-        lhs, _ = quad(integrand, 0.0, b, limit=400,
-                      points=[br for br in g.breaks if br < b])
-        rhs = -sum(phi(np.array([loc]))[0] * loc ** (d - 1) * mass
-                   for loc, mass in g.derivative.atoms)
+        lhs, _ = quad(lambda t: g(t) * (dphi(t) * t ** (d - 1)
+                                        + phi(t) * (d - 1) * t ** (d - 2)),
+                      (0.0, *(br for br in g.breaks if br < b), b))
+        rhs = -float(np.sum(phi(locs) * locs ** (d - 1) * masses))
         if g.derivative.density is not None:
             a0, b0 = g.derivative.density_support
-            val, _ = quad(lambda t: phi(np.array([t]))[0] * t ** (d - 1)
-                          * g.derivative.density(np.array([t]))[0],
-                          a0, min(b0, b), limit=400)
+            val, _ = quad(lambda t: phi(t) * t ** (d - 1) * g.derivative.density(t),
+                          (a0, min(b0, b)))
             rhs -= val
         scale = max(abs(lhs), abs(rhs), atol)
         res.append((lhs - rhs) / scale)

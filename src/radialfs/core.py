@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +46,18 @@ def ball_volume(d: int) -> float:
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     f = getattr(np, "trapezoid", None) or np.trapz
     return float(f(y, x))
+
+
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    ``leggauss`` symmetrises its output, so u = -u[::-1] and wu = wu[::-1].
+    """
+    u, wu = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = False
+    wu.flags.writeable = False
+    return u, wu
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .core import _gauss_legendre
 from .errors import InvalidParameterError, QuadratureError
 
 __all__ = ["daubechies_filter", "WaveletTable", "wavelet_table",
@@ -137,18 +138,6 @@ def _generators(d: int) -> List[Tuple[bool, ...]]:
     for i in range(1, 2 ** d):
         out.append(tuple(bool((i >> axis) & 1) for axis in range(d)))
     return out
-
-
-@lru_cache(maxsize=32)
-def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
-
-    ``leggauss`` symmetrises its output, so u = -u[::-1] and wu = wu[::-1].
-    """
-    u, wu = np.polynomial.legendre.leggauss(n)
-    u.flags.writeable = False
-    wu.flags.writeable = False
-    return u, wu
 
 
 def _ring_length(d: int, n: int) -> int:

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad as scipy_quad
 
-from radialfs.bv import (RadonMeasure1D, bv_decay_check,
+from radialfs.bv import (QUAD_RTOL, RadonMeasure1D, bv_decay_check,
                          bv_dim_norm, bv_equivalence_check, bv_weighted_norm,
-                         pairing_identity_residuals, parse_staircase,
+                         pairing_identity_residuals, parse_staircase, quad,
                          smooth_bump_bv, staircase)
 from radialfs.core import sphere_area
-from radialfs.errors import InvalidParameterError
+from radialfs.errors import InvalidParameterError, QuadratureError
+from radialfs.experiments import _bv_corpus
 
 
 class TestWeightedNorm:
@@ -27,8 +28,8 @@ class TestWeightedNorm:
         r1, a = 1.0, 2.0
         r2, b = 3.0, -1.0
         g = staircase([(r1, a), (r2, b)], d=3)
-        l1, _ = quad(lambda t: abs(a) * t ** 2, 0, r1)
-        l1b, _ = quad(lambda t: abs(b) * t ** 2, r1, r2)
+        l1, _ = scipy_quad(lambda t: abs(a) * t ** 2, 0, r1)
+        l1b, _ = scipy_quad(lambda t: abs(b) * t ** 2, r1, r2)
         jumps = r1 ** 2 * abs(b - a) + r2 ** 2 * abs(0.0 - b)
         assert bv_weighted_norm(g) == pytest.approx(l1 + l1b + jumps, rel=1e-10)
 
@@ -85,7 +86,7 @@ class TestEquivalence:
         g = smooth_bump_bv(2.0, 0.6, d=2)
         var_1d = g.derivative.weighted_total_variation(2)
         dim = bv_dim_norm(g, 2)
-        l1, _ = quad(lambda r: abs(g(np.array([r]))[0]) * r, 0.0, 4.0, limit=200)
+        l1, _ = scipy_quad(lambda r: abs(g(np.array([r]))[0]) * r, 0.0, 4.0, limit=200)
         assert dim - sphere_area(2) * l1 == pytest.approx(
             sphere_area(2) * var_1d, rel=1e-4)
 
@@ -152,3 +153,69 @@ class TestNormProperties:
         ab = staircase(list(zip(radii, va + vb)), d=2)
         assert bv_weighted_norm(ab) <= (bv_weighted_norm(a)
                                         + bv_weighted_norm(b)) * (1 + 1e-9)
+
+
+def _scipy_weighted_norm(g, d):
+    """The weighted BV norm with every integral by scipy's adaptive quad."""
+    def integral(f, a, b):
+        return scipy_quad(lambda r: f(np.array([r]))[0], a, b, epsabs=0.0,
+                          epsrel=1e-13, limit=400)[0]
+
+    edges = (0.0,) + g.breaks
+    total = sum(integral(lambda r: np.abs(g(r)) * r ** (d - 1), a, b)
+                for a, b in zip(edges[:-1], edges[1:]))
+    nu = g.derivative
+    total += sum(loc ** (d - 1) * abs(mass) for loc, mass in nu.atoms)
+    if nu.density is not None:
+        total += integral(lambda r: np.abs(nu.density(r)) * r ** (d - 1),
+                          *nu.density_support)
+    return total
+
+
+class TestQuadrature:
+    """The composite Gauss-Legendre rule behind every BV integral."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("lam", [1.0, 0.25, 4.0])
+    def test_corpus_matches_scipy_quad(self, d, lam):
+        for g in _bv_corpus(np.random.default_rng(0), d):
+            g = g.dilated(lam)
+            assert bv_weighted_norm(g, d) == pytest.approx(
+                _scipy_weighted_norm(g, d), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_constant_staircase_pieces_exact(self, d):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            radii = np.sort(rng.uniform(0.05, 9.0, int(rng.integers(1, 8))))
+            vals = rng.normal(0.0, 2.0, radii.size)
+            g = staircase(list(zip(radii, vals)), d=d)
+            inner = np.concatenate([[0.0], radii[:-1]])
+            exact = float(np.sum(np.abs(vals) * (radii ** d - inner ** d)) / d)
+            l1, err = quad(lambda r: np.abs(g(r)) * r ** (d - 1), (0.0,) + g.breaks)
+            assert l1 == pytest.approx(exact, rel=1e-14, abs=0.0)
+            assert err <= 1e-14 * exact
+
+    def test_smooth_bump_estimate_within_tolerance(self):
+        for d in (2, 3):
+            g = smooth_bump_bv(2.0, 0.6, d=d)
+            rep = bv_equivalence_check(g, d)
+            assert 0.0 < rep.quad_error <= QUAD_RTOL * rep.weighted_norm
+            dec = bv_decay_check(g, [1.5, 2.0, 2.5], d=d)
+            assert 0.0 < dec.quad_error <= QUAD_RTOL * dec.norm
+
+    def test_jump_inside_a_panel_raises(self):
+        step = lambda t: np.where(t < 1.0 / 3.0, 1.0, 2.0)
+        with pytest.raises(QuadratureError):
+            quad(step, (0.0, 1.0))
+        value, _ = quad(step, (0.0, 1.0 / 3.0, 1.0))   # the jump as an edge
+        assert value == pytest.approx(5.0 / 3.0, rel=1e-14)
+        nu = RadonMeasure1D((), step, (0.1, 1.0))
+        with pytest.raises(QuadratureError):
+            nu.weighted_total_variation(2)
+
+    def test_endpoint_singularity_raises(self):
+        with pytest.raises(QuadratureError):
+            quad(lambda t: t ** -0.5, (0.0, 1.0))
+        value, _ = quad(lambda t: t ** -0.5, (0.25, 1.0))
+        assert value == pytest.approx(1.0, rel=1e-14)
