@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -405,8 +405,19 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: Optional[int] 
     arrays of that many doubles (0.46 MB each at the d = 3 default
     n_grid = 240) and the whole chamber is never held at once.
     """
+    return _gradient_identity_reports(g, (p,), d, evaluator, n_grid, fd_step)[0]
+
+
+def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...],
+                               d: Optional[int] = None,
+                               evaluator: Optional[Callable] = None,
+                               n_grid: Optional[int] = None,
+                               fd_step: float = 1e-5) -> List[GradientIdentityReport]:
+    """``radial_gradient_identity_check`` for every p in ``ps``, one report
+    per p, each the same floats as its own call: the chamber's gradient
+    blocks are built once and reduced once per p."""
     d = _resolve_dim(g, d)
-    if p < 1:
+    if any(p < 1 for p in ps):
         raise InvalidParameterError("p >= 1 required (Sobolev regime)")
     if d not in (2, 3):
         raise InvalidParameterError("tensor oracle implemented for d in {2, 3}")
@@ -423,11 +434,12 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: Optional[int] 
                         ) / (2.0 * fd_step)
         gprime = 0.5 * (gprime + gprime[::-1])
     gp = RadialProfile(g.grid, gprime, dim_context=d)
-    rhs = (sphere_area(d) / 2.0) ** (1.0 / p) * weighted_lp_norm(gp, p, d)
+    rhs = [(sphere_area(d) / 2.0) ** (1.0 / p) * weighted_lp_norm(gp, p, d)
+           for p in ps]
 
     support = np.abs(t[np.abs(g.values) > 1e-13])
     if support.size == 0:
-        return GradientIdentityReport(0.0, 0.0)
+        return [GradientIdentityReport(0.0, 0.0) for _ in ps]
     feval = evaluator if evaluator is not None else g
     T = float(support.max()) * 1.05 + 0.25
     full = np.linspace(-T, T, n_grid)
@@ -455,7 +467,7 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: Optional[int] 
     counts = np.searchsorted(lead_rest, np.arange(m), side="right")
     cum = np.cumsum(counts)
     cap = n_grid ** (d - 1)
-    total, start, done = 0.0, 0, 0
+    totals, start, done = [0.0] * len(ps), 0, 0
     while start < m:
         # the whole x_1-slabs start..stop-1: at most cap nodes, at least one slab
         stop = max(start + 1, int(np.searchsorted(cum, done + cap, side="right")))
@@ -476,7 +488,9 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: Optional[int] 
             grad_sq = grad_sq + dk ** 2
         weight = np.repeat(mirror[start:stop], sizes) * np.where(
             x1 == x_rest[row, 0], w_tie[row], w_free[row])
-        total += float(np.sum(weight * np.sqrt(grad_sq) ** p))
+        grad = np.sqrt(grad_sq)
+        for i, p in enumerate(ps):
+            totals[i] += float(np.sum(weight * grad ** p))
         start, done = stop, int(cum[stop - 1])
-    lhs = (total * h ** d) ** (1.0 / p)
-    return GradientIdentityReport(float(lhs), float(rhs))
+    return [GradientIdentityReport(float((total * h ** d) ** (1.0 / p)), float(r))
+            for p, total, r in zip(ps, totals, rhs)]

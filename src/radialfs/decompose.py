@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.fft
 
 from .bump import bump, bump_derivative_sup, smoothstep
 from .core import (Grid1D, RadialProfile, _derivatives_123, _trapezoid,
@@ -301,26 +301,45 @@ def _level_lowpass(xi: np.ndarray, j: int) -> np.ndarray:
     return win
 
 
+# Lengths n <= _FOLD_CUT end the Makhoul fold in one irfft: below it a fold
+# level costs more in Python and dispatch than it saves in the transform.
+_FOLD_CUT = 2 ** 12
+
+
+@lru_cache(maxsize=None)
+def _dct3_twiddles(m: int) -> np.ndarray:
+    """tw_f = exp(i pi f / 2m) / 4 for f <= m/2; tw_{m/2}[k] = tw_m[2k]."""
+    return 0.25 * np.exp(0.5j * math.pi / m * np.arange(m // 2 + 1))
+
+
 def _even_dft(X: np.ndarray, n: int, out: np.ndarray,
               work: np.ndarray) -> np.ndarray:
     """Write into out x[0..n//2] of the even length-n sequence (x[n-k] = x[k])
     whose DFT is the real X[0..n//2], scaled as ``np.fft.irfft``; n times
     this is the DFT of the even sequence x[0..n//2].  ``work`` holds at least
-    n/2 + log2(n) floats.  For n = 4m > 64, folding f with 2m - f (Makhoul
-    1980): x[2r] is half this transform at 2m of Y_f = X_f + X_{2m-f}, f <= m
-    (Y_0 = X_0 + X_{2m}, Y_m = 2 X_m), and x[2r+1] is the DCT-III of
-    Z_f = X_f - X_{2m-f}, f < m, over n.  Other n end in one irfft.
+    n/2 + log2(n) floats.  For n = 4m > _FOLD_CUT, fold f with 2m - f
+    (Makhoul 1980): x[2r] is half this transform at 2m of Y_f = X_f + X_{2m-f},
+    f <= m (Y_0 = X_0 + X_{2m}, Y_m = 2 X_m), and x[2r+1] is the DCT-III of
+    z_f = X_f - X_{2m-f}, f < m, over n.  That DCT-III is one length-m irfft
+    of W_f = tw_f (z_f - i z_{m-f}), f <= m/2 (z_m = 0), whose output v holds
+    x[4r+1] = v[r] and x[4r+3] = v[m-1-r].  Each level halves n and takes
+    m + 1 floats of ``work`` for Y; other n end in one irfft.
     """
-    if n % 4 or n <= 64:
-        out[:] = np.fft.irfft(X, n)[:n // 2 + 1]
-        return out
-    m = n // 4
-    z = np.subtract(X[:m], X[2 * m:m:-1], out=work[:m])
-    np.divide(scipy.fft.dct(z, type=3, overwrite_x=True), n, out=out[1::2])
-    y = np.add(X[:m + 1], X[2 * m:m - 1:-1], out=work[:m + 1])
-    _even_dft(y, 2 * m, out[0::2], work[m + 1:])
-    out[0::2] *= 0.5
-    return out
+    top, step = out, 1
+    while n % 4 == 0 and n > _FOLD_CUT:
+        m, f = n // 4, n // 8 + 1
+        W = work[:2 * f].view(complex)
+        np.subtract(X[:f], X[2 * m:2 * m - f:-1], out=W.real)
+        np.subtract(X[m:m + f], X[m:m - f:-1], out=W.imag)   # -z_{m-f}; z_m = 0
+        W *= _dct3_twiddles(m * step)[:step * f:step]   # the top level's table
+        v = np.fft.irfft(W, m, out=work[2 * f:2 * f + m])
+        # level k's outputs carry the halvings of the k levels above it
+        np.divide(v[:(m + 1) // 2], step, out=out[1::4])
+        np.divide(v[m - 1:(m - 1) // 2:-1], step, out=out[3::4])
+        X = np.add(X[:m + 1], X[2 * m:m - 1:-1], out=work[:m + 1])
+        n, out, work, step = 2 * m, out[0::2], work[m + 1:], 2 * step
+    np.divide(np.fft.irfft(X, n)[:n // 2 + 1], step, out=out)
+    return top
 
 
 def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
@@ -387,8 +406,9 @@ def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
     The telescoped windows sum to 1 on the whole discrete spectrum, so the
     band sum reproduces the sampled profile to roundoff.  The even profile's
     samples on the periodic grid are an even sequence and the windows are even
-    in xi, so spectrum and bands are real and even: cosine transforms, split
-    recursively into a half-length one and a quarter-length DCT-III.
+    in xi, so spectrum and bands are real and even: cosine transforms, folded
+    into a half-length one and a quarter-length DCT-III (one numpy irfft)
+    until the length is at most _FOLD_CUT = 4096, then one irfft.
     """
     t, J, bands = _dyadic_bands(g, n_fft, T, J)
     stacked = np.empty((J + 1, n_fft))

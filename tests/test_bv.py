@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -45,15 +46,38 @@ class TestWeightedNorm:
         assert g(np.array([0.5]))[0] == 2.0
 
 
+# The test functions' derivatives are exact, so the residuals are quadrature
+# error: at most 6.7e-13 on these profiles.
+PAIRING_TOL = 1e-11
+
+
+def _perturbed(g, rel):
+    """g with every mass of its derivative measure scaled by 1 + rel."""
+    nu = g.derivative
+    density = None if nu.density is None else (lambda t: (1.0 + rel) * nu.density(t))
+    atoms = tuple((loc, (1.0 + rel) * mass) for loc, mass in nu.atoms)
+    return dataclasses.replace(
+        g, derivative=RadonMeasure1D(atoms, density, nu.density_support))
+
+
 class TestPairingIdentity:
     def test_staircases(self):
         for steps in ([(1.0, 1.0)], [(0.5, 2.0), (1.5, -1.0), (3.0, 0.5)]):
             g = staircase(steps, d=2)
-            assert np.abs(pairing_identity_residuals(g)).max() <= 1e-6
+            assert np.abs(pairing_identity_residuals(g)).max() <= PAIRING_TOL
 
     def test_smooth_bump(self):
         g = smooth_bump_bv(2.0, 0.5, d=3)
-        assert np.abs(pairing_identity_residuals(g)).max() <= 1e-6
+        assert np.abs(pairing_identity_residuals(g)).max() <= PAIRING_TOL
+
+    @pytest.mark.parametrize("g", [
+        staircase([(0.5, 2.0), (1.5, -1.0), (3.0, 0.5)], d=2),
+        smooth_bump_bv(2.0, 0.5, d=3)], ids=["staircase", "bump"])
+    def test_mass_off_by_1e8_fails(self, g):
+        # negative control: a measure whose masses are 1e-8 too large no
+        # longer pairs with g, which the bound must see
+        assert np.abs(pairing_identity_residuals(_perturbed(g, 0.0))).max() <= PAIRING_TOL
+        assert np.abs(pairing_identity_residuals(_perturbed(g, 1e-8))).max() > PAIRING_TOL
 
 
 class TestEquivalence:

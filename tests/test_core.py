@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from radialfs.bump import bump, psi_cutoff
-from radialfs.core import (Grid1D, RadialField, RadialProfile, ball_volume,
+from radialfs.core import (Grid1D, RadialField, RadialProfile,
+                           _gradient_identity_reports, ball_volume,
                            lp_norm_rd, radial_gradient_identity_check,
                            radial_laplacian, sphere_area, weighted_lp_norm)
 from radialfs.errors import (EvennessError, InvalidParameterError,
@@ -207,6 +208,19 @@ class TestGradientIdentity:
                                            Grid1D.uniform(0.01, 1.0), d=2)
         with pytest.raises(InvalidParameterError):
             radial_gradient_identity_check(prof, 0.5, 2)
+        with pytest.raises(InvalidParameterError):
+            _gradient_identity_reports(prof, (2.0, 0.5), 2)
+
+    @pytest.mark.parametrize("d, n_grid", [(2, 301), (3, 60)])
+    def test_reports_for_several_p_match_single_calls(self, d, n_grid):
+        # one gradient field reduced for every p: the floats of one call per p
+        ev = lambda r: bump((np.asarray(r, float) - 0.9) / 0.35) \
+            + bump((np.asarray(r, float) + 0.9) / 0.35)
+        prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, 1.6), d=d)
+        ps = (1.0, 1.5, 2.0)
+        reps = _gradient_identity_reports(prof, ps, d, evaluator=ev, n_grid=n_grid)
+        assert reps == [radial_gradient_identity_check(prof, p, d, evaluator=ev,
+                                                       n_grid=n_grid) for p in ps]
 
     @staticmethod
     def _full_cube_lhs(feval, T, d, p, n_grid, fd_step):

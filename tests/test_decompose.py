@@ -409,9 +409,15 @@ def _complex_fft_norm(g, params, weighted, n_fft, T):
     return total ** (1.0 / q)
 
 
+CUT = decompose._FOLD_CUT
+
+
 class TestEvenDft:
+    # the fold's end at CUT and around it: 2 CUT + 4 folds once into an odd
+    # quarter length, 2^13 + 8 twice, the second time on the strided twiddles
     @pytest.mark.parametrize("n", [2, 8, 1024, 2 ** 12 + 1, 2 ** 12 + 2, 3001,
-                                   2 ** 17])
+                                   2 ** 17, CUT, 2 * CUT, 2 * CUT + 4,
+                                   2 ** 13 + 8])
     def test_matches_irfft_of_real_spectrum(self, n):
         X = np.random.default_rng(n).standard_normal(n // 2 + 1)
         ref = np.fft.irfft(X, n)
@@ -427,6 +433,15 @@ class TestEvenDft:
         got = n * _even_dft(x, n)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [2 * CUT + 4, 2 ** 13 + 8, 2 ** 17])
+    def test_odd_outputs_are_scipy_dct3(self, n):
+        # x[2r+1] is the DCT-III of z_f = X_f - X_{2m-f}, f < m, over n
+        m = n // 4
+        X = np.random.default_rng(n).standard_normal(n // 2 + 1)
+        ref = scipy.fft.dct(X[:m] - X[2 * m:m:-1], type=3) / n
+        got = _even_dft(X, n)[1::2]
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_no_transform_longer_than_half(self, monkeypatch):
         # at n_fft = 2^17 every transform of the norm, forward and per band,
         # runs on at most n/2 points: no full-length irfft or rfft
@@ -434,8 +449,7 @@ class TestEvenDft:
         for module, name, length in [
                 (np.fft, "irfft", lambda a, n=None, *args, **kw: n),
                 (np.fft, "rfft", lambda a, *args, **kw: len(a)),
-                (np.fft, "fft", lambda a, *args, **kw: len(a)),
-                (scipy.fft, "dct", lambda x, *args, **kw: len(x))]:
+                (np.fft, "fft", lambda a, *args, **kw: len(a))]:
             def recording(*args, _f=getattr(module, name), _len=length, **kw):
                 lengths.append(_len(*args, **kw))
                 return _f(*args, **kw)
