@@ -8,7 +8,7 @@ theorems for radial functions.
 
 from .core import (Grid1D, RadialField, RadialProfile, ball_volume,
                    lp_norm_rd, radial_gradient_identity_check,
-                   radial_laplacian, sphere_area, weighted_lp_norm)
+                   sphere_area, weighted_lp_norm)
 from .spaces import (SpaceParams, ParamRegion, embeds_in_Linfty, in_U, in_U_t,
                      sigma_p, sigma_pq, trace_lands_in_Sprime,
                      weighted_Lp_in_Sprime)
@@ -20,7 +20,6 @@ from .covering import (AnnularCovering, AtomSpec, PartitionOfUnity,
 from .decompose import (AtomicDecomposition, DyadicBandSpectrum,
                         decompose_profile, dyadic_band_spectrum,
                         lp_besov_norm_1d, sobolev_radial_norm_1,
-                        sobolev_radial_norm_2, sobolev_radial_norm_2m,
                         tb_norm, tf_norm, template_atom_profile)
 from .traceext import RadialGridField, cm_norm, extend, support_annulus, trace
 from .families import (TestFamily, make_Phi_alpha, make_f_alpha,

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import EvennessError, InvalidParameterError, ResolutionError
+from .errors import EvennessError, InvalidParameterError
 
 __all__ = [
     "Grid1D",
@@ -25,7 +25,6 @@ __all__ = [
     "ball_volume",
     "weighted_lp_norm",
     "lp_norm_rd",
-    "radial_laplacian",
     "radial_gradient_identity_check",
     "GradientIdentityReport",
 ]
@@ -310,27 +309,6 @@ def _derivatives_123(t: np.ndarray, v: np.ndarray):
     d1[0], d1[-1] = d1[1], d1[-2]
     d2[0], d2[-1] = d2[1], d2[-2]
     return d1, d2
-
-
-def radial_laplacian(g: RadialProfile, d: Optional[int] = None) -> RadialProfile:
-    """The radial Laplacian g'' + (d-1)/r * g' as an even profile.
-
-    At r = 0 the even reflection forces g'(0) = 0 and the singular term is
-    assigned its limit (d-1) * g''(0), so the value at the origin is d * g''(0).
-    """
-    d = _resolve_dim(g, d)
-    t = g.grid.nodes
-    if t.size < 3:
-        raise ResolutionError("need at least 3 nodes to differentiate twice")
-    d1, d2 = _derivatives_123(t, g.values)
-    out = np.empty_like(d1)
-    nz = t != 0.0
-    out[nz] = d2[nz] + (d - 1) * d1[nz] / t[nz]
-    if np.any(~nz):
-        out[~nz] = d * d2[~nz]
-    if g.grid.even:
-        out = 0.5 * (out + out[::-1])
-    return RadialProfile(g.grid, out, dim_context=d)
 
 
 def _permutations(idx: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .bump import bump, bump_derivative_sup, smoothstep
 from .core import (Grid1D, RadialProfile, _derivatives_123, _trapezoid,
-                   radial_laplacian, weighted_lp_norm)
+                   weighted_lp_norm)
 from .covering import AtomSpec
 from .errors import (DecompositionError, InvalidParameterError,
                      ResolutionError)
@@ -47,8 +47,7 @@ from .spaces import SpaceParams, sigma_p, sigma_pq
 __all__ = ["AtomicDecomposition", "DyadicBandSpectrum", "atom_normalization",
            "template_atom_values", "template_atom_profile", "decompose_profile",
            "tb_norm", "tf_norm", "lp_besov_norm_1d", "dyadic_band_spectrum",
-           "sobolev_radial_norm_1", "sobolev_radial_norm_2",
-           "sobolev_radial_norm_2m"]
+           "sobolev_radial_norm_1"]
 
 LN2 = math.log(2.0)
 # Nodes per _add_level call of decompose_profile: small temporaries are
@@ -344,15 +343,17 @@ def _even_dft(X: np.ndarray, n: int, out: np.ndarray,
 
 def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
                   J: Optional[int]):
-    """The uniform grid t, the top level J and a generator of bands 0..J.
+    """The uniform grid t, the top level J, a work buffer and a generator of
+    the band spectra 0..J.
 
     On the periodic grid t_k = -T + 2Tk/n (n = n_fft), t_{n-k} = -t_k, so the
     even profile's samples are an even sequence: only the n//2 + 1 points
-    t <= 0 are evaluated, and spectrum and bands, real and even, are each one
-    _even_dft of entries 0..n//2, mirrored.  Band j's window is nonzero, and
-    computed, only between the edges 2^{j-1}, 2^{j+1} of bands j-1 and j+1.
-    Bands are made as the generator reaches them, into one buffer that the
-    caller may overwrite before it asks for the next.  All buffers are made
+    t <= 0 are evaluated, and the spectrum, real and even, is one _even_dft
+    of entries 0..n//2.  Band j's window is nonzero, and computed, only
+    between the edges 2^{j-1}, 2^{j+1} of bands j-1 and j+1.  The generator
+    yields (a, b, X): X holds band j's half spectrum (bins 0..n//2), zero
+    outside bins a..b-1, in one buffer that the next band overwrites.
+    ``work`` serves every _even_dft of length <= n.  All buffers are made
     once per call: fresh full-length arrays per band cost page faults.
     """
     if n_fft < 2 or not (T is None or (math.isfinite(T) and T > 0)):
@@ -377,7 +378,7 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
             f"requested J={J} does not cover the grid spectrum (need >= {J_max})")
 
     def bands():
-        product, band = np.zeros(size), np.empty(n)
+        product = np.zeros(size)
         prev_a, prev = 0, np.zeros(0)
         for j in range(J + 1):
             # 2^{J+1} > xi_max, so the top band runs to the last bin
@@ -389,12 +390,56 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
             window[:below.size] -= below
             prev_a, prev = a, low
             np.multiply(spec[a:b], window, out=product[a:b])
-            _even_dft(product, n, band[:size], work)
-            band[size:] = band[(n - 1) // 2:0:-1]
-            yield band
+            yield int(a), int(b), product
             product[a:b] = 0.0
 
-    return t, J, bands()
+    return t, J, work, bands()
+
+
+def _band_samples(X: np.ndarray, work: np.ndarray, band: np.ndarray) -> None:
+    """Write into band the n = band.size samples of the real even band whose
+    half spectrum is X: one _even_dft of length n, mirrored."""
+    n = band.size
+    size = n // 2 + 1
+    _even_dft(X, n, band[:size], work)
+    band[size:] = band[(n - 1) // 2:0:-1]
+
+
+def _parseval_mass(X: np.ndarray, a: int, b: int, n: int,
+                   Wm: Optional[np.ndarray], work: np.ndarray,
+                   scratch: np.ndarray) -> Optional[float]:
+    """sum_k w_k x_k^2 over the n-point grid for the band x whose half
+    spectrum X is zero outside bins a..b-1, or None when the band is too wide.
+
+    Unweighted (Wm None): (1/n) sum_f m_f X_f^2, with m_f = 1 at f = 0 and at
+    the Nyquist bin f = n/2, 2 otherwise.  Weighted: Wm_f = m_f w~_f, where
+    w~ = _even_dft(w) is the weight's spectrum over n; only f <= 2(b-1) <
+    M/2 <= n/4 is read.  x has degree b - 1, so x^2 has degree 2(b-1) and,
+    for M the least power of two above 4(b-1), the M-point DFT of x^2
+    sampled on the M-point grid is exact (no aliasing).
+    u = _even_dft(X, M) is n/M times x there and eta = _even_dft(u^2, M), so
+    the n-point spectrum of x^2 is (M^2/n) eta and the mass is
+    (M^2/n) sum_{f <= 2(b-1)} Wm_f eta_f.  Bands with M > n/2 return None.
+    ``scratch`` holds at least M + 2 floats.
+    """
+    if a == b:
+        return 0.0
+    if Wm is None:
+        B = X[a:b]
+        mass = 2.0 * float(np.dot(B, B))
+        if a == 0:
+            mass -= B[0] ** 2
+        if 2 * (b - 1) == n:
+            mass -= B[-1] ** 2
+        return mass / n
+    M = 1 << (4 * (b - 1)).bit_length()
+    if M > n // 2:
+        return None
+    half, top = M // 2 + 1, 2 * b - 1
+    u = _even_dft(X[:half], M, scratch[:half], work)
+    np.square(u, out=u)
+    eta = _even_dft(u, M, scratch[half:2 * half], work)
+    return float(np.dot(Wm[:top], eta[:top])) * M * M / n
 
 
 def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
@@ -408,12 +453,14 @@ def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
     samples on the periodic grid are an even sequence and the windows are even
     in xi, so spectrum and bands are real and even: cosine transforms, folded
     into a half-length one and a quarter-length DCT-III (one numpy irfft)
-    until the length is at most _FOLD_CUT = 4096, then one irfft.
+    until the length is at most _FOLD_CUT = 4096, then one irfft.  Every band
+    is made on all n_fft points here; ``lp_besov_norm_1d`` at p = 2 makes only
+    the widest ones (see there).
     """
-    t, J, bands = _dyadic_bands(g, n_fft, T, J)
+    t, J, work, bands = _dyadic_bands(g, n_fft, T, J)
     stacked = np.empty((J + 1, n_fft))
-    for j, band in enumerate(bands):
-        stacked[j] = band
+    for j, (_, _, X) in enumerate(bands):
+        _band_samples(X, work, stacked[j])
     return DyadicBandSpectrum(t, stacked, J)
 
 
@@ -427,21 +474,40 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
     which makes the value a numerical stand-in for the d-dimensional norm of
     the radial extension (equivalent up to constants).  Independent of the
     atomic machinery: serves as its cross-check.  The bands are those of
-    ``dyadic_band_spectrum``, made and reduced one at a time.
+    ``dyadic_band_spectrum``, made and reduced one at a time on the n_fft
+    grid.  At p = 2 a band's mass sum_k w_k x_k^2 comes from its spectrum by
+    Parseval instead (``_parseval_mass``): unweighted with no transform per
+    band; weighted, for a band with top bin b - 1, from two transforms of
+    length M, the least power of two above 4(b-1), where x^2 does not alias.
+    Weighted bands with M > n_fft/2 fall back to the samples on the n_fft grid.
     """
     s, p, q, d = params.s, params.p, params.q, params.d
-    t, _, bands = _dyadic_bands(g, n_fft, T, J)
-    h = t[1] - t[0]
-    w = np.abs(t) ** (d - 1) if weighted else np.ones_like(t)
+    t, _, work, bands = _dyadic_bands(g, n_fft, T, J)
+    n, size, h = t.size, t.size // 2 + 1, t[1] - t[0]
+    w = None
+    if weighted:   # t is not needed past h: the weight |t|^{d-1} takes its place
+        w = np.abs(t, out=t)
+        w **= d - 1
+    band = np.empty(n) if p != 2 or weighted else None
+    Wm = None
+    if p == 2 and weighted:
+        Wm = _even_dft(w[:size], n, np.empty(size), work)
+        Wm[1:] *= 2.0
     logs = []
-    for j, band in enumerate(bands):
-        np.abs(band, out=band)
-        if math.isinf(p):
-            nrm = float(np.max(band))
+    for j, (a, b, X) in enumerate(bands):
+        mass = _parseval_mass(X, a, b, n, Wm, work, band) if p == 2 else None
+        if mass is not None:
+            nrm = float(mass * h) ** 0.5 if mass > 0 else 0.0
         else:
-            band **= p
-            band *= w
-            nrm = float(np.sum(band) * h) ** (1.0 / p)
+            _band_samples(X, work, band)
+            np.abs(band, out=band)
+            if math.isinf(p):
+                nrm = float(np.max(band))
+            else:
+                band **= p
+                if w is not None:
+                    band *= w
+                nrm = float(np.sum(band) * h) ** (1.0 / p)
         if nrm > 0:
             logs.append(j * s * LN2 + math.log(nrm))
     if not logs:
@@ -469,37 +535,3 @@ def sobolev_radial_norm_1(g: RadialProfile, p: float,
     d1 = _fd_derivative(g)
     gp = RadialProfile(g.grid, 0.5 * (np.abs(d1) + np.abs(d1[::-1])))
     return weighted_lp_norm(g, p, d) + weighted_lp_norm(gp, p, d)
-
-
-def sobolev_radial_norm_2(g: RadialProfile, p: float,
-                          d: Optional[int] = None) -> float:
-    """First-order terms plus ||g'/r|| and ||g''|| (the W^2 trace norm).
-
-    At r = 0 the quotient g'/r carries its even-reflection limit g''(0).
-    """
-    if p < 1:
-        raise InvalidParameterError("p >= 1 required (Sobolev regime)")
-    d = d if d is not None else g.dim_context
-    t = g.grid.nodes
-    d1, d2 = _derivatives_123(t, g.values)
-    quotient = np.where(t != 0.0, d1 / np.where(t == 0.0, 1.0, t), d2)
-    gq = RadialProfile(g.grid, 0.5 * (np.abs(quotient) + np.abs(quotient[::-1])))
-    g2 = RadialProfile(g.grid, 0.5 * (np.abs(d2) + np.abs(d2[::-1])))
-    return (sobolev_radial_norm_1(g, p, d)
-            + weighted_lp_norm(gq, p, d) + weighted_lp_norm(g2, p, d))
-
-
-def sobolev_radial_norm_2m(g: RadialProfile, p: float, d: Optional[int] = None,
-                           m: int = 1) -> float:
-    """||g | L_p(|t|^{d-1})|| + ||D_r^m g | L_p(|t|^{d-1})|| for W^{2m}, 1 < p < inf."""
-    if not (1 < p < math.inf):
-        raise InvalidParameterError("1 < p < inf required")
-    if m < 1:
-        raise InvalidParameterError("m >= 1 required")
-    d = d if d is not None else g.dim_context
-    if g.grid.size < 2 * m + 1:
-        raise ResolutionError("grid cannot resolve 2m derivatives")
-    cur = g.restrict_dim(d)
-    for _ in range(m):
-        cur = radial_laplacian(cur, d)
-    return weighted_lp_norm(g, p, d) + weighted_lp_norm(cur, p, d)

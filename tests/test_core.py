@@ -9,9 +9,8 @@ from radialfs.bump import bump, psi_cutoff
 from radialfs.core import (Grid1D, RadialField, RadialProfile,
                            _gradient_identity_reports, ball_volume,
                            lp_norm_rd, radial_gradient_identity_check,
-                           radial_laplacian, sphere_area, weighted_lp_norm)
-from radialfs.errors import (EvennessError, InvalidParameterError,
-                             ResolutionError)
+                           sphere_area, weighted_lp_norm)
+from radialfs.errors import EvennessError, InvalidParameterError
 
 
 class TestGrid1D:
@@ -130,54 +129,6 @@ class TestLpNormRd:
         assert sphere_area(2) == pytest.approx(2 * math.pi)
         assert sphere_area(3) == pytest.approx(4 * math.pi)
         assert ball_volume(3) == pytest.approx(4 * math.pi / 3)
-
-
-class TestRadialLaplacian:
-    def test_quadratic_exact(self):
-        g = RadialProfile.from_callable(lambda t: t ** 2, Grid1D.uniform(0.01, 1.0), d=3)
-        D = radial_laplacian(g)
-        interior = np.abs(g.grid.nodes) < 0.9
-        assert np.allclose(D.values[interior], 6.0, atol=1e-8)
-
-    def test_constant_annihilated(self):
-        g = RadialProfile.from_callable(lambda t: np.ones_like(t),
-                                        Grid1D.uniform(0.01, 1.0), d=2)
-        assert np.allclose(radial_laplacian(g).values, 0.0, atol=1e-9)
-
-    def test_gaussian_against_symbolic_oracle(self):
-        # symbolic: (4r^2 - 2) e^{-r^2} + (d-1)/r * (-2 r e^{-r^2}), d = 2, r = 1
-        g = RadialProfile.from_callable(lambda t: np.exp(-t ** 2),
-                                        Grid1D.uniform(5e-4, 2.0), d=2)
-        D = radial_laplacian(g)
-        r = 1.0
-        oracle = (4 * r ** 2 - 2) * math.exp(-r ** 2) - 2 * math.exp(-r ** 2)
-        i = int(np.argmin(np.abs(g.grid.nodes - 1.0)))
-        assert D.values[i] == pytest.approx(oracle, abs=1e-4)
-
-    def test_origin_value_is_d_times_second_derivative(self):
-        g = RadialProfile.from_callable(lambda t: t ** 2, Grid1D.uniform(0.01, 1.0), d=5)
-        i0 = int(np.argmin(np.abs(g.grid.nodes)))
-        assert radial_laplacian(g).values[i0] == pytest.approx(2 * 5, rel=1e-8)
-
-    def test_second_order_convergence_on_monomials(self):
-        # D_r r^4 = 12 r^2 + (d-1) * 4 r^2; empirical order >= 1.9 on halving h
-        d = 3
-        errs = []
-        for h in (0.02, 0.01):
-            g = RadialProfile.from_callable(lambda t: t ** 4,
-                                            Grid1D.uniform(h, 1.0), d=d)
-            D = radial_laplacian(g)
-            t = g.grid.nodes
-            exact = 12 * t ** 2 + (d - 1) * 4 * t ** 2
-            interior = np.abs(t) < 0.9
-            errs.append(np.max(np.abs(D.values - exact)[interior]))
-        order = math.log2(errs[0] / errs[1])
-        assert order >= 1.9
-
-    def test_too_few_nodes(self):
-        g = RadialProfile(Grid1D(np.array([-1.0, 1.0])), np.array([1.0, 1.0]), 2)
-        with pytest.raises(ResolutionError):
-            radial_laplacian(g, 2)
 
 
 class TestGradientIdentity:

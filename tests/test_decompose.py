@@ -11,8 +11,7 @@ from radialfs.covering import AtomSpec, validate_even_atom
 from radialfs.decompose import (_eval_capture, _lowpass_window,
                                 atom_normalization, decompose_profile,
                                 dyadic_band_spectrum, lp_besov_norm_1d,
-                                sobolev_radial_norm_1, sobolev_radial_norm_2,
-                                sobolev_radial_norm_2m, tb_norm,
+                                sobolev_radial_norm_1, tb_norm,
                                 template_atom_profile, template_atom_values,
                                 tf_norm)
 from radialfs.errors import (DecompositionError, InvalidParameterError,
@@ -328,7 +327,9 @@ class TestLpBesovNorm:
     @pytest.mark.parametrize("weighted", [True, False])
     def test_norm_of_stacked_bands_bit_for_bit(self, p, q, weighted):
         # lp_besov_norm_1d reduces each band as it is made; the norm taken
-        # from the stacked bands of dyadic_band_spectrum is the same float
+        # from the stacked bands of dyadic_band_spectrum is the same float.
+        # At p = 2 it sums each band's mass from its spectrum (Parseval), a
+        # different rounding of the same sum: equal to 1e-14
         from scipy.special import logsumexp
         s, d = 0.7, 2
         g = RadialProfile.from_callable(
@@ -348,7 +349,10 @@ class TestLpBesovNorm:
                 else math.exp(logsumexp([q * v for v in logs]) / q))
         got = lp_besov_norm_1d(g, SpaceParams(s, p, q, d), weighted=weighted,
                                n_fft=2 ** 13, T=4.0)
-        assert got.hex() == want.hex()
+        if p == 2:
+            assert got == pytest.approx(want, rel=1e-14)
+        else:
+            assert got.hex() == want.hex()
 
     def test_gaussian_finite_for_all_s(self):
         g = RadialProfile.from_callable(lambda t: np.exp(-t ** 2),
@@ -481,6 +485,72 @@ class TestEvenDft:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def _stacked_l2_logs(spec, s, d, weighted):
+    """log(2^{js} ||band_j||_2) of each nonzero stacked band, from its samples."""
+    h = spec.t[1] - spec.t[0]
+    w = np.abs(spec.t) ** (d - 1) if weighted else 1.0
+    return [j * s * math.log(2.0) + 0.5 * math.log(np.sum(band ** 2 * w) * h)
+            for j, band in enumerate(spec.bands) if np.any(band)]
+
+
+PARSEVAL_PROFILES = {
+    "bump-pair": lambda t: bump((t - 1.2) / 0.5) + bump((t + 1.2) / 0.5),
+    # little signal in the low bands
+    "oscillating": lambda t: np.cos(40.0 * t) * bump(t / 2.5),
+}
+
+
+class TestParsevalRoute:
+    # n odd and even, around and above the fold cut; T from the grid (None)
+    # or given; J above J_max adds bands with an empty spectrum
+    @pytest.mark.parametrize("n, T, J", [(2 ** 12 + 1, None, None),
+                                         (3001, 4.0, 14), (2 ** 13, 4.0, None),
+                                         (2 ** 15, None, 17), (2 ** 17, 4.0, None)])
+    @pytest.mark.parametrize("shape", sorted(PARSEVAL_PROFILES))
+    def test_p2_norm_matches_stacked_bands(self, shape, n, T, J):
+        g = RadialProfile.from_callable(PARSEVAL_PROFILES[shape],
+                                        Grid1D.uniform(2 ** -10, 3.0), d=2)
+        spec = dyadic_band_spectrum(g, n_fft=n, T=T, J=J)
+        s = 0.7
+        for d in (1, 2, 3):
+            for weighted in (True, False):
+                logs = _stacked_l2_logs(spec, s, d, weighted)
+                for q in (0.5, 1.0, 2.0, math.inf):
+                    want = (math.exp(max(logs)) if math.isinf(q) else
+                            math.exp(decompose._logsumexp([q * v for v in logs]) / q))
+                    got = lp_besov_norm_1d(g, SpaceParams(s, 2.0, q, d),
+                                           weighted=weighted, n_fft=n, T=T, J=J)
+                    assert got == pytest.approx(want, rel=1e-13), (d, weighted, q)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_p2_transform_count(self, monkeypatch, weighted):
+        # unweighted: the spectrum is the only transform; weighted at T = 4:
+        # the spectrum, the weight's and the 4 bands too wide for a grid of
+        # n/2 points are the only irfft calls of length >= n/4 (was 18)
+        dfts, lengths = [], []
+        even_dft, irfft = decompose._even_dft, np.fft.irfft
+
+        def recording_dft(X, n, *args):
+            dfts.append(n)
+            return even_dft(X, n, *args)
+
+        def recording_irfft(a, n=None, *args, **kw):
+            lengths.append(n)
+            return irfft(a, n, *args, **kw)
+
+        monkeypatch.setattr(decompose, "_even_dft", recording_dft)
+        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+        n = 2 ** 17
+        g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -12, 4.0),
+                                        d=2)
+        assert lp_besov_norm_1d(g, SpaceParams(1.0, 2.0, 2.0, 2), n_fft=n, T=4.0,
+                                weighted=weighted) > 0
+        if weighted:
+            assert sum(length >= n // 4 for length in lengths) <= 6
+        else:
+            assert dfts == [n]
+
+
 class TestFftInputValidation:
     @pytest.fixture
     def bump_17(self):
@@ -524,7 +594,6 @@ class TestSobolevNorms:
         g = RadialProfile.from_callable(lambda t: 0.0 * t,
                                         Grid1D.uniform(0.01, 1.0), d=2)
         assert sobolev_radial_norm_1(g, 1, 2) == 0.0
-        assert sobolev_radial_norm_2(g, 1, 2) == 0.0
 
     def test_gradient_reduction_oracle_d2(self):
         # first-order norm's derivative term equals the full 2-D gradient
@@ -535,45 +604,6 @@ class TestSobolevNorms:
         g = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, 2.0), d=2)
         rep = radial_gradient_identity_check(g, 2, 2, evaluator=ev)
         assert rep.ratio == pytest.approx(1.0, abs=1e-4)
-
-    def test_w2m_quadratic(self):
-        # m = 1, g = r^2, d = 3: D_r g = 6 on the support window
-        g = RadialProfile.from_callable(lambda t: t ** 2,
-                                        Grid1D.uniform(1e-3, 1.0), d=3)
-        val = sobolev_radial_norm_2m(g, 2.0, 3, m=1)
-        l2 = weighted_lp_norm(g, 2.0, 3)
-        const = RadialProfile.from_callable(lambda t: 6.0 * np.ones_like(t),
-                                            g.grid, d=3)
-        assert val == pytest.approx(l2 + weighted_lp_norm(const, 2.0, 3), rel=1e-6)
-
-    def test_m_zero_rejected(self):
-        g = RadialProfile.from_callable(lambda t: t ** 2,
-                                        Grid1D.uniform(0.01, 1.0), d=2)
-        with pytest.raises(InvalidParameterError):
-            sobolev_radial_norm_2m(g, 2.0, 2, m=0)
-
-    def test_m2_polynomial_against_symbolic_oracle(self):
-        # compactly supported polynomial (1 - r^2)_+^5 (C^4 at |r| = 1).
-        # With u = r^2 and d = 3: for phi = H(u), D_r phi = 6H' + 4uH''.
-        # First pass gives H = -30(1-u)^4 + 80u(1-u)^3; applying the rule
-        # again: D_r^2 g = 1200(1-u)^3 - 4800u(1-u)^2 + 1920u^2(1-u).
-        d = 3
-        g = RadialProfile.from_callable(
-            lambda t: np.maximum(0.0, 1.0 - t ** 2) ** 5,
-            Grid1D.uniform(5e-4, 1.2), d=d)
-        val = sobolev_radial_norm_2m(g, 2.0, d, m=2)
-        l2 = weighted_lp_norm(g, 2.0, d)
-
-        def dr2(t):
-            u = np.minimum(t ** 2, 1.0)
-            inside = t ** 2 < 1.0
-            return np.where(inside, 1200 * (1 - u) ** 3
-                            - 4800 * u * (1 - u) ** 2
-                            + 1920 * u ** 2 * (1 - u), 0.0)
-
-        oracle = RadialProfile.from_callable(dr2, g.grid, d=d)
-        assert val == pytest.approx(l2 + weighted_lp_norm(oracle, 2.0, d),
-                                    rel=1e-3)
 
     def test_p_below_one_rejected(self):
         g = RadialProfile.from_callable(lambda t: t ** 2,

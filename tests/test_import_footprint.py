@@ -2,8 +2,9 @@
 
 scipy.integrate alone costs more start-up time than the rest of the package,
 and scipy.fft most of the remainder.  The package must not load any scipy
-module, neither on import nor when the FFT norms run, so a lazy import
-inside a function cannot pass these tests.
+module, neither on import nor when the FFT norms run (the p = 2 route from
+band spectra and the route over band samples), so a lazy import inside a
+function cannot pass these tests.
 """
 
 import os
@@ -37,6 +38,7 @@ def test_fft_norms_load_no_scipy():
         "from radialfs.bump import psi_cutoff\n"
         "g = rf.RadialProfile.from_callable(psi_cutoff, rf.Grid1D.uniform(2 ** -10, 2.0), d=2)\n"
         "assert rf.lp_besov_norm_1d(g, rf.SpaceParams(1.0, 2.0, 2.0, 2), n_fft=2 ** 15) > 0\n"
+        "assert rf.lp_besov_norm_1d(g, rf.SpaceParams(1.0, 1.5, 2.0, 2), n_fft=2 ** 15) > 0\n"
         "assert rf.dyadic_band_spectrum(g, n_fft=2 ** 15).bands.shape[1] == 2 ** 15\n"
         "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     assert out.split() == []
