@@ -37,18 +37,22 @@ def bump_derivative_sup(n: int, resolution: int = 200001) -> float:
 
 
 def smoothstep(u):
-    """C^inf monotone step: 0 for u <= 0, 1 for u >= 1."""
+    """C^inf monotone step: 0 for u <= 0, 1 for u >= 1.
+
+    Computed as a / (a + b) with a = exp(-1/u), b = exp(-1/(1-u)); outside
+    0 < u < 1 one of them is exactly 0 and the other positive, so the result
+    is exactly 0 or 1 there, and the exponentials are evaluated only inside
+    (NaN counts as inside and stays NaN).
+    """
     u = np.asarray(u, dtype=float)
-
-    def side(x):
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        out[pos] = np.exp(-1.0 / x[pos])
-        return out
-
-    a = side(u)
-    b = side(1.0 - u)
-    return a / (a + b)
+    out = np.zeros_like(u)
+    out[u >= 1.0] = 1.0
+    inside = ~((u <= 0.0) | (u >= 1.0))
+    ui = u[inside]
+    a = np.exp(-1.0 / ui)
+    b = np.exp(-1.0 / (1.0 - ui))
+    out[inside] = a / (a + b)
+    return out[()]
 
 
 def psi_cutoff(t):

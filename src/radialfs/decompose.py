@@ -18,6 +18,11 @@ sum_i 2^{-i-1} < 1, so by induction every nonzero coefficient and captured
 value lies in the open window (a - h - 1, b + h + 1).  Outside it every
 coefficient is (0 - 0) n0 = 0 and every captured term adds 0, so the cascade
 visits only the lattice points and grid nodes inside, with the same floats.
+The profile and the captured sum are exactly even (each captured value
+depends on |t| alone), so the captured sum is kept on the half line t >= 0
+only, and the cascade visits the window's nodes there; the residual is
+mirrored onto the whole grid, with or without a node at 0, only when its
+norm is taken.
 
 The trace-space norms report the sequence norm of the constructed
 decomposition: an upper bound for the infimum in the definition, equivalent
@@ -35,8 +40,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .bump import bump, bump_derivative_sup, smoothstep
-from .core import (Grid1D, RadialProfile, _derivatives_123, _trapezoid,
-                   weighted_lp_norm)
+from .core import Grid1D, RadialProfile, _derivatives_123, weighted_lp_norm
 from .covering import AtomSpec
 from .errors import (DecompositionError, InvalidParameterError,
                      ResolutionError)
@@ -86,38 +90,45 @@ def _collocation_indices(j: int, k_lo: int, k_hi: int) -> np.ndarray:
 
 def _support_window(g: RadialProfile) -> Tuple[float, float, List[slice]]:
     """The window (lo, hi) of the module docstring in |t|, and slices of at
-    most _CHUNK nodes of the sorted even grid that cover lo < |t| < hi."""
+    most _CHUNK nodes that cover lo < t < hi, indexing the half line t >= 0
+    of the sorted even grid (its nodes from searchsorted(t, 0) on)."""
     t = g.grid.nodes
     nonzero = np.abs(t[g.values != 0.0])
     if nonzero.size == 0:
         return 0.0, 0.0, []
     h = float(np.max(np.diff(t)))
     lo, hi = float(nonzero.min()) - h - 1.0, float(nonzero.max()) + h + 1.0
-    start, stop = np.searchsorted(t, -hi, "right"), np.searchsorted(t, hi, "left")
-    if lo < 0.0:
-        runs = [(start, stop)]
-    else:
-        runs = [(start, np.searchsorted(t, -lo, "left")),
-                (np.searchsorted(t, lo, "right"), stop)]
-    return lo, hi, [slice(i, min(i + _CHUNK, b)) for a, b in runs
-                    for i in range(a, b, _CHUNK)]
+    half = t[np.searchsorted(t, 0.0):]
+    start, stop = np.searchsorted(half, lo, "right"), np.searchsorted(half, hi, "left")
+    return lo, hi, [slice(i, min(i + _CHUNK, stop)) for i in range(start, stop, _CHUNK)]
 
 
 def _add_level(out: np.ndarray, t: np.ndarray, j: int, coeffs: np.ndarray,
                n0: float) -> None:
     """Add level j's captured atoms at points t >= 0 into out.
 
-    Only the atom centred at the nearest level-j lattice point round(2^j t)
+    Only the atom centred at the nearest level-j lattice point k = rint(2^j t)
     can be nonzero at t: neighbours sit at |t - c| >= 2^{-j-1} = rho, where
-    the bump vanishes (scaling by 2^j is exact and rounding is monotone).
+    the bump vanishes (scaling by 2^j is exact and rounding is monotone).  Its
+    argument u = 2^{j+1} t - 2k is (t - 2^{-j} k) / rho bit for bit (scaling
+    by a power of 2 commutes with rounding), |u| <= 1, and |u| = 1 gives
+    exp(1 - 1/0) = 0 exactly, as ``bump`` does; so every point is evaluated
+    in one buffer with no mask.  k = 0 has a single bump (already even);
+    k >= 1 pairs with -c, which for t >= 0 only matters through |t|.
     """
-    k = np.round(t * 2.0 ** j).astype(int)
-    valid = k < coeffs.size
-    kv = k[valid]
-    vals = bump((t[valid] - 2.0 ** (-j) * kv) / 2.0 ** (-j - 1))
-    # k = 0 has a single bump (already even); k >= 1 pairs with -c,
-    # which for t >= 0 only matters through the |t| reduction.
-    out[valid] += coeffs[kv] * vals / n0
+    u = t * 2.0 ** j
+    k = np.rint(u)
+    u -= k
+    u *= 2.0
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.exp(u, out=u)
+    u *= coeffs[k.astype(np.intp)]
+    u /= n0
+    out += u
 
 
 def _eval_capture(coeff_levels: Dict[int, np.ndarray], t: np.ndarray,
@@ -126,7 +137,12 @@ def _eval_capture(coeff_levels: Dict[int, np.ndarray], t: np.ndarray,
     t = np.abs(np.asarray(t, dtype=float))
     out = np.zeros_like(t)
     n0 = atom_normalization(L)
+    top = float(t.max(initial=0.0))
     for j, coeffs in coeff_levels.items():
+        # lattice slots past the last coefficient carry no atom
+        k_top = int(np.rint(top * 2.0 ** j))
+        if k_top >= coeffs.size:
+            coeffs = np.pad(coeffs, (0, k_top + 1 - coeffs.size))
         _add_level(out, t, j, coeffs, n0)
     return out
 
@@ -166,25 +182,33 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
 
     Raises DecompositionError when the residual stalls (residual at J above
     residual at J-2) and ``raise_on_stall`` is set.  The captured sum on the
-    grid is kept as one running array that gains only level j's atoms after
-    level j; only the lattice points and grid nodes in the support window of
-    the module docstring are visited (none for a zero profile), which gives
-    the floats of a pass over the whole lattice and grid.  ``track_history``
-    records the weighted residual norm after every level (one full-grid norm
-    per level); without it only the final residual norm is computed.
+    half line t >= 0 of the grid is kept as one running array that gains
+    only level j's atoms after level j; only the lattice points and the
+    half-line nodes in the support window of the module docstring are
+    visited (none for a zero profile), which gives the floats of a pass over
+    the whole lattice and grid.  ``track_history`` records the weighted
+    residual norm after every level (one full-grid trapezoid of the mirrored
+    half-line integrand per level); without it only the final residual norm
+    is computed.
     """
     if not g.grid.even:
         raise InvalidParameterError("decomposition needs an even profile")
     t_grid = g.grid.nodes
-    t_abs = np.abs(t_grid)
-    outer = float(t_abs.max())
+    i0 = int(np.searchsorted(t_grid, 0.0))   # the half line t >= 0 is t_grid[i0:]
+    t_half = np.abs(t_grid[i0:])
+    g_half = g.values[i0:]
+    outer = float(t_half[-1])
     n0 = atom_normalization(spec.L)
     d_for_norm = g.dim_context or 2
     p_norm = max(1.0, spec.p)
     lo, hi, window = _support_window(g)
-    weight = t_abs ** (int(d_for_norm) - 1)
-    captured = np.zeros_like(t_abs)
-    residual, res_sym = np.empty_like(t_abs), np.empty_like(t_abs)
+    weight = t_half ** (int(d_for_norm) - 1)
+    captured = np.zeros_like(t_half)
+    # the trapezoid integrand on the whole grid: its half y[i0:] is computed,
+    # y[:i0] is the mirror image; np.trapezoid's expression, diff taken once
+    spacing = np.diff(t_grid)
+    y, pair = np.empty_like(t_grid), np.empty_like(spacing)
+    y_half = y[i0:]
 
     levels: Dict[int, np.ndarray] = {}
     history: List[float] = []
@@ -197,19 +221,21 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
         coeffs[ks] = (g(pts) - _eval_capture(levels, pts, spec.L)) * n0
         levels[j] = coeffs
         for part in window:
-            _add_level(captured[part], t_abs[part], j, coeffs, n0)
+            _add_level(captured[part], t_half[part], j, coeffs, n0)
         if track_history or j == J:
-            # weighted_lp_norm of the symmetrised residual, in reused buffers
-            np.subtract(g.values, captured, out=residual)
-            np.add(residual, residual[::-1], out=res_sym)
-            res_sym *= 0.5
-            np.abs(res_sym, out=res_sym)
+            # weighted_lp_norm of the residual, which is exactly even
+            np.subtract(g_half, captured, out=y_half)
+            np.abs(y_half, out=y_half)
             if math.isinf(p_norm):
-                history.append(float(np.max(res_sym)))
+                history.append(float(np.max(y_half)))
             else:
-                res_sym **= p_norm
-                res_sym *= weight
-                history.append(_trapezoid(res_sym, t_grid) ** (1.0 / p_norm))
+                y_half **= p_norm
+                y_half *= weight
+                y[:i0] = y[::-1][:i0]
+                np.add(y[1:], y[:-1], out=pair)
+                pair *= spacing
+                pair /= 2.0
+                history.append(float(pair.sum()) ** (1.0 / p_norm))
 
     if raise_on_stall and len(history) >= 3 and history[-1] > history[-3]:
         g_scale = weighted_lp_norm(g, p_norm, d_for_norm)

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from radialfs import experiments
 from radialfs.bv import (QUAD_RTOL, RadonMeasure1D, bv_decay_check,
                          bv_dim_norm, bv_equivalence_check, bv_weighted_norm,
                          pairing_identity_residuals, parse_staircase, quad,
                          smooth_bump_bv, staircase)
 from radialfs.core import sphere_area
 from radialfs.errors import InvalidParameterError, QuadratureError
-from radialfs.experiments import _bv_corpus
+from radialfs.experiments import (BV_DECAY_RTOL, ExperimentConfig, _bv_corpus,
+                                  run_experiment)
 
 
 class TestWeightedNorm:
@@ -150,6 +152,27 @@ class TestDecay:
         radii = [4.0, 5.0, 8.0]
         vals = [r * abs(g.value_left(r + 1e-9)) for r in radii]
         assert vals[0] >= vals[-1]
+
+    def test_experiment_passes_at_an_equality_roundoff_seed(self, tmp_path):
+        # seed 5106: lhs exceeds the tail by 1.78e-15 (1.3e-16 relative) at a
+        # staircase's last radius, where the two are equal in exact arithmetic
+        res = run_experiment(ExperimentConfig("bv-decay", seed=5106,
+                                              output_dir=tmp_path))
+        worst = res.assertions[0]
+        assert worst.name == "max_rel_violation_all_staircases"
+        assert 0.0 < worst.measured <= BV_DECAY_RTOL and res.passed
+
+    def test_experiment_fails_with_the_wrong_weight(self, tmp_path, monkeypatch):
+        # mutant: lhs weighted by r^d in place of r^{d-1}
+        def weighted_by_r_d(g, radii, d=None):
+            rep = bv_decay_check(g, radii, d=d)
+            return dataclasses.replace(rep, lhs=rep.lhs * rep.radii)
+
+        monkeypatch.setattr(experiments, "bv_decay_check", weighted_by_r_d)
+        res = run_experiment(ExperimentConfig("bv-decay", seed=5106,
+                                              output_dir=tmp_path))
+        worst = res.assertions[0]
+        assert worst.measured > 1.0 and not worst.passed
 
 
 class TestNormProperties:

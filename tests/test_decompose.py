@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,7 +134,47 @@ WINDOW_CASES = {
         Grid1D.uniform(0.3, 6.0), d=2),
     "zero": lambda: RadialProfile.from_callable(
         lambda t: 0.0 * t, Grid1D.uniform(2.0 ** -5, 3.0), d=2),
+    # no node at 0 and an even node count: the other mirror parity
+    "log-spaced": lambda: RadialProfile.from_callable(
+        lambda t: bump(t / 1.2) + 0.4 * bump((t - 2.0) / 0.5),
+        Grid1D.log_spaced(2.0 ** -9, 4.0, 700), d=2),
 }
+
+
+def _assert_half_line_window_visits(monkeypatch, g, J=8):
+    """Run decompose_profile(g) recording every _add_level call: all points
+    lie in the window and on t >= 0, and per level the grid calls (those not
+    made by _eval_capture) visit distinct nodes, at most (n + 1) / 2."""
+    add_level, eval_capture = decompose._add_level, decompose._eval_capture
+    seen, on_grid, in_capture = [], {}, []
+
+    def recording(out, t, j, coeffs, n0):
+        seen.append(t.copy())
+        if not in_capture:
+            on_grid.setdefault(j, []).append(t.copy())
+        add_level(out, t, j, coeffs, n0)
+
+    def capture(*args):
+        in_capture.append(True)
+        try:
+            return eval_capture(*args)
+        finally:
+            in_capture.pop()
+
+    monkeypatch.setattr(decompose, "_add_level", recording)
+    monkeypatch.setattr(decompose, "_eval_capture", capture)
+    dec = decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False)
+    r = np.abs(g.grid.nodes[g.values != 0.0])
+    h = float(np.max(np.diff(g.grid.nodes)))
+    lo, hi = r.min() - h - 1.0, r.max() + h + 1.0
+    points = np.concatenate(seen)
+    assert points.size > 0 and len(dec.coefficients) > 0
+    assert np.all((points >= 0.0) & (points > lo) & (points < hi))
+    assert sorted(on_grid) == list(range(J + 1))
+    for parts in on_grid.values():
+        nodes = np.concatenate(parts)
+        assert nodes.size <= (g.grid.size + 1) // 2
+        assert np.unique(nodes).size == nodes.size
 
 
 class TestIncrementalCapture:
@@ -162,7 +203,8 @@ class TestIncrementalCapture:
         g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2.0 ** -7, 2.0),
                                         d=2)
         dec = decompose_profile(g, SPEC_L2, J=4, raise_on_stall=False)
-        t = g.grid.nodes
+        # the grid and points past its edge, beyond every level's last slot
+        t = np.concatenate([g.grid.nodes, np.linspace(2.0, 9.0, 701)])
         direct = sum(v * template_atom_values(j, k, t, SPEC_L2.L)
                      for (j, k), v in dec.coefficients.items())
         rec = dec.reconstruction(t)
@@ -188,20 +230,31 @@ class TestIncrementalCapture:
         # not the 16385-node grid
         g = RadialProfile.from_callable(lambda t: bump((t - 100.0) / 0.3),
                                         Grid1D.uniform(2.0 ** -6, 128.0), d=2)
-        seen, add_level = [], decompose._add_level
+        _assert_half_line_window_visits(monkeypatch, g)
 
-        def recording(out, t, j, coeffs, n0):
-            seen.append(np.abs(t))
-            add_level(out, t, j, coeffs, n0)
+    def test_add_level_visits_the_half_line_once(self, monkeypatch):
+        # the window holds 0 and the whole grid: each level still visits only
+        # the (n + 1) / 2 nodes t >= 0
+        g = RadialProfile.from_callable(lambda t: bump(t / 1.5),
+                                        Grid1D.uniform(2.0 ** -6, 2.0), d=2)
+        _assert_half_line_window_visits(monkeypatch, g)
 
-        monkeypatch.setattr(decompose, "_add_level", recording)
-        dec = decompose_profile(g, SPEC_L2, J=8, raise_on_stall=False)
-        r = np.abs(g.grid.nodes[g.values != 0.0])
-        h = float(np.max(np.diff(g.grid.nodes)))
-        lo, hi = r.min() - h - 1.0, r.max() + h + 1.0
-        points = np.concatenate(seen)
-        assert points.size > 0 and len(dec.coefficients) > 0
-        assert np.all((points > lo) & (points < hi))
+    def test_lattice_half_points_raise_no_warning(self):
+        # on h = 2^-6 every (k + 1/2) 2^-j with j <= 5 is a node, where the
+        # level kernel meets |u| = 1 and divides by 0 on its way to exp(-inf)
+        g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2.0 ** -6, 3.0),
+                                        d=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = decompose_profile(g, SPEC_L2, J=8, raise_on_stall=False)
+            out = np.zeros(8)
+            decompose._add_level(out, (np.arange(8) + 0.5) / 8.0, 3,
+                                 np.ones(10), 1.0)
+        assert out.tobytes() == np.zeros(8).tobytes()
+        levels, history = from_scratch_decomposition(g, SPEC_L2, 8)
+        for j in levels:
+            assert dec._levels[j].tobytes() == levels[j].tobytes()
+        assert [v.hex() for v in dec.residual_history] == [v.hex() for v in history]
 
 
 class TestTraceNorms:
