@@ -33,6 +33,7 @@ exponents or bounded ratios, never absolute values.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -186,10 +187,12 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     only level j's atoms after level j; only the lattice points and the
     half-line nodes in the support window of the module docstring are
     visited (none for a zero profile), which gives the floats of a pass over
-    the whole lattice and grid.  ``track_history`` records the weighted
-    residual norm after every level (one full-grid trapezoid of the mirrored
-    half-line integrand per level); without it only the final residual norm
-    is computed.
+    the whole lattice and grid.  A collocation point on a grid node reads the
+    running array there, which holds the floats ``_eval_capture`` would add
+    up; only points between nodes are evaluated afresh.  ``track_history``
+    records the weighted residual norm after every level (one full-grid
+    trapezoid of the mirrored half-line integrand per level); without it
+    only the final residual norm is computed.
     """
     if not g.grid.even:
         raise InvalidParameterError("decomposition needs an even profile")
@@ -218,7 +221,13 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
         ks = _collocation_indices(j, max(0, math.floor(lo * 2.0 ** j) + 1),
                                   min(k_max, math.ceil(hi * 2.0 ** j) - 1))
         pts = 2.0 ** (-j) * ks
-        coeffs[ks] = (g(pts) - _eval_capture(levels, pts, spec.L)) * n0
+        # at a node the captured sum holds the floats _eval_capture would add
+        node = np.minimum(np.searchsorted(t_half, pts), t_half.size - 1)
+        known = captured[node]
+        off = t_half[node] != pts
+        if off.any():
+            known[off] = _eval_capture(levels, pts[off], spec.L)
+        coeffs[ks] = (g(pts) - known) * n0
         levels[j] = coeffs
         for part in window:
             _add_level(captured[part], t_half[part], j, coeffs, n0)
@@ -367,20 +376,112 @@ def _even_dft(X: np.ndarray, n: int, out: np.ndarray,
     return top
 
 
+def _fft_grid(n: int, T: float, m: int) -> np.ndarray:
+    """The first m nodes t_k = -T + 2Tk/n of the periodic n-point grid."""
+    t = np.arange(m, dtype=float)
+    t *= 2.0 * T
+    t /= n
+    t -= T
+    return t
+
+
+# The plans below depend only on the grid.  Each keeps its last three grids
+# (the spacings a sweep over T = 4, 5, 6 needs), read-only: _band_plan
+# n/2 + 1 floats per (n, h), _weight_plan about n floats per (n, d).
+_PLAN_ENTRIES = 3
+
+
+def _plan_array(size: int) -> np.ndarray:
+    """size zero-filled floats in an anonymous mapping of their own.
+
+    A long-lived array on the malloc heap keeps the freed pages below it
+    resident; its own mapping leaves the heap free to shrink."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
+
+
+@lru_cache(maxsize=_PLAN_ENTRIES)
+def _band_plan(n: int, h: float) -> Tuple[np.ndarray, Tuple[int, ...], float]:
+    """The ramp and edges of the band windows on the n-point grid of spacing
+    h, and the top frequency xi_max.
+
+    On the half spectrum xi_f = 2 pi f / (n h), f <= n/2, edges[k] is the
+    first bin with xi >= 2^k for k = 0..J_max + 1 (every later edge is n/2 + 1),
+    J_max = max(1, ceil(log2 xi_max)).  The ramp is 0 below edges[0] and
+    _level_lowpass(xi, k) on [edges[k], edges[k+1]).  Level k's low-pass is 1
+    up to 2^k and 0 from 2^{k+1} on, so band j's window low_j - low_{j-1}
+    (low_{-1} = 0) is 1 - ramp on [edges[j-1], edges[j]) and the ramp on
+    [edges[j], edges[j+1]): the floats of the windows built level by level.
+    The top band J >= J_max has the window 1 from 2^J on, where the only bin
+    there can be, xi = 2^J, has ramp 1.
+    """
+    xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
+    xi_max = float(xi[-1])
+    J_max = max(1, int(math.ceil(math.log2(xi_max))))
+    edges = tuple(np.searchsorted(xi, 2.0 ** np.arange(J_max + 2)).tolist())
+    ramp = _plan_array(xi.size)
+    for k in range(J_max + 1):
+        part = slice(edges[k], edges[k + 1])
+        ramp[part] = _level_lowpass(xi[part], k)
+    ramp.flags.writeable = False
+    return ramp, edges, xi_max
+
+
+@lru_cache(maxsize=_PLAN_ENTRIES)
+def _weight_plan(n: int, d: int) -> Tuple[np.ndarray, Dict[int, slice]]:
+    """Tables of the weight w = |t/T|^{d-1} on the n-point grid, in one
+    read-only array, and the slice of each: the weighted band mass of
+    ``_l2_mass`` is T^{d-1} times the dot of a table with u^2.
+
+    Every table carries the half-line multiplicities m_r (1 at r = 0 and at
+    r = M/2, 2 between), so sum_{r<M} v_r = sum_{r <= M/2} m_r v_r for an even
+    sequence v.  Table n holds m_k w_k, k <= n//2, and u is the band x on the
+    half line.  Table M, for M = 1 and the powers of two 8 <= M <= n/2, holds
+    (M^2/n) m_r w~_M[r], r <= M/2: w~_M is _even_dft over M of the weight's
+    spectrum w~ = _even_dft(w, n) cut to bins f < max(1, M/2), and u is
+    _even_dft over M of x's spectrum, n/M times x on the M-point grid.  When
+    x's spectrum ends at bin b - 1 with 4(b-1) < M, x^2 lives on bins
+    f <= 2(b-1) < max(1, M/2), where w and its cut agree, and the cut times x^2
+    has degree < M: its n-point sum is n/M times its M-point sum, so
+    sum_{k<n} w_k x_k^2 = (M^2/n) sum_{r<M} w~_M[r] u_r^2.
+    """
+    size = n // 2 + 1
+    Ms = [1] + [1 << k for k in range(3, (n // 2).bit_length())]
+    slices, at = {n: slice(0, size)}, size
+    for M in Ms:
+        slices[M] = slice(at, at + M // 2 + 1)
+        at += M // 2 + 1
+    tables = _plan_array(at)
+    work = np.empty(n // 2 + n.bit_length())
+    w = tables[:size]
+    np.power(np.abs(_fft_grid(n, 1.0, size)), d - 1, out=w)
+    spectrum = _even_dft(w, n, np.empty(size), work)
+    for M in Ms:
+        cut = np.zeros(M // 2 + 1)
+        keep = max(1, M // 2)
+        cut[:keep] = spectrum[:keep]
+        table = _even_dft(cut, M, tables[slices[M]], work)
+        table *= M * M / n
+        table[1:M // 2] *= 2.0
+    w[1:(n + 1) // 2] *= 2.0
+    tables.flags.writeable = False
+    return tables, slices
+
+
 def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
                   J: Optional[int]):
-    """The uniform grid t, the top level J, a work buffer and a generator of
-    the band spectra 0..J.
+    """Check the grid and the top level, then return T, the spacing h, the
+    top level J, a work buffer and a generator of the band spectra 0..J.
 
     On the periodic grid t_k = -T + 2Tk/n (n = n_fft), t_{n-k} = -t_k, so the
     even profile's samples are an even sequence: only the n//2 + 1 points
     t <= 0 are evaluated, and the spectrum, real and even, is one _even_dft
-    of entries 0..n//2.  Band j's window is nonzero, and computed, only
-    between the edges 2^{j-1}, 2^{j+1} of bands j-1 and j+1.  The generator
-    yields (a, b, X): X holds band j's half spectrum (bins 0..n//2), zero
-    outside bins a..b-1, in one buffer that the next band overwrites.
-    ``work`` serves every _even_dft of length <= n.  All buffers are made
-    once per call: fresh full-length arrays per band cost page faults.
+    of entries 0..n//2.  That is the generator's first step, so no transform
+    runs before it is consumed.  It then yields (a, b, X): X holds band j's
+    half spectrum (bins 0..n//2), its window from the cached ``_band_plan``
+    times the spectrum on bins a..b-1 and zero elsewhere, in one buffer that
+    the next band overwrites.  ``work`` serves every _even_dft of length <= n.
+    All buffers are made once per call: fresh full-length arrays per band
+    cost page faults.
     """
     if n_fft < 2 or not (T is None or (math.isfinite(T) and T > 0)):
         raise InvalidParameterError(
@@ -390,36 +491,31 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
     elif np.any(np.abs(g.grid.nodes[g.values != 0.0]) > T):
         raise InvalidParameterError(f"T = {T} cuts the profile's support")
     n, size = n_fft, n_fft // 2 + 1
-    t = -T + 2.0 * T * np.arange(n) / n
-    work = np.empty(n // 2 + int(n).bit_length())
-    spec = _even_dft(g(t[:size]), n, np.empty(size), work)
-    spec *= n
-    xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=t[1] - t[0])
-    xi_max = float(xi[-1])
-    J_max = max(1, int(math.ceil(math.log2(xi_max))))
+    t01 = _fft_grid(n, T, 2)
+    h = float(t01[1] - t01[0])
+    ramp, edges, xi_max = _band_plan(n, h)
     if J is None:
-        J = J_max
+        J = len(edges) - 2
     elif 2.0 ** J < xi_max:
         raise ResolutionError(
-            f"requested J={J} does not cover the grid spectrum (need >= {J_max})")
+            f"requested J={J} does not cover the grid spectrum "
+            f"(need >= {len(edges) - 2})")
+    edges += (size,) * (J + 2 - len(edges))
+    work = np.empty(n // 2 + int(n).bit_length())
 
     def bands():
+        spec = _even_dft(g(_fft_grid(n, T, size)), n, np.empty(size), work)
+        spec *= n
         product = np.zeros(size)
-        prev_a, prev = 0, np.zeros(0)
         for j in range(J + 1):
-            # 2^{J+1} > xi_max, so the top band runs to the last bin
-            a, b = np.searchsorted(xi, [2.0 ** (j - 1) if j else 0.0, 2.0 ** (j + 1)])
-            # the top window absorbs the tail: exact telescoping
-            low = _level_lowpass(xi[a:b], j) if j < J else np.ones(b - a)
-            # band j-1's low-pass on its own slice, which ends where it is 0
-            window, below = low.copy(), prev[a - prev_a:]
-            window[:below.size] -= below
-            prev_a, prev = a, low
-            np.multiply(spec[a:b], window, out=product[a:b])
-            yield int(a), int(b), product
+            a, mid, b = edges[j - 1] if j else 0, edges[j], edges[j + 1]
+            np.subtract(1.0, ramp[a:mid], out=product[a:mid])
+            product[mid:b] = ramp[mid:b]
+            product[a:b] *= spec[a:b]
+            yield a, b, product
             product[a:b] = 0.0
 
-    return t, J, work, bands()
+    return T, h, J, work, bands()
 
 
 def _band_samples(X: np.ndarray, work: np.ndarray, band: np.ndarray) -> None:
@@ -431,26 +527,23 @@ def _band_samples(X: np.ndarray, work: np.ndarray, band: np.ndarray) -> None:
     band[size:] = band[(n - 1) // 2:0:-1]
 
 
-def _parseval_mass(X: np.ndarray, a: int, b: int, n: int,
-                   Wm: Optional[np.ndarray], work: np.ndarray,
-                   scratch: np.ndarray) -> Optional[float]:
+def _l2_mass(X: np.ndarray, a: int, b: int, n: int,
+             weights: Optional[Tuple[np.ndarray, Dict[int, slice]]],
+             work: np.ndarray, scratch: np.ndarray) -> float:
     """sum_k w_k x_k^2 over the n-point grid for the band x whose half
-    spectrum X is zero outside bins a..b-1, or None when the band is too wide.
+    spectrum X is zero outside bins a..b-1; weighted, over T^{d-1}.
 
-    Unweighted (Wm None): (1/n) sum_f m_f X_f^2, with m_f = 1 at f = 0 and at
-    the Nyquist bin f = n/2, 2 otherwise.  Weighted: Wm_f = m_f w~_f, where
-    w~ = _even_dft(w) is the weight's spectrum over n; only f <= 2(b-1) <
-    M/2 <= n/4 is read.  x has degree b - 1, so x^2 has degree 2(b-1) and,
-    for M the least power of two above 4(b-1), the M-point DFT of x^2
-    sampled on the M-point grid is exact (no aliasing).
-    u = _even_dft(X, M) is n/M times x there and eta = _even_dft(u^2, M), so
-    the n-point spectrum of x^2 is (M^2/n) eta and the mass is
-    (M^2/n) sum_{f <= 2(b-1)} Wm_f eta_f.  Bands with M > n/2 return None.
-    ``scratch`` holds at least M + 2 floats.
+    Unweighted (weights None), by Parseval with no transform:
+    (1/n) sum_f m_f X_f^2, with m_f = 1 at f = 0 and at the Nyquist bin
+    f = n/2, 2 otherwise.  Weighted, from ``_weight_plan``'s tables: for M,
+    the least power of two above 4(b-1), one _even_dft of length M and a dot
+    of M/2 + 1 points; a band with M > n/2 is sampled on the half line
+    instead, one _even_dft of length n and a dot of n//2 + 1 points.
+    ``scratch`` holds at least n//2 + 1 floats.
     """
     if a == b:
         return 0.0
-    if Wm is None:
+    if weights is None:
         B = X[a:b]
         mass = 2.0 * float(np.dot(B, B))
         if a == 0:
@@ -458,14 +551,14 @@ def _parseval_mass(X: np.ndarray, a: int, b: int, n: int,
         if 2 * (b - 1) == n:
             mass -= B[-1] ** 2
         return mass / n
+    tables, slices = weights
     M = 1 << (4 * (b - 1)).bit_length()
     if M > n // 2:
-        return None
-    half, top = M // 2 + 1, 2 * b - 1
+        M = n
+    half = M // 2 + 1
     u = _even_dft(X[:half], M, scratch[:half], work)
     np.square(u, out=u)
-    eta = _even_dft(u, M, scratch[half:2 * half], work)
-    return float(np.dot(Wm[:top], eta[:top])) * M * M / n
+    return float(np.dot(tables[slices[M]], u))
 
 
 def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
@@ -475,19 +568,21 @@ def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
 
     Band 0 is the low-pass |xi| <= 2; band j lives on 2^{j-1} <= |xi| <= 2^{j+1}.
     The telescoped windows sum to 1 on the whole discrete spectrum, so the
-    band sum reproduces the sampled profile to roundoff.  The even profile's
-    samples on the periodic grid are an even sequence and the windows are even
-    in xi, so spectrum and bands are real and even: cosine transforms, folded
-    into a half-length one and a quarter-length DCT-III (one numpy irfft)
-    until the length is at most _FOLD_CUT = 4096, then one irfft.  Every band
-    is made on all n_fft points here; ``lp_besov_norm_1d`` at p = 2 makes only
-    the widest ones (see there).
+    band sum reproduces the sampled profile to roundoff.  The windows depend
+    only on the grid and are cached per (n_fft, spacing) (``_band_plan``).
+    The even profile's samples on the periodic grid are an even sequence and
+    the windows are even in xi, so spectrum and bands are real and even:
+    cosine transforms, folded into a half-length one and a quarter-length
+    DCT-III (one numpy irfft) until the length is at most _FOLD_CUT = 4096,
+    then one irfft.  Every band is made on all n_fft points here;
+    ``lp_besov_norm_1d`` at p = 2 makes only the widest ones, on the half
+    line (see there).
     """
-    t, J, work, bands = _dyadic_bands(g, n_fft, T, J)
+    T, _, J, work, bands = _dyadic_bands(g, n_fft, T, J)
     stacked = np.empty((J + 1, n_fft))
     for j, (_, _, X) in enumerate(bands):
         _band_samples(X, work, stacked[j])
-    return DyadicBandSpectrum(t, stacked, J)
+    return DyadicBandSpectrum(_fft_grid(n_fft, T, n_fft), stacked, J)
 
 
 def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
@@ -501,28 +596,29 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
     the radial extension (equivalent up to constants).  Independent of the
     atomic machinery: serves as its cross-check.  The bands are those of
     ``dyadic_band_spectrum``, made and reduced one at a time on the n_fft
-    grid.  At p = 2 a band's mass sum_k w_k x_k^2 comes from its spectrum by
-    Parseval instead (``_parseval_mass``): unweighted with no transform per
-    band; weighted, for a band with top bin b - 1, from two transforms of
-    length M, the least power of two above 4(b-1), where x^2 does not alias.
-    Weighted bands with M > n_fft/2 fall back to the samples on the n_fft grid.
+    grid.  At p = 2 a band's mass sum_k w_k x_k^2 comes from its spectrum
+    instead (``_l2_mass``): unweighted by Parseval, with no transform per
+    band; weighted, for a band with top bin b - 1, from one transform of
+    length M, the least power of two above 4(b-1), where x^2 does not alias,
+    dotted with a table of the weight cached per (n_fft, d) (``_weight_plan``;
+    |t|^{d-1} = T^{d-1} |t/T|^{d-1} serves every T).  Weighted bands with
+    M > n_fft/2 are sampled on the half line t <= 0 and dotted with the weight.
     """
     s, p, q, d = params.s, params.p, params.q, params.d
-    t, _, work, bands = _dyadic_bands(g, n_fft, T, J)
-    n, size, h = t.size, t.size // 2 + 1, t[1] - t[0]
-    w = None
-    if weighted:   # t is not needed past h: the weight |t|^{d-1} takes its place
-        w = np.abs(t, out=t)
-        w **= d - 1
-    band = np.empty(n) if p != 2 or weighted else None
-    Wm = None
-    if p == 2 and weighted:
-        Wm = _even_dft(w[:size], n, np.empty(size), work)
-        Wm[1:] *= 2.0
+    T, h, _, work, bands = _dyadic_bands(g, n_fft, T, J)
+    if p == 2:
+        # built before the bands fill this call's buffers: the build's
+        # temporaries are freed first
+        weights = _weight_plan(n_fft, d) if weighted else None
+        scale = T ** (d - 1) if weighted else 1.0
+        band = np.empty(n_fft // 2 + 1) if weighted else None
+    else:
+        w = np.abs(_fft_grid(n_fft, T, n_fft)) ** (d - 1) if weighted else None
+        band = np.empty(n_fft)
     logs = []
     for j, (a, b, X) in enumerate(bands):
-        mass = _parseval_mass(X, a, b, n, Wm, work, band) if p == 2 else None
-        if mass is not None:
+        if p == 2:
+            mass = _l2_mass(X, a, b, n_fft, weights, work, band) * scale
             nrm = float(mass * h) ** 0.5 if mass > 0 else 0.0
         else:
             _band_samples(X, work, band)

@@ -225,6 +225,37 @@ class TestIncrementalCapture:
         assert dec.coefficients.data == expected
         assert (len(expected) == 0) == (case == "zero")
 
+    @pytest.mark.parametrize("grid", ["uniform", "log-spaced"])
+    def test_node_values_read_from_the_captured_sum(self, monkeypatch, grid):
+        # collocation points on grid nodes take the captured sum's floats;
+        # only points between nodes are evaluated by _eval_capture: on
+        # h = 2^-6 those of the levels j > 6, on the log-spaced grid nearly all
+        if grid == "uniform":
+            g = RadialProfile.from_callable(
+                lambda t: bump((np.abs(t) - 1.1) / 0.7) + 0.3 * psi_cutoff(t),
+                Grid1D.uniform(2.0 ** -6, 3.0), d=2)
+        else:
+            g = WINDOW_CASES["log-spaced"]()
+        nodes = set(np.abs(g.grid.nodes).tolist())
+        evaluated = []
+        eval_capture = decompose._eval_capture
+
+        def recording(levels, t, L):
+            evaluated.append((len(levels), np.asarray(t).copy()))
+            return eval_capture(levels, t, L)
+
+        monkeypatch.setattr(decompose, "_eval_capture", recording)
+        J = 9
+        dec = decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False)
+        monkeypatch.undo()
+        assert evaluated and not any(nodes & set(t.tolist()) for _, t in evaluated)
+        if grid == "uniform":
+            assert sorted(j for j, _ in evaluated) == [7, 8, 9]
+        levels, history = from_scratch_decomposition(g, SPEC_L2, J)
+        for j in levels:
+            assert dec._levels[j].tobytes() == levels[j].tobytes()
+        assert [v.hex() for v in dec.residual_history] == [v.hex() for v in history]
+
     def test_add_level_sees_only_the_window(self, monkeypatch):
         # a thin annulus far out: the cascade touches the 2.6-wide window,
         # not the 16385-node grid
@@ -555,10 +586,13 @@ PARSEVAL_PROFILES = {
 
 class TestParsevalRoute:
     # n odd and even, around and above the fold cut; T from the grid (None)
-    # or given; J above J_max adds bands with an empty spectrum
+    # or given, also off the powers of two, where the weight tables shared
+    # by every T scale by T^{d-1}; J above J_max adds bands with an empty
+    # spectrum
     @pytest.mark.parametrize("n, T, J", [(2 ** 12 + 1, None, None),
                                          (3001, 4.0, 14), (2 ** 13, 4.0, None),
-                                         (2 ** 15, None, 17), (2 ** 17, 4.0, None)])
+                                         (2 ** 15, None, 17), (2 ** 17, 4.0, None),
+                                         (2 ** 13, 3.3, None), (3001, 5.0, 14)])
     @pytest.mark.parametrize("shape", sorted(PARSEVAL_PROFILES))
     def test_p2_norm_matches_stacked_bands(self, shape, n, T, J):
         g = RadialProfile.from_callable(PARSEVAL_PROFILES[shape],
@@ -578,8 +612,9 @@ class TestParsevalRoute:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_p2_transform_count(self, monkeypatch, weighted):
         # unweighted: the spectrum is the only transform; weighted at T = 4:
-        # the spectrum, the weight's and the 4 bands too wide for a grid of
-        # n/2 points are the only irfft calls of length >= n/4 (was 18)
+        # the spectrum, the 4 bands too wide for a grid of n/2 points and,
+        # on the first call for the grid, the weight's spectrum are the only
+        # irfft calls of length >= n/4 (was 18)
         dfts, lengths = [], []
         even_dft, irfft = decompose._even_dft, np.fft.irfft
 
@@ -602,6 +637,120 @@ class TestParsevalRoute:
             assert sum(length >= n // 4 for length in lengths) <= 6
         else:
             assert dfts == [n]
+
+
+def _windows_level_by_level(xi, J):
+    """Band j's window on its slice [a, b) as the low-pass difference of
+    levels j and j - 1, each built on its own slice."""
+    out, prev_a, prev = [], 0, np.zeros(0)
+    for j in range(J + 1):
+        a, b = np.searchsorted(xi, [2.0 ** (j - 1) if j else 0.0, 2.0 ** (j + 1)])
+        low = decompose._level_lowpass(xi[a:b], j) if j < J else np.ones(b - a)
+        window, below = low.copy(), prev[a - prev_a:]
+        window[:below.size] -= below
+        prev_a, prev = a, low
+        out.append((int(a), int(b), window))
+    return out
+
+
+def _clear_plans():
+    decompose._band_plan.cache_clear()
+    decompose._weight_plan.cache_clear()
+
+
+class TestFftPlan:
+    @pytest.mark.parametrize("n, T, J", [(2 ** 12, 4.0, None), (3001, 4.0, 14),
+                                         (2 ** 12 + 1, 3.3, None), (255, 5.0, 9),
+                                         (2 ** 17, 6.0, None), (64, 1.0, None),
+                                         (2, 4.0, 0)])
+    def test_windows_are_the_level_by_level_windows(self, n, T, J):
+        h = float(np.diff(decompose._fft_grid(n, T, 2))[0])
+        ramp, edges, xi_max = decompose._band_plan(n, h)
+        xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
+        J_max = max(1, int(math.ceil(math.log2(xi[-1]))))
+        assert xi_max == xi[-1] and len(edges) == J_max + 2
+        J = J_max if J is None else J
+        edges += (xi.size,) * (J + 2 - len(edges))
+        for j, (a, b, window) in enumerate(_windows_level_by_level(xi, J)):
+            mid = edges[j]
+            assert (a, b) == (edges[j - 1] if j else 0, edges[j + 1])
+            plan = np.concatenate([1.0 - ramp[a:mid], ramp[mid:b]])
+            assert plan.tobytes() == window.tobytes(), j
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_warm_call_matches_cold(self, d):
+        g = RadialProfile.from_callable(PARSEVAL_PROFILES["bump-pair"],
+                                        Grid1D.uniform(2 ** -10, 3.0), d=2)
+
+        def norms(cold):
+            out = []
+            for T in (4.0, 5.0, 4.0, 6.0):
+                if cold:
+                    _clear_plans()
+                for p, weighted in ((2.0, True), (2.0, False), (1.5, True)):
+                    v = lp_besov_norm_1d(g, SpaceParams(0.7, p, 1.0, d),
+                                         weighted=weighted, n_fft=2 ** 13, T=T)
+                    out.append(v.hex())
+                out.append(dyadic_band_spectrum(g, n_fft=2 ** 12, T=T).bands.tobytes())
+            return out
+
+        cold = norms(cold=True)
+        assert norms(cold=False) == cold
+
+    def test_warm_weighted_call_one_transform_per_band(self, monkeypatch):
+        n = 2 ** 17
+        g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -12, 4.0),
+                                        d=2)
+        params = SpaceParams(1.0, 2.0, 2.0, 2)
+        bands = dyadic_band_spectrum(g, n_fft=n, T=4.0).bands
+        nonempty = int(np.count_nonzero(np.any(bands != 0.0, axis=1)))
+        want = lp_besov_norm_1d(g, params, n_fft=n, T=4.0)
+        dfts = []
+        even_dft = decompose._even_dft
+
+        def recording(X, m, *args):
+            dfts.append(m)
+            return even_dft(X, m, *args)
+
+        monkeypatch.setattr(decompose, "_even_dft", recording)
+        assert lp_besov_norm_1d(g, params, n_fft=n, T=4.0) == want
+        # the spectrum, then one per band: 13 narrow ones on M <= n/2 points
+        # and 4 wide ones on the half line; none for the weight
+        assert len(dfts) == nonempty + 1 == 18
+        assert dfts[0] == n and dfts.count(n) == 5
+        assert max(dfts[1:14]) <= n // 2
+
+    def test_caches_bounded_and_read_only(self):
+        g = RadialProfile.from_callable(PARSEVAL_PROFILES["bump-pair"],
+                                        Grid1D.uniform(2 ** -10, 3.0), d=2)
+        for i in range(10):
+            lp_besov_norm_1d(g, SpaceParams(0.7, 2.0, 2.0, 1 + i % 4),
+                             n_fft=2 ** 12, T=2.0 + 0.5 * i)
+        for plan in (decompose._band_plan, decompose._weight_plan):
+            info = plan.cache_info()
+            assert info.currsize == info.maxsize == decompose._PLAN_ENTRIES
+        h = float(np.diff(decompose._fft_grid(2 ** 12, 6.5, 2))[0])
+        ramp, _, _ = decompose._band_plan(2 ** 12, h)
+        tables, _ = decompose._weight_plan(2 ** 12, 2)
+        for arr in (ramp, tables):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_small_J_raises_before_any_transform(self, monkeypatch):
+        _clear_plans()
+        calls = []
+        monkeypatch.setattr(decompose, "_even_dft",
+                            lambda *args: calls.append("_even_dft"))
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: calls.append("irfft"))
+        g = RadialProfile.from_callable(lambda t: np.exp(-t ** 2),
+                                        Grid1D.uniform(0.1, 2.0), d=2)
+        for call in (lambda: lp_besov_norm_1d(g, SpaceParams(1.0, 2.0, 2.0, 2),
+                                              n_fft=256, T=2.0, J=2),
+                     lambda: dyadic_band_spectrum(g, n_fft=256, T=2.0, J=2)):
+            with pytest.raises(ResolutionError):
+                call()
+        assert calls == []
 
 
 class TestFftInputValidation:
