@@ -67,6 +67,11 @@ class Assertion:
     threshold: float
     provenance: str    # "paper-exponent" or "frozen-baseline" or "identity"
 
+    def __post_init__(self):
+        # a numpy scalar would reach the summary as "np.float64(...)" via repr
+        object.__setattr__(self, "measured", float(self.measured))
+        object.__setattr__(self, "threshold", float(self.threshold))
+
     @property
     def passed(self) -> bool:
         if self.kind == "<=":

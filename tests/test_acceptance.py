@@ -5,11 +5,19 @@ assertions mirror the summary rows the experiment CLI writes.
 """
 
 import csv
+import json
+from pathlib import Path
 
 import pytest
 
 from radialfs.decay import figure_region
-from radialfs.experiments import ExperimentConfig, run_experiment
+from radialfs.experiments import REGISTRY, ExperimentConfig, run_experiment
+
+# every summary row of every experiment at its default options, written by
+# scripts/pin_reference.py
+REFERENCE = json.loads(
+    (Path(__file__).parent / "reference" / "summaries.json").read_text())
+REFERENCE_RTOL = 1e-12
 
 
 def _run(name, tmp_path, **options):
@@ -17,14 +25,33 @@ def _run(name, tmp_path, **options):
                            options={k: str(v) for k, v in options.items()})
     result = run_experiment(cfg)
     _check_data_csvs(tmp_path)
+    if not options and cfg.seed == REFERENCE["seed"]:
+        _check_reference(name, tmp_path / f"{name}-summary.csv")
     return result
 
 
+def _read_summary(path):
+    # rows (name, measured, kind, threshold, provenance); an assertion name
+    # may hold commas, as in anchor_point_(1,1), the five fields after it not
+    with open(path) as fh:
+        header, *lines = fh.read().splitlines()
+    assert header == "assertion,measured,kind,threshold,provenance,status"
+    rows = []
+    for line in lines:
+        name, measured, kind, threshold, provenance, _ = line.rsplit(",", 5)
+        rows.append((name, float(measured), kind, float(threshold), provenance))
+    return rows
+
+
 def _check_data_csvs(outdir):
-    # every data file (all but the summary) holds plain numbers under its
-    # header, one field per header column
-    data = [path for path in sorted(outdir.iterdir())
-            if not path.name.endswith("-summary.csv")]
+    # every data file holds plain numbers under its header, one field per
+    # header column; the summary holds plain numbers as measured and threshold
+    data = []
+    for path in sorted(outdir.iterdir()):
+        if path.name.endswith("-summary.csv"):
+            assert _read_summary(path), f"{path.name}: no assertion rows"
+        else:
+            data.append(path)
     assert data, f"no data CSV written in {outdir}"
     for path in data:
         with open(path, newline="") as fh:
@@ -34,6 +61,34 @@ def _check_data_csvs(outdir):
             assert len(row) == len(header), f"{path.name}: ragged row {row}"
             for value in row:
                 float(value)
+
+
+def _check_reference(name, summary):
+    # each row matches its pinned value to REFERENCE_RTOL, and a row pinned
+    # at 0 exactly; one message lists every row that moved
+    pinned = REFERENCE["experiments"][name]
+    got = _read_summary(summary)
+    assert [r[0] for r in got] == [p["name"] for p in pinned], \
+        f"{name}: assertion rows differ from the reference"
+    moved = []
+    for (row, measured, kind, threshold, provenance), p in zip(got, pinned):
+        want = float.fromhex(p["measured"])
+        rel = (abs(measured - want) / abs(want) if want
+               else (0.0 if measured == 0.0 else float("inf")))
+        if rel > REFERENCE_RTOL:
+            moved.append(f"{row}: {measured!r} vs pinned {want!r} "
+                         f"(relative difference {rel:.3g})")
+        if (kind, threshold, provenance) != (p["kind"], p["threshold"],
+                                             p["provenance"]):
+            moved.append(f"{row}: {kind} {threshold!r} ({provenance}) vs pinned "
+                         f"{p['kind']} {p['threshold']!r} ({p['provenance']})")
+    assert not moved, (f"{name}: rows differ from tests/reference/summaries.json"
+                       " (rewrite it with scripts/pin_reference.py only for a"
+                       " deliberate change):\n" + "\n".join(moved))
+
+
+def test_reference_pins_every_experiment():
+    assert sorted(REFERENCE["experiments"]) == sorted(REGISTRY)
 
 
 def _report(criterion, result):
