@@ -20,11 +20,9 @@ from .errors import EvennessError, InvalidParameterError
 __all__ = [
     "Grid1D",
     "RadialProfile",
-    "RadialField",
     "sphere_area",
     "ball_volume",
     "weighted_lp_norm",
-    "lp_norm_rd",
     "radial_gradient_identity_check",
     "GradientIdentityReport",
 ]
@@ -218,43 +216,6 @@ class RadialProfile:
         return RadialProfile(grid, arr[:, 1], dim_context=d)
 
 
-@dataclass(frozen=True)
-class RadialField:
-    """A rotation-invariant function on R^d realized as profile-composed-with-norm."""
-
-    profile: RadialProfile
-    d: int
-    evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    provenance: str = "profile"
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise InvalidParameterError(f"dimension must be >= 2, got {self.d}")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (..., d)."""
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        if self.evaluator is not None:
-            return self.evaluator(r)
-        return self.profile(r)
-
-    def check_rotation_invariance(self, rng=None, n: int = 100,
-                                  tol: float = 0.0) -> float:
-        """Max |f(Qx) - f(x)| over random rotations Q and random points x."""
-        rng = np.random.default_rng(rng)
-        radius = float(self.profile.grid.nodes[-1])
-        pts = rng.uniform(-radius, radius, size=(n, self.d))
-        worst = 0.0
-        for _ in range(n):
-            q, _ = np.linalg.qr(rng.standard_normal((self.d, self.d)))
-            diff = np.abs(self(pts @ q.T) - self(pts))
-            worst = max(worst, float(diff.max()))
-        if tol and worst > tol:
-            raise EvennessError(f"rotation invariance violated: {worst:g} > {tol:g}")
-        return worst
-
-
 def _resolve_dim(g: RadialProfile, d: Optional[int]) -> int:
     if d is None:
         d = g.dim_context
@@ -279,20 +240,6 @@ def weighted_lp_norm(g: RadialProfile, p: float, d: Optional[int] = None) -> flo
     t = g.grid.nodes
     integrand = np.abs(g.values) ** p * np.abs(t) ** (d - 1)
     return _trapezoid(integrand, t) ** (1.0 / p)
-
-
-def lp_norm_rd(f: RadialField, p: float) -> float:
-    """L_p(R^d) norm of a radial field via the exact half-line reduction.
-
-    Uses ||f||_p^p = omega_{d-1} * integral_0^inf |g(r)|^p r^{d-1} dr; no
-    d-dimensional quadrature is performed.
-    """
-    if not p > 0 or math.isinf(p):
-        raise InvalidParameterError("p must be finite and > 0")
-    if f.d < 2:
-        raise InvalidParameterError("dimension must be >= 2")
-    w = weighted_lp_norm(f.profile, p, f.d)
-    return (sphere_area(f.d) / 2.0) ** (1.0 / p) * w
 
 
 def _derivatives_123(t: np.ndarray, v: np.ndarray):

@@ -21,10 +21,6 @@ class OutOfHypothesisError(RadialfsError):
     """A predicate was queried outside the hypotheses under which it is defined."""
 
 
-class CoverageError(RadialfsError):
-    """Covering construction failed verification (a sampled point is in no ball)."""
-
-
 class DecompositionError(RadialfsError):
     """Atomic decomposition failed to converge."""
 

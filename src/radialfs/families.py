@@ -18,7 +18,7 @@ from .bump import annulus_shape, psi_cutoff
 from .core import Grid1D, RadialProfile
 from .errors import InvalidParameterError
 
-__all__ = ["TestFamily", "make_f_alpha", "make_f_alpha_delta", "make_Phi_alpha",
+__all__ = ["TestFamily", "make_f_alpha", "make_f_alpha_delta",
            "make_f_j_lambda", "make_f_alpha_sigma", "make_psi_cutoff",
            "parse_family"]
 
@@ -107,23 +107,6 @@ def make_f_alpha_delta(alpha: float, delta: float) -> TestFamily:
                       (0.5, 2.0), singularities=(1.0,))
 
 
-def make_Phi_alpha(alpha: float) -> TestFamily:
-    """max(0, 1 - |x|^2)^alpha: compactly supported kink at |x| = 1.
-
-    Documented: member of B^{1/p + alpha}_{p,inf} when 1/p + alpha > sigma_p(d).
-    """
-    if not alpha > 0:
-        raise InvalidParameterError("need alpha > 0")
-
-    def ev(t):
-        return np.maximum(0.0, 1.0 - np.abs(t) ** 2) ** alpha
-
-    return TestFamily("Phi_alpha", {"alpha": alpha}, ev, (0.0, 1.0),
-                      doc="max(0, 1-|x|^2)^alpha",
-                      membership={"space": "B", "s_of_p": "1/p + alpha",
-                                  "q": math.inf})
-
-
 def make_f_j_lambda(j: int, lam: float,
                     shape: Callable = annulus_shape) -> TestFamily:
     """Thin-annulus bump phi(2^j |y| - lambda).
@@ -186,7 +169,6 @@ def make_psi_cutoff() -> TestFamily:
 _MAKERS = {
     "f_alpha": lambda kw: make_f_alpha(**kw),
     "f_alpha_delta": lambda kw: make_f_alpha_delta(**kw),
-    "Phi_alpha": lambda kw: make_Phi_alpha(**kw),
     "f_j_lambda": lambda kw: make_f_j_lambda(int(kw.pop("j")), kw.pop("lambda"), **kw),
     "f_alpha_sigma": lambda kw: make_f_alpha_sigma(**kw),
     "psi_cutoff": lambda kw: make_psi_cutoff(),

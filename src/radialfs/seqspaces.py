@@ -34,7 +34,7 @@ from .core import Grid1D, ball_volume
 from .errors import InvalidParameterError, ResolutionError
 from .spaces import SpaceParams
 
-__all__ = ["CoefficientGrid", "AnnulusIndicator",
+__all__ = ["CoefficientGrid",
            "seq_norm_bspqd", "seq_norm_fspqd",
            "seq_norm_bpqd", "seq_norm_fpqd"]
 
@@ -139,32 +139,6 @@ class CoefficientGrid:
                 j, k, v = line.strip().split(",")
                 out[(int(j), int(k))] = float(v)
         return CoefficientGrid(out)
-
-
-@dataclass(frozen=True)
-class AnnulusIndicator:
-    """chi^#_{j,k} on R (1-D) and the characteristic function of P_{j,k} (d-dim)."""
-
-    j: int
-    k: int
-
-    @property
-    def lo(self) -> float:
-        return 2.0 ** (-self.j) * self.k
-
-    @property
-    def hi(self) -> float:
-        return 2.0 ** (-self.j) * (self.k + 1)
-
-    def chi_sharp(self, t) -> np.ndarray:
-        """1 iff 2^{-j} k <= |t| <= 2^{-j}(k+1) (closed annulus in R)."""
-        a = np.abs(np.asarray(t, dtype=float))
-        return ((a >= self.lo) & (a <= self.hi)).astype(float)
-
-    def chi_tilde(self, x) -> np.ndarray:
-        """1 iff 2^{-j} k <= |x| < 2^{-j}(k+1) for points x in R^d."""
-        r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-        return ((r >= self.lo) & (r < self.hi)).astype(float)
 
 
 def _check_pq(p: float, q: float, allow_p_inf: bool) -> None:

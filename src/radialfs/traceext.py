@@ -15,8 +15,7 @@ import numpy as np
 from .core import Grid1D, RadialProfile, _derivatives_123
 from .errors import EvennessError, InvalidParameterError, ResolutionError
 
-__all__ = ["RadialGridField", "trace", "extend", "cm_norm",
-           "origin_smoothness_defect", "support_annulus"]
+__all__ = ["RadialGridField", "trace", "extend", "cm_norm"]
 
 RADIALITY_TOL = 1e-8
 
@@ -170,43 +169,3 @@ def cm_norm(obj: Union[RadialProfile, RadialGridField], m: int) -> float:
     if isinstance(obj, RadialProfile):
         return _profile_cm(obj, m)
     return _field_cm(obj, m)
-
-
-def origin_smoothness_defect(g: RadialProfile, m: int) -> float:
-    """Max |g^{(n)}(0+)| over odd n <= m: the obstruction to ext g being C^m.
-
-    A C^m radial field forces the odd derivatives of its trace to vanish at
-    the origin; a nonzero defect flags a profile whose extension is not
-    smooth there (e.g. g(t) = |t|).
-    """
-    t = g.grid.nodes
-    pos = t >= 0.0
-    tp, vp = t[pos], g.values[pos]
-    if tp.size < 3:
-        raise ResolutionError("grid cannot resolve the origin derivative")
-    worst = 0.0
-    cur = vp
-    for n in range(1, m + 1):
-        if n % 2 == 1:
-            # one-sided limit from the right, second order (exact on t^2)
-            h1, h2 = tp[1] - tp[0], tp[2] - tp[0]
-            a = -(h1 + h2) / (h1 * h2)
-            b = h2 / (h1 * (h2 - h1))
-            c = -h1 / (h2 * (h2 - h1))
-            worst = max(worst, float(abs(a * cur[0] + b * cur[1] + c * cur[2])))
-        cur = np.gradient(cur, tp)
-    return worst
-
-
-def support_annulus(obj: Union[RadialProfile, RadialGridField],
-                    threshold: float = 1e-12) -> Optional[Tuple[float, float]]:
-    """Smallest annulus (or ball, a = 0) containing the numerical support.
-
-    Returns None for numerically zero input (the empty-support tag).
-    """
-    g = obj if isinstance(obj, RadialProfile) else trace(obj)
-    t = np.abs(g.grid.nodes)
-    alive = np.abs(g.values) > threshold
-    if not np.any(alive):
-        return None
-    return float(t[alive].min()), float(t[alive].max())

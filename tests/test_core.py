@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from radialfs.bump import bump, psi_cutoff
-from radialfs.core import (Grid1D, RadialField, RadialProfile,
-                           _gradient_identity_reports, ball_volume,
-                           lp_norm_rd, radial_gradient_identity_check,
+from radialfs.core import (Grid1D, RadialProfile, _gradient_identity_reports,
+                           ball_volume, radial_gradient_identity_check,
                            sphere_area, weighted_lp_norm)
 from radialfs.errors import EvennessError, InvalidParameterError
 
@@ -97,33 +96,29 @@ class TestWeightedLpNorm:
 
 
 class TestLpNormRd:
+    # ||g(|.|)||_{L_p(R^d)} = (omega_{d-1} / 2)^{1/p} * weighted_lp_norm(g, p, d):
+    # the even profile's weighted integral over R counts each radius twice
     def test_unit_disc_area(self):
         prof = RadialProfile.from_callable(lambda t: (t <= 1).astype(float),
                                            Grid1D.uniform(1e-4, 1.3), d=2)
-        f = RadialField(prof, d=2)
-        assert lp_norm_rd(f, 1) == pytest.approx(math.pi, rel=1e-3)
+        val = weighted_lp_norm(prof, 1, 2) * (sphere_area(2) / 2)
+        assert val == pytest.approx(math.pi, rel=1e-3)
 
     def test_unit_ball_volume(self):
         prof = RadialProfile.from_callable(lambda t: (t <= 1).astype(float),
                                            Grid1D.uniform(1e-4, 1.3), d=3)
-        f = RadialField(prof, d=3)
-        assert lp_norm_rd(f, 1) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-3)
+        val = weighted_lp_norm(prof, 1, 3) * (sphere_area(3) / 2)
+        assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-3)
 
     def test_bump_against_2d_tensor_oracle(self):
         prof = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2e-4, 2.0), d=2)
-        f = RadialField(prof, d=2, evaluator=psi_cutoff)
-        val = lp_norm_rd(f, 2)
+        val = weighted_lp_norm(prof, 2, 2) * (sphere_area(2) / 2) ** (1 / 2)
         # 2-D tensor quadrature oracle
         ax = np.linspace(-1.6, 1.6, 1601)
         xx, yy = np.meshgrid(ax, ax)
         h = ax[1] - ax[0]
         oracle = (np.sum(psi_cutoff(np.sqrt(xx ** 2 + yy ** 2)) ** 2) * h * h) ** 0.5
         assert val == pytest.approx(oracle, rel=1e-5)
-
-    def test_invalid_dimension(self):
-        prof = RadialProfile.from_callable(lambda t: t, Grid1D.uniform(0.1, 1.0), d=1)
-        with pytest.raises(InvalidParameterError):
-            RadialField(prof, d=1)
 
     def test_surface_constants(self):
         assert sphere_area(2) == pytest.approx(2 * math.pi)
@@ -272,15 +267,6 @@ class TestGradientIdentity:
         prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w), d=3)
         rep = radial_gradient_identity_check(prof, 1, 3, evaluator=ev, n_grid=16)
         assert abs(rep.ratio - 1.0) > 1e-2
-
-
-class TestRotationInvariance:
-    def test_profile_backed_field_exact(self):
-        # |Qx| agrees with |x| to roundoff, so the defect is at the eps level
-        prof = RadialProfile.from_callable(lambda t: np.exp(-t ** 2),
-                                           Grid1D.uniform(0.01, 3.0), d=3)
-        f = RadialField(prof, d=3)
-        assert f.check_rotation_invariance(rng=0, n=100) <= 1e-12
 
 
 class TestProfileSerialization:

@@ -329,6 +329,20 @@ class TestTraceNorms:
             expected = norms[0] * 2.0 ** (m * (params.s - 2.0 / params.p))
             assert 0.5 * expected <= norms[m] <= 2.0 * expected
 
+    def test_grows_toward_kink_smoothness(self):
+        # max(0, 1 - t^2)^alpha lies in B^{1/p + alpha}_{p,inf}: the norm
+        # grows as s approaches that edge from below
+        alpha, p = 1.0, 2.0
+        prof = RadialProfile.from_callable(
+            lambda t: np.maximum(0.0, 1.0 - np.abs(t) ** 2) ** alpha,
+            Grid1D.uniform(2e-4, 2.0), d=2)
+        norms = []
+        for eps in (0.6, 0.3, 0.15):
+            s = 1.0 / p + alpha - eps
+            norms.append(tb_norm(prof, SpaceParams(s, p, 2.0, 2),
+                                 spec=AtomSpec(2, -1, s, p), J=9))
+        assert norms[0] < norms[1] < norms[2]
+
 
 class TestTwoSidedSupportLaw:
     def test_dilated_annulus_exponent_law(self):

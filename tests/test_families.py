@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from radialfs.bump import annulus_shape
 from radialfs.core import Grid1D, weighted_lp_norm
 from radialfs.errors import InvalidParameterError
-from radialfs.families import (make_Phi_alpha, make_f_alpha,
-                               make_f_alpha_delta, make_f_alpha_sigma,
-                               make_f_j_lambda, make_psi_cutoff, parse_family)
+from radialfs.families import (make_f_alpha, make_f_alpha_delta,
+                               make_f_alpha_sigma, make_f_j_lambda,
+                               make_psi_cutoff, parse_family)
 from radialfs.spaces import in_U_t
 
 
@@ -65,39 +64,6 @@ class TestFAlphaDelta:
         base = make_f_alpha(0.3)
         t = np.array([1.0 + 1e-4])
         assert 0 < fam(t)[0] < base(t)[0]
-
-
-class TestPhiAlpha:
-    def test_value_at_origin(self):
-        for alpha in (0.5, 1.0, 3.0):
-            assert make_Phi_alpha(alpha)(np.array([0.0]))[0] == 1.0
-
-    def test_vanishes_beyond_one(self):
-        fam = make_Phi_alpha(1.0)
-        assert fam(np.array([1.0, 1.5, 7.0])).max() == 0.0
-
-    @given(t1=st.floats(0.0, 0.99), dt=st.floats(0.001, 0.5),
-           alpha=st.floats(0.2, 3.0))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_decreasing_on_unit_interval(self, t1, dt, alpha):
-        fam = make_Phi_alpha(alpha)
-        a, b = fam(np.array([t1, min(t1 + dt, 1.0)]))
-        assert b <= a + 1e-15
-
-    def test_tb_norm_grows_toward_documented_smoothness(self):
-        # s = 1/p + alpha is the documented edge: the norm grows as eps -> 0
-        from radialfs.covering import AtomSpec
-        from radialfs.decompose import tb_norm
-        from radialfs.spaces import SpaceParams
-        alpha, p = 1.0, 2.0
-        fam = make_Phi_alpha(alpha)
-        prof = fam.profile(Grid1D.uniform(2e-4, 2.0), d=2)
-        norms = []
-        for eps in (0.6, 0.3, 0.15):
-            s = 1.0 / p + alpha - eps
-            norms.append(tb_norm(prof, SpaceParams(s, p, 2.0, 2),
-                                 spec=AtomSpec(2, -1, s, p), J=9))
-        assert norms[0] < norms[1] < norms[2]
 
 
 class TestFJLambda:
@@ -188,6 +154,7 @@ class TestDescriptors:
     def test_parse_psi(self):
         assert parse_family("psi_cutoff").name == "psi_cutoff"
 
-    def test_unknown_family(self):
+    @pytest.mark.parametrize("desc", ["nope(x=1)", "Phi_alpha(alpha=1)"])
+    def test_unknown_family(self, desc):
         with pytest.raises(InvalidParameterError):
-            parse_family("nope(x=1)")
+            parse_family(desc)

@@ -7,9 +7,8 @@ from scipy.special import logsumexp
 
 from radialfs.core import Grid1D, ball_volume
 from radialfs.errors import ResolutionError
-from radialfs.seqspaces import (AnnulusIndicator, CoefficientGrid,
-                                _logsumexp, seq_norm_bpqd, seq_norm_bspqd,
-                                seq_norm_fpqd, seq_norm_fspqd)
+from radialfs.seqspaces import (CoefficientGrid, _logsumexp, seq_norm_bpqd,
+                                seq_norm_bspqd, seq_norm_fpqd, seq_norm_fspqd)
 from radialfs.spaces import SpaceParams
 
 
@@ -268,20 +267,6 @@ class TestLogSumExp:
                 assert float_bits(_logsumexp(row)) == float_bits(logsumexp(row))
             assert float_bits(_logsumexp(rows, axis=1)) == float_bits(
                 logsumexp(rows, axis=1))
-
-
-class TestAnnulusIndicator:
-    def test_chi_sharp_closed(self):
-        chi = AnnulusIndicator(2, 3)
-        assert chi.chi_sharp(np.array([0.75])) == 1.0          # 2^-2*3 = 0.75
-        assert chi.chi_sharp(np.array([-1.0])) == 1.0          # |t| = 2^-2*4
-        assert chi.chi_sharp(np.array([1.01])) == 0.0
-
-    def test_chi_tilde_half_open(self):
-        chi = AnnulusIndicator(0, 1)
-        x = np.array([[1.0, 0.0], [2.0, 0.0]])
-        assert chi.chi_tilde(x)[0] == 1.0
-        assert chi.chi_tilde(x)[1] == 0.0
 
 
 class TestCsv:

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from radialfs.bump import bump, psi_cutoff
+from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile
 from radialfs.errors import EvennessError, InvalidParameterError
-from radialfs.traceext import (RadialGridField, cm_norm, extend,
-                               origin_smoothness_defect, support_annulus,
-                               trace)
+from radialfs.traceext import RadialGridField, cm_norm, extend, trace
 
 
 def bump_profile(grid=None, d=2):
@@ -109,32 +107,3 @@ class TestCmNorm:
         assert worst[0] == pytest.approx(1.0, rel=1e-12)
         assert 1.0 <= worst[1] <= 3.2     # frozen: d sup|g'| vs sup|g'|
         assert 1.0 <= worst[2] <= 9.0     # frozen from the corpus run
-
-    def test_origin_smoothness_flag(self):
-        grid = Grid1D.uniform(1e-3, 1.0)
-        smooth = RadialProfile.from_callable(lambda t: t ** 2, grid)
-        kinked = RadialProfile.from_callable(lambda t: np.abs(t), grid)
-        assert origin_smoothness_defect(smooth, 1) <= 1e-8
-        assert origin_smoothness_defect(kinked, 1) >= 0.5
-
-
-class TestSupportAnnulus:
-    def test_indicator_annulus(self):
-        grid = Grid1D.uniform(1e-3, 3.0)
-        g = RadialProfile.from_callable(
-            lambda t: ((t >= 1) & (t <= 2)).astype(float), grid)
-        a, b = support_annulus(g)
-        assert a == pytest.approx(1.0, abs=2e-3)
-        assert b == pytest.approx(2.0, abs=2e-3)
-
-    def test_psi_cutoff_window(self):
-        grid = Grid1D.uniform(1e-3, 2.0)
-        g = RadialProfile.from_callable(psi_cutoff, grid)
-        a, b = support_annulus(g)
-        assert a == 0.0
-        assert b <= 1.5 + 1e-9
-
-    def test_zero_function_empty_tag(self):
-        grid = Grid1D.uniform(0.1, 1.0)
-        g = RadialProfile.from_callable(lambda t: 0.0 * t, grid)
-        assert support_annulus(g) is None
