@@ -41,6 +41,7 @@ def main(argv):
             return 1
         experiments = {name: read_summary(Path(tmp) / name / f"{name}-summary.csv")
                        for name in sorted(REGISTRY)}
+    # run-all's seed: the default, or RADIALFS_SEED when that is set
     reference = {"seed": ExperimentConfig("").seed, "experiments": experiments}
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(reference, indent=1) + "\n")

@@ -68,8 +68,9 @@ def _check_reference(name, summary):
     # at 0 exactly; one message lists every row that moved
     pinned = REFERENCE["experiments"][name]
     got = _read_summary(summary)
-    assert [r[0] for r in got] == [p["name"] for p in pinned], \
-        f"{name}: assertion rows differ from the reference"
+    names, pinned_names = [r[0] for r in got], [p["name"] for p in pinned]
+    assert names == pinned_names, \
+        f"{name}: assertion rows {names} differ from the pinned {pinned_names}"
     moved = []
     for (row, measured, kind, threshold, provenance), p in zip(got, pinned):
         want = float.fromhex(p["measured"])
