@@ -9,6 +9,7 @@ and provenance.  tests/test_acceptance.py compares every default-option run
 with this file.  Nothing is written unless every assertion passes.
 """
 
+import csv
 import json
 import sys
 import tempfile
@@ -22,11 +23,10 @@ DEFAULT = Path(__file__).resolve().parent.parent / "tests" / "reference" / "summ
 
 def read_summary(path):
     rows = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh.read().splitlines():
-            # an assertion name may hold commas, as in anchor_point_(1,1)
-            name, measured, kind, threshold, provenance, _ = line.rsplit(",", 5)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for name, measured, kind, threshold, provenance, _ in reader:
             rows.append({"name": name, "measured": float(measured).hex(),
                          "kind": kind, "threshold": float(threshold),
                          "provenance": provenance})

@@ -40,7 +40,7 @@ class AtomSpec:
             raise InvalidParameterError("need L >= 0 and M >= -1")
 
     @staticmethod
-    def b_admissible(s: float, p: float, d: int, q: float = None) -> "AtomSpec":
+    def b_admissible(s: float, p: float, d: int) -> "AtomSpec":
         from .spaces import sigma_p
         return AtomSpec(*_admissible_orders(s, sigma_p(p, d)), s, p)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -159,10 +159,9 @@ class AtomicDecomposition:
     residual_norm: float
     residual_history: List[float]
     d: Optional[int] = None
-    _levels: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def reconstruction(self, t) -> np.ndarray:
-        return _eval_capture(self._levels, t, self.spec.L)
+        return _eval_capture(self.coefficients.levels, t, self.spec.L)
 
     def atom_profile(self, j: int, k: int) -> RadialProfile:
         return template_atom_profile(j, k, self.grid, self.spec.L, d=self.d)
@@ -172,8 +171,7 @@ class AtomicDecomposition:
             fh.write(f"# template=bump L={self.spec.L} M={self.spec.M} "
                      f"s={self.spec.s} p={self.spec.p} J={self.J}\n")
             fh.write("j,k,coefficient\n")
-            for (j, k), v in sorted(self.coefficients.data.items()):
-                fh.write(f"{j},{k},{v!r}\n")
+            self.coefficients._write_rows(fh)
 
 
 def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
@@ -192,7 +190,10 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     up; only points between nodes are evaluated afresh.  ``track_history``
     records the weighted residual norm after every level (one full-grid
     trapezoid of the mirrored half-line integrand per level); without it
-    only the final residual norm is computed.
+    only the final residual norm is computed.  Level j's coefficients are
+    one array over its slots k = 0 .. ceil(2^j max|t|) + 1, zero where the
+    cascade does not collocate or the coefficient is 0; the dict of levels
+    0..J becomes the decomposition's ``CoefficientGrid`` without a copy.
     """
     if not g.grid.even:
         raise InvalidParameterError("decomposition needs an even profile")
@@ -253,12 +254,9 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
                 f"residual stalls: {history[-1]:.3g} at J={J} vs "
                 f"{history[-3]:.3g} at J={J - 2}")
 
-    entries = {(j, k): float(coeffs[k]) for j, coeffs in levels.items()
-               for k in np.flatnonzero(coeffs).tolist()}
-    return AtomicDecomposition(CoefficientGrid(entries), spec, J, g.grid,
+    return AtomicDecomposition(CoefficientGrid(levels), spec, J, g.grid,
                                residual_norm=history[-1],
-                               residual_history=history,
-                               d=g.dim_context, _levels=levels)
+                               residual_history=history, d=g.dim_context)
 
 
 def tb_norm(g: RadialProfile, params: SpaceParams,
@@ -643,17 +641,12 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
 # Radial Sobolev norms
 
 
-def _fd_derivative(g: RadialProfile) -> np.ndarray:
-    d1, _ = _derivatives_123(g.grid.nodes, g.values)
-    return d1
-
-
 def sobolev_radial_norm_1(g: RadialProfile, p: float,
                           d: Optional[int] = None) -> float:
     """||g | L_p(|t|^{d-1})|| + ||g' | L_p(|t|^{d-1})||."""
     if p < 1:
         raise InvalidParameterError("p >= 1 required (Sobolev regime)")
     d = d if d is not None else g.dim_context
-    d1 = _fd_derivative(g)
+    d1, _ = _derivatives_123(g.grid.nodes, g.values)
     gp = RadialProfile(g.grid, 0.5 * (np.abs(d1) + np.abs(d1[::-1])))
     return weighted_lp_norm(g, p, d) + weighted_lp_norm(gp, p, d)

@@ -7,6 +7,7 @@ the threshold, pass/fail), and is deterministic given the seed.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -82,10 +83,10 @@ class Assertion:
             return abs(self.measured) <= self.threshold
         raise ConfigError(f"unknown assertion kind {self.kind!r}")
 
-    def row(self) -> str:
+    def row(self) -> tuple:
         status = "pass" if self.passed else "FAIL"
-        return (f"{self.name},{self.measured!r},{self.kind},"
-                f"{self.threshold!r},{self.provenance},{status}")
+        return (self.name, self.measured, self.kind, self.threshold,
+                self.provenance, status)
 
 
 @dataclass
@@ -101,10 +102,13 @@ class ExperimentResult:
     def write_summary(self, outdir: Path) -> Path:
         outdir.mkdir(parents=True, exist_ok=True)
         path = outdir / f"{self.name}-summary.csv"
-        with open(path, "w") as fh:
-            fh.write("assertion,measured,kind,threshold,provenance,status\n")
-            for a in self.assertions:
-                fh.write(a.row() + "\n")
+        with open(path, "w", newline="") as fh:
+            # csv quotes a name holding commas, as in anchor_point_(1,1);
+            # floats are written as their repr
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["assertion", "measured", "kind", "threshold",
+                          "provenance", "status"])
+            out.writerows(a.row() for a in self.assertions)
         self.artifacts.append(path)
         return path
 

@@ -1,7 +1,12 @@
 """The four adapted sequence-space quasi-norms on doubly indexed coefficients.
 
 Coefficients s_{j,k} carry level/annulus semantics: level j sets the dyadic
-scale 2^{-j}, annulus k selects 2^{-j}k <= |t| <= 2^{-j}(k+1).
+scale 2^{-j}, annulus k selects 2^{-j}k <= |t| <= 2^{-j}(k+1).  A
+``CoefficientGrid`` keeps one array per level, dense in k from k = 0, where
+a zero is an absent entry: the arrays ``decompose_profile`` builds, held
+without a copy.  Every norm reduces a level's nonzero entries
+(``np.flatnonzero``) in one numpy pass, so its Python work grows with the
+number of levels, not of entries.
 
 The b-norms are the displayed weighted ell-space formulas.  The f-norms are
 realized with mass-normalized annulus indicators: the indicator of annulus
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -62,83 +67,47 @@ def _logsumexp(a, axis=None):
 
 @dataclass
 class CoefficientGrid:
-    """Sparse storage for coefficients s_{j,k}, j >= 0, k >= 0; absent = 0."""
+    """Coefficients s_{j,k}, j >= 0, k >= 0, as one array per level:
+    levels[j][k] = s_{j,k}, dense in k from k = 0; a zero entry is absent."""
 
-    data: Dict[Tuple[int, int], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for (j, k), v in self.data.items():
-            if j < 0 or k < 0:
-                raise InvalidParameterError("indices must satisfy j >= 0, k >= 0")
-            if v != 0.0:
-                clean[(int(j), int(k))] = float(v)
-        self.data = clean
-
-    @staticmethod
-    def single(j: int, k: int, value: float = 1.0) -> "CoefficientGrid":
-        return CoefficientGrid({(j, k): value})
-
-    @staticmethod
-    def from_dense(arr: np.ndarray) -> "CoefficientGrid":
-        arr = np.asarray(arr, dtype=float)
-        js, ks = np.nonzero(arr)
-        return CoefficientGrid({(int(j), int(k)): float(arr[j, k])
-                                for j, k in zip(js, ks)})
+    levels: Dict[int, np.ndarray] = field(default_factory=dict)
 
     @staticmethod
     def random(rng, J: int, K: int, density: float = 0.3,
                scale: float = 1.0) -> "CoefficientGrid":
         mask = rng.random((J + 1, K + 1)) < density
         vals = rng.standard_normal((J + 1, K + 1)) * scale
-        return CoefficientGrid.from_dense(np.where(mask, vals, 0.0))
-
-    def get(self, j: int, k: int) -> float:
-        return self.data.get((j, k), 0.0)
-
-    def set(self, j: int, k: int, value: float) -> None:
-        if value == 0.0:
-            self.data.pop((j, k), None)
-        else:
-            self.data[(int(j), int(k))] = float(value)
+        return CoefficientGrid(dict(enumerate(np.where(mask, vals, 0.0))))
 
     @property
     def J(self) -> int:
-        return max((j for j, _ in self.data), default=0)
+        return max((j for j, a in self.levels.items() if a.any()), default=0)
 
-    def items(self) -> Iterable[Tuple[Tuple[int, int], float]]:
-        return self.data.items()
+    def items(self) -> Iterator[Tuple[Tuple[int, int], float]]:
+        """((j, k), s_{j,k}) for the nonzero entries, in ascending (j, k)."""
+        for j in sorted(self.levels):
+            a = self.levels[j]
+            for k in np.flatnonzero(a).tolist():
+                yield (j, k), float(a[k])
 
     def __len__(self) -> int:
-        return len(self.data)
+        return sum(np.count_nonzero(a) for a in self.levels.values())
 
     def scaled(self, c: float) -> "CoefficientGrid":
-        return CoefficientGrid({jk: c * v for jk, v in self.data.items()})
-
-    def level_weighted(self, factor) -> "CoefficientGrid":
-        """New grid with entries multiplied by factor(j)."""
-        return CoefficientGrid({(j, k): factor(j) * v
-                                for (j, k), v in self.data.items()})
+        return CoefficientGrid({j: c * a for j, a in self.levels.items()})
 
     def truncated(self, J0: int) -> "CoefficientGrid":
-        return CoefficientGrid({(j, k): v for (j, k), v in self.data.items()
-                                if j <= J0})
+        return CoefficientGrid({j: a for j, a in self.levels.items() if j <= J0})
+
+    def _write_rows(self, fh) -> None:
+        """One CSV line j,k,value per nonzero entry, in ascending (j, k)."""
+        for (j, k), v in self.items():
+            fh.write(f"{j},{k},{v!r}\n")
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("j,k,value\n")
-            for (j, k), v in sorted(self.data.items()):
-                fh.write(f"{j},{k},{v!r}\n")
-
-    @staticmethod
-    def from_csv(path) -> "CoefficientGrid":
-        out = {}
-        with open(path) as fh:
-            next(fh)
-            for line in fh:
-                j, k, v = line.strip().split(",")
-                out[(int(j), int(k))] = float(v)
-        return CoefficientGrid(out)
+            self._write_rows(fh)
 
 
 def _check_pq(p: float, q: float, allow_p_inf: bool) -> None:
@@ -148,20 +117,19 @@ def _check_pq(p: float, q: float, allow_p_inf: bool) -> None:
         raise InvalidParameterError("p = inf not supported for this norm")
 
 
-def _log_inner_lp(entries, p: float, d: int) -> Dict[int, float]:
-    """Per-level log of (sum_k (1+k)^{d-1} |s_{j,k}|^p); p=inf gives log sup."""
-    per_level: Dict[int, list] = {}
-    for (j, k), v in entries:
-        per_level.setdefault(j, []).append((k, abs(v)))
+def _log_inner_lp(c: CoefficientGrid, p: float, d: int) -> Dict[int, float]:
+    """Per-level log of (sum_k (1+k)^{d-1} |s_{j,k}|^p); p=inf gives log sup.
+    Levels with no entry are left out."""
     out = {}
-    for j, lst in per_level.items():
+    for j in sorted(c.levels):
+        k = np.flatnonzero(c.levels[j])
+        if k.size == 0:
+            continue
+        a = np.abs(c.levels[j][k])
         if math.isinf(p):
-            m = max(a for _, a in lst)
-            out[j] = math.log(m) if m > 0 else -math.inf
+            out[j] = math.log(a.max())
         else:
-            logs = [p * math.log(a) + (d - 1) * math.log1p(k)
-                    for k, a in lst if a > 0]
-            out[j] = _logsumexp(logs) if logs else -math.inf
+            out[j] = _logsumexp(p * np.log(a) + (d - 1) * np.log1p(k))
     return out
 
 
@@ -179,7 +147,7 @@ def _b_norm(c: CoefficientGrid, p: float, q: float, d: int,
             level_log_weight) -> float:
     """(sum_j (exp(level_log_weight(j)) (sum_k (1+k)^{d-1} |s_{j,k}|^p)^{1/p})^q)^{1/q}."""
     _check_pq(p, q, allow_p_inf=True)
-    inner = _log_inner_lp(c.items(), p, d)
+    inner = _log_inner_lp(c, p, d)
     ip = 0.0 if math.isinf(p) else 1.0 / p
     log_terms = {j: level_log_weight(j) + (v if math.isinf(p) else ip * v)
                  for j, v in inner.items()}
@@ -198,14 +166,15 @@ def seq_norm_bpqd(c: CoefficientGrid, p: float, q: float, d: int) -> float:
     return _b_norm(c, p, q, d, lambda j: 0.0)
 
 
-def _mass_ratio_log(j: int, k: int, d: int) -> float:
+def _mass_ratio_log(k: np.ndarray, d: int) -> np.ndarray:
     """log of [2^{-jd}(1+k)^{d-1}] / [the geometric weighted annulus measure].
 
     Geometric measure of {2^{-j}k <= |t| <= 2^{-j}(k+1)} under |t|^{d-1} dt
     (both signs) is (2/d) 2^{-jd} ((k+1)^d - k^d).
     """
-    geo = (2.0 / d) * ((k + 1.0) ** d - float(k) ** d)
-    return (d - 1) * math.log1p(k) - math.log(geo)
+    k = k.astype(float)
+    geo = (2.0 / d) * ((k + 1.0) ** d - k ** d)
+    return (d - 1) * np.log1p(k) - np.log(geo)
 
 
 def _check_resolution(c: CoefficientGrid, grid: Optional[Grid1D]) -> None:
@@ -217,8 +186,8 @@ def _check_resolution(c: CoefficientGrid, grid: Optional[Grid1D]) -> None:
                 f"grid spacing must be <= 2^-(J+1) = {finest / 2:g} to resolve level {c.J}")
 
 
-def _f_norm_exact(entries, level_log_weight, p: float, q: float, d: int,
-                  mass_log_extra: float) -> float:
+def _f_norm_exact(c: CoefficientGrid, level_log_weight, p: float, q: float,
+                  d: int, mass_log_extra: float) -> float:
     """Exact piecewise evaluation of an f-type norm.
 
     Integrand: (sum_{j,k} exp(q * level_log_weight(j)) shat_{j,k}^q chi_{j,k})^{p/q}
@@ -226,26 +195,31 @@ def _f_norm_exact(entries, level_log_weight, p: float, q: float, d: int,
     ``mass_log_extra`` shifts the log-measure of every elementary interval
     (used for the d-dimensional volume constant).
     """
-    ent = [((j, k), abs(v)) for (j, k), v in entries if v != 0.0]
-    if not ent:
+    los, his, log_coef, per_level = [], [], [], []
+    for j in sorted(c.levels):
+        k = np.flatnonzero(c.levels[j])
+        if k.size == 0:
+            continue
+        los.append(2.0 ** (-j) * k)
+        his.append(2.0 ** (-j) * (k + 1))
+        # level weight times shat in log space: |s| (mass / geometric mass)^{1/p}
+        log_coef.append(level_log_weight(j) + (
+            np.log(np.abs(c.levels[j][k])) + _mass_ratio_log(k, d) / p))
+        per_level.append(k.size)
+    if not per_level:
         return 0.0
-    js = np.array([j for (j, _), _ in ent])
-    los = np.array([2.0 ** (-j) * k for (j, k), _ in ent])
-    his = np.array([2.0 ** (-j) * (k + 1) for (j, k), _ in ent])
-    # shat in log space: |s| * (mass / geometric mass)^{1/p}
-    log_shat = np.array([math.log(a) + _mass_ratio_log(j, k, d) / p
-                         for (j, k), a in ent])
-    log_lvl = np.array([level_log_weight(j) for (j, k), _ in ent])
+    los, his, log_coef = map(np.concatenate, (los, his, log_coef))
+    # column of each entry: one per level present, in ascending j
+    col = np.repeat(np.arange(len(per_level)), per_level)
 
     bps = np.unique(np.concatenate([los, his]))
     # entry e covers the elementary intervals first[e] .. first[e] + run[e] - 1
     first = np.searchsorted(bps, los)
     run = np.searchsorted(bps, his) - first
     rows = np.arange(run.sum()) + np.repeat(first - (np.cumsum(run) - run), run)
-    levels, col = np.unique(js, return_inverse=True)
     # one column per level: annuli of one level have disjoint interiors
-    log_piece = np.full((bps.size - 1, levels.size), -np.inf)
-    log_piece[rows, np.repeat(col, run)] = np.repeat(log_lvl + log_shat, run)
+    log_piece = np.full((bps.size - 1, len(per_level)), -np.inf)
+    log_piece[rows, np.repeat(col, run)] = np.repeat(log_coef, run)
     # geometric weighted mass of each elementary interval: (2/d)(b^d - a^d)
     log_mass = np.log(2.0 / d) + np.log(bps[1:] ** d - bps[:-1] ** d) + mass_log_extra
 
@@ -271,7 +245,7 @@ def seq_norm_fspqd(c: CoefficientGrid, params: SpaceParams,
     s, p, q, d = params.s, params.p, params.q, params.d
     _check_pq(p, q, allow_p_inf=False)
     _check_resolution(c, grid)
-    return _f_norm_exact(c.items(), lambda j: j * s * LN2, p, q, d, 0.0)
+    return _f_norm_exact(c, lambda j: j * s * LN2, p, q, d, 0.0)
 
 
 def seq_norm_fpqd(c: CoefficientGrid, p: float, q: float, d: int,
@@ -283,5 +257,5 @@ def seq_norm_fpqd(c: CoefficientGrid, p: float, q: float, d: int,
     """
     _check_pq(p, q, allow_p_inf=False)
     _check_resolution(c, grid)
-    return _f_norm_exact(c.items(), lambda j: j * (d / p) * LN2, p, q, d,
+    return _f_norm_exact(c, lambda j: j * (d / p) * LN2, p, q, d,
                          math.log(ball_volume(d)))

@@ -31,21 +31,23 @@ def _run(name, tmp_path, **options):
 
 
 def _read_summary(path):
-    # rows (name, measured, kind, threshold, provenance); an assertion name
-    # may hold commas, as in anchor_point_(1,1), the five fields after it not
-    with open(path) as fh:
-        header, *lines = fh.read().splitlines()
-    assert header == "assertion,measured,kind,threshold,provenance,status"
+    # rows (name, measured, kind, threshold, provenance)
+    with open(path, newline="") as fh:
+        header, *lines = csv.reader(fh)
+    assert header == ["assertion", "measured", "kind", "threshold",
+                      "provenance", "status"]
     rows = []
     for line in lines:
-        name, measured, kind, threshold, provenance, _ = line.rsplit(",", 5)
+        assert len(line) == len(header), f"{path.name}: ragged row {line}"
+        name, measured, kind, threshold, provenance, _ = line
         rows.append((name, float(measured), kind, float(threshold), provenance))
     return rows
 
 
 def _check_data_csvs(outdir):
     # every data file holds plain numbers under its header, one field per
-    # header column; the summary holds plain numbers as measured and threshold
+    # header column; the summary holds its six fields per row, with plain
+    # numbers as measured and threshold
     data = []
     for path in sorted(outdir.iterdir()):
         if path.name.endswith("-summary.csv"):

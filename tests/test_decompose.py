@@ -32,7 +32,7 @@ class TestDecomposeProfile:
     def test_single_atom_reproduced_exactly(self, fine_grid):
         atom = template_atom_profile(2, 3, fine_grid, L=2, d=2)
         dec = decompose_profile(atom, SPEC_L2, J=8)
-        assert dec.coefficients.get(2, 3) == pytest.approx(1.0, rel=1e-12)
+        assert dec.coefficients.levels[2][3] == pytest.approx(1.0, rel=1e-12)
         crosstalk = max((abs(v) for jk, v in dec.coefficients.items()
                          if jk != (2, 3)), default=0.0)
         assert crosstalk < 1e-3  # exact zero by the collocation geometry
@@ -65,7 +65,7 @@ class TestDecomposeProfile:
             lambda t: bump((t - 1.0) / 0.7) + bump((t + 1.0) / 0.7), fine_grid, d=2)
         dec = decompose_profile(g, SPEC_L2, J=6)
         checked = 0
-        for (j, k) in list(dec.coefficients.data)[:25]:
+        for (j, k), _ in list(dec.coefficients.items())[:25]:
             ap = dec.atom_profile(j, k)
             interval = (2.0 ** -j,) if k == 0 else \
                 (2.0 ** -j * k, 2.0 ** -j * (k + 1))
@@ -188,14 +188,14 @@ class TestIncrementalCapture:
         dec = decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False,
                                 track_history=track_history)
         levels, history = from_scratch_decomposition(g, SPEC_L2, J)
-        assert list(dec._levels) == list(levels)
+        assert list(dec.coefficients.levels) == list(levels)
         for j in levels:
-            assert np.array_equal(dec._levels[j], levels[j])
+            assert np.array_equal(dec.coefficients.levels[j], levels[j])
         assert dec.residual_history == (history if track_history else history[-1:])
         assert dec.residual_norm == history[-1]
         expected = {(j, k): float(v) for j, arr in levels.items()
                     for k, v in enumerate(arr) if v != 0.0}
-        assert dec.coefficients.data == expected
+        assert dict(dec.coefficients.items()) == expected
 
     def test_reconstruction_is_the_sum_of_atoms(self):
         # independent of the localized per-level evaluation: sum every
@@ -216,13 +216,13 @@ class TestIncrementalCapture:
         g = WINDOW_CASES[case]()
         dec = decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False)
         levels, history = from_scratch_decomposition(g, SPEC_L2, J)
-        assert list(dec._levels) == list(levels)
+        assert list(dec.coefficients.levels) == list(levels)
         for j in levels:
-            assert dec._levels[j].tobytes() == levels[j].tobytes()
+            assert dec.coefficients.levels[j].tobytes() == levels[j].tobytes()
         assert [v.hex() for v in dec.residual_history] == [v.hex() for v in history]
         expected = {(j, k): float(v) for j, arr in levels.items()
                     for k, v in enumerate(arr) if v != 0.0}
-        assert dec.coefficients.data == expected
+        assert dict(dec.coefficients.items()) == expected
         assert (len(expected) == 0) == (case == "zero")
 
     @pytest.mark.parametrize("grid", ["uniform", "log-spaced"])
@@ -253,7 +253,7 @@ class TestIncrementalCapture:
             assert sorted(j for j, _ in evaluated) == [7, 8, 9]
         levels, history = from_scratch_decomposition(g, SPEC_L2, J)
         for j in levels:
-            assert dec._levels[j].tobytes() == levels[j].tobytes()
+            assert dec.coefficients.levels[j].tobytes() == levels[j].tobytes()
         assert [v.hex() for v in dec.residual_history] == [v.hex() for v in history]
 
     def test_add_level_sees_only_the_window(self, monkeypatch):
@@ -284,7 +284,7 @@ class TestIncrementalCapture:
         assert out.tobytes() == np.zeros(8).tobytes()
         levels, history = from_scratch_decomposition(g, SPEC_L2, 8)
         for j in levels:
-            assert dec._levels[j].tobytes() == levels[j].tobytes()
+            assert dec.coefficients.levels[j].tobytes() == levels[j].tobytes()
         assert [v.hex() for v in dec.residual_history] == [v.hex() for v in history]
 
 

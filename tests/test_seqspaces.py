@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,56 +7,68 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from radialfs.core import Grid1D, ball_volume
+from radialfs.covering import AtomSpec
+from radialfs.decompose import AtomicDecomposition
 from radialfs.errors import ResolutionError
 from radialfs.seqspaces import (CoefficientGrid, _logsumexp, seq_norm_bpqd,
                                 seq_norm_bspqd, seq_norm_fpqd, seq_norm_fspqd)
 from radialfs.spaces import SpaceParams
 
 
+def from_entries(entries):
+    """The grid whose nonzero s_{j,k} are entries[(j, k)]."""
+    K = 1 + max((k for _, k in entries), default=-1)
+    levels = {}
+    for (j, k), v in entries.items():
+        levels.setdefault(j, np.zeros(K))[k] = v
+    return CoefficientGrid(levels)
+
+
 def random_grid(seed, J=5, K=15, density=0.5):
     rng = np.random.default_rng(seed)
     c = CoefficientGrid.random(rng, J, K, density)
     if not len(c):
-        c = CoefficientGrid.single(0, 0, 1.0)
+        c = from_entries({(0, 0): 1.0})
     return c
 
 
 class TestBNorm:
     def test_single_entry_is_one_for_all_params(self):
-        c = CoefficientGrid.single(0, 0, 1.0)
+        c = from_entries({(0, 0): 1.0})
         for params in (SpaceParams(1.0, 2.0, 2.0, 2), SpaceParams(-0.3, 0.5, 4.0, 3),
                        SpaceParams(2.0, 1.0, math.inf, 1)):
             assert seq_norm_bspqd(c, params) == pytest.approx(1.0, rel=1e-14)
 
     def test_arithmetic_series(self):
         K = 5
-        c = CoefficientGrid({(0, k): 1.0 for k in range(K)})
+        c = from_entries({(0, k): 1.0 for k in range(K)})
         assert seq_norm_bspqd(c, SpaceParams(1.0, 1.0, 2.0, 2)) == pytest.approx(
             K * (K + 1) / 2.0)
 
     def test_two_level_weight_cancellation(self):
         s, p, d = 1.0, 1.0, 2
-        c = CoefficientGrid({(j, 0): 2.0 ** (-j * (s - d / p)) for j in (0, 1)})
+        c = from_entries({(j, 0): 2.0 ** (-j * (s - d / p)) for j in (0, 1)})
         assert seq_norm_bspqd(c, SpaceParams(s, p, 1.0, d)) == pytest.approx(2.0)
 
     def test_plain_b_single_entry(self):
-        assert seq_norm_bpqd(CoefficientGrid.single(0, 0), 2.0, 2.0, 3) == 1.0
+        assert seq_norm_bpqd(from_entries({(0, 0): 1.0}), 2.0, 2.0, 3) == 1.0
 
     def test_weight_change_of_variables(self):
         # b^s norm of c equals plain b norm of c' with c'_{j,k} = 2^{j(s-d/p)} c_{j,k}
         c = random_grid(1)
         s, p, q, d = 0.7, 1.5, 2.5, 2
         lhs = seq_norm_bspqd(c, SpaceParams(s, p, q, d))
-        cp = c.level_weighted(lambda j: 2.0 ** (j * (s - d / p)))
+        cp = CoefficientGrid({j: 2.0 ** (j * (s - d / p)) * a
+                              for j, a in c.levels.items()})
         assert lhs == pytest.approx(seq_norm_bpqd(cp, p, q, d), rel=1e-12)
 
     def test_q_infinity_is_level_max(self):
-        c = CoefficientGrid({(0, 0): 3.0, (1, 0): 5.0})
+        c = from_entries({(0, 0): 3.0, (1, 0): 5.0})
         val = seq_norm_bpqd(c, 1.0, math.inf, 2)
         assert val == pytest.approx(5.0)
 
     def test_overflow_control_large_J(self):
-        c = CoefficientGrid({(j, 0): 1.0 for j in range(0, 3000, 150)})
+        c = from_entries({(j, 0): 1.0 for j in range(0, 3000, 150)})
         v = seq_norm_bspqd(c, SpaceParams(4.0, 0.25, 1.0, 3))
         assert math.isfinite(v) and v > 0
 
@@ -63,7 +76,7 @@ class TestBNorm:
 class TestFNorm:
     def test_single_entry_d2_p1(self):
         # inner function is chi on |t| <= 1: 2 int_0^1 t dt = 1
-        c = CoefficientGrid.single(0, 0, 1.0)
+        c = from_entries({(0, 0): 1.0})
         assert seq_norm_fspqd(c, SpaceParams(0.5, 1.0, 2.0, 2)) == pytest.approx(1.0)
 
     def test_p_equals_q_matches_b(self):
@@ -88,13 +101,13 @@ class TestFNorm:
         assert val == pytest.approx(oracle, rel=1e-12)
 
     def test_under_resolved_grid_rejected(self):
-        c = CoefficientGrid.single(6, 3, 1.0)
+        c = from_entries({(6, 3): 1.0})
         grid = Grid1D.uniform(0.5, 2.0)
         with pytest.raises(ResolutionError):
             seq_norm_fspqd(c, SpaceParams(1.0, 2.0, 1.0, 2), grid)
 
     def test_fpqd_single_entry_sqrt_pi(self):
-        c = CoefficientGrid.single(0, 0, 1.0)
+        c = from_entries({(0, 0): 1.0})
         assert seq_norm_fpqd(c, 2.0, 2.0, 2) == pytest.approx(math.sqrt(math.pi))
 
     def test_fpqd_p_eq_q_is_bpqd_times_ball_volume(self):
@@ -134,9 +147,7 @@ class TestQuasiNormProperties:
         rng = np.random.default_rng(seed)
         a = CoefficientGrid.random(rng, 4, 10, 0.6)
         b = CoefficientGrid.random(rng, 4, 10, 0.6)
-        merged = CoefficientGrid(dict(a.data))
-        for (j, k), v in b.items():
-            merged.set(j, k, merged.get(j, k) + v)
+        merged = CoefficientGrid({j: a.levels[j] + b.levels[j] for j in a.levels})
         p, q = 0.7, 0.9
         params = SpaceParams(0.5, p, q, 2)
         const = 2.0 ** max(0.0, 1.0 / min(p, q, 1.0) - 1.0)
@@ -183,7 +194,7 @@ class TestBruteForceOracle:
 
     def test_fpqd_resolution_check(self):
         from radialfs.errors import ResolutionError
-        c = CoefficientGrid.single(6, 3, 1.0)
+        c = from_entries({(6, 3): 1.0})
         with pytest.raises(ResolutionError):
             seq_norm_fpqd(c, 2.0, 2.0, 2, Grid1D.uniform(0.5, 2.0))
 
@@ -274,6 +285,31 @@ class TestCsv:
         c = random_grid(3)
         path = tmp_path / "c.csv"
         c.to_csv(path)
-        assert open(path).readline().strip() == "j,k,value"
-        back = CoefficientGrid.from_csv(path)
-        assert back.data == c.data
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["j", "k", "value"]
+        assert [((int(j), int(k)), float(v)) for j, k, v in rows] == list(c.items())
+
+    def test_random_draws_and_csv_bytes(self, tmp_path):
+        # random draws the mask, then the values, and keeps the nonzero ones
+        rng, direct = np.random.default_rng(12), np.random.default_rng(12)
+        c = CoefficientGrid.random(rng, 3, 7, density=0.4, scale=2.5)
+        mask = direct.random((4, 8)) < 0.4
+        vals = direct.standard_normal((4, 8)) * 2.5
+        assert rng.bit_generator.state == direct.bit_generator.state
+        assert list(c.items()) == [((int(j), int(k)), float(vals[j, k]))
+                                   for j, k in zip(*np.nonzero(mask))]
+        assert len(c) == int(mask.sum())
+        # rows in ascending (j, k) whatever the level order; zeros left out
+        c = CoefficientGrid({2: np.array([0.0, -1e-300, 0.0, 2.5]),
+                             1: np.zeros(3),
+                             0: np.array([0.1, 0.0, 1.0 / 3.0])})
+        c.to_csv(tmp_path / "c.csv")
+        rows = b"0,0,0.1\n0,2,0.3333333333333333\n2,1,-1e-300\n2,3,2.5\n"
+        assert (tmp_path / "c.csv").read_bytes() == b"j,k,value\n" + rows
+        dec = AtomicDecomposition(c, AtomSpec(2, -1, 1.0, 2.0), 2,
+                                  Grid1D.uniform(0.25, 1.0), residual_norm=0.0,
+                                  residual_history=[0.0])
+        dec.to_csv(tmp_path / "dec.csv")
+        assert (tmp_path / "dec.csv").read_bytes() == (
+            b"# template=bump L=2 M=-1 s=1.0 p=2.0 J=2\nj,k,coefficient\n" + rows)
