@@ -99,10 +99,6 @@ class RadonMeasure1D:
         """integral_0^inf r^{d-1} d|nu|(r); atoms contribute exactly."""
         return self._tail(0.0, d)[0]
 
-    def weighted_tail(self, r: float, d: int) -> float:
-        """integral_r^inf t^{d-1} d|nu|(t)."""
-        return self._tail(r, d)[0]
-
     def _tail(self, r: float, d: int) -> Tuple[float, float]:
         """integral_r^inf t^{d-1} d|nu|(t) and the quadrature estimate of its density part."""
         total = sum(loc ** (d - 1) * abs(mass)
@@ -184,18 +180,6 @@ def staircase(steps: Sequence[Tuple[float, float]], d: int = 2) -> BVProfile:
     pieces = tuple((lambda a: (lambda r: np.full_like(np.asarray(r, float), a)))(a)
                    for a in values) + ((lambda r: np.zeros_like(np.asarray(r, float))),)
     return BVProfile(tuple(radii), pieces, RadonMeasure1D(tuple(atoms)), d)
-
-
-def parse_staircase(desc: str, d: int = 2) -> BVProfile:
-    """Parse the descriptor format "steps:(r1,a1),(r2,a2),..."."""
-    body = desc.strip()
-    if body.startswith("steps:"):
-        body = body[len("steps:"):]
-    import re
-    pairs = re.findall(r"\(([^,()]+),([^,()]+)\)", body)
-    if not pairs:
-        raise InvalidParameterError(f"cannot parse staircase descriptor {desc!r}")
-    return staircase([(float(r), float(a)) for r, a in pairs], d=d)
 
 
 def smooth_bump_bv(center: float, width: float, height: float = 1.0,

@@ -126,7 +126,7 @@ def main(argv=None) -> int:
 
     p_map = sub.add_parser("map", help="rasterize a classification figure")
     p_map.add_argument("--region", required=True, help="fig1, fig2 or fig3")
-    p_map.add_argument("--rect", help="inv_p_min,inv_p_max,s_min,s_max "
+    p_map.add_argument("--rect", help="min_inv_p,max_inv_p,min_s,max_s "
                        f"(default: {','.join(map(str, FIGURE_RECT))})")
     p_map.add_argument("--res", type=int, default=60)
     p_map.add_argument("--d", type=int, default=2)

@@ -1,4 +1,4 @@
-"""Grids, radial profiles, weighted quadrature and the radial differential operator.
+"""Grids, radial profiles, weighted quadrature and the gradient identity check.
 
 Everything here works on even scalar functions sampled on a symmetric 1-D grid.
 The half-line weight ``|t|**(d-1)`` is evaluated analytically at the nodes, so
@@ -8,8 +8,7 @@ no singular quadrature rule is needed (the weight is continuous for d >= 2).
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
@@ -40,9 +39,13 @@ def ball_volume(d: int) -> float:
     return sphere_area(d) / d
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    f = getattr(np, "trapezoid", None) or np.trapz
-    return float(f(y, x))
+def _gradients(v: np.ndarray, x, n: int) -> List[np.ndarray]:
+    """v and its first n derivatives by iterated ``np.gradient``; x holds the
+    nodes or a scalar spacing."""
+    out = [v]
+    for _ in range(n):
+        out.append(np.gradient(out[-1], x))
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -59,17 +62,10 @@ def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Strictly increasing 1-D node set, symmetric about 0 when ``even`` is set.
-
-    ``kind`` is a tag in {"uniform-dyadic", "log-spaced", "composite"}; it
-    records how the grid was generated and is round-tripped through the
-    textual descriptor format.
-    """
+    """Strictly increasing 1-D node set, symmetric about 0 when ``even`` is set."""
 
     nodes: np.ndarray
-    kind: str = "composite"
     even: bool = True
-    descriptor: str = field(default="", compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -86,11 +82,6 @@ class Grid1D:
     def size(self) -> int:
         return int(self.nodes.size)
 
-    @property
-    def positive(self) -> np.ndarray:
-        """Nodes with t >= 0."""
-        return self.nodes[self.nodes >= 0.0]
-
     def spacing_near(self, t: float) -> float:
         i = int(np.searchsorted(self.nodes, t))
         i = min(max(i, 1), self.size - 1)
@@ -104,8 +95,7 @@ class Grid1D:
         n = int(round(T / h))
         half = np.arange(1, n + 1) * h
         nodes = np.concatenate([-half[::-1], [0.0], half])
-        return Grid1D(nodes, kind="uniform-dyadic",
-                      descriptor=f"uniform:h={h:g},T={T:g}")
+        return Grid1D(nodes)
 
     @staticmethod
     def log_spaced(a: float, b: float, n: int) -> "Grid1D":
@@ -114,8 +104,7 @@ class Grid1D:
             raise InvalidParameterError("need 0 < a < b and n >= 2")
         half = np.geomspace(a, b, n)
         nodes = np.concatenate([-half[::-1], half])
-        return Grid1D(nodes, kind="log-spaced",
-                      descriptor=f"log:a={a:g},b={b:g},n={n}")
+        return Grid1D(nodes)
 
     @staticmethod
     def composite(J: int = 10, h: float = 0.01, T: float = 8.0,
@@ -137,23 +126,7 @@ class Grid1D:
             parts.append(1.0 + np.arange(1, n_tail + 1) * h)
         half = np.unique(np.concatenate(parts))
         nodes = np.concatenate([-half[:0:-1], half])
-        levels = f"J={J}" if n_per == 16 else f"J={J},n_per={n_per}"
-        return Grid1D(nodes, kind="composite",
-                      descriptor=f"dyadic:{levels};uniform:h={h:g},T={T:g}")
-
-    @staticmethod
-    def from_descriptor(desc: str) -> "Grid1D":
-        """Regenerate a grid from a descriptor like "dyadic:J=10;uniform:h=0.01,T=256"."""
-        desc = desc.strip()
-        kv = dict(re.findall(r"([A-Za-z_]+)=([0-9.eE+-]+)", desc))
-        if desc.startswith("dyadic:") and "uniform" in desc:
-            return Grid1D.composite(J=int(kv["J"]), h=float(kv["h"]), T=float(kv["T"]),
-                                    n_per=int(kv.get("n_per", 16)))
-        if desc.startswith("uniform:"):
-            return Grid1D.uniform(h=float(kv["h"]), T=float(kv["T"]))
-        if desc.startswith("log:"):
-            return Grid1D.log_spaced(a=float(kv["a"]), b=float(kv["b"]), n=int(kv["n"]))
-        raise InvalidParameterError(f"cannot parse grid descriptor {desc!r}")
+        return Grid1D(nodes)
 
 
 @dataclass(frozen=True)
@@ -239,7 +212,7 @@ def weighted_lp_norm(g: RadialProfile, p: float, d: Optional[int] = None) -> flo
         return float(np.max(np.abs(g.values)))
     t = g.grid.nodes
     integrand = np.abs(g.values) ** p * np.abs(t) ** (d - 1)
-    return _trapezoid(integrand, t) ** (1.0 / p)
+    return float(np.trapezoid(integrand, t)) ** (1.0 / p)
 
 
 def _derivatives_123(t: np.ndarray, v: np.ndarray):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .core import RadialProfile
+from .core import RadialProfile, _gradients
 from .errors import InvalidParameterError
 
 __all__ = ["AtomSpec", "AtomReport", "validate_even_atom"]
@@ -73,16 +73,6 @@ class AtomReport:
         return self.ok
 
 
-def _profile_derivatives(g: RadialProfile, L: int) -> List[np.ndarray]:
-    t = g.grid.nodes
-    derivs = [g.values]
-    cur = g.values
-    for _ in range(L):
-        cur = np.gradient(cur, t)
-        derivs.append(cur)
-    return derivs
-
-
 def validate_even_atom(g: RadialProfile, interval, L: int,
                        tol_factor: float = 1.0) -> AtomReport:
     """Check the even L-atom conditions against interval descriptor ``interval``.
@@ -105,7 +95,7 @@ def validate_even_atom(g: RadialProfile, interval, L: int,
         lo, hi = (3 * a - b) / 2.0, (3 * b - a) / 2.0
         supp_ok = (np.abs(t) >= lo) & (np.abs(t) <= hi)
     support_violation = float(np.max(np.abs(g.values[~supp_ok]), initial=0.0))
-    derivs = _profile_derivatives(g, L)
+    derivs = _gradients(g.values, t, L)
     ratios = {}
     worst = support_violation / max(1e-300, tol_factor)
     for n, dv in enumerate(derivs):

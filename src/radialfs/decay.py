@@ -123,10 +123,6 @@ class Decay4Report:
     upper_ratios: np.ndarray     # sup_{|x|>=1} weighted value / norm per witness
     upper_band: float
 
-    def rows(self):
-        for r, v in zip(self.radii, self.ratios):
-            yield {"radius": r, "ratio": v}
-
 
 def _decay4_upper_corpus(d: int, p: float):
     """Fixed witness corpus for the upper-bound direction of the decay law."""
@@ -290,6 +286,8 @@ def figure_region(figure: str, d: int) -> ParamRegion:
     """The parameter region of ``figure`` (fig1, fig2 or fig3) in dimension d."""
     if figure not in FIGURES:
         raise ConfigError(f"figure must be one of {sorted(FIGURES)}, got {figure!r}")
+    if d < 1:
+        raise ConfigError(f"dimension d must be >= 1, got {d}")
     return FIGURES[figure](d)
 
 
@@ -298,8 +296,16 @@ def classification_map(region: ParamRegion, rect: Tuple[float, float, float, flo
     """Rasterize a parameter region over a (1/p, s) rectangle.
 
     Returns rows (inv_p, s, label); ``write_classification_csv`` exports them.
+    The rectangle (min_inv_p, max_inv_p, min_s, max_s) must be finite with
+    min < max on both axes, and ``resolution`` at least 1.
     """
     x0, x1, y0, y1 = rect
+    if not (resolution >= 1 and x0 < x1 and y0 < y1
+            and all(map(math.isfinite, rect))):
+        raise ConfigError(
+            f"a raster needs resolution >= 1 and a finite rectangle with "
+            f"min_inv_p < max_inv_p and min_s < max_s; got resolution "
+            f"{resolution}, (min_inv_p, max_inv_p, min_s, max_s) = {rect}")
     out = []
     for inv_p in np.linspace(x0, x1, resolution):
         for s in np.linspace(y0, y1, resolution):

@@ -45,7 +45,7 @@ from .core import Grid1D, RadialProfile, _derivatives_123, weighted_lp_norm
 from .covering import AtomSpec
 from .errors import (DecompositionError, InvalidParameterError,
                      ResolutionError)
-from .seqspaces import (CoefficientGrid, _logsumexp, seq_norm_bspqd,
+from .seqspaces import (CoefficientGrid, _combine_levels, seq_norm_bspqd,
                         seq_norm_fspqd)
 from .spaces import SpaceParams, sigma_p, sigma_pq
 
@@ -630,11 +630,7 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
                 nrm = float(np.sum(band) * h) ** (1.0 / p)
         if nrm > 0:
             logs.append(j * s * LN2 + math.log(nrm))
-    if not logs:
-        return 0.0
-    if math.isinf(q):
-        return math.exp(max(logs))
-    return math.exp(_logsumexp([q * v for v in logs]) / q)
+    return _combine_levels(logs, q)
 
 
 # ---------------------------------------------------------------------------

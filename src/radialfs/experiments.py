@@ -476,15 +476,6 @@ def _exp_classification_map(cfg: ExperimentConfig) -> ExperimentResult:
     x0, x1, y0, y1 = FIGURE_RECT
     rect = (x0, cfg.opt("max_inv_p", x1), cfg.opt("min_s", y0), cfg.opt("max_s", y1))
     resolution = cfg.opt("resolution", 60, int)
-    in_range = {"d": d >= 1, "resolution": resolution >= 1,
-                "max_inv_p": x0 < rect[1] < math.inf,
-                "min_s": -math.inf < rect[2] < rect[3],
-                "max_s": rect[2] < rect[3] < math.inf}
-    bad = [key for key, ok in in_range.items() if not ok]
-    if bad:
-        raise ConfigError(
-            f"classification-map option {', '.join(bad)} out of range: it needs "
-            f"d >= 1, resolution >= 1, max_inv_p > {x0} and min_s < max_s, finite")
     which = cfg.options.get("figure", "fig2")
     region = figure_region(which, d)
     art = cfg.output_dir / f"classification-{which}-d{d}.csv"

@@ -1,15 +1,15 @@
-"""The named test-function families, with their documented membership tags.
+"""The named test-function families.
 
-Every family is an even profile-level evaluator plus metadata (documented
-support window and space-membership asymptotics).  Grids built for a family
-never place a node on a documented singularity: the node set is shifted by
-half the local spacing around each singular point.
+Every family is an even profile-level evaluator with its support window and
+its singular radii.  Grids built for a family never place a node on a
+singularity: the node set is shifted by half the local spacing around each
+singular point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -25,15 +25,12 @@ __all__ = ["TestFamily", "make_f_alpha", "make_f_alpha_delta",
 
 @dataclass(frozen=True)
 class TestFamily:
-    """An even scalar evaluator with documented support and asymptotics."""
+    """An even scalar evaluator with its support and singular radii."""
 
     name: str
-    params: dict
     evaluator: Callable[[np.ndarray], np.ndarray]
     support: Tuple[float, float]          # (inner radius, outer radius)
     singularities: Tuple[float, ...] = ()  # radii the grid must avoid
-    doc: str = ""
-    membership: dict = field(default_factory=dict)
 
     def __call__(self, t) -> np.ndarray:
         return self.evaluator(np.abs(np.asarray(t, dtype=float)))
@@ -55,14 +52,10 @@ class TestFamily:
             for sign in (1.0, -1.0):
                 hit = np.isclose(nodes, sign * s, rtol=0.0, atol=h * 1e-9)
                 nodes[hit] += 0.5 * h * (1.0 if sign > 0 else -1.0)
-        return Grid1D(np.unique(nodes), kind=grid.kind)
-
-    def descriptor(self) -> str:
-        inner = ",".join(f"{k}={v:g}" for k, v in self.params.items())
-        return f"{self.name}({inner})"
+        return Grid1D(np.unique(nodes))
 
 
-def make_f_alpha(alpha: float, p: Optional[float] = None) -> TestFamily:
+def make_f_alpha(alpha: float) -> TestFamily:
     """Ring singularity |(|x| - 1)|^{-alpha} under the annulus cutoff.
 
     Documented: member of B^{1/p - alpha}_{p,inf} (and of no q < inf space
@@ -70,8 +63,6 @@ def make_f_alpha(alpha: float, p: Optional[float] = None) -> TestFamily:
     """
     if not 0 < alpha < 1:
         raise InvalidParameterError("need 0 < alpha < 1")
-    if p is not None and alpha >= 1.0 / p:
-        raise InvalidParameterError("need alpha < 1/p")
 
     def ev(t):
         t = np.abs(t)
@@ -80,13 +71,7 @@ def make_f_alpha(alpha: float, p: Optional[float] = None) -> TestFamily:
         out[mask] = annulus_shape(t[mask]) * np.abs(t[mask] - 1.0) ** (-alpha)
         return out
 
-    member = {}
-    if p is not None:
-        member = {"space": "B", "s": 1.0 / p - alpha, "p": p, "q": math.inf,
-                  "strict": "no membership for q < inf"}
-    return TestFamily("f_alpha", {"alpha": alpha}, ev, (0.5, 2.0),
-                      singularities=(1.0,),
-                      doc="cutoff * ||x|-1|^-alpha", membership=member)
+    return TestFamily("f_alpha", ev, (0.5, 2.0), singularities=(1.0,))
 
 
 def make_f_alpha_delta(alpha: float, delta: float) -> TestFamily:
@@ -103,8 +88,7 @@ def make_f_alpha_delta(alpha: float, delta: float) -> TestFamily:
                      * (-np.log(u[mask])) ** (-delta))
         return out
 
-    return TestFamily("f_alpha_delta", {"alpha": alpha, "delta": delta}, ev,
-                      (0.5, 2.0), singularities=(1.0,))
+    return TestFamily("f_alpha_delta", ev, (0.5, 2.0), singularities=(1.0,))
 
 
 def make_f_j_lambda(j: int, lam: float,
@@ -126,11 +110,7 @@ def make_f_j_lambda(j: int, lam: float,
     def ev(t):
         return shape(2.0 ** j * np.abs(t) - lam)
 
-    return TestFamily("f_j_lambda", {"j": j, "lambda": lam}, ev,
-                      ((lam - 2.0) * scale, (lam + 2.0) * scale),
-                      doc="phi(2^j|y| - lambda)",
-                      membership={"norm_asymptotics": "2^{j(s-d/p)} lambda^{(d-1)/p}",
-                                  "lp_asymptotics": "2^{-jd/p} lambda^{(d-1)/p}"})
+    return TestFamily("f_j_lambda", ev, ((lam - 2.0) * scale, (lam + 2.0) * scale))
 
 
 def make_f_alpha_sigma(alpha: float, sigma: float) -> TestFamily:
@@ -155,38 +135,55 @@ def make_f_alpha_sigma(alpha: float, sigma: float) -> TestFamily:
         out.flat[at] = val
         return out
 
-    return TestFamily("f_alpha_sigma", {"alpha": alpha, "sigma": sigma}, ev,
-                      (0.0, 1.5), singularities=(0.0, 1.0 / math.e, 1.0),
-                      doc="psi |log|x||^a |loglog|x||^-s")
+    return TestFamily("f_alpha_sigma", ev, (0.0, 1.5),
+                      singularities=(0.0, 1.0 / math.e, 1.0))
 
 
 def make_psi_cutoff() -> TestFamily:
     """The fixed smooth cutoff: 1 on |x| <= 1, 0 on |x| >= 3/2."""
-    return TestFamily("psi_cutoff", {}, lambda t: psi_cutoff(t), (0.0, 1.5),
-                      doc="psi(x)=1 if |x|<=1, 0 if |x|>=3/2")
+    return TestFamily("psi_cutoff", lambda t: psi_cutoff(t), (0.0, 1.5))
 
 
+def _f_j_lambda(j: float, lam: float) -> TestFamily:
+    if not j.is_integer():
+        raise InvalidParameterError(f"need an integer j, got {j:g}")
+    return make_f_j_lambda(int(j), lam)
+
+
+# each family's maker and the names of its parameters, in call order
 _MAKERS = {
-    "f_alpha": lambda kw: make_f_alpha(**kw),
-    "f_alpha_delta": lambda kw: make_f_alpha_delta(**kw),
-    "f_j_lambda": lambda kw: make_f_j_lambda(int(kw.pop("j")), kw.pop("lambda"), **kw),
-    "f_alpha_sigma": lambda kw: make_f_alpha_sigma(**kw),
-    "psi_cutoff": lambda kw: make_psi_cutoff(),
+    "f_alpha": (make_f_alpha, ("alpha",)),
+    "f_alpha_delta": (make_f_alpha_delta, ("alpha", "delta")),
+    "f_j_lambda": (_f_j_lambda, ("j", "lambda")),
+    "f_alpha_sigma": (make_f_alpha_sigma, ("alpha", "sigma")),
+    "psi_cutoff": (make_psi_cutoff, ()),
 }
 
 
 def parse_family(desc: str) -> TestFamily:
-    """Build a family from a descriptor like "f_j_lambda(j=3,lambda=16)"."""
-    desc = desc.strip()
-    if "(" not in desc:
-        name, args = desc, ""
-    else:
-        name, args = desc.split("(", 1)
-        args = args.rstrip(")")
+    """Build a family from a descriptor like "f_j_lambda(j=3,lambda=16)".
+
+    Each parameter of the family is given once, as a finite number, and no
+    other; the parentheses may be left out when the family has none.
+    """
+    name, paren, args = (x.strip() for x in desc.partition("("))
     if name not in _MAKERS:
         raise InvalidParameterError(f"unknown family {name!r}")
-    kw = {}
-    for part in filter(None, (p.strip() for p in args.split(","))):
-        key, val = part.split("=")
-        kw[key.strip()] = float(val)
-    return _MAKERS[name](kw)
+    if paren and not args.endswith(")"):
+        raise InvalidParameterError(f"family descriptor {desc!r} lacks its ')'")
+    maker, names = _MAKERS[name]
+    pairs = [[x.strip() for x in part.split("=")]
+             for part in args[:-1].split(",") if part.strip()]
+    if any(len(pair) != 2 for pair in pairs) or \
+            sorted(key for key, _ in pairs) != sorted(names):
+        raise InvalidParameterError(
+            f"{name} takes exactly the parameters ({', '.join(names)}), each "
+            f"as key=value: got {desc!r}")
+    try:
+        kw = {key: float(val) for key, val in pairs}
+        finite = all(map(math.isfinite, kw.values()))
+    except ValueError:
+        finite = False
+    if not finite:
+        raise InvalidParameterError(f"parameters must be finite numbers: {desc!r}")
+    return maker(*(kw[key] for key in names))

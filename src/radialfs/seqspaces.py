@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -133,9 +133,10 @@ def _log_inner_lp(c: CoefficientGrid, p: float, d: int) -> Dict[int, float]:
     return out
 
 
-def _combine_levels(log_terms: Dict[int, float], q: float) -> float:
-    """(sum_j exp(log_terms[j] * q))^{1/q} in log space; q=inf gives sup."""
-    vals = [v for v in log_terms.values() if v > -math.inf]
+def _combine_levels(log_terms: Iterable[float], q: float) -> float:
+    """(sum_j exp(q log_terms_j))^{1/q} in log space over the per-level logs;
+    q=inf gives sup, and no finite log gives 0."""
+    vals = [v for v in log_terms if v > -math.inf]
     if not vals:
         return 0.0
     if math.isinf(q):
@@ -149,9 +150,8 @@ def _b_norm(c: CoefficientGrid, p: float, q: float, d: int,
     _check_pq(p, q, allow_p_inf=True)
     inner = _log_inner_lp(c, p, d)
     ip = 0.0 if math.isinf(p) else 1.0 / p
-    log_terms = {j: level_log_weight(j) + (v if math.isinf(p) else ip * v)
-                 for j, v in inner.items()}
-    return _combine_levels(log_terms, q)
+    return _combine_levels((level_log_weight(j) + (v if math.isinf(p) else ip * v)
+                            for j, v in inner.items()), q)
 
 
 def seq_norm_bspqd(c: CoefficientGrid, params: SpaceParams) -> float:

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Grid1D, RadialProfile, _derivatives_123
+from .core import Grid1D, RadialProfile, _derivatives_123, _gradients
 from .errors import EvennessError, InvalidParameterError, ResolutionError
 
 __all__ = ["RadialGridField", "trace", "extend", "cm_norm"]
@@ -102,8 +102,7 @@ def trace(f: RadialGridField) -> RadialProfile:
                                         "(a zero node on every other axis)")
         idx.append(int(zeros[0]))
     vals = f.values[(slice(None),) + tuple(idx)]
-    grid = Grid1D(axis1, kind="uniform-dyadic", even=bool(
-        np.array_equal(axis1, -axis1[::-1])))
+    grid = Grid1D(axis1, even=bool(np.array_equal(axis1, -axis1[::-1])))
     if grid.even:
         vals = 0.5 * (vals + vals[::-1])
     return RadialProfile(grid, vals, dim_context=f.d)
@@ -123,12 +122,7 @@ def _profile_cm(g: RadialProfile, m: int) -> float:
     t = g.grid.nodes
     if t.size < m + 1:
         raise ResolutionError("grid cannot resolve the requested derivatives")
-    total = float(np.max(np.abs(g.values)))
-    cur = g.values
-    for _ in range(m):
-        cur = np.gradient(cur, t)
-        total += float(np.max(np.abs(cur)))
-    return total
+    return sum(float(np.max(np.abs(v))) for v in _gradients(g.values, t, m))
 
 
 def _field_cm(f: RadialGridField, m: int) -> float:
@@ -150,7 +144,6 @@ def _field_cm(f: RadialGridField, m: int) -> float:
     gp, gpp, r = d1[pos], d2[pos], t[pos]
     # g'(0) = 0 for even profiles; g'/r has the even-reflection limit g''(0)
     gp_over_r = gp / r
-    i0 = int(np.argmin(r))
     sup_g1 = float(np.max(np.abs(gp)))
     total += f.d * sup_g1
     if m == 1:

@@ -9,7 +9,7 @@ from scipy.integrate import quad as scipy_quad
 from radialfs import experiments
 from radialfs.bv import (QUAD_RTOL, RadonMeasure1D, bv_decay_check,
                          bv_dim_norm, bv_equivalence_check, bv_weighted_norm,
-                         pairing_identity_residuals, parse_staircase, quad,
+                         pairing_identity_residuals, quad,
                          smooth_bump_bv, staircase)
 from radialfs.core import sphere_area
 from radialfs.errors import InvalidParameterError, QuadratureError
@@ -41,11 +41,6 @@ class TestWeightedNorm:
             RadonMeasure1D(((0.0, 1.0),))
         with pytest.raises(InvalidParameterError):
             RadonMeasure1D(((2.0, 1.0), (1.0, 1.0)))
-
-    def test_descriptor_parsing(self):
-        g = parse_staircase("steps:(1,2.0),(2.5,-1)", d=2)
-        assert g.breaks == (1.0, 2.5)
-        assert g(np.array([0.5]))[0] == 2.0
 
 
 # The test functions' derivatives are exact, so the residuals are quadrature

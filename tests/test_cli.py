@@ -215,3 +215,11 @@ class TestMap:
     def test_bad_region_exit_two(self, tmp_path):
         assert main(["map", "--region=fig9", "--rect=0,1,0,1",
                      f"--output={tmp_path / 'x.csv'}"]) == 2
+
+    @pytest.mark.parametrize("flag", [
+        "--res=0", "--res=-3", "--d=0", "--rect=3,0.5,4,-1", "--rect=0.1,3,4,4",
+        "--rect=0.1,3,0,inf", "--rect=nan,3,0,4"])
+    def test_bad_map_flag_exit_two_writes_nothing(self, tmp_path, flag):
+        out = tmp_path / "sub" / "m.csv"
+        assert main(["map", "--region=fig2", flag, f"--output={out}"]) == 2
+        assert not list(tmp_path.rglob("*"))

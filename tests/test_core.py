@@ -30,22 +30,9 @@ class TestGrid1D:
         with pytest.raises(EvennessError):
             Grid1D(np.array([-1.0, 0.0, 2.0]), even=True)
 
-    def test_descriptor_roundtrip(self):
-        for desc in ("dyadic:J=6;uniform:h=0.05,T=8",
-                     "uniform:h=0.01,T=2",
-                     "log:a=0.001,b=10,n=50"):
-            g = Grid1D.from_descriptor(desc)
-            g2 = Grid1D.from_descriptor(g.descriptor or desc)
-            assert np.array_equal(g.nodes, g2.nodes)
-
-    def test_composite_descriptor_keeps_n_per(self):
-        g = Grid1D.composite(J=2, h=0.5, T=2.0, n_per=4)
-        g2 = Grid1D.from_descriptor(g.descriptor)
-        assert g.size == 31
-        assert np.array_equal(g.nodes, g2.nodes)
-        # the default level density keeps its original descriptor text
-        assert (Grid1D.composite(J=6, h=0.05, T=8.0).descriptor
-                == "dyadic:J=6;uniform:h=0.05,T=8")
+    def test_composite_n_per_sets_level_density(self):
+        # 0, 2^-3, 4 nodes on each of 3 levels and 2 tail nodes, mirrored
+        assert Grid1D.composite(J=2, h=0.5, T=2.0, n_per=4).size == 31
 
     def test_composite_resolves_origin_and_tail(self):
         g = Grid1D.composite(J=8, h=0.05, T=4.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from radialfs import decompose
+from radialfs import decompose, seqspaces
 from radialfs.bump import bump, psi_cutoff
 from radialfs.core import Grid1D, RadialProfile, weighted_lp_norm
 from radialfs.covering import AtomSpec, validate_even_atom
@@ -618,7 +618,7 @@ class TestParsevalRoute:
                 logs = _stacked_l2_logs(spec, s, d, weighted)
                 for q in (0.5, 1.0, 2.0, math.inf):
                     want = (math.exp(max(logs)) if math.isinf(q) else
-                            math.exp(decompose._logsumexp([q * v for v in logs]) / q))
+                            math.exp(seqspaces._logsumexp([q * v for v in logs]) / q))
                     got = lp_besov_norm_1d(g, SpaceParams(s, 2.0, q, d),
                                            weighted=weighted, n_fft=n, T=T, J=J)
                     assert got == pytest.approx(want, rel=1e-13), (d, weighted, q)

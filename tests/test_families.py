@@ -32,11 +32,6 @@ class TestFAlpha:
         expected = float(annulus_shape(np.array([1.5]))[0]) * 0.5 ** (-alpha)
         assert fam(np.array([1.5]))[0] == pytest.approx(expected)
 
-    def test_membership_metadata(self):
-        fam = make_f_alpha(0.25, p=2.0)
-        assert fam.membership["s"] == pytest.approx(0.25)
-        assert math.isinf(fam.membership["q"])
-
     def test_invalid_alpha(self):
         with pytest.raises(InvalidParameterError):
             make_f_alpha(1.5)
@@ -148,8 +143,11 @@ class TestFAlphaSigma:
 class TestDescriptors:
     def test_parse_roundtrip(self):
         fam = parse_family("f_j_lambda(j=3,lambda=16)")
-        assert fam.params == {"j": 3, "lambda": 16.0}
-        assert parse_family(fam.descriptor()).params == fam.params
+        ref = make_f_j_lambda(3, 16.0)
+        t = np.linspace(-1.0, 1.0, 2001)
+        assert fam.name == ref.name
+        assert fam.support == ref.support
+        assert np.array_equal(fam(t), ref(t))
 
     def test_parse_psi(self):
         assert parse_family("psi_cutoff").name == "psi_cutoff"
@@ -158,3 +156,22 @@ class TestDescriptors:
     def test_unknown_family(self, desc):
         with pytest.raises(InvalidParameterError):
             parse_family(desc)
+
+    @pytest.mark.parametrize("desc", [
+        "f_j_lambda(j=3)",              # missing parameter
+        "f_alpha(beta=1)",              # unknown parameter
+        "f_alpha(alpha=x)",             # not a number
+        "f_j_lambda(j=3,lambda=16",     # no closing parenthesis
+        "psi_cutoff(a=1)",              # parameter of a family that has none
+        "f_alpha(alpha=0.3,alpha=0.4)",  # repeated parameter
+        "f_alpha(alpha)",               # no value
+        "f_alpha(alpha=0.3)x",          # text after the parenthesis
+        "f_alpha(alpha=nan)",           # not finite
+        "f_j_lambda(j=3.5,lambda=16)",  # j not an integer
+    ])
+    def test_malformed_descriptor(self, desc):
+        with pytest.raises(InvalidParameterError):
+            parse_family(desc)
+
+    def test_spacing_is_free(self):
+        assert parse_family(" f_alpha( alpha = 0.3 ) ").name == "f_alpha"

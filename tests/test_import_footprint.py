@@ -7,7 +7,10 @@ band spectra and the route over band samples), so a lazy import inside a
 function cannot pass these tests.
 """
 
+import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +45,19 @@ def test_fft_norms_load_no_scipy():
         "assert rf.dyadic_band_spectrum(g, n_fft=2 ** 15).bands.shape[1] == 2 ** 15\n"
         "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     assert out.split() == []
+
+
+def test_every_export_resolves():
+    """Each name in a module's ``__all__`` exists, and each name the package
+    re-exports is its module's own and listed in that ``__all__``."""
+    for info in pkgutil.iter_modules(radialfs.__path__):
+        mod = importlib.import_module(f"radialfs.{info.name}")
+        assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+    tree = ast.parse(Path(radialfs.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            mod = importlib.import_module(f"radialfs.{node.module}")
+            for alias in node.names:
+                assert alias.name in mod.__all__, (node.module, alias.name)
+                assert getattr(radialfs, alias.asname or alias.name) is \
+                    getattr(mod, alias.name)
