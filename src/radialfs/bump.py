@@ -14,7 +14,7 @@ import numpy as np
 from .core import _gradients
 
 __all__ = ["bump", "bump_derivative_sup", "smoothstep", "psi_cutoff",
-           "annulus_shape", "plateau_window"]
+           "annulus_shape"]
 
 
 def bump(u):
@@ -66,11 +66,3 @@ def annulus_shape(t):
     """
     t = np.abs(np.asarray(t, dtype=float))
     return smoothstep((t - 0.5) / 0.25) * smoothstep((2.0 - t) / 0.5)
-
-
-def plateau_window(t, inner: float, outer: float, margin: float):
-    """Even window: 1 on [inner, outer], 0 outside [inner-margin, outer+margin]."""
-    t = np.abs(np.asarray(t, dtype=float))
-    rising = smoothstep((t - (inner - margin)) / margin) if inner > 0 else 1.0
-    falling = smoothstep(((outer + margin) - t) / margin)
-    return rising * falling

@@ -12,8 +12,9 @@ Config files are flat key = value text with an optional [experiment] section
 (INI style); JSON files ({"experiment": ..., "seed": ..., ...}) are accepted
 as an alternative.  Keys other than experiment, seed and output_dir must be
 options the experiment reads (experiments.OPTIONS).  The RADIALFS_SEED
-environment variable overrides the config seed.  Exit codes: 0 all
-assertions pass, 1 assertion failure, 2 config or runtime error.
+environment variable overrides the config seed; either must be an integer.
+Exit codes: 0 all assertions pass, 1 assertion failure, 2 config or runtime
+error.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import sys
 import time
 from pathlib import Path
 
-from .decay import FIGURE_RECT, figure_region, write_classification_csv
+from .decay import FIGURE_RECT, classification_table, figure_region
 from .errors import ConfigError, RadialfsError
 from .experiments import (ExperimentConfig, ExperimentResult, list_experiments,
-                          run_experiment)
+                          run_experiment, write_csv)
 
 
 def _load_config(path: Path) -> ExperimentConfig:
@@ -38,9 +39,11 @@ def _load_config(path: Path) -> ExperimentConfig:
     data = {}
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
-            data = json.load(open(path))
+            data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"bad JSON config {path}: line {e.lineno}: {e.msg}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"JSON config {path} must hold one object")
     else:
         parser = configparser.ConfigParser()
         first = next((ln for ln in text.splitlines() if ln.strip()), "")
@@ -55,7 +58,7 @@ def _load_config(path: Path) -> ExperimentConfig:
     if "experiment" not in data:
         raise ConfigError(f"config {path} is missing the 'experiment' field")
     name = str(data.pop("experiment"))
-    seed = int(data.pop("seed", 20260810))
+    seed = data.pop("seed", ExperimentConfig.seed)
     outdir = Path(data.pop("output_dir", "out"))
     return ExperimentConfig(name, seed=seed, output_dir=outdir,
                             options={k: str(v) for k, v in data.items()})
@@ -102,7 +105,8 @@ def _cmd_map(args) -> int:
             raise ConfigError(f"--rect must be four comma-separated numbers, got {args.rect!r}")
         rect = (a, b, c, d)
     out = Path(args.output)
-    rows = write_classification_csv(out, figure_region(args.region, args.d), rect, args.res)
+    header, rows = classification_table(figure_region(args.region, args.d), rect, args.res)
+    write_csv(out, header, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

@@ -178,16 +178,6 @@ class RadialProfile:
     def restrict_dim(self, d: int) -> "RadialProfile":
         return replace(self, dim_context=d)
 
-    def to_csv(self, path) -> None:
-        arr = np.column_stack([self.grid.nodes, self.values])
-        np.savetxt(path, arr, delimiter=",", header="t,value", comments="")
-
-    @staticmethod
-    def from_csv(path, d: Optional[int] = None) -> "RadialProfile":
-        arr = np.loadtxt(path, delimiter=",", skiprows=1)
-        grid = Grid1D(arr[:, 0])
-        return RadialProfile(grid, arr[:, 1], dim_context=d)
-
 
 def _resolve_dim(g: RadialProfile, d: Optional[int]) -> int:
     if d is None:

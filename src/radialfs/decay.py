@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bump import bump, psi_cutoff
 from .core import Grid1D, RadialProfile
-from .covering import AtomSpec
 from .decompose import tb_norm, tf_norm
 from .errors import ConfigError, InvalidParameterError, OutOfHypothesisError
 from .families import make_f_alpha_sigma, make_f_j_lambda
@@ -27,7 +25,7 @@ from .spaces import (ParamRegion, SpaceParams, fig1_region, fig2_region,
 
 __all__ = ["DecayFit", "fit_loglog", "fit_decay_exponent", "bump_train",
            "check_decay4", "check_decay2", "check_lim1", "classification_map",
-           "FIGURE_RECT", "figure_region", "write_classification_csv",
+           "FIGURE_RECT", "figure_region", "classification_table",
            "Decay4Report", "Decay2Report", "Lim1Report"]
 
 
@@ -107,11 +105,8 @@ def bump_train(amplitude_exponent: float, centers: Sequence[float],
 
 def _surrogate_norm(profile: RadialProfile, params: SpaceParams,
                     J: int = 8) -> float:
-    if params.scale == "B":
-        spec = AtomSpec.b_admissible(params.s, params.p, params.d)
-        return tb_norm(profile, params, spec=spec, J=J)
-    spec = AtomSpec.f_admissible(params.s, params.p, params.q, params.d)
-    return tf_norm(profile, params, spec=spec, J=J)
+    # tb_norm/tf_norm build the admissible atom spec of params themselves
+    return (tb_norm if params.scale == "B" else tf_norm)(profile, params, J=J)
 
 
 @dataclass(frozen=True)
@@ -295,7 +290,7 @@ def classification_map(region: ParamRegion, rect: Tuple[float, float, float, flo
                        resolution: int) -> List[Tuple[float, float, str]]:
     """Rasterize a parameter region over a (1/p, s) rectangle.
 
-    Returns rows (inv_p, s, label); ``write_classification_csv`` exports them.
+    Returns rows (inv_p, s, label); ``classification_table`` flags them.
     The rectangle (min_inv_p, max_inv_p, min_s, max_s) must be finite with
     min < max on both axes, and ``resolution`` at least 1.
     """
@@ -313,18 +308,15 @@ def classification_map(region: ParamRegion, rect: Tuple[float, float, float, flo
     return out
 
 
-def write_classification_csv(path: Path, region: ParamRegion,
-                             rect: Tuple[float, float, float, float],
-                             resolution: int) -> List[Tuple[float, float, str]]:
-    """Rasterize ``region`` into a CSV of plain numbers and return the rows.
+def classification_table(region: ParamRegion,
+                         rect: Tuple[float, float, float, float],
+                         resolution: int) -> Tuple[Tuple[str, ...], List[tuple]]:
+    """The raster of ``region`` as a header and rows of plain numbers.
 
     Columns: inv_p, s, then one 1/0 column per label of the region.
     """
-    rows = classification_map(region, rect, resolution)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(("inv_p", "s") + region.labels) + "\n")
-        for inv_p, s, label in rows:
-            flags = ("1" if label == name else "0" for name in region.labels)
-            fh.write(",".join((repr(inv_p), repr(s), *flags)) + "\n")
-    return rows
+    flags = {label: tuple(int(label == name) for name in region.labels)
+             for label in region.labels}
+    rows = [(inv_p, s) + flags[label]
+            for inv_p, s, label in classification_map(region, rect, resolution)]
+    return ("inv_p", "s") + region.labels, rows

@@ -1,8 +1,10 @@
 """Experiment registry: one named experiment per acceptance assertion group.
 
-Every experiment consumes an ExperimentConfig, writes CSV artifacts plus a
-summary with one row per assertion (measured value, threshold, provenance of
-the threshold, pass/fail), and is deterministic given the seed.
+Every experiment is a computation: it consumes an ExperimentConfig, returns
+its assertions and one data table, opens no file, and is deterministic given
+the seed.  ``run_experiment`` writes the table to ``<name>.csv`` and a summary
+with one row per assertion (measured value, threshold, provenance of the
+threshold, pass/fail) to ``<name>-summary.csv``, both through ``write_csv``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -22,8 +24,8 @@ from .core import (Grid1D, RadialProfile, _gradient_identity_reports,
 from .bv import (bv_decay_check, bv_equivalence_check, smooth_bump_bv,
                  staircase)
 from .decay import (FIGURE_RECT, bump_train, check_decay2, check_decay4,
-                    check_lim1, figure_region, fit_decay_exponent,
-                    write_classification_csv)
+                    check_lim1, classification_table, figure_region,
+                    fit_decay_exponent)
 from .decompose import lp_besov_norm_1d, tb_norm
 from .errors import ConfigError
 from .families import make_f_j_lambda
@@ -33,8 +35,9 @@ from .spaces import (SpaceParams, embeds_in_Linfty, in_U, in_U_t, sigma_p,
 from .traceext import cm_norm, extend, trace
 from .wavelets import spherical_mean_wavelet_coeffs
 
-__all__ = ["ExperimentConfig", "Assertion", "ExperimentResult",
-           "run_experiment", "list_experiments", "REGISTRY", "OPTIONS"]
+__all__ = ["ExperimentConfig", "Assertion", "Outcome", "ExperimentResult",
+           "run_experiment", "list_experiments", "write_csv", "REGISTRY",
+           "OPTIONS"]
 
 
 @dataclass
@@ -47,8 +50,15 @@ class ExperimentConfig:
     def __post_init__(self):
         self.output_dir = Path(self.output_dir)
         env_seed = os.environ.get("RADIALFS_SEED")
-        if env_seed is not None:
-            self.seed = int(env_seed)
+        seed = self.seed if env_seed is None else env_seed
+        try:
+            # int() would truncate 1.5 and read True as 1
+            if type(seed) not in (int, str):
+                raise ValueError
+            self.seed = int(seed)
+        except ValueError:
+            where = "seed" if env_seed is None else "RADIALFS_SEED"
+            raise ConfigError(f"{where} must be an integer, got {seed!r}") from None
 
     def opt(self, key: str, default=None, cast=float):
         if key not in self.options:
@@ -89,6 +99,14 @@ class Assertion:
                 self.provenance, status)
 
 
+class Outcome(NamedTuple):
+    """What an experiment computes: its assertions and its data table."""
+    assertions: List[Assertion]
+    header: Sequence[str]
+    rows: Iterable[Sequence]
+    data_file: str = ""    # the data CSV's name; "" means <experiment>.csv
+
+
 @dataclass
 class ExperimentResult:
     name: str
@@ -99,28 +117,23 @@ class ExperimentResult:
     def passed(self) -> bool:
         return all(a.passed for a in self.assertions)
 
-    def write_summary(self, outdir: Path) -> Path:
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"{self.name}-summary.csv"
-        with open(path, "w", newline="") as fh:
-            # csv quotes a name holding commas, as in anchor_point_(1,1);
-            # floats are written as their repr
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["assertion", "measured", "kind", "threshold",
-                          "provenance", "status"])
-            out.writerows(a.row() for a in self.assertions)
-        self.artifacts.append(path)
-        return path
+
+SUMMARY_HEADER = ("assertion", "measured", "kind", "threshold", "provenance",
+                  "status")
 
 
-def _write_csv(outdir: Path, name: str, header: str, rows) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write ``header`` and ``rows`` to ``path`` as CSV with "\n" line ends.
+
+    csv quotes a field holding a comma, and writes a float through its repr;
+    a numpy float is written as the Python float, not as "np.float64(...)".
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([float(v) if isinstance(v, float) else v for v in row]
+                      for row in rows)
     return path
 
 
@@ -128,62 +141,45 @@ def _write_csv(outdir: Path, name: str, header: str, rows) -> Path:
 # experiments
 
 
-def _exp_scaling_fjlam(cfg: ExperimentConfig) -> ExperimentResult:
+def _j_lambda_sweep(h: float, T: float, norm: Callable[[RadialProfile], float]):
+    """Rows (j, lambda, norm) of f_{j,16}, j = 3..8, and f_{5,lambda}, lambda =
+    4..64, at d = 2 on the grid of step h over [0, T]; and the slopes of log2
+    norm against j and against log2 lambda."""
+    js, lams = list(range(3, 9)), [4.0, 8.0, 16.0, 32.0, 64.0]
+    rows = [(j, lam, norm(make_f_j_lambda(j, lam).profile(Grid1D.uniform(h, T), d=2)))
+            for j, lam in [(j, 16.0) for j in js] + [(5, lam) for lam in lams]]
+    norms = [v for _, _, v in rows]
+    slope_j = float(np.polyfit(js, np.log2(norms[:len(js)]), 1)[0])
+    slope_l = float(np.polyfit(np.log2(lams), np.log2(norms[len(js):]), 1)[0])
+    return rows, slope_j, slope_l
+
+
+def _exp_scaling_fjlam(cfg: ExperimentConfig) -> Outcome:
     params = SpaceParams(1.0, 2.0, 2.0, 2)
-    rows = []
-    norms_j = []
-    js = list(range(3, 9))
-    for j in js:
-        prof = make_f_j_lambda(j, 16.0).profile(Grid1D.uniform(2 ** -14, 4.0), d=2)
-        v = lp_besov_norm_1d(prof, params, weighted=True, n_fft=2 ** 17, T=4.0)
-        norms_j.append(v)
-        rows.append((j, 16.0, v))
-    lams = [4.0, 8.0, 16.0, 32.0, 64.0]
-    norms_l = []
-    for lam in lams:
-        prof = make_f_j_lambda(5, lam).profile(Grid1D.uniform(2 ** -14, 4.0), d=2)
-        v = lp_besov_norm_1d(prof, params, weighted=True, n_fft=2 ** 17, T=4.0)
-        norms_l.append(v)
-        rows.append((5, lam, v))
-    slope_j = float(np.polyfit(js, np.log2(norms_j), 1)[0])
-    slope_l = float(np.polyfit(np.log2(lams), np.log2(norms_l), 1)[0])
-    art = _write_csv(cfg.output_dir, "scaling-f-j-lambda.csv", "j,lambda,norm", rows)
-    res = ExperimentResult("scaling-f-j-lambda", [
+    rows, slope_j, slope_l = _j_lambda_sweep(
+        2 ** -14, 4.0,
+        lambda prof: lp_besov_norm_1d(prof, params, weighted=True, n_fft=2 ** 17, T=4.0))
+    return Outcome([
         Assertion("slope_vs_j_minus_(s-d/p)", slope_j - 0.0, "abs<=", 0.15,
                   "paper-exponent"),
         Assertion("slope_vs_log2lambda_minus_(d-1)/p", slope_l - 0.5, "abs<=", 0.10,
                   "paper-exponent"),
-    ], [art])
-    return res
+    ], ("j", "lambda", "norm"), rows)
 
 
-def _exp_scaling_lp(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_scaling_lp(cfg: ExperimentConfig) -> Outcome:
     d, p = 2, 2.0
-    rows, norms_j, norms_l = [], [], []
-    js = list(range(3, 9))
-    for j in js:
-        prof = make_f_j_lambda(j, 16.0).profile(Grid1D.uniform(2 ** -15, 3.0), d=d)
-        v = weighted_lp_norm(prof, p, d)
-        norms_j.append(v)
-        rows.append((j, 16.0, v))
-    lams = [4.0, 8.0, 16.0, 32.0, 64.0]
-    for lam in lams:
-        prof = make_f_j_lambda(5, lam).profile(Grid1D.uniform(2 ** -15, 3.0), d=d)
-        v = weighted_lp_norm(prof, p, d)
-        norms_l.append(v)
-        rows.append((5, lam, v))
-    slope_j = float(np.polyfit(js, np.log2(norms_j), 1)[0])
-    slope_l = float(np.polyfit(np.log2(lams), np.log2(norms_l), 1)[0])
-    art = _write_csv(cfg.output_dir, "scaling-lp.csv", "j,lambda,norm", rows)
-    return ExperimentResult("scaling-lp", [
+    rows, slope_j, slope_l = _j_lambda_sweep(2 ** -15, 3.0,
+                                             lambda prof: weighted_lp_norm(prof, p, d))
+    return Outcome([
         Assertion("slope_vs_j_minus_(-d/p)", slope_j - (-d / p), "abs<=", 0.02,
                   "paper-exponent"),
         Assertion("slope_vs_log2lambda_minus_(d-1)/p", slope_l - (d - 1) / p,
                   "abs<=", 0.02, "paper-exponent"),
-    ], [art])
+    ], ("j", "lambda", "norm"), rows)
 
 
-def _exp_decay_infinity(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_decay_infinity(cfg: ExperimentConfig) -> Outcome:
     assertions, rows = [], []
     for d in (2, 3):
         for p in (1.0, 2.0):
@@ -193,45 +189,38 @@ def _exp_decay_infinity(cfg: ExperimentConfig) -> ExperimentResult:
                 rows.append((d, p, r, v))
             assertions.append(Assertion(f"ratio_band_d{d}_p{p:g}", rep.band,
                                         "<=", 4.0, "frozen-baseline"))
-    art = _write_csv(cfg.output_dir, "decay-infinity.csv", "d,p,radius,ratio", rows)
-    return ExperimentResult("decay-infinity", assertions, [art])
+    return Outcome(assertions, ("d", "p", "radius", "ratio"), rows)
 
 
-def _exp_strauss(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_strauss(cfg: ExperimentConfig) -> Outcome:
     d, p = 3, 2.0
     centers = [1.5 * 2.0 ** m for m in range(1, 8)]
     train = bump_train((d - 1) / p, centers, width=0.4)
     fit = fit_decay_exponent(train, [1.1 * 2.0 ** m for m in range(1, 8)])
-    rows = [(r, a) for r, a in zip(fit.radii, fit.amplitudes)]
-    art = _write_csv(cfg.output_dir, "strauss.csv", "radius,amplitude", rows)
-    return ExperimentResult("strauss", [
+    return Outcome([
         Assertion("decay_exponent_minus_(d-1)/2", fit.decay_exponent - 1.0,
                   "abs<=", 0.1, "paper-exponent"),
-    ], [art])
+    ], ("radius", "amplitude"), zip(fit.radii, fit.amplitudes))
 
 
-def _exp_blowup_origin(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_blowup_origin(cfg: ExperimentConfig) -> Outcome:
     params = SpaceParams(0.75, 2.0, 2.0, 2)
     rep = check_decay2(params, r_range=range(2, 11))
-    rows = [(r, v) for r, v in zip(rep.radii, rep.lower_values)]
-    art = _write_csv(cfg.output_dir, "blowup-origin.csv", "radius,value", rows)
-    return ExperimentResult("blowup-origin", [
+    return Outcome([
         Assertion("origin_exponent_minus_(d/p-s)",
                   rep.fitted_exponent - rep.expected_exponent, "abs<=", 0.05,
                   "paper-exponent"),
         Assertion("upper_witness_ratio_max", float(rep.upper_ratios.max()),
                   "<=", 1.0 + 1e-9, "identity"),
-    ], [art])
+    ], ("radius", "value"), zip(rep.radii, rep.lower_values))
 
 
-def _exp_log_borderline(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_log_borderline(cfg: ExperimentConfig) -> Outcome:
     params = SpaceParams(1.0, 2.0, math.inf, 2)
     rep = check_lim1(params, r_range=range(4, 13))
-    rows = [(r, v) for r, v in zip(rep.radii, rep.ratios)]
-    art = _write_csv(cfg.output_dir, "log-borderline.csv", "radius,ratio", rows)
-    return ExperimentResult("log-borderline", [
+    return Outcome([
         Assertion("ratio_band", rep.band, "<=", 2.0, "paper-exponent"),
-    ], [art])
+    ], ("radius", "ratio"), zip(rep.radii, rep.ratios))
 
 
 # bv-decay's bound on (lhs - tail) / tail: a few ulp, since lhs = tail exactly
@@ -239,10 +228,9 @@ def _exp_log_borderline(cfg: ExperimentConfig) -> ExperimentResult:
 BV_DECAY_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
-def _exp_bv_decay(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_bv_decay(cfg: ExperimentConfig) -> Outcome:
     rng = np.random.default_rng(cfg.seed)
     assertions, rows = [], []
-    worst_violation = 0.0
     for d in (2, 3):
         for i in range(50):
             n = int(rng.integers(1, 11))
@@ -251,8 +239,8 @@ def _exp_bv_decay(cfg: ExperimentConfig) -> ExperimentResult:
             st = staircase(list(zip(radii, vals)), d=d)
             rep = bv_decay_check(st, radii, d=d)
             violation = float(np.max((rep.lhs - rep.tail_bound) / rep.tail_bound))
-            worst_violation = max(worst_violation, violation)
             rows.append((d, i, violation))
+    worst_violation = max([0.0] + [v for _, _, v in rows])
     assertions.append(Assertion("max_rel_violation_all_staircases", worst_violation,
                                 "<=", BV_DECAY_RTOL, "paper-exponent"))
     for d in (2, 3):
@@ -261,8 +249,7 @@ def _exp_bv_decay(cfg: ExperimentConfig) -> ExperimentResult:
         assertions.append(Assertion(
             f"single_step_equality_gap_d{d}",
             float(abs(rep.lhs[0] - rep.tail_bound[0])), "<=", 1e-12, "identity"))
-    art = _write_csv(cfg.output_dir, "bv-decay.csv", "d,case,rel_violation", rows)
-    return ExperimentResult("bv-decay", assertions, [art])
+    return Outcome(assertions, ("d", "case", "rel_violation"), rows)
 
 
 def _bv_corpus(rng, d: int):
@@ -277,7 +264,7 @@ def _bv_corpus(rng, d: int):
     return corpus
 
 
-def _exp_bv_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_bv_equivalence(cfg: ExperimentConfig) -> Outcome:
     rng = np.random.default_rng(cfg.seed)
     assertions, rows = [], []
     for d in (2, 3):
@@ -295,11 +282,10 @@ def _exp_bv_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
                     for lam in (0.25, 4.0))
         assertions.append(Assertion(f"dilation_drift_d{d}", drift, "<=", 1e-6,
                                     "identity"))
-    art = _write_csv(cfg.output_dir, "bv-equivalence.csv", "d,case,ratio", rows)
-    return ExperimentResult("bv-equivalence", assertions, [art])
+    return Outcome(assertions, ("d", "case", "ratio"), rows)
 
 
-def _exp_seq_identities(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_seq_identities(cfg: ExperimentConfig) -> Outcome:
     rng = np.random.default_rng(cfg.seed)
     worst_bf = 0.0
     worst_hom = 0.0
@@ -324,14 +310,12 @@ def _exp_seq_identities(cfg: ExperimentConfig) -> ExperimentResult:
         q_hi = SpaceParams(s, p, 3.0, d)
         gap = seq_norm_bspqd(c, q_hi) - seq_norm_bspqd(c, q_lo)
         worst_mono = max(worst_mono, gap / max(b, 1e-300))
-    art = _write_csv(cfg.output_dir, "seq-identities.csv",
-                     "b_eq_f_rel,homogeneity_rel,q_monotonicity_gap",
-                     [(worst_bf, worst_hom, worst_mono)])
-    return ExperimentResult("seq-identities", [
+    return Outcome([
         Assertion("b_eq_f_at_p_eq_q_rel", worst_bf, "<=", 1e-10, "identity"),
         Assertion("homogeneity_rel", worst_hom, "<=", 1e-12, "identity"),
         Assertion("q_monotonicity_gap", worst_mono, "<=", 1e-12, "identity"),
-    ], [art])
+    ], ("b_eq_f_rel", "homogeneity_rel", "q_monotonicity_gap"),
+        [(worst_bf, worst_hom, worst_mono)])
 
 
 def _profile_corpus(rng, n: int = 50):
@@ -357,7 +341,7 @@ def _profile_corpus(rng, n: int = 50):
     return corpus
 
 
-def _exp_trace_roundtrip(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_trace_roundtrip(cfg: ExperimentConfig) -> Outcome:
     rng = np.random.default_rng(cfg.seed)
     corpus = _profile_corpus(rng, 50)
     worst_rt = 0.0
@@ -368,19 +352,16 @@ def _exp_trace_roundtrip(cfg: ExperimentConfig) -> ExperimentResult:
         worst_rt = max(worst_rt, float(np.max(np.abs(back.values - prof.values))))
         for m in (0, 1):
             worst_cm = max(worst_cm, cm_norm(back, m) - cm_norm(f, m))
-    art = _write_csv(cfg.output_dir, "trace-roundtrip.csv",
-                     "roundtrip_max_err,cm_trace_gap_max",
-                     [(worst_rt, worst_cm)])
-    return ExperimentResult("trace-roundtrip", [
+    return Outcome([
         Assertion("roundtrip_node_exact", worst_rt, "<=", 0.0, "identity"),
         Assertion("cm_trace_leq_field", worst_cm, "<=", 1e-12, "paper-exponent"),
-    ], [art])
+    ], ("roundtrip_max_err", "cm_trace_gap_max"), [(worst_rt, worst_cm)])
 
 
-def _exp_support_shift(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_support_shift(cfg: ExperimentConfig) -> Outcome:
     params = SpaceParams(1.0, 2.0, 2.0, 2)
     taus = [2.0, 4.0, 8.0, 16.0]
-    ratios, rows = [], []
+    rows = []
     for tau in taus:
         ev = (lambda tau=tau: lambda t: bump((np.abs(t) - (tau + 0.5)) / 0.5))()
         prof = RadialProfile.from_callable(ev, Grid1D.uniform(2 ** -11, tau + 2.0),
@@ -388,34 +369,29 @@ def _exp_support_shift(cfg: ExperimentConfig) -> ExperimentResult:
         oned = lp_besov_norm_1d(prof, params, weighted=False, n_fft=2 ** 16,
                                 T=tau + 2.0)
         dd = tb_norm(prof, params, J=10)
-        ratios.append(oned / dd)
         rows.append((tau, oned, dd, oned / dd))
-    slope = float(np.polyfit(np.log2(taus), np.log2(ratios), 1)[0])
-    art = _write_csv(cfg.output_dir, "support-shift.csv",
-                     "tau,norm_1d,norm_trace,ratio", rows)
-    return ExperimentResult("support-shift", [
+    slope = float(np.polyfit(np.log2(taus), np.log2([r[-1] for r in rows]), 1)[0])
+    return Outcome([
         Assertion("ratio_slope_minus_(-(d-1)/p)", slope - (-0.5), "abs<=", 0.15,
                   "paper-exponent"),
-    ], [art])
+    ], ("tau", "norm_1d", "norm_trace", "ratio"), rows)
 
 
-def _exp_spherical_mean(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_spherical_mean(cfg: ExperimentConfig) -> Outcome:
     res = spherical_mean_wavelet_coeffs(d=2, p=1.0, Jmax=6, wavelet="db4",
                                         nodes_per_unit=2000,
                                         richardson_tol=1e-6)
     rows = [(int(j), s, int(c), m) for j, s, c, m in
             zip(res.levels, res.scaled_sums, res.counts, res.max_coeff)]
-    art = _write_csv(cfg.output_dir, "spherical-mean-wavelet.csv",
-                     "level,scaled_sum,count,max_coeff", rows)
-    return ExperimentResult("spherical-mean-wavelet", [
+    return Outcome([
         Assertion("scaled_sum_boundedness", res.boundedness_ratio(), "<=", 3.0,
                   "paper-exponent"),
         Assertion("count_growth_band", res.count_growth_band(), "<=", 2.0,
                   "paper-exponent"),
-    ], [art])
+    ], ("level", "scaled_sum", "count", "max_coeff"), rows)
 
 
-def _exp_sobolev_reduction(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_sobolev_reduction(cfg: ExperimentConfig) -> Outcome:
     ps, shapes, ratio = (1.0, 2.0), ((1.2, 0.8), (0.9, 0.35)), {}
     for d in (2, 3):
         for (c, w) in shapes:
@@ -431,15 +407,13 @@ def _exp_sobolev_reduction(cfg: ExperimentConfig) -> ExperimentResult:
     rows = [(d, p, c, w, ratio[d, p, c, w])
             for d in (2, 3) for p in ps for (c, w) in shapes]
     worst = max(abs(row[-1] - 1.0) for row in rows)
-    art = _write_csv(cfg.output_dir, "sobolev-reduction.csv",
-                     "d,p,center,width,ratio", rows)
-    return ExperimentResult("sobolev-reduction", [
+    return Outcome([
         Assertion("gradient_identity_max_rel_err", worst, "<=", 1e-4,
                   "paper-exponent"),
-    ], [art])
+    ], ("d", "p", "center", "width", "ratio"), rows)
 
 
-def _exp_predicate_tables(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_predicate_tables(cfg: ExperimentConfig) -> Outcome:
     INF = math.inf
     cases = [
         ("in_U(1,1,inf,F)", in_U(SpaceParams(1.0, 1.0, INF, 2, "F")), True),
@@ -459,27 +433,26 @@ def _exp_predicate_tables(cfg: ExperimentConfig) -> ExperimentResult:
         ("U_t(.5,.6,2)", in_U_t(0.5, 0.6, 2.0), True),
         ("sigma_p(.5,2)=2", sigma_p(0.5, 2) == 2.0, True),
     ]
-    # one column per case (commas in the names become ';'); the first row
-    # holds the computed predicates, the second the expected ones, as 1/0
-    header = ",".join(name.replace(",", ";") for name, _, _ in cases)
+    # one column per case (commas in the names become ';', so csv quotes no
+    # header field); the first row holds the computed predicates, the second
+    # the expected ones, as 1/0
+    header = [name.replace(",", ";") for name, _, _ in cases]
     rows = [tuple(int(got) for _, got, _ in cases),
             tuple(int(want) for _, _, want in cases)]
-    art = _write_csv(cfg.output_dir, "predicate-tables.csv", header, rows)
     failures = sum(1 for _, got, want in cases if got != want)
-    return ExperimentResult("predicate-tables", [
+    return Outcome([
         Assertion("table_mismatches", float(failures), "<=", 0.0, "paper-exponent"),
-    ], [art])
+    ], header, rows)
 
 
-def _exp_classification_map(cfg: ExperimentConfig) -> ExperimentResult:
+def _exp_classification_map(cfg: ExperimentConfig) -> Outcome:
     d = cfg.opt("d", 2, int)
     x0, x1, y0, y1 = FIGURE_RECT
     rect = (x0, cfg.opt("max_inv_p", x1), cfg.opt("min_s", y0), cfg.opt("max_s", y1))
     resolution = cfg.opt("resolution", 60, int)
     which = cfg.options.get("figure", "fig2")
     region = figure_region(which, d)
-    art = cfg.output_dir / f"classification-{which}-d{d}.csv"
-    write_classification_csv(art, region, rect, resolution)
+    header, rows = classification_table(region, rect, resolution)
     # the paper's label of the anchor (1/p, s) = (1, 1), from its conditions
     # rather than from the predicates drawn above: the trace lands in S' iff
     # s >= d/p - 1; at q = 1 the functions are bounded iff s >= d/p, and
@@ -489,9 +462,9 @@ def _exp_classification_map(cfg: ExperimentConfig) -> ExperimentResult:
               "fig2": "decay",
               "fig3": "bounded" if s >= d * inv_p else "controlled-unboundedness"}
     ok = 0.0 if region.label(inv_p, s) == expect[which] else 1.0
-    return ExperimentResult("classification-map", [
+    return Outcome([
         Assertion("anchor_point_(1,1)", ok, "<=", 0.0, "paper-exponent"),
-    ], [art])
+    ], header, rows, f"classification-{which}-d{d}.csv")
 
 
 # the config options each experiment reads; any other key is refused, and an
@@ -501,7 +474,7 @@ OPTIONS: Dict[str, Tuple[str, ...]] = {
                            "resolution"),
 }
 
-REGISTRY: Dict[str, Tuple[Callable[[ExperimentConfig], ExperimentResult], str]] = {
+REGISTRY: Dict[str, Tuple[Callable[[ExperimentConfig], Outcome], str]] = {
     "scaling-f-j-lambda": (_exp_scaling_fjlam,
                            "thin-annulus norm scaling vs level and radius index"),
     "scaling-lp": (_exp_scaling_lp, "weighted L_p scaling of the annulus bumps"),
@@ -548,6 +521,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             f"{', '.join(map(repr, unknown))}; it reads "
             f"{', '.join(map(repr, allowed)) or 'none'}")
     func, _ = REGISTRY[cfg.experiment]
-    result = func(cfg)
-    result.write_summary(cfg.output_dir)
-    return result
+    out = func(cfg)
+    data = write_csv(cfg.output_dir / (out.data_file or f"{cfg.experiment}.csv"),
+                     out.header, out.rows)
+    summary = write_csv(cfg.output_dir / f"{cfg.experiment}-summary.csv",
+                        SUMMARY_HEADER, (a.row() for a in out.assertions))
+    return ExperimentResult(cfg.experiment, out.assertions, [data, summary])

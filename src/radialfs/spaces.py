@@ -73,15 +73,13 @@ def sigma_pq(p: float, q: float, d: int) -> float:
     return d * max(0.0, _inv(p) - 1.0, _inv(q) - 1.0)
 
 
-def _in_U3(params: SpaceParams) -> Optional[bool]:
-    s, ip = params.s, params.inv_p
-    if s > ip:
-        return True
-    if s == ip:
-        if params.scale == "B":
-            return params.q <= 1
-        return params.p <= 1
-    return False
+def _above(params: SpaceParams, thr: float) -> bool:
+    """The paper's borderline rule: s > thr, or s = thr and q <= 1 (B) resp.
+    p <= 1 (F).  The == compares floats, so each caller keeps its own
+    expression for thr."""
+    if params.s == thr:
+        return (params.q if params.scale == "B" else params.p) <= 1
+    return params.s > thr
 
 
 def in_U(params: SpaceParams) -> bool:
@@ -89,7 +87,7 @@ def in_U(params: SpaceParams) -> bool:
 
     B: s > 1/p, or s = 1/p and q <= 1.  F: s > 1/p, or s = 1/p and p <= 1.
     """
-    return bool(_in_U3(params))
+    return _above(params, params.inv_p)
 
 
 def embeds_in_Linfty(params: SpaceParams) -> bool:
@@ -97,14 +95,7 @@ def embeds_in_Linfty(params: SpaceParams) -> bool:
 
     B: s > d/p, or s = d/p and q <= 1.  F: s > d/p, or s = d/p and p <= 1.
     """
-    s, thr = params.s, params.d * params.inv_p
-    if s > thr:
-        return True
-    if s == thr:
-        if params.scale == "B":
-            return params.q <= 1
-        return params.p <= 1
-    return False
+    return _above(params, params.d * params.inv_p)
 
 
 def _trace_lands3(params: SpaceParams) -> Optional[bool]:
@@ -114,14 +105,7 @@ def _trace_lands3(params: SpaceParams) -> Optional[bool]:
     else:
         if not params.s > sigma_pq(params.p, params.q, params.d):
             return None
-    thr = params.d * (params.inv_p - 1.0 / params.d)  # = d/p - 1
-    if params.s > thr:
-        return True
-    if params.s == thr:
-        if params.scale == "B":
-            return params.q <= 1
-        return params.p <= 1
-    return False
+    return _above(params, params.d * (params.inv_p - 1.0 / params.d))  # d/p - 1
 
 
 def trace_lands_in_Sprime(params: SpaceParams) -> bool:
@@ -210,7 +194,7 @@ def fig2_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
     def rule(params: SpaceParams) -> str:
         if params.s < sigma_p(params.p, d):
             return "singular"
-        if _in_U3(params):
+        if in_U(params):
             return "decay"
         return "no-decay"
 
@@ -223,7 +207,7 @@ def fig3_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
     def rule(params: SpaceParams) -> str:
         if embeds_in_Linfty(params):
             return "bounded"
-        if _in_U3(params):
+        if in_U(params):
             return "controlled-unboundedness"
         return "unbounded"
 

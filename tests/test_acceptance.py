@@ -24,7 +24,9 @@ def _run(name, tmp_path, **options):
     cfg = ExperimentConfig(name, output_dir=tmp_path,
                            options={k: str(v) for k, v in options.items()})
     result = run_experiment(cfg)
-    _check_data_csvs(tmp_path)
+    data_file = (f"classification-{options.get('figure', 'fig2')}-d{options.get('d', 2)}.csv"
+                 if name == "classification-map" else f"{name}.csv")
+    _check_data_csvs(tmp_path, data_file, f"{name}-summary.csv")
     if not options and cfg.seed == REFERENCE["seed"]:
         _check_reference(name, tmp_path / f"{name}-summary.csv")
     return result
@@ -44,25 +46,20 @@ def _read_summary(path):
     return rows
 
 
-def _check_data_csvs(outdir):
-    # every data file holds plain numbers under its header, one field per
-    # header column; the summary holds its six fields per row, with plain
-    # numbers as measured and threshold
-    data = []
-    for path in sorted(outdir.iterdir()):
-        if path.name.endswith("-summary.csv"):
-            assert _read_summary(path), f"{path.name}: no assertion rows"
-        else:
-            data.append(path)
-    assert data, f"no data CSV written in {outdir}"
-    for path in data:
-        with open(path, newline="") as fh:
-            header, *rows = csv.reader(fh)
-        assert rows, f"{path.name}: no data rows"
-        for row in rows:
-            assert len(row) == len(header), f"{path.name}: ragged row {row}"
-            for value in row:
-                float(value)
+def _check_data_csvs(outdir, data_file, summary_file):
+    # the run writes exactly its data file and its summary; the data file
+    # holds plain numbers under its header, one field per header column; the
+    # summary holds its six fields per row, with plain numbers as measured
+    # and threshold
+    assert sorted(p.name for p in outdir.iterdir()) == sorted([data_file, summary_file])
+    assert _read_summary(outdir / summary_file), f"{summary_file}: no assertion rows"
+    with open(outdir / data_file, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows, f"{data_file}: no data rows"
+    for row in rows:
+        assert len(row) == len(header), f"{data_file}: ragged row {row}"
+        for value in row:
+            float(value)
 
 
 def _check_reference(name, summary):

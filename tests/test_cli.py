@@ -7,8 +7,8 @@ import pytest
 
 from radialfs import experiments
 from radialfs.cli import main
-from radialfs.experiments import (Assertion, ExperimentConfig, ExperimentResult,
-                                  _write_csv, list_experiments, run_experiment)
+from radialfs.experiments import (Assertion, ExperimentConfig, Outcome,
+                                  list_experiments, run_experiment, write_csv)
 from radialfs.spaces import fig3_region
 
 
@@ -54,13 +54,13 @@ class TestRunAll:
 
     def test_failure_exits_one_and_reports_every_experiment(self, tmp_path,
                                                             monkeypatch, capsys):
-        def fake(name, measured):
-            return lambda cfg: ExperimentResult(
-                name, [Assertion("check", measured, "<=", 1.0, "identity")])
+        def fake(measured):
+            return lambda cfg: Outcome(
+                [Assertion("check", measured, "<=", 1.0, "identity")], ("x",), [])
 
         monkeypatch.setattr(experiments, "REGISTRY", {
-            "good": (fake("good", 0.5), "passes"),
-            "bad": (fake("bad", 2.0), "fails")})
+            "good": (fake(0.5), "passes"),
+            "bad": (fake(2.0), "fails")})
         assert main(["run-all", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "[pass] good: check = 0.5" in out
@@ -95,11 +95,20 @@ class TestDecomposeDemoScript:
 class TestWriteCsv:
     def test_fields_parse_as_numbers(self, tmp_path):
         rows = [(np.float64(0.25), 1.5, 3), (np.float64(1e-300), -0.0, 7)]
-        path = _write_csv(tmp_path, "numbers.csv", "a,b,c", rows)
+        path = write_csv(tmp_path / "numbers.csv", ("a", "b", "c"), rows)
         header, *lines = path.read_text().splitlines()
         assert header == "a,b,c"
         parsed = [tuple(float(v) for v in line.split(",")) for line in lines]
         assert parsed == [tuple(float(v) for v in row) for row in rows]
+
+    def test_bytes(self, tmp_path):
+        # numpy floats as Python floats, the sign of -0.0 kept, a field
+        # holding a comma quoted, "\n" line ends
+        rows = [("anchor_point_(1,1)", np.float64(0.25), 3, -0.0),
+                ("tiny", 1e-300, np.int64(7), np.float64(-2.5))]
+        path = write_csv(tmp_path / "sub" / "t.csv", ("name", "x", "n", "y"), rows)
+        assert path.read_bytes() == (b'name,x,n,y\n"anchor_point_(1,1)",0.25,3,-0.0\n'
+                                     b"tiny,1e-300,7,-2.5\n")
 
 
 class TestRun:
@@ -115,6 +124,13 @@ class TestRun:
         cfg.write_text(json.dumps({"experiment": "predicate-tables",
                                    "output_dir": str(tmp_path), "seed": 2}))
         assert main(["run", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("text", ['["experiment"]', '"experiment"', "3"])
+    def test_json_config_not_an_object_exit_two(self, tmp_path, capsys, text):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_unknown_figure_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -169,6 +185,35 @@ class TestRun:
         monkeypatch.setenv("RADIALFS_SEED", "777")
         cfg = ExperimentConfig("bv-decay", seed=1, output_dir=tmp_path)
         assert cfg.seed == 777
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+    def test_bad_ini_seed_exit_two_writes_nothing(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment = bv-decay\nseed = {seed}\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("seed", [1.5, True, "abc", None, 2.0])
+    def test_bad_json_seed_exit_two_writes_nothing(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "bv-decay", "seed": seed,
+                                   "output_dir": str(tmp_path / "out")}))
+        assert main(["run", str(cfg)]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command", ["run", "run-all"])
+    def test_bad_env_seed_exit_two_writes_nothing(self, tmp_path, monkeypatch,
+                                                  capsys, command):
+        monkeypatch.setenv("RADIALFS_SEED", "x")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text("experiment = bv-decay\nseed = 3\n")
+        argv = ["run", "exp.cfg"] if command == "run" else ["run-all"]
+        assert main(argv) == 2
+        assert "RADIALFS_SEED must be an integer, got 'x'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
     def test_summary_has_provenance_column(self, tmp_path):
         cfg = ExperimentConfig("bv-decay", output_dir=tmp_path)

@@ -254,15 +254,3 @@ class TestGradientIdentity:
         prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w), d=3)
         rep = radial_gradient_identity_check(prof, 1, 3, evaluator=ev, n_grid=16)
         assert abs(rep.ratio - 1.0) > 1e-2
-
-
-class TestProfileSerialization:
-    def test_csv_roundtrip(self, tmp_path):
-        g = RadialProfile.from_callable(lambda t: np.cos(t), Grid1D.uniform(0.1, 1.0),
-                                        d=2)
-        path = tmp_path / "prof.csv"
-        g.to_csv(path)
-        assert open(path).readline().strip() == "t,value"
-        back = RadialProfile.from_csv(path, d=2)
-        assert np.allclose(back.values, g.values)
-        assert np.allclose(back.grid.nodes, g.grid.nodes)
