@@ -122,7 +122,6 @@ class BVProfile:
     breaks: Tuple[float, ...]
     pieces: Tuple[Callable[[np.ndarray], np.ndarray], ...]
     derivative: RadonMeasure1D
-    d: int = 2
 
     def __call__(self, r) -> np.ndarray:
         return self._evaluate(r, left=False)
@@ -155,10 +154,10 @@ class BVProfile:
         pieces = tuple((lambda p: (lambda r: p(np.asarray(r) / lam)))(p)
                        for p in self.pieces)
         return BVProfile(tuple(b * lam for b in self.breaks), pieces,
-                         RadonMeasure1D(atoms, dens, supp), self.d)
+                         RadonMeasure1D(atoms, dens, supp))
 
 
-def staircase(steps: Sequence[Tuple[float, float]], d: int = 2) -> BVProfile:
+def staircase(steps: Sequence[Tuple[float, float]]) -> BVProfile:
     """Right-continuous staircase from "(r1, a1), (r2, a2), ..." style steps.
 
     The value is a_i on [r_{i-1}, r_i) (r_0 = 0) and 0 beyond the last
@@ -179,11 +178,10 @@ def staircase(steps: Sequence[Tuple[float, float]], d: int = 2) -> BVProfile:
             atoms.append((r, jump))
     pieces = tuple((lambda a: (lambda r: np.full_like(np.asarray(r, float), a)))(a)
                    for a in values) + ((lambda r: np.zeros_like(np.asarray(r, float))),)
-    return BVProfile(tuple(radii), pieces, RadonMeasure1D(tuple(atoms)), d)
+    return BVProfile(tuple(radii), pieces, RadonMeasure1D(tuple(atoms)))
 
 
-def smooth_bump_bv(center: float, width: float, height: float = 1.0,
-                   d: int = 2) -> BVProfile:
+def smooth_bump_bv(center: float, width: float, height: float = 1.0) -> BVProfile:
     """A C^1 bump profile as a BVProfile (no jumps; density derivative)."""
     if center - width <= 0:
         raise InvalidParameterError("bump must stay inside R^+")
@@ -207,7 +205,7 @@ def smooth_bump_bv(center: float, width: float, height: float = 1.0,
 
     support = (center - width, center + width)
     return BVProfile((center + width,), (val, lambda r: np.zeros_like(np.asarray(r, float))),
-                     RadonMeasure1D((), dens, support), d)
+                     RadonMeasure1D((), dens, support))
 
 
 def _weighted_parts(g: BVProfile, d: int) -> Tuple[float, float, float]:
@@ -221,13 +219,13 @@ def _weighted_parts(g: BVProfile, d: int) -> Tuple[float, float, float]:
     return l1, variation, max(l1_err, variation_err)
 
 
-def bv_weighted_norm(g: BVProfile, d: Optional[int] = None) -> float:
+def bv_weighted_norm(g: BVProfile, d: int) -> float:
     """||g | L_1(R^+, t^{d-1})|| + integral_0^inf r^{d-1} d|nu|(r)."""
-    l1, variation, _ = _weighted_parts(g, d if d is not None else g.d)
+    l1, variation, _ = _weighted_parts(g, d)
     return l1 + variation
 
 
-def bv_dim_norm(g: BVProfile, d: Optional[int] = None) -> float:
+def bv_dim_norm(g: BVProfile, d: int) -> float:
     """The BV(R^d) norm of ext g by the exact radial reduction.
 
     L_1 part: omega_{d-1} * integral |g| t^{d-1} dt.  Variation part
@@ -236,7 +234,6 @@ def bv_dim_norm(g: BVProfile, d: Optional[int] = None) -> float:
     smooth parts contribute omega_{d-1} integral |g'| t^{d-1} dt (for an
     indicator this is exactly the perimeter).
     """
-    d = d if d is not None else g.d
     l1, variation, _ = _weighted_parts(g, d)
     return sphere_area(d) * (l1 + variation)
 
@@ -254,13 +251,12 @@ class BVEquivalenceReport:
         return self.dim_norm / self.weighted_norm
 
 
-def bv_equivalence_check(g: BVProfile, d: Optional[int] = None) -> BVEquivalenceReport:
+def bv_equivalence_check(g: BVProfile, d: int) -> BVEquivalenceReport:
     """Ratio of the d-dimensional BV norm of ext g to the weighted 1-D norm.
 
     The two are equivalent norms; the ratio must stay within a fixed bracket
     and is exactly dilation invariant (both sides scale identically).
     """
-    d = d if d is not None else g.d
     if d not in (2, 3):
         raise InvalidParameterError("BV equivalence implemented for d in {2, 3}")
     l1, variation, err = _weighted_parts(g, d)
@@ -280,14 +276,12 @@ class BVDecayReport:
         return bool(np.all(self.lhs <= self.tail_bound * (1.0 + 1e-12)))
 
 
-def bv_decay_check(g: BVProfile, radii: Sequence[float],
-                   d: Optional[int] = None) -> BVDecayReport:
+def bv_decay_check(g: BVProfile, radii: Sequence[float], d: int) -> BVDecayReport:
     """Check r^{d-1} |g(r)| <= integral_r^inf t^{d-1} d|nu| at the given radii.
 
     Values at jump radii use the left limit (the Lebesgue-point
     representative just inside the jump), which is the extremal case.
     """
-    d = d if d is not None else g.d
     radii = np.asarray(sorted(radii), dtype=float)
     lhs = radii ** (d - 1) * np.abs(g.value_left(radii))
     tails, tail_errs = np.array([g.derivative._tail(r, d) for r in radii]).reshape(-1, 2).T
@@ -332,7 +326,7 @@ def _test_functions_c1c() -> List[Tuple[Callable, Callable, float]]:
     return out
 
 
-def pairing_identity_residuals(g: BVProfile, d: Optional[int] = None) -> np.ndarray:
+def pairing_identity_residuals(g: BVProfile, d: int) -> np.ndarray:
     """Residuals of int g(t) [phi(s) s^{d-1}]'(t) dt = -int phi t^{d-1} dnu.
 
     Evaluated against the fixed family of 12 C^1_c test functions, with
@@ -340,7 +334,6 @@ def pairing_identity_residuals(g: BVProfile, d: Optional[int] = None) -> np.ndar
     residuals are quadrature error, below 1e-12 relative on the staircases
     and smooth bumps of the tests.
     """
-    d = d if d is not None else g.d
     res = []
     atol = 1e-3 * (1.0 + bv_weighted_norm(g, d))
     locs, masses = np.array(g.derivative.atoms, dtype=float).reshape(-1, 2).T

@@ -107,20 +107,19 @@ class Grid1D:
         return Grid1D(nodes)
 
     @staticmethod
-    def composite(J: int = 10, h: float = 0.01, T: float = 8.0,
-                  n_per: int = 16) -> "Grid1D":
+    def composite(J: int = 10, h: float = 0.01, T: float = 8.0) -> "Grid1D":
         """Dyadic refinement on (0, 1] (levels j = 0..J) plus a uniform tail on [1, T].
 
-        Level j places ``n_per`` nodes on (2^{-j-1}, 2^{-j}], so the local
+        Level j places 16 nodes on (2^{-j-1}, 2^{-j}], so the local
         spacing tracks the dyadic scale; the phenomena at the origin stay
         resolved while the tail keeps a fixed budget.
         """
-        if J < 0 or n_per < 2 or h <= 0 or T < 1:
+        if J < 0 or h <= 0 or T < 1:
             raise InvalidParameterError("bad composite grid parameters")
         parts = [np.array([0.0, 2.0 ** (-J - 1)])]
         for j in range(J, -1, -1):
             lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
-            parts.append(np.linspace(lo, hi, n_per + 1)[1:])
+            parts.append(np.linspace(lo, hi, 17)[1:])
         if T > 1:
             n_tail = int(round((T - 1) / h))
             parts.append(1.0 + np.arange(1, n_tail + 1) * h)
@@ -203,22 +202,6 @@ def weighted_lp_norm(g: RadialProfile, p: float, d: Optional[int] = None) -> flo
     t = g.grid.nodes
     integrand = np.abs(g.values) ** p * np.abs(t) ** (d - 1)
     return float(np.trapezoid(integrand, t)) ** (1.0 / p)
-
-
-def _derivatives_123(t: np.ndarray, v: np.ndarray):
-    """First and second derivatives by 3-point nonuniform finite differences."""
-    n = t.size
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    hm = t[1:-1] - t[:-2]
-    hp = t[2:] - t[1:-1]
-    d1[1:-1] = (v[2:] * hm ** 2 - v[:-2] * hp ** 2
-                + v[1:-1] * (hp ** 2 - hm ** 2)) / (hm * hp * (hm + hp))
-    d2[1:-1] = 2.0 * (v[2:] * hm + v[:-2] * hp - v[1:-1] * (hm + hp)) \
-        / (hm * hp * (hm + hp))
-    d1[0], d1[-1] = d1[1], d1[-2]
-    d2[0], d2[-1] = d2[1], d2[-2]
-    return d1, d2
 
 
 def _permutations(idx: np.ndarray) -> np.ndarray:
@@ -314,7 +297,7 @@ def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...],
 
     t = g.grid.nodes
     if evaluator is None:
-        d1, _ = _derivatives_123(t, g.values)
+        d1 = _gradients(g.values, t, 1)[1]
         gprime = 0.5 * (np.abs(d1) + np.abs(d1[::-1]))
     else:
         r = np.abs(t)

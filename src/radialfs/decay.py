@@ -79,21 +79,18 @@ def fit_decay_exponent(f: RadialProfile, R_list: Sequence[float]) -> DecayFit:
     return DecayFit(radii, amps, slope, rms)
 
 
-def bump_train(amplitude_exponent: float, centers: Sequence[float],
-               width: float = 0.4, grid: Optional[Grid1D] = None,
-               T: Optional[float] = None, h: float = 2 ** -10) -> RadialProfile:
-    """Even profile sum_m |c_m|^{-a} bump((t - c_m)/width)."""
+def bump_train(amplitude_exponent: float, centers: Sequence[float]) -> RadialProfile:
+    """Even profile sum_m |c_m|^{-a} bump((t - c_m)/0.4) on [-T, T], T = 2.2 max c_m,
+    sampled with spacing 2^-10 max(1, T/8)."""
     centers = np.asarray(sorted(centers), dtype=float)
-    if T is None:
-        T = float(centers.max()) * 2.2
-    if grid is None:
-        grid = Grid1D.uniform(h * max(1.0, T / 8.0), T)
+    T = float(centers.max()) * 2.2
+    grid = Grid1D.uniform(2 ** -10 * max(1.0, T / 8.0), T)
 
     def ev(t):
         t = np.abs(np.asarray(t, dtype=float))
         out = np.zeros_like(t)
         for c in centers:
-            out += c ** (-amplitude_exponent) * bump((t - c) / width)
+            out += c ** (-amplitude_exponent) * bump((t - c) / 0.4)
         return out
 
     return RadialProfile.from_callable(ev, grid)
@@ -122,8 +119,7 @@ class Decay4Report:
 def _decay4_upper_corpus(d: int, p: float):
     """Fixed witness corpus for the upper-bound direction of the decay law."""
     corpus = []
-    train = bump_train((d - 1) / p, [1.5 * 2.0 ** m for m in range(1, 6)],
-                       width=0.4)
+    train = bump_train((d - 1) / p, [1.5 * 2.0 ** m for m in range(1, 6)])
     corpus.append(("bump-train", train))
     for lam in (7.0, 31.0):
         fam = make_f_j_lambda(1, lam)

@@ -41,10 +41,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .bump import bump, bump_derivative_sup, smoothstep
-from .core import Grid1D, RadialProfile, _derivatives_123, weighted_lp_norm
+from .core import Grid1D, RadialProfile, _gradients, weighted_lp_norm
 from .covering import AtomSpec
-from .errors import (DecompositionError, InvalidParameterError,
-                     ResolutionError)
+from .errors import DecompositionError, InvalidParameterError
 from .seqspaces import (CoefficientGrid, _combine_levels, seq_norm_bspqd,
                         seq_norm_fspqd)
 from .spaces import SpaceParams, sigma_p, sigma_pq
@@ -58,6 +57,8 @@ LN2 = math.log(2.0)
 # Nodes per _add_level call of decompose_profile: small temporaries are
 # reused from the heap, not mapped afresh on every level.
 _CHUNK = 2 ** 13
+# A stalled residual raises only above this share of the profile's norm.
+STALL_RTOL = 1e-4
 
 
 def atom_normalization(L: int) -> float:
@@ -175,12 +176,13 @@ class AtomicDecomposition:
 
 
 def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
-                      tol: float = 1e-4, raise_on_stall: bool = True,
+                      raise_on_stall: bool = True,
                       track_history: bool = True) -> AtomicDecomposition:
     """Multilevel collocation decomposition of an even compactly supported profile.
 
     Raises DecompositionError when the residual stalls (residual at J above
-    residual at J-2) and ``raise_on_stall`` is set.  The captured sum on the
+    residual at J-2 and above STALL_RTOL times the profile's norm) and
+    ``raise_on_stall`` is set.  The captured sum on the
     half line t >= 0 of the grid is kept as one running array that gains
     only level j's atoms after level j; only the lattice points and the
     half-line nodes in the support window of the module docstring are
@@ -197,6 +199,8 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     """
     if not g.grid.even:
         raise InvalidParameterError("decomposition needs an even profile")
+    if J < 0:
+        raise InvalidParameterError(f"need J >= 0, got J={J}")
     t_grid = g.grid.nodes
     i0 = int(np.searchsorted(t_grid, 0.0))   # the half line t >= 0 is t_grid[i0:]
     t_half = np.abs(t_grid[i0:])
@@ -249,7 +253,7 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
 
     if raise_on_stall and len(history) >= 3 and history[-1] > history[-3]:
         g_scale = weighted_lp_norm(g, p_norm, d_for_norm)
-        if g_scale > 0 and history[-1] > tol * g_scale:
+        if g_scale > 0 and history[-1] > STALL_RTOL * g_scale:
             raise DecompositionError(
                 f"residual stalls: {history[-1]:.3g} at J={J} vs "
                 f"{history[-3]:.3g} at J={J - 2}")
@@ -259,37 +263,47 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
                                residual_history=history, d=g.dim_context)
 
 
+def _checked_decomposition(g: RadialProfile, params: SpaceParams, spec: AtomSpec,
+                           J: int, decomposition: Optional[AtomicDecomposition],
+                           sigma: float) -> AtomicDecomposition:
+    """``decomposition``, which must lie on g's grid and whose own spec is
+    checked, or else a fresh one of g at J with ``spec``, checked first."""
+    if decomposition is not None:
+        if not np.array_equal(decomposition.grid.nodes, g.grid.nodes):
+            raise InvalidParameterError("the decomposition is not on g's grid")
+        spec = decomposition.spec
+    spec.require_admissible(params.s, params.p, sigma)
+    if decomposition is None:
+        decomposition = decompose_profile(g.restrict_dim(params.d), spec, J=J,
+                                          raise_on_stall=False,
+                                          track_history=False)
+    return decomposition
+
+
 def tb_norm(g: RadialProfile, params: SpaceParams,
             spec: Optional[AtomSpec] = None, J: int = 10,
             decomposition: Optional[AtomicDecomposition] = None) -> float:
     """b^s_{p,q,d} sequence norm of the constructed decomposition.
 
     An upper bound of the infimum in the trace-space definition; use only in
-    ratio or scaling-exponent assertions.
+    ratio or scaling-exponent assertions.  ``spec`` and J serve a fresh
+    decomposition only; a given ``decomposition`` is checked by its own spec.
     """
-    if spec is None:
-        spec = AtomSpec.b_admissible(params.s, params.p, params.d)
-    spec.require_admissible(params.s, params.p, sigma_p(params.p, params.d))
-    if decomposition is None:
-        decomposition = decompose_profile(g.restrict_dim(params.d), spec, J=J,
-                                          raise_on_stall=False,
-                                          track_history=False)
-    return seq_norm_bspqd(decomposition.coefficients, params)
+    dec = _checked_decomposition(
+        g, params, spec or AtomSpec.b_admissible(params.s, params.p, params.d),
+        J, decomposition, sigma_p(params.p, params.d))
+    return seq_norm_bspqd(dec.coefficients, params)
 
 
 def tf_norm(g: RadialProfile, params: SpaceParams,
             spec: Optional[AtomSpec] = None, J: int = 10,
             decomposition: Optional[AtomicDecomposition] = None) -> float:
-    """f^s_{p,q,d} sequence norm of the constructed decomposition."""
-    if spec is None:
-        spec = AtomSpec.f_admissible(params.s, params.p, params.q, params.d)
-    spec.require_admissible(params.s, params.p,
-                            sigma_pq(params.p, params.q, params.d))
-    if decomposition is None:
-        decomposition = decompose_profile(g.restrict_dim(params.d), spec, J=J,
-                                          raise_on_stall=False,
-                                          track_history=False)
-    return seq_norm_fspqd(decomposition.coefficients, params)
+    """f^s_{p,q,d} sequence norm of the constructed decomposition (``spec``,
+    J and ``decomposition`` as for ``tb_norm``)."""
+    dec = _checked_decomposition(
+        g, params, spec or AtomSpec.f_admissible(params.s, params.p, params.q, params.d),
+        J, decomposition, sigma_pq(params.p, params.q, params.d))
+    return seq_norm_fspqd(dec.coefficients, params)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +417,14 @@ def _band_plan(n: int, h: float) -> Tuple[np.ndarray, Tuple[int, ...], float]:
     h, and the top frequency xi_max.
 
     On the half spectrum xi_f = 2 pi f / (n h), f <= n/2, edges[k] is the
-    first bin with xi >= 2^k for k = 0..J_max + 1 (every later edge is n/2 + 1),
+    first bin with xi >= 2^k for k = 0..J_max + 1,
     J_max = max(1, ceil(log2 xi_max)).  The ramp is 0 below edges[0] and
     _level_lowpass(xi, k) on [edges[k], edges[k+1]).  Level k's low-pass is 1
     up to 2^k and 0 from 2^{k+1} on, so band j's window low_j - low_{j-1}
     (low_{-1} = 0) is 1 - ramp on [edges[j-1], edges[j]) and the ramp on
     [edges[j], edges[j+1]): the floats of the windows built level by level.
-    The top band J >= J_max has the window 1 from 2^J on, where the only bin
-    there can be, xi = 2^J, has ramp 1.
+    The top band J_max has the window 1 from 2^J_max on, where the only bin
+    there can be, xi = 2^J_max, has ramp 1.
     """
     xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
     xi_max = float(xi[-1])
@@ -465,10 +479,11 @@ def _weight_plan(n: int, d: int) -> Tuple[np.ndarray, Dict[int, slice]]:
     return tables, slices
 
 
-def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
-                  J: Optional[int]):
-    """Check the grid and the top level, then return T, the spacing h, the
-    top level J, a work buffer and a generator of the band spectra 0..J.
+def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float]):
+    """Check the grid, then return T, the spacing h, the top level J, a work
+    buffer and a generator of the band spectra 0..J.  J = J_max of
+    ``_band_plan``: 2^J covers the grid's spectrum, so bands above it would
+    be empty.
 
     On the periodic grid t_k = -T + 2Tk/n (n = n_fft), t_{n-k} = -t_k, so the
     even profile's samples are an even sequence: only the n//2 + 1 points
@@ -491,14 +506,8 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float],
     n, size = n_fft, n_fft // 2 + 1
     t01 = _fft_grid(n, T, 2)
     h = float(t01[1] - t01[0])
-    ramp, edges, xi_max = _band_plan(n, h)
-    if J is None:
-        J = len(edges) - 2
-    elif 2.0 ** J < xi_max:
-        raise ResolutionError(
-            f"requested J={J} does not cover the grid spectrum "
-            f"(need >= {len(edges) - 2})")
-    edges += (size,) * (J + 2 - len(edges))
+    ramp, edges, _ = _band_plan(n, h)
+    J = len(edges) - 2
     work = np.empty(n // 2 + int(n).bit_length())
 
     def bands():
@@ -560,8 +569,7 @@ def _l2_mass(X: np.ndarray, a: int, b: int, n: int,
 
 
 def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
-                         T: Optional[float] = None,
-                         J: Optional[int] = None) -> DyadicBandSpectrum:
+                         T: Optional[float] = None) -> DyadicBandSpectrum:
     """Split g into dyadic frequency bands via FFT; bands sum back to g exactly.
 
     Band 0 is the low-pass |xi| <= 2; band j lives on 2^{j-1} <= |xi| <= 2^{j+1}.
@@ -576,7 +584,7 @@ def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
     ``lp_besov_norm_1d`` at p = 2 makes only the widest ones, on the half
     line (see there).
     """
-    T, _, J, work, bands = _dyadic_bands(g, n_fft, T, J)
+    T, _, J, work, bands = _dyadic_bands(g, n_fft, T)
     stacked = np.empty((J + 1, n_fft))
     for j, (_, _, X) in enumerate(bands):
         _band_samples(X, work, stacked[j])
@@ -585,8 +593,7 @@ def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
 
 def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
                      weighted: bool = True, n_fft: int = 2 ** 16,
-                     T: Optional[float] = None,
-                     J: Optional[int] = None) -> float:
+                     T: Optional[float] = None) -> float:
     """Fourier-analytic reference norm (sum_j 2^{jsq} ||phi_j * g||_{L_p}^q)^{1/q}.
 
     ``weighted`` applies the half-line weight |t|^{d-1} inside the L_p norms,
@@ -603,7 +610,7 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
     M > n_fft/2 are sampled on the half line t <= 0 and dotted with the weight.
     """
     s, p, q, d = params.s, params.p, params.q, params.d
-    T, h, _, work, bands = _dyadic_bands(g, n_fft, T, J)
+    T, h, _, work, bands = _dyadic_bands(g, n_fft, T)
     if p == 2:
         # built before the bands fill this call's buffers: the build's
         # temporaries are freed first
@@ -643,6 +650,6 @@ def sobolev_radial_norm_1(g: RadialProfile, p: float,
     if p < 1:
         raise InvalidParameterError("p >= 1 required (Sobolev regime)")
     d = d if d is not None else g.dim_context
-    d1, _ = _derivatives_123(g.grid.nodes, g.values)
+    d1 = _gradients(g.values, g.grid.nodes, 1)[1]
     gp = RadialProfile(g.grid, 0.5 * (np.abs(d1) + np.abs(d1[::-1])))
     return weighted_lp_norm(g, p, d) + weighted_lp_norm(gp, p, d)

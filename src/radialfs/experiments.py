@@ -195,7 +195,7 @@ def _exp_decay_infinity(cfg: ExperimentConfig) -> Outcome:
 def _exp_strauss(cfg: ExperimentConfig) -> Outcome:
     d, p = 3, 2.0
     centers = [1.5 * 2.0 ** m for m in range(1, 8)]
-    train = bump_train((d - 1) / p, centers, width=0.4)
+    train = bump_train((d - 1) / p, centers)
     fit = fit_decay_exponent(train, [1.1 * 2.0 ** m for m in range(1, 8)])
     return Outcome([
         Assertion("decay_exponent_minus_(d-1)/2", fit.decay_exponent - 1.0,
@@ -236,7 +236,7 @@ def _exp_bv_decay(cfg: ExperimentConfig) -> Outcome:
             n = int(rng.integers(1, 11))
             radii = np.sort(rng.uniform(0.05, 10.0, n))
             vals = rng.normal(0.0, 2.0, n)
-            st = staircase(list(zip(radii, vals)), d=d)
+            st = staircase(list(zip(radii, vals)))
             rep = bv_decay_check(st, radii, d=d)
             violation = float(np.max((rep.lhs - rep.tail_bound) / rep.tail_bound))
             rows.append((d, i, violation))
@@ -244,7 +244,7 @@ def _exp_bv_decay(cfg: ExperimentConfig) -> Outcome:
     assertions.append(Assertion("max_rel_violation_all_staircases", worst_violation,
                                 "<=", BV_DECAY_RTOL, "paper-exponent"))
     for d in (2, 3):
-        g = staircase([(2.0, 1.0)], d=d)
+        g = staircase([(2.0, 1.0)])
         rep = bv_decay_check(g, [2.0], d=d)
         assertions.append(Assertion(
             f"single_step_equality_gap_d{d}",
@@ -252,15 +252,15 @@ def _exp_bv_decay(cfg: ExperimentConfig) -> Outcome:
     return Outcome(assertions, ("d", "case", "rel_violation"), rows)
 
 
-def _bv_corpus(rng, d: int):
+def _bv_corpus(rng):
     corpus = []
     for i in range(8):
         n = int(rng.integers(1, 8))
         radii = np.sort(rng.uniform(0.2, 6.0, n))
         vals = rng.normal(0.0, 1.5, n)
-        corpus.append(staircase(list(zip(radii, vals)), d=d))
-    corpus.append(smooth_bump_bv(2.0, 0.7, d=d))
-    corpus.append(smooth_bump_bv(4.0, 1.2, height=-2.0, d=d))
+        corpus.append(staircase(list(zip(radii, vals))))
+    corpus.append(smooth_bump_bv(2.0, 0.7))
+    corpus.append(smooth_bump_bv(4.0, 1.2, height=-2.0))
     return corpus
 
 
@@ -269,14 +269,14 @@ def _exp_bv_equivalence(cfg: ExperimentConfig) -> Outcome:
     assertions, rows = [], []
     for d in (2, 3):
         ratios = []
-        for i, g in enumerate(_bv_corpus(rng, d)):
+        for i, g in enumerate(_bv_corpus(rng)):
             rep = bv_equivalence_check(g, d)
             ratios.append(rep.ratio)
             rows.append((d, i, rep.ratio))
         band = max(ratios) / min(ratios)
         assertions.append(Assertion(f"ratio_spread_d{d}", band, "<=", 4.0,
                                     "frozen-baseline"))
-        g = staircase([(1.0, 1.0), (3.0, -0.5)], d=d)
+        g = staircase([(1.0, 1.0), (3.0, -0.5)])
         base = bv_equivalence_check(g, d).ratio
         drift = max(abs(bv_equivalence_check(g.dilated(lam), d).ratio - base)
                     for lam in (0.25, 4.0))

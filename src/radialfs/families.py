@@ -91,8 +91,7 @@ def make_f_alpha_delta(alpha: float, delta: float) -> TestFamily:
     return TestFamily("f_alpha_delta", ev, (0.5, 2.0), singularities=(1.0,))
 
 
-def make_f_j_lambda(j: int, lam: float,
-                    shape: Callable = annulus_shape) -> TestFamily:
+def make_f_j_lambda(j: int, lam: float) -> TestFamily:
     """Thin-annulus bump phi(2^j |y| - lambda).
 
     Support is (lambda-2) 2^{-j} <= |y| <= (lambda+2) 2^{-j}; the value at
@@ -108,7 +107,7 @@ def make_f_j_lambda(j: int, lam: float,
     scale = 2.0 ** (-j)
 
     def ev(t):
-        return shape(2.0 ** j * np.abs(t) - lam)
+        return annulus_shape(2.0 ** j * np.abs(t) - lam)
 
     return TestFamily("f_j_lambda", ev, ((lam - 2.0) * scale, (lam + 2.0) * scale))
 

@@ -73,10 +73,9 @@ class CoefficientGrid:
     levels: Dict[int, np.ndarray] = field(default_factory=dict)
 
     @staticmethod
-    def random(rng, J: int, K: int, density: float = 0.3,
-               scale: float = 1.0) -> "CoefficientGrid":
+    def random(rng, J: int, K: int, density: float = 0.3) -> "CoefficientGrid":
         mask = rng.random((J + 1, K + 1)) < density
-        vals = rng.standard_normal((J + 1, K + 1)) * scale
+        vals = rng.standard_normal((J + 1, K + 1))
         return CoefficientGrid(dict(enumerate(np.where(mask, vals, 0.0))))
 
     @property

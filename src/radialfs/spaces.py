@@ -150,9 +150,8 @@ def in_U_t(alpha: float, sigma: float, t: float) -> bool:
 
 @dataclass(frozen=True)
 class ParamRegion:
-    """A named, total, deterministic classifier over (1/p, s) points."""
+    """A total, deterministic classifier over (1/p, s) points."""
 
-    name: str
     labels: Tuple[str, ...]      # every label the classifier can return
     classifier: Callable[[float, float], str]
 
@@ -160,22 +159,22 @@ class ParamRegion:
         return self.classifier(inv_p, s)
 
 
-def _param_region(fig: str, d: int, q: float, scale: str, labels: Tuple[str, ...],
+def _param_region(d: int, labels: Tuple[str, ...],
                   rule: Callable[[SpaceParams], str]) -> ParamRegion:
-    """Region labelling each valid (1/p, s) point by ``rule``, others 'invalid'."""
+    """Label valid (1/p, s) points, on the B scale at q = 1, by ``rule``; others 'invalid'."""
 
     def classify(inv_p: float, s: float) -> str:
         p = INF if inv_p == 0 else 1.0 / inv_p
         try:
-            params = SpaceParams(s, p, q, d, scale)
+            params = SpaceParams(s, p, 1.0, d)
         except InvalidParameterError:
             return "invalid"
         return rule(params)
 
-    return ParamRegion(f"{fig}-d{d}-{scale}{q:g}", ("invalid",) + labels, classify)
+    return ParamRegion(("invalid",) + labels, classify)
 
 
-def fig1_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
+def fig1_region(d: int) -> ParamRegion:
     """Trace existence map: trace space in S' vs not, vs out-of-hypothesis."""
 
     def rule(params: SpaceParams) -> str:
@@ -184,11 +183,10 @@ def fig1_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
             return "out-of-hypothesis"
         return "trace-in-Sprime" if res else "not-in-Sprime"
 
-    return _param_region("fig1", d, q, scale, ("out-of-hypothesis", "trace-in-Sprime",
-                                                "not-in-Sprime"), rule)
+    return _param_region(d, ("out-of-hypothesis", "trace-in-Sprime", "not-in-Sprime"), rule)
 
 
-def fig2_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
+def fig2_region(d: int) -> ParamRegion:
     """Decay-at-infinity map: decay / no-decay / singular distributions."""
 
     def rule(params: SpaceParams) -> str:
@@ -198,10 +196,10 @@ def fig2_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
             return "decay"
         return "no-decay"
 
-    return _param_region("fig2", d, q, scale, ("singular", "decay", "no-decay"), rule)
+    return _param_region(d, ("singular", "decay", "no-decay"), rule)
 
 
-def fig3_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
+def fig3_region(d: int) -> ParamRegion:
     """Boundedness-at-origin map: bounded / controlled blow-up / unbounded."""
 
     def rule(params: SpaceParams) -> str:
@@ -211,5 +209,4 @@ def fig3_region(d: int, q: float = 1.0, scale: str = "B") -> ParamRegion:
             return "controlled-unboundedness"
         return "unbounded"
 
-    return _param_region("fig3", d, q, scale, ("bounded", "controlled-unboundedness",
-                                                "unbounded"), rule)
+    return _param_region(d, ("bounded", "controlled-unboundedness", "unbounded"), rule)

@@ -8,11 +8,11 @@ node-exact, so tr . ext = id on profiles and ext . tr = id on fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Grid1D, RadialProfile, _derivatives_123, _gradients
+from .core import Grid1D, RadialProfile, _gradients
 from .errors import EvennessError, InvalidParameterError, ResolutionError
 
 __all__ = ["RadialGridField", "trace", "extend", "cm_norm"]
@@ -28,8 +28,6 @@ class RadialGridField:
     profile: Optional[RadialProfile] = None
     axes: Optional[Tuple[np.ndarray, ...]] = None
     values: Optional[np.ndarray] = None
-    provenance: str = "profile"
-    evaluator: Optional[Callable] = None
 
     def __post_init__(self):
         if self.d < 2:
@@ -38,25 +36,16 @@ class RadialGridField:
             raise InvalidParameterError("need a profile or a tensor sample")
 
     @staticmethod
-    def from_profile(g: RadialProfile, d: int,
-                     evaluator: Optional[Callable] = None) -> "RadialGridField":
-        return RadialGridField(d=d, profile=g, provenance="profile",
-                               evaluator=evaluator)
-
-    @staticmethod
     def from_tensor(axes, values: np.ndarray, d: Optional[int] = None
                     ) -> "RadialGridField":
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         if d is None:
             d = len(axes)
-        return RadialGridField(d=d, axes=axes, values=np.asarray(values, float),
-                               provenance="tensor")
+        return RadialGridField(d=d, axes=axes, values=np.asarray(values, float))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
-        if self.evaluator is not None:
-            return self.evaluator(r)
         if self.profile is not None:
             return self.profile(r)
         # tensor backing: multilinear interpolation via the radial profile
@@ -65,7 +54,7 @@ class RadialGridField:
 
     def radiality_defect(self) -> float:
         """Relative spread of values across equal radii (0 for profile backing)."""
-        if self.provenance == "profile":
+        if self.profile is not None:
             return 0.0
         mesh = np.meshgrid(*self.axes, indexing="ij")
         r = np.sqrt(sum(m ** 2 for m in mesh))
@@ -88,7 +77,7 @@ class RadialGridField:
 
 def trace(f: RadialGridField) -> RadialProfile:
     """Restrict to the x1-axis; exact (no interpolation) for profile backing."""
-    if f.provenance == "profile":
+    if f.profile is not None:
         return f.profile
     defect = f.radiality_defect()
     if defect > RADIALITY_TOL:
@@ -108,14 +97,13 @@ def trace(f: RadialGridField) -> RadialProfile:
     return RadialProfile(grid, vals, dim_context=f.d)
 
 
-def extend(g: RadialProfile, d: int,
-           evaluator: Optional[Callable] = None) -> RadialGridField:
-    """Radial extension ext g (profile-backed evaluator; linear interpolation)."""
+def extend(g: RadialProfile, d: int) -> RadialGridField:
+    """Radial extension ext g (profile-backed; linear interpolation)."""
     if d < 2:
         raise InvalidParameterError(f"dimension must be >= 2, got {d}")
     if not g.grid.even:
         raise EvennessError("extension needs an even profile")
-    return RadialGridField.from_profile(g, d, evaluator=evaluator)
+    return RadialGridField(d=d, profile=g)
 
 
 def _profile_cm(g: RadialProfile, m: int) -> float:
@@ -136,12 +124,12 @@ def _field_cm(f: RadialGridField, m: int) -> float:
         raise ResolutionError("field C^m norm implemented for m <= 2")
     g = trace(f)
     t = g.grid.nodes
+    derivs = _gradients(g.values, t, m)
     total = float(np.max(np.abs(g.values)))
     if m == 0:
         return total
-    d1, d2 = _derivatives_123(t, g.values)
     pos = t > 0
-    gp, gpp, r = d1[pos], d2[pos], t[pos]
+    gp, r = derivs[1][pos], t[pos]
     # g'(0) = 0 for even profiles; g'/r has the even-reflection limit g''(0)
     gp_over_r = gp / r
     sup_g1 = float(np.max(np.abs(gp)))
@@ -149,6 +137,7 @@ def _field_cm(f: RadialGridField, m: int) -> float:
     if m == 1:
         return total
     # diagonal terms: sup over u^2 in [0,1] of |g'' u^2 + (g'/r)(1 - u^2)|
+    gpp = derivs[2][pos]
     diag = np.maximum(np.abs(gpp), np.abs(gp_over_r))
     off = 0.5 * np.abs(gpp - gp_over_r)
     total += f.d * float(diag.max()) + (f.d * (f.d - 1) // 2) * 2.0 * float(off.max())

@@ -82,8 +82,8 @@ class WaveletTable:
 
 
 @lru_cache(maxsize=None)
-def wavelet_table(name: str = "db6", levels: int = 10) -> WaveletTable:
-    """Cascade refinement of the two-scale relation to resolution 2^{-levels}.
+def wavelet_table(name: str = "db6") -> WaveletTable:
+    """Cascade refinement of the two-scale relation to resolution 2^{-10}.
 
     phi at the integers is the eigenvector (eigenvalue 1) of the filter
     matrix; each cascade pass evaluates phi(x) = sqrt(2) sum_k h_k phi(2x-k)
@@ -105,7 +105,7 @@ def wavelet_table(name: str = "db6", levels: int = 10) -> WaveletTable:
     grid = np.arange(n, dtype=float)
     phi = np.zeros(n)
     phi[1:n - 1] = phi_int
-    for _ in range(levels):
+    for _ in range(10):
         step = (grid[1] - grid[0]) / 2.0
         grid_new = np.arange(grid.size * 2 - 1, dtype=float) * step
         phi_new = np.zeros_like(grid_new)
@@ -121,8 +121,8 @@ def wavelet_table(name: str = "db6", levels: int = 10) -> WaveletTable:
             2.0 * grid - k, grid, phi, left=0.0, right=0.0)
 
     # the support is [0, n - 1] with n - 1 = hi; padding one unit of zeros
-    # below 0 puts hi - 1 + r step - o at padded index (hi - o) 2^levels + r
-    steps = 2 ** levels
+    # below 0 puts hi - 1 + r step - o at padded index (hi - o) 2^10 + r
+    steps = 2 ** 10
     padded = np.zeros((2, steps + grid.size))
     padded[0, steps:] = phi
     padded[1, steps:] = psi

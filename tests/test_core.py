@@ -31,8 +31,8 @@ class TestGrid1D:
             Grid1D(np.array([-1.0, 0.0, 2.0]), even=True)
 
     def test_composite_n_per_sets_level_density(self):
-        # 0, 2^-3, 4 nodes on each of 3 levels and 2 tail nodes, mirrored
-        assert Grid1D.composite(J=2, h=0.5, T=2.0, n_per=4).size == 31
+        # 0, 2^-3, 16 nodes on each of 3 levels and 2 tail nodes, mirrored
+        assert Grid1D.composite(J=2, h=0.5, T=2.0).size == 103
 
     def test_composite_resolves_origin_and_tail(self):
         g = Grid1D.composite(J=8, h=0.05, T=4.0)

@@ -37,7 +37,7 @@ class TestFitDecay:
     def test_bump_train_exponent(self):
         beta = 1.5
         centers = [1.5 * 2.0 ** m for m in range(1, 8)]
-        g = bump_train(beta, centers, width=0.4)
+        g = bump_train(beta, centers)
         fit = fit_decay_exponent(g, [1.1 * 2.0 ** m for m in range(1, 8)])
         assert fit.decay_exponent == pytest.approx(beta, abs=0.05)
 
@@ -183,6 +183,6 @@ class TestClassificationMap:
         # d = 2, 3 at p = 2, s = 1 (H^1): measured exponent (d-1)/2 +- 0.1
         for d in (2, 3):
             centers = [1.5 * 2.0 ** m for m in range(1, 8)]
-            g = bump_train((d - 1) / 2.0, centers, width=0.4)
+            g = bump_train((d - 1) / 2.0, centers)
             fit = fit_decay_exponent(g, [1.1 * 2.0 ** m for m in range(1, 8)])
             assert fit.decay_exponent == pytest.approx((d - 1) / 2.0, abs=0.1)

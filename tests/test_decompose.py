@@ -15,8 +15,7 @@ from radialfs.decompose import (_eval_capture, _lowpass_window,
                                 sobolev_radial_norm_1, tb_norm,
                                 template_atom_profile, template_atom_values,
                                 tf_norm)
-from radialfs.errors import (DecompositionError, InvalidParameterError,
-                             ResolutionError)
+from radialfs.errors import DecompositionError, InvalidParameterError
 from radialfs.families import make_f_j_lambda
 from radialfs.spaces import SpaceParams
 
@@ -81,7 +80,7 @@ class TestDecomposeProfile:
         vals = rng.standard_normal(grid.size)
         g = RadialProfile(grid, 0.5 * (vals + vals[::-1]), 2)
         with pytest.raises(DecompositionError):
-            decompose_profile(g, SPEC_L2, J=4, tol=1e-12)
+            decompose_profile(g, SPEC_L2, J=4)
 
     def test_csv_export(self, fine_grid, tmp_path):
         atom = template_atom_profile(1, 2, fine_grid, L=2, d=2)
@@ -316,6 +315,45 @@ class TestTraceNorms:
         f = tf_norm(g, params, spec=spec, decomposition=dec)
         assert f == pytest.approx(b, rel=1e-10)
 
+    def test_decomposition_checked_by_its_own_spec(self):
+        # f_{3,4} at s = 1, p = q = 2, d = 2: atoms with L = 0, below
+        # [s] + 1 = 2, are refused whether passed as spec or as the spec of a
+        # given decomposition; an admissible decomposition of g is read
+        params = SpaceParams(1.0, 2.0, 2.0, 2)
+        g = make_f_j_lambda(3, 4.0).profile(Grid1D.uniform(2 ** -10, 1.0), d=2)
+        low = AtomSpec(0, -1, 1.0, 2.0)
+        dec = decompose_profile(g, low, J=8, raise_on_stall=False)
+        ok = decompose_profile(g, AtomSpec.b_admissible(1.0, 2.0, 2), J=8,
+                               raise_on_stall=False)
+        for norm in (tb_norm, tf_norm):
+            with pytest.raises(InvalidParameterError, match="L = 0"):
+                norm(g, params, spec=low, J=8)
+            with pytest.raises(InvalidParameterError, match="L = 0"):
+                norm(g, params, decomposition=dec)
+            assert norm(g, params, decomposition=ok) == pytest.approx(
+                norm(g, params, J=8), rel=1e-12)
+
+    def test_decomposition_must_lie_on_the_profile_grid(self):
+        params = SpaceParams(1.0, 2.0, 2.0, 2)
+        fam = make_f_j_lambda(3, 4.0)
+        g = fam.profile(Grid1D.uniform(2 ** -10, 1.0), d=2)
+        other = decompose_profile(fam.profile(Grid1D.uniform(2 ** -9, 1.0), d=2),
+                                  AtomSpec.b_admissible(1.0, 2.0, 2), J=8,
+                                  raise_on_stall=False)
+        for norm in (tb_norm, tf_norm):
+            with pytest.raises(InvalidParameterError, match="grid"):
+                norm(g, params, decomposition=other)
+
+    @pytest.mark.parametrize("J", [-1, -4])
+    def test_negative_J_raises(self, fine_grid, J):
+        g = template_atom_profile(1, 5, fine_grid, L=2, d=2)
+        params = SpaceParams(1.0, 2.0, 2.0, 2)
+        for call in (lambda: decompose_profile(g, SPEC_L2, J=J),
+                     lambda: tb_norm(g, params, J=J),
+                     lambda: tf_norm(g, params, J=J)):
+            with pytest.raises(InvalidParameterError, match="J >= 0"):
+                call()
+
     def test_dilation_law_within_factor_two(self):
         # tb(g(t / 2^-m)) / tb(g) tracks 2^{m(s-d/p)} within factor 2 over m
         params = SpaceParams(1.0, 2.0, 2.0, 2)
@@ -372,22 +410,19 @@ class TestLpBesovNorm:
         spec = dyadic_band_spectrum(g, n_fft=2 ** 15, T=4.0)
         assert spec.reconstruction_error(g(spec.t)) <= 1e-8
 
+    # J: the reference's top level, spec.J when None; above spec.J the
+    # reference's bands are empty, since 2^spec.J covers the grid's spectrum
     @pytest.mark.parametrize("n_fft, J", [(2 ** 12, None), (2 ** 12 + 1, None),
                                           (3001, 14)])
     def test_bands_match_complex_fft_reference(self, n_fft, J):
         g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -9, 4.0),
                                         d=2)
-        spec = dyadic_band_spectrum(g, n_fft=n_fft, T=4.0, J=J)
-        # full complex spectrum, every window built on the whole xi axis
+        spec = dyadic_band_spectrum(g, n_fft=n_fft, T=4.0)
         vals = g(spec.t)
-        xi = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=spec.t[1] - spec.t[0])
-        low = [_lowpass_window(xi / 2.0 ** j) for j in range(spec.J)]
-        low.append(np.ones_like(xi))
-        full = np.fft.fft(vals)
-        ref = np.array([np.fft.ifft(full * (low[j] - (low[j - 1] if j else 0.0))).real
-                        for j in range(spec.J + 1)])
-        assert spec.bands.shape == ref.shape == (spec.J + 1, n_fft)
-        assert np.max(np.abs(spec.bands - ref)) <= 1e-13 * np.max(np.abs(vals))
+        ref = _complex_reference_bands(vals, spec.t, spec.J if J is None else J)
+        assert spec.bands.shape == ref[:spec.J + 1].shape == (spec.J + 1, n_fft)
+        assert np.max(np.abs(spec.bands - ref[:spec.J + 1])) <= 1e-13 * np.max(np.abs(vals))
+        assert not np.any(ref[spec.J + 1:])
 
     def test_band_csv_export(self, tmp_path):
         g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -8, 4.0),
@@ -459,13 +494,6 @@ class TestLpBesovNorm:
             v = lp_besov_norm_1d(g, SpaceParams(s, 2.0, 2.0, 2), n_fft=2 ** 14,
                                  T=8.0)
             assert math.isfinite(v) and v > 0
-
-    def test_resolution_error(self):
-        g = RadialProfile.from_callable(lambda t: np.exp(-t ** 2),
-                                        Grid1D.uniform(0.1, 2.0), d=2)
-        with pytest.raises(ResolutionError):
-            lp_besov_norm_1d(g, SpaceParams(1.0, 2.0, 2.0, 2), n_fft=256, T=2.0,
-                             J=2)
 
     def test_surrogate_consistency_spread(self):
         # tb_norm and the weighted LP norm agree up to constants on a fixed
@@ -583,6 +611,16 @@ class TestEvenDft:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def _complex_reference_bands(vals, t, J):
+    """Bands 0..J of the samples vals on the periodic grid t from their full
+    complex spectrum, every window built on the whole xi axis."""
+    xi = 2.0 * math.pi * np.fft.fftfreq(t.size, d=t[1] - t[0])
+    low = [_lowpass_window(xi / 2.0 ** j) for j in range(J)] + [np.ones_like(xi)]
+    full = np.fft.fft(vals)
+    return np.array([np.fft.ifft(full * (low[j] - (low[j - 1] if j else 0.0))).real
+                     for j in range(J + 1)])
+
+
 def _stacked_l2_logs(spec, s, d, weighted):
     """log(2^{js} ||band_j||_2) of each nonzero stacked band, from its samples."""
     h = spec.t[1] - spec.t[0]
@@ -601,8 +639,8 @@ PARSEVAL_PROFILES = {
 class TestParsevalRoute:
     # n odd and even, around and above the fold cut; T from the grid (None)
     # or given, also off the powers of two, where the weight tables shared
-    # by every T scale by T^{d-1}; J above J_max adds bands with an empty
-    # spectrum
+    # by every T scale by T^{d-1}; a J above spec.J gives a reference with
+    # more bands, whose extra bands are empty, so the norm does not change
     @pytest.mark.parametrize("n, T, J", [(2 ** 12 + 1, None, None),
                                          (3001, 4.0, 14), (2 ** 13, 4.0, None),
                                          (2 ** 15, None, 17), (2 ** 17, 4.0, None),
@@ -611,7 +649,10 @@ class TestParsevalRoute:
     def test_p2_norm_matches_stacked_bands(self, shape, n, T, J):
         g = RadialProfile.from_callable(PARSEVAL_PROFILES[shape],
                                         Grid1D.uniform(2 ** -10, 3.0), d=2)
-        spec = dyadic_band_spectrum(g, n_fft=n, T=T, J=J)
+        spec = dyadic_band_spectrum(g, n_fft=n, T=T)
+        if J is not None:
+            assert J > spec.J
+            assert not np.any(_complex_reference_bands(g(spec.t), spec.t, J)[spec.J + 1:])
         s = 0.7
         for d in (1, 2, 3):
             for weighted in (True, False):
@@ -620,7 +661,7 @@ class TestParsevalRoute:
                     want = (math.exp(max(logs)) if math.isinf(q) else
                             math.exp(seqspaces._logsumexp([q * v for v in logs]) / q))
                     got = lp_besov_norm_1d(g, SpaceParams(s, 2.0, q, d),
-                                           weighted=weighted, n_fft=n, T=T, J=J)
+                                           weighted=weighted, n_fft=n, T=T)
                     assert got == pytest.approx(want, rel=1e-13), (d, weighted, q)
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -750,21 +791,6 @@ class TestFftPlan:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-
-    def test_small_J_raises_before_any_transform(self, monkeypatch):
-        _clear_plans()
-        calls = []
-        monkeypatch.setattr(decompose, "_even_dft",
-                            lambda *args: calls.append("_even_dft"))
-        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: calls.append("irfft"))
-        g = RadialProfile.from_callable(lambda t: np.exp(-t ** 2),
-                                        Grid1D.uniform(0.1, 2.0), d=2)
-        for call in (lambda: lp_besov_norm_1d(g, SpaceParams(1.0, 2.0, 2.0, 2),
-                                              n_fft=256, T=2.0, J=2),
-                     lambda: dyadic_band_spectrum(g, n_fft=256, T=2.0, J=2)):
-            with pytest.raises(ResolutionError):
-                call()
-        assert calls == []
 
 
 class TestFftInputValidation:

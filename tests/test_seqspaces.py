@@ -293,9 +293,9 @@ class TestCsv:
     def test_random_draws_and_csv_bytes(self, tmp_path):
         # random draws the mask, then the values, and keeps the nonzero ones
         rng, direct = np.random.default_rng(12), np.random.default_rng(12)
-        c = CoefficientGrid.random(rng, 3, 7, density=0.4, scale=2.5)
+        c = CoefficientGrid.random(rng, 3, 7, density=0.4)
         mask = direct.random((4, 8)) < 0.4
-        vals = direct.standard_normal((4, 8)) * 2.5
+        vals = direct.standard_normal((4, 8))
         assert rng.bit_generator.state == direct.bit_generator.state
         assert list(c.items()) == [((int(j), int(k)), float(vals[j, k]))
                                    for j, k in zip(*np.nonzero(mask))]
