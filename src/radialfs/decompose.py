@@ -160,6 +160,7 @@ class AtomicDecomposition:
     residual_norm: float
     residual_history: List[float]
     d: Optional[int] = None
+    values: Optional[np.ndarray] = None     # the decomposed profile's samples
 
     def reconstruction(self, t) -> np.ndarray:
         return _eval_capture(self.coefficients.levels, t, self.spec.L)
@@ -260,17 +261,23 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
 
     return AtomicDecomposition(CoefficientGrid(levels), spec, J, g.grid,
                                residual_norm=history[-1],
-                               residual_history=history, d=g.dim_context)
+                               residual_history=history, d=g.dim_context,
+                               values=g.values)
 
 
 def _checked_decomposition(g: RadialProfile, params: SpaceParams, spec: AtomSpec,
                            J: int, decomposition: Optional[AtomicDecomposition],
                            sigma: float) -> AtomicDecomposition:
-    """``decomposition``, which must lie on g's grid and whose own spec is
-    checked, or else a fresh one of g at J with ``spec``, checked first."""
+    """``decomposition``, which must be one of g (its grid and its values)
+    and whose own spec is checked, or else a fresh one of g at J with
+    ``spec``, checked first."""
     if decomposition is not None:
         if not np.array_equal(decomposition.grid.nodes, g.grid.nodes):
             raise InvalidParameterError("the decomposition is not on g's grid")
+        # the values are most often g's own array: identity first
+        if (decomposition.values is not g.values
+                and not np.array_equal(decomposition.values, g.values)):
+            raise InvalidParameterError("the decomposition is not one of g")
         spec = decomposition.spec
     spec.require_admissible(params.s, params.p, sigma)
     if decomposition is None:
@@ -412,9 +419,8 @@ def _plan_array(size: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_PLAN_ENTRIES)
-def _band_plan(n: int, h: float) -> Tuple[np.ndarray, Tuple[int, ...], float]:
-    """The ramp and edges of the band windows on the n-point grid of spacing
-    h, and the top frequency xi_max.
+def _band_plan(n: int, h: float) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """The ramp and edges of the band windows on the n-point grid of spacing h.
 
     On the half spectrum xi_f = 2 pi f / (n h), f <= n/2, edges[k] is the
     first bin with xi >= 2^k for k = 0..J_max + 1,
@@ -427,15 +433,14 @@ def _band_plan(n: int, h: float) -> Tuple[np.ndarray, Tuple[int, ...], float]:
     there can be, xi = 2^J_max, has ramp 1.
     """
     xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
-    xi_max = float(xi[-1])
-    J_max = max(1, int(math.ceil(math.log2(xi_max))))
+    J_max = max(1, int(math.ceil(math.log2(xi[-1]))))
     edges = tuple(np.searchsorted(xi, 2.0 ** np.arange(J_max + 2)).tolist())
     ramp = _plan_array(xi.size)
     for k in range(J_max + 1):
         part = slice(edges[k], edges[k + 1])
         ramp[part] = _level_lowpass(xi[part], k)
     ramp.flags.writeable = False
-    return ramp, edges, xi_max
+    return ramp, edges
 
 
 @lru_cache(maxsize=_PLAN_ENTRIES)
@@ -506,7 +511,7 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float]):
     n, size = n_fft, n_fft // 2 + 1
     t01 = _fft_grid(n, T, 2)
     h = float(t01[1] - t01[0])
-    ramp, edges, _ = _band_plan(n, h)
+    ramp, edges = _band_plan(n, h)
     J = len(edges) - 2
     work = np.empty(n // 2 + int(n).bit_length())
 

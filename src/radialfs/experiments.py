@@ -384,8 +384,8 @@ def _exp_spherical_mean(cfg: ExperimentConfig) -> Outcome:
     rows = [(int(j), s, int(c), m) for j, s, c, m in
             zip(res.levels, res.scaled_sums, res.counts, res.max_coeff)]
     return Outcome([
-        Assertion("scaled_sum_boundedness", res.boundedness_ratio(), "<=", 3.0,
-                  "paper-exponent"),
+        Assertion("scaled_sum_log2_slope", res.scaled_sum_slope(), "abs<=", 0.1,
+                  "frozen-baseline"),
         Assertion("count_growth_band", res.count_growth_band(), "<=", 2.0,
                   "paper-exponent"),
     ], ("level", "scaled_sum", "count", "max_coeff"), rows)

@@ -8,12 +8,14 @@ values of one node along one axis are one row gather and one linear blend.
 
 The experiment computes the coefficients of the unit-sphere surface measure
 against all wavelets meeting the sphere, by circle quadrature (d = 2) or a
-Gauss-Legendre x trapezoid product rule (d = 3).  The rule goes ring by ring
-(the circle, or one latitude of constant z); its nodes are never stored.  A
-ring's sums for every generator come from dense products of its x and y
-phi/psi factor matrices, arc by arc.  The mirrored latitudes z and -z share
-those sums, so at d = 3 they are computed once per pair and enter each ring
-as an outer product with its z values.  The experiment returns the scaled
+Gauss-Legendre x trapezoid product rule (d = 3).  The rule is a set of rings
+(the circle, or the latitudes of constant z) whose nodes are never stored.
+The mirrored latitudes z and -z share their x, y sums, so only the rings
+with z <= 0 are summed, in batches of a bounded float count and in arcs of
+consecutive nodes: dense phi/psi factor tensors per axis and one batched
+product give every ring's sums for all xy generators, and one matmul with
+the rings' z-rows (phi and psi at their z shifts, z and -z together) adds
+the batch to every generator at once.  The experiment returns the scaled
 per-level sums whose boundedness encodes the membership of the spherical
 mean in B^{1/p - 1}_{p, infinity}.
 """
@@ -180,7 +182,8 @@ def _window(v: np.ndarray, lo: float, hi: float) -> Tuple[int, int]:
     return k0, int(math.ceil(v.max() - lo)) - k0 + 1
 
 
-_BLOCK = 512   # nodes per arc in _level_coeffs
+_BLOCK = 512            # nodes per arc in _level_coeffs
+_BATCH_FLOATS = 1 << 18  # dense factor and product floats per batch of rings
 
 
 def _locate(v: np.ndarray, hi: float, steps: int):
@@ -193,8 +196,8 @@ def _locate(v: np.ndarray, hi: float, steps: int):
 
 def _factor_matrix(rows: np.ndarray, slope: np.ndarray, first: np.ndarray,
                    row: np.ndarray, frac: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Dense (m, 2 K) matrix [phi | psi] of m nodes on one axis over their own
-    k window [k0, k0 + K), and k0.
+    """Dense (m, 2 K) matrix [phi | psi] of m nodes on one axis over their
+    common k window [k0, k0 + K), and k0.
 
     Node i's ``width`` values per flag, at the shifts first_i + o, are row
     ``row_i`` of the flattened shift table ``rows`` blended towards the next
@@ -205,11 +208,13 @@ def _factor_matrix(rows: np.ndarray, slope: np.ndarray, first: np.ndarray,
     k0 = int(first.min())
     n_k = int(first.max()) - k0 + width
     # flat position of node i, flag c, shift o: (2 i + c) K + first_i - k0 + o
-    lane = np.arange(2 * width)                 # c * width + o
-    at = first - k0 + np.arange(0, 2 * m * n_k, 2 * n_k)
-    at = at[:, None] + (lane + (lane // width) * (n_k - width))
-    vals = np.take(rows, row, axis=0)
-    vals += frac[:, None] * np.take(slope, row, axis=0)
+    lane = np.arange(2 * width)
+    lane[width:] += n_k - width                 # c K + o
+    at = np.add.outer(first + np.arange(-k0, 2 * m * n_k - k0, 2 * n_k), lane)
+    vals = rows.take(row, axis=0)
+    blend = slope.take(row, axis=0)
+    blend *= frac[:, None]
+    vals += blend
     dense = np.zeros((m, 2 * n_k))
     dense.reshape(-1)[at] = vals
     return dense, k0
@@ -229,13 +234,17 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
 
     The rule goes ring by ring (``_sphere_rings``); no node array is built.
     Mirrored latitudes z and -z share their x, y nodes and weight bit for
-    bit, so the weighted xy sum is computed once per pair, on the ring with
-    z <= 0, in arcs of ``_BLOCK`` consecutive nodes.  An arc fills dense
-    (m, 2 K) factor matrices X = [phi | psi] and Y over its own x and y k
-    windows, and the one product X^T Y holds all four xy blocks
-    (F_x^a)^T F_y^b of the arc.  Every ring, in ascending z, then adds its
-    pair's sum into the k-box, at d = 3 as an outer product with its z-row
-    (phi and psi at its ``width`` z shifts).  The sums run over all 2^d flag
+    bit, so the xy sums are computed once per pair, on the rings with
+    z <= 0.  These rings run in batches whose dense tensors hold at most
+    about ``_BATCH_FLOATS`` floats, and each batch goes in arcs of
+    ``_BLOCK`` consecutive nodes.  One locate-and-blend per axis fills a
+    (rings, m, 2 K) tensor X = [phi | psi] over the k window of the batch's
+    arc, and one batched product X^T Y holds all four xy blocks
+    (F_x^a)^T F_y^b of every ring.  One matmul then adds the batch into the
+    k-box: the (2 n_z, rings) z-row matrix holds each pair's weight times
+    phi and psi at its ``width`` z shifts, for z and -z in the same column.
+    d = 2 is the one-ring case (its z-row matrix is the circle's weight), so
+    each of its arcs is a batch of its own.  The sums run over all 2^d flag
     tuples, indexed (flag of axis d-1, ..., flag of axis 0) so that tuple i
     is generator i; the all-phi tuple 0 is dropped at the end.
     """
@@ -244,41 +253,51 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
     steps, width = table.shifts.shape[0] - 1, table.shifts.shape[2]
     rows = table.shifts.reshape(steps + 1, 2 * width)
     slope = rows[1:] - rows[:-1]
-    norm = 2.0 ** (j * d / 2.0)
-    pairs = []                  # (xy, x window, y window) of each ring with z <= 0
-    for r, w in zip(radius[:(radius.size + 1) // 2], weight):
-        x, y = r * ct * 2.0 ** j, r * st * 2.0 ** j
-        (rx, nx), (ry, ny) = _window(x, lo, hi), _window(y, lo, hi)
-        at_x, at_y = _locate(x, hi, steps), _locate(y, hi, steps)
-        xy = np.zeros((2, 2, nx, ny))       # (flag y, flag x, kx - rx, ky - ry)
-        for b0 in range(0, ct.size, _BLOCK):
-            sl = slice(b0, b0 + _BLOCK)
-            fx, kx = _factor_matrix(rows, slope, *(a[sl] for a in at_x))
-            fy, ky = _factor_matrix(rows, slope, *(a[sl] for a in at_y))
-            mx, my = fx.shape[1] // 2, fy.shape[1] // 2
-            prod = (fx.T @ fy).reshape(2, mx, 2, my)
-            xy[:, :, kx - rx:kx - rx + mx, ky - ry:ky - ry + my] += \
-                prod.transpose(2, 0, 1, 3)
-        xy *= w * norm
-        pairs.append((xy, (rx, nx), (ry, ny)))
+    scale = 2.0 ** j
+    n_pairs = (radius.size + 1) // 2
+    w = weight[:n_pairs] * 2.0 ** (j * d / 2.0)
     # r ct 2^j is monotone in r, so the ring nearest z = 0 (the widest) has
     # the x and y windows that hold every other ring's
-    box = [pairs[-1][1], pairs[-1][2]]
-    if d == 3:
-        z = z * 2.0 ** j
-        box.append(_window(z, lo, hi))
-        z_first, z_row, z_frac = _locate(z, hi, steps)
-        z_rows = rows[z_row] + z_frac[:, None] * slope[z_row]
-    acc = np.zeros((2,) * d + tuple(n for _, n in box))
-    for i in range(radius.size):
-        xy, (rx, nx), (ry, ny) = pairs[min(i, radius.size - 1 - i)]
-        x0, y0 = rx - box[0][0], ry - box[1][0]
-        if d == 2:
-            acc[..., x0:x0 + nx, y0:y0 + ny] += xy
-        else:
-            z0 = z_first[i] - box[2][0]
-            acc[..., x0:x0 + nx, y0:y0 + ny, z0:z0 + width] += (
-                z_rows[i].reshape(2, 1, 1, 1, 1, width) * xy[None, ..., None])
+    (bx, nx), (by, ny) = (_window(radius[n_pairs - 1] * c * scale, lo, hi)
+                          for c in (ct, st))
+    if d == 2:
+        zmat = w[None, :]
+    else:
+        z = z * scale
+        bz, nz = _window(z, lo, hi)
+        first, row, frac = _locate(z, hi, steps)
+        z_rows = (rows[row] + frac[:, None] * slope[row]).reshape(-1, 2, width)
+        # column c holds the z-rows of ring c and of its mirror, once for
+        # the equator, which pairs with itself
+        zmat = np.zeros((2, nz, n_pairs))
+        pair = np.arange(n_pairs)
+        for ring in (pair, radius.size - 1 - pair[:radius.size // 2]):
+            c = pair[:ring.size]
+            zmat[:, first[ring, None] - bz + np.arange(width), c[:, None]] += (
+                w[c, None, None] * z_rows[ring]).transpose(1, 0, 2)
+        zmat = zmat.reshape(2 * nz, n_pairs)
+    acc = np.zeros((zmat.shape[0], 2, nx, 2, ny))   # z-row, flag x, kx, flag y, ky
+    m = min(ct.size, _BLOCK)
+    size = max(1, _BATCH_FLOATS // (2 * m * (nx + ny) + 4 * nx * ny))
+    for b0 in range(0, n_pairs, size):
+        batch = slice(b0, min(b0 + size, n_pairs))
+        rings, z_batch = batch.stop - b0, zmat[:, batch]
+        at_x, at_y = (_locate(np.multiply.outer(radius[batch], c) * scale, hi, steps)
+                      for c in (ct, st))
+        for a0 in range(0, ct.size, _BLOCK):
+            arc = slice(a0, a0 + _BLOCK)
+            fx, kx = _factor_matrix(rows, slope, *(a[:, arc].ravel() for a in at_x))
+            fy, ky = _factor_matrix(rows, slope, *(a[:, arc].ravel() for a in at_y))
+            mx, my = fx.shape[1] // 2, fy.shape[1] // 2
+            prod = np.matmul(fx.reshape(rings, -1, 2 * mx).transpose(0, 2, 1),
+                             fy.reshape(rings, -1, 2 * my))
+            acc[:, :, kx - bx:kx - bx + mx, :, ky - by:ky - by + my] += (
+                z_batch @ prod.reshape(rings, -1)).reshape(-1, 2, mx, 2, my)
+    # to (flag z, flag y, flag x, kx, ky, kz)
+    if d == 2:
+        acc = acc.reshape(2, nx, 2, ny).transpose(2, 0, 1, 3)
+    else:
+        acc = acc.reshape(2, nz, 2, nx, 2, ny).transpose(0, 4, 2, 3, 5, 1)
     return acc.reshape(2 ** d, -1)[1:].ravel()
 
 
@@ -313,8 +332,10 @@ class SphericalMeanResult:
     max_coeff: np.ndarray
     quad_error: np.ndarray        # Richardson estimates per level
 
-    def boundedness_ratio(self) -> float:
-        return float(self.scaled_sums.max() / self.scaled_sums[0])
+    def scaled_sum_slope(self) -> float:
+        """Least-squares slope of log2(scaled sum) over j: 0 for sums that
+        stay bounded and bounded below, as the membership predicts."""
+        return float(np.polyfit(self.levels, np.log2(self.scaled_sums), 1)[0])
 
     def count_growth_band(self) -> float:
         """max/min of counts normalized by 2^{j(d-1)}."""

@@ -5,11 +5,13 @@ assertions mirror the summary rows the experiment CLI writes.
 """
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from radialfs import experiments, wavelets
 from radialfs.decay import figure_region
 from radialfs.experiments import REGISTRY, ExperimentConfig, run_experiment
 
@@ -171,10 +173,26 @@ def test_criterion_11_support_shift(tmp_path):
 
 
 def test_criterion_12_spherical_mean(tmp_path):
-    # d = 2, p = 1, j = 0..6: scaled sums max/first <= 3; count growth fits
-    # 2^{j(d-1)} within factor 2
+    # d = 2, p = 1, j = 0..6: the slope of log2(scaled sum) over j within
+    # 0.1 of 0; count growth fits 2^{j(d-1)} within factor 2
     res = _run("spherical-mean-wavelet", tmp_path)
     assert _report(12, res)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_criterion_12_fails_on_a_shifted_exponent(tmp_path, monkeypatch, sign):
+    # the scaled sums times 2^{+-0.2 j}, as from a scaling exponent off by
+    # 0.2, move the slope to +0.162 and -0.238: the experiment must FAIL
+    def shifted(**kwargs):
+        res = wavelets.spherical_mean_wavelet_coeffs(**kwargs)
+        return dataclasses.replace(
+            res, scaled_sums=res.scaled_sums * 2.0 ** (sign * 0.2 * res.levels))
+
+    monkeypatch.setattr(experiments, "spherical_mean_wavelet_coeffs", shifted)
+    res = run_experiment(ExperimentConfig("spherical-mean-wavelet",
+                                          output_dir=tmp_path))
+    failed = [a.name for a in res.assertions if not a.passed]
+    assert not res.passed and failed == ["scaled_sum_log2_slope"]
 
 
 def test_criterion_13_sobolev_reduction(tmp_path):

@@ -70,6 +70,22 @@ class TestRunAll:
         assert (tmp_path / "bad" / "bad-summary.csv").exists()
 
 
+class TestPinReferenceScript:
+    def test_lists_moved_rows(self, capsys):
+        report_moved = runpy.run_path(str(SCRIPTS / "pin_reference.py"))["report_moved"]
+
+        def ref(**rows):
+            return {"experiments": {"e": [{"name": k, "measured": v.hex()}
+                                          for k, v in rows.items()]}}
+
+        report_moved(ref(a=1.0, b=2.0, c=3.0), ref(a=1.0, b=2.5, d=0.5))
+        assert capsys.readouterr().out.splitlines() == [
+            "moved: e b: 2.0 -> 2.5 (relative change 0.25)",
+            "moved: e c: 3.0 -> None (row removed)",
+            "moved: e d: None -> 0.5 (new row)",
+            "1 rows unchanged"]
+
+
 class TestDecomposeDemoScript:
     def test_writes_coefficients_and_bands(self, tmp_path, monkeypatch, capsys):
         from radialfs.core import Grid1D

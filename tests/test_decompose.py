@@ -344,6 +344,26 @@ class TestTraceNorms:
             with pytest.raises(InvalidParameterError, match="grid"):
                 norm(g, params, decomposition=other)
 
+    def test_decomposition_must_be_of_the_profile(self):
+        # f_{2,3}'s decomposition on f_{3,4}'s grid read as f_{3,4}'s gave
+        # f_{2,3}'s norm, 7974.995, for f_{3,4}'s 2916.869; a decomposition
+        # of an equal copy of the values is read
+        params = SpaceParams(1.0, 2.0, 2.0, 2)
+        spec = AtomSpec.b_admissible(1.0, 2.0, 2)
+        grid = Grid1D.uniform(2 ** -10, 1.0)
+        g = make_f_j_lambda(3, 4.0).profile(grid, d=2)
+        h = make_f_j_lambda(2, 3.0).profile(grid, d=2)
+        other = decompose_profile(h, spec, J=8, raise_on_stall=False)
+        copy = decompose_profile(RadialProfile(grid, g.values.copy(), 2), spec,
+                                 J=8, raise_on_stall=False)
+        for norm in (tb_norm, tf_norm):
+            assert norm(h, params, decomposition=other) == pytest.approx(
+                7974.995, abs=1e-3)
+            with pytest.raises(InvalidParameterError, match="not one of g"):
+                norm(g, params, decomposition=other)
+            assert norm(g, params, decomposition=copy) == pytest.approx(
+                2916.869, abs=1e-3)
+
     @pytest.mark.parametrize("J", [-1, -4])
     def test_negative_J_raises(self, fine_grid, J):
         g = template_atom_profile(1, 5, fine_grid, L=2, d=2)
@@ -720,10 +740,10 @@ class TestFftPlan:
                                          (2, 4.0, 0)])
     def test_windows_are_the_level_by_level_windows(self, n, T, J):
         h = float(np.diff(decompose._fft_grid(n, T, 2))[0])
-        ramp, edges, xi_max = decompose._band_plan(n, h)
+        ramp, edges = decompose._band_plan(n, h)
         xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
         J_max = max(1, int(math.ceil(math.log2(xi[-1]))))
-        assert xi_max == xi[-1] and len(edges) == J_max + 2
+        assert len(edges) == J_max + 2
         J = J_max if J is None else J
         edges += (xi.size,) * (J + 2 - len(edges))
         for j, (a, b, window) in enumerate(_windows_level_by_level(xi, J)):
@@ -785,7 +805,7 @@ class TestFftPlan:
             info = plan.cache_info()
             assert info.currsize == info.maxsize == decompose._PLAN_ENTRIES
         h = float(np.diff(decompose._fft_grid(2 ** 12, 6.5, 2))[0])
-        ramp, _, _ = decompose._band_plan(2 ** 12, h)
+        ramp, _ = decompose._band_plan(2 ** 12, h)
         tables, _ = decompose._weight_plan(2 ** 12, 2)
         for arr in (ramp, tables):
             assert not arr.flags.writeable

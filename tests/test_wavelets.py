@@ -5,9 +5,10 @@ import pytest
 
 from radialfs.errors import InvalidParameterError, QuadratureError
 from radialfs import wavelets
-from radialfs.wavelets import (_BLOCK, _gauss_legendre, _generators,
-                               _level_coeffs, _sphere_nodes, daubechies_filter,
-                               spherical_mean_wavelet_coeffs, wavelet_table)
+from radialfs.wavelets import (_BATCH_FLOATS, _BLOCK, _gauss_legendre,
+                               _generators, _level_coeffs, _sphere_nodes,
+                               daubechies_filter, spherical_mean_wavelet_coeffs,
+                               wavelet_table)
 
 
 class TestWaveletTable:
@@ -89,16 +90,46 @@ class TestLevelCoeffs:
     def test_matches_direct_sum(self, d, name, j):
         _assert_matches_reference(d, name, j, 200)
 
-    @pytest.mark.parametrize("d,name,j,n,block", [
-        (2, "db4", 2, 3 * _BLOCK + 37, _BLOCK),   # three full arcs and a part
-        (3, "db2", 3, 200, _BLOCK),
-        (3, "db2", 2, 200, 7),                     # rings of 20 in arcs 7, 7, 6
-        (3, "db2", 1, 242, _BLOCK),                # n_u = 11: the equator pairs itself
-        (3, "db4", 2, 242, 5),                     # rings of 22 in arcs 5, 5, 5, 5, 2
+    @pytest.mark.parametrize("d,name,j,n,block,budget,rings", [
+        # three full arcs and a part, each a batch of the one ring
+        pytest.param(2, "db4", 2, 3 * _BLOCK + 37, _BLOCK, _BATCH_FLOATS, [1],
+                     id="2-db4-2-1573-512"),
+        pytest.param(3, "db2", 3, 200, _BLOCK, _BATCH_FLOATS, [5],
+                     id="3-db2-3-200-512"),
+        # rings of 20 in arcs 7, 7, 6
+        pytest.param(3, "db2", 2, 200, 7, _BATCH_FLOATS, [5], id="3-db2-2-200-7"),
+        # n_u = 11: the equator pairs itself
+        pytest.param(3, "db2", 1, 242, _BLOCK, _BATCH_FLOATS, [6],
+                     id="3-db2-1-242-512"),
+        # rings of 22 in arcs 5, 5, 5, 5, 2
+        pytest.param(3, "db4", 2, 242, 5, _BATCH_FLOATS, [6], id="3-db4-2-242-5"),
+        # budgets of a few rings' floats (1536, 960 and 1344 per ring here):
+        # 5 pairs with an uneven last batch, the equator in the last batch,
+        # and the equator alone with rings longer than an arc
+        pytest.param(3, "db2", 2, 200, _BLOCK, 2 * 1536, [2, 2, 1],
+                     id="3-db2-2-200-512-batches-2-2-1"),
+        pytest.param(3, "db2", 1, 242, _BLOCK, 4 * 960, [4, 2],
+                     id="3-db2-1-242-512-batches-4-2"),
+        pytest.param(3, "db4", 2, 242, 5, 5 * 1344, [5, 1],
+                     id="3-db4-2-242-5-batches-5-1"),
     ])
-    def test_arcs_match_direct_sum(self, monkeypatch, d, name, j, n, block):
+    def test_arcs_match_direct_sum(self, monkeypatch, d, name, j, n, block,
+                                   budget, rings):
         monkeypatch.setattr(wavelets, "_BLOCK", block)
+        monkeypatch.setattr(wavelets, "_BATCH_FLOATS", budget)
+        nodes = []
+        factor_matrix = wavelets._factor_matrix
+
+        def recording(rows, slope, first, *args):
+            nodes.append(first.size)
+            return factor_matrix(rows, slope, first, *args)
+
+        monkeypatch.setattr(wavelets, "_factor_matrix", recording)
         _assert_matches_reference(d, name, j, n)
+        # batches of the given ring counts, each over every arc, x then y
+        n_t = wavelets._ring_length(d, n)
+        arcs = [min(block, n_t - a0) for a0 in range(0, n_t, block)]
+        assert nodes == [r * m for r in rings for m in arcs for _ in "xy"]
 
     @pytest.mark.parametrize("n", [1, 2, 8, 11, 63, 252, 400])
     def test_gauss_legendre_is_leggauss_and_symmetric(self, n):
@@ -144,7 +175,8 @@ class TestSphericalMean:
         assert result.max_coeff[j] <= C * 2.0 ** (j * d / 2) * 2.0 ** (-j * (d - 1))
 
     def test_scaled_sums_bounded(self, result):
-        assert result.boundedness_ratio() <= 3.0
+        # log2 of the scaled sums is flat in j: |slope| <= 0.1
+        assert abs(result.scaled_sum_slope()) <= 0.1
 
     def test_quadrature_estimates_reported(self, result):
         assert np.all(result.quad_error <= 1e-5)
@@ -163,7 +195,7 @@ class TestSphericalMean:
                                             richardson_tol=5e-2)
         norm = res.counts / 4.0 ** res.levels
         assert norm.max() / norm.min() <= 4.0
-        assert math.isfinite(res.boundedness_ratio())
+        assert math.isfinite(res.scaled_sum_slope())
 
     def test_invalid_dimension(self):
         with pytest.raises(InvalidParameterError):
