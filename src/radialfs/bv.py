@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .errors import DivergenceError, InvalidParameterError, QuadratureError
 
 __all__ = ["RadonMeasure1D", "BVProfile", "staircase", "smooth_bump_bv",
            "bv_weighted_norm", "bv_dim_norm", "bv_equivalence_check",
-           "bv_decay_check", "pairing_identity_residuals",
-           "BVEquivalenceReport", "BVDecayReport", "quad"]
+           "bv_decay_check", "BVEquivalenceReport", "BVDecayReport", "quad"]
 
 QUAD_RTOL = 1e-10     # relative tolerance on the sum of |panel integrals|
 _QUAD_N = 48          # coarse rule; the fine rule has 2 * _QUAD_N points
@@ -289,64 +288,3 @@ def bv_decay_check(g: BVProfile, radii: Sequence[float], d: int) -> BVDecayRepor
     return BVDecayReport(radii, lhs, tails, l1 + variation,
                          max(err, float(tail_errs.max(initial=0.0))))
 
-
-def _smoothstep_prime(u: np.ndarray) -> np.ndarray:
-    """smoothstep'(u) = a c (u^-2 + (1-u)^-2) / (a + c)^2, a = e^{-1/u},
-    c = e^{-1/(1-u)}; 0 off (0, 1).  a / u / u stays finite as u -> 0+."""
-    out = np.zeros_like(u)
-    inner = (u > 0.0) & (u < 1.0)
-    ui = u[inner]
-    a, c = np.exp(-1.0 / ui), np.exp(-1.0 / (1.0 - ui))
-    out[inner] = (c * (a / ui / ui) + a * (c / (1.0 - ui) / (1.0 - ui))) / (a + c) ** 2
-    return out
-
-
-def _test_functions_c1c() -> List[Tuple[Callable, Callable, float]]:
-    """Twelve C^1_c([0, inf)) test functions phi with phi(0) = 0, and phi'.
-
-    Each is t^m * smoothstep((b - t) / (b/2)), m = 1..4, b in {1, 2, 4};
-    returned as (phi, phi', outer support radius b), phi' in closed form.
-    """
-    from .bump import smoothstep
-
-    out = []
-    for m in range(1, 5):
-        for b in (1.0, 2.0, 4.0):
-            def phi(t, m=m, b=b):
-                t = np.asarray(t, float)
-                return t ** m * smoothstep((b - t) / (0.5 * b))
-
-            def dphi(t, m=m, b=b):
-                t = np.asarray(t, float)
-                u = (b - t) / (0.5 * b)
-                return (m * t ** (m - 1) * smoothstep(u)
-                        - t ** m * _smoothstep_prime(u) * (2.0 / b))
-
-            out.append((phi, dphi, b))
-    return out
-
-
-def pairing_identity_residuals(g: BVProfile, d: int) -> np.ndarray:
-    """Residuals of int g(t) [phi(s) s^{d-1}]'(t) dt = -int phi t^{d-1} dnu.
-
-    Evaluated against the fixed family of 12 C^1_c test functions, with
-    their derivatives in closed form; for a valid (profile, measure) pair the
-    residuals are quadrature error, below 1e-12 relative on the staircases
-    and smooth bumps of the tests.
-    """
-    res = []
-    atol = 1e-3 * (1.0 + bv_weighted_norm(g, d))
-    locs, masses = np.array(g.derivative.atoms, dtype=float).reshape(-1, 2).T
-    for phi, dphi, b in _test_functions_c1c():
-        lhs, _ = quad(lambda t: g(t) * (dphi(t) * t ** (d - 1)
-                                        + phi(t) * (d - 1) * t ** (d - 2)),
-                      (0.0, *(br for br in g.breaks if br < b), b))
-        rhs = -float(np.sum(phi(locs) * locs ** (d - 1) * masses))
-        if g.derivative.density is not None:
-            a0, b0 = g.derivative.density_support
-            val, _ = quad(lambda t: phi(t) * t ** (d - 1) * g.derivative.density(t),
-                          (a0, min(b0, b)))
-            rhs -= val
-        scale = max(abs(lhs), abs(rhs), atol)
-        res.append((lhs - rhs) / scale)
-    return np.array(res)

@@ -14,7 +14,7 @@ as an alternative.  Keys other than experiment, seed and output_dir must be
 options the experiment reads (experiments.OPTIONS).  The RADIALFS_SEED
 environment variable overrides the config seed; either must be an integer.
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config or runtime
-error.
+error, an unreadable config or unwritable output path included.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except RadialfsError as e:
+    except (RadialfsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

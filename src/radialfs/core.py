@@ -20,7 +20,6 @@ __all__ = [
     "Grid1D",
     "RadialProfile",
     "sphere_area",
-    "ball_volume",
     "weighted_lp_norm",
     "radial_gradient_identity_check",
     "GradientIdentityReport",
@@ -32,11 +31,6 @@ def sphere_area(d: int) -> float:
     if d < 1:
         raise InvalidParameterError(f"dimension must be >= 1, got {d}")
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def ball_volume(d: int) -> float:
-    """Volume of the unit ball in R^d."""
-    return sphere_area(d) / d
 
 
 def _gradients(v: np.ndarray, x, n: int) -> List[np.ndarray]:
@@ -95,15 +89,6 @@ class Grid1D:
         n = int(round(T / h))
         half = np.arange(1, n + 1) * h
         nodes = np.concatenate([-half[::-1], [0.0], half])
-        return Grid1D(nodes)
-
-    @staticmethod
-    def log_spaced(a: float, b: float, n: int) -> "Grid1D":
-        """Geometrically spaced nodes on [a, b] mirrored to [-b, -a]; no node at 0."""
-        if not (0 < a < b) or n < 2:
-            raise InvalidParameterError("need 0 < a < b and n >= 2")
-        half = np.geomspace(a, b, n)
-        nodes = np.concatenate([-half[::-1], half])
         return Grid1D(nodes)
 
     @staticmethod

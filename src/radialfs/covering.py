@@ -1,24 +1,18 @@
-"""Atom orders and the even 1-D atom validator.
+"""Atom orders.
 
 AtomSpec carries the regularity and moment orders (L, M) of the atoms a
 decomposition uses, with the least admissible orders for a space.
-validate_even_atom checks a sampled profile against the even L-atom
-conditions: support in the 3/2-dilated interval and |g^{(n)}| <= |I|^{-n}
-for n <= L.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from .core import RadialProfile, _gradients
 from .errors import InvalidParameterError
 
-__all__ = ["AtomSpec", "AtomReport", "validate_even_atom"]
+__all__ = ["AtomSpec"]
 
 
 def _admissible_orders(s: float, sigma: float) -> Tuple[int, int]:
@@ -62,48 +56,3 @@ class AtomSpec:
             raise InvalidParameterError(
                 f"M = {self.M} below the required moment order at s={s}, p={p}")
 
-
-@dataclass(frozen=True)
-class AtomReport:
-    ok: bool
-    max_violation: float
-    detail: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_even_atom(g: RadialProfile, interval, L: int,
-                       tol_factor: float = 1.0) -> AtomReport:
-    """Check the even L-atom conditions against interval descriptor ``interval``.
-
-    ``interval`` is (a,) for [-a, a] or (a, b) for [-b,-a] u [a,b].  Verifies
-    sup |g^{(n)}| <= tol_factor * |I|^{-n} for 0 <= n <= L (finite
-    differences) and the 3/2-dilated support inclusion; returns a report with
-    the worst ratio violation per order.
-    """
-    t = g.grid.nodes
-    if len(interval) == 1:
-        a = float(interval[0])
-        length = 2.0 * a
-        supp_ok = np.abs(t) <= 1.5 * a
-    else:
-        a, b = float(interval[0]), float(interval[1])
-        if not 0 < a < b:
-            raise InvalidParameterError("need 0 < a < b")
-        length = 2.0 * (b - a)
-        lo, hi = (3 * a - b) / 2.0, (3 * b - a) / 2.0
-        supp_ok = (np.abs(t) >= lo) & (np.abs(t) <= hi)
-    support_violation = float(np.max(np.abs(g.values[~supp_ok]), initial=0.0))
-    derivs = _gradients(g.values, t, L)
-    ratios = {}
-    worst = support_violation / max(1e-300, tol_factor)
-    for n, dv in enumerate(derivs):
-        bound = length ** (-n)
-        ratio = float(np.max(np.abs(dv))) / bound
-        ratios[n] = ratio
-        worst = max(worst, ratio / tol_factor - 1.0)
-    ok = support_violation <= 1e-12 and all(
-        r <= tol_factor * (1.0 + 1e-6) for r in ratios.values())
-    return AtomReport(ok, worst, {"ratios": ratios,
-                                  "support_violation": support_violation})

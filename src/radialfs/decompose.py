@@ -49,7 +49,7 @@ from .seqspaces import (CoefficientGrid, _combine_levels, seq_norm_bspqd,
 from .spaces import SpaceParams, sigma_p, sigma_pq
 
 __all__ = ["AtomicDecomposition", "DyadicBandSpectrum", "atom_normalization",
-           "template_atom_values", "template_atom_profile", "decompose_profile",
+           "template_atom_values", "decompose_profile",
            "tb_norm", "tf_norm", "lp_besov_norm_1d", "dyadic_band_spectrum",
            "sobolev_radial_norm_1"]
 
@@ -75,12 +75,6 @@ def template_atom_values(j: int, k: int, t: np.ndarray, L: int) -> np.ndarray:
         return bump(t / rho) / n0
     c = 2.0 ** (-j) * k
     return (bump((t - c) / rho) + bump((t + c) / rho)) / n0
-
-
-def template_atom_profile(j: int, k: int, grid: Grid1D, L: int = 2,
-                          d: Optional[int] = None) -> RadialProfile:
-    return RadialProfile.from_callable(
-        lambda t: template_atom_values(j, k, t, L), grid, d=d)
 
 
 def _collocation_indices(j: int, k_lo: int, k_hi: int) -> np.ndarray:
@@ -151,7 +145,7 @@ def _eval_capture(coeff_levels: Dict[int, np.ndarray], t: np.ndarray,
 
 @dataclass
 class AtomicDecomposition:
-    """Coefficients plus template references and the reconstruction residual."""
+    """Coefficients with their atom orders, grid and reconstruction residual."""
 
     coefficients: CoefficientGrid
     spec: AtomSpec
@@ -159,21 +153,7 @@ class AtomicDecomposition:
     grid: Grid1D
     residual_norm: float
     residual_history: List[float]
-    d: Optional[int] = None
     values: Optional[np.ndarray] = None     # the decomposed profile's samples
-
-    def reconstruction(self, t) -> np.ndarray:
-        return _eval_capture(self.coefficients.levels, t, self.spec.L)
-
-    def atom_profile(self, j: int, k: int) -> RadialProfile:
-        return template_atom_profile(j, k, self.grid, self.spec.L, d=self.d)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# template=bump L={self.spec.L} M={self.spec.M} "
-                     f"s={self.spec.s} p={self.spec.p} J={self.J}\n")
-            fh.write("j,k,coefficient\n")
-            self.coefficients._write_rows(fh)
 
 
 def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
@@ -261,8 +241,7 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
 
     return AtomicDecomposition(CoefficientGrid(levels), spec, J, g.grid,
                                residual_norm=history[-1],
-                               residual_history=history, d=g.dim_context,
-                               values=g.values)
+                               residual_history=history, values=g.values)
 
 
 def _checked_decomposition(g: RadialProfile, params: SpaceParams, spec: AtomSpec,
@@ -324,15 +303,6 @@ class DyadicBandSpectrum:
     t: np.ndarray
     bands: np.ndarray          # shape (J+1, n)
     J: int
-
-    def reconstruction_error(self, values: np.ndarray) -> float:
-        return float(np.max(np.abs(self.bands.sum(axis=0) - values)))
-
-    def to_csv(self, path) -> None:
-        """Per-level export: rows t, band_0(t), ..., band_J(t)."""
-        header = "t," + ",".join(f"band_{j}" for j in range(self.J + 1))
-        arr = np.column_stack([self.t, self.bands.T])
-        np.savetxt(path, arr, delimiter=",", header=header, comments="")
 
 
 def _lowpass_window(xi: np.ndarray) -> np.ndarray:

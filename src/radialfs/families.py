@@ -19,8 +19,7 @@ from .core import Grid1D, RadialProfile
 from .errors import InvalidParameterError
 
 __all__ = ["TestFamily", "make_f_alpha", "make_f_alpha_delta",
-           "make_f_j_lambda", "make_f_alpha_sigma", "make_psi_cutoff",
-           "parse_family"]
+           "make_f_j_lambda", "make_f_alpha_sigma", "make_psi_cutoff"]
 
 
 @dataclass(frozen=True)
@@ -142,47 +141,3 @@ def make_psi_cutoff() -> TestFamily:
     """The fixed smooth cutoff: 1 on |x| <= 1, 0 on |x| >= 3/2."""
     return TestFamily("psi_cutoff", lambda t: psi_cutoff(t), (0.0, 1.5))
 
-
-def _f_j_lambda(j: float, lam: float) -> TestFamily:
-    if not j.is_integer():
-        raise InvalidParameterError(f"need an integer j, got {j:g}")
-    return make_f_j_lambda(int(j), lam)
-
-
-# each family's maker and the names of its parameters, in call order
-_MAKERS = {
-    "f_alpha": (make_f_alpha, ("alpha",)),
-    "f_alpha_delta": (make_f_alpha_delta, ("alpha", "delta")),
-    "f_j_lambda": (_f_j_lambda, ("j", "lambda")),
-    "f_alpha_sigma": (make_f_alpha_sigma, ("alpha", "sigma")),
-    "psi_cutoff": (make_psi_cutoff, ()),
-}
-
-
-def parse_family(desc: str) -> TestFamily:
-    """Build a family from a descriptor like "f_j_lambda(j=3,lambda=16)".
-
-    Each parameter of the family is given once, as a finite number, and no
-    other; the parentheses may be left out when the family has none.
-    """
-    name, paren, args = (x.strip() for x in desc.partition("("))
-    if name not in _MAKERS:
-        raise InvalidParameterError(f"unknown family {name!r}")
-    if paren and not args.endswith(")"):
-        raise InvalidParameterError(f"family descriptor {desc!r} lacks its ')'")
-    maker, names = _MAKERS[name]
-    pairs = [[x.strip() for x in part.split("=")]
-             for part in args[:-1].split(",") if part.strip()]
-    if any(len(pair) != 2 for pair in pairs) or \
-            sorted(key for key, _ in pairs) != sorted(names):
-        raise InvalidParameterError(
-            f"{name} takes exactly the parameters ({', '.join(names)}), each "
-            f"as key=value: got {desc!r}")
-    try:
-        kw = {key: float(val) for key, val in pairs}
-        finite = all(map(math.isfinite, kw.values()))
-    except ValueError:
-        finite = False
-    if not finite:
-        raise InvalidParameterError(f"parameters must be finite numbers: {desc!r}")
-    return maker(*(kw[key] for key in names))

@@ -1,4 +1,4 @@
-"""The four adapted sequence-space quasi-norms on doubly indexed coefficients.
+"""The adapted sequence-space quasi-norms b^s_{p,q,d} and f^s_{p,q,d}.
 
 Coefficients s_{j,k} carry level/annulus semantics: level j sets the dyadic
 scale 2^{-j}, annulus k selects 2^{-j}k <= |t| <= 2^{-j}(k+1).  A
@@ -35,13 +35,11 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .core import Grid1D, ball_volume
+from .core import Grid1D
 from .errors import InvalidParameterError, ResolutionError
 from .spaces import SpaceParams
 
-__all__ = ["CoefficientGrid",
-           "seq_norm_bspqd", "seq_norm_fspqd",
-           "seq_norm_bpqd", "seq_norm_fpqd"]
+__all__ = ["CoefficientGrid", "seq_norm_bspqd", "seq_norm_fspqd"]
 
 LN2 = math.log(2.0)
 
@@ -98,16 +96,6 @@ class CoefficientGrid:
     def truncated(self, J0: int) -> "CoefficientGrid":
         return CoefficientGrid({j: a for j, a in self.levels.items() if j <= J0})
 
-    def _write_rows(self, fh) -> None:
-        """One CSV line j,k,value per nonzero entry, in ascending (j, k)."""
-        for (j, k), v in self.items():
-            fh.write(f"{j},{k},{v!r}\n")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("j,k,value\n")
-            self._write_rows(fh)
-
 
 def _check_pq(p: float, q: float, allow_p_inf: bool) -> None:
     if not (p > 0 and q > 0):
@@ -158,11 +146,6 @@ def seq_norm_bspqd(c: CoefficientGrid, params: SpaceParams) -> float:
     s, p, q, d = params.s, params.p, params.q, params.d
     ip = 0.0 if math.isinf(p) else 1.0 / p
     return _b_norm(c, p, q, d, lambda j: j * (s - d * ip) * LN2)
-
-
-def seq_norm_bpqd(c: CoefficientGrid, p: float, q: float, d: int) -> float:
-    """As seq_norm_bspqd but without the 2^{j(s-d/p)} level weight."""
-    return _b_norm(c, p, q, d, lambda j: 0.0)
 
 
 def _mass_ratio_log(k: np.ndarray, d: int) -> np.ndarray:
@@ -246,15 +229,3 @@ def seq_norm_fspqd(c: CoefficientGrid, params: SpaceParams,
     _check_resolution(c, grid)
     return _f_norm_exact(c, lambda j: j * s * LN2, p, q, d, 0.0)
 
-
-def seq_norm_fpqd(c: CoefficientGrid, p: float, q: float, d: int,
-                  grid: Optional[Grid1D] = None) -> float:
-    """|| (sum_j sum_k s_{j,k}^q 2^{jdq/p} chi~_{j,k})^{1/q} | L_p(R^d) ||.
-
-    The d-dimensional L_p norm is realized by the exact radial reduction; the
-    annulus volumes carry the mass normalization and the unit-ball constant.
-    """
-    _check_pq(p, q, allow_p_inf=False)
-    _check_resolution(c, grid)
-    return _f_norm_exact(c, lambda j: j * (d / p) * LN2, p, q, d,
-                         math.log(ball_volume(d)))

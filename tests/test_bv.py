@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import Callable, List, Tuple
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from radialfs import experiments
-from radialfs.bv import (QUAD_RTOL, RadonMeasure1D, bv_decay_check,
+from radialfs.bump import smoothstep
+from radialfs.bv import (QUAD_RTOL, BVProfile, RadonMeasure1D, bv_decay_check,
                          bv_dim_norm, bv_equivalence_check, bv_weighted_norm,
-                         pairing_identity_residuals, quad,
-                         smooth_bump_bv, staircase)
+                         quad, smooth_bump_bv, staircase)
 from radialfs.core import sphere_area
 from radialfs.errors import InvalidParameterError, QuadratureError
 from radialfs.experiments import (BV_DECAY_RTOL, ExperimentConfig, _bv_corpus,
@@ -41,6 +42,66 @@ class TestWeightedNorm:
             RadonMeasure1D(((0.0, 1.0),))
         with pytest.raises(InvalidParameterError):
             RadonMeasure1D(((2.0, 1.0), (1.0, 1.0)))
+
+
+def _smoothstep_prime(u: np.ndarray) -> np.ndarray:
+    """smoothstep'(u) = a c (u^-2 + (1-u)^-2) / (a + c)^2, a = e^{-1/u},
+    c = e^{-1/(1-u)}; 0 off (0, 1).  a / u / u stays finite as u -> 0+."""
+    out = np.zeros_like(u)
+    inner = (u > 0.0) & (u < 1.0)
+    ui = u[inner]
+    a, c = np.exp(-1.0 / ui), np.exp(-1.0 / (1.0 - ui))
+    out[inner] = (c * (a / ui / ui) + a * (c / (1.0 - ui) / (1.0 - ui))) / (a + c) ** 2
+    return out
+
+
+def _test_functions_c1c() -> List[Tuple[Callable, Callable, float]]:
+    """Twelve C^1_c([0, inf)) test functions phi with phi(0) = 0, and phi'.
+
+    Each is t^m * smoothstep((b - t) / (b/2)), m = 1..4, b in {1, 2, 4};
+    returned as (phi, phi', outer support radius b), phi' in closed form.
+    """
+    out = []
+    for m in range(1, 5):
+        for b in (1.0, 2.0, 4.0):
+            def phi(t, m=m, b=b):
+                t = np.asarray(t, float)
+                return t ** m * smoothstep((b - t) / (0.5 * b))
+
+            def dphi(t, m=m, b=b):
+                t = np.asarray(t, float)
+                u = (b - t) / (0.5 * b)
+                return (m * t ** (m - 1) * smoothstep(u)
+                        - t ** m * _smoothstep_prime(u) * (2.0 / b))
+
+            out.append((phi, dphi, b))
+    return out
+
+
+def pairing_identity_residuals(g: BVProfile, d: int) -> np.ndarray:
+    """Residuals of int g(t) [phi(s) s^{d-1}]'(t) dt = -int phi t^{d-1} dnu.
+
+    Evaluated against the fixed family of 12 C^1_c test functions, with
+    their derivatives in closed form; for a valid (profile, measure) pair the
+    residuals are quadrature error, below 1e-12 relative on the staircases
+    and smooth bumps of the tests.
+    """
+    res = []
+    atol = 1e-3 * (1.0 + bv_weighted_norm(g, d))
+    locs, masses = np.array(g.derivative.atoms, dtype=float).reshape(-1, 2).T
+    for phi, dphi, b in _test_functions_c1c():
+        lhs, _ = quad(lambda t: g(t) * (dphi(t) * t ** (d - 1)
+                                        + phi(t) * (d - 1) * t ** (d - 2)),
+                      (0.0, *(br for br in g.breaks if br < b), b))
+        rhs = -float(np.sum(phi(locs) * locs ** (d - 1) * masses))
+        if g.derivative.density is not None:
+            a0, b0 = g.derivative.density_support
+            val, _ = quad(lambda t: phi(t) * t ** (d - 1) * g.derivative.density(t),
+                          (a0, min(b0, b)))
+            rhs -= val
+        scale = max(abs(lhs), abs(rhs), atol)
+        res.append((lhs - rhs) / scale)
+    return np.array(res)
 
 
 # The test functions' derivatives are exact, so the residuals are quadrature

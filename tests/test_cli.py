@@ -86,28 +86,6 @@ class TestPinReferenceScript:
             "1 rows unchanged"]
 
 
-class TestDecomposeDemoScript:
-    def test_writes_coefficients_and_bands(self, tmp_path, monkeypatch, capsys):
-        from radialfs.core import Grid1D
-        from radialfs.families import parse_family
-        monkeypatch.setattr("sys.argv", ["decompose_profile_demo.py",
-                                         "psi_cutoff", str(tmp_path)])
-        with pytest.raises(SystemExit) as exc:
-            runpy.run_path(str(SCRIPTS / "decompose_profile_demo.py"),
-                           run_name="__main__")
-        assert exc.value.code == 0
-        assert "psi_cutoff" in capsys.readouterr().out
-        header = (tmp_path / "coefficients.csv").read_text().splitlines()[1]
-        assert header == "j,k,coefficient"
-        bands = np.loadtxt(tmp_path / "bands.csv", delimiter=",", skiprows=1)
-        # the script's profile, rebuilt: the bands sum back to its samples
-        fam = parse_family("psi_cutoff")
-        prof = fam.profile(Grid1D.uniform(2.0 ** -12,
-                                          max(2.0, fam.support[1] * 1.3)), d=2)
-        t = bands[:, 0]
-        assert np.max(np.abs(bands[:, 1:].sum(axis=1) - prof(t))) <= 1e-8
-
-
 class TestWriteCsv:
     def test_fields_parse_as_numbers(self, tmp_path):
         rows = [(np.float64(0.25), 1.5, 3), (np.float64(1e-300), -0.0, 7)]
@@ -284,3 +262,16 @@ class TestMap:
         out = tmp_path / "sub" / "m.csv"
         assert main(["map", "--region=fig2", flag, f"--output={out}"]) == 2
         assert not list(tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d, f: ["map", "--region=fig2", "--res=2", f"--output={d}"],
+    lambda d, f: ["run-all", str(f)],
+    lambda d, f: ["run", str(d)],
+], ids=["map-output-is-a-directory", "run-all-into-a-file", "run-a-directory"])
+def test_unusable_path_exits_two(tmp_path, capsys, argv):
+    d, f = tmp_path / "dir", tmp_path / "file"
+    d.mkdir()
+    f.write_text("")
+    assert main(argv(d, f)) == 2
+    assert capsys.readouterr().err.startswith("error: ")

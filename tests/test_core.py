@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from radialfs.bump import bump, psi_cutoff
 from radialfs.core import (Grid1D, RadialProfile, _gradient_identity_reports,
-                           ball_volume, radial_gradient_identity_check,
-                           sphere_area, weighted_lp_norm)
+                           radial_gradient_identity_check, sphere_area,
+                           weighted_lp_norm)
 from radialfs.errors import EvennessError, InvalidParameterError
 
 
@@ -110,7 +110,6 @@ class TestLpNormRd:
     def test_surface_constants(self):
         assert sphere_area(2) == pytest.approx(2 * math.pi)
         assert sphere_area(3) == pytest.approx(4 * math.pi)
-        assert ball_volume(3) == pytest.approx(4 * math.pi / 3)
 
 
 class TestGradientIdentity:

@@ -8,16 +8,16 @@ import scipy.fft
 from radialfs import decompose, seqspaces
 from radialfs.bump import bump, psi_cutoff
 from radialfs.core import Grid1D, RadialProfile, weighted_lp_norm
-from radialfs.covering import AtomSpec, validate_even_atom
+from radialfs.covering import AtomSpec
 from radialfs.decompose import (_eval_capture, _lowpass_window,
                                 atom_normalization, decompose_profile,
                                 dyadic_band_spectrum, lp_besov_norm_1d,
                                 sobolev_radial_norm_1, tb_norm,
-                                template_atom_profile, template_atom_values,
-                                tf_norm)
+                                template_atom_values, tf_norm)
 from radialfs.errors import DecompositionError, InvalidParameterError
 from radialfs.families import make_f_j_lambda
 from radialfs.spaces import SpaceParams
+from test_covering import template_atom, validate_even_atom
 
 SPEC_L2 = AtomSpec(2, -1, 1.0, 2.0)
 
@@ -29,7 +29,7 @@ def fine_grid():
 
 class TestDecomposeProfile:
     def test_single_atom_reproduced_exactly(self, fine_grid):
-        atom = template_atom_profile(2, 3, fine_grid, L=2, d=2)
+        atom = template_atom(2, 3, fine_grid, L=2, d=2)
         dec = decompose_profile(atom, SPEC_L2, J=8)
         assert dec.coefficients.levels[2][3] == pytest.approx(1.0, rel=1e-12)
         crosstalk = max((abs(v) for jk, v in dec.coefficients.items()
@@ -65,10 +65,10 @@ class TestDecomposeProfile:
         dec = decompose_profile(g, SPEC_L2, J=6)
         checked = 0
         for (j, k), _ in list(dec.coefficients.items())[:25]:
-            ap = dec.atom_profile(j, k)
+            ap = template_atom(j, k, fine_grid, SPEC_L2.L, d=2)
             interval = (2.0 ** -j,) if k == 0 else \
                 (2.0 ** -j * k, 2.0 ** -j * (k + 1))
-            assert validate_even_atom(ap, interval, SPEC_L2.L).ok
+            assert validate_even_atom(ap, interval, SPEC_L2.L)[0]
             checked += 1
         assert checked > 0
 
@@ -81,15 +81,6 @@ class TestDecomposeProfile:
         g = RadialProfile(grid, 0.5 * (vals + vals[::-1]), 2)
         with pytest.raises(DecompositionError):
             decompose_profile(g, SPEC_L2, J=4)
-
-    def test_csv_export(self, fine_grid, tmp_path):
-        atom = template_atom_profile(1, 2, fine_grid, L=2, d=2)
-        dec = decompose_profile(atom, SPEC_L2, J=4)
-        path = tmp_path / "dec.csv"
-        dec.to_csv(path)
-        lines = open(path).read().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "j,k,coefficient"
 
 
 def from_scratch_decomposition(g, spec, J):
@@ -114,6 +105,12 @@ def from_scratch_decomposition(g, spec, J):
     return levels, history
 
 
+def _log_spaced_grid():
+    """Geometric nodes on [2^-9, 4] mirrored onto [-4, -2^-9]: no node at 0."""
+    half = np.geomspace(2.0 ** -9, 4.0, 700)
+    return Grid1D(np.concatenate([-half[::-1], half]))
+
+
 # Profiles that exercise each edge of the window (a - h - 1, b + h + 1).  On
 # the 0.9-grid the annulus's last nonzero node is b = 104.4, and g(105) is
 # nonzero, so the level-0 atom at 105 reaches 105.5 > b + 1: a window without
@@ -136,7 +133,7 @@ WINDOW_CASES = {
     # no node at 0 and an even node count: the other mirror parity
     "log-spaced": lambda: RadialProfile.from_callable(
         lambda t: bump(t / 1.2) + 0.4 * bump((t - 2.0) / 0.5),
-        Grid1D.log_spaced(2.0 ** -9, 4.0, 700), d=2),
+        _log_spaced_grid(), d=2),
 }
 
 
@@ -206,7 +203,7 @@ class TestIncrementalCapture:
         t = np.concatenate([g.grid.nodes, np.linspace(2.0, 9.0, 701)])
         direct = sum(v * template_atom_values(j, k, t, SPEC_L2.L)
                      for (j, k), v in dec.coefficients.items())
-        rec = dec.reconstruction(t)
+        rec = _eval_capture(dec.coefficients.levels, t, SPEC_L2.L)
         assert np.max(np.abs(rec - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("J", [0, 1, 8])
@@ -291,7 +288,7 @@ class TestTraceNorms:
     def test_single_atom_exact_value(self, fine_grid):
         # odd k: the slot is native to its level (even k aliases coarser slots)
         params = SpaceParams(1.0, 2.0, 2.0, 2)
-        atom = template_atom_profile(1, 5, fine_grid, L=2, d=2)
+        atom = template_atom(1, 5, fine_grid, L=2, d=2)
         val = tb_norm(atom.scaled(3.0), params, spec=SPEC_L2, J=6)
         expected = 3.0 * 2.0 ** (1 * (1.0 - 2.0 / 2.0)) * (1 + 5) ** 0.5
         assert val == pytest.approx(expected, rel=1e-12)
@@ -300,7 +297,7 @@ class TestTraceNorms:
         # single-entry grids make b and f coincide for every (p, q), so the
         # tf law matches the tb one exactly
         params = SpaceParams(1.0, 2.0, 3.0, 2)
-        atom = template_atom_profile(1, 5, fine_grid, L=2, d=2)
+        atom = template_atom(1, 5, fine_grid, L=2, d=2)
         val = tf_norm(atom.scaled(2.0), params, spec=SPEC_L2, J=6)
         expected = 2.0 * 2.0 ** (1 * (1.0 - 2.0 / 2.0)) * (1 + 5) ** 0.5
         assert val == pytest.approx(expected, rel=1e-12)
@@ -366,7 +363,7 @@ class TestTraceNorms:
 
     @pytest.mark.parametrize("J", [-1, -4])
     def test_negative_J_raises(self, fine_grid, J):
-        g = template_atom_profile(1, 5, fine_grid, L=2, d=2)
+        g = template_atom(1, 5, fine_grid, L=2, d=2)
         params = SpaceParams(1.0, 2.0, 2.0, 2)
         for call in (lambda: decompose_profile(g, SPEC_L2, J=J),
                      lambda: tb_norm(g, params, J=J),
@@ -428,7 +425,7 @@ class TestLpBesovNorm:
     def test_band_sum_reconstructs(self, fine_grid):
         g = RadialProfile.from_callable(psi_cutoff, fine_grid, d=2)
         spec = dyadic_band_spectrum(g, n_fft=2 ** 15, T=4.0)
-        assert spec.reconstruction_error(g(spec.t)) <= 1e-8
+        assert np.max(np.abs(spec.bands.sum(axis=0) - g(spec.t))) <= 1e-8
 
     # J: the reference's top level, spec.J when None; above spec.J the
     # reference's bands are empty, since 2^spec.J covers the grid's spectrum
@@ -443,16 +440,6 @@ class TestLpBesovNorm:
         assert spec.bands.shape == ref[:spec.J + 1].shape == (spec.J + 1, n_fft)
         assert np.max(np.abs(spec.bands - ref[:spec.J + 1])) <= 1e-13 * np.max(np.abs(vals))
         assert not np.any(ref[spec.J + 1:])
-
-    def test_band_csv_export(self, tmp_path):
-        g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -8, 4.0),
-                                        d=2)
-        spec = dyadic_band_spectrum(g, n_fft=2 ** 10, T=4.0)
-        path = tmp_path / "bands.csv"
-        spec.to_csv(path)
-        header = open(path).readline().strip()
-        assert header.startswith("t,band_0")
-        assert header.endswith(f"band_{spec.J}")
 
     def test_bands_match_direct_convolution_oracle(self):
         # direct spatial convolution of the band kernels for j = 0..3

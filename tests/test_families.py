@@ -8,7 +8,7 @@ from radialfs.core import Grid1D, weighted_lp_norm
 from radialfs.errors import InvalidParameterError
 from radialfs.families import (make_f_alpha, make_f_alpha_delta,
                                make_f_alpha_sigma, make_f_j_lambda,
-                               make_psi_cutoff, parse_family)
+                               make_psi_cutoff)
 from radialfs.spaces import in_U_t
 
 
@@ -139,39 +139,3 @@ class TestFAlphaSigma:
         v = fam(t)
         assert v[0] == v[1]
 
-
-class TestDescriptors:
-    def test_parse_roundtrip(self):
-        fam = parse_family("f_j_lambda(j=3,lambda=16)")
-        ref = make_f_j_lambda(3, 16.0)
-        t = np.linspace(-1.0, 1.0, 2001)
-        assert fam.name == ref.name
-        assert fam.support == ref.support
-        assert np.array_equal(fam(t), ref(t))
-
-    def test_parse_psi(self):
-        assert parse_family("psi_cutoff").name == "psi_cutoff"
-
-    @pytest.mark.parametrize("desc", ["nope(x=1)", "Phi_alpha(alpha=1)"])
-    def test_unknown_family(self, desc):
-        with pytest.raises(InvalidParameterError):
-            parse_family(desc)
-
-    @pytest.mark.parametrize("desc", [
-        "f_j_lambda(j=3)",              # missing parameter
-        "f_alpha(beta=1)",              # unknown parameter
-        "f_alpha(alpha=x)",             # not a number
-        "f_j_lambda(j=3,lambda=16",     # no closing parenthesis
-        "psi_cutoff(a=1)",              # parameter of a family that has none
-        "f_alpha(alpha=0.3,alpha=0.4)",  # repeated parameter
-        "f_alpha(alpha)",               # no value
-        "f_alpha(alpha=0.3)x",          # text after the parenthesis
-        "f_alpha(alpha=nan)",           # not finite
-        "f_j_lambda(j=3.5,lambda=16)",  # j not an integer
-    ])
-    def test_malformed_descriptor(self, desc):
-        with pytest.raises(InvalidParameterError):
-            parse_family(desc)
-
-    def test_spacing_is_free(self):
-        assert parse_family(" f_alpha( alpha = 0.3 ) ").name == "f_alpha"

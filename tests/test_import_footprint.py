@@ -5,6 +5,10 @@ and scipy.fft most of the remainder.  The package must not load any scipy
 module, neither on import nor when the FFT norms run (the p = 2 route from
 band spectra and the route over band samples), so a lazy import inside a
 function cannot pass these tests.
+
+Every name a package module exports must also be reached from a program:
+the package's other modules, perfbench or scripts.  Code that only tests
+reach belongs in the tests, except for the allow-list below.
 """
 
 import ast
@@ -61,3 +65,77 @@ def test_every_export_resolves():
                 assert alias.name in mod.__all__, (node.module, alias.name)
                 assert getattr(radialfs, alias.asname or alias.name) is \
                     getattr(mod, alias.name)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exports that no program reaches yet, each kept for the ROADMAP item named.
+TEST_ONLY_EXPORTS = {
+    "bv_dim_norm": "item 1: bv-equivalence's d-dimensional norm, to be "
+                   "computed independently",
+    "bv_weighted_norm": "item 1: the 1-D norm that independent d-dimensional "
+                        "norm is compared with",
+    "sobolev_radial_norm_1": "item 1: strauss is to normalise its trains by it",
+    "make_f_alpha": "item 2: its membership threshold is to become a J-sweep",
+    "make_f_alpha_delta": "item 2: its membership threshold is to become a "
+                          "J-sweep",
+    "make_psi_cutoff": "item 9: the p < 1 FFT norm's test profile",
+    "template_atom_values": "the decomposition tests' atom reference",
+}
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _references(tree):
+    """Names a module refers to: AST names, attributes, imported names and
+    string constants, leaving out the strings of its own ``__all__``."""
+    listed = {id(c) for node in tree.body if _is_all(node)
+              for c in ast.walk(node.value)}
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in listed:
+            refs.add(node.value)
+    return refs
+
+
+def _program_sources():
+    """{path: text} of the package modules (not ``__init__.py``), perfbench
+    and scripts."""
+    paths = [p for p in sorted((ROOT / "src" / "radialfs").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").rglob("*.py"))
+    paths += sorted((ROOT / "scripts").rglob("*.py"))
+    return {p: p.read_text() for p in paths}
+
+
+def _unreferenced_exports(sources):
+    """Names in a package module's ``__all__`` that no program source refers to."""
+    exports, refs = set(), set()
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        if path.parent.name == "radialfs":
+            exports |= {c.value for node in tree.body if _is_all(node)
+                        for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        refs |= _references(tree)
+    return exports - refs
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    assert _unreferenced_exports(_program_sources()) == set(TEST_ONLY_EXPORTS)
+
+
+def test_a_test_only_export_fails_the_guard():
+    sources = _program_sources()
+    sources[ROOT / "src" / "radialfs" / "_probe.py"] = (
+        '__all__ = ["probe_only"]\n\n\ndef probe_only():\n    return "probe"\n')
+    assert _unreferenced_exports(sources) == set(TEST_ONLY_EXPORTS) | {"probe_only"}

@@ -1,18 +1,35 @@
-import csv
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from radialfs.core import Grid1D, ball_volume
-from radialfs.covering import AtomSpec
-from radialfs.decompose import AtomicDecomposition
+from radialfs.core import Grid1D, sphere_area
 from radialfs.errors import ResolutionError
-from radialfs.seqspaces import (CoefficientGrid, _logsumexp, seq_norm_bpqd,
-                                seq_norm_bspqd, seq_norm_fpqd, seq_norm_fspqd)
+from radialfs.seqspaces import (LN2, CoefficientGrid, _b_norm, _check_pq,
+                                _check_resolution, _f_norm_exact, _logsumexp,
+                                seq_norm_bspqd, seq_norm_fspqd)
 from radialfs.spaces import SpaceParams
+
+
+def seq_norm_bpqd(c: CoefficientGrid, p: float, q: float, d: int) -> float:
+    """As seq_norm_bspqd but without the 2^{j(s-d/p)} level weight."""
+    return _b_norm(c, p, q, d, lambda j: 0.0)
+
+
+def seq_norm_fpqd(c: CoefficientGrid, p: float, q: float, d: int,
+                  grid: Optional[Grid1D] = None) -> float:
+    """|| (sum_j sum_k s_{j,k}^q 2^{jdq/p} chi~_{j,k})^{1/q} | L_p(R^d) ||.
+
+    The d-dimensional L_p norm is realized by the exact radial reduction; the
+    annulus volumes carry the mass normalization and the unit-ball constant.
+    """
+    _check_pq(p, q, allow_p_inf=False)
+    _check_resolution(c, grid)
+    return _f_norm_exact(c, lambda j: j * (d / p) * LN2, p, q, d,
+                         math.log(sphere_area(d) / d))
 
 
 def from_entries(entries):
@@ -116,7 +133,7 @@ class TestFNorm:
             p = 1.7
             f = seq_norm_fpqd(c, p, p, d)
             b = seq_norm_bpqd(c, p, p, d)
-            assert f == pytest.approx(ball_volume(d) ** (1 / p) * b, rel=1e-10)
+            assert f == pytest.approx((sphere_area(d) / d) ** (1 / p) * b, rel=1e-10)
 
     def test_zero_grid(self):
         assert seq_norm_fpqd(CoefficientGrid({}), 2.0, 2.0, 2) == 0.0
@@ -234,7 +251,7 @@ class TestDenseMembershipReference:
         assert f == pytest.approx(ref, rel=1e-13, abs=0.0)
         f = seq_norm_fpqd(c, p, q, d)
         ref = dense_f_reference(c, lambda j: j * (d / p) * math.log(2.0), p, q, d,
-                                math.log(ball_volume(d)))
+                                math.log(sphere_area(d) / d))
         assert f == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
@@ -280,17 +297,8 @@ class TestLogSumExp:
                 logsumexp(rows, axis=1))
 
 
-class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        c = random_grid(3)
-        path = tmp_path / "c.csv"
-        c.to_csv(path)
-        with open(path, newline="") as fh:
-            header, *rows = csv.reader(fh)
-        assert header == ["j", "k", "value"]
-        assert [((int(j), int(k)), float(v)) for j, k, v in rows] == list(c.items())
-
-    def test_random_draws_and_csv_bytes(self, tmp_path):
+class TestCoefficientGrid:
+    def test_random_draws_and_items_order(self):
         # random draws the mask, then the values, and keeps the nonzero ones
         rng, direct = np.random.default_rng(12), np.random.default_rng(12)
         c = CoefficientGrid.random(rng, 3, 7, density=0.4)
@@ -300,16 +308,9 @@ class TestCsv:
         assert list(c.items()) == [((int(j), int(k)), float(vals[j, k]))
                                    for j, k in zip(*np.nonzero(mask))]
         assert len(c) == int(mask.sum())
-        # rows in ascending (j, k) whatever the level order; zeros left out
+        # items in ascending (j, k) whatever the level order; zeros left out
         c = CoefficientGrid({2: np.array([0.0, -1e-300, 0.0, 2.5]),
                              1: np.zeros(3),
                              0: np.array([0.1, 0.0, 1.0 / 3.0])})
-        c.to_csv(tmp_path / "c.csv")
-        rows = b"0,0,0.1\n0,2,0.3333333333333333\n2,1,-1e-300\n2,3,2.5\n"
-        assert (tmp_path / "c.csv").read_bytes() == b"j,k,value\n" + rows
-        dec = AtomicDecomposition(c, AtomSpec(2, -1, 1.0, 2.0), 2,
-                                  Grid1D.uniform(0.25, 1.0), residual_norm=0.0,
-                                  residual_history=[0.0])
-        dec.to_csv(tmp_path / "dec.csv")
-        assert (tmp_path / "dec.csv").read_bytes() == (
-            b"# template=bump L=2 M=-1 s=1.0 p=2.0 J=2\nj,k,coefficient\n" + rows)
+        assert list(c.items()) == [((0, 0), 0.1), ((0, 2), 1.0 / 3.0),
+                                   ((2, 1), -1e-300), ((2, 3), 2.5)]
