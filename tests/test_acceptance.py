@@ -7,6 +7,7 @@ assertions mirror the summary rows the experiment CLI writes.
 import csv
 import dataclasses
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,10 @@ from radialfs.experiments import REGISTRY, ExperimentConfig, run_experiment
 REFERENCE = json.loads(
     (Path(__file__).parent / "reference" / "summaries.json").read_text())
 REFERENCE_RTOL = 1e-12
+# the values no summary reads, at fixed inputs (pin_reference.corpus)
+CORPUS = json.loads(
+    (Path(__file__).parent / "reference" / "corpus.json").read_text())
+PIN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pin_reference.py"
 
 
 def _run(name, tmp_path, **options):
@@ -91,6 +96,22 @@ def _check_reference(name, summary):
 
 def test_reference_pins_every_experiment():
     assert sorted(REFERENCE["experiments"]) == sorted(REGISTRY)
+
+
+def test_corpus_matches_the_pinned_values():
+    # every value within REFERENCE_RTOL of tests/reference/corpus.json; one
+    # message lists every value that moved
+    fresh = runpy.run_path(str(PIN_SCRIPT))["corpus"]()
+    got = {(route, case): value for route, rows in fresh.items()
+           for case, value in rows}
+    want = {(route, row["name"]): float.fromhex(row["measured"])
+            for route, rows in CORPUS["routes"].items() for row in rows}
+    assert sorted(got) == sorted(want)
+    moved = [f"{route} {case}: {got[route, case]!r} vs pinned {value!r}"
+             for (route, case), value in sorted(want.items())
+             if abs(got[route, case] - value) > REFERENCE_RTOL * abs(value)]
+    assert not moved, ("values differ from tests/reference/corpus.json:\n"
+                       + "\n".join(moved))
 
 
 def _report(criterion, result):

@@ -75,8 +75,7 @@ class TestPinReferenceScript:
         report_moved = runpy.run_path(str(SCRIPTS / "pin_reference.py"))["report_moved"]
 
         def ref(**rows):
-            return {"experiments": {"e": [{"name": k, "measured": v.hex()}
-                                          for k, v in rows.items()]}}
+            return {"e": [{"name": k, "measured": v.hex()} for k, v in rows.items()]}
 
         report_moved(ref(a=1.0, b=2.0, c=3.0), ref(a=1.0, b=2.5, d=0.5))
         assert capsys.readouterr().out.splitlines() == [
