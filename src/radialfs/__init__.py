@@ -13,8 +13,7 @@ from .spaces import (SpaceParams, ParamRegion, embeds_in_Linfty, in_U, in_U_t,
                      weighted_Lp_in_Sprime)
 from .seqspaces import CoefficientGrid, seq_norm_bspqd, seq_norm_fspqd
 from .covering import AtomSpec
-from .decompose import (AtomicDecomposition, DyadicBandSpectrum,
-                        decompose_profile, dyadic_band_spectrum,
+from .decompose import (AtomicDecomposition, decompose_profile,
                         lp_besov_norm_1d, sobolev_radial_norm_1,
                         tb_norm, tf_norm)
 from .traceext import RadialGridField, cm_norm, extend, trace

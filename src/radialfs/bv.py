@@ -94,12 +94,9 @@ class RadonMeasure1D:
         if locs != sorted(locs):
             raise InvalidParameterError("atom locations must be sorted")
 
-    def weighted_total_variation(self, d: int) -> float:
-        """integral_0^inf r^{d-1} d|nu|(r); atoms contribute exactly."""
-        return self._tail(0.0, d)[0]
-
     def _tail(self, r: float, d: int) -> Tuple[float, float]:
-        """integral_r^inf t^{d-1} d|nu|(t) and the quadrature estimate of its density part."""
+        """integral_r^inf t^{d-1} d|nu|(t) and the quadrature estimate of its
+        density part; atoms contribute exactly."""
         total = sum(loc ** (d - 1) * abs(mass)
                     for loc, mass in self.atoms if loc >= r)
         a, b = self.density_support
@@ -269,10 +266,6 @@ class BVDecayReport:
     tail_bound: np.ndarray       # integral_r^inf t^{d-1} d|nu|
     norm: float
     quad_error: float            # largest quadrature estimate among the integrals
-
-    @property
-    def holds_with_tail(self) -> bool:
-        return bool(np.all(self.lhs <= self.tail_bound * (1.0 + 1e-12)))
 
 
 def bv_decay_check(g: BVProfile, radii: Sequence[float], d: int) -> BVDecayReport:

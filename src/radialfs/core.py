@@ -76,11 +76,6 @@ class Grid1D:
     def size(self) -> int:
         return int(self.nodes.size)
 
-    def spacing_near(self, t: float) -> float:
-        i = int(np.searchsorted(self.nodes, t))
-        i = min(max(i, 1), self.size - 1)
-        return float(self.nodes[i] - self.nodes[i - 1])
-
     @staticmethod
     def uniform(h: float, T: float) -> "Grid1D":
         """Uniform symmetric grid on [-T, T] with spacing h (node at 0)."""

@@ -101,7 +101,7 @@ def bump_train(amplitude_exponent: float, centers: Sequence[float]) -> RadialPro
 
 
 def _surrogate_norm(profile: RadialProfile, params: SpaceParams,
-                    J: int = 8) -> float:
+                    J: int) -> float:
     # tb_norm/tf_norm build the admissible atom spec of params themselves
     return (tb_norm if params.scale == "B" else tf_norm)(profile, params, J=J)
 
@@ -132,17 +132,17 @@ def _decay4_upper_corpus(d: int, p: float):
     return corpus
 
 
-def check_decay4(params: SpaceParams, radii: Optional[Sequence[float]] = None,
-                 witnesses: Optional[List[RadialProfile]] = None,
-                 J: int = 8) -> Decay4Report:
+def check_decay4(params: SpaceParams,
+                 radii: Optional[Sequence[float]] = None) -> Decay4Report:
     """Both routes of the decay rate (d-1)/p at infinity.
 
     Lower route: for each |x| = 2^r the witness is 2^{-r(d-1)/p} f_{1,lambda}
     with lambda = 2|x| - 1, which takes the value 1 at |x|; the ratio is
     |x|^{(d-1)/p} |f(x)| over the witness's surrogate norm, and one constant
     must serve all radii (band = max/min).  Upper route: over a fixed
-    witness corpus (or ``witnesses``), the sup of |x|^{(d-1)/p} |f(x)| on
-    |x| >= 1 divided by the surrogate norm stays within one bracket.
+    witness corpus, the sup of |x|^{(d-1)/p} |f(x)| on |x| >= 1 divided by
+    the surrogate norm stays within one bracket.  Every surrogate norm
+    decomposes at J = 8.
     """
     if not in_U(params):
         raise OutOfHypothesisError("decay rate (d-1)/p requires (s,p,q) in U(A)")
@@ -156,21 +156,17 @@ def check_decay4(params: SpaceParams, radii: Optional[Sequence[float]] = None,
         grid = Grid1D.uniform(max(2.0 ** -11, R / 4096.0), (lam + 2.5) / 2.0)
         prof = fam.profile(grid, d=d)
         value_at_R = float(fam(np.array([R]))[0])
-        nrm = _surrogate_norm(prof, params, J=J)
+        nrm = _surrogate_norm(prof, params, J=8)
         ratios.append(R ** ((d - 1) / p) * value_at_R / nrm)
     ratios = np.asarray(ratios)
 
-    if witnesses is None:
-        corpus = _decay4_upper_corpus(d, p)
-    else:
-        corpus = [(f"witness-{i}", w) for i, w in enumerate(witnesses)]
     upper = []
-    for _, prof in corpus:
+    for _, prof in _decay4_upper_corpus(d, p):
         t = np.abs(prof.grid.nodes)
         far = t >= 1.0
         weighted_sup = float(np.max(t[far] ** ((d - 1) / p)
                                     * np.abs(prof.values[far]), initial=0.0))
-        nrm = _surrogate_norm(prof.restrict_dim(d), params, J=J)
+        nrm = _surrogate_norm(prof.restrict_dim(d), params, J=8)
         upper.append(weighted_sup / nrm)
     upper = np.asarray(upper)
     return Decay4Report(params, np.asarray(list(radii), dtype=float), ratios,
@@ -187,20 +183,17 @@ class Decay2Report:
     fitted_exponent: float       # slope of log2 |f(x)| vs -log2 |x|
     expected_exponent: float     # d/p - s
 
-    @property
-    def exponent_error(self) -> float:
-        return abs(self.fitted_exponent - self.expected_exponent)
 
-
-def check_decay2(params: SpaceParams, r_range: Sequence[int] = range(2, 11),
-                 J: int = 6) -> Decay2Report:
+def check_decay2(params: SpaceParams,
+                 r_range: Sequence[int] = range(2, 11)) -> Decay2Report:
     """Blow-up rate |x|^{s - d/p} near the origin, upper and lower routes.
 
     Upper: the witness psi(x) |x|^{s-d/p} cancels the weight exactly, so the
     ratio is psi <= 1.  Lower: the dilated thin-annulus witnesses
     2^{-r(s-d/p)} f_{2+r,3} are norm-stable by exact dyadic self-similarity,
     and their values at |x| = 2^{-r} follow the pure power law; the fitted
-    origin exponent must equal d/p - s.
+    origin exponent must equal d/p - s.  The witness at 2^{-r} decomposes at
+    J = r + 4, four levels below its own scale.
     """
     d, p, s = params.d, params.p, params.s
     if not in_U(params):
@@ -238,13 +231,13 @@ class Lim1Report:
 
 
 def check_lim1(params: SpaceParams, r_range: Sequence[int] = range(4, 13),
-               witness: Optional[Tuple[float, float]] = None,
-               J: int = 10) -> Lim1Report:
+               witness: Optional[Tuple[float, float]] = None) -> Lim1Report:
     """Log-borderline boundedness at s = d/p.
 
     The default witness is f_{1,0} = psi |log|x|| (extremal for q = inf in
     the B-scale): the ratio (-log|x|)^{-1/q'} |f(x)| is constant in |x| up to
-    the norm constant.  q' = q/(q-1); hypotheses: q > 1 (B), 1 < p < inf (F).
+    the norm constant, a surrogate norm at J = 10.  q' = q/(q-1);
+    hypotheses: q > 1 (B), 1 < p < inf (F).
     """
     p, q, d, s = params.p, params.q, params.d, params.s
     if abs(s - d / p) > 1e-12:
@@ -261,7 +254,7 @@ def check_lim1(params: SpaceParams, r_range: Sequence[int] = range(4, 13),
     fam = make_f_alpha_sigma(alpha, sigma)
     grid = Grid1D.composite(J=max(14, max(r_range) + 2), h=0.01, T=2.0)
     prof = fam.profile(grid, d=d)
-    nrm = _surrogate_norm(prof, params, J=J)
+    nrm = _surrogate_norm(prof, params, J=10)
     radii = 2.0 ** (-np.asarray(list(r_range), dtype=float))
     vals = np.abs(fam(radii))
     ratios = (-np.log(radii)) ** (-1.0 / conj) * vals / nrm

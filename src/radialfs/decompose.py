@@ -48,10 +48,9 @@ from .seqspaces import (CoefficientGrid, _combine_levels, seq_norm_bspqd,
                         seq_norm_fspqd)
 from .spaces import SpaceParams, sigma_p, sigma_pq
 
-__all__ = ["AtomicDecomposition", "DyadicBandSpectrum", "atom_normalization",
+__all__ = ["AtomicDecomposition", "atom_normalization",
            "template_atom_values", "decompose_profile",
-           "tb_norm", "tf_norm", "lp_besov_norm_1d", "dyadic_band_spectrum",
-           "sobolev_radial_norm_1"]
+           "tb_norm", "tf_norm", "lp_besov_norm_1d", "sobolev_radial_norm_1"]
 
 LN2 = math.log(2.0)
 # Nodes per _add_level call of decompose_profile: small temporaries are
@@ -145,13 +144,12 @@ def _eval_capture(coeff_levels: Dict[int, np.ndarray], t: np.ndarray,
 
 @dataclass
 class AtomicDecomposition:
-    """Coefficients with their atom orders, grid and reconstruction residual."""
+    """Coefficients with their atom orders, grid and reconstruction residual
+    (the last entry of ``residual_history``)."""
 
     coefficients: CoefficientGrid
     spec: AtomSpec
-    J: int
     grid: Grid1D
-    residual_norm: float
     residual_history: List[float]
     values: Optional[np.ndarray] = None     # the decomposed profile's samples
 
@@ -161,12 +159,14 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
                       track_history: bool = True) -> AtomicDecomposition:
     """Multilevel collocation decomposition of an even compactly supported profile.
 
-    Raises DecompositionError when the residual stalls (residual at J above
+    The residual is measured in the weighted L_p norm of the profile's
+    dimension, so g must carry one (``dim_context``).  Raises
+    DecompositionError when the residual stalls (residual at J above
     residual at J-2 and above STALL_RTOL times the profile's norm) and
-    ``raise_on_stall`` is set.  The captured sum on the
-    half line t >= 0 of the grid is kept as one running array that gains
-    only level j's atoms after level j; only the lattice points and the
-    half-line nodes in the support window of the module docstring are
+    ``raise_on_stall`` is set.  The captured sum on the half line t >= 0
+    of the grid is kept as one running array that gains only level j's
+    atoms after level j; only the lattice points and the half-line nodes
+    in the support window of the module docstring are
     visited (none for a zero profile), which gives the floats of a pass over
     the whole lattice and grid.  A collocation point on a grid node reads the
     running array there, which holds the floats ``_eval_capture`` would add
@@ -182,16 +182,18 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
         raise InvalidParameterError("decomposition needs an even profile")
     if J < 0:
         raise InvalidParameterError(f"need J >= 0, got J={J}")
+    if g.dim_context is None:
+        raise InvalidParameterError(
+            "decomposition needs the profile's dimension (dim_context)")
     t_grid = g.grid.nodes
     i0 = int(np.searchsorted(t_grid, 0.0))   # the half line t >= 0 is t_grid[i0:]
     t_half = np.abs(t_grid[i0:])
     g_half = g.values[i0:]
     outer = float(t_half[-1])
     n0 = atom_normalization(spec.L)
-    d_for_norm = g.dim_context or 2
     p_norm = max(1.0, spec.p)
     lo, hi, window = _support_window(g)
-    weight = t_half ** (int(d_for_norm) - 1)
+    weight = t_half ** (int(g.dim_context) - 1)
     captured = np.zeros_like(t_half)
     # the trapezoid integrand on the whole grid: its half y[i0:] is computed,
     # y[:i0] is the mirror image; np.trapezoid's expression, diff taken once
@@ -233,76 +235,62 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
                 history.append(float(pair.sum()) ** (1.0 / p_norm))
 
     if raise_on_stall and len(history) >= 3 and history[-1] > history[-3]:
-        g_scale = weighted_lp_norm(g, p_norm, d_for_norm)
+        g_scale = weighted_lp_norm(g, p_norm)
         if g_scale > 0 and history[-1] > STALL_RTOL * g_scale:
             raise DecompositionError(
                 f"residual stalls: {history[-1]:.3g} at J={J} vs "
                 f"{history[-3]:.3g} at J={J - 2}")
 
-    return AtomicDecomposition(CoefficientGrid(levels), spec, J, g.grid,
-                               residual_norm=history[-1],
+    return AtomicDecomposition(CoefficientGrid(levels), spec, g.grid,
                                residual_history=history, values=g.values)
 
 
 def _checked_decomposition(g: RadialProfile, params: SpaceParams, spec: AtomSpec,
                            J: int, decomposition: Optional[AtomicDecomposition],
                            sigma: float) -> AtomicDecomposition:
-    """``decomposition``, which must be one of g (its grid and its values)
-    and whose own spec is checked, or else a fresh one of g at J with
-    ``spec``, checked first."""
-    if decomposition is not None:
-        if not np.array_equal(decomposition.grid.nodes, g.grid.nodes):
-            raise InvalidParameterError("the decomposition is not on g's grid")
-        # the values are most often g's own array: identity first
-        if (decomposition.values is not g.values
-                and not np.array_equal(decomposition.values, g.values)):
-            raise InvalidParameterError("the decomposition is not one of g")
-        spec = decomposition.spec
-    spec.require_admissible(params.s, params.p, sigma)
+    """A fresh decomposition of g at J with the admissible ``spec``, or else
+    ``decomposition``, which must be one of g (its grid and its values) and
+    whose own spec is checked."""
     if decomposition is None:
-        decomposition = decompose_profile(g.restrict_dim(params.d), spec, J=J,
-                                          raise_on_stall=False,
-                                          track_history=False)
+        return decompose_profile(g.restrict_dim(params.d), spec, J=J,
+                                 raise_on_stall=False, track_history=False)
+    if not np.array_equal(decomposition.grid.nodes, g.grid.nodes):
+        raise InvalidParameterError("the decomposition is not on g's grid")
+    # the values are most often g's own array: identity first
+    if (decomposition.values is not g.values
+            and not np.array_equal(decomposition.values, g.values)):
+        raise InvalidParameterError("the decomposition is not one of g")
+    decomposition.spec.require_admissible(params.s, params.p, sigma)
     return decomposition
 
 
-def tb_norm(g: RadialProfile, params: SpaceParams,
-            spec: Optional[AtomSpec] = None, J: int = 10,
+def tb_norm(g: RadialProfile, params: SpaceParams, J: int = 10,
             decomposition: Optional[AtomicDecomposition] = None) -> float:
     """b^s_{p,q,d} sequence norm of the constructed decomposition.
 
     An upper bound of the infimum in the trace-space definition; use only in
-    ratio or scaling-exponent assertions.  ``spec`` and J serve a fresh
-    decomposition only; a given ``decomposition`` is checked by its own spec.
+    ratio or scaling-exponent assertions.  A fresh decomposition at J uses
+    the least admissible atoms (``AtomSpec.b_admissible``); a given
+    ``decomposition`` is checked by its own spec.
     """
     dec = _checked_decomposition(
-        g, params, spec or AtomSpec.b_admissible(params.s, params.p, params.d),
+        g, params, AtomSpec.b_admissible(params.s, params.p, params.d),
         J, decomposition, sigma_p(params.p, params.d))
     return seq_norm_bspqd(dec.coefficients, params)
 
 
-def tf_norm(g: RadialProfile, params: SpaceParams,
-            spec: Optional[AtomSpec] = None, J: int = 10,
+def tf_norm(g: RadialProfile, params: SpaceParams, J: int = 10,
             decomposition: Optional[AtomicDecomposition] = None) -> float:
-    """f^s_{p,q,d} sequence norm of the constructed decomposition (``spec``,
-    J and ``decomposition`` as for ``tb_norm``)."""
+    """f^s_{p,q,d} sequence norm of the constructed decomposition (J and
+    ``decomposition`` as for ``tb_norm``, with ``AtomSpec.f_admissible``)."""
     dec = _checked_decomposition(
-        g, params, spec or AtomSpec.f_admissible(params.s, params.p, params.q, params.d),
+        g, params, AtomSpec.f_admissible(params.s, params.p, params.q, params.d),
         J, decomposition, sigma_pq(params.p, params.q, params.d))
     return seq_norm_fspqd(dec.coefficients, params)
 
 
 # ---------------------------------------------------------------------------
 # Littlewood-Paley reference norm
-
-
-@dataclass(frozen=True)
-class DyadicBandSpectrum:
-    """Per-level frequency-band functions of a profile on a uniform grid."""
-
-    t: np.ndarray
-    bands: np.ndarray          # shape (J+1, n)
-    J: int
 
 
 def _lowpass_window(xi: np.ndarray) -> np.ndarray:
@@ -543,29 +531,6 @@ def _l2_mass(X: np.ndarray, a: int, b: int, n: int,
     return float(np.dot(tables[slices[M]], u))
 
 
-def dyadic_band_spectrum(g: RadialProfile, n_fft: int = 2 ** 16,
-                         T: Optional[float] = None) -> DyadicBandSpectrum:
-    """Split g into dyadic frequency bands via FFT; bands sum back to g exactly.
-
-    Band 0 is the low-pass |xi| <= 2; band j lives on 2^{j-1} <= |xi| <= 2^{j+1}.
-    The telescoped windows sum to 1 on the whole discrete spectrum, so the
-    band sum reproduces the sampled profile to roundoff.  The windows depend
-    only on the grid and are cached per (n_fft, spacing) (``_band_plan``).
-    The even profile's samples on the periodic grid are an even sequence and
-    the windows are even in xi, so spectrum and bands are real and even:
-    cosine transforms, folded into a half-length one and a quarter-length
-    DCT-III (one numpy irfft) until the length is at most _FOLD_CUT = 4096,
-    then one irfft.  Every band is made on all n_fft points here;
-    ``lp_besov_norm_1d`` at p = 2 makes only the widest ones, on the half
-    line (see there).
-    """
-    T, _, J, work, bands = _dyadic_bands(g, n_fft, T)
-    stacked = np.empty((J + 1, n_fft))
-    for j, (_, _, X) in enumerate(bands):
-        _band_samples(X, work, stacked[j])
-    return DyadicBandSpectrum(_fft_grid(n_fft, T, n_fft), stacked, J)
-
-
 def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
                      weighted: bool = True, n_fft: int = 2 ** 16,
                      T: Optional[float] = None) -> float:
@@ -574,9 +539,18 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
     ``weighted`` applies the half-line weight |t|^{d-1} inside the L_p norms,
     which makes the value a numerical stand-in for the d-dimensional norm of
     the radial extension (equivalent up to constants).  Independent of the
-    atomic machinery: serves as its cross-check.  The bands are those of
-    ``dyadic_band_spectrum``, made and reduced one at a time on the n_fft
-    grid.  At p = 2 a band's mass sum_k w_k x_k^2 comes from its spectrum
+    atomic machinery: serves as its cross-check.
+
+    Band 0 is the low-pass |xi| <= 2; band j lives on 2^{j-1} <= |xi| <= 2^{j+1}.
+    The telescoped windows sum to 1 on the whole discrete spectrum, and they
+    depend only on the grid, cached per (n_fft, spacing) (``_band_plan``).
+    The even profile's samples on the periodic grid are an even sequence and
+    the windows are even in xi, so spectrum and bands are real and even:
+    cosine transforms, folded into a half-length one and a quarter-length
+    DCT-III (one numpy irfft) until the length is at most _FOLD_CUT = 4096,
+    then one irfft (``_even_dft``).  The bands are made and reduced one at a
+    time on the n_fft grid, each sampled on all n_fft points (``_band_samples``)
+    for p != 2.  At p = 2 a band's mass sum_k w_k x_k^2 comes from its spectrum
     instead (``_l2_mass``): unweighted by Parseval, with no transform per
     band; weighted, for a band with top bin b - 1, from one transform of
     length M, the least power of two above 4(b-1), where x^2 does not alias,

@@ -1,14 +1,14 @@
 """The named test-function families.
 
-Every family is an even profile-level evaluator with its support window and
-its singular radii.  Grids built for a family never place a node on a
-singularity: the node set is shifted by half the local spacing around each
-singular point.
+Every family is an even profile-level evaluator with its support window.
+An evaluator returns 0 where its formula is singular in floating point
+(|x| = 1 for f_alpha and f_alpha_delta; |x| = 0, |x| = 1 and |log|x|| = 1
+for f_alpha_sigma), so a profile on any grid is finite; a node next to a
+singularity samples its blow-up.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -24,34 +24,17 @@ __all__ = ["TestFamily", "make_f_alpha", "make_f_alpha_delta",
 
 @dataclass(frozen=True)
 class TestFamily:
-    """An even scalar evaluator with its support and singular radii."""
+    """An even scalar evaluator with its support."""
 
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     support: Tuple[float, float]          # (inner radius, outer radius)
-    singularities: Tuple[float, ...] = ()  # radii the grid must avoid
 
     def __call__(self, t) -> np.ndarray:
         return self.evaluator(np.abs(np.asarray(t, dtype=float)))
 
-    def profile(self, grid: Optional[Grid1D] = None, d: Optional[int] = None,
-                **grid_kw) -> RadialProfile:
-        if grid is None:
-            grid = self.default_grid(**grid_kw)
+    def profile(self, grid: Grid1D, d: Optional[int] = None) -> RadialProfile:
         return RadialProfile.from_callable(self.evaluator, grid, d=d)
-
-    def default_grid(self, h: float = 1e-3, T: Optional[float] = None) -> Grid1D:
-        if T is None:
-            T = max(2.0, self.support[1] * 1.25)
-        grid = Grid1D.uniform(h, T)
-        if not self.singularities:
-            return grid
-        nodes = grid.nodes.copy()
-        for s in self.singularities:
-            for sign in (1.0, -1.0):
-                hit = np.isclose(nodes, sign * s, rtol=0.0, atol=h * 1e-9)
-                nodes[hit] += 0.5 * h * (1.0 if sign > 0 else -1.0)
-        return Grid1D(np.unique(nodes))
 
 
 def make_f_alpha(alpha: float) -> TestFamily:
@@ -70,7 +53,7 @@ def make_f_alpha(alpha: float) -> TestFamily:
         out[mask] = annulus_shape(t[mask]) * np.abs(t[mask] - 1.0) ** (-alpha)
         return out
 
-    return TestFamily("f_alpha", ev, (0.5, 2.0), singularities=(1.0,))
+    return TestFamily("f_alpha", ev, (0.5, 2.0))
 
 
 def make_f_alpha_delta(alpha: float, delta: float) -> TestFamily:
@@ -87,7 +70,7 @@ def make_f_alpha_delta(alpha: float, delta: float) -> TestFamily:
                      * (-np.log(u[mask])) ** (-delta))
         return out
 
-    return TestFamily("f_alpha_delta", ev, (0.5, 2.0), singularities=(1.0,))
+    return TestFamily("f_alpha_delta", ev, (0.5, 2.0))
 
 
 def make_f_j_lambda(j: int, lam: float) -> TestFamily:
@@ -133,8 +116,7 @@ def make_f_alpha_sigma(alpha: float, sigma: float) -> TestFamily:
         out.flat[at] = val
         return out
 
-    return TestFamily("f_alpha_sigma", ev, (0.0, 1.5),
-                      singularities=(0.0, 1.0 / math.e, 1.0))
+    return TestFamily("f_alpha_sigma", ev, (0.0, 1.5))
 
 
 def make_psi_cutoff() -> TestFamily:

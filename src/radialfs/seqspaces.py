@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .core import Grid1D
-from .errors import InvalidParameterError, ResolutionError
+from .errors import InvalidParameterError
 from .spaces import SpaceParams
 
 __all__ = ["CoefficientGrid", "seq_norm_bspqd", "seq_norm_fspqd"]
@@ -76,10 +75,6 @@ class CoefficientGrid:
         vals = rng.standard_normal((J + 1, K + 1))
         return CoefficientGrid(dict(enumerate(np.where(mask, vals, 0.0))))
 
-    @property
-    def J(self) -> int:
-        return max((j for j, a in self.levels.items() if a.any()), default=0)
-
     def items(self) -> Iterator[Tuple[Tuple[int, int], float]]:
         """((j, k), s_{j,k}) for the nonzero entries, in ascending (j, k)."""
         for j in sorted(self.levels):
@@ -92,9 +87,6 @@ class CoefficientGrid:
 
     def scaled(self, c: float) -> "CoefficientGrid":
         return CoefficientGrid({j: c * a for j, a in self.levels.items()})
-
-    def truncated(self, J0: int) -> "CoefficientGrid":
-        return CoefficientGrid({j: a for j, a in self.levels.items() if j <= J0})
 
 
 def _check_pq(p: float, q: float, allow_p_inf: bool) -> None:
@@ -131,21 +123,13 @@ def _combine_levels(log_terms: Iterable[float], q: float) -> float:
     return math.exp(_logsumexp([q * v for v in vals]) / q)
 
 
-def _b_norm(c: CoefficientGrid, p: float, q: float, d: int,
-            level_log_weight) -> float:
-    """(sum_j (exp(level_log_weight(j)) (sum_k (1+k)^{d-1} |s_{j,k}|^p)^{1/p})^q)^{1/q}."""
-    _check_pq(p, q, allow_p_inf=True)
-    inner = _log_inner_lp(c, p, d)
-    ip = 0.0 if math.isinf(p) else 1.0 / p
-    return _combine_levels((level_log_weight(j) + (v if math.isinf(p) else ip * v)
-                            for j, v in inner.items()), q)
-
-
 def seq_norm_bspqd(c: CoefficientGrid, params: SpaceParams) -> float:
     """(sum_j 2^{j(s-d/p)q} (sum_k (1+k)^{d-1} |s_{j,k}|^p)^{q/p})^{1/q}."""
     s, p, q, d = params.s, params.p, params.q, params.d
+    _check_pq(p, q, allow_p_inf=True)
     ip = 0.0 if math.isinf(p) else 1.0 / p
-    return _b_norm(c, p, q, d, lambda j: j * (s - d * ip) * LN2)
+    return _combine_levels((j * (s - d * ip) * LN2 + (v if math.isinf(p) else ip * v)
+                            for j, v in _log_inner_lp(c, p, d).items()), q)
 
 
 def _mass_ratio_log(k: np.ndarray, d: int) -> np.ndarray:
@@ -159,24 +143,17 @@ def _mass_ratio_log(k: np.ndarray, d: int) -> np.ndarray:
     return (d - 1) * np.log1p(k) - np.log(geo)
 
 
-def _check_resolution(c: CoefficientGrid, grid: Optional[Grid1D]) -> None:
-    """Raise unless ``grid`` (when given) resolves the finest level of c."""
-    if grid is not None and len(c):
-        finest = 2.0 ** (-c.J)
-        if grid.spacing_near(0.0) > finest / 2.0:
-            raise ResolutionError(
-                f"grid spacing must be <= 2^-(J+1) = {finest / 2:g} to resolve level {c.J}")
+def seq_norm_fspqd(c: CoefficientGrid, params: SpaceParams) -> float:
+    """|| (sum_j 2^{jsq} sum_k s_{j,k}^q chi^#_{j,k})^{1/q} | L_p(R, |t|^{d-1}) ||.
 
-
-def _f_norm_exact(c: CoefficientGrid, level_log_weight, p: float, q: float,
-                  d: int, mass_log_extra: float) -> float:
-    """Exact piecewise evaluation of an f-type norm.
-
-    Integrand: (sum_{j,k} exp(q * level_log_weight(j)) shat_{j,k}^q chi_{j,k})^{p/q}
-    against the weighted measure, with shat the mass-normalized coefficients.
-    ``mass_log_extra`` shifts the log-measure of every elementary interval
-    (used for the d-dimensional volume constant).
+    Evaluated exactly on the elementary-interval lattice of the annuli
+    present, where the inner function is piecewise constant; chi^# is the
+    mass-normalized indicator, so the integrand is
+    (sum_{j,k} 2^{jsq} shat_{j,k}^q chi_{j,k})^{p/q} against the weighted
+    measure, with shat the mass-normalized coefficients.
     """
+    s, p, q, d = params.s, params.p, params.q, params.d
+    _check_pq(p, q, allow_p_inf=False)
     los, his, log_coef, per_level = [], [], [], []
     for j in sorted(c.levels):
         k = np.flatnonzero(c.levels[j])
@@ -185,7 +162,7 @@ def _f_norm_exact(c: CoefficientGrid, level_log_weight, p: float, q: float,
         los.append(2.0 ** (-j) * k)
         his.append(2.0 ** (-j) * (k + 1))
         # level weight times shat in log space: |s| (mass / geometric mass)^{1/p}
-        log_coef.append(level_log_weight(j) + (
+        log_coef.append(j * s * LN2 + (
             np.log(np.abs(c.levels[j][k])) + _mass_ratio_log(k, d) / p))
         per_level.append(k.size)
     if not per_level:
@@ -203,7 +180,7 @@ def _f_norm_exact(c: CoefficientGrid, level_log_weight, p: float, q: float,
     log_piece = np.full((bps.size - 1, len(per_level)), -np.inf)
     log_piece[rows, np.repeat(col, run)] = np.repeat(log_coef, run)
     # geometric weighted mass of each elementary interval: (2/d)(b^d - a^d)
-    log_mass = np.log(2.0 / d) + np.log(bps[1:] ** d - bps[:-1] ** d) + mass_log_extra
+    log_mass = np.log(2.0 / d) + np.log(bps[1:] ** d - bps[:-1] ** d)
 
     if math.isinf(q):
         log_inner = np.max(log_piece, axis=1)
@@ -214,18 +191,4 @@ def _f_norm_exact(c: CoefficientGrid, level_log_weight, p: float, q: float,
         return 0.0
     log_total = _logsumexp(p * log_inner[keep] + log_mass[keep])
     return math.exp(log_total / p)
-
-
-def seq_norm_fspqd(c: CoefficientGrid, params: SpaceParams,
-                   grid: Optional[Grid1D] = None) -> float:
-    """|| (sum_j 2^{jsq} sum_k s_{j,k}^q chi^#_{j,k})^{1/q} | L_p(R, |t|^{d-1}) ||.
-
-    Evaluated exactly on the elementary-interval lattice of the annuli
-    present (the inner function is piecewise constant there); ``grid``, when
-    given, is only checked for resolution, it is not used for quadrature.
-    """
-    s, p, q, d = params.s, params.p, params.q, params.d
-    _check_pq(p, q, allow_p_inf=False)
-    _check_resolution(c, grid)
-    return _f_norm_exact(c, lambda j: j * s * LN2, p, q, d, 0.0)
 

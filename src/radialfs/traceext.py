@@ -36,12 +36,10 @@ class RadialGridField:
             raise InvalidParameterError("need a profile or a tensor sample")
 
     @staticmethod
-    def from_tensor(axes, values: np.ndarray, d: Optional[int] = None
-                    ) -> "RadialGridField":
+    def from_tensor(axes, values: np.ndarray) -> "RadialGridField":
+        """The field sampled on the tensor grid of ``axes``, one per dimension."""
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        if d is None:
-            d = len(axes)
-        return RadialGridField(d=d, axes=axes, values=np.asarray(values, float))
+        return RadialGridField(d=len(axes), axes=axes, values=np.asarray(values, float))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

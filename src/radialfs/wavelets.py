@@ -72,12 +72,6 @@ class WaveletTable:
     psi: np.ndarray
     shifts: np.ndarray
 
-    def eval_phi(self, x) -> np.ndarray:
-        return np.interp(x, self.grid, self.phi, left=0.0, right=0.0)
-
-    def eval_psi(self, x) -> np.ndarray:
-        return np.interp(x, self.grid, self.psi, left=0.0, right=0.0)
-
     @property
     def support(self) -> Tuple[float, float]:
         return float(self.grid[0]), float(self.grid[-1])
@@ -134,14 +128,6 @@ def wavelet_table(name: str = "db6") -> WaveletTable:
     return WaveletTable(name, float(grid[1] - grid[0]), grid, phi, psi, shifts)
 
 
-def _generators(d: int) -> List[Tuple[bool, ...]]:
-    """Per-axis psi flags for the 2^d - 1 tensor generators (all-phi excluded)."""
-    out = []
-    for i in range(1, 2 ** d):
-        out.append(tuple(bool((i >> axis) & 1) for axis in range(d)))
-    return out
-
-
 def _ring_length(d: int, n: int) -> int:
     """Nodes per ring of the sphere rule for ``n`` nodes."""
     return n if d == 2 else 2 * max(8, int(math.sqrt(n / 2.0)))
@@ -163,17 +149,6 @@ def _sphere_rings(d: int, n: int):
         u, wu = _gauss_legendre(n_t // 2)
         return u, np.sqrt(1.0 - u ** 2), wu * (2.0 * math.pi / n_t), ct, st
     raise InvalidParameterError("sphere quadrature implemented for d in {2, 3}")
-
-
-def _sphere_nodes(d: int, n: int):
-    """``_sphere_rings`` as ring-major (nodes, d) points and their weights."""
-    z, radius, weight, ct, st = _sphere_rings(d, n)
-    pts = np.empty((radius.size, ct.size, d))
-    pts[..., 0] = np.multiply.outer(radius, ct)
-    pts[..., 1] = np.multiply.outer(radius, st)
-    if d == 3:
-        pts[..., 2] = z[:, None]
-    return pts.reshape(-1, d), np.repeat(weight, ct.size)
 
 
 def _window(v: np.ndarray, lo: float, hi: float) -> Tuple[int, int]:
@@ -223,8 +198,9 @@ def _factor_matrix(rows: np.ndarray, slope: np.ndarray, first: np.ndarray,
 def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarray:
     """All <surface measure, Psi_{i,j,k}> for one level, flattened over (i, k).
 
-    The output is generator-major (the order of ``_generators``); each block
-    is C-ordered over the k-box [k_min[0], k_max[0]] x ... x [k_min[d-1],
+    The output is generator-major: generator i = 1 .. 2^d - 1 has psi on
+    axis a where bit a of i is set and phi elsewhere.  Each block is
+    C-ordered over the k-box [k_min[0], k_max[0]] x ... x [k_min[d-1],
     k_max[d-1]] that holds the support window of every node.
 
     A node coordinate u meets the shifts k = first + o, o = 0 .. width - 1,
@@ -353,9 +329,14 @@ def spherical_mean_wavelet_coeffs(d: int = 2, p: float = 1.0, Jmax: int = 6,
     over j is the numerical content of the spherical mean lying in
     B^{1/p-1}_{p,inf}.  Raises QuadratureError when the Richardson estimate
     between the two node counts exceeds ``richardson_tol`` relatively.
+    Needs 0 < p < inf, Jmax >= 0 and nodes_per_unit >= 1.
     """
     if d not in (2, 3):
         raise InvalidParameterError("d must be 2 or 3")
+    if not (0 < p < math.inf and Jmax >= 0 and nodes_per_unit >= 1):
+        raise InvalidParameterError(
+            f"need 0 < p < inf, Jmax >= 0 and nodes_per_unit >= 1, got p={p}, "
+            f"Jmax={Jmax}, nodes_per_unit={nodes_per_unit}")
     table = wavelet_table(wavelet)
     exponent = 1.0 / p - 1.0 + d * (0.5 - 1.0 / p)
     levels = np.arange(Jmax + 1)

@@ -211,7 +211,7 @@ class TestRun:
     def test_summary_has_provenance_column(self, tmp_path):
         cfg = ExperimentConfig("bv-decay", output_dir=tmp_path)
         res = run_experiment(cfg)
-        header = open(tmp_path / "bv-decay-summary.csv").readline().strip()
+        header = (tmp_path / "bv-decay-summary.csv").read_text().splitlines()[0]
         assert header == "assertion,measured,kind,threshold,provenance,status"
         assert res.passed
 

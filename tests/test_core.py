@@ -36,8 +36,10 @@ class TestGrid1D:
 
     def test_composite_resolves_origin_and_tail(self):
         g = Grid1D.composite(J=8, h=0.05, T=4.0)
-        assert g.spacing_near(2.0 ** -8) < 2.0 ** -8
-        assert g.spacing_near(3.0) == pytest.approx(0.05)
+        # the spacing of the interval that ends at the first node >= t
+        spacing = lambda t: float(np.diff(g.nodes)[np.searchsorted(g.nodes, t) - 1])
+        assert spacing(2.0 ** -8) < 2.0 ** -8
+        assert spacing(3.0) == pytest.approx(0.05)
 
 
 class TestWeightedLpNorm:

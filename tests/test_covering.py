@@ -6,7 +6,8 @@ import pytest
 from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile, _gradients
 from radialfs.covering import AtomSpec
-from radialfs.decompose import tb_norm, template_atom_values, tf_norm
+from radialfs.decompose import (decompose_profile, tb_norm, template_atom_values,
+                                tf_norm)
 from radialfs.errors import InvalidParameterError
 from radialfs.families import make_f_j_lambda
 from radialfs.spaces import SpaceParams, sigma_p, sigma_pq
@@ -111,9 +112,10 @@ class TestAtomSpecAdmissibility:
         with pytest.raises(InvalidParameterError):
             spec.require_admissible(0.5, 2.0, sigma_pq(2.0, 0.5, 2))
         prof = make_f_j_lambda(3, 4.0).profile(Grid1D.uniform(2.0 ** -8, 1.0), d=2)
-        assert tb_norm(prof, SpaceParams(0.5, 2.0, 0.5, 2), spec=spec, J=3) > 0
+        dec = decompose_profile(prof, spec, J=3, raise_on_stall=False)
+        assert tb_norm(prof, SpaceParams(0.5, 2.0, 0.5, 2), decomposition=dec) > 0
         with pytest.raises(InvalidParameterError):
-            tf_norm(prof, SpaceParams(0.5, 2.0, 0.5, 2, "F"), spec=spec, J=3)
+            tf_norm(prof, SpaceParams(0.5, 2.0, 0.5, 2, "F"), decomposition=dec)
 
     def test_invalid_orders(self):
         with pytest.raises(InvalidParameterError):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,17 +10,43 @@ from radialfs import decompose, seqspaces
 from radialfs.bump import bump, psi_cutoff
 from radialfs.core import Grid1D, RadialProfile, weighted_lp_norm
 from radialfs.covering import AtomSpec
-from radialfs.decompose import (_eval_capture, _lowpass_window,
+from radialfs.decompose import (_band_samples, _dyadic_bands, _eval_capture,
+                                _fft_grid, _lowpass_window,
                                 atom_normalization, decompose_profile,
-                                dyadic_band_spectrum, lp_besov_norm_1d,
-                                sobolev_radial_norm_1, tb_norm,
-                                template_atom_values, tf_norm)
+                                lp_besov_norm_1d, sobolev_radial_norm_1,
+                                tb_norm, template_atom_values, tf_norm)
 from radialfs.errors import DecompositionError, InvalidParameterError
 from radialfs.families import make_f_j_lambda
 from radialfs.spaces import SpaceParams
 from test_covering import template_atom, validate_even_atom
 
 SPEC_L2 = AtomSpec(2, -1, 1.0, 2.0)
+
+
+@dataclass(frozen=True)
+class DyadicBandSpectrum:
+    """Per-level frequency-band functions of a profile on a uniform grid."""
+
+    t: np.ndarray
+    bands: np.ndarray          # shape (J+1, n)
+    J: int
+
+
+def dyadic_band_spectrum(g, n_fft=2 ** 16, T=None):
+    """The bands of lp_besov_norm_1d, stacked: every band made on all n_fft
+    points of the periodic grid by the same steps, so they sum back to the
+    sampled profile to roundoff."""
+    T, _, J, work, bands = _dyadic_bands(g, n_fft, T)
+    stacked = np.empty((J + 1, n_fft))
+    for j, (_, _, X) in enumerate(bands):
+        _band_samples(X, work, stacked[j])
+    return DyadicBandSpectrum(_fft_grid(n_fft, T, n_fft), stacked, J)
+
+
+def decomposed(g, spec, J):
+    """g's decomposition with ``spec`` at J, made as tb_norm/tf_norm make a
+    fresh one with their admissible spec."""
+    return decompose_profile(g, spec, J=J, raise_on_stall=False, track_history=False)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +68,15 @@ class TestDecomposeProfile:
         g = RadialProfile.from_callable(lambda t: 0.0 * t, fine_grid, d=2)
         dec = decompose_profile(g, SPEC_L2, J=5)
         assert len(dec.coefficients) == 0
-        assert dec.residual_norm == 0.0
+        assert dec.residual_history[-1] == 0.0
+
+    def test_profile_without_dimension_raises(self, fine_grid):
+        # the residual's weight |t|^{d-1} needs d, which was taken as 2
+        # without a word; tb_norm gives the profile its params.d
+        g = RadialProfile.from_callable(psi_cutoff, fine_grid)
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            decompose_profile(g, SPEC_L2, J=4)
+        assert tb_norm(g, SpaceParams(1.0, 2.0, 2.0, 3), J=4) > 0
 
     def test_psi_cutoff_residual_rate(self, fine_grid):
         # convergence-rate oracle: average contraction factor over j = 0..8,
@@ -56,7 +91,7 @@ class TestDecomposeProfile:
     def test_reconstruction_tolerance(self, fine_grid):
         g = RadialProfile.from_callable(psi_cutoff, fine_grid, d=2)
         dec = decompose_profile(g, SPEC_L2, J=12)
-        rel = dec.residual_norm / weighted_lp_norm(g, 2.0, 2)
+        rel = dec.residual_history[-1] / weighted_lp_norm(g, 2.0, 2)
         assert rel <= 1e-4
 
     def test_every_atom_validates(self, fine_grid):
@@ -188,7 +223,6 @@ class TestIncrementalCapture:
         for j in levels:
             assert np.array_equal(dec.coefficients.levels[j], levels[j])
         assert dec.residual_history == (history if track_history else history[-1:])
-        assert dec.residual_norm == history[-1]
         expected = {(j, k): float(v) for j, arr in levels.items()
                     for k, v in enumerate(arr) if v != 0.0}
         assert dict(dec.coefficients.items()) == expected
@@ -289,7 +323,8 @@ class TestTraceNorms:
         # odd k: the slot is native to its level (even k aliases coarser slots)
         params = SpaceParams(1.0, 2.0, 2.0, 2)
         atom = template_atom(1, 5, fine_grid, L=2, d=2)
-        val = tb_norm(atom.scaled(3.0), params, spec=SPEC_L2, J=6)
+        g = atom.scaled(3.0)
+        val = tb_norm(g, params, decomposition=decomposed(g, SPEC_L2, 6))
         expected = 3.0 * 2.0 ** (1 * (1.0 - 2.0 / 2.0)) * (1 + 5) ** 0.5
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -298,7 +333,8 @@ class TestTraceNorms:
         # tf law matches the tb one exactly
         params = SpaceParams(1.0, 2.0, 3.0, 2)
         atom = template_atom(1, 5, fine_grid, L=2, d=2)
-        val = tf_norm(atom.scaled(2.0), params, spec=SPEC_L2, J=6)
+        g = atom.scaled(2.0)
+        val = tf_norm(g, params, decomposition=decomposed(g, SPEC_L2, 6))
         expected = 2.0 * 2.0 ** (1 * (1.0 - 2.0 / 2.0)) * (1 + 5) ** 0.5
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -308,14 +344,14 @@ class TestTraceNorms:
         g = RadialProfile.from_callable(
             lambda t: bump((t - 1.2) / 0.6) + bump((t + 1.2) / 0.6), fine_grid, d=2)
         dec = decompose_profile(g, spec, J=8, track_history=False)
-        b = tb_norm(g, params, spec=spec, decomposition=dec)
-        f = tf_norm(g, params, spec=spec, decomposition=dec)
+        b = tb_norm(g, params, decomposition=dec)
+        f = tf_norm(g, params, decomposition=dec)
         assert f == pytest.approx(b, rel=1e-10)
 
     def test_decomposition_checked_by_its_own_spec(self):
-        # f_{3,4} at s = 1, p = q = 2, d = 2: atoms with L = 0, below
-        # [s] + 1 = 2, are refused whether passed as spec or as the spec of a
-        # given decomposition; an admissible decomposition of g is read
+        # f_{3,4} at s = 1, p = q = 2, d = 2: a given decomposition with
+        # atoms of L = 0, below [s] + 1 = 2, is refused; an admissible
+        # decomposition of g is read
         params = SpaceParams(1.0, 2.0, 2.0, 2)
         g = make_f_j_lambda(3, 4.0).profile(Grid1D.uniform(2 ** -10, 1.0), d=2)
         low = AtomSpec(0, -1, 1.0, 2.0)
@@ -323,8 +359,6 @@ class TestTraceNorms:
         ok = decompose_profile(g, AtomSpec.b_admissible(1.0, 2.0, 2), J=8,
                                raise_on_stall=False)
         for norm in (tb_norm, tf_norm):
-            with pytest.raises(InvalidParameterError, match="L = 0"):
-                norm(g, params, spec=low, J=8)
             with pytest.raises(InvalidParameterError, match="L = 0"):
                 norm(g, params, decomposition=dec)
             assert norm(g, params, decomposition=ok) == pytest.approx(
@@ -379,7 +413,7 @@ class TestTraceNorms:
         for m in range(0, 4):
             g = RadialProfile.from_callable(
                 lambda t, m=m: bump((np.abs(t) * 2.0 ** m - 1.0) / 0.5), grid, d=2)
-            norms.append(tb_norm(g, params, spec=SPEC_L2, J=10))
+            norms.append(tb_norm(g, params, decomposition=decomposed(g, SPEC_L2, 10)))
         for m in range(1, 4):
             expected = norms[0] * 2.0 ** (m * (params.s - 2.0 / params.p))
             assert 0.5 * expected <= norms[m] <= 2.0 * expected
@@ -394,8 +428,8 @@ class TestTraceNorms:
         norms = []
         for eps in (0.6, 0.3, 0.15):
             s = 1.0 / p + alpha - eps
-            norms.append(tb_norm(prof, SpaceParams(s, p, 2.0, 2),
-                                 spec=AtomSpec(2, -1, s, p), J=9))
+            dec = decomposed(prof, AtomSpec(2, -1, s, p), 9)
+            norms.append(tb_norm(prof, SpaceParams(s, p, 2.0, 2), decomposition=dec))
         assert norms[0] < norms[1] < norms[2]
 
 
@@ -409,7 +443,7 @@ class TestTwoSidedSupportLaw:
             grid = Grid1D.uniform(2.0 ** -11 * max(1.0, a / 2), 2.6 * a)
             g = RadialProfile.from_callable(
                 lambda t, a=a: bump((np.abs(t) / a - 1.5) / 0.5), grid, d=2)
-            dd = tb_norm(g, params, spec=SPEC_L2, J=10)
+            dd = tb_norm(g, params, decomposition=decomposed(g, SPEC_L2, 10))
             oned = lp_besov_norm_1d(g, params, weighted=False,
                                     n_fft=2 ** 15, T=2.6 * a)
             ratios.append(dd / oned)
@@ -516,7 +550,7 @@ class TestLpBesovNorm:
             g = RadialProfile.from_callable(
                 lambda t, c=c, w=w: bump((t - c) / w) + bump((t + c) / w),
                 grid, d=2)
-            tb = tb_norm(g, params, spec=SPEC_L2, J=10)
+            tb = tb_norm(g, params, decomposition=decomposed(g, SPEC_L2, 10))
             lp = lp_besov_norm_1d(g, params, weighted=True, n_fft=2 ** 15, T=4.0)
             log_ratios.append(math.log(tb / lp))
         spread = max(log_ratios) - min(log_ratios)

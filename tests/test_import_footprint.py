@@ -6,9 +6,11 @@ module, neither on import nor when the FFT norms run (the p = 2 route from
 band spectra and the route over band samples), so a lazy import inside a
 function cannot pass these tests.
 
-Every name a package module exports must also be reached from a program:
-the package's other modules, perfbench or scripts.  Code that only tests
-reach belongs in the tests, except for the allow-list below.
+Every name a package module exports, every module-level function (private
+ones included) and every method and property of its classes (dunders left
+out) must also be reached from a program: the package's other modules,
+perfbench or scripts.  Code that only tests reach belongs in the tests,
+except for the allow-list below.
 """
 
 import ast
@@ -46,7 +48,6 @@ def test_fft_norms_load_no_scipy():
         "g = rf.RadialProfile.from_callable(psi_cutoff, rf.Grid1D.uniform(2 ** -10, 2.0), d=2)\n"
         "assert rf.lp_besov_norm_1d(g, rf.SpaceParams(1.0, 2.0, 2.0, 2), n_fft=2 ** 15) > 0\n"
         "assert rf.lp_besov_norm_1d(g, rf.SpaceParams(1.0, 1.5, 2.0, 2), n_fft=2 ** 15) > 0\n"
-        "assert rf.dyadic_band_spectrum(g, n_fft=2 ** 15).bands.shape[1] == 2 ** 15\n"
         "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     assert out.split() == []
 
@@ -69,8 +70,9 @@ def test_every_export_resolves():
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Exports that no program reaches yet, each kept for the ROADMAP item named.
-TEST_ONLY_EXPORTS = {
+# Exports, functions and methods (as Class.method) that no program reaches
+# yet, each kept for the ROADMAP item named.
+TEST_ONLY = {
     "bv_dim_norm": "item 1: bv-equivalence's d-dimensional norm, to be "
                    "computed independently",
     "bv_weighted_norm": "item 1: the 1-D norm that independent d-dimensional "
@@ -81,6 +83,8 @@ TEST_ONLY_EXPORTS = {
                           "J-sweep",
     "make_psi_cutoff": "item 9: the p < 1 FFT norm's test profile",
     "template_atom_values": "the decomposition tests' atom reference",
+    "RadialGridField.from_tensor": "item 1: trace-roundtrip is to round-trip "
+                                   "through tensor-backed fields",
 }
 
 
@@ -118,24 +122,52 @@ def _program_sources():
     return {p: p.read_text() for p in paths}
 
 
-def _unreferenced_exports(sources):
-    """Names in a package module's ``__all__`` that no program source refers to."""
-    exports, refs = set(), set()
+def _definitions(tree):
+    """A module's exports, its module-level functions, and its classes'
+    methods and properties other than dunders as ``Class.method``."""
+    names = {c.value for node in tree.body if _is_all(node)
+             for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__") and item.name.endswith("__"))}
+    return names
+
+
+def _unreferenced(sources):
+    """The package's definitions (``_definitions``) whose name no program
+    source refers to; a method counts as referred to by its own name."""
+    defined, refs = set(), set()
     for path, text in sources.items():
         tree = ast.parse(text)
         if path.parent.name == "radialfs":
-            exports |= {c.value for node in tree.body if _is_all(node)
-                        for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+            defined |= _definitions(tree)
         refs |= _references(tree)
-    return exports - refs
+    return {name for name in defined if name.rpartition(".")[2] not in refs}
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    assert _unreferenced_exports(_program_sources()) == set(TEST_ONLY_EXPORTS)
+    assert _unreferenced(_program_sources()) == set(TEST_ONLY)
 
 
 def test_a_test_only_export_fails_the_guard():
     sources = _program_sources()
     sources[ROOT / "src" / "radialfs" / "_probe.py"] = (
         '__all__ = ["probe_only"]\n\n\ndef probe_only():\n    return "probe"\n')
-    assert _unreferenced_exports(sources) == set(TEST_ONLY_EXPORTS) | {"probe_only"}
+    assert _unreferenced(sources) == set(TEST_ONLY) | {"probe_only"}
+
+
+def test_an_unreached_method_or_helper_fails_the_guard():
+    # a class whose one method no program calls, and a private helper
+    sources = _program_sources()
+    sources[ROOT / "src" / "radialfs" / "_probe.py"] = (
+        "class Probe:\n"
+        "    def __init__(self):\n        self.x = _reached()\n\n"
+        "    def probe_method(self):\n        return self.x\n\n\n"
+        "def _reached():\n    return 1\n\n\n"
+        "def _probe_helper():\n    return Probe()\n")
+    assert _unreferenced(sources) == set(TEST_ONLY) | {"Probe.probe_method",
+                                                       "_probe_helper"}

@@ -1,35 +1,31 @@
 import math
-from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from radialfs.core import Grid1D, sphere_area
-from radialfs.errors import ResolutionError
-from radialfs.seqspaces import (LN2, CoefficientGrid, _b_norm, _check_pq,
-                                _check_resolution, _f_norm_exact, _logsumexp,
-                                seq_norm_bspqd, seq_norm_fspqd)
+from radialfs.core import sphere_area
+from radialfs.seqspaces import (CoefficientGrid, _logsumexp, seq_norm_bspqd,
+                                seq_norm_fspqd)
 from radialfs.spaces import SpaceParams
 
 
 def seq_norm_bpqd(c: CoefficientGrid, p: float, q: float, d: int) -> float:
-    """As seq_norm_bspqd but without the 2^{j(s-d/p)} level weight."""
-    return _b_norm(c, p, q, d, lambda j: 0.0)
+    """As seq_norm_bspqd but without the 2^{j(s-d/p)} level weight: the
+    b-norm at s = d/p."""
+    return seq_norm_bspqd(c, SpaceParams(d / p, p, q, d))
 
 
-def seq_norm_fpqd(c: CoefficientGrid, p: float, q: float, d: int,
-                  grid: Optional[Grid1D] = None) -> float:
+def seq_norm_fpqd(c: CoefficientGrid, p: float, q: float, d: int) -> float:
     """|| (sum_j sum_k s_{j,k}^q 2^{jdq/p} chi~_{j,k})^{1/q} | L_p(R^d) ||.
 
-    The d-dimensional L_p norm is realized by the exact radial reduction; the
-    annulus volumes carry the mass normalization and the unit-ball constant.
+    The d-dimensional L_p norm is realized by the exact radial reduction: the
+    annulus volumes carry the mass normalization, and the unit-ball volume
+    scales the f-norm at s = d/p by vol^{1/p}.
     """
-    _check_pq(p, q, allow_p_inf=False)
-    _check_resolution(c, grid)
-    return _f_norm_exact(c, lambda j: j * (d / p) * LN2, p, q, d,
-                         math.log(sphere_area(d) / d))
+    return ((sphere_area(d) / d) ** (1.0 / p)
+            * seq_norm_fspqd(c, SpaceParams(d / p, p, q, d)))
 
 
 def from_entries(entries):
@@ -117,12 +113,6 @@ class TestFNorm:
         val = seq_norm_fspqd(c, SpaceParams(s, 2.0, 2.0, d))
         assert val == pytest.approx(oracle, rel=1e-12)
 
-    def test_under_resolved_grid_rejected(self):
-        c = from_entries({(6, 3): 1.0})
-        grid = Grid1D.uniform(0.5, 2.0)
-        with pytest.raises(ResolutionError):
-            seq_norm_fspqd(c, SpaceParams(1.0, 2.0, 1.0, 2), grid)
-
     def test_fpqd_single_entry_sqrt_pi(self):
         c = from_entries({(0, 0): 1.0})
         assert seq_norm_fpqd(c, 2.0, 2.0, 2) == pytest.approx(math.sqrt(math.pi))
@@ -185,7 +175,8 @@ class TestQuasiNormProperties:
     def test_level_truncation_never_increases(self, seed, J0):
         c = random_grid(seed)
         params = SpaceParams(0.5, 1.5, 2.0, 2)
-        assert seq_norm_bspqd(c.truncated(J0), params) <= \
+        truncated = CoefficientGrid({j: a for j, a in c.levels.items() if j <= J0})
+        assert seq_norm_bspqd(truncated, params) <= \
             seq_norm_bspqd(c, params) * (1 + 1e-12)
 
 
@@ -208,12 +199,6 @@ class TestBruteForceOracle:
         direct = sum(2.0 ** (j * (s_par - d / p) * q) * val ** (q / p)
                      for j, val in inner.items()) ** (1.0 / q)
         assert seq_norm_bspqd(c, params) == pytest.approx(direct, rel=1e-11)
-
-    def test_fpqd_resolution_check(self):
-        from radialfs.errors import ResolutionError
-        c = from_entries({(6, 3): 1.0})
-        with pytest.raises(ResolutionError):
-            seq_norm_fpqd(c, 2.0, 2.0, 2, Grid1D.uniform(0.5, 2.0))
 
 
 def dense_f_reference(c, level_log_weight, p, q, d, mass_log_extra):

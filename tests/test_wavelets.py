@@ -6,9 +6,35 @@ import pytest
 from radialfs.errors import InvalidParameterError, QuadratureError
 from radialfs import wavelets
 from radialfs.wavelets import (_BATCH_FLOATS, _BLOCK, _gauss_legendre,
-                               _generators, _level_coeffs, _sphere_nodes,
+                               _level_coeffs, _sphere_rings,
                                daubechies_filter, spherical_mean_wavelet_coeffs,
                                wavelet_table)
+
+
+def eval_phi(table, x):
+    """phi of ``table`` at x by linear interpolation, 0 off its support."""
+    return np.interp(x, table.grid, table.phi, left=0.0, right=0.0)
+
+
+def eval_psi(table, x):
+    """psi of ``table`` at x by linear interpolation, 0 off its support."""
+    return np.interp(x, table.grid, table.psi, left=0.0, right=0.0)
+
+
+def _generators(d):
+    """Per-axis psi flags for the 2^d - 1 tensor generators (all-phi excluded)."""
+    return [tuple(bool((i >> axis) & 1) for axis in range(d)) for i in range(1, 2 ** d)]
+
+
+def _sphere_nodes(d, n):
+    """``_sphere_rings`` as ring-major (nodes, d) points and their weights."""
+    z, radius, weight, ct, st = _sphere_rings(d, n)
+    pts = np.empty((radius.size, ct.size, d))
+    pts[..., 0] = np.multiply.outer(radius, ct)
+    pts[..., 1] = np.multiply.outer(radius, st)
+    if d == 3:
+        pts[..., 2] = z[:, None]
+    return pts.reshape(-1, d), np.repeat(weight, ct.size)
 
 
 class TestWaveletTable:
@@ -46,8 +72,8 @@ class TestWaveletTable:
         width = int(hi - lo) + 1
         assert t.shifts.shape == (2 ** 10 + 1, 2, width)
         x = hi - 1 + np.arange(2 ** 10 + 1)[:, None] * t.step - np.arange(width)
-        for c, f in enumerate((t.eval_phi, t.eval_psi)):
-            ref = f(x)
+        for c, f in enumerate((eval_phi, eval_psi)):
+            ref = f(t, x)
             assert np.max(np.abs(t.shifts[:, c] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_unknown_filter(self):
@@ -69,8 +95,8 @@ def _level_coeffs_reference(table, d, j, n_nodes):
         for node, weight in zip(u, w):
             term = np.array(weight * 2.0 ** (j * d / 2.0))
             for ax in range(d):
-                f = table.eval_psi if flags[ax] else table.eval_phi
-                term = np.multiply.outer(term, f(node[ax] - ks[ax]))
+                f = eval_psi if flags[ax] else eval_phi
+                term = np.multiply.outer(term, f(table, node[ax] - ks[ax]))
             acc += term
         blocks.append(acc.ravel())
     return np.concatenate(blocks)
@@ -200,3 +226,14 @@ class TestSphericalMean:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidParameterError):
             spherical_mean_wavelet_coeffs(d=4)
+
+    @pytest.mark.parametrize("bad", [
+        {"p": -1.0}, {"p": 0.0}, {"p": math.inf}, {"p": math.nan},
+        {"Jmax": -1}, {"nodes_per_unit": 0}])
+    def test_invalid_parameters_raise(self, bad):
+        # before the check: p = -1 gave sums [0, 0], p = inf gave [1, 1],
+        # p = 0 and nodes_per_unit = 0 divided by zero, and Jmax = -1
+        # returned no levels
+        kwargs = {"d": 2, "p": 1.0, "Jmax": 1, "wavelet": "db2", **bad}
+        with pytest.raises(InvalidParameterError):
+            spherical_mean_wavelet_coeffs(**kwargs)
