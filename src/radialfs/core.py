@@ -72,10 +72,6 @@ class Grid1D:
             if not np.array_equal(nodes, -nodes[::-1]):
                 raise EvennessError("even-flagged grid must be closed under negation")
 
-    @property
-    def size(self) -> int:
-        return int(self.nodes.size)
-
     @staticmethod
     def uniform(h: float, T: float) -> "Grid1D":
         """Uniform symmetric grid on [-T, T] with spacing h (node at 0)."""

@@ -192,8 +192,8 @@ def check_decay2(params: SpaceParams,
     ratio is psi <= 1.  Lower: the dilated thin-annulus witnesses
     2^{-r(s-d/p)} f_{2+r,3} are norm-stable by exact dyadic self-similarity,
     and their values at |x| = 2^{-r} follow the pure power law; the fitted
-    origin exponent must equal d/p - s.  The witness at 2^{-r} decomposes at
-    J = r + 4, four levels below its own scale.
+    origin exponent must equal d/p - s.  The surrogate norm of the witness
+    at 2^{-r} decomposes at J = r + 4.
     """
     d, p, s = params.d, params.p, params.s
     if not in_U(params):

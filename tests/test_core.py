@@ -32,7 +32,7 @@ class TestGrid1D:
 
     def test_composite_n_per_sets_level_density(self):
         # 0, 2^-3, 16 nodes on each of 3 levels and 2 tail nodes, mirrored
-        assert Grid1D.composite(J=2, h=0.5, T=2.0).size == 103
+        assert Grid1D.composite(J=2, h=0.5, T=2.0).nodes.size == 103
 
     def test_composite_resolves_origin_and_tail(self):
         g = Grid1D.composite(J=8, h=0.05, T=4.0)
@@ -240,7 +240,7 @@ class TestGradientIdentity:
         sizes.clear()
         radial_gradient_identity_check(prof, 1.5, d, evaluator=ev, n_grid=n_grid)
         # the radial route's two difference quotients come first
-        assert sizes[:2] == [prof.grid.size] * 2
+        assert sizes[:2] == [prof.grid.nodes.size] * 2
         tensor = sizes[2:]
         m = (n_grid + 1) // 2
         assert max(tensor) <= n_grid ** (d - 1)

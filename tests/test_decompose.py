@@ -71,8 +71,8 @@ class TestDecomposeProfile:
         assert dec.residual_history[-1] == 0.0
 
     def test_profile_without_dimension_raises(self, fine_grid):
-        # the residual's weight |t|^{d-1} needs d, which was taken as 2
-        # without a word; tb_norm gives the profile its params.d
+        # the residual's weight |t|^{d-1} needs d; tb_norm gives the
+        # profile its params.d
         g = RadialProfile.from_callable(psi_cutoff, fine_grid)
         with pytest.raises(InvalidParameterError, match="dimension"):
             decompose_profile(g, SPEC_L2, J=4)
@@ -112,7 +112,7 @@ class TestDecomposeProfile:
         # stalls (grows between J-2 and J) and the diagnostic raises
         rng = np.random.default_rng(0)
         grid = Grid1D.uniform(2.0 ** -12, 2.0)
-        vals = rng.standard_normal(grid.size)
+        vals = rng.standard_normal(grid.nodes.size)
         g = RadialProfile(grid, 0.5 * (vals + vals[::-1]), 2)
         with pytest.raises(DecompositionError):
             decompose_profile(g, SPEC_L2, J=4)
@@ -204,7 +204,7 @@ def _assert_half_line_window_visits(monkeypatch, g, J=8):
     assert sorted(on_grid) == list(range(J + 1))
     for parts in on_grid.values():
         nodes = np.concatenate(parts)
-        assert nodes.size <= (g.grid.size + 1) // 2
+        assert nodes.size <= (g.grid.nodes.size + 1) // 2
         assert np.unique(nodes).size == nodes.size
 
 

@@ -231,9 +231,8 @@ class TestSphericalMean:
         {"p": -1.0}, {"p": 0.0}, {"p": math.inf}, {"p": math.nan},
         {"Jmax": -1}, {"nodes_per_unit": 0}])
     def test_invalid_parameters_raise(self, bad):
-        # before the check: p = -1 gave sums [0, 0], p = inf gave [1, 1],
-        # p = 0 and nodes_per_unit = 0 divided by zero, and Jmax = -1
-        # returned no levels
+        # unchecked, p = -1 and p = inf return finite sums and Jmax = -1 no
+        # levels; p = 0 and nodes_per_unit = 0 divide by zero
         kwargs = {"d": 2, "p": 1.0, "Jmax": 1, "wavelet": "db2", **bad}
         with pytest.raises(InvalidParameterError):
             spherical_mean_wavelet_coeffs(**kwargs)
