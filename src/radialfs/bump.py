@@ -62,7 +62,7 @@ def psi_cutoff(t):
 def annulus_shape(t):
     """Even C^inf shape with support [-2,-1/2] u [1/2,2] and value 1 at |t| = 1.
 
-    Plateau equal to 1 on 0.75 <= |t| <= 1.5, so collocation at |t| = 1 is exact.
+    Plateau equal to 1 on 0.75 <= |t| <= 1.5.
     """
     t = np.abs(np.asarray(t, dtype=float))
     return smoothstep((t - 0.5) / 0.25) * smoothstep((2.0 - t) / 0.5)

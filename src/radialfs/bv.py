@@ -264,7 +264,6 @@ class BVDecayReport:
     radii: np.ndarray
     lhs: np.ndarray              # r^{d-1} |g(r)| at the requested radii
     tail_bound: np.ndarray       # integral_r^inf t^{d-1} d|nu|
-    norm: float
     quad_error: float            # largest quadrature estimate among the integrals
 
 
@@ -277,7 +276,6 @@ def bv_decay_check(g: BVProfile, radii: Sequence[float], d: int) -> BVDecayRepor
     radii = np.asarray(sorted(radii), dtype=float)
     lhs = radii ** (d - 1) * np.abs(g.value_left(radii))
     tails, tail_errs = np.array([g.derivative._tail(r, d) for r in radii]).reshape(-1, 2).T
-    l1, variation, err = _weighted_parts(g, d)
-    return BVDecayReport(radii, lhs, tails, l1 + variation,
-                         max(err, float(tail_errs.max(initial=0.0))))
+    _, _, err = _weighted_parts(g, d)
+    return BVDecayReport(radii, lhs, tails, max(err, float(tail_errs.max(initial=0.0))))
 

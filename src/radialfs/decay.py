@@ -132,6 +132,14 @@ def _decay4_upper_corpus(d: int, p: float):
     return corpus
 
 
+def _far_weighted_sup(prof: RadialProfile, d: int, p: float) -> float:
+    """sup_{|t| >= 1} |t|^{(d-1)/p} |f(t)| over the grid nodes."""
+    t = np.abs(prof.grid.nodes)
+    far = t >= 1.0
+    return float(np.max(t[far] ** ((d - 1) / p) * np.abs(prof.values[far]),
+                        initial=0.0))
+
+
 def check_decay4(params: SpaceParams,
                  radii: Optional[Sequence[float]] = None) -> Decay4Report:
     """Both routes of the decay rate (d-1)/p at infinity.
@@ -162,12 +170,8 @@ def check_decay4(params: SpaceParams,
 
     upper = []
     for _, prof in _decay4_upper_corpus(d, p):
-        t = np.abs(prof.grid.nodes)
-        far = t >= 1.0
-        weighted_sup = float(np.max(t[far] ** ((d - 1) / p)
-                                    * np.abs(prof.values[far]), initial=0.0))
         nrm = _surrogate_norm(prof.restrict_dim(d), params, J=8)
-        upper.append(weighted_sup / nrm)
+        upper.append(_far_weighted_sup(prof, d, p) / nrm)
     upper = np.asarray(upper)
     return Decay4Report(params, np.asarray(list(radii), dtype=float), ratios,
                         float(ratios.max() / ratios.min()),

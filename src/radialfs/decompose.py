@@ -1,28 +1,22 @@
-"""Constructive even-atom decompositions, trace-space norms, and reference norms.
+"""Even-atom decompositions, trace-space norms, and reference norms.
 
-Decomposition scheme.  The slot (j, k) carries a template bump of support
-radius 2^{-j-1} placed at the inner edge 2^{-j} k of its annulus (an
-admissible center for the even-atom support window).  Collocation points are
-then the full dyadic lattice: level 0 visits every integer radius, level
-j >= 1 only the odd multiples of 2^{-j} (even multiples are coarser points,
-already interpolated).  Coefficients are collocation values of the running
-residual; the residual cascades to the next level.  Every template atom
-vanishes at all other collocation points, so a single template atom is
-reproduced exactly, and on smooth inputs the residual contracts by about a
-factor 2 per level (the residual is pinned to zero on a 2^{-j}-dense set).
+Decomposition scheme: a quasi-interpolant by the centred cubic B-spline N
+(support [-2, 2]) with cell-average functionals (de Boor-Fix dual
+functionals; Strang-Fix for the reproduction of cubics).  At level j, a_k is
+the exact mean of the piecewise-linear profile g over 2^{-j}[k - 1/2, k + 1/2]
+(a_{-k} = a_k), lambda_{jk} = (-5 a_{k-1} + 34 a_k - 5 a_{k+1}) / 24, and
+Q_j g = sum_k lambda_{jk} N(2^j t - k).  The coefficients are the level
+differences d_{jk} = lambda_{jk} - (lambda_{j-1} refined by the mask
+(1, 4, 6, 4, 1)/8)_k, which telescope to Q_J g; slot (j, k), k >= 0, carries
+the even atom N(2^j t - k) + N(2^j t + k) (N(2^j t) at k = 0).  On a smooth
+profile the residual falls like 2^{-4j} until it meets the O(h^2) error of
+g's linear interpolation between the nodes.
 
-Support window.  Let [a, b] be the |t|-hull of the nonzero nodes of g and h
-the largest grid spacing.  g interpolates to exactly 0 more than h from a
-nonzero node, a level-i atom reaches 2^{-i-1} past its centre, and
-sum_i 2^{-i-1} < 1, so by induction every nonzero coefficient and captured
-value lies in the open window (a - h - 1, b + h + 1).  Outside it every
-coefficient is (0 - 0) n0 = 0 and every captured term adds 0, so the cascade
-visits only the lattice points and grid nodes inside, with the same floats.
-The profile and the captured sum are exactly even (each captured value
-depends on |t| alone), so the captured sum is kept on the half line t >= 0
-only, and the cascade visits the window's nodes there; the residual is
-mirrored onto the whole grid, with or without a node at 0, only when its
-norm is taken.
+N is C^2 but not C^3 (sup |N| = sup |N'| = 2/3, sup |N''| = 2) and has no
+vanishing moments: up to a constant and a fixed dilation of their intervals,
+the spline atoms are even L-atoms for L <= 2 and M = -1 only.  Cell means,
+unlike point values, are bounded on L_p, so the coefficients also see
+smoothness below 1/p.
 
 The trace-space norms report the sequence norm of the constructed
 decomposition: an upper bound for the infimum in the definition, equivalent
@@ -40,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bump import bump, bump_derivative_sup, smoothstep
+from .bump import bump_derivative_sup, smoothstep
 from .core import Grid1D, RadialProfile, _gradients, weighted_lp_norm
 from .covering import AtomSpec
 from .errors import DecompositionError, InvalidParameterError
@@ -48,98 +42,71 @@ from .seqspaces import (CoefficientGrid, _combine_levels, seq_norm_bspqd,
                         seq_norm_fspqd)
 from .spaces import SpaceParams, sigma_p, sigma_pq
 
-__all__ = ["AtomicDecomposition", "atom_normalization",
-           "template_atom_values", "decompose_profile",
+__all__ = ["AtomicDecomposition", "atom_normalization", "decompose_profile",
            "tb_norm", "tf_norm", "lp_besov_norm_1d", "sobolev_radial_norm_1"]
 
 LN2 = math.log(2.0)
-# Nodes per _add_level call of decompose_profile: small temporaries are
-# reused from the heap, not mapped afresh on every level.
-_CHUNK = 2 ** 13
 # A stalled residual raises only above this share of the profile's norm.
 STALL_RTOL = 1e-4
 
 
 def atom_normalization(L: int) -> float:
-    """N_L with sup |(template/N_L)^(n)| <= |I|^{-n} for all levels and n <= L."""
+    """max over n <= L of 4^n sup |bump^(n)|: the constant that makes the
+    bump of radius 2^{-j-1} an even L-atom at level j."""
     return max(bump_derivative_sup(n) * 4.0 ** n for n in range(L + 1))
 
 
-def template_atom_values(j: int, k: int, t: np.ndarray, L: int) -> np.ndarray:
-    """The normalized even L-atom for interval index (j, k), evaluated at t."""
-    t = np.asarray(t, dtype=float)
-    n0 = atom_normalization(L)
-    rho = 2.0 ** (-j - 1)
-    if k == 0:
-        return bump(t / rho) / n0
-    c = 2.0 ** (-j) * k
-    return (bump((t - c) / rho) + bump((t + c) / rho)) / n0
+def _integral(u: np.ndarray, x: np.ndarray, y: np.ndarray,
+              C: np.ndarray) -> np.ndarray:
+    """int_0^u g, odd in u, for g linear between the half-line nodes x
+    (x_0 = 0) with values y and zero past x[-1]; C holds it at the nodes."""
+    a = np.minimum(np.abs(u), x[-1])
+    i = np.minimum(np.searchsorted(x, a, "right") - 1, x.size - 2)
+    s = a - x[i]
+    slope = (y[i + 1] - y[i]) / (x[i + 1] - x[i])
+    return np.sign(u) * (C[i] + s * (y[i] + 0.5 * s * slope))
 
 
-def _collocation_indices(j: int, k_lo: int, k_hi: int) -> np.ndarray:
-    """Slots k_lo <= k <= k_hi of level j: all k at level 0, odd k above."""
-    if j == 0:
-        return np.arange(k_lo, k_hi + 1)
-    return np.arange(k_lo | 1, k_hi + 1, 2)
+def _cell_spline_coeffs(j: int, k_lo: int, k_hi: int, x: np.ndarray,
+                        y: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """lambda_{jk} for k_lo <= k <= k_hi from the cell means a_{k-1..k+1}."""
+    edges = (np.arange(k_lo - 1, k_hi + 3) - 0.5) * 2.0 ** -j
+    a = np.diff(_integral(edges, x, y, C)) * 2.0 ** j
+    return (34.0 * a[1:-1] - 5.0 * (a[:-2] + a[2:])) / 24.0
 
 
-def _support_window(g: RadialProfile) -> Tuple[float, float, List[slice]]:
-    """The window (lo, hi) of the module docstring in |t|, and slices of at
-    most _CHUNK nodes that cover lo < t < hi, indexing the half line t >= 0
-    of the sorted even grid (its nodes from searchsorted(t, 0) on)."""
-    t = g.grid.nodes
-    nonzero = np.abs(t[g.values != 0.0])
-    if nonzero.size == 0:
-        return 0.0, 0.0, []
-    h = float(np.max(np.diff(t)))
-    lo, hi = float(nonzero.min()) - h - 1.0, float(nonzero.max()) + h + 1.0
-    half = t[np.searchsorted(t, 0.0):]
-    start, stop = np.searchsorted(half, lo, "right"), np.searchsorted(half, hi, "left")
-    return lo, hi, [slice(i, min(i + _CHUNK, stop)) for i in range(start, stop, _CHUNK)]
-
-
-def _add_level(out: np.ndarray, t: np.ndarray, j: int, coeffs: np.ndarray,
-               n0: float) -> None:
-    """Add level j's captured atoms at points t >= 0 into out.
-
-    Only the atom centred at the nearest level-j lattice point k = rint(2^j t)
-    can be nonzero at t: neighbours sit at |t - c| >= 2^{-j-1} = rho, where
-    the bump vanishes (scaling by 2^j is exact and rounding is monotone).  Its
-    argument u = 2^{j+1} t - 2k is (t - 2^{-j} k) / rho bit for bit (scaling
-    by a power of 2 commutes with rounding), |u| <= 1, and |u| = 1 gives
-    exp(1 - 1/0) = 0 exactly, as ``bump`` does; so every point is evaluated
-    in one buffer with no mask.  k = 0 has a single bump (already even);
-    k >= 1 pairs with -c, which for t >= 0 only matters through |t|.
-    """
-    u = t * 2.0 ** j
-    k = np.rint(u)
-    u -= k
-    u *= 2.0
-    np.multiply(u, u, out=u)
-    np.subtract(1.0, u, out=u)
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, u, out=u)
-    np.subtract(1.0, u, out=u)
-    np.exp(u, out=u)
-    u *= coeffs[k.astype(np.intp)]
-    u /= n0
-    out += u
-
-
-def _eval_capture(coeff_levels: Dict[int, np.ndarray], t: np.ndarray,
-                  L: int) -> np.ndarray:
-    """Sum of captured atoms at points t, added level by level in key order."""
-    t = np.abs(np.asarray(t, dtype=float))
-    out = np.zeros_like(t)
-    n0 = atom_normalization(L)
-    top = float(t.max(initial=0.0))
-    for j, coeffs in coeff_levels.items():
-        # lattice slots past the last coefficient carry no atom
-        k_top = int(np.rint(top * 2.0 ** j))
-        if k_top >= coeffs.size:
-            coeffs = np.pad(coeffs, (0, k_top + 1 - coeffs.size))
-        _add_level(out, t, j, coeffs, n0)
+def _mirrored(c: np.ndarray, zeros: int) -> np.ndarray:
+    """c_k at index k + 1 for k = -1 .. c.size - 1 (c_{-1} = c_1), then
+    ``zeros`` (>= 2) zeros."""
+    out = np.zeros(c.size + 1 + zeros)
+    out[1:c.size + 1] = c
+    out[0] = out[2]
     return out
+
+
+def _refine(c: np.ndarray) -> np.ndarray:
+    """Slots 0 .. 2 c.size at level j of sum_k c_k N(2^{j-1} t - k), k over Z
+    with c_{-k} = c_k: the mask (1, 4, 6, 4, 1)/8."""
+    m, e = c.size, _mirrored(c, 2)
+    out = np.empty(2 * m + 1)
+    out[0::2] = (e[:m + 1] + 6.0 * e[1:m + 2] + e[2:]) / 8.0
+    out[1::2] = (e[1:m + 1] + e[2:m + 2]) / 2.0
+    return out
+
+
+def _spline_values(lam: np.ndarray, t: np.ndarray, j: int) -> np.ndarray:
+    """sum_k lam_k N(2^j t - k) at points t >= 0, k over Z with lam_{-k} =
+    lam_k and zero past lam's end.  On the cell m <= 2^j t < m + 1 it is a
+    cubic in f = 2^j t - m whose coefficients come from lam_{m-1 .. m+2}."""
+    c = _mirrored(lam, 5)
+    c0, c1, c2, c3 = c[:-3], c[1:-2], c[2:-1], c[3:]
+    cubic = np.array([c0 + 4.0 * c1 + c2, 3.0 * (c2 - c0),
+                      3.0 * (c0 + c2) - 6.0 * c1, c3 - c0 + 3.0 * (c1 - c2)]) / 6.0
+    u = np.minimum(t * 2.0 ** j, lam.size + 2.0)   # 0 past the last atom
+    m = u.astype(np.intp)
+    f = u - m
+    a0, a1, a2, a3 = cubic[:, m]
+    return a0 + f * (a1 + f * (a2 + f * a3))
 
 
 @dataclass
@@ -157,82 +124,70 @@ class AtomicDecomposition:
 def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
                       raise_on_stall: bool = True,
                       track_history: bool = True) -> AtomicDecomposition:
-    """Multilevel collocation decomposition of an even compactly supported profile.
+    """The quasi-interpolant decomposition (module docstring) of an even
+    profile, levels 0..J, for a spec with L <= 2 and M = -1.
 
-    The residual is measured in the weighted L_p norm of the profile's
-    dimension, so g must carry one (``dim_context``).  Raises
-    DecompositionError when the residual stalls (residual at J above
-    residual at J-2 and above STALL_RTOL times the profile's norm) and
-    ``raise_on_stall`` is set.  The captured sum on the half line t >= 0
-    of the grid is kept as one running array that gains only level j's
-    atoms after level j; only the lattice points and the half-line nodes
-    in the support window of the module docstring are
-    visited (none for a zero profile), which gives the floats of a pass over
-    the whole lattice and grid.  A collocation point on a grid node reads the
-    running array there, which holds the floats ``_eval_capture`` would add
-    up; only points between nodes are evaluated afresh.  ``track_history``
-    records the weighted residual norm after every level (one full-grid
-    trapezoid of the mirrored half-line integrand per level); without it
-    only the final residual norm is computed.  Level j's coefficients are
-    one array over its slots k = 0 .. ceil(2^j max|t|) + 1, zero where the
-    cascade does not collocate or the coefficient is 0; the dict of levels
-    0..J becomes the decomposition's ``CoefficientGrid`` without a copy.
+    The residual g - Q_j g is the weighted L_p norm of the profile's
+    dimension (``dim_context``, required) by the grid's trapezoid, as
+    ``weighted_lp_norm``, and the maximum at p = inf; p < 1 counts as 1.
+    ``track_history`` records it after every level, else only at J.  Raises
+    DecompositionError when the residual stalls (residual at J above residual
+    at J-2 and above STALL_RTOL times the profile's norm) and
+    ``raise_on_stall`` is set.  lambda_j and the residual are computed only
+    within a few cells of g's nonzero hull; outside, both are exactly 0.
+    Level j's differences are one array dense from k = 0.
     """
     if not g.grid.even:
         raise InvalidParameterError("decomposition needs an even profile")
     if J < 0:
         raise InvalidParameterError(f"need J >= 0, got J={J}")
+    if spec.L > 2 or spec.M >= 0:
+        raise InvalidParameterError(
+            f"the cubic spline atoms serve L <= 2 and no moments (M = -1); "
+            f"got L = {spec.L}, M = {spec.M}")
     if g.dim_context is None:
         raise InvalidParameterError(
             "decomposition needs the profile's dimension (dim_context)")
     t_grid = g.grid.nodes
     i0 = int(np.searchsorted(t_grid, 0.0))   # the half line t >= 0 is t_grid[i0:]
-    t_half = np.abs(t_grid[i0:])
-    g_half = g.values[i0:]
-    outer = float(t_half[-1])
-    n0 = atom_normalization(spec.L)
+    t_half, g_half = t_grid[i0:], g.values[i0:]
+    x, y = t_half, g_half                    # from x_0 = 0: g is flat on [-t_0, t_0]
+    if t_half[0] > 0.0:
+        x, y = np.concatenate([[0.0], x]), np.concatenate([y[:1], y])
+    C = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+    nonzero = np.flatnonzero(y)
+    first, last = (nonzero[0], nonzero[-1]) if nonzero.size else (0, 0)
+    lo, hi = x[max(first - 1, 0)], x[min(last + 1, x.size - 1)]  # g = 0 outside
     p_norm = max(1.0, spec.p)
-    lo, hi, window = _support_window(g)
-    weight = t_half ** (int(g.dim_context) - 1)
-    captured = np.zeros_like(t_half)
-    # the trapezoid integrand on the whole grid: its half y[i0:] is computed,
-    # y[:i0] is the mirror image; np.trapezoid's expression, diff taken once
-    spacing = np.diff(t_grid)
-    y, pair = np.empty_like(t_grid), np.empty_like(spacing)
-    y_half = y[i0:]
+    weight, spacing = t_half ** (int(g.dim_context) - 1), np.diff(t_half)
 
     levels: Dict[int, np.ndarray] = {}
     history: List[float] = []
+    lam = np.zeros(0)
     for j in range(J + 1):
-        k_max = int(math.ceil(outer * 2.0 ** j)) + 1
-        coeffs = np.zeros(k_max + 1)
-        ks = _collocation_indices(j, max(0, math.floor(lo * 2.0 ** j) + 1),
-                                  min(k_max, math.ceil(hi * 2.0 ** j) - 1))
-        pts = 2.0 ** (-j) * ks
-        # at a node the captured sum holds the floats _eval_capture would add
-        node = np.minimum(np.searchsorted(t_half, pts), t_half.size - 1)
-        known = captured[node]
-        off = t_half[node] != pts
-        if off.any():
-            known[off] = _eval_capture(levels, pts[off], spec.L)
-        coeffs[ks] = (g(pts) - known) * n0
-        levels[j] = coeffs
-        for part in window:
-            _add_level(captured[part], t_half[part], j, coeffs, n0)
+        scale = 2.0 ** j
+        k_lo = max(0, math.floor(scale * lo - 0.5) - 1)
+        k_hi = math.ceil(scale * hi + 0.5) + 1
+        coarse = _refine(lam) if j else lam
+        lam = np.concatenate([np.zeros(k_lo),
+                              _cell_spline_coeffs(j, k_lo, k_hi, x, y, C)])
+        levels[j] = np.zeros(max(lam.size, coarse.size))
+        levels[j][:lam.size] = lam
+        levels[j][:coarse.size] -= coarse
         if track_history or j == J:
-            # weighted_lp_norm of the residual, which is exactly even
-            np.subtract(g_half, captured, out=y_half)
-            np.abs(y_half, out=y_half)
+            # Q_j g and g vanish outside ((k_lo - 2) 2^-j, (k_hi + 2) 2^-j);
+            # the trapezoid also takes the node on either side
+            a = max(int(np.searchsorted(t_half, (k_lo - 2) / scale)) - 1, 0)
+            b = int(np.searchsorted(t_half, (k_hi + 2) / scale)) + 1
+            r = np.abs(g_half[a:b] - _spline_values(lam, t_half[a:b], j))
             if math.isinf(p_norm):
-                history.append(float(np.max(y_half)))
-            else:
-                y_half **= p_norm
-                y_half *= weight
-                y[:i0] = y[::-1][:i0]
-                np.add(y[1:], y[:-1], out=pair)
-                pair *= spacing
-                pair /= 2.0
-                history.append(float(pair.sum()) ** (1.0 / p_norm))
+                history.append(float(r.max()))
+                continue
+            v = r ** p_norm * weight[a:b]
+            mass = float(np.sum((v[1:] + v[:-1]) * spacing[a:b - 1]))
+            if a == 0 and t_half[0] > 0.0:
+                mass += 2.0 * t_half[0] * v[0]   # the middle cell [-t_0, t_0]
+            history.append(mass ** (1.0 / p_norm))
 
     if raise_on_stall and len(history) >= 3 and history[-1] > history[-3]:
         g_scale = weighted_lp_norm(g, p_norm)

@@ -179,6 +179,13 @@ def _exp_scaling_lp(cfg: ExperimentConfig) -> Outcome:
     ], ("j", "lambda", "norm"), rows)
 
 
+# decay-infinity's upper route per p: bounds on the largest witness ratio
+# sup_{|x|>=1} |x|^{(d-1)/p} |f(x)| / ||f|| and on the ratios' max/min,
+# frozen 1.2-1.35x above their values at J = 8 (the larger of d = 2, 3:
+# 0.180 and 4.87 at p = 1, 0.370 and 2.22 at p = 2)
+UPPER_ROUTE_BRACKETS = {1.0: (0.22, 6.0), 2.0: (0.45, 3.0)}
+
+
 def _exp_decay_infinity(cfg: ExperimentConfig) -> Outcome:
     assertions, rows = [], []
     for d in (2, 3):
@@ -189,6 +196,12 @@ def _exp_decay_infinity(cfg: ExperimentConfig) -> Outcome:
                 rows.append((d, p, r, v))
             assertions.append(Assertion(f"ratio_band_d{d}_p{p:g}", rep.band,
                                         "<=", 4.0, "frozen-baseline"))
+            c_max, band_max = UPPER_ROUTE_BRACKETS[p]
+            assertions.append(Assertion(f"upper_band_d{d}_p{p:g}", rep.upper_band,
+                                        "<=", band_max, "frozen-baseline"))
+            assertions.append(Assertion(f"upper_ratio_max_d{d}_p{p:g}",
+                                        float(rep.upper_ratios.max()), "<=", c_max,
+                                        "frozen-baseline"))
     return Outcome(assertions, ("d", "p", "radius", "ratio"), rows)
 
 

@@ -1,6 +1,6 @@
 """The named test-function families.
 
-Every family is an even profile-level evaluator with its support window.
+Every family is an even profile-level evaluator.
 An evaluator returns 0 where its formula is singular in floating point
 (|x| = 1 for f_alpha and f_alpha_delta; |x| = 0, |x| = 1 and |log|x|| = 1
 for f_alpha_sigma), so a profile on any grid is finite; a node next to a
@@ -10,7 +10,7 @@ singularity samples its blow-up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,11 +24,9 @@ __all__ = ["TestFamily", "make_f_alpha", "make_f_alpha_delta",
 
 @dataclass(frozen=True)
 class TestFamily:
-    """An even scalar evaluator with its support."""
+    """An even scalar evaluator."""
 
-    name: str
     evaluator: Callable[[np.ndarray], np.ndarray]
-    support: Tuple[float, float]          # (inner radius, outer radius)
 
     def __call__(self, t) -> np.ndarray:
         return self.evaluator(np.abs(np.asarray(t, dtype=float)))
@@ -53,7 +51,7 @@ def make_f_alpha(alpha: float) -> TestFamily:
         out[mask] = annulus_shape(t[mask]) * np.abs(t[mask] - 1.0) ** (-alpha)
         return out
 
-    return TestFamily("f_alpha", ev, (0.5, 2.0))
+    return TestFamily(ev)
 
 
 def make_f_alpha_delta(alpha: float, delta: float) -> TestFamily:
@@ -70,7 +68,7 @@ def make_f_alpha_delta(alpha: float, delta: float) -> TestFamily:
                      * (-np.log(u[mask])) ** (-delta))
         return out
 
-    return TestFamily("f_alpha_delta", ev, (0.5, 2.0))
+    return TestFamily(ev)
 
 
 def make_f_j_lambda(j: int, lam: float) -> TestFamily:
@@ -86,12 +84,10 @@ def make_f_j_lambda(j: int, lam: float) -> TestFamily:
     if not lam > 2:
         raise InvalidParameterError("need lambda > 2 (support must avoid the origin)")
 
-    scale = 2.0 ** (-j)
-
     def ev(t):
         return annulus_shape(2.0 ** j * np.abs(t) - lam)
 
-    return TestFamily("f_j_lambda", ev, ((lam - 2.0) * scale, (lam + 2.0) * scale))
+    return TestFamily(ev)
 
 
 def make_f_alpha_sigma(alpha: float, sigma: float) -> TestFamily:
@@ -116,10 +112,10 @@ def make_f_alpha_sigma(alpha: float, sigma: float) -> TestFamily:
         out.flat[at] = val
         return out
 
-    return TestFamily("f_alpha_sigma", ev, (0.0, 1.5))
+    return TestFamily(ev)
 
 
 def make_psi_cutoff() -> TestFamily:
     """The fixed smooth cutoff: 1 on |x| <= 1, 0 on |x| >= 3/2."""
-    return TestFamily("psi_cutoff", lambda t: psi_cutoff(t), (0.0, 1.5))
+    return TestFamily(psi_cutoff)
 

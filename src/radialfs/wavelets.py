@@ -60,13 +60,12 @@ def daubechies_filter(name: str) -> np.ndarray:
 class WaveletTable:
     """phi and psi sampled on a dyadic grid over the common support [0, n-1].
 
-    ``shifts[r, c, o]`` is phi (c = 0) or psi (c = 1) at hi - 1 + r step - o
-    for r = 0 .. 1/step and o = 0 .. width - 1 (zero below 0): row r holds
-    the ``width`` integer shifts of one sub-step position.
+    ``shifts[r, c, o]`` is phi (c = 0) or psi (c = 1) at hi - 1 + r 2^-10 - o
+    for r = 0 .. 2^10 and o = 0 .. width - 1 (zero below 0), where 2^-10 is
+    the grid's step: row r holds the ``width`` integer shifts of one
+    sub-step position.
     """
 
-    name: str
-    step: float
     grid: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
@@ -125,7 +124,7 @@ def wavelet_table(name: str = "db6") -> WaveletTable:
     idx = (n - 1 - np.arange(n)) * steps + np.arange(steps + 1)[:, None]
     shifts = np.ascontiguousarray(padded[:, idx].transpose(1, 0, 2))
     shifts.flags.writeable = False
-    return WaveletTable(name, float(grid[1] - grid[0]), grid, phi, psi, shifts)
+    return WaveletTable(grid, phi, psi, shifts)
 
 
 def _ring_length(d: int, n: int) -> int:

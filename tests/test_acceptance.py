@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from radialfs import experiments, wavelets
+from radialfs import decay, experiments, wavelets
 from radialfs.decay import figure_region
 from radialfs.experiments import REGISTRY, ExperimentConfig, run_experiment
 
@@ -137,9 +137,23 @@ def test_criterion_02_lp_scaling(tmp_path):
 
 def test_criterion_03_decay_at_infinity(tmp_path):
     # lower-bound witnesses at |x| = 2^r, r = 2..8, d = 2,3, p = 1,2:
-    # ratio band max/min <= 4 per (d, p)
+    # ratio band max/min <= 4 per (d, p); upper route over a fixed corpus:
+    # band and largest ratio within experiments.UPPER_ROUTE_BRACKETS
     res = _run("decay-infinity", tmp_path)
     assert _report(3, res)
+
+
+def test_criterion_03_fails_on_a_wrong_decay_exponent(tmp_path, monkeypatch):
+    # the upper route weighted by |x|^{d/p} for |x|^{(d-1)/p}: its largest
+    # ratio moves from 0.180, 0.370, 0.154, 0.339 to 1.77, 1.15, 1.66, 1.11
+    # and those rows must FAIL; the band of this corpus barely moves (4.87
+    # -> 5.13 at d = 2, p = 1) and cannot tell the exponents apart
+    far = decay._far_weighted_sup
+    monkeypatch.setattr(decay, "_far_weighted_sup",
+                        lambda prof, d, p: far(prof, d + 1, p))
+    res = run_experiment(ExperimentConfig("decay-infinity", output_dir=tmp_path))
+    failed = [a.name for a in res.assertions if not a.passed]
+    assert failed == [f"upper_ratio_max_d{d}_p{p}" for d in (2, 3) for p in (1, 2)]
 
 
 def test_criterion_04_strauss(tmp_path):

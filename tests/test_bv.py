@@ -310,7 +310,7 @@ class TestQuadrature:
             rep = bv_equivalence_check(g, d)
             assert 0.0 < rep.quad_error <= QUAD_RTOL * rep.weighted_norm
             dec = bv_decay_check(g, [1.5, 2.0, 2.5], d=d)
-            assert 0.0 < dec.quad_error <= QUAD_RTOL * dec.norm
+            assert 0.0 < dec.quad_error <= QUAD_RTOL * bv_weighted_norm(g, d)
 
     def test_jump_inside_a_panel_raises(self):
         step = lambda t: np.where(t < 1.0 / 3.0, 1.0, 2.0)

@@ -6,8 +6,7 @@ import pytest
 from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile, _gradients
 from radialfs.covering import AtomSpec
-from radialfs.decompose import (decompose_profile, tb_norm, template_atom_values,
-                                tf_norm)
+from radialfs.decompose import decompose_profile, tb_norm, tf_norm
 from radialfs.errors import InvalidParameterError
 from radialfs.families import make_f_j_lambda
 from radialfs.spaces import SpaceParams, sigma_p, sigma_pq
@@ -41,33 +40,71 @@ def validate_even_atom(g: RadialProfile, interval, L: int,
     return ok, ratios
 
 
-def template_atom(j, k, grid, L=2, d=None):
-    """The template atom (j, k) sampled on grid."""
-    return RadialProfile.from_callable(
-        lambda t: template_atom_values(j, k, t, L), grid, d=d)
+def cubic_bspline(x):
+    """The centred cubic B-spline N, supported on [-2, 2]."""
+    a = np.abs(np.asarray(x, dtype=float))
+    return np.where(a < 1.0, 2.0 / 3.0 - a * a + 0.5 * a ** 3,
+                    np.where(a < 2.0, (2.0 - a) ** 3 / 6.0, 0.0))
+
+
+def spline_atom_values(j, k, t):
+    """decompose_profile's atom of slot (j, k): N(2^j t - k) + N(2^j t + k),
+    and N(2^j t) at k = 0."""
+    u = 2.0 ** j * np.asarray(t, dtype=float)
+    return cubic_bspline(u - k) + (cubic_bspline(u + k) if k else 0.0)
+
+
+def spline_atom(j, k, grid, d=None):
+    """The spline atom (j, k) sampled on grid."""
+    return RadialProfile.from_callable(lambda t: spline_atom_values(j, k, t),
+                                       grid, d=d)
+
+
+def spline_atom_interval(j, k):
+    """An interval descriptor whose dilation holds the support of atom (j, k):
+    [-b, -a] u [a, b] with (a, b) = 2^-j (k - 1, k + 1) for k >= 2, and
+    [-a, a] with 1.5 a = 2^-j (k + 2) for k <= 1."""
+    if k >= 2:
+        return (2.0 ** -j * (k - 1), 2.0 ** -j * (k + 1))
+    return (2.0 ** -j * (k + 2) / 1.5,)
+
+
+# The spline atoms are even 2-atoms up to this constant: on the intervals of
+# spline_atom_interval, |I| <= 2^{2-j}, and sup |N^(n)| 4^n is 2/3, 8/3 and
+# 32 for n = 0, 1, 2 (measured 31.99 at n = 2).
+SPLINE_ATOM_CONSTANT = 32.0
 
 
 class TestEvenAtomValidation:
     def test_template_atom_passes(self):
+        # the template atom is decompose_profile's spline atom
         grid = Grid1D.uniform(2e-4, 2.0)
-        ok, _ = validate_even_atom(template_atom(0, 0, grid), (1.0,), 2)
-        assert ok
+        ok, ratios = validate_even_atom(spline_atom(0, 0, grid),
+                                        spline_atom_interval(0, 0), 2,
+                                        SPLINE_ATOM_CONSTANT)
+        assert ok, ratios
 
     def test_template_atoms_pass_on_annulus_pairs(self):
         grid = Grid1D.uniform(2e-4, 3.0)
-        for (j, k) in ((0, 1), (1, 3), (2, 5)):
+        for (j, k) in ((0, 1), (0, 2), (1, 3), (2, 5)):
             ok, ratios = validate_even_atom(
-                template_atom(j, k, grid), (2.0 ** -j * k, 2.0 ** -j * (k + 1)), 2)
+                spline_atom(j, k, grid), spline_atom_interval(j, k), 2,
+                SPLINE_ATOM_CONSTANT)
             assert ok, (j, k, ratios)
+            # the constant is needed: the second derivative is 32 |I|^{-2}
+            assert not validate_even_atom(spline_atom(j, k, grid),
+                                          spline_atom_interval(j, k), 2)[0]
 
     def test_dilated_bump_fails_first_derivative(self):
-        # scaling the template up by 4 without renormalizing breaks the
-        # |I|^{-n} derivative bounds at n = 1
+        # scaling the spline atom up by 4 breaks the derivative bound of
+        # order 1, 8/3 |I|^{-1}, that the unscaled atom meets
         grid = Grid1D.uniform(2e-4, 2.0)
-        g = template_atom(0, 0, grid, L=1).scaled(4.0)
-        ok, ratios = validate_even_atom(g, (1.0,), 1)
+        interval = spline_atom_interval(0, 2)
+        assert validate_even_atom(spline_atom(0, 2, grid), interval, 1, 8.0 / 3.0)[0]
+        ok, ratios = validate_even_atom(spline_atom(0, 2, grid).scaled(4.0),
+                                        interval, 1, 8.0 / 3.0)
         assert not ok
-        assert ratios[1] > 1.0
+        assert ratios[1] > 8.0 / 3.0
 
     def test_traced_dim_atom_up_to_constant(self):
         # trace of a d-dim (s,p)-atom on a covering ball (scaled by

@@ -5,10 +5,12 @@ import pytest
 
 from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile
-from radialfs.decay import (bump_train, check_decay2, check_decay4,
-                            check_lim1, classification_map,
+from radialfs.decay import (_decay4_upper_corpus, _far_weighted_sup,
+                            _surrogate_norm, bump_train, check_decay2,
+                            check_decay4, check_lim1, classification_map,
                             fit_decay_exponent, fit_loglog)
 from radialfs.errors import InvalidParameterError, OutOfHypothesisError
+from radialfs.experiments import UPPER_ROUTE_BRACKETS
 from radialfs.families import make_f_alpha_sigma
 from radialfs.spaces import SpaceParams, fig2_region
 
@@ -59,14 +61,28 @@ class TestDecay4:
 
     def test_upper_route_single_constant(self):
         # sup_{|x|>=1} |x|^{(d-1)/p} |f| / norm over the fixed corpus stays
-        # inside brackets frozen from the first oracle run
+        # inside decay-infinity's frozen brackets: largest ratio and band
+        # 0.180 and 4.87 at p = 1, 0.370 and 2.22 at p = 2
         for d in (2, 3):
-            for p, (c_max, band_max) in ((1.0, (0.01, 20.0)),
-                                         (2.0, (0.12, 6.0))):
+            for p, (c_max, band_max) in UPPER_ROUTE_BRACKETS.items():
                 rep = check_decay4(SpaceParams(1.0 / p, p, 1.0, d),
                                    radii=[4.0, 16.0, 64.0])
                 assert float(rep.upper_ratios.max()) <= c_max
                 assert rep.upper_band <= band_max
+
+    @pytest.mark.parametrize("d, band", [(2, 4.909), (3, 4.408)])
+    def test_upper_band_settles_in_J(self, d, band):
+        # at p = 1 the band reads 4.905 -> 4.909 (d = 2) and 4.404 -> 4.408
+        # (d = 3) from J = 10 to J = 12
+        params = SpaceParams(1.0, 1.0, 1.0, d)
+        bands = []
+        for J in (10, 12):
+            upper = [_far_weighted_sup(prof, d, 1.0)
+                     / _surrogate_norm(prof.restrict_dim(d), params, J=J)
+                     for _, prof in _decay4_upper_corpus(d, 1.0)]
+            bands.append(max(upper) / min(upper))
+        assert bands[1] == pytest.approx(band, abs=1e-3)
+        assert abs(bands[1] / bands[0] - 1.0) < 0.05
 
     def test_zero_witness_trivially_bounded(self):
         # a zero witness contributes nothing to the sup side of the bound
@@ -99,17 +115,17 @@ class TestDecay4:
 class TestSurrogateNorm:
     def test_f_scale_uses_f_admissible_atoms(self):
         # q < min(1, p) raises the F-scale moment order above the B-scale one
-        # (sigma_{p,q} > sigma_p); the surrogate must use F-admissible atoms
+        # (sigma_{p,q} > sigma_p): the F-admissible atoms need M = 1, which
+        # the moment-free spline atoms cannot serve, so the surrogate raises
+        # where the B-scale one at the same (s, p, q) is served
         from radialfs.covering import AtomSpec
-        from radialfs.decay import _surrogate_norm
-        from radialfs.decompose import decompose_profile, tf_norm
         from radialfs.families import make_f_j_lambda
         params = SpaceParams(0.5, 2.0, 0.5, 2, "F")
+        assert AtomSpec.f_admissible(0.5, 2.0, 0.5, 2).M == 1
         prof = make_f_j_lambda(3, 4.0).profile(Grid1D.uniform(2.0 ** -10, 1.0), d=2)
-        val = _surrogate_norm(prof, params, J=6)
-        dec = decompose_profile(prof, AtomSpec.f_admissible(0.5, 2.0, 0.5, 2), J=6,
-                                raise_on_stall=False, track_history=False)
-        assert val == tf_norm(prof, params, decomposition=dec)
+        with pytest.raises(InvalidParameterError, match="no moments"):
+            _surrogate_norm(prof, params, J=6)
+        val = _surrogate_norm(prof, SpaceParams(0.5, 2.0, 0.5, 2), J=6)
         assert math.isfinite(val) and val > 0
 
 

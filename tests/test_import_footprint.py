@@ -82,7 +82,6 @@ TEST_ONLY = {
     "make_f_alpha_delta": "item 2: its membership threshold is to become a "
                           "J-sweep",
     "make_psi_cutoff": "item 9: the p < 1 FFT norm's test profile",
-    "template_atom_values": "the decomposition tests' atom reference",
     "RadialGridField.from_tensor": "item 1: trace-roundtrip is to round-trip "
                                    "through tensor-backed fields",
 }
