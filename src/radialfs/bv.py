@@ -94,16 +94,15 @@ class RadonMeasure1D:
         if locs != sorted(locs):
             raise InvalidParameterError("atom locations must be sorted")
 
-    def _tail(self, r: float, d: int) -> Tuple[float, float]:
-        """integral_r^inf t^{d-1} d|nu|(t) and the quadrature estimate of its
-        density part; atoms contribute exactly."""
+    def _tail(self, r: float, d: int) -> float:
+        """integral_r^inf t^{d-1} d|nu|(t); atoms contribute exactly."""
         total = sum(loc ** (d - 1) * abs(mass)
                     for loc, mass in self.atoms if loc >= r)
         a, b = self.density_support
         if self.density is None or b <= r:
-            return total, 0.0
-        val, err = quad(lambda t: np.abs(self.density(t)) * t ** (d - 1), (max(a, r), b))
-        return total + val, err
+            return total
+        return total + quad(lambda t: np.abs(self.density(t)) * t ** (d - 1),
+                            (max(a, r), b))[0]
 
 
 @dataclass(frozen=True)
@@ -204,21 +203,24 @@ def smooth_bump_bv(center: float, width: float, height: float = 1.0) -> BVProfil
                      RadonMeasure1D((), dens, support))
 
 
-def _weighted_parts(g: BVProfile, d: int) -> Tuple[float, float, float]:
-    """||g | L_1(R^+, t^{d-1})||, integral r^{d-1} d|nu|, and the larger estimate."""
+def _check_vanishes(g: BVProfile) -> None:
+    """Raise DivergenceError when g's tail piece is nonzero far out."""
     if len(g.pieces) > len(g.breaks):
         tail, last = g.pieces[len(g.breaks)], (g.breaks[-1] if g.breaks else 0.0)
         if np.any(np.abs(tail(last + np.array([1.0, 10.0, 100.0]))) > 0):
             raise DivergenceError("profile does not vanish near infinity")
-    l1, l1_err = quad(lambda r: np.abs(g(r)) * r ** (d - 1), (0.0,) + g.breaks)
-    variation, variation_err = g.derivative._tail(0.0, d)
-    return l1, variation, max(l1_err, variation_err)
+
+
+def _weighted_parts(g: BVProfile, d: int) -> Tuple[float, float]:
+    """||g | L_1(R^+, t^{d-1})|| and integral r^{d-1} d|nu|."""
+    _check_vanishes(g)
+    l1, _ = quad(lambda r: np.abs(g(r)) * r ** (d - 1), (0.0,) + g.breaks)
+    return l1, g.derivative._tail(0.0, d)
 
 
 def bv_weighted_norm(g: BVProfile, d: int) -> float:
     """||g | L_1(R^+, t^{d-1})|| + integral_0^inf r^{d-1} d|nu|(r)."""
-    l1, variation, _ = _weighted_parts(g, d)
-    return l1 + variation
+    return sum(_weighted_parts(g, d))
 
 
 def bv_dim_norm(g: BVProfile, d: int) -> float:
@@ -230,15 +232,13 @@ def bv_dim_norm(g: BVProfile, d: int) -> float:
     smooth parts contribute omega_{d-1} integral |g'| t^{d-1} dt (for an
     indicator this is exactly the perimeter).
     """
-    l1, variation, _ = _weighted_parts(g, d)
-    return sphere_area(d) * (l1 + variation)
+    return sphere_area(d) * sum(_weighted_parts(g, d))
 
 
 @dataclass(frozen=True)
 class BVEquivalenceReport:
     dim_norm: float
     weighted_norm: float
-    quad_error: float            # largest quadrature estimate among the integrals
 
     @property
     def ratio(self) -> float:
@@ -255,8 +255,8 @@ def bv_equivalence_check(g: BVProfile, d: int) -> BVEquivalenceReport:
     """
     if d not in (2, 3):
         raise InvalidParameterError("BV equivalence implemented for d in {2, 3}")
-    l1, variation, err = _weighted_parts(g, d)
-    return BVEquivalenceReport(sphere_area(d) * (l1 + variation), l1 + variation, err)
+    norm = sum(_weighted_parts(g, d))
+    return BVEquivalenceReport(sphere_area(d) * norm, norm)
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,6 @@ class BVDecayReport:
     radii: np.ndarray
     lhs: np.ndarray              # r^{d-1} |g(r)| at the requested radii
     tail_bound: np.ndarray       # integral_r^inf t^{d-1} d|nu|
-    quad_error: float            # largest quadrature estimate among the integrals
 
 
 def bv_decay_check(g: BVProfile, radii: Sequence[float], d: int) -> BVDecayReport:
@@ -275,7 +274,7 @@ def bv_decay_check(g: BVProfile, radii: Sequence[float], d: int) -> BVDecayRepor
     """
     radii = np.asarray(sorted(radii), dtype=float)
     lhs = radii ** (d - 1) * np.abs(g.value_left(radii))
-    tails, tail_errs = np.array([g.derivative._tail(r, d) for r in radii]).reshape(-1, 2).T
-    _, _, err = _weighted_parts(g, d)
-    return BVDecayReport(radii, lhs, tails, max(err, float(tail_errs.max(initial=0.0))))
+    _check_vanishes(g)
+    tails = np.array([g.derivative._tail(r, d) for r in radii])
+    return BVDecayReport(radii, lhs, tails)
 

@@ -29,16 +29,13 @@ __all__ = ["DecayFit", "fit_loglog", "fit_decay_exponent", "bump_train",
            "Decay4Report", "Decay2Report", "Lim1Report"]
 
 
-def fit_loglog(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float, float]:
-    """Least-squares slope/intercept of log y vs log x, plus residual RMS."""
+def fit_loglog(x: Sequence[float], y: Sequence[float]) -> float:
+    """Least-squares slope of log y vs log x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0) or np.any(x <= 0):
         raise InvalidParameterError("log-log fit needs positive data")
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    rms = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return float(slope), float(intercept), rms
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,6 @@ class DecayFit:
     radii: np.ndarray
     amplitudes: np.ndarray
     slope: float
-    residual_rms: float
 
     @property
     def decay_exponent(self) -> float:
@@ -75,8 +71,7 @@ def fit_decay_exponent(f: RadialProfile, R_list: Sequence[float]) -> DecayFit:
     amps = np.asarray(amps)
     if np.any(amps == 0.0):
         raise InvalidParameterError("zero amplitude annulus: decay fit undefined")
-    slope, _, rms = fit_loglog(radii, amps)
-    return DecayFit(radii, amps, slope, rms)
+    return DecayFit(radii, amps, fit_loglog(radii, amps))
 
 
 def bump_train(amplitude_exponent: float, centers: Sequence[float]) -> RadialProfile:
@@ -108,7 +103,6 @@ def _surrogate_norm(profile: RadialProfile, params: SpaceParams,
 
 @dataclass(frozen=True)
 class Decay4Report:
-    params: SpaceParams
     radii: np.ndarray
     ratios: np.ndarray           # |x|^{(d-1)/p} |f(x)| / surrogate norm per witness
     band: float                  # max / min of the lower-route ratios
@@ -173,14 +167,13 @@ def check_decay4(params: SpaceParams,
         nrm = _surrogate_norm(prof.restrict_dim(d), params, J=8)
         upper.append(_far_weighted_sup(prof, d, p) / nrm)
     upper = np.asarray(upper)
-    return Decay4Report(params, np.asarray(list(radii), dtype=float), ratios,
+    return Decay4Report(np.asarray(list(radii), dtype=float), ratios,
                         float(ratios.max() / ratios.min()),
                         upper, float(upper.max() / upper.min()))
 
 
 @dataclass(frozen=True)
 class Decay2Report:
-    params: SpaceParams
     radii: np.ndarray            # |x| = 2^{-r}
     upper_ratios: np.ndarray     # |x|^{d/p-s} |f(x)| for the psi-witness, <= 1
     lower_values: np.ndarray     # normalized witness values at |x|
@@ -220,15 +213,13 @@ def check_decay2(params: SpaceParams,
         # scale cancels between numerator and norm, leaving f(x)/||f||
         values.append(float(fam(np.array([2.0 ** (-float(r))]))[0]) / nrm)
     values = np.asarray(values)
-    slope, _, _ = fit_loglog(radii, values)
     # |f| ~ |x|^{s-d/p}: slope wrt |x| is s - d/p; origin exponent = -(slope)
-    return Decay2Report(params, radii, upper, values,
-                        fitted_exponent=-slope, expected_exponent=d / p - s)
+    return Decay2Report(radii, upper, values, fitted_exponent=-fit_loglog(radii, values),
+                        expected_exponent=d / p - s)
 
 
 @dataclass(frozen=True)
 class Lim1Report:
-    params: SpaceParams
     radii: np.ndarray
     ratios: np.ndarray           # (-log|x|)^{-1/q'} |f(x)| / norm
     band: float
@@ -262,7 +253,7 @@ def check_lim1(params: SpaceParams, r_range: Sequence[int] = range(4, 13),
     radii = 2.0 ** (-np.asarray(list(r_range), dtype=float))
     vals = np.abs(fam(radii))
     ratios = (-np.log(radii)) ** (-1.0 / conj) * vals / nrm
-    return Lim1Report(params, radii, ratios, float(ratios.max() / ratios.min()))
+    return Lim1Report(radii, ratios, float(ratios.max() / ratios.min()))
 
 
 # The (1/p, s) figures of the paper and the rectangle their rasters cover.

@@ -29,7 +29,6 @@ from .decay import (FIGURE_RECT, bump_train, check_decay2, check_decay4,
 from .decompose import lp_besov_norm_1d, tb_norm
 from .errors import ConfigError
 from .families import make_f_j_lambda
-from .seqspaces import CoefficientGrid, seq_norm_bspqd, seq_norm_fspqd
 from .spaces import (SpaceParams, embeds_in_Linfty, in_U, in_U_t, sigma_p,
                      trace_lands_in_Sprime, weighted_Lp_in_Sprime)
 from .traceext import cm_norm, extend, trace
@@ -298,39 +297,6 @@ def _exp_bv_equivalence(cfg: ExperimentConfig) -> Outcome:
     return Outcome(assertions, ("d", "case", "ratio"), rows)
 
 
-def _exp_seq_identities(cfg: ExperimentConfig) -> Outcome:
-    rng = np.random.default_rng(cfg.seed)
-    worst_bf = 0.0
-    worst_hom = 0.0
-    worst_mono = 0.0
-    for i in range(100):
-        d = int(rng.integers(1, 4))
-        J = int(rng.integers(0, 7))
-        K = int(rng.integers(0, 24))
-        c = CoefficientGrid.random(rng, J, K, density=0.5)
-        if not len(c):
-            continue
-        p = float(rng.uniform(0.3, 4.0))
-        s = float(rng.uniform(-2.0, 2.0))
-        pp = SpaceParams(s, p, p, d)
-        b = seq_norm_bspqd(c, pp)
-        f = seq_norm_fspqd(c, pp)
-        worst_bf = max(worst_bf, abs(b - f) / b)
-        scale = float(rng.uniform(0.1, 10.0))
-        worst_hom = max(worst_hom, abs(seq_norm_bspqd(c.scaled(scale), pp)
-                                       - scale * b) / (scale * b))
-        q_lo = SpaceParams(s, p, 1.0, d)
-        q_hi = SpaceParams(s, p, 3.0, d)
-        gap = seq_norm_bspqd(c, q_hi) - seq_norm_bspqd(c, q_lo)
-        worst_mono = max(worst_mono, gap / max(b, 1e-300))
-    return Outcome([
-        Assertion("b_eq_f_at_p_eq_q_rel", worst_bf, "<=", 1e-10, "identity"),
-        Assertion("homogeneity_rel", worst_hom, "<=", 1e-12, "identity"),
-        Assertion("q_monotonicity_gap", worst_mono, "<=", 1e-12, "identity"),
-    ], ("b_eq_f_rel", "homogeneity_rel", "q_monotonicity_gap"),
-        [(worst_bf, worst_hom, worst_mono)])
-
-
 def _profile_corpus(rng, n: int = 50):
     corpus = []
     grid = Grid1D.uniform(2 ** -10, 4.0)
@@ -501,8 +467,6 @@ REGISTRY: Dict[str, Tuple[Callable[[ExperimentConfig], Outcome], str]] = {
     "bv-decay": (_exp_bv_decay, "r^{d-1}|g| <= tail variation for staircases"),
     "bv-equivalence": (_exp_bv_equivalence,
                        "d-dim vs weighted 1-D BV norm ratio stability"),
-    "seq-identities": (_exp_seq_identities,
-                       "b = f at p = q plus homogeneity/monotonicity"),
     "trace-roundtrip": (_exp_trace_roundtrip,
                         "tr/ext round trips and the C^m trace inequality"),
     "support-shift": (_exp_support_shift,

@@ -85,9 +85,6 @@ class CoefficientGrid:
     def __len__(self) -> int:
         return sum(np.count_nonzero(a) for a in self.levels.values())
 
-    def scaled(self, c: float) -> "CoefficientGrid":
-        return CoefficientGrid({j: c * a for j, a in self.levels.items()})
-
 
 def _check_pq(p: float, q: float, allow_p_inf: bool) -> None:
     if not (p > 0 and q > 0):

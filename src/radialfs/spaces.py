@@ -10,6 +10,7 @@ The convention 1/inf = 0 is used throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -43,8 +44,11 @@ class SpaceParams:
     def __post_init__(self):
         if not (self.p > 0 and self.q > 0):
             raise InvalidParameterError("p and q must be positive (inf allowed)")
-        if self.d < 1:
-            raise InvalidParameterError("d must be >= 1")
+        if not math.isfinite(self.s):
+            raise InvalidParameterError(f"s must be finite, got {self.s!r}")
+        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral) \
+                or self.d < 1:
+            raise InvalidParameterError(f"d must be an integer >= 1, got {self.d!r}")
         if self.scale not in ("B", "F"):
             raise InvalidParameterError("scale must be 'B' or 'F'")
         if self.scale == "F" and math.isinf(self.p):

@@ -58,17 +58,14 @@ def daubechies_filter(name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveletTable:
-    """phi and psi sampled on a dyadic grid over the common support [0, n-1].
+    """phi and psi on the dyadic grid of step 2^-10 over their support [0, n-1].
 
     ``shifts[r, c, o]`` is phi (c = 0) or psi (c = 1) at hi - 1 + r 2^-10 - o
-    for r = 0 .. 2^10 and o = 0 .. width - 1 (zero below 0), where 2^-10 is
-    the grid's step: row r holds the ``width`` integer shifts of one
-    sub-step position.
+    for r = 0 .. 2^10 and o = 0 .. width - 1 (zero below 0): row r holds the
+    ``width`` integer shifts of one sub-step position.
     """
 
     grid: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
     shifts: np.ndarray
 
     @property
@@ -76,9 +73,9 @@ class WaveletTable:
         return float(self.grid[0]), float(self.grid[-1])
 
 
-@lru_cache(maxsize=None)
-def wavelet_table(name: str = "db6") -> WaveletTable:
-    """Cascade refinement of the two-scale relation to resolution 2^{-10}.
+def _cascade(name: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid, phi and psi by cascade refinement of the two-scale relation
+    to resolution 2^{-10}.
 
     phi at the integers is the eigenvector (eigenvalue 1) of the filter
     matrix; each cascade pass evaluates phi(x) = sqrt(2) sum_k h_k phi(2x-k)
@@ -114,7 +111,14 @@ def wavelet_table(name: str = "db6") -> WaveletTable:
     for k in range(n):
         psi += math.sqrt(2.0) * g[k] * np.interp(
             2.0 * grid - k, grid, phi, left=0.0, right=0.0)
+    return grid, phi, psi
 
+
+@lru_cache(maxsize=None)
+def wavelet_table(name: str = "db6") -> WaveletTable:
+    """The grid and shift table of ``_cascade(name)``."""
+    grid, phi, psi = _cascade(name)
+    n = daubechies_filter(name).size
     # the support is [0, n - 1] with n - 1 = hi; padding one unit of zeros
     # below 0 puts hi - 1 + r step - o at padded index (hi - o) 2^10 + r
     steps = 2 ** 10
@@ -124,7 +128,7 @@ def wavelet_table(name: str = "db6") -> WaveletTable:
     idx = (n - 1 - np.arange(n)) * steps + np.arange(steps + 1)[:, None]
     shifts = np.ascontiguousarray(padded[:, idx].transpose(1, 0, 2))
     shifts.flags.writeable = False
-    return WaveletTable(grid, phi, psi, shifts)
+    return WaveletTable(grid, shifts)
 
 
 def _ring_length(d: int, n: int) -> int:
@@ -299,7 +303,6 @@ def _support_count(table: WaveletTable, d: int, j: int) -> int:
 
 @dataclass(frozen=True)
 class SphericalMeanResult:
-    p: float
     d: int
     levels: np.ndarray
     scaled_sums: np.ndarray       # 2^{j(1/p-1+d(1/2-1/p))} (sum |<f,Psi>|^p)^{1/p}
@@ -357,4 +360,4 @@ def spherical_mean_wavelet_coeffs(d: int = 2, p: float = 1.0, Jmax: int = 6,
         counts[j] = _support_count(table, d, j)
         maxc[j] = float(np.max(np.abs(c_fine)))
         qerr[j] = rel
-    return SphericalMeanResult(p, d, levels, sums, counts, maxc, qerr)
+    return SphericalMeanResult(d, levels, sums, counts, maxc, qerr)

@@ -188,13 +188,6 @@ def test_criterion_08_bv_equivalence(tmp_path):
     assert _report(8, res)
 
 
-def test_criterion_09_sequence_identities(tmp_path):
-    # b = f at p = q within 1e-10 on 100 random grids; homogeneity and
-    # monotonicity properties
-    res = _run("seq-identities", tmp_path)
-    assert _report(9, res)
-
-
 def test_criterion_10_trace_roundtrips(tmp_path):
     # node-exact round trips on a 50-profile corpus; C^m trace inequality
     res = _run("trace-roundtrip", tmp_path)

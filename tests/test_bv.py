@@ -13,7 +13,8 @@ from radialfs.bv import (QUAD_RTOL, BVProfile, RadonMeasure1D, bv_decay_check,
                          bv_dim_norm, bv_equivalence_check, bv_weighted_norm,
                          quad, smooth_bump_bv, staircase)
 from radialfs.core import sphere_area
-from radialfs.errors import InvalidParameterError, QuadratureError
+from radialfs.errors import (DivergenceError, InvalidParameterError,
+                             QuadratureError)
 from radialfs.experiments import (BV_DECAY_RTOL, ExperimentConfig, _bv_corpus,
                                   run_experiment)
 
@@ -166,7 +167,7 @@ class TestEquivalence:
     def test_smooth_bump_gradient_reduction(self):
         # smooth parts: d-dim gradient norm equals omega_{d-1} int |g'| t^{d-1}
         g = smooth_bump_bv(2.0, 0.6)
-        var_1d = g.derivative._tail(0.0, 2)[0]
+        var_1d = g.derivative._tail(0.0, 2)
         dim = bv_dim_norm(g, 2)
         l1, _ = scipy_quad(lambda r: abs(g(np.array([r]))[0]) * r, 0.0, 4.0, limit=200)
         assert dim - sphere_area(2) * l1 == pytest.approx(
@@ -207,6 +208,12 @@ class TestDecay:
         g = staircase([(3.0, 2.0)])
         rep = bv_decay_check(g, [3.0], d=3)
         assert rep.lhs[0] == rep.tail_bound[0]
+
+    def test_profile_not_vanishing_at_infinity_raises(self):
+        one = lambda r: np.ones_like(np.asarray(r, float))
+        g = BVProfile((1.0,), (one, one), RadonMeasure1D())
+        with pytest.raises(DivergenceError):
+            bv_decay_check(g, [0.5], d=2)
 
     def test_eventually_decreasing_tail(self):
         g = staircase([(1.0, 1.0), (2.0, 0.5), (4.0, 0.25)])
@@ -305,12 +312,16 @@ class TestQuadrature:
             assert err <= 1e-14 * exact
 
     def test_smooth_bump_estimate_within_tolerance(self):
+        # the bump's two integrals: its L1 part and its variation density
+        g = smooth_bump_bv(2.0, 0.6)
+        nu = g.derivative
         for d in (2, 3):
-            g = smooth_bump_bv(2.0, 0.6)
-            rep = bv_equivalence_check(g, d)
-            assert 0.0 < rep.quad_error <= QUAD_RTOL * rep.weighted_norm
-            dec = bv_decay_check(g, [1.5, 2.0, 2.5], d=d)
-            assert 0.0 < dec.quad_error <= QUAD_RTOL * bv_weighted_norm(g, d)
+            for f, edges in (
+                    (lambda r: np.abs(g(r)) * r ** (d - 1), (0.0,) + g.breaks),
+                    (lambda r: np.abs(nu.density(r)) * r ** (d - 1),
+                     nu.density_support)):
+                value, err = quad(f, edges)
+                assert 0.0 < err <= QUAD_RTOL * value
 
     def test_jump_inside_a_panel_raises(self):
         step = lambda t: np.where(t < 1.0 / 3.0, 1.0, 2.0)

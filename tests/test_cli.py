@@ -15,7 +15,7 @@ from radialfs.spaces import fig3_region
 REQUIRED_EXPERIMENTS = [
     "scaling-f-j-lambda", "scaling-lp", "decay-infinity", "strauss",
     "blowup-origin", "log-borderline", "bv-decay", "bv-equivalence",
-    "seq-identities", "trace-roundtrip", "support-shift",
+    "trace-roundtrip", "support-shift",
     "spherical-mean-wavelet", "sobolev-reduction", "predicate-tables",
     "classification-map",
 ]

@@ -22,8 +22,9 @@ class TestFitDecay:
                                np.abs(np.where(t == 0, 1.0, t)) ** -2.0, 1.0),
             Grid1D.uniform(0.01, 600.0))
         fit = fit_decay_exponent(g, [2.0 ** r for r in range(1, 9)])
-        assert fit.decay_exponent == pytest.approx(2.0, abs=1e-6)
-        assert fit.residual_rms <= 1e-10
+        # every annulus sup sits at its inner radius, on the power law itself
+        assert np.allclose(fit.amplitudes, fit.radii ** -2.0, rtol=1e-10, atol=0.0)
+        assert fit.decay_exponent == pytest.approx(2.0, abs=1e-10)
 
     def test_compact_support_undefined(self):
         g = RadialProfile.from_callable(lambda t: bump(t), Grid1D.uniform(0.01, 80.0))

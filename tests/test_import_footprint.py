@@ -7,14 +7,22 @@ band spectra and the route over band samples), so a lazy import inside a
 function cannot pass these tests.
 
 Every name a package module exports, every module-level function (private
-ones included) and every method and property of its classes (dunders left
-out) must also be reached from a program: the package's other modules,
+ones included), every method and property of its classes (dunders left
+out) and every annotated field of a class body (dataclass and NamedTuple
+fields) must also be reached from a program: the package's other modules,
 perfbench or scripts.  Code that only tests reach belongs in the tests,
 except for the allow-list below.
+
+The guard matches by name, not by type: a member counts as reached when
+any program refers to its name, and a field when any program reads an
+attribute of its name.  So a member whose name is common still escapes it:
+a field ``p`` or ``params`` is "read" by every ``.p`` or ``.params`` in the
+programs, whatever object carries it.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -82,8 +90,6 @@ TEST_ONLY = {
     "make_f_alpha_delta": "item 2: its membership threshold is to become a "
                           "J-sweep",
     "make_psi_cutoff": "item 9: the p < 1 FFT norm's test profile",
-    "RadialGridField.from_tensor": "item 1: trace-roundtrip is to round-trip "
-                                   "through tensor-backed fields",
 }
 
 
@@ -94,21 +100,23 @@ def _is_all(node):
 
 def _references(tree):
     """Names a module refers to: AST names, attributes, imported names and
-    string constants, leaving out the strings of its own ``__all__``."""
+    string constants, leaving out the strings of its own ``__all__``; and
+    apart, the attribute names alone."""
     listed = {id(c) for node in tree.body if _is_all(node)
               for c in ast.walk(node.value)}
-    refs = set()
+    refs, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
             refs.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and id(node) not in listed:
             refs.add(node.value)
-    return refs
+    return refs, attrs
 
 
 def _program_sources():
@@ -122,10 +130,12 @@ def _program_sources():
 
 
 def _definitions(tree):
-    """A module's exports, its module-level functions, and its classes'
-    methods and properties other than dunders as ``Class.method``."""
+    """A module's exports, its module-level functions, its classes' methods
+    and properties other than dunders as ``Class.method``, and its classes'
+    annotated fields as ``Class.field``; and apart, the fields alone."""
     names = {c.value for node in tree.body if _is_all(node)
              for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    fields = set()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             names.add(node.name)
@@ -133,19 +143,28 @@ def _definitions(tree):
             names |= {f"{node.name}.{item.name}" for item in node.body
                       if isinstance(item, ast.FunctionDef)
                       and not (item.name.startswith("__") and item.name.endswith("__"))}
-    return names
+            fields |= {f"{node.name}.{item.target.id}" for item in node.body
+                       if isinstance(item, ast.AnnAssign)
+                       and isinstance(item.target, ast.Name)}
+    return names | fields, fields
 
 
 def _unreferenced(sources):
     """The package's definitions (``_definitions``) whose name no program
-    source refers to; a method counts as referred to by its own name."""
-    defined, refs = set(), set()
+    source refers to; a method counts as referred to by its own name, a
+    field only by an attribute of its name."""
+    defined, fields, refs, attrs = set(), set(), set(), set()
     for path, text in sources.items():
         tree = ast.parse(text)
         if path.parent.name == "radialfs":
-            defined |= _definitions(tree)
-        refs |= _references(tree)
-    return {name for name in defined if name.rpartition(".")[2] not in refs}
+            names, class_fields = _definitions(tree)
+            defined |= names
+            fields |= class_fields
+        names, attr_names = _references(tree)
+        refs |= names
+        attrs |= attr_names
+    return {name for name in defined
+            if name.rpartition(".")[2] not in (attrs if name in fields else refs)}
 
 
 def test_every_export_has_a_caller_outside_the_tests():
@@ -170,3 +189,34 @@ def test_an_unreached_method_or_helper_fails_the_guard():
         "def _probe_helper():\n    return Probe()\n")
     assert _unreferenced(sources) == set(TEST_ONLY) | {"Probe.probe_method",
                                                        "_probe_helper"}
+
+
+def test_an_unread_field_fails_the_guard():
+    # a dataclass field no program reads as an attribute; a local variable
+    # of the same name is no read of it
+    sources = _program_sources()
+    sources[ROOT / "src" / "radialfs" / "_probe.py"] = (
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Probe:\n    probe_read: int\n    probe_unread: int\n\n\n"
+        "def probe_use():\n    probe_unread = Probe(1, 2)\n"
+        "    return probe_unread.probe_read\n\n\n"
+        "PROBE = probe_use()\n")
+    assert _unreferenced(sources) == set(TEST_ONLY) | {"Probe.probe_unread"}
+
+
+def test_the_benchmark_tracer_installs_and_removes():
+    # perfbench/tracing.py looks up every module it traces in sys.modules,
+    # so a deleted module makes Installed raise KeyError; remove() must put
+    # every original back
+    from radialfs import decompose, experiments
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = (decompose.tb_norm, radialfs.tb_norm, dict(experiments.REGISTRY))
+    installed = tracing.Installed(tracing.Tracer())
+    try:
+        assert decompose.tb_norm is not originals[0]
+    finally:
+        installed.remove()
+    assert (decompose.tb_norm, radialfs.tb_norm, experiments.REGISTRY) == originals

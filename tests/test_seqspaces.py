@@ -139,14 +139,15 @@ class TestFNorm:
 
 
 class TestQuasiNormProperties:
-    @given(c_scale=st.floats(0.01, 100), seed=st.integers(0, 30))
+    @given(c_scale=st.floats(0.01, 100), seed=st.integers(0, 30),
+           s=st.floats(-2.0, 2.0), p=st.floats(0.3, 4.0), d=st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
-    def test_homogeneity(self, c_scale, seed):
+    def test_homogeneity(self, c_scale, seed, s, p, d):
         c = random_grid(seed)
-        params = SpaceParams(0.6, 1.2, 2.0, 2)
-        base = seq_norm_bspqd(c, params)
-        assert seq_norm_bspqd(c.scaled(c_scale), params) == pytest.approx(
-            c_scale * base, rel=1e-12)
+        params = SpaceParams(s, p, 2.0, d)
+        scaled = CoefficientGrid({j: c_scale * a for j, a in c.levels.items()})
+        assert seq_norm_bspqd(scaled, params) == pytest.approx(
+            c_scale * seq_norm_bspqd(c, params), rel=1e-12)
 
     @given(seed=st.integers(0, 30))
     @settings(max_examples=30, deadline=None)
@@ -162,12 +163,13 @@ class TestQuasiNormProperties:
         rhs = const * (seq_norm_bspqd(a, params) + seq_norm_bspqd(b, params))
         assert lhs <= rhs * (1 + 1e-12)
 
-    @given(seed=st.integers(0, 30), q1=st.floats(0.3, 3), dq=st.floats(0.01, 5))
+    @given(seed=st.integers(0, 30), q1=st.floats(0.3, 3), dq=st.floats(0.01, 5),
+           s=st.floats(-2.0, 2.0), p=st.floats(0.3, 4.0), d=st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
-    def test_monotone_in_q(self, seed, q1, dq):
+    def test_monotone_in_q(self, seed, q1, dq, s, p, d):
         c = random_grid(seed)
-        lo = seq_norm_bspqd(c, SpaceParams(0.5, 1.5, q1, 2))
-        hi = seq_norm_bspqd(c, SpaceParams(0.5, 1.5, q1 + dq, 2))
+        lo = seq_norm_bspqd(c, SpaceParams(s, p, q1, d))
+        hi = seq_norm_bspqd(c, SpaceParams(s, p, q1 + dq, d))
         assert hi <= lo * (1 + 1e-12)
 
     @given(seed=st.integers(0, 30), J0=st.integers(0, 5))

@@ -12,6 +12,23 @@ from radialfs.spaces import (SpaceParams, embeds_in_Linfty, fig2_region, in_U,
 INF = math.inf
 
 
+class TestSpaceParams:
+    @pytest.mark.parametrize("s", [math.nan, INF, -INF])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(InvalidParameterError):
+            SpaceParams(s, 2.0, 2.0, 2)
+
+    @pytest.mark.parametrize("d", [2.5, 2.0, True])
+    def test_non_integral_d_rejected(self, d):
+        with pytest.raises(InvalidParameterError):
+            SpaceParams(1.0, 2.0, 2.0, d)
+
+    @pytest.mark.parametrize("d", [2, np.int64(2), np.int32(3)],
+                             ids=["int", "int64", "int32"])
+    def test_python_and_numpy_integer_d_accepted(self, d):
+        assert SpaceParams(1.0, 2.0, 2.0, d).d == d
+
+
 class TestSigma:
     def test_sigma_p_vanishes_at_one(self):
         assert sigma_p(1.0, 5) == 0.0

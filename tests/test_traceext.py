@@ -4,7 +4,7 @@ import pytest
 from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile
 from radialfs.errors import EvennessError, InvalidParameterError
-from radialfs.traceext import RadialGridField, cm_norm, extend, trace
+from radialfs.traceext import cm_norm, extend, trace
 
 
 def bump_profile(grid=None, d=2):
@@ -30,22 +30,6 @@ class TestRoundTrips:
         grid = Grid1D.uniform(0.1, 1.0)
         g = RadialProfile.from_callable(lambda t: np.ones_like(t), grid, d=2)
         assert np.all(trace(extend(g, 2)).values == 1.0)
-
-    def test_norm_field_on_tensor_grid(self):
-        ax = np.linspace(-2.0, 2.0, 41)
-        mesh = np.meshgrid(ax, ax, ax, indexing="ij")
-        vals = np.sqrt(sum(m ** 2 for m in mesh))
-        f = RadialGridField.from_tensor((ax, ax, ax), vals)
-        prof = trace(f)
-        assert np.allclose(prof.values, np.abs(ax))
-
-    def test_non_radial_tensor_rejected(self):
-        ax = np.linspace(-1.0, 1.0, 21)
-        mesh = np.meshgrid(ax, ax, indexing="ij")
-        vals = mesh[0]  # x1 is not radial
-        f = RadialGridField.from_tensor((ax, ax), vals)
-        with pytest.raises(EvennessError):
-            trace(f)
 
     def test_extension_needs_even_profile(self):
         nodes = np.array([0.0, 1.0, 2.0])

@@ -5,20 +5,24 @@ import pytest
 
 from radialfs.errors import InvalidParameterError, QuadratureError
 from radialfs import wavelets
-from radialfs.wavelets import (_BATCH_FLOATS, _BLOCK, _gauss_legendre,
+from radialfs.wavelets import (_BATCH_FLOATS, _BLOCK, _cascade, _gauss_legendre,
                                _level_coeffs, _sphere_rings,
                                daubechies_filter, spherical_mean_wavelet_coeffs,
                                wavelet_table)
 
 
-def eval_phi(table, x):
-    """phi of ``table`` at x by linear interpolation, 0 off its support."""
-    return np.interp(x, table.grid, table.phi, left=0.0, right=0.0)
+def eval_phi(cascade, x):
+    """phi of ``cascade`` (grid, phi, psi) at x by linear interpolation, 0
+    off its support."""
+    grid, phi, _ = cascade
+    return np.interp(x, grid, phi, left=0.0, right=0.0)
 
 
-def eval_psi(table, x):
-    """psi of ``table`` at x by linear interpolation, 0 off its support."""
-    return np.interp(x, table.grid, table.psi, left=0.0, right=0.0)
+def eval_psi(cascade, x):
+    """psi of ``cascade`` (grid, phi, psi) at x by linear interpolation, 0
+    off its support."""
+    grid, _, psi = cascade
+    return np.interp(x, grid, psi, left=0.0, right=0.0)
 
 
 def _generators(d):
@@ -47,21 +51,21 @@ class TestWaveletTable:
             assert np.sum(h[2 * k:] * h[:-2 * k]) == pytest.approx(0.0, abs=1e-10)
 
     def test_scaling_function_partition(self):
-        t = wavelet_table("db4")
-        assert np.trapezoid(t.phi, t.grid) == pytest.approx(1.0, abs=1e-8)
-        assert np.trapezoid(t.phi ** 2, t.grid) == pytest.approx(1.0, abs=1e-8)
+        grid, phi, _ = _cascade("db4")
+        assert np.trapezoid(phi, grid) == pytest.approx(1.0, abs=1e-8)
+        assert np.trapezoid(phi ** 2, grid) == pytest.approx(1.0, abs=1e-8)
 
     def test_psi_vanishing_moments(self):
         # db4 carries four vanishing moments; check the first two numerically
-        t = wavelet_table("db4")
+        grid, _, psi = _cascade("db4")
         for k in (0, 1):
-            m = np.trapezoid(t.psi * t.grid ** k, t.grid)
+            m = np.trapezoid(psi * grid ** k, grid)
             assert abs(m) <= 1e-8
 
     def test_orthogonality_of_shifts(self):
-        t = wavelet_table("db4")
-        sh = int(round(1.0 / (t.grid[1] - t.grid[0])))
-        inner = np.trapezoid(t.phi[:-sh] * t.phi[sh:], t.grid[:-sh])
+        grid, phi, _ = _cascade("db4")
+        sh = int(round(1.0 / (grid[1] - grid[0])))
+        inner = np.trapezoid(phi[:-sh] * phi[sh:], grid[:-sh])
         assert abs(inner) <= 1e-8
 
     @pytest.mark.parametrize("name", ["db2", "db4", "db6"])
@@ -74,7 +78,7 @@ class TestWaveletTable:
         step = t.grid[1] - t.grid[0]
         x = hi - 1 + np.arange(2 ** 10 + 1)[:, None] * step - np.arange(width)
         for c, f in enumerate((eval_phi, eval_psi)):
-            ref = f(t, x)
+            ref = f(_cascade(name), x)
             assert np.max(np.abs(t.shifts[:, c] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_unknown_filter(self):
@@ -82,9 +86,10 @@ class TestWaveletTable:
             daubechies_filter("haarish")
 
 
-def _level_coeffs_reference(table, d, j, n_nodes):
+def _level_coeffs_reference(name, d, j, n_nodes):
     """<surface measure, Psi_{i,j,k}> by a direct loop over the nodes, each
     node adding to the whole k-box of every generator."""
+    table, cascade = wavelet_table(name), _cascade(name)
     pts, w = _sphere_nodes(d, n_nodes)
     u = pts * 2.0 ** j
     lo, hi = table.support
@@ -97,7 +102,7 @@ def _level_coeffs_reference(table, d, j, n_nodes):
             term = np.array(weight * 2.0 ** (j * d / 2.0))
             for ax in range(d):
                 f = eval_psi if flags[ax] else eval_phi
-                term = np.multiply.outer(term, f(table, node[ax] - ks[ax]))
+                term = np.multiply.outer(term, f(cascade, node[ax] - ks[ax]))
             acc += term
         blocks.append(acc.ravel())
     return np.concatenate(blocks)
@@ -106,7 +111,7 @@ def _level_coeffs_reference(table, d, j, n_nodes):
 def _assert_matches_reference(d, name, j, n):
     table = wavelet_table(name)
     got = _level_coeffs(table, d, j, n)
-    ref = _level_coeffs_reference(table, d, j, n)
+    ref = _level_coeffs_reference(name, d, j, n)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -194,7 +199,8 @@ class TestSphericalMean:
         # |<f, Psi_{i,j,k}>| <= C 2^{jd/2} 2^{-j(d-1)}; C from the support
         # size: sup|Psi| times the arc length through one support box
         table = wavelet_table("db4")
-        sup_psi = (max(np.abs(table.psi).max(), np.abs(table.phi).max())) ** 2
+        _, phi, psi = _cascade("db4")
+        sup_psi = (max(np.abs(psi).max(), np.abs(phi).max())) ** 2
         width = table.support[1] - table.support[0]
         C = sup_psi * math.pi * width
         j = 4
