@@ -23,8 +23,7 @@ from .bv import (BVProfile, RadonMeasure1D, bv_decay_check,
                  bv_equivalence_check, bv_weighted_norm, smooth_bump_bv,
                  staircase)
 from .decay import (DecayFit, bump_train, check_decay2, check_decay4,
-                    check_lim1, classification_map, fit_decay_exponent,
-                    fit_loglog)
+                    check_lim1, fit_decay_exponent, fit_loglog)
 from .wavelets import spherical_mean_wavelet_coeffs, wavelet_table
 
 __version__ = "0.1.0"

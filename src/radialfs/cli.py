@@ -4,15 +4,13 @@ Subcommands:
   radialfs run <config>        run the experiment named in the config file
   radialfs run-all [out_dir]   run every experiment, each into out_dir/<name>
   radialfs list                list experiment names with one-line docs
-  radialfs map --region=<fig1|fig2|fig3> [--rect=a,b,c,d] [--res=N] [--d=D]
-                               rasterize a (1/p, s) figure; the rectangle
-                               defaults to 0.01,3,-1,4
 
 Config files are flat key = value text with an optional [experiment] section
-(INI style); JSON files ({"experiment": ..., "seed": ..., ...}) are accepted
-as an alternative.  Keys other than experiment, seed and output_dir must be
-options the experiment reads (experiments.OPTIONS).  The RADIALFS_SEED
-environment variable overrides the config seed; either must be an integer.
+(INI style, no interpolation: a % is literal).  Keys other than experiment,
+seed and output_dir must be options the experiment reads
+(experiments.OPTIONS); a classification-map config rasterizes a (1/p, s)
+figure.  The RADIALFS_SEED environment variable overrides the config seed;
+either must be an integer.
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config or runtime
 error, an unreadable config or unwritable output path included.
 """
@@ -21,47 +19,36 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 import time
 from pathlib import Path
 
-from .decay import FIGURE_RECT, classification_table, figure_region
 from .errors import ConfigError, RadialfsError
 from .experiments import (ExperimentConfig, ExperimentResult, list_experiments,
-                          run_experiment, write_csv)
+                          run_experiment)
 
 
 def _load_config(path: Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     text = path.read_text()
+    first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    if not first.startswith("["):
+        text = "[experiment]\n" + text
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as e:
+        raise ConfigError(f"bad config {path}: {e}")
     data = {}
-    if path.suffix == ".json" or text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"bad JSON config {path}: line {e.lineno}: {e.msg}")
-        if not isinstance(data, dict):
-            raise ConfigError(f"JSON config {path} must hold one object")
-    else:
-        parser = configparser.ConfigParser()
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
-        if not first.startswith("["):
-            text = "[experiment]\n" + text
-        try:
-            parser.read_string(text)
-        except configparser.Error as e:
-            raise ConfigError(f"bad config {path}: {e}")
-        for section in parser.sections():
-            data.update(dict(parser[section]))
+    for section in parser.sections():
+        data.update(parser[section])
     if "experiment" not in data:
         raise ConfigError(f"config {path} is missing the 'experiment' field")
-    name = str(data.pop("experiment"))
+    name = data.pop("experiment")
     seed = data.pop("seed", ExperimentConfig.seed)
-    outdir = Path(data.pop("output_dir", "out"))
-    return ExperimentConfig(name, seed=seed, output_dir=outdir,
-                            options={k: str(v) for k, v in data.items()})
+    outdir = data.pop("output_dir", "out")
+    return ExperimentConfig(name, seed=seed, output_dir=outdir, options=data)
 
 
 def _print_assertions(result: ExperimentResult) -> None:
@@ -96,21 +83,6 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _cmd_map(args) -> int:
-    rect = FIGURE_RECT
-    if args.rect is not None:
-        try:
-            a, b, c, d = (float(x) for x in args.rect.split(","))
-        except ValueError:
-            raise ConfigError(f"--rect must be four comma-separated numbers, got {args.rect!r}")
-        rect = (a, b, c, d)
-    out = Path(args.output)
-    header, rows = classification_table(figure_region(args.region, args.d), rect, args.res)
-    write_csv(out, header, rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="radialfs",
                                      description="radial function space experiments")
@@ -127,15 +99,6 @@ def main(argv=None) -> int:
 
     p_list = sub.add_parser("list", help="list experiments")
     p_list.set_defaults(func=_cmd_list)
-
-    p_map = sub.add_parser("map", help="rasterize a classification figure")
-    p_map.add_argument("--region", required=True, help="fig1, fig2 or fig3")
-    p_map.add_argument("--rect", help="min_inv_p,max_inv_p,min_s,max_s "
-                       f"(default: {','.join(map(str, FIGURE_RECT))})")
-    p_map.add_argument("--res", type=int, default=60)
-    p_map.add_argument("--d", type=int, default=2)
-    p_map.add_argument("--output", default="out/classification.csv")
-    p_map.set_defaults(func=_cmd_map)
 
     args = parser.parse_args(argv)
     try:

@@ -56,10 +56,9 @@ def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Strictly increasing 1-D node set, symmetric about 0 when ``even`` is set."""
+    """Strictly increasing 1-D node set, symmetric about 0."""
 
     nodes: np.ndarray
-    even: bool = True
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -68,9 +67,8 @@ class Grid1D:
             raise InvalidParameterError("grid needs at least 2 nodes")
         if not np.all(np.diff(nodes) > 0):
             raise InvalidParameterError("grid nodes must be strictly increasing")
-        if self.even:
-            if not np.array_equal(nodes, -nodes[::-1]):
-                raise EvennessError("even-flagged grid must be closed under negation")
+        if not np.array_equal(nodes, -nodes[::-1]):
+            raise EvennessError("grid must be closed under negation")
 
     @staticmethod
     def uniform(h: float, T: float) -> "Grid1D":
@@ -106,7 +104,7 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """An even scalar function sampled on an even-flagged grid.
+    """An even scalar function sampled on a symmetric grid.
 
     This is the object the trace and extension operators act on; it also
     carries the optional dimension context for the weight ``|t|**(d-1)``.
@@ -123,7 +121,7 @@ class RadialProfile:
             raise InvalidParameterError("values must align with grid nodes")
         if not np.all(np.isfinite(values)):
             raise InvalidParameterError("profile values must be finite")
-        if self.grid.even and not np.array_equal(values, values[::-1]):
+        if not np.array_equal(values, values[::-1]):
             raise EvennessError("profile values must be even across paired nodes")
 
     @staticmethod
@@ -140,15 +138,6 @@ class RadialProfile:
 
     def scaled(self, c: float) -> "RadialProfile":
         return replace(self, values=c * self.values)
-
-    def __add__(self, other: "RadialProfile") -> "RadialProfile":
-        if other.grid is not self.grid and not np.array_equal(
-                other.grid.nodes, self.grid.nodes):
-            raise InvalidParameterError("profiles live on different grids")
-        return replace(self, values=self.values + other.values)
-
-    def __sub__(self, other: "RadialProfile") -> "RadialProfile":
-        return self + other.scaled(-1.0)
 
     def restrict_dim(self, d: int) -> "RadialProfile":
         return replace(self, dim_context=d)

@@ -24,9 +24,9 @@ from .spaces import (ParamRegion, SpaceParams, fig1_region, fig2_region,
                      fig3_region, in_U, sigma_p)
 
 __all__ = ["DecayFit", "fit_loglog", "fit_decay_exponent", "bump_train",
-           "check_decay4", "check_decay2", "check_lim1", "classification_map",
-           "FIGURE_RECT", "figure_region", "classification_table",
-           "Decay4Report", "Decay2Report", "Lim1Report"]
+           "check_decay4", "check_decay2", "check_lim1", "FIGURE_RECT",
+           "figure_region", "classification_table", "Decay4Report",
+           "Decay2Report", "Lim1Report"]
 
 
 def fit_loglog(x: Sequence[float], y: Sequence[float]) -> float:
@@ -270,13 +270,15 @@ def figure_region(figure: str, d: int) -> ParamRegion:
     return FIGURES[figure](d)
 
 
-def classification_map(region: ParamRegion, rect: Tuple[float, float, float, float],
-                       resolution: int) -> List[Tuple[float, float, str]]:
+def classification_table(region: ParamRegion,
+                         rect: Tuple[float, float, float, float],
+                         resolution: int) -> Tuple[Tuple[str, ...], List[tuple]]:
     """Rasterize a parameter region over a (1/p, s) rectangle.
 
-    Returns rows (inv_p, s, label); ``classification_table`` flags them.
     The rectangle (min_inv_p, max_inv_p, min_s, max_s) must be finite with
-    min < max on both axes, and ``resolution`` at least 1.
+    min < max on both axes, and ``resolution`` at least 1.  Returns a header
+    and rows of plain numbers: inv_p, s, then one 1/0 column per label of the
+    region.
     """
     x0, x1, y0, y1 = rect
     if not (resolution >= 1 and x0 < x1 and y0 < y1
@@ -285,22 +287,10 @@ def classification_map(region: ParamRegion, rect: Tuple[float, float, float, flo
             f"a raster needs resolution >= 1 and a finite rectangle with "
             f"min_inv_p < max_inv_p and min_s < max_s; got resolution "
             f"{resolution}, (min_inv_p, max_inv_p, min_s, max_s) = {rect}")
-    out = []
-    for inv_p in np.linspace(x0, x1, resolution):
-        for s in np.linspace(y0, y1, resolution):
-            out.append((float(inv_p), float(s), region.label(float(inv_p), float(s))))
-    return out
-
-
-def classification_table(region: ParamRegion,
-                         rect: Tuple[float, float, float, float],
-                         resolution: int) -> Tuple[Tuple[str, ...], List[tuple]]:
-    """The raster of ``region`` as a header and rows of plain numbers.
-
-    Columns: inv_p, s, then one 1/0 column per label of the region.
-    """
     flags = {label: tuple(int(label == name) for name in region.labels)
              for label in region.labels}
-    rows = [(inv_p, s) + flags[label]
-            for inv_p, s, label in classification_map(region, rect, resolution)]
+    s_values = np.linspace(y0, y1, resolution).tolist()
+    rows = [(inv_p, s) + flags[region.label(inv_p, s)]
+            for inv_p in np.linspace(x0, x1, resolution).tolist()
+            for s in s_values]
     return ("inv_p", "s") + region.labels, rows

@@ -137,8 +137,6 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     within a few cells of g's nonzero hull; outside, both are exactly 0.
     Level j's differences are one array dense from k = 0.
     """
-    if not g.grid.even:
-        raise InvalidParameterError("decomposition needs an even profile")
     if J < 0:
         raise InvalidParameterError(f"need J >= 0, got J={J}")
     if spec.L > 2 or spec.M >= 0:

@@ -31,6 +31,12 @@ def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
+def _check_dim(d) -> None:
+    """d must be a Python or numpy integer >= 1 (not a bool)."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """The tuple (s, p, q, d, scale) governing every norm and predicate."""
@@ -46,9 +52,7 @@ class SpaceParams:
             raise InvalidParameterError("p and q must be positive (inf allowed)")
         if not math.isfinite(self.s):
             raise InvalidParameterError(f"s must be finite, got {self.s!r}")
-        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral) \
-                or self.d < 1:
-            raise InvalidParameterError(f"d must be an integer >= 1, got {self.d!r}")
+        _check_dim(self.d)
         if self.scale not in ("B", "F"):
             raise InvalidParameterError("scale must be 'B' or 'F'")
         if self.scale == "F" and math.isinf(self.p):
@@ -63,8 +67,7 @@ def sigma_p(p: float, d: int) -> float:
     """d * max(0, 1/p - 1)."""
     if not p > 0:
         raise InvalidParameterError(f"p must be > 0, got {p}")
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
+    _check_dim(d)
     return d * max(0.0, _inv(p) - 1.0)
 
 
@@ -72,8 +75,7 @@ def sigma_pq(p: float, q: float, d: int) -> float:
     """d * max(0, 1/p - 1, 1/q - 1)."""
     if not (p > 0 and q > 0):
         raise InvalidParameterError("p and q must be > 0")
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
+    _check_dim(d)
     return d * max(0.0, _inv(p) - 1.0, _inv(q) - 1.0)
 
 
@@ -130,8 +132,7 @@ def weighted_Lp_in_Sprime(p: float, d: int) -> bool:
     """RL_p(R, |t|^{d-1}) is contained in S'(R) iff d < p (equality excluded)."""
     if not (0 < p < INF):
         raise InvalidParameterError("p must be in (0, inf)")
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
+    _check_dim(d)
     return d < p
 
 

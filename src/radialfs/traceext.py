@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .core import RadialProfile, _gradients
-from .errors import EvennessError, InvalidParameterError, ResolutionError
+from .errors import InvalidParameterError, ResolutionError
 
 __all__ = ["RadialGridField", "trace", "extend", "cm_norm"]
 
@@ -41,8 +41,6 @@ def trace(f: RadialGridField) -> RadialProfile:
 
 def extend(g: RadialProfile, d: int) -> RadialGridField:
     """Radial extension ext g (profile-backed; linear interpolation)."""
-    if not g.grid.even:
-        raise EvennessError("extension needs an even profile")
     return RadialGridField(d, g)
 
 

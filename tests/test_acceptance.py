@@ -236,17 +236,22 @@ def test_criterion_14_predicate_tables(tmp_path):
 
 
 def test_criterion_15_classification_map(tmp_path):
-    # fig2 at d = 2 on the shared rectangle: (1, 1) lies in the decay region,
-    # and every raster row flags exactly the label the region assigns
-    res = _run("classification-map", tmp_path)
-    region = figure_region("fig2", 2)
-    with open(tmp_path / "classification-fig2-d2.csv", newline="") as fh:
-        header, *rows = csv.reader(fh)
-    assert header == ["inv_p", "s", *region.labels]
-    for inv_p, s, *flags in rows:
-        assert flags.count("1") == 1
-        assert region.labels[flags.index("1")] == region.label(float(inv_p), float(s))
-    assert _report(15, res)
+    # every figure at d = 2 on the shared rectangle (fig2, the default, also
+    # against its pinned summary): (1, 1) carries the paper's label, and
+    # every raster row flags exactly the label the region assigns
+    for figure in ("fig1", "fig2", "fig3"):
+        options = {} if figure == "fig2" else {"figure": figure}
+        res = _run("classification-map", tmp_path / figure, **options)
+        region = figure_region(figure, 2)
+        with open(tmp_path / figure / f"classification-{figure}-d2.csv",
+                  newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["inv_p", "s", *region.labels]
+        for inv_p, s, *flags in rows:
+            assert flags.count("1") == 1
+            assert region.labels[flags.index("1")] == region.label(float(inv_p),
+                                                                  float(s))
+        assert _report(15, res)
 
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])

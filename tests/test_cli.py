@@ -1,4 +1,5 @@
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from radialfs import experiments
-from radialfs.cli import main
+from radialfs.cli import _load_config, main
+from radialfs.errors import ConfigError
 from radialfs.experiments import (Assertion, ExperimentConfig, Outcome,
                                   list_experiments, run_experiment, write_csv)
 from radialfs.spaces import fig3_region
@@ -20,7 +22,8 @@ REQUIRED_EXPERIMENTS = [
     "classification-map",
 ]
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 class TestListing:
@@ -112,11 +115,17 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "predicate-tables-summary.csv").exists()
 
-    def test_json_config(self, tmp_path):
+    def test_json_config(self, tmp_path, capsys):
+        # JSON is no config format: the INI reader finds no 'experiment' key
+        # in it, or cannot parse it, so the run exits 2 and writes nothing
+        doc = {"experiment": "predicate-tables",
+               "output_dir": str(tmp_path / "out"), "seed": 2}
         cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({"experiment": "predicate-tables",
-                                   "output_dir": str(tmp_path), "seed": 2}))
-        assert main(["run", str(cfg)]) == 0
+        for text in (json.dumps(doc), json.dumps(doc, indent=1)):
+            cfg.write_text(text)
+            assert main(["run", str(cfg)]) == 2
+            assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("text", ['["experiment"]', '"experiment"', "3"])
     def test_json_config_not_an_object_exit_two(self, tmp_path, capsys, text):
@@ -124,6 +133,13 @@ class TestRun:
         cfg.write_text(text)
         assert main(["run", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_percent_in_value_is_literal(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment = predicate-tables\n"
+                       f"output_dir = {tmp_path / 'out%x'}\n")
+        assert main(["run", str(cfg)]) == 0
+        assert (tmp_path / "out%x" / "predicate-tables-summary.csv").exists()
 
     def test_unknown_figure_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -155,7 +171,7 @@ class TestRun:
     @pytest.mark.parametrize("key,value", [
         ("d", "2.5"), ("d", "0"), ("resolution", "0"), ("resolution", "-3"),
         ("resolution", "many"), ("max_inv_p", "0.01"), ("min_s", "4"),
-        ("max_s", "-2"), ("max_s", "inf")])
+        ("max_s", "-2"), ("max_s", "inf"), ("max_s", "nan")])
     def test_bad_map_option_value_exit_two_writes_nothing(self, tmp_path, capsys,
                                                           key, value):
         cfg = tmp_path / "exp.cfg"
@@ -190,12 +206,20 @@ class TestRun:
 
     @pytest.mark.parametrize("seed", [1.5, True, "abc", None, 2.0])
     def test_bad_json_seed_exit_two_writes_nothing(self, tmp_path, capsys, seed):
+        # a JSON config is refused as a whole, before its seed is read
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"experiment": "bv-decay", "seed": seed,
                                    "output_dir": str(tmp_path / "out")}))
         assert main(["run", str(cfg)]) == 2
-        assert "seed must be an integer" in capsys.readouterr().err
+        assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("seed", [1.5, True, None, 2.0])
+    def test_non_integer_seed_rejected(self, monkeypatch, seed):
+        # int() would truncate 1.5 and read True as 1
+        monkeypatch.delenv("RADIALFS_SEED", raising=False)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            ExperimentConfig("bv-decay", seed=seed)
 
     @pytest.mark.parametrize("command", ["run", "run-all"])
     def test_bad_env_seed_exit_two_writes_nothing(self, tmp_path, monkeypatch,
@@ -225,46 +249,82 @@ class TestRun:
 
 
 class TestMap:
-    def test_map_command(self, tmp_path, capsys):
-        out = tmp_path / "m.csv"
-        assert main(["map", "--region=fig3", "--rect=0.1,3,0,4", "--res=8",
-                     f"--output={out}"]) == 0
-        header, *rows = out.read_text().splitlines()
+    # the classification-map experiment's raster, through `radialfs run`
+    @staticmethod
+    def _raster(tmp_path, options):
+        cfg = tmp_path / "map.cfg"
+        cfg.write_text(f"experiment = classification-map\n{options}"
+                       f"output_dir = {tmp_path}\n")
+        assert main(["run", str(cfg)]) == 0
+        return next(tmp_path.glob("classification-fig*.csv")).read_text().splitlines()
+
+    def test_map_command(self, tmp_path):
+        header, *rows = self._raster(
+            tmp_path, "figure = fig3\nd = 3\nresolution = 8\n"
+                      "max_inv_p = 2.5\nmin_s = -0.5\nmax_s = 3\n")
         assert header == "inv_p,s,invalid,bounded,controlled-unboundedness,unbounded"
         assert len(rows) == 64
+        assert rows[0].startswith("0.01,-0.5,") and rows[-1].startswith("2.5,3.0,")
         labels = header.split(",")[2:]
-        region = fig3_region(2)
+        region = fig3_region(3)
         for row in rows:
             inv_p, s, *flags = row.split(",")
             assert sorted(flags) == ["0", "0", "0", "1"]
             assert labels[flags.index("1")] == region.label(float(inv_p), float(s))
 
     def test_map_default_rect(self, tmp_path):
-        out = tmp_path / "m.csv"
-        assert main(["map", "--region=fig2", "--res=2", f"--output={out}"]) == 0
-        corners = [row.split(",")[:2] for row in out.read_text().splitlines()[1:]]
+        corners = [row.split(",")[:2]
+                   for row in self._raster(tmp_path, "resolution = 2\n")[1:]]
         assert corners == [["0.01", "-1.0"], ["0.01", "4.0"],
                            ["3.0", "-1.0"], ["3.0", "4.0"]]
 
-    def test_bad_rect_exit_two(self, tmp_path):
-        assert main(["map", "--region=fig2", "--rect=1,2,3",
-                     f"--output={tmp_path / 'x.csv'}"]) == 2
+    def test_bad_region_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "map.cfg"
+        cfg.write_text(f"experiment = classification-map\nfigure = fig9\n"
+                       f"max_inv_p = 1\nmin_s = 0\nmax_s = 1\n"
+                       f"output_dir = {tmp_path / 'sub'}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "figure must be one of ['fig1', 'fig2', 'fig3']" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [cfg]
 
-    def test_bad_region_exit_two(self, tmp_path):
-        assert main(["map", "--region=fig9", "--rect=0,1,0,1",
-                     f"--output={tmp_path / 'x.csv'}"]) == 2
+    # ids are the flags of the former `map` command; each value is the config
+    # that command line became.  min_inv_p stays at 0.01, and each rectangle
+    # is refused without its first value too.
+    @pytest.mark.parametrize("options", [
+        pytest.param("resolution = 0\n", id="--res=0"),
+        pytest.param("resolution = -3\n", id="--res=-3"),
+        pytest.param("d = 0\n", id="--d=0"),
+        pytest.param("max_inv_p = 0.5\nmin_s = 4\nmax_s = -1\n",
+                     id="--rect=3,0.5,4,-1"),
+        pytest.param("max_inv_p = 3\nmin_s = 4\nmax_s = 4\n",
+                     id="--rect=0.1,3,4,4"),
+        pytest.param("max_inv_p = 3\nmin_s = 0\nmax_s = inf\n",
+                     id="--rect=0.1,3,0,inf")])
+    def test_bad_map_flag_exit_two_writes_nothing(self, tmp_path, capsys, options):
+        cfg = tmp_path / "map.cfg"
+        cfg.write_text(f"experiment = classification-map\nfigure = fig2\n"
+                       f"{options}output_dir = {tmp_path / 'sub'}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [cfg]
 
-    @pytest.mark.parametrize("flag", [
-        "--res=0", "--res=-3", "--d=0", "--rect=3,0.5,4,-1", "--rect=0.1,3,4,4",
-        "--rect=0.1,3,0,inf", "--rect=nan,3,0,4"])
-    def test_bad_map_flag_exit_two_writes_nothing(self, tmp_path, flag):
-        out = tmp_path / "sub" / "m.csv"
-        assert main(["map", "--region=fig2", flag, f"--output={out}"]) == 2
-        assert not list(tmp_path.rglob("*"))
+
+def test_readme_config_blocks_load(tmp_path):
+    # every ```ini block of README's CLI section is a config the runner reads,
+    # naming a registered experiment and only options it reads
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```ini\n(.*?)```", section, re.S)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme-{i}.cfg"
+        path.write_text(block)
+        cfg = _load_config(path)
+        assert cfg.experiment in experiments.REGISTRY
+        assert set(cfg.options) <= set(experiments.OPTIONS.get(cfg.experiment, ()))
 
 
 @pytest.mark.parametrize("argv", [
-    lambda d, f: ["map", "--region=fig2", "--res=2", f"--output={d}"],
+    lambda d, f: ["run", str(d / "map.cfg")],
     lambda d, f: ["run-all", str(f)],
     lambda d, f: ["run", str(d)],
 ], ids=["map-output-is-a-directory", "run-all-into-a-file", "run-a-directory"])
@@ -272,5 +332,8 @@ def test_unusable_path_exits_two(tmp_path, capsys, argv):
     d, f = tmp_path / "dir", tmp_path / "file"
     d.mkdir()
     f.write_text("")
+    # a directory takes the path of the classification-map raster
+    (d / "classification-fig2-d2.csv").mkdir()
+    (d / "map.cfg").write_text(f"experiment = classification-map\noutput_dir = {d}\n")
     assert main(argv(d, f)) == 2
     assert capsys.readouterr().err.startswith("error: ")

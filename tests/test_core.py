@@ -28,7 +28,7 @@ class TestGrid1D:
 
     def test_even_flag_enforced(self):
         with pytest.raises(EvennessError):
-            Grid1D(np.array([-1.0, 0.0, 2.0]), even=True)
+            Grid1D(np.array([-1.0, 0.0, 2.0]))
 
     def test_composite_n_per_sets_level_density(self):
         # 0, 2^-3, 16 nodes on each of 3 levels and 2 tail nodes, mirrored

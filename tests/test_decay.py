@@ -7,7 +7,7 @@ from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile
 from radialfs.decay import (_decay4_upper_corpus, _far_weighted_sup,
                             _surrogate_norm, bump_train, check_decay2,
-                            check_decay4, check_lim1, classification_map,
+                            check_decay4, check_lim1, classification_table,
                             fit_decay_exponent, fit_loglog)
 from radialfs.errors import InvalidParameterError, OutOfHypothesisError
 from radialfs.experiments import UPPER_ROUTE_BRACKETS
@@ -190,12 +190,15 @@ class TestLim1:
 class TestClassificationMap:
     def test_fig2_examples(self):
         region = fig2_region(2)
-        rows = classification_map(region, (0.5, 2.5, 0.05, 2.0), 5)
-        labels = {(round(ip, 3), round(s, 3)): lab for ip, s, lab in rows}
-        assert region.label(1.0, 1.0) == "decay"
-        assert region.label(2.0, 0.1) == "singular"
+        header, rows = classification_table(region, (0.5, 2.5, 0.05, 2.0), 5)
+        assert header == ("inv_p", "s", "invalid", "singular", "decay", "no-decay")
         assert len(rows) == 25
-        assert all(lab in ("decay", "no-decay", "singular") for _, _, lab in rows)
+        # one flag per row, and no point of the rectangle is invalid
+        assert all(sum(flags) == 1 and flags[0] == 0 for _, _, *flags in rows)
+        labels = {(round(ip, 3), round(s, 3)): header[2 + flags.index(1)]
+                  for ip, s, *flags in rows}
+        assert labels[(1.0, 1.025)] == "decay"
+        assert labels[(2.0, 0.05)] == "singular"
 
     def test_strauss_consistency(self):
         # d = 2, 3 at p = 2, s = 1 (H^1): measured exponent (d-1)/2 +- 0.1

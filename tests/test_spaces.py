@@ -28,6 +28,18 @@ class TestSpaceParams:
     def test_python_and_numpy_integer_d_accepted(self, d):
         assert SpaceParams(1.0, 2.0, 2.0, d).d == d
 
+    @pytest.mark.parametrize("d", [2.5, math.nan, True, 0])
+    @pytest.mark.parametrize("call", [
+        lambda d: SpaceParams(1.0, 2.0, 2.0, d), lambda d: sigma_p(0.5, d),
+        lambda d: sigma_pq(0.5, 1.0, d), lambda d: weighted_Lp_in_Sprime(3.0, d)],
+        ids=["SpaceParams", "sigma_p", "sigma_pq", "weighted_Lp_in_Sprime"])
+    def test_every_caller_checks_d_alike(self, call, d):
+        # Python and numpy integers >= 1 pass; a bool, float or NaN raises
+        call(3)
+        call(np.int64(3))
+        with pytest.raises(InvalidParameterError, match="d must be an integer >= 1"):
+            call(d)
+
 
 class TestSigma:
     def test_sigma_p_vanishes_at_one(self):

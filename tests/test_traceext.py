@@ -3,7 +3,7 @@ import pytest
 
 from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile
-from radialfs.errors import EvennessError, InvalidParameterError
+from radialfs.errors import InvalidParameterError
 from radialfs.traceext import cm_norm, extend, trace
 
 
@@ -30,12 +30,6 @@ class TestRoundTrips:
         grid = Grid1D.uniform(0.1, 1.0)
         g = RadialProfile.from_callable(lambda t: np.ones_like(t), grid, d=2)
         assert np.all(trace(extend(g, 2)).values == 1.0)
-
-    def test_extension_needs_even_profile(self):
-        nodes = np.array([0.0, 1.0, 2.0])
-        g = RadialProfile(Grid1D(nodes, even=False), np.array([1.0, 0.5, 0.0]))
-        with pytest.raises(EvennessError):
-            extend(g, 2)
 
     def test_low_dimension_rejected(self):
         with pytest.raises(InvalidParameterError):
