@@ -16,7 +16,7 @@ from .covering import AtomSpec
 from .decompose import (AtomicDecomposition, decompose_profile,
                         lp_besov_norm_1d, sobolev_radial_norm_1,
                         tb_norm, tf_norm)
-from .traceext import RadialGridField, cm_norm, extend, trace
+from .traceext import RadialGridField, extend, trace
 from .families import (TestFamily, make_f_alpha, make_f_alpha_delta,
                        make_f_alpha_sigma, make_f_j_lambda, make_psi_cutoff)
 from .bv import (BVProfile, RadonMeasure1D, bv_decay_check,

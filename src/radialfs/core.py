@@ -15,6 +15,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import EvennessError, InvalidParameterError
+from .spaces import _check_dim
 
 __all__ = [
     "Grid1D",
@@ -28,8 +29,7 @@ __all__ = [
 
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^d (omega_{d-1} = 2 pi^{d/2}/Gamma(d/2))."""
-    if d < 1:
-        raise InvalidParameterError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
@@ -123,6 +123,8 @@ class RadialProfile:
             raise InvalidParameterError("profile values must be finite")
         if not np.array_equal(values, values[::-1]):
             raise EvennessError("profile values must be even across paired nodes")
+        if self.dim_context is not None:
+            _check_dim(self.dim_context)
 
     @staticmethod
     def from_callable(f: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
@@ -148,8 +150,7 @@ def _resolve_dim(g: RadialProfile, d: Optional[int]) -> int:
         d = g.dim_context
     if d is None:
         raise InvalidParameterError("dimension d required (profile has no dim_context)")
-    if d < 1:
-        raise InvalidParameterError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     return int(d)
 
 

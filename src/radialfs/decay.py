@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bump import bump, psi_cutoff
+from .bump import bump
 from .core import Grid1D, RadialProfile
 from .decompose import tb_norm, tf_norm
 from .errors import ConfigError, InvalidParameterError, OutOfHypothesisError
@@ -175,7 +175,6 @@ def check_decay4(params: SpaceParams,
 @dataclass(frozen=True)
 class Decay2Report:
     radii: np.ndarray            # |x| = 2^{-r}
-    upper_ratios: np.ndarray     # |x|^{d/p-s} |f(x)| for the psi-witness, <= 1
     lower_values: np.ndarray     # normalized witness values at |x|
     fitted_exponent: float       # slope of log2 |f(x)| vs -log2 |x|
     expected_exponent: float     # d/p - s
@@ -183,14 +182,13 @@ class Decay2Report:
 
 def check_decay2(params: SpaceParams,
                  r_range: Sequence[int] = range(2, 11)) -> Decay2Report:
-    """Blow-up rate |x|^{s - d/p} near the origin, upper and lower routes.
+    """Blow-up rate |x|^{s - d/p} near the origin.
 
-    Upper: the witness psi(x) |x|^{s-d/p} cancels the weight exactly, so the
-    ratio is psi <= 1.  Lower: the dilated thin-annulus witnesses
-    2^{-r(s-d/p)} f_{2+r,3} are norm-stable by exact dyadic self-similarity,
-    and their values at |x| = 2^{-r} follow the pure power law; the fitted
-    origin exponent must equal d/p - s.  The surrogate norm of the witness
-    at 2^{-r} decomposes at J = r + 4.
+    The dilated thin-annulus witnesses 2^{-r(s-d/p)} f_{2+r,3} are
+    norm-stable by exact dyadic self-similarity, and their values at
+    |x| = 2^{-r} follow the pure power law; the fitted origin exponent must
+    equal d/p - s.  The surrogate norm of the witness at 2^{-r} decomposes
+    at J = r + 4.
     """
     d, p, s = params.d, params.p, params.s
     if not in_U(params):
@@ -199,8 +197,6 @@ def check_decay2(params: SpaceParams,
         raise OutOfHypothesisError("decay2 requires sigma_p(d) < s < d/p")
     rs = np.asarray(list(r_range), dtype=int)
     radii = 2.0 ** (-rs.astype(float))
-
-    upper = psi_cutoff(radii)  # |x|^{d/p-s} * psi(x)|x|^{s-d/p} = psi(x)
 
     values = []
     for r in rs:
@@ -214,7 +210,7 @@ def check_decay2(params: SpaceParams,
         values.append(float(fam(np.array([2.0 ** (-float(r))]))[0]) / nrm)
     values = np.asarray(values)
     # |f| ~ |x|^{s-d/p}: slope wrt |x| is s - d/p; origin exponent = -(slope)
-    return Decay2Report(radii, upper, values, fitted_exponent=-fit_loglog(radii, values),
+    return Decay2Report(radii, values, fitted_exponent=-fit_loglog(radii, values),
                         expected_exponent=d / p - s)
 
 

@@ -13,10 +13,6 @@ class EvennessError(RadialfsError):
     """A profile or field violates the required even/radial symmetry."""
 
 
-class ResolutionError(RadialfsError):
-    """A grid is too coarse for the requested operation."""
-
-
 class OutOfHypothesisError(RadialfsError):
     """A predicate was queried outside the hypotheses under which it is defined."""
 

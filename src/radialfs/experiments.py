@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,6 @@ from .errors import ConfigError
 from .families import make_f_j_lambda
 from .spaces import (SpaceParams, embeds_in_Linfty, in_U, in_U_t, sigma_p,
                      trace_lands_in_Sprime, weighted_Lp_in_Sprime)
-from .traceext import cm_norm, extend, trace
 from .wavelets import spherical_mean_wavelet_coeffs
 
 __all__ = ["ExperimentConfig", "Assertion", "Outcome", "ExperimentResult",
@@ -52,7 +52,7 @@ class ExperimentConfig:
         seed = self.seed if env_seed is None else env_seed
         try:
             # int() would truncate 1.5 and read True as 1
-            if type(seed) not in (int, str):
+            if isinstance(seed, bool) or not isinstance(seed, (numbers.Integral, str)):
                 raise ValueError
             self.seed = int(seed)
         except ValueError:
@@ -222,8 +222,6 @@ def _exp_blowup_origin(cfg: ExperimentConfig) -> Outcome:
         Assertion("origin_exponent_minus_(d/p-s)",
                   rep.fitted_exponent - rep.expected_exponent, "abs<=", 0.05,
                   "paper-exponent"),
-        Assertion("upper_witness_ratio_max", float(rep.upper_ratios.max()),
-                  "<=", 1.0 + 1e-9, "identity"),
     ], ("radius", "value"), zip(rep.radii, rep.lower_values))
 
 
@@ -295,46 +293,6 @@ def _exp_bv_equivalence(cfg: ExperimentConfig) -> Outcome:
         assertions.append(Assertion(f"dilation_drift_d{d}", drift, "<=", 1e-6,
                                     "identity"))
     return Outcome(assertions, ("d", "case", "ratio"), rows)
-
-
-def _profile_corpus(rng, n: int = 50):
-    corpus = []
-    grid = Grid1D.uniform(2 ** -10, 4.0)
-    for _ in range(n):
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            c, w = float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.2, 1.0))
-            a = float(rng.normal(0, 2))
-            ev = (lambda c=c, w=w, a=a: lambda t:
-                  a * (bump((np.abs(t) - c) / w) + bump((np.abs(t) + c) / w)))()
-        elif kind == 1:
-            w = float(rng.uniform(0.3, 1.5))
-            a = float(rng.normal(0, 2))
-            ev = (lambda w=w, a=a: lambda t: a * bump(np.abs(t) / w))()
-        else:
-            c1, c2 = sorted(rng.uniform(0.4, 3.0, 2))
-            ev = (lambda c1=c1, c2=c2: lambda t:
-                  bump((np.abs(t) - c1) / 0.3) - 0.5 * bump((np.abs(t) - c2) / 0.5)
-                  - 0.5 * bump((np.abs(t) + c2) / 0.5))()
-        corpus.append(RadialProfile.from_callable(ev, grid, d=2))
-    return corpus
-
-
-def _exp_trace_roundtrip(cfg: ExperimentConfig) -> Outcome:
-    rng = np.random.default_rng(cfg.seed)
-    corpus = _profile_corpus(rng, 50)
-    worst_rt = 0.0
-    worst_cm = 0.0
-    for prof in corpus:
-        f = extend(prof, d=3)
-        back = trace(f)
-        worst_rt = max(worst_rt, float(np.max(np.abs(back.values - prof.values))))
-        for m in (0, 1):
-            worst_cm = max(worst_cm, cm_norm(back, m) - cm_norm(f, m))
-    return Outcome([
-        Assertion("roundtrip_node_exact", worst_rt, "<=", 0.0, "identity"),
-        Assertion("cm_trace_leq_field", worst_cm, "<=", 1e-12, "paper-exponent"),
-    ], ("roundtrip_max_err", "cm_trace_gap_max"), [(worst_rt, worst_cm)])
 
 
 def _exp_support_shift(cfg: ExperimentConfig) -> Outcome:
@@ -467,8 +425,6 @@ REGISTRY: Dict[str, Tuple[Callable[[ExperimentConfig], Outcome], str]] = {
     "bv-decay": (_exp_bv_decay, "r^{d-1}|g| <= tail variation for staircases"),
     "bv-equivalence": (_exp_bv_equivalence,
                        "d-dim vs weighted 1-D BV norm ratio stability"),
-    "trace-roundtrip": (_exp_trace_roundtrip,
-                        "tr/ext round trips and the C^m trace inequality"),
     "support-shift": (_exp_support_shift,
                       "tau^{-(d-1)/p} law for profiles supported at radius tau"),
     "spherical-mean-wavelet": (_exp_spherical_mean,

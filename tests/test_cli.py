@@ -17,9 +17,8 @@ from radialfs.spaces import fig3_region
 REQUIRED_EXPERIMENTS = [
     "scaling-f-j-lambda", "scaling-lp", "decay-infinity", "strauss",
     "blowup-origin", "log-borderline", "bv-decay", "bv-equivalence",
-    "trace-roundtrip", "support-shift",
-    "spherical-mean-wavelet", "sobolev-reduction", "predicate-tables",
-    "classification-map",
+    "support-shift", "spherical-mean-wavelet", "sobolev-reduction",
+    "predicate-tables", "classification-map",
 ]
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,6 +212,13 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("seed", [3, np.int64(3), np.int32(3), "3"],
+                             ids=["int", "int64", "int32", "str"])
+    def test_integer_seed_accepted(self, monkeypatch, seed):
+        monkeypatch.delenv("RADIALFS_SEED", raising=False)
+        cfg = ExperimentConfig("bv-decay", seed=seed)
+        assert cfg.seed == 3 and type(cfg.seed) is int
 
     @pytest.mark.parametrize("seed", [1.5, True, None, 2.0])
     def test_non_integer_seed_rejected(self, monkeypatch, seed):

@@ -10,6 +10,7 @@ from radialfs.core import (Grid1D, RadialProfile, _gradient_identity_reports,
                            radial_gradient_identity_check, sphere_area,
                            weighted_lp_norm)
 from radialfs.errors import EvennessError, InvalidParameterError
+from radialfs.traceext import RadialGridField
 
 
 class TestGrid1D:
@@ -112,6 +113,28 @@ class TestLpNormRd:
     def test_surface_constants(self):
         assert sphere_area(2) == pytest.approx(2 * math.pi)
         assert sphere_area(3) == pytest.approx(4 * math.pi)
+
+
+_DIM_PROFILE = RadialProfile.from_callable(lambda t: bump((t - 0.5) / 0.3)
+                                           + bump((t + 0.5) / 0.3),
+                                           Grid1D.uniform(0.05, 1.0))
+
+
+@pytest.mark.parametrize("d", [2.5, 2.9, 2.0, True, math.nan, 0])
+@pytest.mark.parametrize("call", [
+    lambda d: weighted_lp_norm(_DIM_PROFILE, 2, d),
+    lambda d: sphere_area(d),
+    lambda d: _DIM_PROFILE.restrict_dim(d),
+    lambda d: radial_gradient_identity_check(_DIM_PROFILE, 1, d, n_grid=21),
+    lambda d: RadialGridField(d, _DIM_PROFILE)],
+    ids=["weighted_lp_norm", "sphere_area", "dim_context",
+         "radial_gradient_identity_check", "RadialGridField"])
+def test_every_dimension_is_an_integer(call, d):
+    # int(d) would run 2.5 and 2.9 as d = 2 and True as d = 1; a Python or
+    # numpy integer gives the same value
+    assert call(2) == call(np.int64(2))
+    with pytest.raises(InvalidParameterError, match="d must be an integer >= 1"):
+        call(d)
 
 
 class TestGradientIdentity:

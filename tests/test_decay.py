@@ -131,10 +131,6 @@ class TestSurrogateNorm:
 
 
 class TestDecay2:
-    def test_exact_witness_cancellation(self):
-        rep = check_decay2(SpaceParams(0.75, 2.0, 2.0, 2), r_range=range(2, 8))
-        assert float(rep.upper_ratios.max()) <= 1.0 + 1e-12
-
     def test_fitted_exponent(self):
         rep = check_decay2(SpaceParams(0.75, 2.0, 2.0, 2), r_range=range(2, 11))
         assert abs(rep.fitted_exponent - rep.expected_exponent) <= 0.05

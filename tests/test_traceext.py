@@ -4,7 +4,7 @@ import pytest
 from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile
 from radialfs.errors import InvalidParameterError
-from radialfs.traceext import cm_norm, extend, trace
+from radialfs.traceext import extend, trace
 
 
 def bump_profile(grid=None, d=2):
@@ -41,47 +41,3 @@ class TestRoundTrips:
         f = extend(g, 2)
         pts = np.column_stack([grid.nodes, np.zeros_like(grid.nodes)])
         assert np.allclose(f(pts), grid.nodes ** 2)
-
-
-class TestCmNorm:
-    def test_template_sup_norm(self):
-        grid = Grid1D.uniform(1e-3, 1.5)
-        g = RadialProfile.from_callable(bump, grid)
-        assert cm_norm(g, 0) == pytest.approx(1.0)
-
-    def test_quadratic_m1(self):
-        grid = Grid1D.uniform(1e-3, 1.0)
-        g = RadialProfile.from_callable(lambda t: t ** 2, grid)
-        # sup|g| = 1, sup|g'| = 2 on [-1, 1]
-        assert cm_norm(g, 1) == pytest.approx(3.0, rel=1e-3)
-
-    def test_trace_inequality_every_field(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            c = rng.uniform(0.5, 1.5)
-            w = rng.uniform(0.3, 1.0)
-            grid = Grid1D.uniform(1e-3, 3.0)
-            g = RadialProfile.from_callable(
-                lambda t, c=c, w=w: bump((t - c) / w) + bump((t + c) / w),
-                grid, d=3)
-            f = extend(g, 3)
-            for m in (0, 1, 2):
-                assert cm_norm(g, m) <= cm_norm(f, m) * (1 + 1e-12)
-
-    def test_extension_bound_frozen_corpus_constant(self):
-        # ||ext g|C^m|| <= C_m ||g|C^m||; C_m frozen from the smooth corpus
-        rng = np.random.default_rng(9)
-        worst = {0: 0.0, 1: 0.0, 2: 0.0}
-        for _ in range(10):
-            c = rng.uniform(0.4, 1.6)
-            w = rng.uniform(0.3, 1.0)
-            grid = Grid1D.uniform(1e-3, 3.0)
-            g = RadialProfile.from_callable(
-                lambda t, c=c, w=w: bump((t - c) / w) + bump((t + c) / w),
-                grid, d=3)
-            f = extend(g, 3)
-            for m in worst:
-                worst[m] = max(worst[m], cm_norm(f, m) / cm_norm(g, m))
-        assert worst[0] == pytest.approx(1.0, rel=1e-12)
-        assert 1.0 <= worst[1] <= 3.2     # frozen: d sup|g'| vs sup|g'|
-        assert 1.0 <= worst[2] <= 9.0     # frozen from the corpus run
