@@ -62,7 +62,14 @@ def psi_cutoff(t):
 def annulus_shape(t):
     """Even C^inf shape with support [-2,-1/2] u [1/2,2] and value 1 at |t| = 1.
 
-    Plateau equal to 1 on 0.75 <= |t| <= 1.5.
+    Plateau equal to 1 on 0.75 <= |t| <= 1.5.  The product of the two
+    smoothsteps is evaluated only where ~(|t| >= 2) (NaN stays NaN); from
+    |t| = 2 on the outer one is exactly 0, and so is the shape.  A scalar
+    gives a scalar.
     """
     t = np.abs(np.asarray(t, dtype=float))
-    return smoothstep((t - 0.5) / 0.25) * smoothstep((2.0 - t) / 0.5)
+    out = np.zeros_like(t)
+    inside = ~(t >= 2.0)
+    ti = t[inside]
+    out[inside] = smoothstep((ti - 0.5) / 0.25) * smoothstep((2.0 - ti) / 0.5)
+    return out[()]

@@ -129,8 +129,19 @@ class RadialProfile:
     @staticmethod
     def from_callable(f: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
                       d: Optional[int] = None) -> "RadialProfile":
-        """Sample ``f`` at |nodes| (evaluation through |t| keeps evenness exact)."""
-        vals = np.asarray(f(np.abs(grid.nodes)), dtype=float)
+        """Sample ``f`` on the half line and mirror it.
+
+        ``f`` is called once, on ``np.abs(nodes[n // 2:])``: the nodes t >= 0
+        (a -0.0 middle node reaches it as +0.0).  The grid is closed under
+        negation, so the mirrored samples are those of ``f(np.abs(nodes))``,
+        for an odd or an even node count, at half the evaluations.  ``f``
+        must return one value per node it is given.
+        """
+        nodes = grid.nodes
+        half = np.asarray(f(np.abs(nodes[nodes.size // 2:])), dtype=float)
+        if half.shape != (nodes.size - nodes.size // 2,):
+            raise InvalidParameterError("values must align with grid nodes")
+        vals = np.concatenate([half[nodes.size % 2:][::-1], half])
         return RadialProfile(grid, vals, dim_context=d)
 
     def __call__(self, t):

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bump import bump
 from .core import Grid1D, RadialProfile
-from .decompose import tb_norm, tf_norm
+from .covering import AtomSpec
+from .decompose import decompose_profile, tb_norm, tf_norm
 from .errors import ConfigError, InvalidParameterError, OutOfHypothesisError
 from .families import make_f_alpha_sigma, make_f_j_lambda
 from .spaces import (ParamRegion, SpaceParams, fig1_region, fig2_region,
@@ -110,19 +111,19 @@ class Decay4Report:
     upper_band: float
 
 
-def _decay4_upper_corpus(d: int, p: float):
-    """Fixed witness corpus for the upper-bound direction of the decay law."""
+# The upper route's bump train: amplitudes |c_m|^{-(d-1)/p} at these centres.
+UPPER_TRAIN_CENTERS = tuple(1.5 * 2.0 ** m for m in range(1, 6))
+
+
+def _decay4_upper_shared() -> List[RadialProfile]:
+    """The upper route's witnesses other than the bump train: f_{1,7},
+    f_{1,31} and a ring at radius 3, the same for every (d, p)."""
     corpus = []
-    train = bump_train((d - 1) / p, [1.5 * 2.0 ** m for m in range(1, 6)])
-    corpus.append(("bump-train", train))
     for lam in (7.0, 31.0):
-        fam = make_f_j_lambda(1, lam)
         grid = Grid1D.uniform(2.0 ** -10, (lam + 2.5) / 2.0)
-        corpus.append((f"f_1_{lam:g}", fam.profile(grid, d=d)))
-    ring = RadialProfile.from_callable(
-        lambda t: bump((np.abs(t) - 3.0) / 0.5),
-        Grid1D.uniform(2.0 ** -10, 4.0), d=d)
-    corpus.append(("ring-3", ring))
+        corpus.append(make_f_j_lambda(1, lam).profile(grid))
+    corpus.append(RadialProfile.from_callable(
+        lambda t: bump((np.abs(t) - 3.0) / 0.5), Grid1D.uniform(2.0 ** -10, 4.0)))
     return corpus
 
 
@@ -134,42 +135,84 @@ def _far_weighted_sup(prof: RadialProfile, d: int, p: float) -> float:
                         initial=0.0))
 
 
-def check_decay4(params: SpaceParams,
-                 radii: Optional[Sequence[float]] = None) -> Decay4Report:
-    """Both routes of the decay rate (d-1)/p at infinity.
+def _common_spec(cells: Sequence[SpaceParams]) -> AtomSpec:
+    """Atom orders admissible for every cell: the largest L and M of the
+    cells' least admissible specs (B or F by each cell's scale)."""
+    specs = [AtomSpec.b_admissible(c.s, c.p, c.d) if c.scale == "B"
+             else AtomSpec.f_admissible(c.s, c.p, c.q, c.d) for c in cells]
+    return AtomSpec(max(sp.L for sp in specs), max(sp.M for sp in specs),
+                    specs[0].s, specs[0].p)
+
+
+def check_decay4(cells: Sequence[SpaceParams],
+                 radii: Optional[Sequence[float]] = None) -> List[Decay4Report]:
+    """Both routes of the decay rate (d-1)/p at infinity, one report per cell.
 
     Lower route: for each |x| = 2^r the witness is 2^{-r(d-1)/p} f_{1,lambda}
     with lambda = 2|x| - 1, which takes the value 1 at |x|; the ratio is
     |x|^{(d-1)/p} |f(x)| over the witness's surrogate norm, and one constant
     must serve all radii (band = max/min).  Upper route: over a fixed
-    witness corpus, the sup of |x|^{(d-1)/p} |f(x)| on |x| >= 1 divided by
-    the surrogate norm stays within one bracket.  Every surrogate norm
-    decomposes at J = 8.
+    witness corpus (a bump train of amplitudes |c_m|^{-(d-1)/p}, f_{1,7},
+    f_{1,31} and a ring at radius 3), the sup of |x|^{(d-1)/p} |f(x)| on
+    |x| >= 1 divided by the surrogate norm stays within one bracket.
+
+    Every cell must lie in U(A); the check raises before any work otherwise.
+    Each distinct witness is sampled and decomposed once, at J = 8, with atom
+    orders admissible for every cell (the spline coefficients depend on
+    neither d nor p), and each cell takes its ``tb_norm``/``tf_norm`` from
+    that decomposition: the lower route's witnesses and three of the upper
+    corpus serve every cell, and one bump train serves every cell of the same
+    (d-1)/p.  Each report is the same floats as a one-cell call.
     """
-    if not in_U(params):
-        raise OutOfHypothesisError("decay rate (d-1)/p requires (s,p,q) in U(A)")
+    cells = list(cells)
+    if not cells:
+        raise InvalidParameterError("check_decay4 needs at least one cell")
+    for params in cells:
+        if not in_U(params):
+            raise OutOfHypothesisError(
+                f"decay rate (d-1)/p requires (s,p,q) in U(A), got {params}")
     if radii is None:
         radii = [2.0 ** r for r in range(2, 9)]
-    d, p = params.d, params.p
-    ratios = []
+    spec = _common_spec(cells)
+
+    def norms(prof: RadialProfile, which: Sequence[int]) -> Dict[int, float]:
+        """The norm of prof for each cell index in ``which``, all from one
+        decomposition; its residual at J, which no norm reads, is measured
+        in the first cell's d and p."""
+        dec = decompose_profile(prof.restrict_dim(cells[0].d), spec, J=8,
+                                raise_on_stall=False, track_history=False)
+        return {i: (tb_norm if cells[i].scale == "B" else tf_norm)(
+                    prof, cells[i], decomposition=dec) for i in which}
+
+    every = range(len(cells))
+    lower = []                   # (R, witness value at R, norm per cell)
     for R in radii:
         lam = 2.0 * R - 1.0
         fam = make_f_j_lambda(1, lam)
         grid = Grid1D.uniform(max(2.0 ** -11, R / 4096.0), (lam + 2.5) / 2.0)
-        prof = fam.profile(grid, d=d)
         value_at_R = float(fam(np.array([R]))[0])
-        nrm = _surrogate_norm(prof, params, J=8)
-        ratios.append(R ** ((d - 1) / p) * value_at_R / nrm)
-    ratios = np.asarray(ratios)
+        lower.append((R, value_at_R, norms(fam.profile(grid), every)))
 
-    upper = []
-    for _, prof in _decay4_upper_corpus(d, p):
-        nrm = _surrogate_norm(prof.restrict_dim(d), params, J=8)
-        upper.append(_far_weighted_sup(prof, d, p) / nrm)
-    upper = np.asarray(upper)
-    return Decay4Report(np.asarray(list(radii), dtype=float), ratios,
-                        float(ratios.max() / ratios.min()),
-                        upper, float(upper.max() / upper.min()))
+    shared = [(prof, norms(prof, every)) for prof in _decay4_upper_shared()]
+    by_exponent: Dict[float, List[int]] = {}
+    for i, c in enumerate(cells):
+        by_exponent.setdefault((c.d - 1) / c.p, []).append(i)
+    trains = {}                  # (d-1)/p -> (bump train, norm per cell of it)
+    for a, which in by_exponent.items():
+        train = bump_train(a, UPPER_TRAIN_CENTERS)
+        trains[a] = (train, norms(train, which))
+
+    reports = []
+    for i, c in enumerate(cells):
+        d, p = c.d, c.p
+        ratios = np.asarray([R ** ((d - 1) / p) * value / nrm[i]
+                             for R, value, nrm in lower])
+        upper = np.asarray([_far_weighted_sup(prof, d, p) / nrm[i]
+                            for prof, nrm in [trains[(d - 1) / p]] + shared])
+        reports.append(Decay4Report(np.asarray(list(radii), dtype=float), ratios,
+                                    float(ratios.max() / ratios.min()),
+                                    upper, float(upper.max() / upper.min())))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,12 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Pa
 
 def _j_lambda_sweep(h: float, T: float, norm: Callable[[RadialProfile], float]):
     """Rows (j, lambda, norm) of f_{j,16}, j = 3..8, and f_{5,lambda}, lambda =
-    4..64, at d = 2 on the grid of step h over [0, T]; and the slopes of log2
-    norm against j and against log2 lambda."""
+    4..64, at d = 2 on the grid of step h over [-T, T], built once for all
+    eleven profiles; and the slopes of log2 norm against j and against log2
+    lambda."""
     js, lams = list(range(3, 9)), [4.0, 8.0, 16.0, 32.0, 64.0]
-    rows = [(j, lam, norm(make_f_j_lambda(j, lam).profile(Grid1D.uniform(h, T), d=2)))
+    grid = Grid1D.uniform(h, T)
+    rows = [(j, lam, norm(make_f_j_lambda(j, lam).profile(grid, d=2)))
             for j, lam in [(j, 16.0) for j in js] + [(5, lam) for lam in lams]]
     norms = [v for _, _, v in rows]
     slope_j = float(np.polyfit(js, np.log2(norms[:len(js)]), 1)[0])
@@ -187,20 +189,20 @@ UPPER_ROUTE_BRACKETS = {1.0: (0.22, 6.0), 2.0: (0.45, 3.0)}
 
 def _exp_decay_infinity(cfg: ExperimentConfig) -> Outcome:
     assertions, rows = [], []
-    for d in (2, 3):
-        for p in (1.0, 2.0):
-            rep = check_decay4(SpaceParams(1.0 / p, p, 1.0, d),
-                               radii=[2.0 ** r for r in range(2, 9)])
-            for r, v in zip(rep.radii, rep.ratios):
-                rows.append((d, p, r, v))
-            assertions.append(Assertion(f"ratio_band_d{d}_p{p:g}", rep.band,
-                                        "<=", 4.0, "frozen-baseline"))
-            c_max, band_max = UPPER_ROUTE_BRACKETS[p]
-            assertions.append(Assertion(f"upper_band_d{d}_p{p:g}", rep.upper_band,
-                                        "<=", band_max, "frozen-baseline"))
-            assertions.append(Assertion(f"upper_ratio_max_d{d}_p{p:g}",
-                                        float(rep.upper_ratios.max()), "<=", c_max,
-                                        "frozen-baseline"))
+    cells = [(d, p) for d in (2, 3) for p in (1.0, 2.0)]
+    reports = check_decay4([SpaceParams(1.0 / p, p, 1.0, d) for d, p in cells],
+                           radii=[2.0 ** r for r in range(2, 9)])
+    for (d, p), rep in zip(cells, reports):
+        for r, v in zip(rep.radii, rep.ratios):
+            rows.append((d, p, r, v))
+        assertions.append(Assertion(f"ratio_band_d{d}_p{p:g}", rep.band,
+                                    "<=", 4.0, "frozen-baseline"))
+        c_max, band_max = UPPER_ROUTE_BRACKETS[p]
+        assertions.append(Assertion(f"upper_band_d{d}_p{p:g}", rep.upper_band,
+                                    "<=", band_max, "frozen-baseline"))
+        assertions.append(Assertion(f"upper_ratio_max_d{d}_p{p:g}",
+                                    float(rep.upper_ratios.max()), "<=", c_max,
+                                    "frozen-baseline"))
     return Outcome(assertions, ("d", "p", "radius", "ratio"), rows)
 
 
@@ -328,13 +330,22 @@ def _exp_spherical_mean(cfg: ExperimentConfig) -> Outcome:
     ], ("level", "scaled_sum", "count", "max_coeff"), rows)
 
 
+# sobolev-reduction's bump pairs bump((r - c)/w) + bump((r + c)/w) as (c, w);
+# c > w, so the bump at -c is exactly 0 on r >= 0
+SOBOLEV_SHAPES = ((1.2, 0.8), (0.9, 0.35))
+
+
+def _sobolev_evaluator(c: float, w: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The bump pair of centre c and width w on radii r >= 0, where it is the
+    one bump at +c alone; the gradient oracle evaluates it only there."""
+    return lambda r: bump((np.asarray(r, float) - c) / w)
+
+
 def _exp_sobolev_reduction(cfg: ExperimentConfig) -> Outcome:
-    ps, shapes, ratio = (1.0, 2.0), ((1.2, 0.8), (0.9, 0.35)), {}
+    ps, ratio = (1.0, 2.0), {}
     for d in (2, 3):
-        for (c, w) in shapes:
-            ev = (lambda c=c, w=w: lambda r:
-                  bump((np.asarray(r, float) - c) / w)
-                  + bump((np.asarray(r, float) + c) / w))()
+        for (c, w) in SOBOLEV_SHAPES:
+            ev = _sobolev_evaluator(c, w)
             prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w),
                                                d=d)
             # one gradient field per (d, c, w), reduced for every p
@@ -342,7 +353,7 @@ def _exp_sobolev_reduction(cfg: ExperimentConfig) -> Outcome:
             for p, rep in zip(ps, reps):
                 ratio[d, p, c, w] = rep.ratio
     rows = [(d, p, c, w, ratio[d, p, c, w])
-            for d in (2, 3) for p in ps for (c, w) in shapes]
+            for d in (2, 3) for p in ps for (c, w) in SOBOLEV_SHAPES]
     worst = max(abs(row[-1] - 1.0) for row in rows)
     return Outcome([
         Assertion("gradient_identity_max_rel_err", worst, "<=", 1e-4,

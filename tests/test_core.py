@@ -10,6 +10,7 @@ from radialfs.core import (Grid1D, RadialProfile, _gradient_identity_reports,
                            radial_gradient_identity_check, sphere_area,
                            weighted_lp_norm)
 from radialfs.errors import EvennessError, InvalidParameterError
+from radialfs.experiments import SOBOLEV_SHAPES, _sobolev_evaluator
 from radialfs.traceext import RadialGridField
 
 
@@ -41,6 +42,49 @@ class TestGrid1D:
         spacing = lambda t: float(np.diff(g.nodes)[np.searchsorted(g.nodes, t) - 1])
         assert spacing(2.0 ** -8) < 2.0 ** -8
         assert spacing(3.0) == pytest.approx(0.05)
+
+
+class TestFromCallable:
+    GRIDS = {
+        "uniform": Grid1D.uniform(0.01, 1.5),
+        "composite": Grid1D.composite(J=4, h=0.1, T=2.0),
+        "even-count": Grid1D(np.array([-1.7, -0.9, -0.3, -0.05, 0.05, 0.3, 0.9, 1.7])),
+    }
+
+    @staticmethod
+    def _f(t):
+        return bump((t - 0.6) / 0.5) + np.exp(-t) * np.cos(3.0 * t)
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_one_call_on_the_half_line_equals_the_full_grid(self, name):
+        grid = self.GRIDS[name]
+        n = grid.nodes.size
+        calls = []
+
+        def f(t):
+            calls.append(t.copy())
+            return self._f(t)
+
+        prof = RadialProfile.from_callable(f, grid, d=2)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == np.abs(grid.nodes[n // 2:]).tobytes()
+        assert not np.any(np.signbit(calls[0]))
+        assert prof.values.tobytes() == self._f(np.abs(grid.nodes)).tobytes()
+        assert prof.dim_context == 2
+
+    def test_negative_zero_middle_node_arrives_as_positive_zero(self):
+        grid = Grid1D(np.array([-1.0, -0.0, 1.0]))
+        seen = []
+        RadialProfile.from_callable(lambda t: seen.append(t.copy()) or 1.0 + t, grid)
+        assert seen[0].tobytes() == np.array([0.0, 1.0]).tobytes()
+
+    @pytest.mark.parametrize("f", [lambda t: 1.0, lambda t: t[:-1],
+                                   lambda t: np.concatenate([t, t]),
+                                   lambda t: t[:, None]],
+                             ids=["scalar", "short", "doubled", "column"])
+    def test_misshapen_result_raises(self, f):
+        with pytest.raises(InvalidParameterError):
+            RadialProfile.from_callable(f, self.GRIDS["uniform"])
 
 
 class TestWeightedLpNorm:
@@ -278,3 +322,25 @@ class TestGradientIdentity:
         prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w), d=3)
         rep = radial_gradient_identity_check(prof, 1, 3, evaluator=ev, n_grid=16)
         assert abs(rep.ratio - 1.0) > 1e-2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("c, w", SOBOLEV_SHAPES)
+def test_sobolev_evaluator_is_the_bump_pair_on_the_oracles_radii(c, w, d):
+    # sobolev-reduction drops the bump at -c; that is exact only while every
+    # radius the oracle evaluates, r >= 0, keeps (r + c)/w >= 1 (bump's
+    # support is open), so a shape with c < w fails here
+    one = _sobolev_evaluator(c, w)
+    compared = []
+
+    def ev(r):
+        r = np.asarray(r, float)
+        got = one(r)
+        pair = bump((r - c) / w) + bump((r + c) / w)
+        compared.append((r.size, got.tobytes() == pair.tobytes()))
+        return got
+
+    prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w), d=d)
+    _gradient_identity_reports(prof, (1.0, 2.0), d, evaluator=ev)
+    assert sum(size for size, _ in compared) > prof.grid.nodes.size
+    assert all(same for _, same in compared)

@@ -5,12 +5,16 @@ import pytest
 
 from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile
-from radialfs.decay import (_decay4_upper_corpus, _far_weighted_sup,
-                            _surrogate_norm, bump_train, check_decay2,
-                            check_decay4, check_lim1, classification_table,
-                            fit_decay_exponent, fit_loglog)
+import radialfs.decay as decay_module
+import radialfs.decompose as decompose_module
+from radialfs.decay import (UPPER_TRAIN_CENTERS, _decay4_upper_shared,
+                            _far_weighted_sup, _surrogate_norm, bump_train,
+                            check_decay2, check_decay4, check_lim1,
+                            classification_table, fit_decay_exponent,
+                            fit_loglog)
 from radialfs.errors import InvalidParameterError, OutOfHypothesisError
-from radialfs.experiments import UPPER_ROUTE_BRACKETS
+from radialfs.experiments import (UPPER_ROUTE_BRACKETS, ExperimentConfig,
+                                  run_experiment)
 from radialfs.families import make_f_alpha_sigma
 from radialfs.spaces import SpaceParams, fig2_region
 
@@ -49,14 +53,44 @@ class TestFitDecay:
             fit_loglog([1.0, 2.0], [1.0, 0.0])
 
 
+def _count_decompositions(monkeypatch):
+    """Count every decompose_profile call, through decay or through the norms."""
+    calls = []
+    original = decompose_module.decompose_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decompose_module, "decompose_profile", counted)
+    monkeypatch.setattr(decay_module, "decompose_profile", counted)
+    return calls
+
+
+def _same_report(a, b):
+    return (np.array_equal(a.radii, b.radii) and np.array_equal(a.ratios, b.ratios)
+            and a.band == b.band and a.upper_band == b.upper_band
+            and np.array_equal(a.upper_ratios, b.upper_ratios))
+
+
 class TestDecay4:
     def test_out_of_hypothesis_raises(self):
         with pytest.raises(OutOfHypothesisError):
-            check_decay4(SpaceParams(0.2, 2.0, 2.0, 2))
+            check_decay4([SpaceParams(0.2, 2.0, 2.0, 2)])
+
+    def test_out_of_hypothesis_cell_raises_before_any_decomposition(self, monkeypatch):
+        calls = _count_decompositions(monkeypatch)
+        with pytest.raises(OutOfHypothesisError):
+            check_decay4([SpaceParams(0.5, 2.0, 1.0, 2), SpaceParams(0.2, 2.0, 2.0, 2)])
+        assert calls == []
+
+    def test_no_cell_raises(self):
+        with pytest.raises(InvalidParameterError):
+            check_decay4([])
 
     def test_ratio_band_scale_stable(self):
-        rep = check_decay4(SpaceParams(0.5, 2.0, 1.0, 2),
-                           radii=[4.0, 16.0, 64.0, 256.0])
+        rep, = check_decay4([SpaceParams(0.5, 2.0, 1.0, 2)],
+                            radii=[4.0, 16.0, 64.0, 256.0])
         # the constant is scale stable: two decades change it by <= factor 4
         assert rep.band <= 4.0
 
@@ -64,23 +98,52 @@ class TestDecay4:
         # sup_{|x|>=1} |x|^{(d-1)/p} |f| / norm over the fixed corpus stays
         # inside decay-infinity's frozen brackets: largest ratio and band
         # 0.180 and 4.87 at p = 1, 0.370 and 2.22 at p = 2
-        for d in (2, 3):
-            for p, (c_max, band_max) in UPPER_ROUTE_BRACKETS.items():
-                rep = check_decay4(SpaceParams(1.0 / p, p, 1.0, d),
-                                   radii=[4.0, 16.0, 64.0])
-                assert float(rep.upper_ratios.max()) <= c_max
-                assert rep.upper_band <= band_max
+        cells = [(d, p) for d in (2, 3) for p in UPPER_ROUTE_BRACKETS]
+        reports = check_decay4([SpaceParams(1.0 / p, p, 1.0, d) for d, p in cells],
+                               radii=[4.0, 16.0, 64.0])
+        for (d, p), rep in zip(cells, reports):
+            c_max, band_max = UPPER_ROUTE_BRACKETS[p]
+            assert float(rep.upper_ratios.max()) <= c_max
+            assert rep.upper_band <= band_max
+
+    def test_each_cell_equals_its_one_cell_call(self):
+        # B and F cells, two dimensions and three values of (d-1)/p: one
+        # decomposition per witness gives every cell the floats of its own call
+        cells = [SpaceParams(1.0, 1.0, 1.0, 2), SpaceParams(0.5, 2.0, 1.0, 3),
+                 SpaceParams(0.75, 2.0, 2.0, 2, "F"), SpaceParams(1.0, 1.0, 1.0, 3, "F"),
+                 SpaceParams(0.75, 2.0, 1.0, 2)]
+        radii = [4.0, 16.0, 64.0]
+        reports = check_decay4(cells, radii=radii)
+        assert len(reports) == len(cells)
+        for params, rep in zip(cells, reports):
+            alone, = check_decay4([params], radii=radii)
+            assert _same_report(rep, alone), params
+
+    def test_one_decomposition_per_distinct_witness(self, monkeypatch, tmp_path):
+        # decay-infinity's four cells: 7 lower-route witnesses, f_{1,7},
+        # f_{1,31}, the ring, and one bump train per (d-1)/p in {1, 1/2, 2};
+        # and 11 norms per cell: 7 lower-route witnesses and 4 upper ones
+        calls = _count_decompositions(monkeypatch)
+        norms = []
+        original = decay_module.tb_norm
+        monkeypatch.setattr(decay_module, "tb_norm",
+                            lambda *a, **k: norms.append(a[1]) or original(*a, **k))
+        assert run_experiment(ExperimentConfig("decay-infinity",
+                                               output_dir=tmp_path)).passed
+        assert len(calls) == 13
+        assert len(norms) == 44 and len(set(norms)) == 4
 
     @pytest.mark.parametrize("d, band", [(2, 4.909), (3, 4.408)])
     def test_upper_band_settles_in_J(self, d, band):
         # at p = 1 the band reads 4.905 -> 4.909 (d = 2) and 4.404 -> 4.408
         # (d = 3) from J = 10 to J = 12
         params = SpaceParams(1.0, 1.0, 1.0, d)
+        corpus = [bump_train(d - 1.0, UPPER_TRAIN_CENTERS)] + _decay4_upper_shared()
         bands = []
         for J in (10, 12):
             upper = [_far_weighted_sup(prof, d, 1.0)
                      / _surrogate_norm(prof.restrict_dim(d), params, J=J)
-                     for _, prof in _decay4_upper_corpus(d, 1.0)]
+                     for prof in corpus]
             bands.append(max(upper) / min(upper))
         assert bands[1] == pytest.approx(band, abs=1e-3)
         assert abs(bands[1] / bands[0] - 1.0) < 0.05
