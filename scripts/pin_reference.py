@@ -9,7 +9,8 @@ summary row: assertion name, measured value as float.hex, kind, threshold
 and provenance.  The corpus holds values no summary reads, at fixed inputs
 and seeds (``corpus``): the atomic norms ``tb_norm``/``tf_norm`` with
 p != q, the sequence norms on random coefficient grids with p != q, and
-the FFT norm ``lp_besov_norm_1d`` at p in {1, 1.5, 2, inf} with q >= 1.
+the FFT norm ``lp_besov_norm_1d`` at p in {1, 1.5, 2, inf} with q >= 1,
+and both sides of the tensor gradient oracle (``gradient_oracle``).
 tests/test_acceptance.py compares every default-option run and the corpus
 with these files.  Nothing is written unless every assertion passes.
 Before writing, it prints each row whose measured value differs from the
@@ -26,11 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from radialfs import (CoefficientGrid, Grid1D, SpaceParams, lp_besov_norm_1d,
-                      make_f_j_lambda, seq_norm_bspqd, seq_norm_fspqd,
-                      tb_norm, tf_norm)
+from radialfs import (CoefficientGrid, Grid1D, RadialProfile, SpaceParams,
+                      lp_besov_norm_1d, make_f_j_lambda, seq_norm_bspqd,
+                      seq_norm_fspqd, tb_norm, tf_norm)
+from radialfs.bump import bump
+from radialfs.core import _gradient_identity_reports
 from radialfs.cli import main as radialfs_main
-from radialfs.experiments import REGISTRY, ExperimentConfig
+from radialfs.experiments import (REGISTRY, SOBOLEV_SHAPES, ExperimentConfig,
+                                  _sobolev_evaluator)
 
 DEFAULT = Path(__file__).resolve().parent.parent / "tests" / "reference" / "summaries.json"
 INF = float("inf")
@@ -40,7 +44,8 @@ def corpus():
     """{route: [(case, value)]}: the values no summary reads.  The profiles
     are f_{j,lambda} for (j, lambda) in {(3, 4), (4, 8)} with d = 2 on a
     2^-10 grid over [-2, 2]; the coefficient grids are
-    ``CoefficientGrid.random`` at seeds 1..3 with J = 6, K = 48."""
+    ``CoefficientGrid.random`` at seeds 1..3 with J = 6, K = 48.  The
+    gradient oracle's cases are listed in ``gradient_oracle_cases``."""
     grid = Grid1D.uniform(2.0 ** -10, 2.0)
     profiles = [(f"f_{j}_{lam:g}", make_f_j_lambda(j, lam).profile(grid, d=2))
                 for j, lam in ((3, 4.0), (4, 8.0))]
@@ -71,6 +76,39 @@ def corpus():
         case = f"seed={seed} s=0.4 p=inf q=2 d=2"
         out["seq_norm_bspqd"].append(
             (case, seq_norm_bspqd(c, SpaceParams(0.4, INF, 2.0, 2))))
+    out["gradient_oracle"] = gradient_oracle_cases()
+    return out
+
+
+def gradient_oracle_cases():
+    """[(case, value)]: lhs_tensor and rhs_radial of the tensor gradient
+    oracle on profiles whose nonzero shell differs: sobolev-reduction's bump
+    pairs at the default n_grid with their evaluator (the (0.9, 0.35) pair
+    vanishes near the origin too), a bump pair on its own piecewise-linear
+    interpolation (evaluator None) at odd and even n_grid, the cone
+    max(0, 1 - r), and a Gaussian, nonzero on the whole grid."""
+    pair = lambda r: bump((r - 1.0) / 0.7) + bump((r + 1.0) / 0.7)
+    cone = lambda r: np.maximum(0.0, 1.0 - np.asarray(r, float))
+    gauss = lambda r: np.exp(-np.asarray(r, float) ** 2)
+    cases = [(f"c={c:g} w={w:g}", _sobolev_evaluator(c, w), True,
+              Grid1D.uniform(5e-4, c + 2 * w), d, None, (1.0, 2.0))
+             for d in (2, 3) for c, w in SOBOLEV_SHAPES]
+    cases += [("bump pair", pair, False, Grid1D.uniform(0.01, 2.0), d, n, (2.0,))
+              for d in (2, 3) for n in (40, 41)]
+    cases += [("cone", cone, True, Grid1D.uniform(2e-4, 1.3), 3, 200, (1.0,)),
+              ("gaussian", gauss, True, Grid1D.uniform(5e-4, 3.0), 2, 301, (1.5,)),
+              ("gaussian", gauss, True, Grid1D.uniform(5e-4, 3.0), 3, 61, (1.0, 1.5))]
+    out = []
+    for name, f, with_evaluator, grid, d, n_grid, ps in cases:
+        prof = RadialProfile.from_callable(f, grid, d=d)
+        reps = _gradient_identity_reports(prof, ps, d,
+                                          evaluator=f if with_evaluator else None,
+                                          n_grid=n_grid)
+        for p, rep in zip(ps, reps):
+            case = (f"{name} evaluator={with_evaluator} d={d} "
+                    f"n_grid={n_grid or 'default'} p={p:g}")
+            out += [(f"{case} lhs_tensor", rep.lhs_tensor),
+                    (f"{case} rhs_radial", rep.rhs_radial)]
     return out
 
 
