@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+# the most nodes the tensor gradient oracle evaluates in one pass, unless
+# one block of whole x_1-slabs holds more
+_RUN_NODES = 1 << 16
+
+
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^d (omega_{d-1} = 2 pi^{d/2}/Gamma(d/2))."""
     _check_dim(d)
@@ -247,11 +252,34 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: Optional[int] 
 
     ``n_grid`` keeps its meaning of nodes per full axis.  The (d - 1)-index
     chamber of x_2..x_d is built once, sorted by its leading index, so the
-    nodes under x_1 = half[i] are its prefix with leading index <= i.  Each
-    step evaluates a block of whole x_1-slabs holding at most n_grid^(d-1)
-    nodes, the size of one slab of the full cube; the working set is a few
-    arrays of that many doubles (0.46 MB each at the d = 3 default
-    n_grid = 240) and the whole chamber is never held at once.
+    nodes under x_1 = half[i] are its prefix with leading index <= i.
+
+    Only the live chamber nodes are evaluated, 2d radii each.  On t >= 0
+    let R_out be the node after g's last nonzero sample (infinite when that
+    sample is at the last node) and R_in the node before its first nonzero
+    sample (none when that sample is at t = 0, or at the first node of an
+    even grid).  A node is live when
+    (R_in - 2 fd_step)^2 < |x|^2 < (R_out + 2 fd_step)^2, the inner bound
+    applying only when R_in - 2 fd_step > 0.  Every stencil radius of a dead
+    node is >= |x| - fd_step >= R_out + fd_step or <= R_in - fd_step, where
+    f is exactly 0, so each of its difference quotients is 0 and its term
+    is +0.0; the fd_step to spare covers the rounding of |x|^2 and of the
+    radii.  The shell trusts g's samples to place the zeros of
+    ``evaluator`` just as T does, T being 1.05 times the largest |t| with
+    |g(t)| > 1e-13 max|g|, plus 0.25; it reads exact zeros, so tails below
+    that threshold are still evaluated.  ``evaluator`` must act elementwise,
+    as it is called on the live radii only.
+
+    The floats are those of evaluating every chamber node.  np.sum reduces
+    blocks of whole x_1-slabs holding at most n_grid^(d-1) nodes, the size
+    of one slab of the full cube, and each dead node's +0.0 keeps its place
+    in its block, so each block sum is unchanged; blocks of slabs with
+    x_1 >= R_out + 2 fd_step hold only dead nodes and are skipped.
+    Consecutive blocks of at most 2^16 nodes in all (or one larger block)
+    form a run, whose live nodes are found and evaluated in one pass.  The
+    working set is a few arrays of one run (0.46 MB each at the d = 3
+    default n_grid = 240, where a run is one block of at most 57600 nodes)
+    and the whole chamber is never held at once.
     """
     return _gradient_identity_reports(g, (p,), d, evaluator, n_grid, fd_step)[0]
 
@@ -285,9 +313,11 @@ def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...],
     rhs = [(sphere_area(d) / 2.0) ** (1.0 / p) * weighted_lp_norm(gp, p, d)
            for p in ps]
 
-    support = np.abs(t[np.abs(g.values) > 1e-13])
+    # T from the samples above 1e-13 of the largest.  A zero profile leaves
+    # the tensor side 0, which agrees with the rhs only when that is 0 too.
+    support = np.abs(t[np.abs(g.values) > 1e-13 * np.max(np.abs(g.values))])
     if support.size == 0:
-        return [GradientIdentityReport(0.0, 0.0) for _ in ps]
+        return [GradientIdentityReport(0.0, r) for r in rhs]
     feval = evaluator if evaluator is not None else g
     T = float(support.max()) * 1.05 + 0.25
     full = np.linspace(-T, T, n_grid)
@@ -295,6 +325,17 @@ def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...],
     half = full[n_grid // 2:].copy()
     if n_grid % 2:
         half[0] = 0.0
+    sq_half = half ** 2
+
+    # the live shell lo2 < |x|^2 < hi2 from the exact zeros of g on t >= 0
+    vals, r_half = g.values[t.size // 2:], np.abs(t[t.size // 2:])
+    nonzero = np.flatnonzero(vals)
+    hi2 = math.inf
+    if nonzero[-1] + 1 < vals.size:
+        hi2 = (r_half[nonzero[-1] + 1] + 2.0 * fd_step) ** 2
+    lo2 = -math.inf
+    if nonzero[0] > 0 and r_half[nonzero[0] - 1] - 2.0 * fd_step > 0:
+        lo2 = (r_half[nonzero[0] - 1] - 2.0 * fd_step) ** 2
 
     # The (d - 1)-coordinate chamber of x_2..x_d as axis indices, sorted by
     # leading index, and what its rows bring to every block: coordinates,
@@ -313,18 +354,38 @@ def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...],
     w_tie = w_rest * _permutations(np.column_stack([lead_rest, rest]))
     w_free = w_rest * _permutations(np.column_stack([np.full_like(lead_rest, m), rest]))
     counts = np.searchsorted(lead_rest, np.arange(m), side="right")
-    cum = np.cumsum(counts)
+    # edge[i]: the chamber nodes before x_1-slab i
+    edge = np.concatenate([[0], np.cumsum(counts)])
+    # Blocks: whole x_1-slabs, at most cap nodes, at least one slab; each
+    # block is one np.sum.  Every node of the slabs from m_live on has
+    # |x|^2 >= x_1^2 >= hi2, so their blocks would add 0.0: none is built.
     cap = n_grid ** (d - 1)
-    totals, start, done = [0.0] * len(ps), 0, 0
-    while start < m:
-        # the whole x_1-slabs start..stop-1: at most cap nodes, at least one slab
-        stop = max(start + 1, int(np.searchsorted(cum, done + cap, side="right")))
-        sizes = counts[start:stop]
-        # chamber row of each block node: slab i takes rows 0..counts[i]-1
-        first = cum[start:stop] - sizes - done
-        row = np.arange(cum[stop - 1] - done) - np.repeat(first, sizes)
-        x1 = np.repeat(half[start:stop], sizes)
-        sq1 = x1 ** 2
+    m_live = int(np.searchsorted(sq_half, hi2, side="left"))
+    blocks = [0]
+    while blocks[-1] < m_live:
+        start = blocks[-1]
+        blocks.append(max(start + 1, int(np.searchsorted(edge, edge[start] + cap,
+                                                         side="right")) - 1))
+    # Runs: consecutive blocks of at most _RUN_NODES nodes in all (or one
+    # block), evaluated together; runs[j] indexes the block run j starts at.
+    runs = [0]
+    for i in range(1, len(blocks) - 1):
+        if edge[blocks[i + 1]] - edge[blocks[runs[-1]]] > _RUN_NODES:
+            runs.append(i)
+    runs.append(len(blocks) - 1)
+    totals = [0.0] * len(ps)
+    for first_block, end_block in zip(runs, runs[1:]):
+        start, stop = blocks[first_block], blocks[end_block]
+        # x_1-slab and chamber row of each run node: slab i takes rows
+        # 0..counts[i]-1
+        slab = np.repeat(np.arange(start, stop), counts[start:stop])
+        row = np.arange(slab.size) - (edge[slab] - edge[start])
+        r2 = sq_half[slab] + sum_rest[row]
+        live = np.flatnonzero((r2 > lo2) & (r2 < hi2))
+        if live.size == 0:
+            continue
+        slab, row = slab[live], row[live]
+        x1, sq1 = half[slab], sq_half[slab]
         grad_sq = 0.0
         for k in range(d):
             if k == 0:
@@ -334,11 +395,16 @@ def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...],
             dk = (feval(np.sqrt((xk + fd_step) ** 2 + other))
                   - feval(np.sqrt((xk - fd_step) ** 2 + other))) / (2.0 * fd_step)
             grad_sq = grad_sq + dk ** 2
-        weight = np.repeat(mirror[start:stop], sizes) * np.where(
+        weight = mirror[slab] * np.where(
             x1 == x_rest[row, 0], w_tie[row], w_free[row])
         grad = np.sqrt(grad_sq)
+        # dead nodes keep the +0.0 term the whole chamber gives them, so each
+        # block's np.sum adds the same floats in the same order
+        terms = np.zeros(r2.size)
+        cuts = edge[blocks[first_block:end_block + 1]] - edge[start]
         for i, p in enumerate(ps):
-            totals[i] += float(np.sum(weight * grad ** p))
-        start, done = stop, int(cum[stop - 1])
+            terms[live] = weight * grad ** p
+            for lo, hi in zip(cuts, cuts[1:]):
+                totals[i] += float(np.sum(terms[lo:hi]))
     return [GradientIdentityReport(float((total * h ** d) ** (1.0 / p)), float(r))
             for p, total, r in zip(ps, totals, rhs)]

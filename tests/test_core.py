@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from radialfs.bump import bump, psi_cutoff
-from radialfs.core import (Grid1D, RadialProfile, _gradient_identity_reports,
-                           radial_gradient_identity_check, sphere_area,
+from radialfs.core import (_RUN_NODES, Grid1D, RadialProfile, _gradient_identity_reports,
+                           _permutations, radial_gradient_identity_check, sphere_area,
                            weighted_lp_norm)
 from radialfs.errors import EvennessError, InvalidParameterError
 from radialfs.experiments import SOBOLEV_SHAPES, _sobolev_evaluator
@@ -195,6 +195,30 @@ class TestGradientIdentity:
         rep = radial_gradient_identity_check(prof, 1, 2)
         assert rep.ratio == 1.0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tiny_profile_keeps_its_ratio(self, d):
+        # the support threshold is relative to max |g|, so a bump scaled by
+        # 1e-14 keeps its tensor grid and its ratio
+        ev = lambda r: bump((np.asarray(r, float) - 0.9) / 0.35)
+        tiny = lambda r: 1e-14 * ev(r)
+        grid = Grid1D.uniform(5e-4, 1.6)
+        want = radial_gradient_identity_check(
+            RadialProfile.from_callable(ev, grid, d=d), 2, d, evaluator=ev, n_grid=60)
+        got = radial_gradient_identity_check(
+            RadialProfile.from_callable(tiny, grid, d=d), 2, d, evaluator=tiny, n_grid=60)
+        assert got.lhs_tensor > 0.0
+        assert got.ratio == pytest.approx(want.ratio, abs=1e-12)
+
+    def test_zero_profile_with_a_nonzero_evaluator_reads_ratio_zero(self):
+        # the tensor side sees no support, the radial side differentiates the
+        # evaluator: the two disagree, and the report must say so
+        ev = lambda r: bump((np.asarray(r, float) - 0.9) / 0.35)
+        prof = RadialProfile.from_callable(lambda t: 0.0 * t,
+                                           Grid1D.uniform(5e-4, 1.6), d=2)
+        rep = radial_gradient_identity_check(prof, 1, 2, evaluator=ev)
+        assert rep.lhs_tensor == 0.0 and rep.rhs_radial > 1.0
+        assert rep.ratio == 0.0
+
     def test_cone_closed_form(self):
         # g = max(0, 1-r), d=3, p=1: radial route equals vol(B) = 4 pi/3 exactly
         ev = lambda r: np.maximum(0.0, 1.0 - np.asarray(r, float))
@@ -292,26 +316,52 @@ class TestGradientIdentity:
             Grid1D.uniform(0.01, 2.0), d=d)
         self._assert_fold_matches_full_cube(prof, None, d, 2, n_grid)
 
-    @pytest.mark.parametrize("d,n_grid", [(2, 61), (2, 40), (3, 61), (3, 40)])
+    @staticmethod
+    def _live_nodes(prof, d, n_grid, fd_step=1e-5):
+        """Chamber nodes x_1 >= ... >= x_d >= 0 inside the shell: g's samples
+        on t >= 0 vanish up to r_in and from r_out on, and a node is live
+        when (r_in - 2 fd)^2 < |x|^2 < (r_out + 2 fd)^2."""
+        n = prof.grid.nodes.size
+        r, vals = np.abs(prof.grid.nodes[n // 2:]), prof.values[n // 2:]
+        nonzero = np.flatnonzero(vals)
+        r_out = r[nonzero[-1] + 1] if nonzero[-1] + 1 < r.size else math.inf
+        r_in = r[nonzero[0] - 1] if nonzero[0] > 0 else 0.0
+        T = float(np.abs(prof.grid.nodes[np.abs(prof.values) > 1e-13]).max()) * 1.05 + 0.25
+        half = np.linspace(-T, T, n_grid)[n_grid // 2:]
+        if n_grid % 2:
+            half[0] = 0.0
+        mesh = np.meshgrid(*([half] * d), indexing="ij")
+        chamber = np.all([a >= b for a, b in zip(mesh, mesh[1:])], axis=0)
+        r2 = sum(x ** 2 for x in mesh)[chamber]
+        live = r2 < (r_out + 2 * fd_step) ** 2
+        if r_in - 2 * fd_step > 0:
+            live &= r2 > (r_in - 2 * fd_step) ** 2
+        return int(np.count_nonzero(live))
+
+    @pytest.mark.parametrize("d,n_grid", [(2, 61), (2, 40), (2, 1000), (3, 61), (3, 40)])
     def test_chamber_work_and_block_size(self, d, n_grid):
-        # Every tensor-route call sees at most one full-cube slab of points,
-        # and the route evaluates 2d difference terms per chamber node.
-        sizes = []
+        # The route evaluates 2d difference terms per live chamber node (both
+        # pairs have dead nodes near the origin and beyond c + w), and no
+        # evaluation exceeds a run of _RUN_NODES nodes (at d = 2, n_grid = 1000
+        # the slabs up to c + w hold 80-91k chamber nodes, so two runs).
+        for c, w in SOBOLEV_SHAPES:
+            sizes = []
 
-        def ev(r):
-            r = np.asarray(r, float)
-            sizes.append(r.size)
-            return bump((r - 1.2) / 0.8) + bump((r + 1.2) / 0.8)
+            def ev(r):
+                r = np.asarray(r, float)
+                sizes.append(r.size)
+                return bump((r - c) / w) + bump((r + c) / w)
 
-        prof = RadialProfile.from_callable(ev, Grid1D.uniform(0.01, 2.8), d=d)
-        sizes.clear()
-        radial_gradient_identity_check(prof, 1.5, d, evaluator=ev, n_grid=n_grid)
-        # the radial route's two difference quotients come first
-        assert sizes[:2] == [prof.grid.nodes.size] * 2
-        tensor = sizes[2:]
-        m = (n_grid + 1) // 2
-        assert max(tensor) <= n_grid ** (d - 1)
-        assert sum(tensor) == 2 * d * math.comb(m + d - 1, d)
+            prof = RadialProfile.from_callable(ev, Grid1D.uniform(0.01, c + 2 * w), d=d)
+            sizes.clear()
+            radial_gradient_identity_check(prof, 1.5, d, evaluator=ev, n_grid=n_grid)
+            # the radial route's two difference quotients come first
+            assert sizes[:2] == [prof.grid.nodes.size] * 2
+            tensor = sizes[2:]
+            assert max(tensor) <= _RUN_NODES
+            live = self._live_nodes(prof, d, n_grid)
+            assert 0 < live < math.comb((n_grid + 1) // 2 + d - 1, d)
+            assert sum(tensor) == 2 * d * live
 
     def test_coarse_grid_reports_failure(self):
         # Negative control: an under-resolved tensor grid must miss the
@@ -344,3 +394,89 @@ def test_sobolev_evaluator_is_the_bump_pair_on_the_oracles_radii(c, w, d):
     _gradient_identity_reports(prof, (1.0, 2.0), d, evaluator=ev)
     assert sum(size for size, _ in compared) > prof.grid.nodes.size
     assert all(same for _, same in compared)
+
+
+def _whole_chamber_lhs(g, ps, d, evaluator, n_grid, fd_step=1e-5):
+    """lhs_tensor per p from the chamber loop that evaluates every chamber
+    node, dead or live: blocks of whole x_1-slabs of at most n_grid^(d-1)
+    nodes, one np.sum per block and p."""
+    t = g.grid.nodes
+    support = np.abs(t[np.abs(g.values) > 1e-13])
+    feval = evaluator if evaluator is not None else g
+    T = float(support.max()) * 1.05 + 0.25
+    full = np.linspace(-T, T, n_grid)
+    h = full[1] - full[0]
+    half = full[n_grid // 2:].copy()
+    if n_grid % 2:
+        half[0] = 0.0
+    m = half.size
+    rest = np.arange(m)[:, None] if d == 2 else np.column_stack(np.tril_indices(m))
+    lead_rest = rest[:, 0]
+    x_rest = half[rest]
+    sq_rest = x_rest ** 2
+    sum_rest = np.sum(sq_rest, axis=1)
+    other_rest = np.zeros_like(sq_rest) if d == 2 else sq_rest[:, ::-1]
+    mirror = np.where(half != 0.0, 2.0, 1.0)
+    w_rest = np.prod(mirror[rest], axis=1)
+    w_tie = w_rest * _permutations(np.column_stack([lead_rest, rest]))
+    w_free = w_rest * _permutations(np.column_stack([np.full_like(lead_rest, m), rest]))
+    counts = np.searchsorted(lead_rest, np.arange(m), side="right")
+    cum = np.cumsum(counts)
+    cap = n_grid ** (d - 1)
+    totals, start, done = [0.0] * len(ps), 0, 0
+    while start < m:
+        stop = max(start + 1, int(np.searchsorted(cum, done + cap, side="right")))
+        sizes = counts[start:stop]
+        first = cum[start:stop] - sizes - done
+        row = np.arange(cum[stop - 1] - done) - np.repeat(first, sizes)
+        x1 = np.repeat(half[start:stop], sizes)
+        sq1 = x1 ** 2
+        grad_sq = 0.0
+        for k in range(d):
+            if k == 0:
+                xk, other = x1, sum_rest[row]
+            else:
+                xk, other = x_rest[row, k - 1], sq1 + other_rest[row, k - 1]
+            dk = (feval(np.sqrt((xk + fd_step) ** 2 + other))
+                  - feval(np.sqrt((xk - fd_step) ** 2 + other))) / (2.0 * fd_step)
+            grad_sq = grad_sq + dk ** 2
+        weight = np.repeat(mirror[start:stop], sizes) * np.where(
+            x1 == x_rest[row, 0], w_tie[row], w_free[row])
+        grad = np.sqrt(grad_sq)
+        for i, p in enumerate(ps):
+            totals[i] += float(np.sum(weight * grad ** p))
+        start, done = stop, int(cum[stop - 1])
+    return [float((total * h ** d) ** (1.0 / p)) for p, total in zip(ps, totals)]
+
+
+_PAIR = lambda r: bump((np.asarray(r, float) - 1.0) / 0.7) \
+    + bump((np.asarray(r, float) + 1.0) / 0.7)
+# name: (profile and evaluator callable, half-width of the profile's grid,
+# whether the oracle gets the evaluator or the profile's interpolation)
+_SHELL_CASES = {
+    **{f"sobolev {c:g} {w:g}": (_sobolev_evaluator(c, w), c + 2 * w, True)
+       for c, w in SOBOLEV_SHAPES},
+    "bump pair, interpolated": (_PAIR, 2.0, False),
+    "cone": (lambda r: np.maximum(0.0, 1.0 - np.asarray(r, float)), 1.3, True),
+    "gaussian": (lambda r: np.exp(-np.asarray(r, float) ** 2), 3.0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHELL_CASES))
+@pytest.mark.parametrize("d, n_grid", [(2, 800), (2, 801), (3, 160), (3, 161)])
+def test_live_shell_gives_the_whole_chamber_floats(name, d, n_grid):
+    # Dead nodes add +0.0, so evaluating only the live shell leaves every
+    # block's np.sum, and the report, bit for bit.  The chambers hold 80-92k
+    # nodes in blocks of n_grid^(d-1): the Gaussian, live everywhere, spans
+    # two runs of at most 2^16 nodes in both d, and the (1.2, 0.8) pair two
+    # in d = 3; the other shapes end within one run.  The bump pairs also
+    # have dead nodes near the origin, the cone and the Gaussian none.
+    f, T, with_evaluator = _SHELL_CASES[name]
+    ev = f if with_evaluator else None
+    prof = RadialProfile.from_callable(f, Grid1D.uniform(2e-3, T), d=d)
+    ps = (1.0, 1.5, 2.0)
+    want = [x.hex() for x in _whole_chamber_lhs(prof, ps, d, ev, n_grid)]
+    reps = _gradient_identity_reports(prof, ps, d, evaluator=ev, n_grid=n_grid)
+    assert [rep.lhs_tensor.hex() for rep in reps] == want
+    assert [radial_gradient_identity_check(prof, p, d, evaluator=ev, n_grid=n_grid)
+            .lhs_tensor.hex() for p in ps] == want
