@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Rewrite tests/reference/summaries.json from a fresh `radialfs run-all`,
-and tests/reference/corpus.json beside it.
+and tests/reference/corpus.json beside it, or check them against it.
 
-Usage: python scripts/pin_reference.py [reference.json]
+Usage: python scripts/pin_reference.py [--check] [reference.json]
 
 Runs every registered experiment at its default options and records each
 summary row: assertion name, measured value as float.hex, kind, threshold
@@ -16,8 +16,14 @@ with these files.  Nothing is written unless every assertion passes.
 Before writing, it prints each row whose measured value differs from the
 file it replaces (old value, new value, relative change) and the count of
 rows that did not move.
+
+With --check it writes nothing: it compares the fresh values with both files
+bit for bit (float.hex), prints the moved, new and removed rows the same way,
+and exits 1 when any row moved.  The last bit of a value may differ on
+another CPU (its SIMD exp), so the check is for one machine, not for CI.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -125,31 +131,40 @@ def read_summary(path):
 
 
 def report_moved(old, new):
-    """Print each row whose measured value differs between the reference
-    groups ``old`` and the fresh ``new`` ({group: rows}; a row missing from
-    one of them counts too), then the count of unchanged rows."""
+    """Print each row whose measured value differs bit for bit (float.hex)
+    between the reference groups ``old`` and the fresh ``new`` ({group:
+    rows}; a row missing from one of them counts too), then the count of
+    unchanged rows; return the count of rows that moved."""
     def values(groups):
-        return {(name, row["name"]): float.fromhex(row["measured"])
+        return {(name, row["name"]): row["measured"]
                 for name, rows in groups.items() for row in rows}
 
     before, after = values(old), values(new)
-    unchanged = 0
-    for key in sorted(before.keys() | after.keys()):
-        was, now = before.get(key), after.get(key)
-        if was == now:
-            unchanged += 1
+    keys = sorted(before.keys() | after.keys())
+    moved = 0
+    for key in keys:
+        if before.get(key) == after.get(key):
             continue
+        moved += 1
+        was, now = (None if v is None else float.fromhex(v)
+                    for v in (before.get(key), after.get(key)))
         if was is None or now is None:
             change = "new row" if was is None else "row removed"
         else:
             rel = abs(now - was) / abs(was) if was else float("inf")
             change = f"relative change {rel:.3g}"
         print(f"moved: {key[0]} {key[1]}: {was!r} -> {now!r} ({change})")
-    print(f"{unchanged} rows unchanged")
+    print(f"{len(keys) - moved} rows unchanged")
+    return moved
 
 
 def main(argv):
-    target = Path(argv[0]) if argv else DEFAULT
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("reference", nargs="?", type=Path, default=DEFAULT)
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the pinned files; write nothing")
+    args = parser.parse_args(argv)
+    target = args.reference
     with tempfile.TemporaryDirectory() as tmp:
         if radialfs_main(["run-all", tmp]) != 0:
             print("run-all failed; reference left unchanged", file=sys.stderr)
@@ -160,14 +175,22 @@ def main(argv):
     reference = {"seed": ExperimentConfig("").seed, "experiments": experiments}
     routes = {route: [{"name": case, "measured": value.hex()} for case, value in rows]
               for route, rows in corpus().items()}
-    target.parent.mkdir(parents=True, exist_ok=True)
+    moved = 0
     for path, key, doc in ((target, "experiments", reference),
                            (target.with_name("corpus.json"), "routes", {"routes": routes})):
-        report_moved(json.loads(path.read_text()).get(key, {}) if path.exists() else {},
-                     doc[key])
+        moved += report_moved(
+            json.loads(path.read_text()).get(key, {}) if path.exists() else {},
+            doc[key])
+        if args.check:
+            print(f"checked {path}")
+            continue
+        target.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {sum(map(len, doc[key].values()))} rows of "
               f"{len(doc[key])} {key} to {path}")
+    if args.check:
+        print(f"{moved} rows moved")
+        return 1 if moved else 0
     return 0
 
 

@@ -21,7 +21,9 @@ smoothness below 1/p.
 The trace-space norms report the sequence norm of the constructed
 decomposition: an upper bound for the infimum in the definition, equivalent
 up to constants.  All downstream assertions are therefore phrased as scaling
-exponents or bounded ratios, never absolute values.
+exponents or bounded ratios, never absolute values.  The Littlewood-Paley
+norm ``lp_besov_norm_1d``, their cross-check, reduces every band one way
+(``_band_norm``): half-line samples against one cached weight table.
 """
 
 from __future__ import annotations
@@ -317,7 +319,7 @@ def _fft_grid(n: int, T: float, m: int) -> np.ndarray:
 
 # The plans below depend only on the grid.  Each keeps its last three grids
 # (the spacings a sweep over T = 4, 5, 6 needs), read-only: _band_plan
-# n/2 + 1 floats per (n, h), _weight_plan about n floats per (n, d).
+# n/2 + 1 floats per (n, h), _weight_plan about n floats per (n, e).
 _PLAN_ENTRIES = 3
 
 
@@ -355,10 +357,10 @@ def _band_plan(n: int, h: float) -> Tuple[np.ndarray, Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=_PLAN_ENTRIES)
-def _weight_plan(n: int, d: int) -> Tuple[np.ndarray, Dict[int, slice]]:
-    """Tables of the weight w = |t/T|^{d-1} on the n-point grid, in one
-    read-only array, and the slice of each: the weighted band mass of
-    ``_l2_mass`` is T^{d-1} times the dot of a table with u^2.
+def _weight_plan(n: int, e: int) -> Tuple[np.ndarray, Dict[int, slice]]:
+    """Tables of the weight w = |t/T|^e on the n-point grid, in one read-only
+    array, and the slice of each: ``_band_norm``'s weighted band mass is T^e
+    times the dot of a table with |u|^p.
 
     Every table carries the half-line multiplicities m_r (1 at r = 0 and at
     r = M/2, 2 between), so sum_{r<M} v_r = sum_{r <= M/2} m_r v_r for an even
@@ -381,7 +383,7 @@ def _weight_plan(n: int, d: int) -> Tuple[np.ndarray, Dict[int, slice]]:
     tables = _plan_array(at)
     work = np.empty(n // 2 + n.bit_length())
     w = tables[:size]
-    np.power(np.abs(_fft_grid(n, 1.0, size)), d - 1, out=w)
+    np.power(np.abs(_fft_grid(n, 1.0, size)), e, out=w)
     spectrum = _even_dft(w, n, np.empty(size), work)
     for M in Ms:
         cut = np.zeros(M // 2 + 1)
@@ -441,28 +443,20 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float]):
     return T, h, J, work, bands()
 
 
-def _band_samples(X: np.ndarray, work: np.ndarray, band: np.ndarray) -> None:
-    """Write into band the n = band.size samples of the real even band whose
-    half spectrum is X: one _even_dft of length n, mirrored."""
-    n = band.size
-    size = n // 2 + 1
-    _even_dft(X, n, band[:size], work)
-    band[size:] = band[(n - 1) // 2:0:-1]
+def _band_norm(X: np.ndarray, a: int, b: int, n: int, p: float,
+               weights: Optional[Tuple[np.ndarray, Dict[int, slice]]],
+               work: np.ndarray, scratch: np.ndarray) -> float:
+    """sum_k w_k |x_k|^p / T^e over the n-point grid (max_k |x_k| at p = inf)
+    for the band x whose half spectrum X is zero outside bins a..b-1, with
+    w = |t|^e of ``weights``, ``_weight_plan``'s tables.
 
-
-def _l2_mass(X: np.ndarray, a: int, b: int, n: int,
-             weights: Optional[Tuple[np.ndarray, Dict[int, slice]]],
-             work: np.ndarray, scratch: np.ndarray) -> float:
-    """sum_k w_k x_k^2 over the n-point grid for the band x whose half
-    spectrum X is zero outside bins a..b-1; weighted, over T^{d-1}.
-
-    Unweighted (weights None), by Parseval with no transform:
-    (1/n) sum_f m_f X_f^2, with m_f = 1 at f = 0 and at the Nyquist bin
-    f = n/2, 2 otherwise.  Weighted, from ``_weight_plan``'s tables: for M,
-    the least power of two above 4(b-1), one _even_dft of length M and a dot
-    of M/2 + 1 points; a band with M > n/2 is sampled on the half line
-    instead, one _even_dft of length n and a dot of n//2 + 1 points.
-    ``scratch`` holds at least n//2 + 1 floats.
+    x is even: it is sampled on the half line t <= 0 by one _even_dft of
+    length n, and |x|^p is dotted with table n, which carries the
+    multiplicities.  At p = 2, for M the least power of two above 4(b-1),
+    a band with M <= n/2 is sampled at length M and dotted with table M;
+    unweighted (weights None, at p = 2 only) the mass is Parseval's
+    (1/n) sum_f m_f X_f^2, m_f = 1 at f = 0 and at the Nyquist bin f = n/2
+    and 2 between, with no transform.  ``scratch`` holds n//2 + 1 floats.
     """
     if a == b:
         return 0.0
@@ -475,12 +469,18 @@ def _l2_mass(X: np.ndarray, a: int, b: int, n: int,
             mass -= B[-1] ** 2
         return mass / n
     tables, slices = weights
-    M = 1 << (4 * (b - 1)).bit_length()
+    M = 1 << (4 * (b - 1)).bit_length() if p == 2 else n
     if M > n // 2:
         M = n
     half = M // 2 + 1
     u = _even_dft(X[:half], M, scratch[:half], work)
-    np.square(u, out=u)
+    if p == 2:
+        np.square(u, out=u)      # one pass, where abs and ** take two
+    else:
+        np.abs(u, out=u)
+        if math.isinf(p):
+            return float(np.max(u))
+        u **= p
     return float(np.dot(tables[slices[M]], u))
 
 
@@ -502,41 +502,25 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
     cosine transforms, folded into a half-length one and a quarter-length
     DCT-III (one numpy irfft) until the length is at most _FOLD_CUT = 4096,
     then one irfft (``_even_dft``).  The bands are made and reduced one at a
-    time on the n_fft grid, each sampled on all n_fft points (``_band_samples``)
-    for p != 2.  At p = 2 a band's mass sum_k w_k x_k^2 comes from its spectrum
-    instead (``_l2_mass``): unweighted by Parseval, with no transform per
-    band; weighted, for a band with top bin b - 1, from one transform of
-    length M, the least power of two above 4(b-1), where x^2 does not alias,
-    dotted with a table of the weight cached per (n_fft, d) (``_weight_plan``;
-    |t|^{d-1} = T^{d-1} |t/T|^{d-1} serves every T).  Weighted bands with
-    M > n_fft/2 are sampled on the half line t <= 0 and dotted with the weight.
+    time by ``_band_norm``: each is sampled once on the half line t <= 0 and
+    |x|^p is dotted with a table of the multiplicities times |t/T|^e, e = d - 1
+    weighted and 0 unweighted, cached per (n_fft, e) (``_weight_plan``;
+    |t|^e = T^e |t/T|^e serves every T).  At p = 2 a narrow band is sampled
+    on a shorter grid where x^2 does not alias, and unweighted comes from its
+    spectrum by Parseval.
     """
     s, p, q, d = params.s, params.p, params.q, params.d
     T, h, _, work, bands = _dyadic_bands(g, n_fft, T)
-    if p == 2:
-        # built before the bands fill this call's buffers: the build's
-        # temporaries are freed first
-        weights = _weight_plan(n_fft, d) if weighted else None
-        scale = T ** (d - 1) if weighted else 1.0
-        band = np.empty(n_fft // 2 + 1) if weighted else None
-    else:
-        w = np.abs(_fft_grid(n_fft, T, n_fft)) ** (d - 1) if weighted else None
-        band = np.empty(n_fft)
+    e = d - 1 if weighted else 0
+    # built before the bands fill this call's buffers: the build's
+    # temporaries are freed first
+    weights = None if p == 2 and not weighted else _weight_plan(n_fft, e)
+    scratch = np.empty(n_fft // 2 + 1)
     logs = []
     for j, (a, b, X) in enumerate(bands):
-        if p == 2:
-            mass = _l2_mass(X, a, b, n_fft, weights, work, band) * scale
-            nrm = float(mass * h) ** 0.5 if mass > 0 else 0.0
-        else:
-            _band_samples(X, work, band)
-            np.abs(band, out=band)
-            if math.isinf(p):
-                nrm = float(np.max(band))
-            else:
-                band **= p
-                if w is not None:
-                    band *= w
-                nrm = float(np.sum(band) * h) ** (1.0 / p)
+        nrm = _band_norm(X, a, b, n_fft, p, weights, work, scratch)
+        if nrm > 0 and not math.isinf(p):
+            nrm = (nrm * T ** e * h) ** (1.0 / p)
         if nrm > 0:
             logs.append(j * s * LN2 + math.log(nrm))
     return _combine_levels(logs, q)

@@ -7,6 +7,7 @@ assertions mirror the summary rows the experiment CLI writes.
 import csv
 import dataclasses
 import json
+import math
 import runpy
 from pathlib import Path
 
@@ -114,6 +115,26 @@ def test_corpus_matches_the_pinned_values():
                        + "\n".join(moved))
 
 
+def test_report_moved_counts_rows_that_differ_bit_for_bit(capsys):
+    # a changed last bit, a sign of zero, a new and a removed row move; a
+    # row equal in every bit, though pinned in another group, does not
+    report_moved = runpy.run_path(str(PIN_SCRIPT))["report_moved"]
+    rows = lambda *pairs: [{"name": n, "measured": v.hex()} for n, v in pairs]
+    old = {"a": rows(("same", 1.5), ("last bit", 0.1), ("zero", 0.0),
+                     ("gone", 2.0)),
+           "b": rows(("same", 1.5))}
+    new = {"a": rows(("same", 1.5), ("last bit", math.nextafter(0.1, 1.0)),
+                     ("zero", -0.0), ("added", 3.0)),
+           "b": rows(("same", 1.5))}
+    assert report_moved(old, new) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[1].strip() for line in out[:-1]] == [
+        "a added", "a gone", "a last bit", "a zero"]
+    assert "new row" in out[0] and "row removed" in out[1]
+    assert out[-1] == "2 rows unchanged"
+    assert report_moved(new, new) == 0
+
+
 def _report(criterion, result):
     status = "PASS" if result.passed else "FAIL"
     detail = "; ".join(f"{a.name}={a.measured:.4g} ({a.kind} {a.threshold:g})"
@@ -127,6 +148,25 @@ def test_criterion_01_fjlam_norm_scaling(tmp_path):
     # (d-1)/p = 0.5 within 0.10
     res = _run("scaling-f-j-lambda", tmp_path)
     assert _report(1, res)
+
+
+def _force_weight(monkeypatch, weighted):
+    # experiments' lp_besov_norm_1d with its weight |t|^{d-1} forced on or off
+    norm = experiments.lp_besov_norm_1d
+    monkeypatch.setattr(experiments, "lp_besov_norm_1d", lambda g, params, **kw:
+                        norm(g, params, **{**kw, "weighted": weighted}))
+
+
+def test_criterion_01_fails_without_the_weight(tmp_path, monkeypatch):
+    # the norm of f_{j,lambda} without the weight |t|^{d-1}, whose support
+    # sits near |t| = lambda 2^-j: the j slope gains (d-1)/p and the lambda
+    # slope loses it, so the rows move from 5.7e-5 and -7.0e-4 to about +0.5
+    # and -0.5 against 0.15 and 0.10, and the experiment must FAIL
+    _force_weight(monkeypatch, weighted=False)
+    res = run_experiment(ExperimentConfig("scaling-f-j-lambda", output_dir=tmp_path))
+    slope_j, slope_l = (a.measured for a in res.assertions)
+    assert not res.passed and not any(a.passed for a in res.assertions)
+    assert abs(slope_j - 0.5) < 0.01 and abs(slope_l + 0.5) < 0.01
 
 
 def test_criterion_02_lp_scaling(tmp_path):
@@ -210,6 +250,16 @@ def test_criterion_11_support_shift(tmp_path):
     # tau in {2,4,8,16}: log-slope of the norm ratio = -0.5 +- 0.15
     res = _run("support-shift", tmp_path)
     assert _report(11, res)
+
+
+def test_criterion_11_fails_with_the_weight(tmp_path, monkeypatch):
+    # the 1-D side weighted by |t|^{d-1}, as the trace side is: the ratio no
+    # longer loses tau^{(d-1)/p}, so the row moves from 0.079 to 0.528
+    # against 0.15, and the experiment must FAIL
+    _force_weight(monkeypatch, weighted=True)
+    res = run_experiment(ExperimentConfig("support-shift", output_dir=tmp_path))
+    assert not res.passed
+    assert abs(res.assertions[0].measured - 0.528) < 0.01
 
 
 def test_criterion_12_spherical_mean(tmp_path):

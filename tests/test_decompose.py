@@ -10,11 +10,10 @@ from radialfs import decompose, seqspaces
 from radialfs.bump import bump, psi_cutoff
 from radialfs.core import Grid1D, RadialProfile, weighted_lp_norm
 from radialfs.covering import AtomSpec
-from radialfs.decompose import (AtomicDecomposition, _band_samples,
-                                _cell_spline_coeffs, _dyadic_bands, _fft_grid,
-                                _lowpass_window, _refine, decompose_profile,
-                                lp_besov_norm_1d, sobolev_radial_norm_1,
-                                tb_norm, tf_norm)
+from radialfs.decompose import (AtomicDecomposition, _cell_spline_coeffs,
+                                _dyadic_bands, _fft_grid, _lowpass_window,
+                                _refine, decompose_profile, lp_besov_norm_1d,
+                                sobolev_radial_norm_1, tb_norm, tf_norm)
 from radialfs.errors import DecompositionError, InvalidParameterError
 from radialfs.families import make_f_j_lambda
 from radialfs.seqspaces import CoefficientGrid
@@ -35,13 +34,15 @@ class DyadicBandSpectrum:
 
 
 def dyadic_band_spectrum(g, n_fft=2 ** 16, T=None):
-    """The bands of lp_besov_norm_1d, stacked: every band made on all n_fft
-    points of the periodic grid by the same steps, so they sum back to the
-    sampled profile to roundoff."""
+    """The bands of lp_besov_norm_1d, stacked: every band made by the same
+    steps on the half line and mirrored onto all n_fft points of the periodic
+    grid, so they sum back to the sampled profile to roundoff."""
     T, _, J, work, bands = _dyadic_bands(g, n_fft, T)
     stacked = np.empty((J + 1, n_fft))
+    size = n_fft // 2 + 1
     for j, (_, _, X) in enumerate(bands):
-        _band_samples(X, work, stacked[j])
+        decompose._even_dft(X, n_fft, stacked[j, :size], work)
+        stacked[j, size:] = stacked[j, (n_fft - 1) // 2:0:-1]
     return DyadicBandSpectrum(_fft_grid(n_fft, T, n_fft), stacked, J)
 
 
@@ -567,10 +568,13 @@ class TestLpBesovNorm:
     @pytest.mark.parametrize("q", [1.0, math.inf])
     @pytest.mark.parametrize("weighted", [True, False])
     def test_norm_of_stacked_bands_bit_for_bit(self, p, q, weighted):
-        # lp_besov_norm_1d reduces each band as it is made; the norm taken
-        # from the stacked bands of dyadic_band_spectrum is the same float.
-        # At p = 2 it sums each band's mass from its spectrum (Parseval), a
-        # different rounding of the same sum: equal to 1e-14
+        # lp_besov_norm_1d reduces each band as it is made, on the half line
+        # t <= 0 against a table of the multiplicities times the weight; the
+        # norm taken here from all n_fft points of the stacked bands of
+        # dyadic_band_spectrum is a different rounding of the same sums.
+        # Band masses differ in the last bit, but at p != 2 the norm on this
+        # profile is the same float.  At p = 2 the masses come from shorter
+        # grids or the spectrum (Parseval): equal to 1e-14
         from scipy.special import logsumexp
         s, d = 0.7, 2
         g = RadialProfile.from_callable(
@@ -681,8 +685,9 @@ class TestEvenDft:
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_no_transform_longer_than_half(self, monkeypatch):
-        # at n_fft = 2^17 every transform of the norm, forward and per band,
-        # runs on at most n/2 points: no full-length irfft or rfft
+        # at n_fft = 2^17 every transform of the norm, forward, per band and
+        # of the weight tables, runs on at most n/2 points for p in
+        # {1.5, 2, inf}, weighted or not: no full-length irfft or rfft
         lengths = []
         for module, name, length in [
                 (np.fft, "irfft", lambda a, n=None, *args, **kw: n),
@@ -695,8 +700,11 @@ class TestEvenDft:
         n = 2 ** 17
         g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -12, 4.0),
                                         d=2)
-        assert lp_besov_norm_1d(g, SpaceParams(1.0, 2.0, 2.0, 2), n_fft=n,
-                                T=4.0) > 0
+        decompose._weight_plan.cache_clear()
+        for p in (1.5, 2.0, math.inf):
+            for weighted in (True, False):
+                assert lp_besov_norm_1d(g, SpaceParams(1.0, p, 2.0, 2), n_fft=n,
+                                        T=4.0, weighted=weighted) > 0
         assert lengths and max(lengths) <= n // 2
 
     @pytest.mark.parametrize("p, q", [(2.0, 2.0), (1.0, 1.0)])
@@ -773,33 +781,46 @@ class TestParsevalRoute:
                     assert got == pytest.approx(want, rel=1e-13), (d, weighted, q)
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_p2_transform_count(self, monkeypatch, weighted):
-        # unweighted: the spectrum is the only transform; weighted at T = 4:
-        # the spectrum, the 4 bands too wide for a grid of n/2 points and,
-        # on the first call for the grid, the weight's spectrum are the only
-        # irfft calls of length >= n/4 (was 18)
-        dfts, lengths = [], []
-        even_dft, irfft = decompose._even_dft, np.fft.irfft
-
-        def recording_dft(X, n, *args):
-            dfts.append(n)
-            return even_dft(X, n, *args)
-
-        def recording_irfft(a, n=None, *args, **kw):
-            lengths.append(n)
-            return irfft(a, n, *args, **kw)
-
-        monkeypatch.setattr(decompose, "_even_dft", recording_dft)
-        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    def test_transform_count(self, monkeypatch, weighted):
+        # on warm plans, for p in {1.5, 2, inf}, no _even_dft is longer than
+        # n (no output longer than n//2 + 1).  p != 2: the spectrum and one
+        # length-n transform per nonempty band, each sampled on the half
+        # line.  p = 2 unweighted: the spectrum is the only transform;
+        # weighted at T = 4: the spectrum and the 4 bands too wide for a grid
+        # of n/2 points are the only irfft calls of length >= n/4
         n = 2 ** 17
         g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -12, 4.0),
                                         d=2)
-        assert lp_besov_norm_1d(g, SpaceParams(1.0, 2.0, 2.0, 2), n_fft=n, T=4.0,
-                                weighted=weighted) > 0
-        if weighted:
-            assert sum(length >= n // 4 for length in lengths) <= 6
-        else:
-            assert dfts == [n]
+        *_, bands = _dyadic_bands(g, n, 4.0)
+        nonempty = sum(bool(np.any(X)) for _, _, X in bands)
+        dfts, lengths = [], []
+        even_dft, irfft = decompose._even_dft, np.fft.irfft
+
+        def recording_dft(X, m, *args):
+            dfts.append(m)
+            return even_dft(X, m, *args)
+
+        def recording_irfft(a, m=None, *args, **kw):
+            lengths.append(m)
+            return irfft(a, m, *args, **kw)
+
+        for p in (1.5, 2.0, math.inf):
+            norm = lambda: lp_besov_norm_1d(g, SpaceParams(1.0, p, 2.0, 2),
+                                            n_fft=n, T=4.0, weighted=weighted)
+            want = norm()
+            with monkeypatch.context() as patch:
+                patch.setattr(decompose, "_even_dft", recording_dft)
+                patch.setattr(np.fft, "irfft", recording_irfft)
+                assert norm() == want > 0
+            assert max(dfts) == n
+            if p != 2:
+                assert dfts == [n] * (nonempty + 1)
+            elif weighted:
+                assert sum(length >= n // 4 for length in lengths) == 5
+            else:
+                assert dfts == [n]
+            dfts.clear()
+            lengths.clear()
 
 
 def _windows_level_by_level(xi, J):
@@ -883,7 +904,21 @@ class TestFftPlan:
         assert dfts[0] == n and dfts.count(n) == 5
         assert max(dfts[1:14]) <= n // 2
 
+    @pytest.mark.parametrize("n", [2, 3, 3001, 2 ** 12, 2 ** 12 + 1])
+    def test_unweighted_table_is_the_multiplicities(self, n):
+        # table n of the weight |t/T|^0 = 1 on the half line t_k, k <= n//2:
+        # t_0 = -T counts once, and so does t_{n/2} = 0 for even n; every
+        # other t_k stands for t_k and t_{n-k}
+        tables, slices = decompose._weight_plan(n, 0)
+        want = np.full(n // 2 + 1, 2.0)
+        want[0] = 1.0
+        if n % 2 == 0:
+            want[-1] = 1.0
+        assert tables[slices[n]].tobytes() == want.tobytes()
+
     def test_caches_bounded_and_read_only(self):
+        # the weight tables are keyed by (n, e): e = d - 1 weighted, and 0
+        # unweighted, where d = 1's weighted norm shares them
         g = RadialProfile.from_callable(PARSEVAL_PROFILES["bump-pair"],
                                         Grid1D.uniform(2 ** -10, 3.0), d=2)
         for i in range(10):
@@ -892,9 +927,17 @@ class TestFftPlan:
         for plan in (decompose._band_plan, decompose._weight_plan):
             info = plan.cache_info()
             assert info.currsize == info.maxsize == decompose._PLAN_ENTRIES
+        # the last three calls: d = 4, 1, 2, so e = 3, 0, 1
+        info = decompose._weight_plan.cache_info()
+        for e in (3, 0, 1):
+            decompose._weight_plan(2 ** 12, e)
+        assert decompose._weight_plan.cache_info().hits == info.hits + 3
+        lp_besov_norm_1d(g, SpaceParams(0.7, 1.5, 2.0, 2), weighted=False,
+                         n_fft=2 ** 12, T=6.5)
+        assert decompose._weight_plan.cache_info().hits == info.hits + 4
         h = float(np.diff(decompose._fft_grid(2 ** 12, 6.5, 2))[0])
         ramp, _ = decompose._band_plan(2 ** 12, h)
-        tables, _ = decompose._weight_plan(2 ** 12, 2)
+        tables, _ = decompose._weight_plan(2 ** 12, 1)
         for arr in (ramp, tables):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
