@@ -9,19 +9,24 @@ values of one node along one axis are one row gather and one linear blend.
 The experiment computes the coefficients of the unit-sphere surface measure
 against all wavelets meeting the sphere, by circle quadrature (d = 2) or a
 Gauss-Legendre x trapezoid product rule (d = 3).  The rule is a set of rings
-(the circle, or the latitudes of constant z) whose nodes are never stored.
-The mirrored latitudes z and -z share their x, y sums, so only the rings
-with z <= 0 are summed, in batches of a bounded float count and in arcs of
-consecutive nodes: dense phi/psi factor tensors per axis and one batched
-product give every ring's sums for all xy generators, and one matmul with
-the rings' z-rows (phi and psi at their z shifts, z and -z together) adds
-the batch to every generator at once.  The experiment returns the scaled
-per-level sums whose boundedness encodes the membership of the spherical
-mean in B^{1/p - 1}_{p, infinity}.
+(the circle, or the latitudes of constant z) whose nodes are never stored,
+and it is folded over its octant mirrors.  The mirrored latitudes z and -z
+share their x, y sums, so only the rings with z <= 0 are summed, in batches
+of a bounded float count.  The trapezoid angles are mirrored in both axes,
+so a quarter of each ring's nodes (a half for an odd node count) stands for
+its images (+-x, +-y), each an exact negative; these nodes go in arcs, and
+per arc and image sign, dense phi/psi factor tensors per axis, each over its
+own k window, and one batched product per image give every ring's sums for
+all xy generators.  One matmul with the rings' z-rows (phi and psi at their
+z shifts, z and -z together) adds each product to every generator at once.
+The experiment returns the scaled per-level sums whose boundedness encodes
+the membership of the spherical mean in B^{1/p - 1}_{p, infinity}.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -30,6 +35,7 @@ import numpy as np
 
 from .core import _gauss_legendre
 from .errors import InvalidParameterError, QuadratureError
+from .spaces import _check_dim
 
 __all__ = ["daubechies_filter", "WaveletTable", "wavelet_table",
            "SphericalMeanResult", "spherical_mean_wavelet_coeffs"]
@@ -136,21 +142,43 @@ def _ring_length(d: int, n: int) -> int:
     return n if d == 2 else 2 * max(8, int(math.sqrt(n / 2.0)))
 
 
+# the images (x signs, y signs) a node set stands for: its product of signs
+_QUADRANT = ((1.0, -1.0), (1.0, -1.0))
+_HALF = ((1.0,), (1.0, -1.0))
+_SELF = ((1.0,), (1.0,))
+
+
 def _sphere_rings(d: int, n: int):
-    """The unit-sphere rule as rings (z, radius, weight) and the cos, sin of
-    the trapezoid angles: ring i's nodes are (radius_i cos, radius_i sin, z_i).
+    """The unit-sphere rule as rings (z, radius, weight) and node sets of the
+    trapezoid angles theta_i = 2 pi (i + 1/2) / n_t, i = 0 .. n_t - 1.
 
     d = 2 has one ring, the circle (z None); d = 3 has the Gauss-Legendre
-    latitudes in ascending z, so rings i and n_u - 1 - i are mirrors.
+    latitudes in ascending z, so rings i and n_u - 1 - i are mirrors.  A
+    node set is (cos, sin, (x signs, y signs)): a node at (r cos, r sin, z)
+    stands for the images (s_x r cos, s_y r sin, z) for every pair of signs,
+    each an exact negative, so the sets hold each ring's nodes once:
+
+    - even n_t: the nodes with theta in (0, pi/2) stand for (+-x, +-y), and
+      the node at pi/2 (when n_t = 2 mod 4) for (x, +-y);
+    - odd n_t (d = 2 only): the nodes in (0, pi) stand for (x, +-y), and the
+      node at pi for itself.
     """
     n_t = _ring_length(d, n)
-    theta = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
-    ct, st = np.cos(theta), np.sin(theta)
+    if n_t % 2:
+        sets = ((n_t // 2, _HALF), (1, _SELF))
+    else:
+        sets = ((n_t // 4, _QUADRANT), (n_t % 4 // 2, _HALF))
+    node_sets, i0 = [], 0
+    for size, signs in sets:
+        if size:
+            theta = 2.0 * math.pi * (np.arange(i0, i0 + size) + 0.5) / n_t
+            node_sets.append((np.cos(theta), np.sin(theta), signs))
+        i0 += size
     if d == 2:
-        return None, np.ones(1), np.full(1, 2.0 * math.pi / n), ct, st
+        return None, np.ones(1), np.full(1, 2.0 * math.pi / n), node_sets
     if d == 3:
         u, wu = _gauss_legendre(n_t // 2)
-        return u, np.sqrt(1.0 - u ** 2), wu * (2.0 * math.pi / n_t), ct, st
+        return u, np.sqrt(1.0 - u ** 2), wu * (2.0 * math.pi / n_t), node_sets
     raise InvalidParameterError("sphere quadrature implemented for d in {2, 3}")
 
 
@@ -211,23 +239,27 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
     ``width`` values sit at one sub-step position of ``table.shifts``: one
     row gather and one linear blend.
 
-    The rule goes ring by ring (``_sphere_rings``); no node array is built.
-    Mirrored latitudes z and -z share their x, y nodes and weight bit for
+    The rule goes ring by ring and node set by node set (``_sphere_rings``);
+    no node array is built.  The rule is folded over its octant mirrors:
+    mirrored latitudes z and -z share their x, y nodes and weight bit for
     bit, so the xy sums are computed once per pair, on the rings with
-    z <= 0.  These rings run in batches whose dense tensors hold at most
-    about ``_BATCH_FLOATS`` floats, and each batch goes in arcs of
-    ``_BLOCK`` consecutive nodes.  One locate-and-blend per axis fills a
-    (rings, m, 2 K) tensor X = [phi | psi] over the k window of the batch's
-    arc, and one batched product X^T Y holds all four xy blocks
-    (F_x^a)^T F_y^b of every ring.  One matmul then adds the batch into the
-    k-box: the (2 n_z, rings) z-row matrix holds each pair's weight times
-    phi and psi at its ``width`` z shifts, for z and -z in the same column.
-    d = 2 is the one-ring case (its z-row matrix is the circle's weight), so
-    each of its arcs is a batch of its own.  The sums run over all 2^d flag
-    tuples, indexed (flag of axis d-1, ..., flag of axis 0) so that tuple i
-    is generator i; the all-phi tuple 0 is dropped at the end.
+    z <= 0, and each node of a set stands for its images (+-x, +-y), so a
+    ring of n_t nodes locates about n_t factor rows, not 2 n_t.  The rings
+    run in batches whose dense tensors hold at most about ``_BATCH_FLOATS``
+    floats, and each node set goes in arcs of at most ``_BLOCK`` nodes.
+    Per arc and image sign, one locate-and-blend per axis fills a
+    (rings, m, 2 K) tensor X = [phi | psi] over that sign's own k window,
+    and per image (s_x, s_y) one batched product X^T Y holds all four xy
+    blocks (F_x^a)^T F_y^b of every ring.  One matmul then adds the product
+    into its window of the k-box: the (2 n_z, rings) z-row matrix holds
+    each pair's weight times phi and psi at its ``width`` z shifts, for z
+    and -z in the same column.  d = 2 is the one-ring case (its z-row
+    matrix is the circle's weight), so each of its arcs is a batch of its
+    own.  The sums run over all 2^d flag tuples, indexed (flag of axis d-1,
+    ..., flag of axis 0) so that tuple i is generator i; the all-phi tuple
+    0 is dropped at the end.
     """
-    z, radius, weight, ct, st = _sphere_rings(d, n_nodes)
+    z, radius, weight, node_sets = _sphere_rings(d, n_nodes)
     lo, hi = table.support
     steps, width = table.shifts.shape[0] - 1, table.shifts.shape[2]
     rows = table.shifts.reshape(steps + 1, 2 * width)
@@ -235,10 +267,14 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
     scale = 2.0 ** j
     n_pairs = (radius.size + 1) // 2
     w = weight[:n_pairs] * 2.0 ** (j * d / 2.0)
-    # r ct 2^j is monotone in r, so the ring nearest z = 0 (the widest) has
-    # the x and y windows that hold every other ring's
-    (bx, nx), (by, ny) = (_window(radius[n_pairs - 1] * c * scale, lo, hi)
-                          for c in (ct, st))
+    # r cos 2^j is monotone in r, so the images of the ring nearest z = 0
+    # (the widest) have the x and y windows that hold every other ring's
+    widest = [[np.multiply.outer(radius[n_pairs - 1] * v * scale, signs)
+               for v, signs in zip((c, s), axis_signs)]
+              for c, s, axis_signs in node_sets]
+    (bx, nx), (by, ny) = (_window(np.concatenate([images[a].ravel()
+                                                  for images in widest]), lo, hi)
+                          for a in (0, 1))
     if d == 2:
         zmat = w[None, :]
     else:
@@ -255,23 +291,30 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
             zmat[:, first[ring, None] - bz + np.arange(width), c[:, None]] += (
                 w[c, None, None] * z_rows[ring]).transpose(1, 0, 2)
         zmat = zmat.reshape(2 * nz, n_pairs)
+    # dense floats per ring of one arc: its factor matrices, each image on
+    # its window on the widest ring, and their products
+    per_ring = 0
+    for (c, _, _), images in zip(node_sets, widest):
+        kx, ky = (sum(_window(v, lo, hi)[1] for v in u.T) for u in images)
+        per_ring = max(per_ring, 2 * min(c.size, _BLOCK) * (kx + ky) + 4 * kx * ky)
     acc = np.zeros((zmat.shape[0], 2, nx, 2, ny))   # z-row, flag x, kx, flag y, ky
-    m = min(ct.size, _BLOCK)
-    size = max(1, _BATCH_FLOATS // (2 * m * (nx + ny) + 4 * nx * ny))
+    size = max(1, _BATCH_FLOATS // per_ring)
     for b0 in range(0, n_pairs, size):
         batch = slice(b0, min(b0 + size, n_pairs))
         rings, z_batch = batch.stop - b0, zmat[:, batch]
-        at_x, at_y = (_locate(np.multiply.outer(radius[batch], c) * scale, hi, steps)
-                      for c in (ct, st))
-        for a0 in range(0, ct.size, _BLOCK):
-            arc = slice(a0, a0 + _BLOCK)
-            fx, kx = _factor_matrix(rows, slope, *(a[:, arc].ravel() for a in at_x))
-            fy, ky = _factor_matrix(rows, slope, *(a[:, arc].ravel() for a in at_y))
-            mx, my = fx.shape[1] // 2, fy.shape[1] // 2
-            prod = np.matmul(fx.reshape(rings, -1, 2 * mx).transpose(0, 2, 1),
-                             fy.reshape(rings, -1, 2 * my))
-            acc[:, :, kx - bx:kx - bx + mx, :, ky - by:ky - by + my] += (
-                z_batch @ prod.reshape(rings, -1)).reshape(-1, 2, mx, 2, my)
+        for c, s, axis_signs in node_sets:
+            for a0 in range(0, c.size, _BLOCK):
+                arc = slice(a0, a0 + _BLOCK)
+                u = (np.multiply.outer(radius[batch], v[arc]).ravel() * scale
+                     for v in (c, s))
+                fx, fy = ([_factor_matrix(rows, slope, *_locate(sign * ua, hi, steps))
+                           for sign in signs] for ua, signs in zip(u, axis_signs))
+                for (f_x, kx), (f_y, ky) in itertools.product(fx, fy):
+                    mx, my = f_x.shape[1] // 2, f_y.shape[1] // 2
+                    prod = np.matmul(f_x.reshape(rings, -1, 2 * mx).transpose(0, 2, 1),
+                                     f_y.reshape(rings, -1, 2 * my))
+                    acc[:, :, kx - bx:kx - bx + mx, :, ky - by:ky - by + my] += (
+                        z_batch @ prod.reshape(rings, -1)).reshape(-1, 2, mx, 2, my)
     # to (flag z, flag y, flag x, kx, ky, kz)
     if d == 2:
         acc = acc.reshape(2, nx, 2, ny).transpose(2, 0, 1, 3)
@@ -331,14 +374,18 @@ def spherical_mean_wavelet_coeffs(d: int = 2, p: float = 1.0, Jmax: int = 6,
     over j is the numerical content of the spherical mean lying in
     B^{1/p-1}_{p,inf}.  Raises QuadratureError when the Richardson estimate
     between the two node counts exceeds ``richardson_tol`` relatively.
-    Needs 0 < p < inf, Jmax >= 0 and nodes_per_unit >= 1.
+    Needs d in {2, 3}, 0 < p < inf, an integer Jmax >= 0 and a finite
+    nodes_per_unit >= 1.
     """
+    _check_dim(d)
     if d not in (2, 3):
         raise InvalidParameterError("d must be 2 or 3")
-    if not (0 < p < math.inf and Jmax >= 0 and nodes_per_unit >= 1):
+    if isinstance(Jmax, bool) or not isinstance(Jmax, numbers.Integral):
+        raise InvalidParameterError(f"Jmax must be an integer, got {Jmax!r}")
+    if not (0 < p < math.inf and Jmax >= 0 and 1 <= nodes_per_unit < math.inf):
         raise InvalidParameterError(
-            f"need 0 < p < inf, Jmax >= 0 and nodes_per_unit >= 1, got p={p}, "
-            f"Jmax={Jmax}, nodes_per_unit={nodes_per_unit}")
+            f"need 0 < p < inf, Jmax >= 0 and 1 <= nodes_per_unit < inf, got "
+            f"p={p}, Jmax={Jmax}, nodes_per_unit={nodes_per_unit}")
     table = wavelet_table(wavelet)
     exponent = 1.0 / p - 1.0 + d * (0.5 - 1.0 / p)
     levels = np.arange(Jmax + 1)

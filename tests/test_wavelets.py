@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,14 +32,32 @@ def _generators(d):
 
 
 def _sphere_nodes(d, n):
-    """``_sphere_rings`` as ring-major (nodes, d) points and their weights."""
-    z, radius, weight, ct, st = _sphere_rings(d, n)
-    pts = np.empty((radius.size, ct.size, d))
-    pts[..., 0] = np.multiply.outer(radius, ct)
-    pts[..., 1] = np.multiply.outer(radius, st)
+    """The unfolded product rule as ring-major (nodes, d) points and their
+    weights: the rings of ``_sphere_rings``, each with every trapezoid angle
+    2 pi (i + 1/2) / n_t."""
+    z, radius, weight, _ = _sphere_rings(d, n)
+    n_t = wavelets._ring_length(d, n)
+    theta = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
+    pts = np.empty((radius.size, n_t, d))
+    pts[..., 0] = np.multiply.outer(radius, np.cos(theta))
+    pts[..., 1] = np.multiply.outer(radius, np.sin(theta))
     if d == 3:
         pts[..., 2] = z[:, None]
-    return pts.reshape(-1, d), np.repeat(weight, ct.size)
+    return pts.reshape(-1, d), np.repeat(weight, n_t)
+
+
+def _images(d, n):
+    """The node sets of ``_sphere_rings`` expanded into every image: the
+    trapezoid index each image lands on, and its cos and sin."""
+    n_t = wavelets._ring_length(d, n)
+    index, cos, sin = [], [], []
+    for c, s, (x_signs, y_signs) in _sphere_rings(d, n)[3]:
+        for sx, sy in itertools.product(x_signs, y_signs):
+            theta = np.arctan2(sy * s, sx * c) % (2.0 * math.pi)
+            index.append(np.rint(theta * n_t / (2.0 * math.pi) - 0.5).astype(int) % n_t)
+            cos.append(sx * c)
+            sin.append(sy * s)
+    return np.concatenate(index), np.concatenate(cos), np.concatenate(sin)
 
 
 class TestWaveletTable:
@@ -87,7 +106,7 @@ class TestWaveletTable:
 
 
 def _level_coeffs_reference(name, d, j, n_nodes):
-    """<surface measure, Psi_{i,j,k}> by a direct loop over the nodes, each
+    """<surface measure, Psi_{i,j,k}> by a direct sum over the nodes, each
     node adding to the whole k-box of every generator."""
     table, cascade = wavelet_table(name), _cascade(name)
     pts, w = _sphere_nodes(d, n_nodes)
@@ -95,16 +114,13 @@ def _level_coeffs_reference(name, d, j, n_nodes):
     lo, hi = table.support
     ks = [np.arange(math.floor(u[:, ax].min() - hi),
                     math.ceil(u[:, ax].max() - lo) + 1) for ax in range(d)]
+    axes = "abc"[:d]
+    terms = "n," + ",".join("n" + a for a in axes) + "->" + axes
     blocks = []
     for flags in _generators(d):
-        acc = np.zeros(tuple(k.size for k in ks))
-        for node, weight in zip(u, w):
-            term = np.array(weight * 2.0 ** (j * d / 2.0))
-            for ax in range(d):
-                f = eval_psi if flags[ax] else eval_phi
-                term = np.multiply.outer(term, f(cascade, node[ax] - ks[ax]))
-            acc += term
-        blocks.append(acc.ravel())
+        factors = [(eval_psi if flags[ax] else eval_phi)(cascade, u[:, ax, None] - ks[ax])
+                   for ax in range(d)]
+        blocks.append(np.einsum(terms, w * 2.0 ** (j * d / 2.0), *factors).ravel())
     return np.concatenate(blocks)
 
 
@@ -122,27 +138,39 @@ class TestLevelCoeffs:
     def test_matches_direct_sum(self, d, name, j):
         _assert_matches_reference(d, name, j, 200)
 
+    @pytest.mark.parametrize("d,name,j,n", [
+        # n_t = 126 = 2 mod 4: a node on the y axis in every ring
+        (3, "db2", 0, 8000),
+        # an odd circle: the node at pi stands for itself
+        (2, "db4", 3, 1001),
+    ])
+    def test_folds_match_direct_sum(self, d, name, j, n):
+        _assert_matches_reference(d, name, j, n)
+
     @pytest.mark.parametrize("d,name,j,n,block,budget,rings", [
-        # three full arcs and a part, each a batch of the one ring
+        # an odd circle: 786 nodes stand for (x, +-y) in arcs 512, 274, and
+        # the node at pi for itself; each arc a batch of the one ring
         pytest.param(2, "db4", 2, 3 * _BLOCK + 37, _BLOCK, _BATCH_FLOATS, [1],
                      id="2-db4-2-1573-512"),
+        # rings of 20: 5 quarter nodes
         pytest.param(3, "db2", 3, 200, _BLOCK, _BATCH_FLOATS, [5],
                      id="3-db2-3-200-512"),
-        # rings of 20 in arcs 7, 7, 6
-        pytest.param(3, "db2", 2, 200, 7, _BATCH_FLOATS, [5], id="3-db2-2-200-7"),
-        # n_u = 11: the equator pairs itself
+        # quarter arcs 3, 2
+        pytest.param(3, "db2", 2, 200, 3, _BATCH_FLOATS, [5], id="3-db2-2-200-7"),
+        # n_u = 11: the equator pairs itself; rings of 22, 5 quarter nodes
+        # and the node on the y axis
         pytest.param(3, "db2", 1, 242, _BLOCK, _BATCH_FLOATS, [6],
                      id="3-db2-1-242-512"),
-        # rings of 22 in arcs 5, 5, 5, 5, 2
-        pytest.param(3, "db4", 2, 242, 5, _BATCH_FLOATS, [6], id="3-db4-2-242-5"),
-        # budgets of a few rings' floats (1536, 960 and 1344 per ring here):
+        # quarter arcs 2, 2, 1
+        pytest.param(3, "db4", 2, 242, 2, _BATCH_FLOATS, [6], id="3-db4-2-242-5"),
+        # budgets of a few rings' floats (1344, 816 and 2296 per ring here):
         # 5 pairs with an uneven last batch, the equator in the last batch,
-        # and the equator alone with rings longer than an arc
-        pytest.param(3, "db2", 2, 200, _BLOCK, 2 * 1536, [2, 2, 1],
+        # and the equator alone with quarters longer than an arc
+        pytest.param(3, "db2", 2, 200, _BLOCK, 2 * 1344, [2, 2, 1],
                      id="3-db2-2-200-512-batches-2-2-1"),
-        pytest.param(3, "db2", 1, 242, _BLOCK, 4 * 960, [4, 2],
+        pytest.param(3, "db2", 1, 242, _BLOCK, 4 * 816, [4, 2],
                      id="3-db2-1-242-512-batches-4-2"),
-        pytest.param(3, "db4", 2, 242, 5, 5 * 1344, [5, 1],
+        pytest.param(3, "db4", 2, 242, 2, 5 * 2296, [5, 1],
                      id="3-db4-2-242-5-batches-5-1"),
     ])
     def test_arcs_match_direct_sum(self, monkeypatch, d, name, j, n, block,
@@ -158,11 +186,22 @@ class TestLevelCoeffs:
 
         monkeypatch.setattr(wavelets, "_factor_matrix", recording)
         _assert_matches_reference(d, name, j, n)
-        # batches of the given ring counts, each over every arc, x then y
+        # (nodes, x images, y images) of each node set of a ring
         n_t = wavelets._ring_length(d, n)
-        arcs = [min(block, n_t - a0) for a0 in range(0, n_t, block)]
-        assert nodes == [r * m for r in rings for m in arcs for _ in "xy"]
-
+        if n_t % 2:
+            layout = [(n_t // 2, 1, 2), (1, 1, 1)]
+        else:
+            layout = [(n_t // 4, 2, 2)] + [(1, 1, 2)] * (n_t % 4 // 2)
+        # batches of the given ring counts, each over every node set and its
+        # arcs, one factor matrix per x image, then per y image
+        assert nodes == [r * min(block, size - a0) for r in rings
+                         for size, sx, sy in layout
+                         for a0 in range(0, size, block) for _ in range(sx + sy)]
+        # a quarter node is located once per image sign on each axis, so a
+        # ring locates n_t rows, and one more for the node on the y axis,
+        # located once in x and twice in y
+        if d == 3:
+            assert sum(nodes) == sum(rings) * (n_t + n_t % 4 // 2)
     @pytest.mark.parametrize("n", [1, 2, 8, 11, 63, 252, 400])
     def test_gauss_legendre_is_leggauss_and_symmetric(self, n):
         u, wu = _gauss_legendre(n)
@@ -180,6 +219,24 @@ class TestLevelCoeffs:
         u, wu = _gauss_legendre(20)
         assert not u.flags.writeable and not wu.flags.writeable
 
+
+    @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 8)] + [
+        (3, 200), (3, 242), (3, 8000), (3, 64000)])
+    def test_node_sets_are_the_trapezoid_rule(self, d, n):
+        # rings of n_t = 20, 22, 126 and 356 cover both n_t mod 4 at d = 3
+        n_t = wavelets._ring_length(d, n)
+        index, cos, sin = _images(d, n)
+        assert np.array_equal(np.sort(index), np.arange(n_t))
+        # the unfolded rule rounds its angles 2 pi (i + 1/2) / n_t, so its
+        # nodes carry about an ulp of an angle up to 2 pi; the images are
+        # exact negatives of angles below pi
+        theta = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
+        tol = 2.0 * np.spacing(2.0 * math.pi)
+        assert np.max(np.abs(cos - np.cos(theta[index]))) <= tol
+        assert np.max(np.abs(sin - np.sin(theta[index]))) <= tol
+        _, _, weight, _ = _sphere_rings(d, n)
+        assert weight.sum() * index.size == pytest.approx(
+            2.0 * math.pi * (d - 1), rel=1e-13)
 
 @pytest.fixture(scope="module")
 def result():
@@ -236,10 +293,13 @@ class TestSphericalMean:
 
     @pytest.mark.parametrize("bad", [
         {"p": -1.0}, {"p": 0.0}, {"p": math.inf}, {"p": math.nan},
-        {"Jmax": -1}, {"nodes_per_unit": 0}])
+        {"Jmax": -1}, {"nodes_per_unit": 0}, {"d": 2.0}, {"Jmax": 1.5},
+        {"Jmax": True}, {"nodes_per_unit": math.inf}])
     def test_invalid_parameters_raise(self, bad):
         # unchecked, p = -1 and p = inf return finite sums and Jmax = -1 no
-        # levels; p = 0 and nodes_per_unit = 0 divide by zero
+        # levels; p = 0 and nodes_per_unit = 0 divide by zero; d = 2.0 and
+        # Jmax = 1.5 raise TypeError, Jmax = True runs as Jmax = 1, and
+        # nodes_per_unit = inf raises OverflowError
         kwargs = {"d": 2, "p": 1.0, "Jmax": 1, "wavelet": "db2", **bad}
         with pytest.raises(InvalidParameterError):
             spherical_mean_wavelet_coeffs(**kwargs)
