@@ -48,12 +48,12 @@ INF = float("inf")
 
 def corpus():
     """{route: [(case, value)]}: the values no summary reads.  The profiles
-    are f_{j,lambda} for (j, lambda) in {(3, 4), (4, 8)} with d = 2 on a
-    2^-10 grid over [-2, 2]; the coefficient grids are
+    are f_{j,lambda} for (j, lambda) in {(3, 4), (4, 8)} on a 2^-10 grid
+    over [-2, 2], normed at d = 2; the coefficient grids are
     ``CoefficientGrid.random`` at seeds 1..3 with J = 6, K = 48.  The
     gradient oracle's cases are listed in ``gradient_oracle_cases``."""
     grid = Grid1D.uniform(2.0 ** -10, 2.0)
-    profiles = [(f"f_{j}_{lam:g}", make_f_j_lambda(j, lam).profile(grid, d=2))
+    profiles = [(f"f_{j}_{lam:g}", make_f_j_lambda(j, lam).profile(grid))
                 for j, lam in ((3, 4.0), (4, 8.0))]
     out = {"tb_norm": [], "tf_norm": [], "seq_norm_bspqd": [],
            "seq_norm_fspqd": [], "lp_besov_norm_1d": []}
@@ -106,7 +106,7 @@ def gradient_oracle_cases():
               ("gaussian", gauss, True, Grid1D.uniform(5e-4, 3.0), 3, 61, (1.0, 1.5))]
     out = []
     for name, f, with_evaluator, grid, d, n_grid, ps in cases:
-        prof = RadialProfile.from_callable(f, grid, d=d)
+        prof = RadialProfile.from_callable(f, grid)
         reps = _gradient_identity_reports(prof, ps, d,
                                           evaluator=f if with_evaluator else None,
                                           n_grid=n_grid)

@@ -111,8 +111,10 @@ class Grid1D:
 class RadialProfile:
     """An even scalar function sampled on a symmetric grid.
 
-    This is the object the trace and extension operators act on; it also
-    carries the optional dimension context for the weight ``|t|**(d-1)``.
+    This is the object the trace and extension operators act on.  Every
+    function that weighs it by ``|t|**(d-1)`` takes d as an argument; the
+    optional ``dim_context`` serves only ``decompose_profile``'s residual
+    history.
     """
 
     grid: Grid1D
@@ -157,26 +159,14 @@ class RadialProfile:
     def scaled(self, c: float) -> "RadialProfile":
         return replace(self, values=c * self.values)
 
-    def restrict_dim(self, d: int) -> "RadialProfile":
-        return replace(self, dim_context=d)
 
-
-def _resolve_dim(g: RadialProfile, d: Optional[int]) -> int:
-    if d is None:
-        d = g.dim_context
-    if d is None:
-        raise InvalidParameterError("dimension d required (profile has no dim_context)")
-    _check_dim(d)
-    return int(d)
-
-
-def weighted_lp_norm(g: RadialProfile, p: float, d: Optional[int] = None) -> float:
+def weighted_lp_norm(g: RadialProfile, p: float, d: int) -> float:
     """(integral_R |g(t)|^p |t|^{d-1} dt)^{1/p} by composite trapezoid on the grid.
 
     p = inf returns max over nodes (the weight is ignored there); this is a
     lower bound of the true essential sup.
     """
-    d = _resolve_dim(g, d)
+    _check_dim(d)
     if not p > 0:
         raise InvalidParameterError(f"p must be > 0, got {p}")
     if math.isinf(p):
@@ -213,7 +203,7 @@ class GradientIdentityReport:
         return self.lhs_tensor / self.rhs_radial
 
 
-def radial_gradient_identity_check(g: RadialProfile, p: float, d: Optional[int] = None,
+def radial_gradient_identity_check(g: RadialProfile, p: float, d: int,
                                    evaluator: Optional[Callable] = None,
                                    n_grid: Optional[int] = None,
                                    fd_step: float = 1e-5) -> GradientIdentityReport:
@@ -284,15 +274,14 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: Optional[int] 
     return _gradient_identity_reports(g, (p,), d, evaluator, n_grid, fd_step)[0]
 
 
-def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...],
-                               d: Optional[int] = None,
+def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...], d: int,
                                evaluator: Optional[Callable] = None,
                                n_grid: Optional[int] = None,
                                fd_step: float = 1e-5) -> List[GradientIdentityReport]:
     """``radial_gradient_identity_check`` for every p in ``ps``, one report
     per p, each the same floats as its own call: the chamber's gradient
     blocks are built once and reduced once per p."""
-    d = _resolve_dim(g, d)
+    _check_dim(d)
     if any(p < 1 for p in ps):
         raise InvalidParameterError("p >= 1 required (Sobolev regime)")
     if d not in (2, 3):
@@ -309,7 +298,7 @@ def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...],
         gprime = np.abs(evaluator(r + fd_step) - evaluator(np.maximum(r - fd_step, 0.0))
                         ) / (2.0 * fd_step)
         gprime = 0.5 * (gprime + gprime[::-1])
-    gp = RadialProfile(g.grid, gprime, dim_context=d)
+    gp = RadialProfile(g.grid, gprime)
     rhs = [(sphere_area(d) / 2.0) ** (1.0 / p) * weighted_lp_norm(gp, p, d)
            for p in ps]
 

@@ -177,10 +177,8 @@ def check_decay4(cells: Sequence[SpaceParams],
 
     def norms(prof: RadialProfile, which: Sequence[int]) -> Dict[int, float]:
         """The norm of prof for each cell index in ``which``, all from one
-        decomposition; its residual at J, which no norm reads, is measured
-        in the first cell's d and p."""
-        dec = decompose_profile(prof.restrict_dim(cells[0].d), spec, J=8,
-                                raise_on_stall=False, track_history=False)
+        decomposition."""
+        dec = decompose_profile(prof, spec, J=8, track_history=False)
         return {i: (tb_norm if cells[i].scale == "B" else tf_norm)(
                     prof, cells[i], decomposition=dec) for i in which}
 
@@ -246,7 +244,7 @@ def check_decay2(params: SpaceParams,
         fam = make_f_j_lambda(int(2 + r), 3.0)
         # support sits in [2^{-r-2}, 1.25 * 2^{-r}]: a short fine grid suffices
         grid = Grid1D.uniform(2.0 ** (-int(r) - 9), 2.0 ** (-int(r) + 1))
-        prof = fam.profile(grid, d=d)
+        prof = fam.profile(grid)
         nrm = _surrogate_norm(prof, params, J=int(r) + 4)
         # normalized witness value at |x| = 2^{-r}; the 2^{-r(s-d/p)} witness
         # scale cancels between numerator and norm, leaving f(x)/||f||
@@ -287,7 +285,7 @@ def check_lim1(params: SpaceParams, r_range: Sequence[int] = range(4, 13),
     alpha, sigma = witness if witness is not None else (1.0, 0.0)
     fam = make_f_alpha_sigma(alpha, sigma)
     grid = Grid1D.composite(J=max(14, max(r_range) + 2), h=0.01, T=2.0)
-    prof = fam.profile(grid, d=d)
+    prof = fam.profile(grid)
     nrm = _surrogate_norm(prof, params, J=10)
     radii = 2.0 ** (-np.asarray(list(r_range), dtype=float))
     vals = np.abs(fam(radii))

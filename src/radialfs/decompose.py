@@ -113,8 +113,9 @@ def _spline_values(lam: np.ndarray, t: np.ndarray, j: int) -> np.ndarray:
 
 @dataclass
 class AtomicDecomposition:
-    """Coefficients with their atom orders, grid and reconstruction residual
-    (the last entry of ``residual_history``)."""
+    """Coefficients with their atom orders and grid; ``residual_history``
+    holds the reconstruction residual after each level when one was asked
+    for, else it is empty."""
 
     coefficients: CoefficientGrid
     spec: AtomSpec
@@ -127,17 +128,19 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
                       raise_on_stall: bool = True,
                       track_history: bool = True) -> AtomicDecomposition:
     """The quasi-interpolant decomposition (module docstring) of an even
-    profile, levels 0..J, for a spec with L <= 2 and M = -1.
+    profile, levels 0..J, for a spec with L <= 2 and M = -1.  The
+    coefficients depend on neither the dimension nor p.
 
-    The residual g - Q_j g is the weighted L_p norm of the profile's
-    dimension (``dim_context``, required) by the grid's trapezoid, as
-    ``weighted_lp_norm``, and the maximum at p = inf; p < 1 counts as 1.
-    ``track_history`` records it after every level, else only at J.  Raises
-    DecompositionError when the residual stalls (residual at J above residual
-    at J-2 and above STALL_RTOL times the profile's norm) and
-    ``raise_on_stall`` is set.  lambda_j and the residual are computed only
-    within a few cells of g's nonzero hull; outside, both are exactly 0.
-    Level j's differences are one array dense from k = 0.
+    With ``track_history`` the residual g - Q_j g is recorded after every
+    level: the weighted L_p norm of the profile's dimension (``dim_context``,
+    then required) by the grid's trapezoid, as ``weighted_lp_norm``, and the
+    maximum at p = inf; p < 1 counts as 1.  Then, when ``raise_on_stall`` is
+    set, DecompositionError is raised if the residual stalls (residual at J
+    above residual at J-2 and above STALL_RTOL times the profile's norm).
+    Without a history no residual is measured and ``residual_history`` is
+    [].  lambda_j and the residual are computed only within a few cells of
+    g's nonzero hull; outside, both are exactly 0.  Level j's differences
+    are one array dense from k = 0.
     """
     if J < 0:
         raise InvalidParameterError(f"need J >= 0, got J={J}")
@@ -145,9 +148,9 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
         raise InvalidParameterError(
             f"the cubic spline atoms serve L <= 2 and no moments (M = -1); "
             f"got L = {spec.L}, M = {spec.M}")
-    if g.dim_context is None:
+    if track_history and g.dim_context is None:
         raise InvalidParameterError(
-            "decomposition needs the profile's dimension (dim_context)")
+            "a residual history needs the profile's dimension (dim_context)")
     t_grid = g.grid.nodes
     i0 = int(np.searchsorted(t_grid, 0.0))   # the half line t >= 0 is t_grid[i0:]
     t_half, g_half = t_grid[i0:], g.values[i0:]
@@ -158,8 +161,9 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     nonzero = np.flatnonzero(y)
     first, last = (nonzero[0], nonzero[-1]) if nonzero.size else (0, 0)
     lo, hi = x[max(first - 1, 0)], x[min(last + 1, x.size - 1)]  # g = 0 outside
-    p_norm = max(1.0, spec.p)
-    weight, spacing = t_half ** (int(g.dim_context) - 1), np.diff(t_half)
+    if track_history:
+        p_norm = max(1.0, spec.p)
+        weight, spacing = t_half ** (int(g.dim_context) - 1), np.diff(t_half)
 
     levels: Dict[int, np.ndarray] = {}
     history: List[float] = []
@@ -174,23 +178,24 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
         levels[j] = np.zeros(max(lam.size, coarse.size))
         levels[j][:lam.size] = lam
         levels[j][:coarse.size] -= coarse
-        if track_history or j == J:
-            # Q_j g and g vanish outside ((k_lo - 2) 2^-j, (k_hi + 2) 2^-j);
-            # the trapezoid also takes the node on either side
-            a = max(int(np.searchsorted(t_half, (k_lo - 2) / scale)) - 1, 0)
-            b = int(np.searchsorted(t_half, (k_hi + 2) / scale)) + 1
-            r = np.abs(g_half[a:b] - _spline_values(lam, t_half[a:b], j))
-            if math.isinf(p_norm):
-                history.append(float(r.max()))
-                continue
-            v = r ** p_norm * weight[a:b]
-            mass = float(np.sum((v[1:] + v[:-1]) * spacing[a:b - 1]))
-            if a == 0 and t_half[0] > 0.0:
-                mass += 2.0 * t_half[0] * v[0]   # the middle cell [-t_0, t_0]
-            history.append(mass ** (1.0 / p_norm))
+        if not track_history:
+            continue
+        # Q_j g and g vanish outside ((k_lo - 2) 2^-j, (k_hi + 2) 2^-j); the
+        # trapezoid also takes the node on either side
+        a = max(int(np.searchsorted(t_half, (k_lo - 2) / scale)) - 1, 0)
+        b = int(np.searchsorted(t_half, (k_hi + 2) / scale)) + 1
+        r = np.abs(g_half[a:b] - _spline_values(lam, t_half[a:b], j))
+        if math.isinf(p_norm):
+            history.append(float(r.max()))
+            continue
+        v = r ** p_norm * weight[a:b]
+        mass = float(np.sum((v[1:] + v[:-1]) * spacing[a:b - 1]))
+        if a == 0 and t_half[0] > 0.0:
+            mass += 2.0 * t_half[0] * v[0]   # the middle cell [-t_0, t_0]
+        history.append(mass ** (1.0 / p_norm))
 
     if raise_on_stall and len(history) >= 3 and history[-1] > history[-3]:
-        g_scale = weighted_lp_norm(g, p_norm)
+        g_scale = weighted_lp_norm(g, p_norm, g.dim_context)
         if g_scale > 0 and history[-1] > STALL_RTOL * g_scale:
             raise DecompositionError(
                 f"residual stalls: {history[-1]:.3g} at J={J} vs "
@@ -207,8 +212,7 @@ def _checked_decomposition(g: RadialProfile, params: SpaceParams, spec: AtomSpec
     ``decomposition``, which must be one of g (its grid and its values) and
     whose own spec is checked."""
     if decomposition is None:
-        return decompose_profile(g.restrict_dim(params.d), spec, J=J,
-                                 raise_on_stall=False, track_history=False)
+        return decompose_profile(g, spec, J=J, track_history=False)
     if not np.array_equal(decomposition.grid.nodes, g.grid.nodes):
         raise InvalidParameterError("the decomposition is not on g's grid")
     # the values are most often g's own array: identity first
@@ -530,12 +534,10 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
 # Radial Sobolev norms
 
 
-def sobolev_radial_norm_1(g: RadialProfile, p: float,
-                          d: Optional[int] = None) -> float:
+def sobolev_radial_norm_1(g: RadialProfile, p: float, d: int) -> float:
     """||g | L_p(|t|^{d-1})|| + ||g' | L_p(|t|^{d-1})||."""
     if p < 1:
         raise InvalidParameterError("p >= 1 required (Sobolev regime)")
-    d = d if d is not None else g.dim_context
     d1 = _gradients(g.values, g.grid.nodes, 1)[1]
     gp = RadialProfile(g.grid, 0.5 * (np.abs(d1) + np.abs(d1[::-1])))
     return weighted_lp_norm(g, p, d) + weighted_lp_norm(gp, p, d)

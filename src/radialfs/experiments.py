@@ -147,7 +147,7 @@ def _j_lambda_sweep(h: float, T: float, norm: Callable[[RadialProfile], float]):
     lambda."""
     js, lams = list(range(3, 9)), [4.0, 8.0, 16.0, 32.0, 64.0]
     grid = Grid1D.uniform(h, T)
-    rows = [(j, lam, norm(make_f_j_lambda(j, lam).profile(grid, d=2)))
+    rows = [(j, lam, norm(make_f_j_lambda(j, lam).profile(grid)))
             for j, lam in [(j, 16.0) for j in js] + [(5, lam) for lam in lams]]
     norms = [v for _, _, v in rows]
     slope_j = float(np.polyfit(js, np.log2(norms[:len(js)]), 1)[0])
@@ -303,8 +303,7 @@ def _exp_support_shift(cfg: ExperimentConfig) -> Outcome:
     rows = []
     for tau in taus:
         ev = (lambda tau=tau: lambda t: bump((np.abs(t) - (tau + 0.5)) / 0.5))()
-        prof = RadialProfile.from_callable(ev, Grid1D.uniform(2 ** -11, tau + 2.0),
-                                           d=2)
+        prof = RadialProfile.from_callable(ev, Grid1D.uniform(2 ** -11, tau + 2.0))
         oned = lp_besov_norm_1d(prof, params, weighted=False, n_fft=2 ** 16,
                                 T=tau + 2.0)
         dd = tb_norm(prof, params, J=10)
@@ -346,8 +345,7 @@ def _exp_sobolev_reduction(cfg: ExperimentConfig) -> Outcome:
     for d in (2, 3):
         for (c, w) in SOBOLEV_SHAPES:
             ev = _sobolev_evaluator(c, w)
-            prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w),
-                                               d=d)
+            prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, c + 2 * w))
             # one gradient field per (d, c, w), reduced for every p
             reps = _gradient_identity_reports(prof, ps, d, evaluator=ev)
             for p, rep in zip(ps, reps):

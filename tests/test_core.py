@@ -114,11 +114,6 @@ class TestWeightedLpNorm:
         g = RadialProfile.from_callable(lambda t: np.exp(-t), Grid1D.uniform(0.01, 3.0))
         assert weighted_lp_norm(g, math.inf, 2) == pytest.approx(1.0)
 
-    def test_missing_dimension_raises(self):
-        g = RadialProfile.from_callable(lambda t: t, Grid1D.uniform(0.1, 1.0))
-        with pytest.raises(InvalidParameterError):
-            weighted_lp_norm(g, 2)
-
     @given(c=st.floats(-50, 50), p=st.floats(0.5, 4.0))
     @settings(max_examples=40, deadline=None)
     def test_absolute_homogeneity(self, c, p):
@@ -168,7 +163,7 @@ _DIM_PROFILE = RadialProfile.from_callable(lambda t: bump((t - 0.5) / 0.3)
 @pytest.mark.parametrize("call", [
     lambda d: weighted_lp_norm(_DIM_PROFILE, 2, d),
     lambda d: sphere_area(d),
-    lambda d: _DIM_PROFILE.restrict_dim(d),
+    lambda d: RadialProfile(_DIM_PROFILE.grid, _DIM_PROFILE.values, dim_context=d),
     lambda d: radial_gradient_identity_check(_DIM_PROFILE, 1, d, n_grid=21),
     lambda d: RadialGridField(d, _DIM_PROFILE)],
     ids=["weighted_lp_norm", "sphere_area", "dim_context",

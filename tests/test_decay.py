@@ -142,7 +142,7 @@ class TestDecay4:
         bands = []
         for J in (10, 12):
             upper = [_far_weighted_sup(prof, d, 1.0)
-                     / _surrogate_norm(prof.restrict_dim(d), params, J=J)
+                     / _surrogate_norm(prof, params, J=J)
                      for prof in corpus]
             bands.append(max(upper) / min(upper))
         assert bands[1] == pytest.approx(band, abs=1e-3)

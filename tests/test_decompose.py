@@ -174,12 +174,32 @@ class TestDecomposeProfile:
         assert dec.residual_history[-1] == 0.0
 
     def test_profile_without_dimension_raises(self, fine_grid):
-        # the residual's weight |t|^{d-1} needs d; tb_norm gives the
-        # profile its params.d
+        # a residual history's weight |t|^{d-1} needs d; tb_norm keeps no
+        # history and needs none
         g = RadialProfile.from_callable(psi_cutoff, fine_grid)
         with pytest.raises(InvalidParameterError, match="dimension"):
             decompose_profile(g, SPEC_L2, J=4)
         assert tb_norm(g, SpaceParams(1.0, 2.0, 2.0, 3), J=4) > 0
+
+    def test_no_history_measures_no_residual(self, fine_grid, monkeypatch):
+        # without a history the decomposition never evaluates Q_j g and needs
+        # no dimension; its coefficients are those of a run with a history,
+        # bit for bit
+        g = RadialProfile.from_callable(psi_cutoff, fine_grid)
+        calls = []
+        spline_values = decompose._spline_values
+        monkeypatch.setattr(decompose, "_spline_values",
+                            lambda *args: calls.append(args) or spline_values(*args))
+        dec = decompose_profile(g, SPEC_L2, J=6, track_history=False)
+        assert len(calls) == 0
+        assert dec.residual_history == []
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            decompose_profile(g, SPEC_L2, J=6, track_history=True)
+        tracked = decompose_profile(RadialProfile(g.grid, g.values, 2), SPEC_L2, J=6)
+        assert len(calls) == 7 and len(tracked.residual_history) == 7
+        assert list(dec.coefficients.levels) == list(tracked.coefficients.levels)
+        for j, level in dec.coefficients.levels.items():
+            assert level.tobytes() == tracked.coefficients.levels[j].tobytes()
 
     def test_psi_cutoff_residual_rate(self, fine_grid):
         # convergence-rate oracle: average contraction factor over j = 0..8,
@@ -271,9 +291,11 @@ class TestIncrementalCapture:
         assert list(dec.coefficients.levels) == list(levels)
         # a cell mean divides a difference of integrals of size 1 by 2^-j
         assert _max_difference(dec.coefficients.levels, levels) <= 2.0 ** J * 4e-15
+        if not track_history:
+            assert dec.residual_history == []
+            return
         # the residuals agree to rounding of the profile's size, 1
-        expected = history if track_history else history[-1:]
-        assert np.allclose(dec.residual_history, expected, rtol=1e-9, atol=1e-12)
+        assert np.allclose(dec.residual_history, history, rtol=1e-9, atol=1e-12)
 
     def test_reconstruction_is_the_sum_of_atoms(self):
         # each residual is that of the atoms of levels 0..j summed on the grid
