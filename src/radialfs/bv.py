@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import _gauss_legendre, sphere_area
 from .errors import DivergenceError, InvalidParameterError, QuadratureError
+from .spaces import _check_dim
 
 __all__ = ["RadonMeasure1D", "BVProfile", "staircase", "smooth_bump_bv",
            "bv_weighted_norm", "bv_dim_norm", "bv_equivalence_check",
@@ -161,6 +162,8 @@ def staircase(steps: Sequence[Tuple[float, float]]) -> BVProfile:
     """
     if not steps:
         raise InvalidParameterError("need at least one step")
+    if not all(math.isfinite(r) and math.isfinite(a) for r, a in steps):
+        raise InvalidParameterError("step radii and values must be finite")
     radii = [r for r, _ in steps]
     if radii != sorted(radii) or radii[0] <= 0:
         raise InvalidParameterError("step radii must be positive and increasing")
@@ -213,6 +216,7 @@ def _check_vanishes(g: BVProfile) -> None:
 
 def _weighted_parts(g: BVProfile, d: int) -> Tuple[float, float]:
     """||g | L_1(R^+, t^{d-1})|| and integral r^{d-1} d|nu|."""
+    _check_dim(d)
     _check_vanishes(g)
     l1, _ = quad(lambda r: np.abs(g(r)) * r ** (d - 1), (0.0,) + g.breaks)
     return l1, g.derivative._tail(0.0, d)
@@ -253,6 +257,7 @@ def bv_equivalence_check(g: BVProfile, d: int) -> BVEquivalenceReport:
     The two are equivalent norms; the ratio must stay within a fixed bracket
     and is exactly dilation invariant (both sides scale identically).
     """
+    _check_dim(d)
     if d not in (2, 3):
         raise InvalidParameterError("BV equivalence implemented for d in {2, 3}")
     norm = sum(_weighted_parts(g, d))
@@ -272,6 +277,7 @@ def bv_decay_check(g: BVProfile, radii: Sequence[float], d: int) -> BVDecayRepor
     Values at jump radii use the left limit (the Lebesgue-point
     representative just inside the jump), which is the extremal case.
     """
+    _check_dim(d)
     radii = np.asarray(sorted(radii), dtype=float)
     lhs = radii ** (d - 1) * np.abs(g.value_left(radii))
     _check_vanishes(g)

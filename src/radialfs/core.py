@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import EvennessError, InvalidParameterError
-from .spaces import _check_dim
+from .spaces import _check_dim, _check_int
 
 __all__ = [
     "Grid1D",
@@ -78,8 +78,8 @@ class Grid1D:
     @staticmethod
     def uniform(h: float, T: float) -> "Grid1D":
         """Uniform symmetric grid on [-T, T] with spacing h (node at 0)."""
-        if h <= 0 or T <= 0:
-            raise InvalidParameterError("need h > 0 and T > 0")
+        if not (0 < h < math.inf and 0 < T < math.inf):
+            raise InvalidParameterError(f"need finite h > 0 and T > 0, got h={h}, T={T}")
         n = int(round(T / h))
         half = np.arange(1, n + 1) * h
         nodes = np.concatenate([-half[::-1], [0.0], half])
@@ -93,8 +93,9 @@ class Grid1D:
         spacing tracks the dyadic scale; the phenomena at the origin stay
         resolved while the tail keeps a fixed budget.
         """
-        if J < 0 or h <= 0 or T < 1:
-            raise InvalidParameterError("bad composite grid parameters")
+        _check_int("J", J, 0)
+        if not (0 < h < math.inf and 1 <= T < math.inf):
+            raise InvalidParameterError(f"need finite h > 0 and T >= 1, got h={h}, T={T}")
         parts = [np.array([0.0, 2.0 ** (-J - 1)])]
         for j in range(J, -1, -1):
             lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
@@ -212,7 +213,9 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: int,
     lhs: tensor-grid quadrature of the finite-difference gradient of
     f = ext g (the d-dimensional route).  rhs: the exact radial reduction
     c_d * ||g'||_{L_p(|t|^{d-1})}.  For compactly supported smooth g the
-    ratio must be 1 up to discretization error.
+    ratio must be 1 up to discretization error.  Needs a finite p >= 1,
+    d in {2, 3} and an integer n_grid >= 2 (default 1000 at d = 2, 240 at
+    d = 3).
 
     When ``evaluator`` (a callable on radii) is supplied both routes
     differentiate it directly, which keeps the comparison at quadrature
@@ -282,12 +285,13 @@ def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...], d: int,
     per p, each the same floats as its own call: the chamber's gradient
     blocks are built once and reduced once per p."""
     _check_dim(d)
-    if any(p < 1 for p in ps):
-        raise InvalidParameterError("p >= 1 required (Sobolev regime)")
+    if not all(1 <= p < math.inf for p in ps):
+        raise InvalidParameterError(f"finite p >= 1 required (Sobolev regime), got {ps}")
     if d not in (2, 3):
         raise InvalidParameterError("tensor oracle implemented for d in {2, 3}")
     if n_grid is None:
         n_grid = 1000 if d == 2 else 240
+    _check_int("n_grid", n_grid, 2)
 
     t = g.grid.nodes
     if evaluator is None:

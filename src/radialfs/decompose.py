@@ -42,7 +42,7 @@ from .covering import AtomSpec
 from .errors import DecompositionError, InvalidParameterError
 from .seqspaces import (CoefficientGrid, _combine_levels, seq_norm_bspqd,
                         seq_norm_fspqd)
-from .spaces import SpaceParams, sigma_p, sigma_pq
+from .spaces import SpaceParams, _check_int, sigma_p, sigma_pq
 
 __all__ = ["AtomicDecomposition", "atom_normalization", "decompose_profile",
            "tb_norm", "tf_norm", "lp_besov_norm_1d", "sobolev_radial_norm_1"]
@@ -142,8 +142,7 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     g's nonzero hull; outside, both are exactly 0.  Level j's differences
     are one array dense from k = 0.
     """
-    if J < 0:
-        raise InvalidParameterError(f"need J >= 0, got J={J}")
+    _check_int("J", J, 0)
     if spec.L > 2 or spec.M >= 0:
         raise InvalidParameterError(
             f"the cubic spline atoms serve L <= 2 and no moments (M = -1); "

@@ -65,9 +65,15 @@ def _logsumexp(a, axis=None):
 @dataclass
 class CoefficientGrid:
     """Coefficients s_{j,k}, j >= 0, k >= 0, as one array per level:
-    levels[j][k] = s_{j,k}, dense in k from k = 0; a zero entry is absent."""
+    levels[j][k] = s_{j,k}, dense in k from k = 0; a zero entry is absent.
+    A NaN entry is refused; an infinite one gives an infinite norm."""
 
     levels: Dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for j, a in self.levels.items():
+            if np.isnan(a).any():
+                raise InvalidParameterError(f"level {j} holds a NaN coefficient")
 
     @staticmethod
     def random(rng, J: int, K: int, density: float = 0.3) -> "CoefficientGrid":

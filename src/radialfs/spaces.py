@@ -37,6 +37,13 @@ def _check_dim(d) -> None:
         raise InvalidParameterError(f"d must be an integer >= 1, got {d!r}")
 
 
+def _check_int(name: str, v, least: int) -> None:
+    """``v``, named ``name``, must be a Python or numpy integer >= least
+    (not a bool)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+        raise InvalidParameterError(f"need an integer {name} >= {least}, got {name}={v!r}")
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """The tuple (s, p, q, d, scale) governing every norm and predicate."""
@@ -143,8 +150,9 @@ def in_U_t(alpha: float, sigma: float, t: float) -> bool:
     1 < t < inf:  (alpha = 1 - 1/t and sigma > 1/t) or alpha < 1 - 1/t
     t = inf:      (alpha = 1 and sigma >= 0) or alpha < 1
     """
-    if t < 1:
-        raise InvalidParameterError(f"t must be >= 1, got {t}")
+    if math.isnan(alpha) or math.isnan(sigma) or not t >= 1:
+        raise InvalidParameterError(
+            f"need numbers alpha and sigma and t >= 1, got {alpha}, {sigma}, {t}")
     if t == 1:
         return (alpha == 0 and sigma > 0) or alpha < 0
     if math.isinf(t):

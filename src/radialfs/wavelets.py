@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -35,7 +34,7 @@ import numpy as np
 
 from .core import _gauss_legendre
 from .errors import InvalidParameterError, QuadratureError
-from .spaces import _check_dim
+from .spaces import _check_dim, _check_int
 
 __all__ = ["daubechies_filter", "WaveletTable", "wavelet_table",
            "SphericalMeanResult", "spherical_mean_wavelet_coeffs"]
@@ -380,12 +379,11 @@ def spherical_mean_wavelet_coeffs(d: int = 2, p: float = 1.0, Jmax: int = 6,
     _check_dim(d)
     if d not in (2, 3):
         raise InvalidParameterError("d must be 2 or 3")
-    if isinstance(Jmax, bool) or not isinstance(Jmax, numbers.Integral):
-        raise InvalidParameterError(f"Jmax must be an integer, got {Jmax!r}")
-    if not (0 < p < math.inf and Jmax >= 0 and 1 <= nodes_per_unit < math.inf):
+    _check_int("Jmax", Jmax, 0)
+    if not (0 < p < math.inf and 1 <= nodes_per_unit < math.inf):
         raise InvalidParameterError(
-            f"need 0 < p < inf, Jmax >= 0 and 1 <= nodes_per_unit < inf, got "
-            f"p={p}, Jmax={Jmax}, nodes_per_unit={nodes_per_unit}")
+            f"need 0 < p < inf and 1 <= nodes_per_unit < inf, got "
+            f"p={p}, nodes_per_unit={nodes_per_unit}")
     table = wavelet_table(wavelet)
     exponent = 1.0 / p - 1.0 + d * (0.5 - 1.0 / p)
     levels = np.arange(Jmax + 1)

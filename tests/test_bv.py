@@ -44,6 +44,33 @@ class TestWeightedNorm:
         with pytest.raises(InvalidParameterError):
             RadonMeasure1D(((2.0, 1.0), (1.0, 1.0)))
 
+    @pytest.mark.parametrize("steps", [[(math.nan, 1.0)], [(1.0, math.nan)],
+                                       [(1.0, 1.0), (math.inf, 2.0)],
+                                       [(1.0, -math.inf)]],
+                             ids=["nan-radius", "nan-value", "inf-radius",
+                                  "inf-value"])
+    def test_staircase_steps_must_be_finite(self, steps):
+        # a NaN radius passed the sorted and positive checks
+        with pytest.raises(InvalidParameterError, match="finite"):
+            staircase(steps)
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, math.nan, 0])
+@pytest.mark.parametrize("call", [
+    lambda g, d: bv_weighted_norm(g, d), lambda g, d: bv_dim_norm(g, d),
+    lambda g, d: bv_equivalence_check(g, d),
+    lambda g, d: bv_decay_check(g, [1.0], d=d)],
+    ids=["bv_weighted_norm", "bv_dim_norm", "bv_equivalence_check",
+         "bv_decay_check"])
+def test_every_bv_function_checks_d(call, d):
+    # bv_decay_check(d=2.5) used to return a report, and bv_weighted_norm
+    # and bv_equivalence_check ran d = 2.0
+    g = staircase([(1.0, 1.0)])
+    call(g, 2)
+    call(g, np.int64(3))
+    with pytest.raises(InvalidParameterError, match="d must be an integer >= 1"):
+        call(g, d)
+
 
 def _smoothstep_prime(u: np.ndarray) -> np.ndarray:
     """smoothstep'(u) = a c (u^-2 + (1-u)^-2) / (a + c)^2, a = e^{-1/u},

@@ -329,6 +329,15 @@ def test_readme_config_blocks_load(tmp_path):
         assert set(cfg.options) <= set(experiments.OPTIONS.get(cfg.experiment, ()))
 
 
+def test_readme_library_sketch_runs():
+    # the one ```python block of README's library sketch runs as written, so
+    # a signature change cannot leave it behind
+    section = (ROOT / "README.md").read_text().split("\n## Library sketch\n")[1]
+    blocks = re.findall(r"```python\n(.*?)```", section.split("\n## ")[0], re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize("argv", [
     lambda d, f: ["run", str(d / "map.cfg")],
     lambda d, f: ["run-all", str(f)],

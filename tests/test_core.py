@@ -36,6 +36,20 @@ class TestGrid1D:
         # 0, 2^-3, 16 nodes on each of 3 levels and 2 tail nodes, mirrored
         assert Grid1D.composite(J=2, h=0.5, T=2.0).nodes.size == 103
 
+    @pytest.mark.parametrize("h, T", [(math.nan, 1.0), (0.1, math.nan),
+                                      (0.1, math.inf), (math.inf, 1.0)])
+    def test_uniform_needs_finite_spacing_and_extent(self, h, T):
+        # NaN raised a raw ValueError and an infinite T an OverflowError
+        with pytest.raises(InvalidParameterError, match="finite"):
+            Grid1D.uniform(h, T)
+
+    @pytest.mark.parametrize("kwargs", [{"J": 1.5}, {"J": True}, {"J": -1},
+                                        {"h": math.nan}, {"T": math.inf}],
+                             ids=["J=1.5", "J=True", "J=-1", "h=nan", "T=inf"])
+    def test_composite_parameters_checked(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            Grid1D.composite(**kwargs)
+
     def test_composite_resolves_origin_and_tail(self):
         g = Grid1D.composite(J=8, h=0.05, T=4.0)
         # the spacing of the interval that ends at the first node >= t
@@ -230,6 +244,27 @@ class TestGradientIdentity:
             radial_gradient_identity_check(prof, 0.5, 2)
         with pytest.raises(InvalidParameterError):
             _gradient_identity_reports(prof, (2.0, 0.5), 2)
+
+    def test_infinite_p_rejected(self):
+        # (total h^d)^(1/p) is 1.0 for every total at p = inf: on e^{-r^2}
+        # at d = 2, n_grid = 301 the oracle reported lhs 1.0 against rhs 0.858
+        ev = lambda r: np.exp(-np.asarray(r, float) ** 2)
+        prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, 3.0))
+        with pytest.raises(InvalidParameterError, match="finite p"):
+            radial_gradient_identity_check(prof, math.inf, 2, evaluator=ev, n_grid=301)
+        with pytest.raises(InvalidParameterError, match="finite p"):
+            _gradient_identity_reports(prof, (2.0, math.inf), 2, evaluator=ev,
+                                       n_grid=301)
+
+    @pytest.mark.parametrize("n_grid", [0, 1, 2.5, True, -3])
+    def test_n_grid_must_be_an_integer_of_two_or_more(self, n_grid):
+        # 0 and 1 raised a raw IndexError, 2.5 a raw TypeError
+        ev = lambda r: np.exp(-np.asarray(r, float) ** 2)
+        prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, 3.0))
+        with pytest.raises(InvalidParameterError, match="n_grid >= 2"):
+            radial_gradient_identity_check(prof, 2.0, 2, evaluator=ev, n_grid=n_grid)
+        assert radial_gradient_identity_check(prof, 2.0, 2, evaluator=ev,
+                                              n_grid=np.int64(2)).lhs_tensor >= 0.0
 
     @pytest.mark.parametrize("d, n_grid", [(2, 301), (3, 60)])
     def test_reports_for_several_p_match_single_calls(self, d, n_grid):

@@ -495,6 +495,17 @@ class TestTraceNorms:
             with pytest.raises(InvalidParameterError, match="J >= 0"):
                 call()
 
+    @pytest.mark.parametrize("J", [1.5, True, 8.0])
+    def test_non_integer_J_raises(self, fine_grid, J):
+        # 1.5 raised a raw TypeError
+        g = spline_atom(1, 5, fine_grid, d=2)
+        params = SpaceParams(1.0, 2.0, 2.0, 2)
+        for call in (lambda: decompose_profile(g, SPEC_L2, J=J),
+                     lambda: tb_norm(g, params, J=J),
+                     lambda: tf_norm(g, params, J=J)):
+            with pytest.raises(InvalidParameterError, match="integer J >= 0"):
+                call()
+
     def test_dilation_law_within_factor_two(self):
         # tb(g(t / 2^-m)) / tb(g) tracks 2^{m(s-d/p)} within factor 2 over m
         params = SpaceParams(1.0, 2.0, 2.0, 2)

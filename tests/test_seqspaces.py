@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from radialfs.core import sphere_area
+from radialfs.errors import InvalidParameterError
 from radialfs.seqspaces import (CoefficientGrid, _logsumexp, seq_norm_bspqd,
                                 seq_norm_fspqd)
 from radialfs.spaces import SpaceParams
@@ -285,6 +286,25 @@ class TestLogSumExp:
 
 
 class TestCoefficientGrid:
+    @pytest.mark.parametrize("norm, scale", [(seq_norm_bspqd, "B"),
+                                             (seq_norm_fspqd, "F")])
+    @pytest.mark.parametrize("levels", [{0: [math.nan]}, {0: [1.0], 1: [math.nan]}],
+                             ids=["nan-alone", "nan-level"])
+    def test_nan_coefficient_raises(self, norm, scale, levels):
+        # at s = 1, p = q = 2, d = 2 a NaN entry gave a finite norm: 0.0 for
+        # a NaN alone, and with a NaN level beside {0: [1]} 1.0 (b) and
+        # 0.866 (f), below the 1.0 of the NaN-free grid
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            norm(CoefficientGrid({j: np.array(a) for j, a in levels.items()}),
+                 SpaceParams(1.0, 2.0, 2.0, 2, scale))
+
+    @pytest.mark.parametrize("norm, scale", [(seq_norm_bspqd, "B"),
+                                             (seq_norm_fspqd, "F")])
+    @pytest.mark.parametrize("big", [math.inf, -math.inf])
+    def test_infinite_coefficient_gives_infinite_norm(self, norm, scale, big):
+        c = CoefficientGrid({0: np.array([1.0]), 1: np.array([0.0, big])})
+        assert norm(c, SpaceParams(1.0, 2.0, 2.0, 2, scale)) == math.inf
+
     def test_random_draws_and_items_order(self):
         # random draws the mask, then the values, and keeps the nonzero ones
         rng, direct = np.random.default_rng(12), np.random.default_rng(12)

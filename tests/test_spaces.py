@@ -170,6 +170,15 @@ class TestUt:
         with pytest.raises(InvalidParameterError):
             in_U_t(0.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("alpha, sigma, t", [
+        (0.5, 0.6, math.nan), (math.nan, 0.6, 2.0), (0.5, math.nan, 2.0),
+        (math.nan, 0.0, INF), (0.0, math.nan, 1.0)])
+    def test_nan_raises(self, alpha, sigma, t):
+        # every comparison with NaN is False, so each branch used to answer
+        # False
+        with pytest.raises(InvalidParameterError):
+            in_U_t(alpha, sigma, t)
+
     def test_t_infinity_is_limit_of_finite_t(self):
         # for alpha < 1 the t = inf classification is the pointwise limit of
         # the finite-t branch, checked on a grid of (alpha, sigma)
