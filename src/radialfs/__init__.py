@@ -19,11 +19,9 @@ from .decompose import (AtomicDecomposition, decompose_profile,
 from .traceext import RadialGridField, extend, trace
 from .families import (TestFamily, make_f_alpha, make_f_alpha_delta,
                        make_f_alpha_sigma, make_f_j_lambda, make_psi_cutoff)
-from .bv import (BVProfile, RadonMeasure1D, bv_decay_check,
-                 bv_equivalence_check, bv_weighted_norm, smooth_bump_bv,
+from .bv import (BVProfile, RadonMeasure1D, bv_decay_check, bv_weighted_norm,
                  staircase)
-from .decay import (DecayFit, bump_train, check_decay2, check_decay4,
-                    check_lim1, fit_decay_exponent, fit_loglog)
+from .decay import bump_train, check_decay2, check_decay4, fit_loglog
 from .wavelets import spherical_mean_wavelet_coeffs, wavelet_table
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
-"""Weighted BV on the half-line, the BV trace equivalence, and the decay bound.
+"""Weighted BV on the half-line, the d-dimensional BV norm, and the decay bound.
 
 The supported profile class is piecewise-C^1 with finitely many jumps
-(staircases, smooth bumps, and their sums); the derivative is a signed Radon
+(staircases, and pieces with a density derivative); the derivative is a signed Radon
 measure with atoms at the jump radii plus an absolutely continuous density.
 The d-dimensional BV norm of the radial extension of a piecewise-smooth
 profile is computed by the exact reduction (jump spheres contribute surface
@@ -27,9 +27,8 @@ from .core import _gauss_legendre, sphere_area
 from .errors import DivergenceError, InvalidParameterError, QuadratureError
 from .spaces import _check_dim
 
-__all__ = ["RadonMeasure1D", "BVProfile", "staircase", "smooth_bump_bv",
-           "bv_weighted_norm", "bv_dim_norm", "bv_equivalence_check",
-           "bv_decay_check", "BVEquivalenceReport", "BVDecayReport", "quad"]
+__all__ = ["RadonMeasure1D", "BVProfile", "staircase", "bv_weighted_norm",
+           "bv_dim_norm", "bv_decay_check", "BVDecayReport", "quad"]
 
 QUAD_RTOL = 1e-10     # relative tolerance on the sum of |panel integrals|
 _QUAD_N = 48          # coarse rule; the fine rule has 2 * _QUAD_N points
@@ -137,21 +136,6 @@ class BVProfile:
                 out[mask] = piece(r[mask])
         return out
 
-    def dilated(self, lam: float) -> "BVProfile":
-        """g(./lam) with the derivative measure transported accordingly."""
-        atoms = tuple((loc * lam, mass) for loc, mass in self.derivative.atoms)
-        if self.derivative.density is None:
-            dens, supp = None, (0.0, 0.0)
-        else:
-            base = self.derivative.density
-            dens = lambda r: base(np.asarray(r) / lam) / lam
-            supp = (self.derivative.density_support[0] * lam,
-                    self.derivative.density_support[1] * lam)
-        pieces = tuple((lambda p: (lambda r: p(np.asarray(r) / lam)))(p)
-                       for p in self.pieces)
-        return BVProfile(tuple(b * lam for b in self.breaks), pieces,
-                         RadonMeasure1D(atoms, dens, supp))
-
 
 def staircase(steps: Sequence[Tuple[float, float]]) -> BVProfile:
     """Right-continuous staircase from "(r1, a1), (r2, a2), ..." style steps.
@@ -177,33 +161,6 @@ def staircase(steps: Sequence[Tuple[float, float]]) -> BVProfile:
     pieces = tuple((lambda a: (lambda r: np.full_like(np.asarray(r, float), a)))(a)
                    for a in values) + ((lambda r: np.zeros_like(np.asarray(r, float))),)
     return BVProfile(tuple(radii), pieces, RadonMeasure1D(tuple(atoms)))
-
-
-def smooth_bump_bv(center: float, width: float, height: float = 1.0) -> BVProfile:
-    """A C^1 bump profile as a BVProfile (no jumps; density derivative)."""
-    if center - width <= 0:
-        raise InvalidParameterError("bump must stay inside R^+")
-
-    def val(r):
-        u = (np.asarray(r, float) - center) / width
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = height * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-        return out
-
-    def dens(r):
-        r = np.asarray(r, float)
-        u = (r - center) / width
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        out[inside] = (height * np.exp(1.0 - 1.0 / (1.0 - ui ** 2))
-                       * (-2.0 * ui / (1.0 - ui ** 2) ** 2) / width)
-        return out
-
-    support = (center - width, center + width)
-    return BVProfile((center + width,), (val, lambda r: np.zeros_like(np.asarray(r, float))),
-                     RadonMeasure1D((), dens, support))
 
 
 def _check_vanishes(g: BVProfile) -> None:
@@ -237,31 +194,6 @@ def bv_dim_norm(g: BVProfile, d: int) -> float:
     indicator this is exactly the perimeter).
     """
     return sphere_area(d) * sum(_weighted_parts(g, d))
-
-
-@dataclass(frozen=True)
-class BVEquivalenceReport:
-    dim_norm: float
-    weighted_norm: float
-
-    @property
-    def ratio(self) -> float:
-        if self.dim_norm == 0.0 and self.weighted_norm == 0.0:
-            return 1.0
-        return self.dim_norm / self.weighted_norm
-
-
-def bv_equivalence_check(g: BVProfile, d: int) -> BVEquivalenceReport:
-    """Ratio of the d-dimensional BV norm of ext g to the weighted 1-D norm.
-
-    The two are equivalent norms; the ratio must stay within a fixed bracket
-    and is exactly dilation invariant (both sides scale identically).
-    """
-    _check_dim(d)
-    if d not in (2, 3):
-        raise InvalidParameterError("BV equivalence implemented for d in {2, 3}")
-    norm = sum(_weighted_parts(g, d))
-    return BVEquivalenceReport(sphere_area(d) * norm, norm)
 
 
 @dataclass(frozen=True)

@@ -85,28 +85,6 @@ class Grid1D:
         nodes = np.concatenate([-half[::-1], [0.0], half])
         return Grid1D(nodes)
 
-    @staticmethod
-    def composite(J: int = 10, h: float = 0.01, T: float = 8.0) -> "Grid1D":
-        """Dyadic refinement on (0, 1] (levels j = 0..J) plus a uniform tail on [1, T].
-
-        Level j places 16 nodes on (2^{-j-1}, 2^{-j}], so the local
-        spacing tracks the dyadic scale; the phenomena at the origin stay
-        resolved while the tail keeps a fixed budget.
-        """
-        _check_int("J", J, 0)
-        if not (0 < h < math.inf and 1 <= T < math.inf):
-            raise InvalidParameterError(f"need finite h > 0 and T >= 1, got h={h}, T={T}")
-        parts = [np.array([0.0, 2.0 ** (-J - 1)])]
-        for j in range(J, -1, -1):
-            lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
-            parts.append(np.linspace(lo, hi, 17)[1:])
-        if T > 1:
-            n_tail = int(round((T - 1) / h))
-            parts.append(1.0 + np.arange(1, n_tail + 1) * h)
-        half = np.unique(np.concatenate(parts))
-        nodes = np.concatenate([-half[:0:-1], half])
-        return Grid1D(nodes)
-
 
 @dataclass(frozen=True)
 class RadialProfile:

@@ -20,14 +20,13 @@ from .core import Grid1D, RadialProfile
 from .covering import AtomSpec
 from .decompose import decompose_profile, tb_norm, tf_norm
 from .errors import ConfigError, InvalidParameterError, OutOfHypothesisError
-from .families import make_f_alpha_sigma, make_f_j_lambda
+from .families import make_f_j_lambda
 from .spaces import (ParamRegion, SpaceParams, fig1_region, fig2_region,
                      fig3_region, in_U, sigma_p)
 
-__all__ = ["DecayFit", "fit_loglog", "fit_decay_exponent", "bump_train",
-           "check_decay4", "check_decay2", "check_lim1", "FIGURE_RECT",
-           "figure_region", "classification_table", "Decay4Report",
-           "Decay2Report", "Lim1Report"]
+__all__ = ["fit_loglog", "bump_train", "check_decay4", "check_decay2",
+           "FIGURE_RECT", "figure_region", "classification_table",
+           "Decay4Report", "Decay2Report"]
 
 
 def fit_loglog(x: Sequence[float], y: Sequence[float]) -> float:
@@ -37,42 +36,6 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> float:
     if np.any(y <= 0) or np.any(x <= 0):
         raise InvalidParameterError("log-log fit needs positive data")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Annulus sup-amplitudes against radii with the fitted log-log slope."""
-
-    radii: np.ndarray
-    amplitudes: np.ndarray
-    slope: float
-
-    @property
-    def decay_exponent(self) -> float:
-        """Positive exponent alpha for |f| ~ R^{-alpha}."""
-        return -self.slope
-
-
-def fit_decay_exponent(f: RadialProfile, R_list: Sequence[float]) -> DecayFit:
-    """Slope of log sup_{R <= |t| <= 2R} |f| against log R.
-
-    Requires at least 4 radii and nonzero amplitudes on every annulus.
-    """
-    radii = np.asarray(sorted(R_list), dtype=float)
-    if radii.size < 4:
-        raise InvalidParameterError("need at least 4 radii for a decay fit")
-    t = np.abs(f.grid.nodes)
-    if radii[-1] * 2.0 > t.max() * (1 + 1e-12):
-        raise InvalidParameterError("profile grid does not reach 2 * max(R)")
-    amps = []
-    for r in radii:
-        mask = (t >= r) & (t <= 2.0 * r)
-        amp = float(np.max(np.abs(f.values[mask]), initial=0.0))
-        amps.append(amp)
-    amps = np.asarray(amps)
-    if np.any(amps == 0.0):
-        raise InvalidParameterError("zero amplitude annulus: decay fit undefined")
-    return DecayFit(radii, amps, fit_loglog(radii, amps))
 
 
 def bump_train(amplitude_exponent: float, centers: Sequence[float]) -> RadialProfile:
@@ -253,44 +216,6 @@ def check_decay2(params: SpaceParams,
     # |f| ~ |x|^{s-d/p}: slope wrt |x| is s - d/p; origin exponent = -(slope)
     return Decay2Report(radii, values, fitted_exponent=-fit_loglog(radii, values),
                         expected_exponent=d / p - s)
-
-
-@dataclass(frozen=True)
-class Lim1Report:
-    radii: np.ndarray
-    ratios: np.ndarray           # (-log|x|)^{-1/q'} |f(x)| / norm
-    band: float
-
-
-def check_lim1(params: SpaceParams, r_range: Sequence[int] = range(4, 13),
-               witness: Optional[Tuple[float, float]] = None) -> Lim1Report:
-    """Log-borderline boundedness at s = d/p.
-
-    The default witness is f_{1,0} = psi |log|x|| (extremal for q = inf in
-    the B-scale): the ratio (-log|x|)^{-1/q'} |f(x)| is constant in |x| up to
-    the norm constant, a surrogate norm at J = 10.  q' = q/(q-1);
-    hypotheses: q > 1 (B), 1 < p < inf (F).
-    """
-    p, q, d, s = params.p, params.q, params.d, params.s
-    if abs(s - d / p) > 1e-12:
-        raise OutOfHypothesisError("lim1 is the borderline s = d/p")
-    if params.scale == "B":
-        if not q > 1:
-            raise OutOfHypothesisError("lim1(B) requires q > 1")
-        conj = 1.0 if math.isinf(q) else q / (q - 1.0)
-    else:
-        if not 1 < p < math.inf:
-            raise OutOfHypothesisError("lim1(F) requires 1 < p < inf")
-        conj = p / (p - 1.0)
-    alpha, sigma = witness if witness is not None else (1.0, 0.0)
-    fam = make_f_alpha_sigma(alpha, sigma)
-    grid = Grid1D.composite(J=max(14, max(r_range) + 2), h=0.01, T=2.0)
-    prof = fam.profile(grid)
-    nrm = _surrogate_norm(prof, params, J=10)
-    radii = 2.0 ** (-np.asarray(list(r_range), dtype=float))
-    vals = np.abs(fam(radii))
-    ratios = (-np.log(radii)) ** (-1.0 / conj) * vals / nrm
-    return Lim1Report(radii, ratios, float(ratios.max() / ratios.min()))
 
 
 # The (1/p, s) figures of the paper and the rectangle their rasters cover.

@@ -22,11 +22,9 @@ import numpy as np
 from .bump import bump
 from .core import (Grid1D, RadialProfile, _gradient_identity_reports,
                    weighted_lp_norm)
-from .bv import (bv_decay_check, bv_equivalence_check, smooth_bump_bv,
-                 staircase)
-from .decay import (FIGURE_RECT, bump_train, check_decay2, check_decay4,
-                    check_lim1, classification_table, figure_region,
-                    fit_decay_exponent)
+from .bv import bv_decay_check, staircase
+from .decay import (FIGURE_RECT, check_decay2, check_decay4,
+                    classification_table, figure_region)
 from .decompose import lp_besov_norm_1d, tb_norm
 from .errors import ConfigError
 from .families import make_f_j_lambda
@@ -206,17 +204,6 @@ def _exp_decay_infinity(cfg: ExperimentConfig) -> Outcome:
     return Outcome(assertions, ("d", "p", "radius", "ratio"), rows)
 
 
-def _exp_strauss(cfg: ExperimentConfig) -> Outcome:
-    d, p = 3, 2.0
-    centers = [1.5 * 2.0 ** m for m in range(1, 8)]
-    train = bump_train((d - 1) / p, centers)
-    fit = fit_decay_exponent(train, [1.1 * 2.0 ** m for m in range(1, 8)])
-    return Outcome([
-        Assertion("decay_exponent_minus_(d-1)/2", fit.decay_exponent - 1.0,
-                  "abs<=", 0.1, "paper-exponent"),
-    ], ("radius", "amplitude"), zip(fit.radii, fit.amplitudes))
-
-
 def _exp_blowup_origin(cfg: ExperimentConfig) -> Outcome:
     params = SpaceParams(0.75, 2.0, 2.0, 2)
     rep = check_decay2(params, r_range=range(2, 11))
@@ -225,14 +212,6 @@ def _exp_blowup_origin(cfg: ExperimentConfig) -> Outcome:
                   rep.fitted_exponent - rep.expected_exponent, "abs<=", 0.05,
                   "paper-exponent"),
     ], ("radius", "value"), zip(rep.radii, rep.lower_values))
-
-
-def _exp_log_borderline(cfg: ExperimentConfig) -> Outcome:
-    params = SpaceParams(1.0, 2.0, math.inf, 2)
-    rep = check_lim1(params, r_range=range(4, 13))
-    return Outcome([
-        Assertion("ratio_band", rep.band, "<=", 2.0, "paper-exponent"),
-    ], ("radius", "ratio"), zip(rep.radii, rep.ratios))
 
 
 # bv-decay's bound on (lhs - tail) / tail: a few ulp, since lhs = tail exactly
@@ -262,39 +241,6 @@ def _exp_bv_decay(cfg: ExperimentConfig) -> Outcome:
             f"single_step_equality_gap_d{d}",
             float(abs(rep.lhs[0] - rep.tail_bound[0])), "<=", 1e-12, "identity"))
     return Outcome(assertions, ("d", "case", "rel_violation"), rows)
-
-
-def _bv_corpus(rng):
-    corpus = []
-    for i in range(8):
-        n = int(rng.integers(1, 8))
-        radii = np.sort(rng.uniform(0.2, 6.0, n))
-        vals = rng.normal(0.0, 1.5, n)
-        corpus.append(staircase(list(zip(radii, vals))))
-    corpus.append(smooth_bump_bv(2.0, 0.7))
-    corpus.append(smooth_bump_bv(4.0, 1.2, height=-2.0))
-    return corpus
-
-
-def _exp_bv_equivalence(cfg: ExperimentConfig) -> Outcome:
-    rng = np.random.default_rng(cfg.seed)
-    assertions, rows = [], []
-    for d in (2, 3):
-        ratios = []
-        for i, g in enumerate(_bv_corpus(rng)):
-            rep = bv_equivalence_check(g, d)
-            ratios.append(rep.ratio)
-            rows.append((d, i, rep.ratio))
-        band = max(ratios) / min(ratios)
-        assertions.append(Assertion(f"ratio_spread_d{d}", band, "<=", 4.0,
-                                    "frozen-baseline"))
-        g = staircase([(1.0, 1.0), (3.0, -0.5)])
-        base = bv_equivalence_check(g, d).ratio
-        drift = max(abs(bv_equivalence_check(g.dilated(lam), d).ratio - base)
-                    for lam in (0.25, 4.0))
-        assertions.append(Assertion(f"dilation_drift_d{d}", drift, "<=", 1e-6,
-                                    "identity"))
-    return Outcome(assertions, ("d", "case", "ratio"), rows)
 
 
 def _exp_support_shift(cfg: ExperimentConfig) -> Outcome:
@@ -426,14 +372,9 @@ REGISTRY: Dict[str, Tuple[Callable[[ExperimentConfig], Outcome], str]] = {
     "scaling-lp": (_exp_scaling_lp, "weighted L_p scaling of the annulus bumps"),
     "decay-infinity": (_exp_decay_infinity,
                        "lower-bound witnesses for the (d-1)/p decay rate"),
-    "strauss": (_exp_strauss, "H^1 bump-train decay exponent (d-1)/2"),
     "blowup-origin": (_exp_blowup_origin,
                       "origin blow-up exponent d/p - s via dilated witnesses"),
-    "log-borderline": (_exp_log_borderline,
-                       "log-rate boundedness at s = d/p (q = inf witness)"),
     "bv-decay": (_exp_bv_decay, "r^{d-1}|g| <= tail variation for staircases"),
-    "bv-equivalence": (_exp_bv_equivalence,
-                       "d-dim vs weighted 1-D BV norm ratio stability"),
     "support-shift": (_exp_support_shift,
                       "tau^{-(d-1)/p} law for profiles supported at radius tau"),
     "spherical-mean-wavelet": (_exp_spherical_mean,

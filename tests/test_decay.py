@@ -9,8 +9,7 @@ import radialfs.decay as decay_module
 import radialfs.decompose as decompose_module
 from radialfs.decay import (UPPER_TRAIN_CENTERS, _decay4_upper_shared,
                             _far_weighted_sup, _surrogate_norm, bump_train,
-                            check_decay2, check_decay4, check_lim1,
-                            classification_table, fit_decay_exponent,
+                            check_decay2, check_decay4, classification_table,
                             fit_loglog)
 from radialfs.errors import InvalidParameterError, OutOfHypothesisError
 from radialfs.experiments import (UPPER_ROUTE_BRACKETS, ExperimentConfig,
@@ -20,34 +19,6 @@ from radialfs.spaces import SpaceParams, fig2_region
 
 
 class TestFitDecay:
-    def test_exact_power_law(self):
-        g = RadialProfile.from_callable(
-            lambda t: np.where(np.abs(t) >= 1.0,
-                               np.abs(np.where(t == 0, 1.0, t)) ** -2.0, 1.0),
-            Grid1D.uniform(0.01, 600.0))
-        fit = fit_decay_exponent(g, [2.0 ** r for r in range(1, 9)])
-        # every annulus sup sits at its inner radius, on the power law itself
-        assert np.allclose(fit.amplitudes, fit.radii ** -2.0, rtol=1e-10, atol=0.0)
-        assert fit.decay_exponent == pytest.approx(2.0, abs=1e-10)
-
-    def test_compact_support_undefined(self):
-        g = RadialProfile.from_callable(lambda t: bump(t), Grid1D.uniform(0.01, 80.0))
-        with pytest.raises(InvalidParameterError):
-            fit_decay_exponent(g, [2.0, 4.0, 8.0, 16.0])
-
-    def test_needs_four_radii(self):
-        g = RadialProfile.from_callable(lambda t: np.exp(-np.abs(t)),
-                                        Grid1D.uniform(0.01, 40.0))
-        with pytest.raises(InvalidParameterError):
-            fit_decay_exponent(g, [2.0, 4.0, 8.0])
-
-    def test_bump_train_exponent(self):
-        beta = 1.5
-        centers = [1.5 * 2.0 ** m for m in range(1, 8)]
-        g = bump_train(beta, centers)
-        fit = fit_decay_exponent(g, [1.1 * 2.0 ** m for m in range(1, 8)])
-        assert fit.decay_exponent == pytest.approx(beta, abs=0.05)
-
     def test_loglog_rejects_nonpositive(self):
         with pytest.raises(InvalidParameterError):
             fit_loglog([1.0, 2.0], [1.0, 0.0])
@@ -221,31 +192,6 @@ class TestDecay2:
         assert e2 == pytest.approx(0.1, abs=0.05)
 
 
-class TestLim1:
-    def test_extremal_witness_band(self):
-        rep = check_lim1(SpaceParams(1.0, 2.0, math.inf, 2), r_range=range(4, 13))
-        assert rep.band <= 2.0
-
-    def test_bounded_function_ratio_vanishes(self):
-        # for bounded f the log factor kills the ratio as |x| -> 0
-        params = SpaceParams(1.0, 2.0, 2.0, 2)
-        rep = check_lim1(params, r_range=range(4, 13), witness=(0.0, 1.0))
-        assert rep.ratios[-1] < rep.ratios[0]
-
-    def test_interior_witness_bounded(self):
-        # (alpha, sigma) = (1 - 1/q, 2/q) lies inside U_q: bounded ratio
-        q = 2.0
-        rep = check_lim1(SpaceParams(1.0, 2.0, q, 2), r_range=range(4, 13),
-                         witness=(1.0 - 1.0 / q, 2.0 / q))
-        assert rep.band <= 8.0   # frozen from the sweep oracle run
-
-    def test_hypothesis_checked(self):
-        with pytest.raises(OutOfHypothesisError):
-            check_lim1(SpaceParams(1.0, 2.0, 1.0, 2))  # q <= 1 in B-scale
-        with pytest.raises(OutOfHypothesisError):
-            check_lim1(SpaceParams(0.7, 2.0, math.inf, 2))  # s != d/p
-
-
 class TestClassificationMap:
     def test_fig2_examples(self):
         region = fig2_region(2)
@@ -258,11 +204,3 @@ class TestClassificationMap:
                   for ip, s, *flags in rows}
         assert labels[(1.0, 1.025)] == "decay"
         assert labels[(2.0, 0.05)] == "singular"
-
-    def test_strauss_consistency(self):
-        # d = 2, 3 at p = 2, s = 1 (H^1): measured exponent (d-1)/2 +- 0.1
-        for d in (2, 3):
-            centers = [1.5 * 2.0 ** m for m in range(1, 8)]
-            g = bump_train((d - 1) / 2.0, centers)
-            fit = fit_decay_exponent(g, [1.1 * 2.0 ** m for m in range(1, 8)])
-            assert fit.decay_exponent == pytest.approx((d - 1) / 2.0, abs=0.1)

@@ -18,6 +18,7 @@ from radialfs.errors import DecompositionError, InvalidParameterError
 from radialfs.families import make_f_j_lambda
 from radialfs.seqspaces import CoefficientGrid
 from radialfs.spaces import SpaceParams
+from test_core import composite_grid
 from test_covering import (SPLINE_ATOM_CONSTANT, spline_atom,
                            spline_atom_interval, validate_even_atom)
 
@@ -259,7 +260,7 @@ WINDOW_CASES = {
         lambda t: bump((t - 1.0) / 0.3) + 0.5 * bump((t - 4.5) / 0.4),
         Grid1D.uniform(2.0 ** -6, 6.0), d=2),
     "touches-origin": lambda: RadialProfile.from_callable(
-        lambda t: bump(t / 0.8), Grid1D.composite(J=6, h=0.05, T=4.0), d=2),
+        lambda t: bump(t / 0.8), composite_grid(J=6, h=0.05, T=4.0), d=2),
     "reaches-outer-edge": lambda: RadialProfile.from_callable(
         lambda t: bump((t - 3.0) / 1.5), Grid1D.uniform(2.0 ** -5, 3.0), d=2),
     "single-node": lambda: RadialProfile.from_callable(
