@@ -81,7 +81,8 @@ def quad(f: Callable[[np.ndarray], np.ndarray],
 
 @dataclass(frozen=True)
 class RadonMeasure1D:
-    """Atoms (location > 0, signed mass) plus an absolutely continuous density."""
+    """Atoms (location > 0, signed mass; locations strictly increasing) plus
+    an absolutely continuous density."""
 
     atoms: Tuple[Tuple[float, float], ...] = ()
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -91,8 +92,8 @@ class RadonMeasure1D:
         locs = [loc for loc, _ in self.atoms]
         if any(loc <= 0 for loc in locs):
             raise InvalidParameterError("atom locations must be strictly positive")
-        if locs != sorted(locs):
-            raise InvalidParameterError("atom locations must be sorted")
+        if any(b <= a for a, b in zip(locs, locs[1:])):
+            raise InvalidParameterError("atom locations must be strictly increasing")
 
     def _tail(self, r: float, d: int) -> float:
         """integral_r^inf t^{d-1} d|nu|(t); atoms contribute exactly."""
@@ -140,8 +141,9 @@ class BVProfile:
 def staircase(steps: Sequence[Tuple[float, float]]) -> BVProfile:
     """Right-continuous staircase from "(r1, a1), (r2, a2), ..." style steps.
 
-    The value is a_i on [r_{i-1}, r_i) (r_0 = 0) and 0 beyond the last
-    radius; the derivative measure has an atom at each r_i of mass
+    The radii must be positive and strictly increasing.  The value is a_i
+    on [r_{i-1}, r_i) (r_0 = 0) and 0 beyond the last radius; the
+    derivative measure has an atom at each r_i of mass
     a_{i+1} - a_i (with a_{n+1} = 0).
     """
     if not steps:
@@ -149,8 +151,8 @@ def staircase(steps: Sequence[Tuple[float, float]]) -> BVProfile:
     if not all(math.isfinite(r) and math.isfinite(a) for r, a in steps):
         raise InvalidParameterError("step radii and values must be finite")
     radii = [r for r, _ in steps]
-    if radii != sorted(radii) or radii[0] <= 0:
-        raise InvalidParameterError("step radii must be positive and increasing")
+    if radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InvalidParameterError("step radii must be positive and strictly increasing")
     values = [a for _, a in steps]
     atoms = []
     for i, r in enumerate(radii):

@@ -192,8 +192,8 @@ def radial_gradient_identity_check(g: RadialProfile, p: float, d: int,
     f = ext g (the d-dimensional route).  rhs: the exact radial reduction
     c_d * ||g'||_{L_p(|t|^{d-1})}.  For compactly supported smooth g the
     ratio must be 1 up to discretization error.  Needs a finite p >= 1,
-    d in {2, 3} and an integer n_grid >= 2 (default 1000 at d = 2, 240 at
-    d = 3).
+    d in {2, 3}, an integer n_grid >= 2 (default 1000 at d = 2, 240 at
+    d = 3) and a finite fd_step > 0.
 
     When ``evaluator`` (a callable on radii) is supplied both routes
     differentiate it directly, which keeps the comparison at quadrature
@@ -270,6 +270,8 @@ def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...], d: int,
     if n_grid is None:
         n_grid = 1000 if d == 2 else 240
     _check_int("n_grid", n_grid, 2)
+    if not 0 < fd_step < math.inf:
+        raise InvalidParameterError(f"need a finite fd_step > 0, got fd_step={fd_step!r}")
 
     t = g.grid.nodes
     if evaluator is None:

@@ -417,19 +417,20 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float]):
     All buffers are made once per call: fresh full-length arrays per band
     cost page faults.
     """
-    if n_fft < 2 or not (T is None or (math.isfinite(T) and T > 0)):
-        raise InvalidParameterError(
-            f"need n_fft >= 2 and a finite T > 0, got n_fft={n_fft}, T={T}")
+    _check_int("n_fft", n_fft, 2)
+    if not (T is None or (math.isfinite(T) and T > 0)):
+        raise InvalidParameterError(f"need a finite T > 0, got T={T}")
     if T is None:
         T = float(np.abs(g.grid.nodes).max())
     elif np.any(np.abs(g.grid.nodes[g.values != 0.0]) > T):
         raise InvalidParameterError(f"T = {T} cuts the profile's support")
-    n, size = n_fft, n_fft // 2 + 1
+    n = int(n_fft)     # a numpy integer has no bit_length
+    size = n // 2 + 1
     t01 = _fft_grid(n, T, 2)
     h = float(t01[1] - t01[0])
     ramp, edges = _band_plan(n, h)
     J = len(edges) - 2
-    work = np.empty(n // 2 + int(n).bit_length())
+    work = np.empty(n // 2 + n.bit_length())
 
     def bands():
         spec = _even_dft(g(_fft_grid(n, T, size)), n, np.empty(size), work)
@@ -510,10 +511,12 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
     weighted and 0 unweighted, cached per (n_fft, e) (``_weight_plan``;
     |t|^e = T^e |t/T|^e serves every T).  At p = 2 a narrow band is sampled
     on a shorter grid where x^2 does not alias, and unweighted comes from its
-    spectrum by Parseval.
+    spectrum by Parseval.  ``n_fft`` must be an integer >= 2, and T, when
+    given, finite and positive.
     """
     s, p, q, d = params.s, params.p, params.q, params.d
     T, h, _, work, bands = _dyadic_bands(g, n_fft, T)
+    n_fft = int(n_fft)  # checked by _dyadic_bands
     e = d - 1 if weighted else 0
     # built before the bands fill this call's buffers: the build's
     # temporaries are freed first

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, Iterator, Tuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spaces import SpaceParams
+from .spaces import SpaceParams, _check_int
 
 __all__ = ["CoefficientGrid", "seq_norm_bspqd", "seq_norm_fspqd"]
 
@@ -66,14 +66,28 @@ def _logsumexp(a, axis=None):
 class CoefficientGrid:
     """Coefficients s_{j,k}, j >= 0, k >= 0, as one array per level:
     levels[j][k] = s_{j,k}, dense in k from k = 0; a zero entry is absent.
+    Each key must be an integer j >= 0 and each level one-dimensional; a
+    level is held as a float array, without a copy when it is one already.
     A NaN entry is refused; an infinite one gives an infinite norm."""
 
     levels: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        levels = {}
         for j, a in self.levels.items():
+            _check_int("level", j, 0)
+            try:
+                a = np.asarray(a, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidParameterError(
+                    f"level {j} must be a 1-D array of numbers") from None
+            if a.ndim != 1:
+                raise InvalidParameterError(
+                    f"level {j} must be a 1-D array, got shape {a.shape}")
             if np.isnan(a).any():
                 raise InvalidParameterError(f"level {j} holds a NaN coefficient")
+            levels[j] = a
+        self.levels = levels
 
     @staticmethod
     def random(rng, J: int, K: int, density: float = 0.3) -> "CoefficientGrid":

@@ -4,6 +4,7 @@ Each test prints a single pass/fail line (run with -s to see them all); the
 assertions mirror the summary rows the experiment CLI writes.
 """
 
+import ast
 import csv
 import dataclasses
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from radialfs import decay, experiments, wavelets
+from radialfs import core, decay, experiments, spaces, wavelets
 from radialfs.decay import figure_region
 from radialfs.experiments import REGISTRY, ExperimentConfig, run_experiment
 
@@ -175,6 +176,19 @@ def test_criterion_02_lp_scaling(tmp_path):
     assert _report(2, res)
 
 
+def test_criterion_02_fails_with_the_weight_raised(tmp_path, monkeypatch):
+    # the L_p weight |t|^d in place of |t|^{d-1}: both slopes gain 1/p, so
+    # the rows move from about 0 to -0.500 and +0.486 against 0.02, and
+    # the experiment must FAIL
+    norm = experiments.weighted_lp_norm
+    monkeypatch.setattr(experiments, "weighted_lp_norm",
+                        lambda g, p, d: norm(g, p, d + 1))
+    res = run_experiment(ExperimentConfig("scaling-lp", output_dir=tmp_path))
+    slope_j, slope_l = (a.measured for a in res.assertions)
+    assert not res.passed and not any(a.passed for a in res.assertions)
+    assert abs(slope_j + 0.5) < 0.01 and abs(slope_l - 0.486) < 0.01
+
+
 def test_criterion_03_decay_at_infinity(tmp_path):
     # lower-bound witnesses at |x| = 2^r, r = 2..8, d = 2,3, p = 1,2:
     # ratio band max/min <= 4 per (d, p); upper route over a fixed corpus:
@@ -272,10 +286,35 @@ def test_criterion_13_sobolev_reduction(tmp_path):
     assert _report(13, res)
 
 
+def test_criterion_13_fails_with_the_wrong_sphere_area(tmp_path, monkeypatch):
+    # the radial side scaled by |S^d| in place of |S^{d-1}|: at d = 2, p = 1
+    # the ratio halves, so the row moves from under 1e-4 to 0.5 and the
+    # experiment must FAIL
+    area = core.sphere_area
+    monkeypatch.setattr(core, "sphere_area", lambda d: area(d + 1))
+    res = run_experiment(ExperimentConfig("sobolev-reduction", output_dir=tmp_path))
+    assert not res.passed
+    assert abs(res.assertions[0].measured - 0.5) < 1e-3
+
+
 def test_criterion_14_predicate_tables(tmp_path):
     # every cited example row of the five predicates
     res = _run("predicate-tables", tmp_path)
     assert _report(14, res)
+
+
+def test_criterion_14_fails_with_the_borderline_swapped(tmp_path, monkeypatch):
+    # the borderline rule reading p on the B scale and q on the F scale:
+    # in_U(1,1,inf,F), in_U(.5,2,1,B) and Linfty(1.5,2,1,d3,B) flip, so
+    # 3 mismatches against 0 and the experiment must FAIL
+    def swapped(params, thr):
+        if params.s == thr:
+            return (params.p if params.scale == "B" else params.q) <= 1
+        return params.s > thr
+
+    monkeypatch.setattr(spaces, "_above", swapped)
+    res = run_experiment(ExperimentConfig("predicate-tables", output_dir=tmp_path))
+    assert not res.passed and res.assertions[0].measured == 3.0
 
 
 def test_criterion_15_classification_map(tmp_path):
@@ -297,6 +336,17 @@ def test_criterion_15_classification_map(tmp_path):
         assert _report(15, res)
 
 
+def test_criterion_15_fails_with_the_continuity_line_at_d_over_p(tmp_path,
+                                                                  monkeypatch):
+    # U(A)'s boundary s = 1/p moved to s = d/p: the anchor (1, 1) of fig2 at
+    # d = 2 leaves U(A) and reads no-decay, so the row moves from 0 to 1
+    # and the experiment must FAIL
+    monkeypatch.setattr(spaces, "in_U",
+                        lambda params: spaces._above(params, params.d * params.inv_p))
+    res = run_experiment(ExperimentConfig("classification-map", output_dir=tmp_path))
+    assert not res.passed and res.assertions[0].measured == 1.0
+
+
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_criterion_15_anchor_every_figure_and_dimension(tmp_path, figure, d):
@@ -304,3 +354,25 @@ def test_criterion_15_anchor_every_figure_and_dimension(tmp_path, figure, d):
     # and dimension, read from its conditions (s >= d/p - 1, s >= d/p)
     res = _run("classification-map", tmp_path, figure=figure, d=d, resolution=4)
     assert res.passed, [a.row() for a in res.assertions]
+
+
+def _mutated_experiments(tree):
+    """The experiments a test module runs under a mutant: the first argument
+    of each ``ExperimentConfig`` call in a test whose name holds "_fails_"."""
+    names = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("test_") \
+                and "_fails_" in func.name:
+            names |= {call.args[0].value for call in ast.walk(func)
+                      if isinstance(call, ast.Call)
+                      and getattr(call.func, "id", None) == "ExperimentConfig"
+                      and call.args and isinstance(call.args[0], ast.Constant)}
+    return names
+
+
+def test_every_experiment_has_a_mutant_that_fails():
+    # a new experiment must bring a test that breaks it and sees it FAIL
+    mutated = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        mutated |= _mutated_experiments(ast.parse(path.read_text()))
+    assert mutated == set(REGISTRY)

@@ -98,6 +98,21 @@ class TestWeightedNorm:
         with pytest.raises(InvalidParameterError):
             RadonMeasure1D(((2.0, 1.0), (1.0, 1.0)))
 
+    def test_repeated_atom_location_refused(self):
+        # |mass| is summed per atom, so two atoms at one radius overstate
+        # the variation whenever their masses differ in sign
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            RadonMeasure1D(((1.0, 1.0), (1.0, -2.0)))
+
+    def test_repeated_step_radius_refused(self):
+        # 1 on [0, 1) and 0 after, variation 1: atoms (1, 1) and (1, -2)
+        # gave bv_weighted_norm(d=2) 3.5 against 1.5 for staircase([(1, 1)]),
+        # and bv_decay_check a tail bound of 3.0 against 1.0
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            staircase([(1.0, 1.0), (1.0, 2.0)])
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            staircase([(0.5, 1.0), (2.0, 3.0), (2.0, -1.0)])
+
     @pytest.mark.parametrize("steps", [[(math.nan, 1.0)], [(1.0, math.nan)],
                                        [(1.0, 1.0), (math.inf, 2.0)],
                                        [(1.0, -math.inf)]],

@@ -262,6 +262,18 @@ class TestGradientIdentity:
         assert radial_gradient_identity_check(prof, 2.0, 2, evaluator=ev,
                                               n_grid=np.int64(2)).lhs_tensor >= 0.0
 
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-5, math.nan, math.inf])
+    def test_fd_step_must_be_finite_and_positive(self, fd_step):
+        # on e^{-r^2}, d = 2, n_grid = 101: nan gave lhs_tensor nan, inf gave
+        # 0.0 (ratio 0), and 0 divided by zero
+        ev = lambda r: np.exp(-np.asarray(r, float) ** 2)
+        prof = RadialProfile.from_callable(ev, Grid1D.uniform(5e-4, 3.0))
+        with pytest.raises(InvalidParameterError, match="fd_step > 0"):
+            _gradient_identity_reports(prof, (2.0,), 2, evaluator=ev, n_grid=101,
+                                       fd_step=fd_step)
+        with pytest.raises(InvalidParameterError, match="fd_step > 0"):
+            radial_gradient_identity_check(prof, 2.0, 2, n_grid=101, fd_step=fd_step)
+
     @pytest.mark.parametrize("d, n_grid", [(2, 301), (3, 60)])
     def test_reports_for_several_p_match_single_calls(self, d, n_grid):
         # one gradient field reduced for every p: the floats of one call per p

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from radialfs.bump import bump
 from radialfs.core import Grid1D, RadialProfile
 import radialfs.decay as decay_module
 import radialfs.decompose as decompose_module

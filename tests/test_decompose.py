@@ -995,6 +995,20 @@ class TestFftInputValidation:
             with pytest.raises(InvalidParameterError):
                 call()
 
+    @pytest.mark.parametrize("n_fft", [2.5, 4096.0, True])
+    def test_n_fft_not_an_integer(self, bump_17, n_fft):
+        # 2.5 and 4096.0 raised numpy's raw "n should be an integer"
+        for call in self._calls(bump_17, n_fft=n_fft, T=4.0):
+            with pytest.raises(InvalidParameterError, match="integer n_fft >= 2"):
+                call()
+
+    def test_numpy_integer_n_fft(self, bump_17):
+        # the same floats as a Python int, at p = 2 and p != 2
+        for p in (2.0, 1.5):
+            params = SpaceParams(1.0, p, 2.0, 2)
+            assert lp_besov_norm_1d(bump_17, params, n_fft=np.int64(2 ** 12), T=4.0) \
+                == lp_besov_norm_1d(bump_17, params, n_fft=2 ** 12, T=4.0)
+
     @pytest.mark.parametrize("T", [0.0, -4.0, math.inf, math.nan])
     def test_T_not_finite_positive(self, bump_17, T):
         for call in self._calls(bump_17, n_fft=2 ** 10, T=T):

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from radialfs.core import sphere_area
+from radialfs import decompose
+from radialfs.bump import bump
+from radialfs.core import Grid1D, RadialProfile, sphere_area
+from radialfs.covering import AtomSpec
 from radialfs.errors import InvalidParameterError
 from radialfs.seqspaces import (CoefficientGrid, _logsumexp, seq_norm_bspqd,
                                 seq_norm_fspqd)
@@ -304,6 +307,46 @@ class TestCoefficientGrid:
     def test_infinite_coefficient_gives_infinite_norm(self, norm, scale, big):
         c = CoefficientGrid({0: np.array([1.0]), 1: np.array([0.0, big])})
         assert norm(c, SpaceParams(1.0, 2.0, 2.0, 2, scale)) == math.inf
+
+    @pytest.mark.parametrize("norm, scale", [(seq_norm_bspqd, "B"),
+                                             (seq_norm_fspqd, "F")])
+    def test_levels_given_as_lists_are_normed(self, norm, scale):
+        # lists raised a raw TypeError at levels[j][k] in both norms
+        c = CoefficientGrid({0: [1.0], 1: [0.0, 2.0]})
+        ref = CoefficientGrid({0: np.array([1.0]), 1: np.array([0.0, 2.0])})
+        params = SpaceParams(1.0, 2.0, 2.0, 2, scale)
+        assert norm(c, params) == norm(ref, params)
+
+    @pytest.mark.parametrize("key", [-1, 0.5, True, "0"])
+    def test_level_key_must_be_an_integer_of_zero_or_more(self, key):
+        # keys -1 and 0.5 gave 1.0 from both norms (s = 1, p = q = 2, d = 2)
+        with pytest.raises(InvalidParameterError, match="integer level >= 0"):
+            CoefficientGrid({key: np.array([1.0])})
+        assert len(CoefficientGrid({np.int64(3): np.array([1.0])})) == 1
+
+    @pytest.mark.parametrize("level", [np.ones((2, 2)), np.float64(1.0),
+                                       [[1.0], [2.0, 3.0]], "ab", None],
+                             ids=["2-D", "0-D", "ragged", "text", "None"])
+    def test_level_must_be_a_one_dimensional_array_of_numbers(self, level):
+        # a 2-D level raised a raw IndexError in both norms
+        with pytest.raises(InvalidParameterError, match="level 0 must be a 1-D"):
+            CoefficientGrid({0: level})
+
+    def test_float_levels_held_without_a_copy(self, monkeypatch):
+        # the float64 arrays decompose_profile builds are the grid's levels
+        g = RadialProfile.from_callable(lambda t: bump((np.abs(t) - 1.0) / 0.5),
+                                        Grid1D.uniform(2.0 ** -8, 2.0))
+        levels = {}
+
+        def keep_levels(lv):
+            levels.update(lv)
+            return CoefficientGrid(lv)
+
+        monkeypatch.setattr(decompose, "CoefficientGrid", keep_levels)
+        dec = decompose.decompose_profile(g, AtomSpec(2, -1, 1.0, 2.0), J=5,
+                                          track_history=False)
+        assert sorted(levels) == list(range(6))
+        assert all(dec.coefficients.levels[j] is a for j, a in levels.items())
 
     def test_random_draws_and_items_order(self):
         # random draws the mask, then the values, and keeps the nonzero ones
