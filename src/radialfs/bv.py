@@ -1,8 +1,8 @@
 """Weighted BV on the half-line, the d-dimensional BV norm, and the decay bound.
 
 The supported profile class is piecewise-C^1 with finitely many jumps
-(staircases, and pieces with a density derivative); the derivative is a signed Radon
-measure with atoms at the jump radii plus an absolutely continuous density.
+(staircases, and smooth pieces); the derivative is a signed Radon measure
+with atoms at the jump radii plus an absolutely continuous density.
 The d-dimensional BV norm of the radial extension of a piecewise-smooth
 profile is computed by the exact reduction (jump spheres contribute surface
 area times jump height; smooth parts reduce to weighted 1-D integrals), not
@@ -152,7 +152,8 @@ def staircase(steps: Sequence[Tuple[float, float]]) -> BVProfile:
         raise InvalidParameterError("step radii and values must be finite")
     radii = [r for r, _ in steps]
     if radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InvalidParameterError("step radii must be positive and strictly increasing")
+        raise InvalidParameterError(
+            "step radii must be positive and strictly increasing")
     values = [a for _, a in steps]
     atoms = []
     for i, r in enumerate(radii):

@@ -271,7 +271,8 @@ def _gradient_identity_reports(g: RadialProfile, ps: Tuple[float, ...], d: int,
         n_grid = 1000 if d == 2 else 240
     _check_int("n_grid", n_grid, 2)
     if not 0 < fd_step < math.inf:
-        raise InvalidParameterError(f"need a finite fd_step > 0, got fd_step={fd_step!r}")
+        raise InvalidParameterError(
+            f"need a finite fd_step > 0, got fd_step={fd_step!r}")
 
     t = g.grid.nodes
     if evaluator is None:

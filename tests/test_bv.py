@@ -97,8 +97,6 @@ class TestWeightedNorm:
             RadonMeasure1D(((0.0, 1.0),))
         with pytest.raises(InvalidParameterError):
             RadonMeasure1D(((2.0, 1.0), (1.0, 1.0)))
-
-    def test_repeated_atom_location_refused(self):
         # |mass| is summed per atom, so two atoms at one radius overstate
         # the variation whenever their masses differ in sign
         with pytest.raises(InvalidParameterError, match="strictly increasing"):
