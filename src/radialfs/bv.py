@@ -81,14 +81,25 @@ def quad(f: Callable[[np.ndarray], np.ndarray],
 
 @dataclass(frozen=True)
 class RadonMeasure1D:
-    """Atoms (location > 0, signed mass; locations strictly increasing) plus
-    an absolutely continuous density."""
+    """Atoms (finite location > 0, finite signed mass; locations strictly
+    increasing) plus an absolutely continuous density on the finite
+    ``density_support`` [a, b], a <= b."""
 
     atoms: Tuple[Tuple[float, float], ...] = ()
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     density_support: Tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        # a NaN passes every comparison below as False
+        if not all(math.isfinite(loc) and math.isfinite(mass)
+                   for loc, mass in self.atoms):
+            raise InvalidParameterError("atom locations and masses must be finite")
+        if self.density is not None:
+            a, b = self.density_support
+            if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+                raise InvalidParameterError(
+                    f"the density needs a finite support a <= b, got "
+                    f"{self.density_support}")
         locs = [loc for loc, _ in self.atoms]
         if any(loc <= 0 for loc in locs):
             raise InvalidParameterError("atom locations must be strictly positive")

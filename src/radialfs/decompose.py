@@ -18,6 +18,10 @@ the spline atoms are even L-atoms for L <= 2 and M = -1 only.  Cell means,
 unlike point values, are bounded on L_p, so the coefficients also see
 smoothness below 1/p.
 
+A decomposition with a residual history keeps its levels for the next
+call on the same profile object (``decompose_profile``): a sweep over J
+computes each level once.
+
 The trace-space norms report the sequence norm of the constructed
 decomposition: an upper bound for the infimum in the definition, equivalent
 up to constants.  All downstream assertions are therefore phrased as scaling
@@ -30,9 +34,10 @@ from __future__ import annotations
 
 import math
 import mmap
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -124,6 +129,43 @@ class AtomicDecomposition:
     values: Optional[np.ndarray] = None     # the decomposed profile's samples
 
 
+class _Resume(NamedTuple):
+    """decompose_profile's last decomposition with a history: levels 0..J,
+    the residual after each and level J's lambda, of the profile that
+    ``ref`` points to, decomposed from ``samples`` (copies of its half-line
+    nodes and values) with the residual's (p, dimension) ``key``."""
+
+    ref: weakref.ref
+    key: Tuple[float, int]
+    samples: Tuple[np.ndarray, np.ndarray]
+    levels: Dict[int, np.ndarray]
+    history: Tuple[float, ...]
+    lam: np.ndarray
+    J: int
+
+
+_last: Optional[_Resume] = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the entry when its profile dies."""
+    global _last
+    if _last is not None and _last.ref is ref:
+        _last = None
+
+
+def _resumable(g: RadialProfile, key: Tuple[float, int], t_half: np.ndarray,
+               g_half: np.ndarray) -> Optional[_Resume]:
+    """The entry, when it is of this live profile object with this key and
+    the profile's half-line nodes and values are still the ones it read."""
+    memo = _last
+    if (memo is None or memo.ref() is not g or memo.key != key
+            or not np.array_equal(memo.samples[0], t_half)
+            or not np.array_equal(memo.samples[1], g_half)):
+        return None
+    return memo
+
+
 def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
                       raise_on_stall: bool = True,
                       track_history: bool = True) -> AtomicDecomposition:
@@ -140,8 +182,23 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     Without a history no residual is measured and ``residual_history`` is
     [].  lambda_j and the residual are computed only within a few cells of
     g's nonzero hull; outside, both are exactly 0.  Level j's differences
-    are one array dense from k = 0.
+    are one array dense from k = 0, read-only.
+
+    A call with a history resumes the last such call when both are of the
+    same live profile object, with the same p (after the clamp) and
+    ``dim_context``, and g's half-line nodes and values still equal the
+    copies that call kept: it takes levels 0..min(J, J_last) and their
+    residuals as they are and goes on from J_last's lambda.  Level j reads
+    only level j - 1's lambda, so every float is a fresh call's, and a
+    J-sweep computes each level once.  Any other call with a history starts
+    from level 0 and replaces the entry: a weak reference to the profile (it
+    goes when the profile does), the key, the sample copies, the level
+    arrays (shared, hence read-only), the residuals and the deepest lambda.
+    Calls without a history neither read nor keep it.  The stall check
+    reads the returned history, so a resumed call raises where a fresh one
+    would.
     """
+    global _last
     _check_int("J", J, 0)
     if spec.L > 2 or spec.M >= 0:
         raise InvalidParameterError(
@@ -160,23 +217,32 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     nonzero = np.flatnonzero(y)
     first, last = (nonzero[0], nonzero[-1]) if nonzero.size else (0, 0)
     lo, hi = x[max(first - 1, 0)], x[min(last + 1, x.size - 1)]  # g = 0 outside
-    if track_history:
-        p_norm = max(1.0, spec.p)
-        weight, spacing = t_half ** (int(g.dim_context) - 1), np.diff(t_half)
 
     levels: Dict[int, np.ndarray] = {}
     history: List[float] = []
-    lam = np.zeros(0)
-    for j in range(J + 1):
+    lam, start, memo = np.zeros(0), 0, None
+    if track_history:
+        p_norm = max(1.0, spec.p)
+        weight, spacing = t_half ** (int(g.dim_context) - 1), np.diff(t_half)
+        key = (p_norm, g.dim_context)
+        memo = _resumable(g, key, t_half, g_half)
+        if memo is not None:
+            top = min(J, memo.J)
+            levels = {j: memo.levels[j] for j in range(top + 1)}
+            history = list(memo.history[:top + 1])
+            lam, start = memo.lam, memo.J + 1
+    for j in range(start, J + 1):
         scale = 2.0 ** j
         k_lo = max(0, math.floor(scale * lo - 0.5) - 1)
         k_hi = math.ceil(scale * hi + 0.5) + 1
         coarse = _refine(lam) if j else lam
         lam = np.concatenate([np.zeros(k_lo),
                               _cell_spline_coeffs(j, k_lo, k_hi, x, y, C)])
-        levels[j] = np.zeros(max(lam.size, coarse.size))
-        levels[j][:lam.size] = lam
-        levels[j][:coarse.size] -= coarse
+        level = np.zeros(max(lam.size, coarse.size))
+        level[:lam.size] = lam
+        level[:coarse.size] -= coarse
+        level.flags.writeable = False     # shared with later resumed calls
+        levels[j] = level
         if not track_history:
             continue
         # Q_j g and g vanish outside ((k_lo - 2) 2^-j, (k_hi + 2) 2^-j); the
@@ -192,6 +258,11 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
         if a == 0 and t_half[0] > 0.0:
             mass += 2.0 * t_half[0] * v[0]   # the middle cell [-t_0, t_0]
         history.append(mass ** (1.0 / p_norm))
+    if track_history and J >= start:
+        _last = _Resume(
+            memo.ref if memo else weakref.ref(g, _forget), key,
+            memo.samples if memo else (t_half.copy(), g_half.copy()),
+            dict(levels), tuple(history), lam, J)
 
     if raise_on_stall and len(history) >= 3 and history[-1] > history[-3]:
         g_scale = weighted_lp_norm(g, p_norm, g.dim_context)

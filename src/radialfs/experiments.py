@@ -230,8 +230,8 @@ def _exp_bv_decay(cfg: ExperimentConfig) -> Outcome:
             st = staircase(list(zip(radii, vals)))
             rep = bv_decay_check(st, radii, d=d)
             violation = float(np.max((rep.lhs - rep.tail_bound) / rep.tail_bound))
-            rows.append((d, i, violation))
-    worst_violation = max([0.0] + [v for _, _, v in rows])
+            rows.append((d, i, n, float(radii[-1]), violation))
+    worst_violation = max([0.0] + [row[-1] for row in rows])
     assertions.append(Assertion("max_rel_violation_all_staircases", worst_violation,
                                 "<=", BV_DECAY_RTOL, "paper-exponent"))
     for d in (2, 3):
@@ -240,7 +240,8 @@ def _exp_bv_decay(cfg: ExperimentConfig) -> Outcome:
         assertions.append(Assertion(
             f"single_step_equality_gap_d{d}",
             float(abs(rep.lhs[0] - rep.tail_bound[0])), "<=", 1e-12, "identity"))
-    return Outcome(assertions, ("d", "case", "rel_violation"), rows)
+    return Outcome(assertions, ("d", "case", "steps", "largest_radius",
+                                "rel_violation"), rows)
 
 
 def _exp_support_shift(cfg: ExperimentConfig) -> Outcome:

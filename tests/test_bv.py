@@ -102,6 +102,26 @@ class TestWeightedNorm:
         with pytest.raises(InvalidParameterError, match="strictly increasing"):
             RadonMeasure1D(((1.0, 1.0), (1.0, -2.0)))
 
+    @pytest.mark.parametrize("atoms", [((math.nan, 1.0), (1.0, math.nan)),
+                                       ((1.0, math.inf),), ((math.inf, 1.0),),
+                                       ((1.0, -math.inf),)])
+    def test_non_finite_atoms_refused(self, atoms):
+        # a NaN location passed both the positivity and the order check, and
+        # _tail(0, 2) read nan; an infinite mass made it inf
+        with pytest.raises(InvalidParameterError, match="finite"):
+            RadonMeasure1D(atoms)
+
+    @pytest.mark.parametrize("support", [(math.nan, 2.0), (0.5, math.nan),
+                                         (0.5, math.inf), (2.0, 1.0)])
+    def test_density_support_must_be_a_finite_interval(self, support):
+        # a density of 1 on (nan, 2) was dropped: _tail(0, 2) read 0.0
+        one = lambda t: np.ones_like(np.asarray(t, float))
+        with pytest.raises(InvalidParameterError, match="finite support"):
+            RadonMeasure1D((), one, support)
+
+    def test_support_without_a_density_is_not_read(self):
+        assert RadonMeasure1D(((1.0, 2.0),), None, (math.nan, 2.0))._tail(0.0, 2) == 2.0
+
     def test_repeated_step_radius_refused(self):
         # 1 on [0, 1) and 0 after, variation 1: atoms (1, 1) and (1, -2)
         # gave bv_weighted_norm(d=2) 3.5 against 1.5 for staircase([(1, 1)]),

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,6 +359,129 @@ class TestIncrementalCapture:
             warnings.simplefilter("error")
             dec = decompose_profile(g, SPEC_L2, J=8, raise_on_stall=False)
         assert _entries(dec.coefficients.levels) == _entries(dense_decomposition(g, 8))
+
+
+def _fresh_copy(g):
+    """A new profile object over a copy of g's samples."""
+    return RadialProfile(g.grid, g.values.copy(), g.dim_context)
+
+
+def _assert_same(dec, ref):
+    assert list(dec.coefficients.levels) == list(ref.coefficients.levels)
+    for j, level in ref.coefficients.levels.items():
+        assert dec.coefficients.levels[j].tobytes() == level.tobytes()
+    assert dec.residual_history == ref.residual_history
+
+
+def _stalls(g, spec, J):
+    try:
+        decompose_profile(g, spec, J=J)
+    except DecompositionError:
+        return True
+    return False
+
+
+class TestResumeInJ:
+    """A decomposition with a history starts where the last one of the same
+    profile object, p and dimension stopped: each level is computed once,
+    and every float is that of a fresh call."""
+
+    @staticmethod
+    def profile():
+        return RadialProfile.from_callable(
+            lambda t: bump((t - 1.0) / 0.6) + 0.3 * psi_cutoff(t),
+            Grid1D.uniform(2.0 ** -10, 2.5), d=2)
+
+    @staticmethod
+    def counted_levels(monkeypatch):
+        """The level j of every _cell_spline_coeffs call, as it is made."""
+        calls = []
+        coeffs = decompose._cell_spline_coeffs
+        monkeypatch.setattr(decompose, "_cell_spline_coeffs",
+                            lambda j, *args: calls.append(j) or coeffs(j, *args))
+        return calls
+
+    @pytest.mark.parametrize("order", [(8, 10, 12, 14), (14, 12, 10, 8), (10, 10)])
+    def test_matches_fresh_calls(self, order):
+        g = self.profile()
+        sweep = [(J, decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False))
+                 for J in order]
+        for J, dec in sweep:
+            _assert_same(dec, decompose_profile(_fresh_copy(g), SPEC_L2, J=J,
+                                                raise_on_stall=False))
+
+    def test_ascending_sweep_computes_each_level_once(self, monkeypatch):
+        calls = self.counted_levels(monkeypatch)
+        g = self.profile()
+        for J in (8, 10, 12, 14):
+            decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False)
+        assert calls == list(range(15))     # 48 without the resume
+
+    @pytest.mark.parametrize("change", ["object", "p", "dimension"])
+    def test_another_key_starts_from_level_zero(self, change, monkeypatch):
+        first, spec = self.profile(), SPEC_L2
+        decompose_profile(first, spec, J=6, raise_on_stall=False)
+        g = first
+        if change == "object":
+            g = _fresh_copy(first)      # equal samples, another object
+        elif change == "p":
+            spec = AtomSpec(2, -1, 1.0, 1.5)
+        else:
+            # a frozen profile's dimension changes only behind its back
+            object.__setattr__(g, "dim_context", 3)
+        calls = self.counted_levels(monkeypatch)
+        dec = decompose_profile(g, spec, J=8, raise_on_stall=False)
+        assert calls == list(range(9))
+        monkeypatch.undo()
+        _assert_same(dec, decompose_profile(_fresh_copy(g), spec, J=8,
+                                            raise_on_stall=False))
+
+    @pytest.mark.parametrize("J", [6, 10])
+    def test_samples_edited_in_place_are_decomposed_afresh(self, J):
+        g = self.profile()
+        decompose_profile(g, SPEC_L2, J=8, raise_on_stall=False)
+        g.values[...] *= 2.0
+        dec = decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False)
+        _assert_same(dec, decompose_profile(_fresh_copy(g), SPEC_L2, J=J,
+                                            raise_on_stall=False))
+
+    def test_keeps_no_profile_alive(self):
+        g = self.profile()
+        decompose_profile(g, SPEC_L2, J=4, raise_on_stall=False)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+        assert decompose._last is None
+
+    def test_results_share_no_mutable_state(self):
+        g = self.profile()
+        first = decompose_profile(g, SPEC_L2, J=8, raise_on_stall=False)
+        levels = {j: a.tobytes() for j, a in first.coefficients.levels.items()}
+        history = list(first.residual_history)
+        with pytest.raises(ValueError, match="read-only"):
+            first.coefficients.levels[3][0] = 1.0
+        for J in (6, 8):
+            dec = decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False)
+            assert not any(a.flags.writeable for a in dec.coefficients.levels.values())
+            dec.coefficients.levels.clear()
+            dec.residual_history.clear()
+        first.coefficients.levels.clear()
+        first.residual_history.clear()
+        again = decompose_profile(g, SPEC_L2, J=8, raise_on_stall=False)
+        assert {j: a.tobytes() for j, a in again.coefficients.levels.items()} == levels
+        assert again.residual_history == history
+
+    @pytest.mark.parametrize("order", [range(7), range(6, -1, -1)])
+    def test_stall_raises_where_a_fresh_call_does(self, order):
+        # test_stall_diagnostic's indicator at p = inf; a raising call keeps
+        # its levels for the next one
+        g = RadialProfile.from_callable(lambda t: (t < 0.7).astype(float),
+                                        Grid1D.uniform(2.0 ** -12, 2.0), d=2)
+        spec = AtomSpec(0, -1, 0.5, math.inf)
+        fresh = {J for J in order if _stalls(_fresh_copy(g), spec, J)}
+        assert fresh and fresh != set(order)
+        assert {J for J in order if _stalls(g, spec, J)} == fresh
 
 
 class TestConvergenceInJ:
