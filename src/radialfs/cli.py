@@ -31,7 +31,10 @@ from .experiments import (ExperimentConfig, ExperimentResult, list_experiments,
 def _load_config(path: Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text: {e}")
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
     if not first.startswith("["):
         text = "[experiment]\n" + text

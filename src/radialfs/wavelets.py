@@ -12,13 +12,17 @@ Gauss-Legendre x trapezoid product rule (d = 3).  The rule is a set of rings
 (the circle, or the latitudes of constant z) whose nodes are never stored,
 and it is folded over its octant mirrors.  The mirrored latitudes z and -z
 share their x, y sums, so only the rings with z <= 0 are summed, in batches
-of a bounded float count.  The trapezoid angles are mirrored in both axes,
-so a quarter of each ring's nodes (a half for an odd node count) stands for
-its images (+-x, +-y), each an exact negative; these nodes go in arcs, and
-per arc and image sign, dense phi/psi factor tensors per axis, each over its
-own k window, and one batched product per image give every ring's sums for
-all xy generators.  One matmul with the rings' z-rows (phi and psi at their
-z shifts, z and -z together) adds each product to every generator at once.
+of a bounded float count.  The trapezoid angles are mirrored in both axes
+and, when a ring's node count n_t is a multiple of 4, also about the
+diagonal x = y.  So an eighth of such a ring's nodes stands for its images
+(+-x, +-y) and (+-y, +-x), each an exact negative or swap (a quarter stands
+for (+-x, +-y) when n_t = 2 mod 4, a half for (x, +-y) when n_t is odd).
+These nodes go in arcs, and per arc and image sign, dense phi/psi factor
+tensors per axis, each over its own k window, and one batched product per
+image give every ring's sums for all xy generators; a swapped image's sums
+are the transpose of its partner's.  One matmul with the rings' z-rows (phi
+and psi at their z shifts, z and -z together) adds each product to every
+generator at once.
 The experiment returns the scaled per-level sums whose boundedness encodes
 the membership of the spherical mean in B^{1/p - 1}_{p, infinity}.
 """
@@ -153,25 +157,35 @@ def _sphere_rings(d: int, n: int):
 
     d = 2 has one ring, the circle (z None); d = 3 has the Gauss-Legendre
     latitudes in ascending z, so rings i and n_u - 1 - i are mirrors.  A
-    node set is (cos, sin, (x signs, y signs)): a node at (r cos, r sin, z)
-    stands for the images (s_x r cos, s_y r sin, z) for every pair of signs,
-    each an exact negative, so the sets hold each ring's nodes once:
+    node set is (cos, sin, (x signs, y signs), swap): a node at
+    (r cos, r sin, z) stands for the images (s_x r cos, s_y r sin, z) for
+    every pair of signs and, when ``swap`` is set, also for the swapped
+    images (s_y r sin, s_x r cos, z), each an exact negative or swap, so
+    the sets hold each ring's nodes once:
 
-    - even n_t: the nodes with theta in (0, pi/2) stand for (+-x, +-y), and
-      the node at pi/2 (when n_t = 2 mod 4) for (x, +-y);
+    - n_t = 0 mod 4: the angles are symmetric about pi/4 (theta_i +
+      theta_{n_t/4 - 1 - i} = pi/2), so the nodes with theta in (0, pi/4)
+      stand for the 8 images (+-x, +-y) and (+-y, +-x), and the node at
+      pi/4 (when n_t = 4 mod 8) for (+-x, +-y);
+    - n_t = 2 mod 4: the nodes in (0, pi/2) stand for (+-x, +-y), and the
+      node at pi/2 for (x, +-y);
     - odd n_t (d = 2 only): the nodes in (0, pi) stand for (x, +-y), and the
       node at pi for itself.
+
+    The swap is a symmetry of the rule only when n_t = 0 mod 4.
     """
     n_t = _ring_length(d, n)
     if n_t % 2:
-        sets = ((n_t // 2, _HALF), (1, _SELF))
+        sets = ((n_t // 2, _HALF, False), (1, _SELF, False))
+    elif n_t % 4:
+        sets = ((n_t // 4, _QUADRANT, False), (1, _HALF, False))
     else:
-        sets = ((n_t // 4, _QUADRANT), (n_t % 4 // 2, _HALF))
+        sets = ((n_t // 8, _QUADRANT, True), (n_t % 8 // 4, _QUADRANT, False))
     node_sets, i0 = [], 0
-    for size, signs in sets:
+    for size, signs, swap in sets:
         if size:
             theta = 2.0 * math.pi * (np.arange(i0, i0 + size) + 0.5) / n_t
-            node_sets.append((np.cos(theta), np.sin(theta), signs))
+            node_sets.append((np.cos(theta), np.sin(theta), signs, swap))
         i0 += size
     if d == 2:
         return None, np.ones(1), np.full(1, 2.0 * math.pi / n), node_sets
@@ -242,15 +256,22 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
     no node array is built.  The rule is folded over its octant mirrors:
     mirrored latitudes z and -z share their x, y nodes and weight bit for
     bit, so the xy sums are computed once per pair, on the rings with
-    z <= 0, and each node of a set stands for its images (+-x, +-y), so a
-    ring of n_t nodes locates about n_t factor rows, not 2 n_t.  The rings
-    run in batches whose dense tensors hold at most about ``_BATCH_FLOATS``
-    floats, and each node set goes in arcs of at most ``_BLOCK`` nodes.
+    z <= 0, and each node of a set stands for its images (+-x, +-y), and
+    for the swapped images (+-y, +-x) too in a set with ``swap``.  So a
+    ring of n_t = 0 mod 4 nodes locates about n_t / 2 factor rows, and any
+    other about n_t, not 2 n_t.  The rings run in batches whose dense
+    tensors hold at most about ``_BATCH_FLOATS`` floats, and each node set
+    goes in arcs of at most ``_BLOCK`` nodes.
     Per arc and image sign, one locate-and-blend per axis fills a
     (rings, m, 2 K) tensor X = [phi | psi] over that sign's own k window,
     and per image (s_x, s_y) one batched product X^T Y holds all four xy
     blocks (F_x^a)^T F_y^b of every ring.  One matmul then adds the product
-    into its window of the k-box: the (2 n_z, rings) z-row matrix holds
+    into its window of the k-box; in a set with ``swap`` the product is
+    also added transposed, with its x and y windows exchanged, as the
+    swapped image (s_y y, s_x x)'s, since F(s_y y)^T F(s_x x) =
+    (F(s_x x)^T F(s_y y))^T: the swapped images need no factor matrix or
+    product of their own, and the k-box's x and y windows are then one
+    window, the union of the two.  The (2 n_z, rings) z-row matrix holds
     each pair's weight times phi and psi at its ``width`` z shifts, for z
     and -z in the same column.  d = 2 is the one-ring case (its z-row
     matrix is the circle's weight), so each of its arcs is a batch of its
@@ -270,10 +291,12 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
     # (the widest) have the x and y windows that hold every other ring's
     widest = [[np.multiply.outer(radius[n_pairs - 1] * v * scale, signs)
                for v, signs in zip((c, s), axis_signs)]
-              for c, s, axis_signs in node_sets]
-    (bx, nx), (by, ny) = (_window(np.concatenate([images[a].ravel()
-                                                  for images in widest]), lo, hi)
-                          for a in (0, 1))
+              for c, s, axis_signs, _ in node_sets]
+    coords = [np.concatenate([images[a].ravel() for images in widest]) for a in (0, 1)]
+    if any(swap for *_, swap in node_sets):
+        # a swapped image puts y values on the x axis and x values on y
+        coords = [np.concatenate(coords)] * 2
+    (bx, nx), (by, ny) = (_window(v, lo, hi) for v in coords)
     if d == 2:
         zmat = w[None, :]
     else:
@@ -293,7 +316,7 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
     # dense floats per ring of one arc: its factor matrices, each image on
     # its window on the widest ring, and their products
     per_ring = 0
-    for (c, _, _), images in zip(node_sets, widest):
+    for (c, *_), images in zip(node_sets, widest):
         kx, ky = (sum(_window(v, lo, hi)[1] for v in u.T) for u in images)
         per_ring = max(per_ring, 2 * min(c.size, _BLOCK) * (kx + ky) + 4 * kx * ky)
     acc = np.zeros((zmat.shape[0], 2, nx, 2, ny))   # z-row, flag x, kx, flag y, ky
@@ -301,7 +324,7 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
     for b0 in range(0, n_pairs, size):
         batch = slice(b0, min(b0 + size, n_pairs))
         rings, z_batch = batch.stop - b0, zmat[:, batch]
-        for c, s, axis_signs in node_sets:
+        for c, s, axis_signs, swap in node_sets:
             for a0 in range(0, c.size, _BLOCK):
                 arc = slice(a0, a0 + _BLOCK)
                 u = (np.multiply.outer(radius[batch], v[arc]).ravel() * scale
@@ -312,8 +335,11 @@ def _level_coeffs(table: WaveletTable, d: int, j: int, n_nodes: int) -> np.ndarr
                     mx, my = f_x.shape[1] // 2, f_y.shape[1] // 2
                     prod = np.matmul(f_x.reshape(rings, -1, 2 * mx).transpose(0, 2, 1),
                                      f_y.reshape(rings, -1, 2 * my))
-                    acc[:, :, kx - bx:kx - bx + mx, :, ky - by:ky - by + my] += (
-                        z_batch @ prod.reshape(rings, -1)).reshape(-1, 2, mx, 2, my)
+                    q = (z_batch @ prod.reshape(rings, -1)).reshape(-1, 2, mx, 2, my)
+                    acc[:, :, kx - bx:kx - bx + mx, :, ky - by:ky - by + my] += q
+                    if swap:
+                        acc[:, :, ky - bx:ky - bx + my, :, kx - by:kx - by + mx] += (
+                            q.transpose(0, 3, 4, 1, 2))
     # to (flag z, flag y, flag x, kx, ky, kz)
     if d == 2:
         acc = acc.reshape(2, nx, 2, ny).transpose(2, 0, 1, 3)

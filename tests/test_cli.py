@@ -187,6 +187,17 @@ class TestRun:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_undecodable_file_exit_two_writes_nothing(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # a valid config but for two bytes that are not UTF-8; read as
+        # Latin-1 it would run and write into the default output directory
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"experiment = decay-infinity\n# \xff\xfe\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "bad.ini" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RADIALFS_SEED", "777")
         cfg = ExperimentConfig("bv-decay", seed=1, output_dir=tmp_path)

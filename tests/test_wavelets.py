@@ -47,16 +47,18 @@ def _sphere_nodes(d, n):
 
 
 def _images(d, n):
-    """The node sets of ``_sphere_rings`` expanded into every image: the
-    trapezoid index each image lands on, and its cos and sin."""
+    """The node sets of ``_sphere_rings`` expanded into every image, the
+    swapped ones included: the trapezoid index each image lands on, and its
+    cos and sin."""
     n_t = wavelets._ring_length(d, n)
     index, cos, sin = [], [], []
-    for c, s, (x_signs, y_signs) in _sphere_rings(d, n)[3]:
-        for sx, sy in itertools.product(x_signs, y_signs):
-            theta = np.arctan2(sy * s, sx * c) % (2.0 * math.pi)
+    for c, s, (x_signs, y_signs), swap in _sphere_rings(d, n)[3]:
+        points = [(c, s), (s, c)] if swap else [(c, s)]
+        for (u, v), sx, sy in itertools.product(points, x_signs, y_signs):
+            theta = np.arctan2(sy * v, sx * u) % (2.0 * math.pi)
             index.append(np.rint(theta * n_t / (2.0 * math.pi) - 0.5).astype(int) % n_t)
-            cos.append(sx * c)
-            sin.append(sy * s)
+            cos.append(sx * u)
+            sin.append(sy * v)
     return np.concatenate(index), np.concatenate(cos), np.concatenate(sin)
 
 
@@ -143,6 +145,12 @@ class TestLevelCoeffs:
         (3, "db2", 0, 8000),
         # an odd circle: the node at pi stands for itself
         (2, "db4", 3, 1001),
+        # n_t = 12, 20 and 252 = 4 mod 8: swapped nodes and a node on the
+        # diagonal; n_t = 2000 = 0 mod 8: swapped nodes only
+        (2, "db4", 1, 12),
+        (2, "db4", 3, 2000),
+        (3, "db2", 1, 200),
+        (3, "db2", 0, 32000),
     ])
     def test_folds_match_direct_sum(self, d, name, j, n):
         _assert_matches_reference(d, name, j, n)
@@ -152,22 +160,28 @@ class TestLevelCoeffs:
         # the node at pi for itself; each arc a batch of the one ring
         pytest.param(2, "db4", 2, 3 * _BLOCK + 37, _BLOCK, _BATCH_FLOATS, [1],
                      id="2-db4-2-1573-512"),
-        # rings of 20: 5 quarter nodes
+        # rings of 20: 2 swapped nodes and the node on the diagonal
         pytest.param(3, "db2", 3, 200, _BLOCK, _BATCH_FLOATS, [5],
                      id="3-db2-3-200-512"),
-        # quarter arcs 3, 2
-        pytest.param(3, "db2", 2, 200, 3, _BATCH_FLOATS, [5], id="3-db2-2-200-7"),
+        # swapped arcs 1, 1
+        pytest.param(3, "db2", 2, 200, 1, _BATCH_FLOATS, [5], id="3-db2-2-200-7"),
+        # rings of 28: swapped arcs 2, 1 and the node on the diagonal
+        pytest.param(3, "db2", 2, 392, 2, _BATCH_FLOATS, [7], id="3-db2-2-392-2"),
         # n_u = 11: the equator pairs itself; rings of 22, 5 quarter nodes
         # and the node on the y axis
         pytest.param(3, "db2", 1, 242, _BLOCK, _BATCH_FLOATS, [6],
                      id="3-db2-1-242-512"),
         # quarter arcs 2, 2, 1
         pytest.param(3, "db4", 2, 242, 2, _BATCH_FLOATS, [6], id="3-db4-2-242-5"),
-        # budgets of a few rings' floats (1344, 816 and 2296 per ring here):
-        # 5 pairs with an uneven last batch, the equator in the last batch,
-        # and the equator alone with quarters longer than an arc
-        pytest.param(3, "db2", 2, 200, _BLOCK, 2 * 1344, [2, 2, 1],
+        # budgets of a few rings' floats (568, 1592, 816 and 2296 per ring
+        # here): 5 pairs with an uneven last batch, 6 pairs of swapped arcs
+        # 2, 1 in uneven batches, the equator in the last batch, and the
+        # equator alone with quarters longer than an arc (a ring of
+        # n_t = 0 mod 4 has an even n_u, so no equator)
+        pytest.param(3, "db2", 2, 200, _BLOCK, 2 * 568, [2, 2, 1],
                      id="3-db2-2-200-512-batches-2-2-1"),
+        pytest.param(3, "db4", 1, 288, 2, 4 * 1592, [4, 2],
+                     id="3-db4-1-288-2-batches-4-2"),
         pytest.param(3, "db2", 1, 242, _BLOCK, 4 * 816, [4, 2],
                      id="3-db2-1-242-512-batches-4-2"),
         pytest.param(3, "db4", 2, 242, 2, 5 * 2296, [5, 1],
@@ -190,18 +204,25 @@ class TestLevelCoeffs:
         n_t = wavelets._ring_length(d, n)
         if n_t % 2:
             layout = [(n_t // 2, 1, 2), (1, 1, 1)]
+        elif n_t % 4:
+            layout = [(n_t // 4, 2, 2), (1, 1, 2)]
         else:
-            layout = [(n_t // 4, 2, 2)] + [(1, 1, 2)] * (n_t % 4 // 2)
+            layout = [(n_t // 8, 2, 2)] + [(1, 2, 2)] * (n_t % 8 // 4)
         # batches of the given ring counts, each over every node set and its
         # arcs, one factor matrix per x image, then per y image
         assert nodes == [r * min(block, size - a0) for r in rings
                          for size, sx, sy in layout
                          for a0 in range(0, size, block) for _ in range(sx + sy)]
-        # a quarter node is located once per image sign on each axis, so a
-        # ring locates n_t rows, and one more for the node on the y axis,
-        # located once in x and twice in y
+        # a node is located once per image sign on each axis, and a swapped
+        # image is located not at all: a ring of n_t = 2 mod 4 locates n_t
+        # rows and one more for the node on the y axis, located once in x
+        # and twice in y; a ring of n_t = 0 mod 4 locates 4 rows per node
+        # below the diagonal, n_t / 2 in all when n_t = 0 mod 8, and 4 for
+        # the node on the diagonal when n_t = 4 mod 8
         if d == 3:
-            assert sum(nodes) == sum(rings) * (n_t + n_t % 4 // 2)
+            per_ring = n_t + 1 if n_t % 4 else 4 * (n_t // 8 + n_t % 8 // 4)
+            assert sum(nodes) == sum(rings) * per_ring
+
     @pytest.mark.parametrize("n", [1, 2, 8, 11, 63, 252, 400])
     def test_gauss_legendre_is_leggauss_and_symmetric(self, n):
         u, wu = _gauss_legendre(n)
@@ -220,16 +241,17 @@ class TestLevelCoeffs:
         assert not u.flags.writeable and not wu.flags.writeable
 
 
-    @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 8)] + [
-        (3, 200), (3, 242), (3, 8000), (3, 64000)])
+    @pytest.mark.parametrize("d,n", [(2, n) for n in (*range(1, 9), 12, 16)] + [
+        (3, 200), (3, 242), (3, 338), (3, 4000), (3, 8000), (3, 64000)])
     def test_node_sets_are_the_trapezoid_rule(self, d, n):
-        # rings of n_t = 20, 22, 126 and 356 cover both n_t mod 4 at d = 3
+        # circles of n = 1 .. 8, 12 and 16 cover every n mod 8, and rings of
+        # n_t = 20, 22, 26, 88, 126 and 356 cover every even n_t mod 8 at d = 3
         n_t = wavelets._ring_length(d, n)
         index, cos, sin = _images(d, n)
         assert np.array_equal(np.sort(index), np.arange(n_t))
         # the unfolded rule rounds its angles 2 pi (i + 1/2) / n_t, so its
         # nodes carry about an ulp of an angle up to 2 pi; the images are
-        # exact negatives of angles below pi
+        # exact negatives and swaps of angles below pi
         theta = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
         tol = 2.0 * np.spacing(2.0 * math.pi)
         assert np.max(np.abs(cos - np.cos(theta[index]))) <= tol
