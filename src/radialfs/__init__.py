@@ -1,9 +1,9 @@
 """Numerical laboratory for radial subspaces of Besov/Lizorkin-Triebel spaces.
 
 Grids and radial profiles, even atoms and their adapted sequence-space
-norms, constructive trace/extension machinery, weighted BV on the half-line,
-and the scaling-exponent experiments that verify the decay and boundedness
-theorems for radial functions.
+norms, constructive trace/extension machinery, the weighted decay bound of
+radial BV staircases, and the scaling-exponent experiments that verify the
+decay and boundedness theorems for radial functions.
 """
 
 from .core import (Grid1D, RadialProfile, radial_gradient_identity_check,
@@ -19,8 +19,7 @@ from .decompose import (AtomicDecomposition, decompose_profile,
 from .traceext import RadialGridField, extend, trace
 from .families import (TestFamily, make_f_alpha, make_f_alpha_delta,
                        make_f_alpha_sigma, make_f_j_lambda, make_psi_cutoff)
-from .bv import (BVProfile, RadonMeasure1D, bv_decay_check, bv_weighted_norm,
-                 staircase)
+from .bv import BVProfile, RadonMeasure1D, bv_decay_check, staircase
 from .decay import bump_train, check_decay2, check_decay4, fit_loglog
 from .wavelets import spherical_mean_wavelet_coeffs, wavelet_table
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -45,18 +44,6 @@ def _gradients(v: np.ndarray, x, n: int) -> List[np.ndarray]:
     for _ in range(n):
         out.append(np.gradient(out[-1], x))
     return out
-
-
-@lru_cache(maxsize=32)
-def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
-
-    ``leggauss`` symmetrises its output, so u = -u[::-1] and wu = wu[::-1].
-    """
-    u, wu = np.polynomial.legendre.leggauss(n)
-    u.flags.writeable = False
-    wu.flags.writeable = False
-    return u, wu
 
 
 @dataclass(frozen=True)

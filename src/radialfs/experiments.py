@@ -20,8 +20,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .bump import bump
-from .core import (Grid1D, RadialProfile, _gradient_identity_reports,
-                   weighted_lp_norm)
+from .core import Grid1D, RadialProfile, _gradient_identity_reports
 from .bv import bv_decay_check, staircase
 from .decay import (FIGURE_RECT, check_decay2, check_decay4,
                     classification_table, figure_region)
@@ -138,43 +137,17 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Pa
 # experiments
 
 
-def _j_lambda_sweep(h: float, T: float, norm: Callable[[RadialProfile], float]):
-    """Rows (j, lambda, norm) of f_{j,16}, j = 3..8, and f_{5,lambda}, lambda =
-    4..64, at d = 2 on the grid of step h over [-T, T], built once for all
-    eleven profiles; and the slopes of log2 norm against j and against log2
-    lambda."""
-    js, lams = list(range(3, 9)), [4.0, 8.0, 16.0, 32.0, 64.0]
-    grid = Grid1D.uniform(h, T)
-    rows = [(j, lam, norm(make_f_j_lambda(j, lam).profile(grid)))
-            for j, lam in [(j, 16.0) for j in js] + [(5, lam) for lam in lams]]
-    norms = [v for _, _, v in rows]
-    slope_j = float(np.polyfit(js, np.log2(norms[:len(js)]), 1)[0])
-    slope_l = float(np.polyfit(np.log2(lams), np.log2(norms[len(js):]), 1)[0])
-    return rows, slope_j, slope_l
-
-
 def _exp_scaling_fjlam(cfg: ExperimentConfig) -> Outcome:
     params = SpaceParams(1.0, 2.0, 2.0, 2)
-    rows, slope_j, slope_l = _j_lambda_sweep(
-        2 ** -14, 4.0,
-        lambda prof: lp_besov_norm_1d(prof, params, weighted=True, n_fft=2 ** 17, T=4.0))
+    lams = [4.0, 8.0, 16.0, 32.0, 64.0]
+    grid = Grid1D.uniform(2 ** -14, 4.0)
+    rows = [(5, lam, lp_besov_norm_1d(make_f_j_lambda(5, lam).profile(grid), params,
+                                      weighted=True, n_fft=2 ** 17, T=4.0))
+            for lam in lams]
+    slope = float(np.polyfit(np.log2(lams), np.log2([v for _, _, v in rows]), 1)[0])
     return Outcome([
-        Assertion("slope_vs_j_minus_(s-d/p)", slope_j - 0.0, "abs<=", 0.15,
+        Assertion("slope_vs_log2lambda_minus_(d-1)/p", slope - 0.5, "abs<=", 0.10,
                   "paper-exponent"),
-        Assertion("slope_vs_log2lambda_minus_(d-1)/p", slope_l - 0.5, "abs<=", 0.10,
-                  "paper-exponent"),
-    ], ("j", "lambda", "norm"), rows)
-
-
-def _exp_scaling_lp(cfg: ExperimentConfig) -> Outcome:
-    d, p = 2, 2.0
-    rows, slope_j, slope_l = _j_lambda_sweep(2 ** -15, 3.0,
-                                             lambda prof: weighted_lp_norm(prof, p, d))
-    return Outcome([
-        Assertion("slope_vs_j_minus_(-d/p)", slope_j - (-d / p), "abs<=", 0.02,
-                  "paper-exponent"),
-        Assertion("slope_vs_log2lambda_minus_(d-1)/p", slope_l - (d - 1) / p,
-                  "abs<=", 0.02, "paper-exponent"),
     ], ("j", "lambda", "norm"), rows)
 
 
@@ -183,6 +156,10 @@ def _exp_scaling_lp(cfg: ExperimentConfig) -> Outcome:
 # frozen 1.2-1.35x above their values at J = 8 (the larger of d = 2, 3:
 # 0.180 and 4.87 at p = 1, 0.370 and 2.22 at p = 2)
 UPPER_ROUTE_BRACKETS = {1.0: (0.22, 6.0), 2.0: (0.45, 3.0)}
+# decay-infinity's bound on the lower route's ratio band max/min, frozen 1.34x
+# above its largest value at J = 8 (1.120, d = 2, p = 1; the four cells read
+# 1.099-1.120); over radii 4..256 an exponent off by 0.1 widens it to 1.59-1.65
+RATIO_BAND_MAX = 1.5
 
 
 def _exp_decay_infinity(cfg: ExperimentConfig) -> Outcome:
@@ -194,7 +171,7 @@ def _exp_decay_infinity(cfg: ExperimentConfig) -> Outcome:
         for r, v in zip(rep.radii, rep.ratios):
             rows.append((d, p, r, v))
         assertions.append(Assertion(f"ratio_band_d{d}_p{p:g}", rep.band,
-                                    "<=", 4.0, "frozen-baseline"))
+                                    "<=", RATIO_BAND_MAX, "frozen-baseline"))
         c_max, band_max = UPPER_ROUTE_BRACKETS[p]
         assertions.append(Assertion(f"upper_band_d{d}_p{p:g}", rep.upper_band,
                                     "<=", band_max, "frozen-baseline"))
@@ -369,8 +346,7 @@ OPTIONS: Dict[str, Tuple[str, ...]] = {
 
 REGISTRY: Dict[str, Tuple[Callable[[ExperimentConfig], Outcome], str]] = {
     "scaling-f-j-lambda": (_exp_scaling_fjlam,
-                           "thin-annulus norm scaling vs level and radius index"),
-    "scaling-lp": (_exp_scaling_lp, "weighted L_p scaling of the annulus bumps"),
+                           "thin-annulus norm scaling vs radius index"),
     "decay-infinity": (_exp_decay_infinity,
                        "lower-bound witnesses for the (d-1)/p decay rate"),
     "blowup-origin": (_exp_blowup_origin,

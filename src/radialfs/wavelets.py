@@ -36,7 +36,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .core import _gauss_legendre
 from .errors import InvalidParameterError, QuadratureError
 from .spaces import _check_dim, _check_int
 
@@ -138,6 +137,18 @@ def wavelet_table(name: str = "db6") -> WaveletTable:
     shifts = np.ascontiguousarray(padded[:, idx].transpose(1, 0, 2))
     shifts.flags.writeable = False
     return WaveletTable(grid, shifts)
+
+
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    ``leggauss`` symmetrises its output, so u = -u[::-1] and wu = wu[::-1].
+    """
+    u, wu = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = False
+    wu.flags.writeable = False
+    return u, wu
 
 
 def _ring_length(d: int, n: int) -> int:

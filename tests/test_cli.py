@@ -15,7 +15,7 @@ from radialfs.spaces import fig3_region
 
 
 REQUIRED_EXPERIMENTS = [
-    "scaling-f-j-lambda", "scaling-lp", "decay-infinity", "blowup-origin",
+    "scaling-f-j-lambda", "decay-infinity", "blowup-origin",
     "bv-decay", "support-shift", "spherical-mean-wavelet",
     "sobolev-reduction", "predicate-tables", "classification-map",
 ]

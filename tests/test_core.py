@@ -1,16 +1,18 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from radialfs.bump import bump, psi_cutoff
+from radialfs.bump import annulus_shape, bump, psi_cutoff
 from radialfs.core import (_RUN_NODES, Grid1D, RadialProfile, _gradient_identity_reports,
                            _permutations, radial_gradient_identity_check, sphere_area,
                            weighted_lp_norm)
 from radialfs.errors import EvennessError, InvalidParameterError
 from radialfs.experiments import SOBOLEV_SHAPES, _sobolev_evaluator
+from radialfs.families import make_f_j_lambda
 from radialfs.traceext import RadialGridField
 
 
@@ -132,6 +134,57 @@ class TestWeightedLpNorm:
         base = weighted_lp_norm(g, p, 2)
         assert weighted_lp_norm(g.scaled(c), p, 2) == pytest.approx(
             abs(c) * base, rel=1e-12, abs=1e-12)
+
+
+@lru_cache(maxsize=None)
+def _annulus_moment(k: int, p: float) -> float:
+    """A_k = integral u^k a(u)^p du over R, a = annulus_shape, by scipy's
+    adaptive quadrature with the plateau edges as breakpoints (estimate
+    below 7e-14); a is even, so odd moments vanish."""
+    if k % 2:
+        return 0.0
+    value, err = quad(lambda u: u ** k * annulus_shape(u) ** p, 0.5, 2.0,
+                      points=[0.75, 1.5], epsabs=0.0, epsrel=1e-13, limit=200)
+    assert err < 1e-13
+    return 2.0 * value
+
+
+def _annulus_closed_form_gap(norm, d: int, j: int, lam: float, p: float) -> float:
+    """Relative gap between norm(f_{j,lambda}, p, d)^p and its closed form.
+
+    With u = 2^j |t| - lambda over both signs of t,
+    ||f_{j,lambda}||^p = 2^{1-jd} integral a(u)^p (u + lambda)^{d-1} du:
+    2^{1-2j} lambda A_0 at d = 2, 2^{1-3j} (lambda^2 A_0 + A_2) at d = 3.
+    """
+    A0, A2 = _annulus_moment(0, p), _annulus_moment(2, p)
+    exact = (2.0 ** (1 - 2 * j) * lam * A0 if d == 2
+             else 2.0 ** (1 - 3 * j) * (lam ** 2 * A0 + A2))
+    prof = make_f_j_lambda(j, lam).profile(
+        Grid1D.uniform(2.0 ** -14, (lam + 2.5) * 2.0 ** -j))
+    return abs(norm(prof, p, d) ** p - exact) / exact
+
+
+# The trapezoid rule is spectrally accurate on the smooth, compactly
+# supported integrand: the gaps read at most 6.3e-16 at h = 2^-14, and the
+# moments' quadrature estimate is below 3e-14 relative.
+ANNULUS_CLOSED_FORM_RTOL = 1e-12
+ANNULUS_CASES = [(d, j, lam, p) for d in (2, 3) for j, lam in
+                 [(3, 4.0), (2, 16.0), (5, 16.0), (4, 64.0)]
+                 for p in (1.0, 1.5, 2.0)]
+
+
+class TestAnnulusClosedForm:
+    @pytest.mark.parametrize("d, j, lam, p", ANNULUS_CASES)
+    def test_weighted_lp_norm_of_f_j_lambda(self, d, j, lam, p):
+        gap = _annulus_closed_form_gap(weighted_lp_norm, d, j, lam, p)
+        assert gap <= ANNULUS_CLOSED_FORM_RTOL
+
+    def test_closed_form_fails_with_the_weight_raised(self):
+        # mutant: the weight |t|^d in place of |t|^{d-1} scales the integral
+        # by about (lambda + u) 2^-j, so every gap reads 0.09 to 3.1
+        raised = lambda g, p, d: weighted_lp_norm(g, p, d + 1)
+        gaps = [_annulus_closed_form_gap(raised, *case) for case in ANNULUS_CASES]
+        assert min(gaps) > 0.05
 
 
 class TestLpNormRd:

@@ -86,10 +86,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Exports, functions and methods (as Class.method) that no program reaches
 # yet, each kept for the ROADMAP item named.
 TEST_ONLY = {
-    "bv_dim_norm": "item 1: the reduced d-dimensional BV norm, to be compared "
-                   "with one computed independently on a pixel grid",
-    "bv_weighted_norm": "item 1: the 1-D norm that independent d-dimensional "
-                        "norm is compared with",
     "sobolev_radial_norm_1": "item 20: the H^1 norm of sharp-radial-p2's "
                              "witnesses, once it returns its two parts",
     "make_f_alpha": "item 2: its membership threshold is to become a J-sweep",
