@@ -18,16 +18,23 @@ the spline atoms are even L-atoms for L <= 2 and M = -1 only.  Cell means,
 unlike point values, are bounded on L_p, so the coefficients also see
 smoothness below 1/p.
 
-A decomposition with a residual history keeps its levels for the next
-call on the same profile object (``decompose_profile``): a sweep over J
-computes each level once.
+A decomposition with a residual history keeps its levels and its half-line
+set-up for the next call on the same profile object (``decompose_profile``):
+a sweep over J computes each level once.
 
 The trace-space norms report the sequence norm of the constructed
 decomposition: an upper bound for the infimum in the definition, equivalent
 up to constants.  All downstream assertions are therefore phrased as scaling
 exponents or bounded ratios, never absolute values.  The Littlewood-Paley
 norm ``lp_besov_norm_1d``, their cross-check, reduces every band one way
-(``_band_norm``): half-line samples against one cached weight table.
+(``_band_norm``): half-line samples against one cached weight table.  Its
+band norms depend on the profile, the grid, the weight and p but not on s
+or q, so it keeps them for its last few calls: a sweep over s and q on one
+profile transforms once.
+
+Both memos (``_LiveMemo``) hold entries of live profile objects only, by
+weak reference, check the samples they were computed from before every
+reuse, and hand back exactly the floats a fresh call computes.
 """
 
 from __future__ import annotations
@@ -129,38 +136,82 @@ class AtomicDecomposition:
     values: Optional[np.ndarray] = None     # the decomposed profile's samples
 
 
+class _LiveMemo:
+    """At most ``size`` entries, oldest first, each computed for one live
+    profile object: a NamedTuple whose ``ref`` is a weak reference to that
+    profile and whose ``key`` names what else the entry depends on.  An
+    entry goes when its profile dies, so the memo keeps no profile alive,
+    and a new profile at an old one's address cannot read its entries."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: List[NamedTuple] = []
+
+    def ref(self, g: RadialProfile) -> weakref.ref:
+        """A weak reference to g for a new entry, which drops the entry when
+        g dies."""
+        return weakref.ref(g, self._forget)
+
+    def _forget(self, ref: weakref.ref) -> None:
+        self.entries = [memo for memo in self.entries if memo.ref is not ref]
+
+    def find(self, g: RadialProfile, key: tuple) -> Optional[NamedTuple]:
+        """The entry of the live profile object g with this key, or None."""
+        for memo in self.entries:
+            if memo.ref() is g and memo.key == key:
+                return memo
+        return None
+
+    def put(self, entry: NamedTuple) -> None:
+        """Keep ``entry`` as the newest, in place of an entry of its profile
+        with its key, and drop the oldest past ``size``."""
+        g = entry.ref()
+        kept = [memo for memo in self.entries
+                if memo.ref() is not g or memo.key != entry.key]
+        self.entries = (kept + [entry])[-self.size:]
+
+
+def _half_line(t_half: np.ndarray, g_half: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """(x, y, C, lo, hi) of the samples g_half at the half-line nodes t_half
+    (t_half[0] >= 0): g is linear between the nodes x (x_0 = 0) with values
+    y, C is its integral at the nodes, and g = 0 outside [lo, hi]."""
+    x, y = t_half, g_half                    # from x_0 = 0: g is flat on [-t_0, t_0]
+    if t_half[0] > 0.0:
+        x, y = np.concatenate([[0.0], x]), np.concatenate([y[:1], y])
+    C = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+    nonzero = np.flatnonzero(y)
+    first, last = (nonzero[0], nonzero[-1]) if nonzero.size else (0, 0)
+    lo, hi = x[max(first - 1, 0)], x[min(last + 1, x.size - 1)]  # g = 0 outside
+    return x, y, C, lo, hi
+
+
 class _Resume(NamedTuple):
     """decompose_profile's last decomposition with a history: levels 0..J,
     the residual after each and level J's lambda, of the profile that
     ``ref`` points to, decomposed from ``samples`` (copies of its half-line
-    nodes and values) with the residual's (p, dimension) ``key``."""
+    nodes and values, which ``half`` was made from) with the residual's
+    (p, dimension) ``key``."""
 
     ref: weakref.ref
     key: Tuple[float, int]
     samples: Tuple[np.ndarray, np.ndarray]
+    half: Tuple[np.ndarray, np.ndarray, np.ndarray, float, float]
     levels: Dict[int, np.ndarray]
     history: Tuple[float, ...]
     lam: np.ndarray
     J: int
 
 
-_last: Optional[_Resume] = None
-
-
-def _forget(ref: weakref.ref) -> None:
-    """Drop the entry when its profile dies."""
-    global _last
-    if _last is not None and _last.ref is ref:
-        _last = None
+_resume = _LiveMemo(1)
 
 
 def _resumable(g: RadialProfile, key: Tuple[float, int], t_half: np.ndarray,
                g_half: np.ndarray) -> Optional[_Resume]:
     """The entry, when it is of this live profile object with this key and
     the profile's half-line nodes and values are still the ones it read."""
-    memo = _last
-    if (memo is None or memo.ref() is not g or memo.key != key
-            or not np.array_equal(memo.samples[0], t_half)
+    memo = _resume.find(g, key)
+    if (memo is None or not np.array_equal(memo.samples[0], t_half)
             or not np.array_equal(memo.samples[1], g_half)):
         return None
     return memo
@@ -188,17 +239,20 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     same live profile object, with the same p (after the clamp) and
     ``dim_context``, and g's half-line nodes and values still equal the
     copies that call kept: it takes levels 0..min(J, J_last) and their
-    residuals as they are and goes on from J_last's lambda.  Level j reads
-    only level j - 1's lambda, so every float is a fresh call's, and a
-    J-sweep computes each level once.  Any other call with a history starts
-    from level 0 and replaces the entry: a weak reference to the profile (it
-    goes when the profile does), the key, the sample copies, the level
-    arrays (shared, hence read-only), the residuals and the deepest lambda.
-    Calls without a history neither read nor keep it.  The stall check
-    reads the returned history, so a resumed call raises where a fresh one
-    would.
+    residuals as they are and goes on from J_last's lambda, with the
+    half-line set-up (g's integral C at the nodes and its nonzero hull) that
+    call made from the copies.  Level j reads only level j - 1's lambda and
+    that set-up, so every float is a fresh call's, and a J-sweep computes
+    each level once.  Any other call with a history starts from level 0 and
+    replaces the entry: a weak reference to the profile (it goes when the
+    profile does), the key, the sample copies, the set-up, the level arrays
+    (shared, hence read-only), the residuals and the deepest lambda.  The
+    weight t^(d-1) and the spacings are made again by every call with a
+    history: they cost little, and keeping them would hold two more arrays
+    of the half line's length.  Calls without a history neither read nor
+    keep the entry.  The stall check reads the returned history, so a
+    resumed call raises where a fresh one would.
     """
-    global _last
     _check_int("J", J, 0)
     if spec.L > 2 or spec.M >= 0:
         raise InvalidParameterError(
@@ -210,27 +264,27 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
     t_grid = g.grid.nodes
     i0 = int(np.searchsorted(t_grid, 0.0))   # the half line t >= 0 is t_grid[i0:]
     t_half, g_half = t_grid[i0:], g.values[i0:]
-    x, y = t_half, g_half                    # from x_0 = 0: g is flat on [-t_0, t_0]
-    if t_half[0] > 0.0:
-        x, y = np.concatenate([[0.0], x]), np.concatenate([y[:1], y])
-    C = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
-    nonzero = np.flatnonzero(y)
-    first, last = (nonzero[0], nonzero[-1]) if nonzero.size else (0, 0)
-    lo, hi = x[max(first - 1, 0)], x[min(last + 1, x.size - 1)]  # g = 0 outside
 
     levels: Dict[int, np.ndarray] = {}
     history: List[float] = []
     lam, start, memo = np.zeros(0), 0, None
-    if track_history:
+    if not track_history:
+        half = _half_line(t_half, g_half)
+    else:
         p_norm = max(1.0, spec.p)
         weight, spacing = t_half ** (int(g.dim_context) - 1), np.diff(t_half)
         key = (p_norm, g.dim_context)
         memo = _resumable(g, key, t_half, g_half)
-        if memo is not None:
+        if memo is None:
+            samples = (t_half.copy(), g_half.copy())
+            half = _half_line(*samples)
+        else:
+            samples, half = memo.samples, memo.half
             top = min(J, memo.J)
             levels = {j: memo.levels[j] for j in range(top + 1)}
             history = list(memo.history[:top + 1])
             lam, start = memo.lam, memo.J + 1
+    x, y, C, lo, hi = half
     for j in range(start, J + 1):
         scale = 2.0 ** j
         k_lo = max(0, math.floor(scale * lo - 0.5) - 1)
@@ -259,10 +313,8 @@ def decompose_profile(g: RadialProfile, spec: AtomSpec, J: int = 10,
             mass += 2.0 * t_half[0] * v[0]   # the middle cell [-t_0, t_0]
         history.append(mass ** (1.0 / p_norm))
     if track_history and J >= start:
-        _last = _Resume(
-            memo.ref if memo else weakref.ref(g, _forget), key,
-            memo.samples if memo else (t_half.copy(), g_half.copy()),
-            dict(levels), tuple(history), lam, J)
+        _resume.put(_Resume(_resume.ref(g), key, samples, half, dict(levels),
+                            tuple(history), lam, J))
 
     if raise_on_stall and len(history) >= 3 and history[-1] > history[-3]:
         g_scale = weighted_lp_norm(g, p_norm, g.dim_context)
@@ -471,31 +523,39 @@ def _weight_plan(n: int, e: int) -> Tuple[np.ndarray, Dict[int, slice]]:
     return tables, slices
 
 
-def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float]):
-    """Check the grid, then return T, the spacing h, the top level J, a work
-    buffer and a generator of the band spectra 0..J.  J = J_max of
-    ``_band_plan``: 2^J covers the grid's spectrum, so bands above it would
-    be empty.
+def _fft_samples(g: RadialProfile, n_fft: int,
+                 T: Optional[float]) -> Tuple[int, float, np.ndarray]:
+    """Check the grid, then return n = n_fft as an int, T as a float (the
+    grid's reach when None) and the profile's samples at the n//2 + 1 points
+    t <= 0 of the periodic grid t_k = -T + 2Tk/n.
 
-    On the periodic grid t_k = -T + 2Tk/n (n = n_fft), t_{n-k} = -t_k, so the
-    even profile's samples are an even sequence: only the n//2 + 1 points
-    t <= 0 are evaluated, and the spectrum, real and even, is one _even_dft
-    of entries 0..n//2.  That is the generator's first step, so no transform
-    runs before it is consumed.  It then yields (a, b, X): X holds band j's
-    half spectrum (bins 0..n//2), its window from the cached ``_band_plan``
-    times the spectrum on bins a..b-1 and zero elsewhere, in one buffer that
-    the next band overwrites.  ``work`` serves every _even_dft of length <= n.
-    All buffers are made once per call: fresh full-length arrays per band
-    cost page faults.
-    """
+    t_{n-k} = -t_k, so the even profile's samples on all n points are an
+    even sequence, and these are its entries 0..n//2."""
     _check_int("n_fft", n_fft, 2)
     if not (T is None or (math.isfinite(T) and T > 0)):
         raise InvalidParameterError(f"need a finite T > 0, got T={T}")
     if T is None:
-        T = float(np.abs(g.grid.nodes).max())
+        T = np.abs(g.grid.nodes).max()
     elif np.any(np.abs(g.grid.nodes[g.values != 0.0]) > T):
         raise InvalidParameterError(f"T = {T} cuts the profile's support")
-    n = int(n_fft)     # a numpy integer has no bit_length
+    n, T = int(n_fft), float(T)     # a numpy integer has no bit_length
+    return n, T, g(_fft_grid(n, T, n // 2 + 1))
+
+
+def _dyadic_bands(n: int, T: float, x: np.ndarray):
+    """The spacing h, the top level J, a work buffer and a generator of the
+    band spectra 0..J of the even sequence x[0..n//2] (``_fft_samples``) on
+    the n-point grid of reach T.  J = J_max of ``_band_plan``: 2^J covers
+    the grid's spectrum, so bands above it would be empty.
+
+    The spectrum, real and even, is one _even_dft of x.  That is the
+    generator's first step, so no transform runs before it is consumed.  It
+    then yields (a, b, X): X holds band j's half spectrum (bins 0..n//2),
+    its window from the cached ``_band_plan`` times the spectrum on bins
+    a..b-1 and zero elsewhere, in one buffer that the next band overwrites.
+    ``work`` serves every _even_dft of length <= n.  All buffers are made
+    once per call: fresh full-length arrays per band cost page faults.
+    """
     size = n // 2 + 1
     t01 = _fft_grid(n, T, 2)
     h = float(t01[1] - t01[0])
@@ -504,7 +564,7 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float]):
     work = np.empty(n // 2 + n.bit_length())
 
     def bands():
-        spec = _even_dft(g(_fft_grid(n, T, size)), n, np.empty(size), work)
+        spec = _even_dft(x, n, np.empty(size), work)
         spec *= n
         product = np.zeros(size)
         for j in range(J + 1):
@@ -515,7 +575,7 @@ def _dyadic_bands(g: RadialProfile, n_fft: int, T: Optional[float]):
             yield a, b, product
             product[a:b] = 0.0
 
-    return T, h, J, work, bands()
+    return h, J, work, bands()
 
 
 def _band_norm(X: np.ndarray, a: int, b: int, n: int, p: float,
@@ -559,6 +619,32 @@ def _band_norm(X: np.ndarray, a: int, b: int, n: int, p: float,
     return float(np.dot(tables[slices[M]], u))
 
 
+def _sample_bits(x: np.ndarray) -> Tuple[int, bytes]:
+    """(a, the bytes of x[a:b]) for the least span a..b-1 outside which every
+    entry of x has the bits of +0.0: equal for two arrays of one length
+    exactly when their bits are, and small for a profile whose support is
+    small against the FFT grid."""
+    nonzero = np.flatnonzero(x.view(np.int64))
+    if nonzero.size == 0:
+        return 0, b""
+    return int(nonzero[0]), x[nonzero[0]:nonzero[-1] + 1].tobytes()
+
+
+class _BandNorms(NamedTuple):
+    """lp_besov_norm_1d's band norms ||phi_j * g | L_p(|t|^e)||, j = 0..J, of
+    the profile that ``ref`` points to, from its FFT-grid samples, kept as
+    their ``_sample_bits``, with the ``key`` (n_fft, T, e weighted or None
+    unweighted, p)."""
+
+    ref: weakref.ref
+    key: Tuple[int, float, Optional[int], float]
+    samples: Tuple[int, bytes]
+    norms: Tuple[float, ...]
+
+
+_band_norms = _LiveMemo(_PLAN_ENTRIES)
+
+
 def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
                      weighted: bool = True, n_fft: int = 2 ** 16,
                      T: Optional[float] = None) -> float:
@@ -584,23 +670,45 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
     on a shorter grid where x^2 does not alias, and unweighted comes from its
     spectrum by Parseval.  ``n_fft`` must be an integer >= 2, and T, when
     given, finite and positive.
+
+    The band norms ||phi_j * g | L_p(|t|^e)|| do not depend on s or q, and
+    the last ``_PLAN_ENTRIES`` (3) calls' are kept (``_band_norms``), keyed
+    by the live profile object and (n_fft, T after its default, the route,
+    p); the route is e = d - 1 weighted, or unweighted, since weighted
+    d = 1 and unweighted p = 2 both have e = 0 but round apart (weight
+    table against Parseval).  A call finds its entry only when the FFT-grid
+    samples it makes anyway have the bits of that entry's samples (kept as
+    their nonzero span), so a profile edited in place misses; it then skips
+    the spectrum and every band transform and combines the kept norms with
+    its own s and q by the same j s log 2 + log(norm) and
+    ``_combine_levels``: equal samples, grid, route and p give the same
+    norms, so the value is a fresh call's to the bit.  An entry goes when
+    its profile dies, or as the oldest when a fourth is made; an equal but
+    distinct profile object makes its own.
     """
     s, p, q, d = params.s, params.p, params.q, params.d
-    T, h, _, work, bands = _dyadic_bands(g, n_fft, T)
-    n_fft = int(n_fft)  # checked by _dyadic_bands
+    n, T, x = _fft_samples(g, n_fft, T)
     e = d - 1 if weighted else 0
-    # built before the bands fill this call's buffers: the build's
-    # temporaries are freed first
-    weights = None if p == 2 and not weighted else _weight_plan(n_fft, e)
-    scratch = np.empty(n_fft // 2 + 1)
-    logs = []
-    for j, (a, b, X) in enumerate(bands):
-        nrm = _band_norm(X, a, b, n_fft, p, weights, work, scratch)
-        if nrm > 0 and not math.isinf(p):
-            nrm = (nrm * T ** e * h) ** (1.0 / p)
-        if nrm > 0:
-            logs.append(j * s * LN2 + math.log(nrm))
-    return _combine_levels(logs, q)
+    key = (n, T, e if weighted else None, p)
+    bits = _sample_bits(x)
+    memo = _band_norms.find(g, key)
+    if memo is not None and memo.samples == bits:
+        norms = memo.norms
+    else:
+        h, _, work, bands = _dyadic_bands(n, T, x)
+        # built before the bands fill this call's buffers: the build's
+        # temporaries are freed first
+        weights = None if p == 2 and not weighted else _weight_plan(n, e)
+        scratch = np.empty(n // 2 + 1)
+        norms = []
+        for a, b, X in bands:
+            nrm = _band_norm(X, a, b, n, p, weights, work, scratch)
+            if nrm > 0 and not math.isinf(p):
+                nrm = (nrm * T ** e * h) ** (1.0 / p)
+            norms.append(nrm)
+        _band_norms.put(_BandNorms(_band_norms.ref(g), key, bits, tuple(norms)))
+    return _combine_levels([j * s * LN2 + math.log(nrm)
+                            for j, nrm in enumerate(norms) if nrm > 0], q)
 
 
 # ---------------------------------------------------------------------------

@@ -121,15 +121,15 @@ SUMMARY_HEADER = ("assertion", "measured", "kind", "threshold", "provenance",
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write ``header`` and ``rows`` to ``path`` as CSV with "\n" line ends.
 
-    csv quotes a field holding a comma, and writes a float through its repr;
-    a numpy float is written as the Python float, not as "np.float64(...)".
+    csv quotes a field holding a comma, and writes a float through its repr,
+    so fields must be Python numbers and strings: a numpy float would be
+    written as "np.float64(...)".
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
-        out.writerows([float(v) if isinstance(v, float) else v for v in row]
-                      for row in rows)
+        out.writerows(rows)
     return path
 
 
@@ -168,7 +168,7 @@ def _exp_decay_infinity(cfg: ExperimentConfig) -> Outcome:
     reports = check_decay4([SpaceParams(1.0 / p, p, 1.0, d) for d, p in cells],
                            radii=[2.0 ** r for r in range(2, 9)])
     for (d, p), rep in zip(cells, reports):
-        for r, v in zip(rep.radii, rep.ratios):
+        for r, v in zip(rep.radii.tolist(), rep.ratios.tolist()):
             rows.append((d, p, r, v))
         assertions.append(Assertion(f"ratio_band_d{d}_p{p:g}", rep.band,
                                     "<=", RATIO_BAND_MAX, "frozen-baseline"))
@@ -188,7 +188,7 @@ def _exp_blowup_origin(cfg: ExperimentConfig) -> Outcome:
         Assertion("origin_exponent_minus_(d/p-s)",
                   rep.fitted_exponent - rep.expected_exponent, "abs<=", 0.05,
                   "paper-exponent"),
-    ], ("radius", "value"), zip(rep.radii, rep.lower_values))
+    ], ("radius", "value"), zip(rep.radii.tolist(), rep.lower_values.tolist()))
 
 
 # bv-decay's bound on (lhs - tail) / tail: a few ulp, since lhs = tail exactly
@@ -243,8 +243,8 @@ def _exp_spherical_mean(cfg: ExperimentConfig) -> Outcome:
     res = spherical_mean_wavelet_coeffs(d=2, p=1.0, Jmax=6, wavelet="db4",
                                         nodes_per_unit=2000,
                                         richardson_tol=1e-6)
-    rows = [(int(j), s, int(c), m) for j, s, c, m in
-            zip(res.levels, res.scaled_sums, res.counts, res.max_coeff)]
+    rows = list(zip(res.levels.tolist(), res.scaled_sums.tolist(),
+                    res.counts.tolist(), res.max_coeff.tolist()))
     return Outcome([
         Assertion("scaled_sum_log2_slope", res.scaled_sum_slope(), "abs<=", 0.1,
                   "frozen-baseline"),

@@ -96,6 +96,17 @@ def _check_reference(name, summary):
                        " deliberate change):\n" + "\n".join(moved))
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_rows_hold_only_python_numbers_and_strings(name, tmp_path):
+    # write_csv writes each field as given: a numpy float would reach the
+    # CSV as "np.float64(...)" and a numpy int is no int, so every field of
+    # every data row must be a Python int, float or str (bool excluded)
+    func, _ = REGISTRY[name]
+    out = func(ExperimentConfig(name, output_dir=tmp_path))
+    kinds = {type(v) for row in out.rows for v in row}
+    assert kinds <= {int, float, str}, f"{name}: {kinds}"
+
+
 def test_reference_pins_every_experiment():
     assert sorted(REFERENCE["experiments"]) == sorted(REGISTRY)
 

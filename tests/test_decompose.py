@@ -13,9 +13,10 @@ from radialfs.bump import bump, psi_cutoff
 from radialfs.core import Grid1D, RadialProfile, weighted_lp_norm
 from radialfs.covering import AtomSpec
 from radialfs.decompose import (AtomicDecomposition, _cell_spline_coeffs,
-                                _dyadic_bands, _fft_grid, _lowpass_window,
-                                _refine, decompose_profile, lp_besov_norm_1d,
-                                sobolev_radial_norm_1, tb_norm, tf_norm)
+                                _dyadic_bands, _fft_grid, _fft_samples,
+                                _lowpass_window, _refine, decompose_profile,
+                                lp_besov_norm_1d, sobolev_radial_norm_1,
+                                tb_norm, tf_norm)
 from radialfs.errors import DecompositionError, InvalidParameterError
 from radialfs.families import make_f_j_lambda
 from radialfs.seqspaces import CoefficientGrid
@@ -40,7 +41,8 @@ def dyadic_band_spectrum(g, n_fft=2 ** 16, T=None):
     """The bands of lp_besov_norm_1d, stacked: every band made by the same
     steps on the half line and mirrored onto all n_fft points of the periodic
     grid, so they sum back to the sampled profile to roundoff."""
-    T, _, J, work, bands = _dyadic_bands(g, n_fft, T)
+    n_fft, T, x = _fft_samples(g, n_fft, T)
+    _, J, work, bands = _dyadic_bands(n_fft, T, x)
     stacked = np.empty((J + 1, n_fft))
     size = n_fft // 2 + 1
     for j, (_, _, X) in enumerate(bands):
@@ -417,6 +419,20 @@ class TestResumeInJ:
             decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False)
         assert calls == list(range(15))     # 48 without the resume
 
+    def test_resumed_calls_keep_the_half_line_setup(self, monkeypatch):
+        # the integral C and the hull are made once per entry, from the
+        # sample copies it keeps
+        made = []
+        half_line = decompose._half_line
+        monkeypatch.setattr(decompose, "_half_line",
+                            lambda *args: made.append(1) or half_line(*args))
+        g = self.profile()
+        for J in (8, 10, 6, 14):
+            decompose_profile(g, SPEC_L2, J=J, raise_on_stall=False)
+        assert len(made) == 1
+        decomposed(g, SPEC_L2, 8)        # without a history: its own set-up
+        assert len(made) == 2
+
     @pytest.mark.parametrize("change", ["object", "p", "dimension"])
     def test_another_key_starts_from_level_zero(self, change, monkeypatch):
         first, spec = self.profile(), SPEC_L2
@@ -452,7 +468,7 @@ class TestResumeInJ:
         del g
         gc.collect()
         assert ref() is None
-        assert decompose._last is None
+        assert decompose._resume.entries == []
 
     def test_results_share_no_mutable_state(self):
         g = self.profile()
@@ -950,7 +966,7 @@ class TestParsevalRoute:
         n = 2 ** 17
         g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -12, 4.0),
                                         d=2)
-        *_, bands = _dyadic_bands(g, n, 4.0)
+        *_, bands = _dyadic_bands(*_fft_samples(g, n, 4.0))
         nonempty = sum(bool(np.any(X)) for _, _, X in bands)
         dfts, lengths = [], []
         even_dft, irfft = decompose._even_dft, np.fft.irfft
@@ -964,13 +980,15 @@ class TestParsevalRoute:
             return irfft(a, m, *args, **kw)
 
         for p in (1.5, 2.0, math.inf):
-            norm = lambda: lp_besov_norm_1d(g, SpaceParams(1.0, p, 2.0, 2),
-                                            n_fft=n, T=4.0, weighted=weighted)
-            want = norm()
+            norm = lambda g: lp_besov_norm_1d(g, SpaceParams(1.0, p, 2.0, 2),
+                                              n_fft=n, T=4.0, weighted=weighted)
+            want = norm(g)
             with monkeypatch.context() as patch:
                 patch.setattr(decompose, "_even_dft", recording_dft)
                 patch.setattr(np.fft, "irfft", recording_irfft)
-                assert norm() == want > 0
+                # equal samples on another object: the band norms of g's
+                # call are not reused
+                assert norm(_fresh_copy(g)) == want > 0
             assert max(dfts) == n
             if p != 2:
                 assert dfts == [n] * (nonempty + 1)
@@ -1056,7 +1074,7 @@ class TestFftPlan:
             return even_dft(X, m, *args)
 
         monkeypatch.setattr(decompose, "_even_dft", recording)
-        assert lp_besov_norm_1d(g, params, n_fft=n, T=4.0) == want
+        assert lp_besov_norm_1d(_fresh_copy(g), params, n_fft=n, T=4.0) == want
         # the spectrum, then one per band: 13 narrow ones on M <= n/2 points
         # and 4 wide ones on the half line; none for the weight
         assert len(dfts) == nonempty + 1 == 18
@@ -1103,6 +1121,113 @@ class TestFftPlan:
                 arr[0] = 1.0
 
 
+class TestBandNormMemo:
+    """lp_besov_norm_1d keeps the band norms of its last calls per live
+    profile object, grid, route and p: a call that differs only in s and q
+    recombines them, and every value is a fresh call's."""
+
+    N = 2 ** 12
+
+    @staticmethod
+    def profile():
+        return RadialProfile.from_callable(PARSEVAL_PROFILES["bump-pair"],
+                                           Grid1D.uniform(2 ** -10, 3.0), d=2)
+
+    @staticmethod
+    def counted_transforms(monkeypatch):
+        """The length of every _even_dft call, as it is made."""
+        calls = []
+        even_dft = decompose._even_dft
+        monkeypatch.setattr(decompose, "_even_dft",
+                            lambda X, m, *args: calls.append(m) or even_dft(X, m, *args))
+        return calls
+
+    def norm(self, g, s=0.7, p=2.0, q=1.0, d=2, weighted=True, n_fft=N, T=4.0):
+        return lp_besov_norm_1d(g, SpaceParams(s, p, q, d), weighted=weighted,
+                                n_fft=n_fft, T=T)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_s_q_sweep_equals_fresh_calls(self, monkeypatch, p, weighted):
+        g = self.profile()
+        calls = self.counted_transforms(monkeypatch)
+        sq = [(s, q) for s in (-0.5, 0.7, 2.0) for q in (0.5, 1.0, 2.0, math.inf)]
+        values = []
+        for s, q in sq:
+            values.append(self.norm(g, s=s, p=p, q=q, weighted=weighted))
+            if len(values) == 1:
+                first = len(calls)
+        assert first > 0 and len(calls) == first   # only the first call transforms
+        monkeypatch.undo()
+        for (s, q), v in zip(sq, values):
+            fresh = self.norm(_fresh_copy(g), s=s, p=p, q=q, weighted=weighted)
+            assert v == fresh, (s, q)
+
+    # weighted d = 1 and unweighted p = 2 both weigh by |t|^0, but round apart
+    # (weight table against Parseval)
+    @pytest.mark.parametrize("change", [
+        {"p": 1.5}, {"T": 5.0}, {"n_fft": N + 1}, {"weighted": False},
+        {"d": 3}, ({"d": 1}, {"weighted": False})])
+    def test_another_key_misses(self, monkeypatch, change):
+        first, second = change if isinstance(change, tuple) else ({}, change)
+        g = self.profile()
+        self.norm(g, **first)
+        calls = self.counted_transforms(monkeypatch)
+        v = self.norm(g, **second)
+        assert calls and calls[0] == second.get("n_fft", self.N)
+        monkeypatch.undo()
+        assert v == self.norm(_fresh_copy(g), **second)
+
+    def test_unweighted_key_has_no_dimension(self, monkeypatch):
+        g = self.profile()
+        v = self.norm(g, weighted=False, p=1.5, d=2)
+        calls = self.counted_transforms(monkeypatch)
+        assert self.norm(g, weighted=False, p=1.5, d=3) == v
+        assert calls == []
+
+    def test_samples_edited_in_place_miss(self):
+        g = self.profile()
+        before = self.norm(g)
+        g.values[...] *= 2.0
+        after = self.norm(g)
+        assert after != before
+        assert after == self.norm(_fresh_copy(g))
+
+    def test_equal_profile_object_misses(self, monkeypatch):
+        g = self.profile()
+        v = self.norm(g)
+        calls = self.counted_transforms(monkeypatch)
+        assert self.norm(_fresh_copy(g)) == v
+        assert calls
+
+    def test_entries_die_with_the_profile(self):
+        g = self.profile()
+        self.norm(g)
+        self.norm(g, p=1.5)
+        mine = [memo for memo in decompose._band_norms.entries if memo.ref() is g]
+        assert len(mine) == 2
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+        assert not any(memo is m for memo in decompose._band_norms.entries
+                       for m in mine)
+
+    def test_at_most_plan_entries_held(self, monkeypatch):
+        # a T-interleaved sweep like the benchmark's hits on every repeat
+        g = self.profile()
+        calls = self.counted_transforms(monkeypatch)
+        misses = []
+        for T in (4.0, 5.0, 4.0, 6.0, 4.0, 5.0, 6.0):
+            before = len(calls)
+            self.norm(g, T=T)
+            misses.append(len(calls) > before)
+        assert misses == [True, True, False, True, False, False, False]
+        assert len(decompose._band_norms.entries) == decompose._PLAN_ENTRIES == 3
+        self.norm(g, T=7.0)
+        assert [memo.key[1] for memo in decompose._band_norms.entries] == [5.0, 6.0, 7.0]
+
+
 class TestFftInputValidation:
     @pytest.fixture
     def bump_17(self):
@@ -1128,11 +1253,12 @@ class TestFftInputValidation:
                 call()
 
     def test_numpy_integer_n_fft(self, bump_17):
-        # the same floats as a Python int, at p = 2 and p != 2
+        # the same floats as a Python int, at p = 2 and p != 2 (on another
+        # profile object, which computes its own band norms)
         for p in (2.0, 1.5):
             params = SpaceParams(1.0, p, 2.0, 2)
             assert lp_besov_norm_1d(bump_17, params, n_fft=np.int64(2 ** 12), T=4.0) \
-                == lp_besov_norm_1d(bump_17, params, n_fft=2 ** 12, T=4.0)
+                == lp_besov_norm_1d(_fresh_copy(bump_17), params, n_fft=2 ** 12, T=4.0)
 
     @pytest.mark.parametrize("T", [0.0, -4.0, math.inf, math.nan])
     def test_T_not_finite_positive(self, bump_17, T):
