@@ -9,8 +9,9 @@ summary row: assertion name, measured value as float.hex, kind, threshold
 and provenance.  The corpus holds values no summary reads, at fixed inputs
 and seeds (``corpus``): the atomic norms ``tb_norm``/``tf_norm`` with
 p != q, the sequence norms on random coefficient grids with p != q, and
-the FFT norm ``lp_besov_norm_1d`` at p in {1, 1.5, 2, inf} with q >= 1,
-and both sides of the tensor gradient oracle (``gradient_oracle``).
+the FFT norm ``lp_besov_norm_1d`` at p in {1, 1.5, 2, inf} with q >= 1
+(at n_fft = 2^14 and d = 2, and on ``FFT_GRID_CASES``), and both sides of
+the tensor gradient oracle (``gradient_oracle``).
 tests/test_acceptance.py compares every default-option run and the corpus
 with these files.  Nothing is written unless every assertion passes.
 Before writing, it prints each row whose measured value differs from the
@@ -46,10 +47,27 @@ DEFAULT = Path(__file__).resolve().parent.parent / "tests" / "reference" / "summ
 INF = float("inf")
 
 
+# lp_besov_norm_1d's cases off n_fft = 2^14, d = 2, T = 2: (n_fft, T, d,
+# weighted, p, q).  The even DFT at 2^17 folds five times, at 2^13 + 8
+# twice, the second time into an odd quarter length, and at 2^12 + 2 and
+# 3001 (odd) not at all.  T = None is the grid's reach 2, and 2.7 lies off
+# it.  Weighted d = 1 at p = 2 weighs by |t|^0, as unweighted does.
+FFT_GRID_CASES = ((2 ** 17, None, 3, True, 2.0, 2.0),
+                  (2 ** 17, 2.7, 2, False, 2.0, 1.0),
+                  (3001, 2.7, 3, True, 2.0, 4.0),
+                  (3001, None, 2, False, INF, 1.5),
+                  (2 ** 12 + 2, 2.7, 3, True, INF, 2.0),
+                  (2 ** 12 + 2, None, 2, False, 1.0, 2.0),
+                  (2 ** 13 + 8, 2.7, 3, True, 1.0, 1.0),
+                  (2 ** 13 + 8, None, 2, False, 2.0, INF),
+                  (2 ** 13 + 8, 2.7, 1, True, 2.0, 2.0))
+
+
 def corpus():
     """{route: [(case, value)]}: the values no summary reads.  The profiles
     are f_{j,lambda} for (j, lambda) in {(3, 4), (4, 8)} on a 2^-10 grid
-    over [-2, 2], normed at d = 2; the coefficient grids are
+    over [-2, 2], normed at d = 2 (the FFT norm also at the d of
+    ``FFT_GRID_CASES``); the coefficient grids are
     ``CoefficientGrid.random`` at seeds 1..3 with J = 6, K = 48.  The
     gradient oracle's cases are listed in ``gradient_oracle_cases``."""
     grid = Grid1D.uniform(2.0 ** -10, 2.0)
@@ -71,6 +89,12 @@ def corpus():
                     f"{name} s=0.75 p={p:g} q={q:g} weighted={weighted}",
                     lp_besov_norm_1d(g, SpaceParams(0.75, p, q, 2),
                                      weighted=weighted, n_fft=2 ** 14, T=2.0)))
+        for n, T, d, weighted, p, q in FFT_GRID_CASES:
+            out["lp_besov_norm_1d"].append((
+                f"{name} s=0.75 p={p:g} q={q:g} weighted={weighted} d={d} "
+                f"n_fft={n} T={T}",
+                lp_besov_norm_1d(g, SpaceParams(0.75, p, q, d),
+                                 weighted=weighted, n_fft=n, T=T)))
     for seed in (1, 2, 3):
         c = CoefficientGrid.random(np.random.default_rng(seed), 6, 48)
         for s, p, q, d in ((0.7, 1.5, 3.0, 2), (-0.5, 0.8, 2.5, 3),
