@@ -40,7 +40,6 @@ reuse, and hand back exactly the floats a fresh call computes.
 from __future__ import annotations
 
 import math
-import mmap
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -379,20 +378,6 @@ def _lowpass_window(xi: np.ndarray) -> np.ndarray:
     return smoothstep((2.0 - np.abs(xi)) / 1.0)
 
 
-def _level_lowpass(xi: np.ndarray, j: int) -> np.ndarray:
-    """_lowpass_window(xi / 2^j) on ascending xi >= 0.
-
-    smoothstep is evaluated only on the transition band 2^j < xi < 2^{j+1};
-    below it the window is exactly 1 and above it exactly 0.
-    """
-    lo = int(np.searchsorted(xi, 2.0 ** j, side="right"))
-    hi = int(np.searchsorted(xi, 2.0 ** (j + 1), side="left"))
-    win = np.zeros_like(xi)
-    win[:lo] = 1.0
-    win[lo:hi] = _lowpass_window(xi[lo:hi] / 2.0 ** j)
-    return win
-
-
 # Lengths n <= _FOLD_CUT end the Makhoul fold in one irfft: below it a fold
 # level costs more in Python and dispatch than it saves in the transform.
 _FOLD_CUT = 2 ** 12
@@ -404,33 +389,32 @@ def _dct3_twiddles(m: int) -> np.ndarray:
     return 0.25 * np.exp(0.5j * math.pi / m * np.arange(m // 2 + 1))
 
 
-def _even_dft(X: np.ndarray, n: int, out: np.ndarray,
-              work: np.ndarray) -> np.ndarray:
-    """Write into out x[0..n//2] of the even length-n sequence (x[n-k] = x[k])
-    whose DFT is the real X[0..n//2], scaled as ``np.fft.irfft``; n times
-    this is the DFT of the even sequence x[0..n//2].  ``work`` holds at least
-    n/2 + log2(n) floats.  For n = 4m > _FOLD_CUT, fold f with 2m - f
-    (Makhoul 1980): x[2r] is half this transform at 2m of Y_f = X_f + X_{2m-f},
-    f <= m (Y_0 = X_0 + X_{2m}, Y_m = 2 X_m), and x[2r+1] is the DCT-III of
-    z_f = X_f - X_{2m-f}, f < m, over n.  That DCT-III is one length-m irfft
-    of W_f = tw_f (z_f - i z_{m-f}), f <= m/2 (z_m = 0), whose output v holds
-    x[4r+1] = v[r] and x[4r+3] = v[m-1-r].  Each level halves n and takes
-    m + 1 floats of ``work`` for Y; other n end in one irfft.
+def _even_dft(X: np.ndarray, n: int) -> np.ndarray:
+    """x[0..n//2] of the even length-n sequence (x[n-k] = x[k]) whose DFT is
+    the real X[0..n//2], scaled as ``np.fft.irfft``; n times this is the DFT
+    of the even sequence x[0..n//2].  For n = 4m > _FOLD_CUT, fold f with
+    2m - f (Makhoul 1980): x[2r] is half this transform at 2m of
+    Y_f = X_f + X_{2m-f}, f <= m (Y_0 = X_0 + X_{2m}, Y_m = 2 X_m), and
+    x[2r+1] is the DCT-III of z_f = X_f - X_{2m-f}, f < m, over n.  That
+    DCT-III is one length-m irfft of W_f = tw_f (z_f - i z_{m-f}), f <= m/2
+    (z_m = 0), whose output v holds x[4r+1] = v[r] and x[4r+3] = v[m-1-r].
+    Each level halves n; other n end in one irfft.
     """
-    top, step = out, 1
+    top = out = np.empty(n // 2 + 1)
+    step = 1
     while n % 4 == 0 and n > _FOLD_CUT:
         m, f = n // 4, n // 8 + 1
-        W = work[:2 * f].view(complex)
-        np.subtract(X[:f], X[2 * m:2 * m - f:-1], out=W.real)
-        np.subtract(X[m:m + f], X[m:m - f:-1], out=W.imag)   # -z_{m-f}; z_m = 0
+        W = np.empty(f, dtype=complex)
+        W.real = X[:f] - X[2 * m:2 * m - f:-1]
+        W.imag = X[m:m + f] - X[m:m - f:-1]      # -z_{m-f}; z_m = 0
         W *= _dct3_twiddles(m * step)[:step * f:step]   # the top level's table
-        v = np.fft.irfft(W, m, out=work[2 * f:2 * f + m])
+        v = np.fft.irfft(W, m)
         # level k's outputs carry the halvings of the k levels above it
-        np.divide(v[:(m + 1) // 2], step, out=out[1::4])
-        np.divide(v[m - 1:(m - 1) // 2:-1], step, out=out[3::4])
-        X = np.add(X[:m + 1], X[2 * m:m - 1:-1], out=work[:m + 1])
-        n, out, work, step = 2 * m, out[0::2], work[m + 1:], 2 * step
-    np.divide(np.fft.irfft(X, n)[:n // 2 + 1], step, out=out)
+        out[1::4] = v[:(m + 1) // 2] / step
+        out[3::4] = v[m - 1:(m - 1) // 2:-1] / step
+        X = X[:m + 1] + X[2 * m:m - 1:-1]
+        n, out, step = 2 * m, out[0::2], 2 * step
+    out[:] = np.fft.irfft(X, n)[:n // 2 + 1] / step
     return top
 
 
@@ -449,14 +433,6 @@ def _fft_grid(n: int, T: float, m: int) -> np.ndarray:
 _PLAN_ENTRIES = 3
 
 
-def _plan_array(size: int) -> np.ndarray:
-    """size zero-filled floats in an anonymous mapping of their own.
-
-    A long-lived array on the malloc heap keeps the freed pages below it
-    resident; its own mapping leaves the heap free to shrink."""
-    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
-
-
 @lru_cache(maxsize=_PLAN_ENTRIES)
 def _band_plan(n: int, h: float) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """The ramp and edges of the band windows on the n-point grid of spacing h.
@@ -464,29 +440,29 @@ def _band_plan(n: int, h: float) -> Tuple[np.ndarray, Tuple[int, ...]]:
     On the half spectrum xi_f = 2 pi f / (n h), f <= n/2, edges[k] is the
     first bin with xi >= 2^k for k = 0..J_max + 1,
     J_max = max(1, ceil(log2 xi_max)).  The ramp is 0 below edges[0] and
-    _level_lowpass(xi, k) on [edges[k], edges[k+1]).  Level k's low-pass is 1
-    up to 2^k and 0 from 2^{k+1} on, so band j's window low_j - low_{j-1}
-    (low_{-1} = 0) is 1 - ramp on [edges[j-1], edges[j]) and the ramp on
-    [edges[j], edges[j+1]): the floats of the windows built level by level.
-    The top band J_max has the window 1 from 2^J_max on, where the only bin
-    there can be, xi = 2^J_max, has ramp 1.
+    _lowpass_window(xi / 2^k) on [edges[k], edges[k+1]).  Level k's
+    low-pass is 1 up to 2^k and 0 from 2^{k+1} on, so band j's window
+    low_j - low_{j-1} (low_{-1} = 0) is 1 - ramp on [edges[j-1], edges[j])
+    and the ramp on [edges[j], edges[j+1]): the floats of the windows built
+    level by level.  The top band J_max has the window 1 from 2^J_max on,
+    where the only bin there can be, xi = 2^J_max, has ramp 1.
     """
     xi = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
     J_max = max(1, int(math.ceil(math.log2(xi[-1]))))
     edges = tuple(np.searchsorted(xi, 2.0 ** np.arange(J_max + 2)).tolist())
-    ramp = _plan_array(xi.size)
+    ramp = np.zeros(xi.size)
     for k in range(J_max + 1):
         part = slice(edges[k], edges[k + 1])
-        ramp[part] = _level_lowpass(xi[part], k)
+        ramp[part] = _lowpass_window(xi[part] / 2.0 ** k)
     ramp.flags.writeable = False
     return ramp, edges
 
 
 @lru_cache(maxsize=_PLAN_ENTRIES)
-def _weight_plan(n: int, e: int) -> Tuple[np.ndarray, Dict[int, slice]]:
-    """Tables of the weight w = |t/T|^e on the n-point grid, in one read-only
-    array, and the slice of each: ``_band_norm``'s weighted band mass is T^e
-    times the dot of a table with |u|^p.
+def _weight_plan(n: int, e: int) -> Dict[int, np.ndarray]:
+    """Read-only tables of the weight w = |t/T|^e on the n-point grid, by
+    length: ``_band_norm``'s weighted band mass is T^e times the dot of a
+    table with |u|^p.
 
     Every table carries the half-line multiplicities m_r (1 at r = 0 and at
     r = M/2, 2 between), so sum_{r<M} v_r = sum_{r <= M/2} m_r v_r for an even
@@ -500,27 +476,21 @@ def _weight_plan(n: int, e: int) -> Tuple[np.ndarray, Dict[int, slice]]:
     has degree < M: its n-point sum is n/M times its M-point sum, so
     sum_{k<n} w_k x_k^2 = (M^2/n) sum_{r<M} w~_M[r] u_r^2.
     """
-    size = n // 2 + 1
-    Ms = [1] + [1 << k for k in range(3, (n // 2).bit_length())]
-    slices, at = {n: slice(0, size)}, size
-    for M in Ms:
-        slices[M] = slice(at, at + M // 2 + 1)
-        at += M // 2 + 1
-    tables = _plan_array(at)
-    work = np.empty(n // 2 + n.bit_length())
-    w = tables[:size]
-    np.power(np.abs(_fft_grid(n, 1.0, size)), e, out=w)
-    spectrum = _even_dft(w, n, np.empty(size), work)
-    for M in Ms:
+    w = np.power(np.abs(_fft_grid(n, 1.0, n // 2 + 1)), e)
+    spectrum = _even_dft(w, n)
+    w[1:(n + 1) // 2] *= 2.0
+    tables = {n: w}
+    for M in [1] + [1 << k for k in range(3, (n // 2).bit_length())]:
         cut = np.zeros(M // 2 + 1)
         keep = max(1, M // 2)
         cut[:keep] = spectrum[:keep]
-        table = _even_dft(cut, M, tables[slices[M]], work)
+        table = _even_dft(cut, M)
         table *= M * M / n
         table[1:M // 2] *= 2.0
-    w[1:(n + 1) // 2] *= 2.0
-    tables.flags.writeable = False
-    return tables, slices
+        tables[M] = table
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
 
 
 def _fft_samples(g: RadialProfile, n_fft: int,
@@ -542,60 +512,23 @@ def _fft_samples(g: RadialProfile, n_fft: int,
     return n, T, g(_fft_grid(n, T, n // 2 + 1))
 
 
-def _dyadic_bands(n: int, T: float, x: np.ndarray):
-    """The spacing h, the top level J, a work buffer and a generator of the
-    band spectra 0..J of the even sequence x[0..n//2] (``_fft_samples``) on
-    the n-point grid of reach T.  J = J_max of ``_band_plan``: 2^J covers
-    the grid's spectrum, so bands above it would be empty.
-
-    The spectrum, real and even, is one _even_dft of x.  That is the
-    generator's first step, so no transform runs before it is consumed.  It
-    then yields (a, b, X): X holds band j's half spectrum (bins 0..n//2),
-    its window from the cached ``_band_plan`` times the spectrum on bins
-    a..b-1 and zero elsewhere, in one buffer that the next band overwrites.
-    ``work`` serves every _even_dft of length <= n.  All buffers are made
-    once per call: fresh full-length arrays per band cost page faults.
-    """
-    size = n // 2 + 1
-    t01 = _fft_grid(n, T, 2)
-    h = float(t01[1] - t01[0])
-    ramp, edges = _band_plan(n, h)
-    J = len(edges) - 2
-    work = np.empty(n // 2 + n.bit_length())
-
-    def bands():
-        spec = _even_dft(x, n, np.empty(size), work)
-        spec *= n
-        product = np.zeros(size)
-        for j in range(J + 1):
-            a, mid, b = edges[j - 1] if j else 0, edges[j], edges[j + 1]
-            np.subtract(1.0, ramp[a:mid], out=product[a:mid])
-            product[mid:b] = ramp[mid:b]
-            product[a:b] *= spec[a:b]
-            yield a, b, product
-            product[a:b] = 0.0
-
-    return h, J, work, bands()
-
-
 def _band_norm(X: np.ndarray, a: int, b: int, n: int, p: float,
-               weights: Optional[Tuple[np.ndarray, Dict[int, slice]]],
-               work: np.ndarray, scratch: np.ndarray) -> float:
+               tables: Optional[Dict[int, np.ndarray]]) -> float:
     """sum_k w_k |x_k|^p / T^e over the n-point grid (max_k |x_k| at p = inf)
     for the band x whose half spectrum X is zero outside bins a..b-1, with
-    w = |t|^e of ``weights``, ``_weight_plan``'s tables.
+    w = |t|^e of ``tables``, ``_weight_plan``'s.
 
     x is even: it is sampled on the half line t <= 0 by one _even_dft of
     length n, and |x|^p is dotted with table n, which carries the
     multiplicities.  At p = 2, for M the least power of two above 4(b-1),
     a band with M <= n/2 is sampled at length M and dotted with table M;
-    unweighted (weights None, at p = 2 only) the mass is Parseval's
-    (1/n) sum_f m_f X_f^2, m_f = 1 at f = 0 and at the Nyquist bin f = n/2
-    and 2 between, with no transform.  ``scratch`` holds n//2 + 1 floats.
+    with no weight (tables None, e = 0 and p = 2 only) the mass is
+    Parseval's (1/n) sum_f m_f X_f^2, m_f = 1 at f = 0 and at the Nyquist
+    bin f = n/2 and 2 between, with no transform.
     """
     if a == b:
         return 0.0
-    if weights is None:
+    if tables is None:
         B = X[a:b]
         mass = 2.0 * float(np.dot(B, B))
         if a == 0:
@@ -603,12 +536,10 @@ def _band_norm(X: np.ndarray, a: int, b: int, n: int, p: float,
         if 2 * (b - 1) == n:
             mass -= B[-1] ** 2
         return mass / n
-    tables, slices = weights
     M = 1 << (4 * (b - 1)).bit_length() if p == 2 else n
     if M > n // 2:
         M = n
-    half = M // 2 + 1
-    u = _even_dft(X[:half], M, scratch[:half], work)
+    u = _even_dft(X[:M // 2 + 1], M)
     if p == 2:
         np.square(u, out=u)      # one pass, where abs and ** take two
     else:
@@ -616,7 +547,7 @@ def _band_norm(X: np.ndarray, a: int, b: int, n: int, p: float,
         if math.isinf(p):
             return float(np.max(u))
         u **= p
-    return float(np.dot(tables[slices[M]], u))
+    return float(np.dot(tables[M], u))
 
 
 def _sample_bits(x: np.ndarray) -> Tuple[int, bytes]:
@@ -633,11 +564,10 @@ def _sample_bits(x: np.ndarray) -> Tuple[int, bytes]:
 class _BandNorms(NamedTuple):
     """lp_besov_norm_1d's band norms ||phi_j * g | L_p(|t|^e)||, j = 0..J, of
     the profile that ``ref`` points to, from its FFT-grid samples, kept as
-    their ``_sample_bits``, with the ``key`` (n_fft, T, e weighted or None
-    unweighted, p)."""
+    their ``_sample_bits``, with the ``key`` (n_fft, T, e, p)."""
 
     ref: weakref.ref
-    key: Tuple[int, float, Optional[int], float]
+    key: Tuple[int, float, int, float]
     samples: Tuple[int, bytes]
     norms: Tuple[float, ...]
 
@@ -658,51 +588,60 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
     Band 0 is the low-pass |xi| <= 2; band j lives on 2^{j-1} <= |xi| <= 2^{j+1}.
     The telescoped windows sum to 1 on the whole discrete spectrum, and they
     depend only on the grid, cached per (n_fft, spacing) (``_band_plan``).
-    The even profile's samples on the periodic grid are an even sequence and
-    the windows are even in xi, so spectrum and bands are real and even:
-    cosine transforms, folded into a half-length one and a quarter-length
-    DCT-III (one numpy irfft) until the length is at most _FOLD_CUT = 4096,
-    then one irfft (``_even_dft``).  The bands are made and reduced one at a
-    time by ``_band_norm``: each is sampled once on the half line t <= 0 and
-    |x|^p is dotted with a table of the multiplicities times |t/T|^e, e = d - 1
-    weighted and 0 unweighted, cached per (n_fft, e) (``_weight_plan``;
-    |t|^e = T^e |t/T|^e serves every T).  At p = 2 a narrow band is sampled
-    on a shorter grid where x^2 does not alias, and unweighted comes from its
-    spectrum by Parseval.  ``n_fft`` must be an integer >= 2, and T, when
-    given, finite and positive.
+    The bands go up to J = J_max of the plan: 2^J covers the grid's
+    spectrum, so bands above it would be empty.  The even profile's samples
+    on the periodic grid are an even sequence and the windows are even in
+    xi, so spectrum and bands are real and even: cosine transforms, folded
+    into a half-length one and a quarter-length DCT-III (one numpy irfft)
+    until the length is at most _FOLD_CUT = 4096, then one irfft
+    (``_even_dft``).  The bands are made and reduced one at a time by
+    ``_band_norm``: with the weight |t|^e, e = d - 1 weighted and 0
+    unweighted, each is sampled once on the half line t <= 0 and |x|^p is
+    dotted with a table of the multiplicities times |t/T|^e, cached per
+    (n_fft, e) (``_weight_plan``; |t|^e = T^e |t/T|^e serves every T).  At
+    p = 2 a narrow band is sampled on a shorter grid where x^2 does not
+    alias, and at e = 0 and p = 2 the mass comes from the band's spectrum by
+    Parseval.  ``n_fft`` must be an integer >= 2, and T, when given, finite
+    and positive.
 
     The band norms ||phi_j * g | L_p(|t|^e)|| do not depend on s or q, and
     the last ``_PLAN_ENTRIES`` (3) calls' are kept (``_band_norms``), keyed
-    by the live profile object and (n_fft, T after its default, the route,
-    p); the route is e = d - 1 weighted, or unweighted, since weighted
-    d = 1 and unweighted p = 2 both have e = 0 but round apart (weight
-    table against Parseval).  A call finds its entry only when the FFT-grid
-    samples it makes anyway have the bits of that entry's samples (kept as
-    their nonzero span), so a profile edited in place misses; it then skips
-    the spectrum and every band transform and combines the kept norms with
-    its own s and q by the same j s log 2 + log(norm) and
-    ``_combine_levels``: equal samples, grid, route and p give the same
-    norms, so the value is a fresh call's to the bit.  An entry goes when
-    its profile dies, or as the oldest when a fourth is made; an equal but
-    distinct profile object makes its own.
+    by the live profile object and (n_fft, T after its default, e, p).  A
+    call finds its entry only when the FFT-grid samples it makes anyway
+    have the bits of that entry's samples (kept as their nonzero span), so
+    a profile edited in place misses; it then skips the spectrum and every
+    band transform and combines the kept norms with its own s and q by the
+    same j s log 2 + log(norm) and ``_combine_levels``: equal samples, grid,
+    e and p give the same norms, so the value is a fresh call's to the bit.
+    An entry goes when its profile dies, or as the oldest when a fourth is
+    made; an equal but distinct profile object makes its own.
     """
     s, p, q, d = params.s, params.p, params.q, params.d
     n, T, x = _fft_samples(g, n_fft, T)
     e = d - 1 if weighted else 0
-    key = (n, T, e if weighted else None, p)
+    key = (n, T, e, p)
     bits = _sample_bits(x)
     memo = _band_norms.find(g, key)
     if memo is not None and memo.samples == bits:
         norms = memo.norms
     else:
-        h, _, work, bands = _dyadic_bands(n, T, x)
-        # built before the bands fill this call's buffers: the build's
-        # temporaries are freed first
-        weights = None if p == 2 and not weighted else _weight_plan(n, e)
-        scratch = np.empty(n // 2 + 1)
+        t01 = _fft_grid(n, T, 2)
+        h = float(t01[1] - t01[0])
+        ramp, edges = _band_plan(n, h)
+        tables = None if e == 0 and p == 2 else _weight_plan(n, e)
+        spec = _even_dft(x, n)
+        spec *= n
+        # band j's half spectrum: its window times spec on [a, b), zero
+        # elsewhere; one buffer serves every band
+        X = np.zeros(n // 2 + 1)
         norms = []
-        for a, b, X in bands:
-            nrm = _band_norm(X, a, b, n, p, weights, work, scratch)
+        for j in range(len(edges) - 1):
+            a, mid, b = edges[j - 1] if j else 0, edges[j], edges[j + 1]
+            X[a:mid] = 1.0 - ramp[a:mid]
+            X[mid:b] = ramp[mid:b]
+            X[a:b] *= spec[a:b]
+            nrm = _band_norm(X, a, b, n, p, tables)
+            X[a:b] = 0.0
             if nrm > 0 and not math.isinf(p):
                 nrm = (nrm * T ** e * h) ** (1.0 / p)
             norms.append(nrm)

@@ -13,7 +13,7 @@ from radialfs.bump import bump, psi_cutoff
 from radialfs.core import Grid1D, RadialProfile, weighted_lp_norm
 from radialfs.covering import AtomSpec
 from radialfs.decompose import (AtomicDecomposition, _cell_spline_coeffs,
-                                _dyadic_bands, _fft_grid, _fft_samples,
+                                _even_dft, _fft_grid, _fft_samples,
                                 _lowpass_window, _refine, decompose_profile,
                                 lp_besov_norm_1d, sobolev_radial_norm_1,
                                 tb_norm, tf_norm)
@@ -37,18 +37,39 @@ class DyadicBandSpectrum:
     J: int
 
 
+def band_spectra(n, T, x):
+    """[(a, b, X_j)] for the bands j = 0..J of lp_besov_norm_1d: band j's
+    half spectrum X_j (bins 0..n//2) of the even sequence x[0..n//2] on the
+    n-point grid of reach T, made by the same steps from ``_band_plan`` and
+    ``_even_dft``: its window times the spectrum n _even_dft(x, n) on bins
+    a..b-1, zero elsewhere."""
+    t01 = _fft_grid(n, T, 2)
+    ramp, edges = decompose._band_plan(n, float(t01[1] - t01[0]))
+    spec = _even_dft(x, n)
+    spec *= n
+    out = []
+    for j in range(len(edges) - 1):
+        a, mid, b = edges[j - 1] if j else 0, edges[j], edges[j + 1]
+        X = np.zeros(n // 2 + 1)
+        X[a:mid] = 1.0 - ramp[a:mid]
+        X[mid:b] = ramp[mid:b]
+        X[a:b] *= spec[a:b]
+        out.append((a, b, X))
+    return out
+
+
 def dyadic_band_spectrum(g, n_fft=2 ** 16, T=None):
     """The bands of lp_besov_norm_1d, stacked: every band made by the same
     steps on the half line and mirrored onto all n_fft points of the periodic
     grid, so they sum back to the sampled profile to roundoff."""
     n_fft, T, x = _fft_samples(g, n_fft, T)
-    _, J, work, bands = _dyadic_bands(n_fft, T, x)
-    stacked = np.empty((J + 1, n_fft))
+    bands = band_spectra(n_fft, T, x)
+    stacked = np.empty((len(bands), n_fft))
     size = n_fft // 2 + 1
     for j, (_, _, X) in enumerate(bands):
-        decompose._even_dft(X, n_fft, stacked[j, :size], work)
+        stacked[j, :size] = _even_dft(X, n_fft)
         stacked[j, size:] = stacked[j, (n_fft - 1) // 2:0:-1]
-    return DyadicBandSpectrum(_fft_grid(n_fft, T, n_fft), stacked, J)
+    return DyadicBandSpectrum(_fft_grid(n_fft, T, n_fft), stacked, len(bands) - 1)
 
 
 def decomposed(g, spec, J):
@@ -803,11 +824,6 @@ class TestLpBesovNorm:
         assert spread <= 1.5
 
 
-def _even_dft(X, n):
-    return decompose._even_dft(X, n, np.empty(n // 2 + 1),
-                               np.empty(n // 2 + n.bit_length()))
-
-
 def _complex_fft_norm(g, params, weighted, n_fft, T):
     """lp_besov_norm_1d from the full complex spectrum of all n_fft samples,
     every window built on the whole xi axis, bands summed directly."""
@@ -966,14 +982,14 @@ class TestParsevalRoute:
         n = 2 ** 17
         g = RadialProfile.from_callable(psi_cutoff, Grid1D.uniform(2 ** -12, 4.0),
                                         d=2)
-        *_, bands = _dyadic_bands(*_fft_samples(g, n, 4.0))
+        bands = band_spectra(*_fft_samples(g, n, 4.0))
         nonempty = sum(bool(np.any(X)) for _, _, X in bands)
         dfts, lengths = [], []
         even_dft, irfft = decompose._even_dft, np.fft.irfft
 
-        def recording_dft(X, m, *args):
+        def recording_dft(X, m):
             dfts.append(m)
-            return even_dft(X, m, *args)
+            return even_dft(X, m)
 
         def recording_irfft(a, m=None, *args, **kw):
             lengths.append(m)
@@ -1006,7 +1022,7 @@ def _windows_level_by_level(xi, J):
     out, prev_a, prev = [], 0, np.zeros(0)
     for j in range(J + 1):
         a, b = np.searchsorted(xi, [2.0 ** (j - 1) if j else 0.0, 2.0 ** (j + 1)])
-        low = decompose._level_lowpass(xi[a:b], j) if j < J else np.ones(b - a)
+        low = _lowpass_window(xi[a:b] / 2.0 ** j) if j < J else np.ones(b - a)
         window, below = low.copy(), prev[a - prev_a:]
         window[:below.size] -= below
         prev_a, prev = a, low
@@ -1069,9 +1085,9 @@ class TestFftPlan:
         dfts = []
         even_dft = decompose._even_dft
 
-        def recording(X, m, *args):
+        def recording(X, m):
             dfts.append(m)
-            return even_dft(X, m, *args)
+            return even_dft(X, m)
 
         monkeypatch.setattr(decompose, "_even_dft", recording)
         assert lp_besov_norm_1d(_fresh_copy(g), params, n_fft=n, T=4.0) == want
@@ -1086,20 +1102,21 @@ class TestFftPlan:
         # table n of the weight |t/T|^0 = 1 on the half line t_k, k <= n//2:
         # t_0 = -T counts once, and so does t_{n/2} = 0 for even n; every
         # other t_k stands for t_k and t_{n-k}
-        tables, slices = decompose._weight_plan(n, 0)
+        tables = decompose._weight_plan(n, 0)
         want = np.full(n // 2 + 1, 2.0)
         want[0] = 1.0
         if n % 2 == 0:
             want[-1] = 1.0
-        assert tables[slices[n]].tobytes() == want.tobytes()
+        assert tables[n].tobytes() == want.tobytes()
 
     def test_caches_bounded_and_read_only(self):
         # the weight tables are keyed by (n, e): e = d - 1 weighted, and 0
-        # unweighted, where d = 1's weighted norm shares them
+        # unweighted, where d = 1's weighted norm shares them (at p != 2;
+        # at p = 2, e = 0 takes no table)
         g = RadialProfile.from_callable(PARSEVAL_PROFILES["bump-pair"],
                                         Grid1D.uniform(2 ** -10, 3.0), d=2)
         for i in range(10):
-            lp_besov_norm_1d(g, SpaceParams(0.7, 2.0, 2.0, 1 + i % 4),
+            lp_besov_norm_1d(g, SpaceParams(0.7, 1.5, 2.0, 1 + i % 4),
                              n_fft=2 ** 12, T=2.0 + 0.5 * i)
         for plan in (decompose._band_plan, decompose._weight_plan):
             info = plan.cache_info()
@@ -1114,8 +1131,8 @@ class TestFftPlan:
         assert decompose._weight_plan.cache_info().hits == info.hits + 4
         h = float(np.diff(decompose._fft_grid(2 ** 12, 6.5, 2))[0])
         ramp, _ = decompose._band_plan(2 ** 12, h)
-        tables, _ = decompose._weight_plan(2 ** 12, 1)
-        for arr in (ramp, tables):
+        tables = decompose._weight_plan(2 ** 12, 1)
+        for arr in (ramp, *tables.values()):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -1123,8 +1140,8 @@ class TestFftPlan:
 
 class TestBandNormMemo:
     """lp_besov_norm_1d keeps the band norms of its last calls per live
-    profile object, grid, route and p: a call that differs only in s and q
-    recombines them, and every value is a fresh call's."""
+    profile object, grid, weight exponent e and p: a call that differs only
+    in s and q recombines them, and every value is a fresh call's."""
 
     N = 2 ** 12
 
@@ -1139,7 +1156,7 @@ class TestBandNormMemo:
         calls = []
         even_dft = decompose._even_dft
         monkeypatch.setattr(decompose, "_even_dft",
-                            lambda X, m, *args: calls.append(m) or even_dft(X, m, *args))
+                            lambda X, m: calls.append(m) or even_dft(X, m))
         return calls
 
     def norm(self, g, s=0.7, p=2.0, q=1.0, d=2, weighted=True, n_fft=N, T=4.0):
@@ -1163,20 +1180,34 @@ class TestBandNormMemo:
             fresh = self.norm(_fresh_copy(g), s=s, p=p, q=q, weighted=weighted)
             assert v == fresh, (s, q)
 
-    # weighted d = 1 and unweighted p = 2 both weigh by |t|^0, but round apart
-    # (weight table against Parseval)
     @pytest.mark.parametrize("change", [
         {"p": 1.5}, {"T": 5.0}, {"n_fft": N + 1}, {"weighted": False},
-        {"d": 3}, ({"d": 1}, {"weighted": False})])
+        {"d": 3}])
     def test_another_key_misses(self, monkeypatch, change):
-        first, second = change if isinstance(change, tuple) else ({}, change)
         g = self.profile()
-        self.norm(g, **first)
+        self.norm(g)
         calls = self.counted_transforms(monkeypatch)
-        v = self.norm(g, **second)
-        assert calls and calls[0] == second.get("n_fft", self.N)
+        v = self.norm(g, **change)
+        assert calls and calls[0] == change.get("n_fft", self.N)
         monkeypatch.undo()
-        assert v == self.norm(_fresh_copy(g), **second)
+        assert v == self.norm(_fresh_copy(g), **change)
+
+    # weighted d = 1 and unweighted both weigh by |t|^0, and at p = 2 both
+    # take the mass from the spectrum (Parseval): one key, e = 0
+    @pytest.mark.parametrize("first, second", [
+        ({"d": 1}, {"weighted": False}), ({"weighted": False}, {"d": 1})])
+    def test_weighted_d1_and_unweighted_p2_share_an_entry(self, monkeypatch,
+                                                          first, second):
+        g = self.profile()
+        v = self.norm(g, **first)
+        calls = self.counted_transforms(monkeypatch)
+        assert self.norm(g, **second) == v
+        assert calls == []
+        assert len([memo for memo in decompose._band_norms.entries
+                    if memo.ref() is g]) == 1
+        monkeypatch.undo()
+        assert v == self.norm(_fresh_copy(g), **first) == self.norm(
+            _fresh_copy(g), **second)
 
     def test_unweighted_key_has_no_dimension(self, monkeypatch):
         g = self.profile()
