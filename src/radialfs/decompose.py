@@ -26,11 +26,12 @@ The trace-space norms report the sequence norm of the constructed
 decomposition: an upper bound for the infimum in the definition, equivalent
 up to constants.  All downstream assertions are therefore phrased as scaling
 exponents or bounded ratios, never absolute values.  The Littlewood-Paley
-norm ``lp_besov_norm_1d``, their cross-check, reduces every band one way
-(``_band_norm``): half-line samples against one cached weight table.  Its
-band norms depend on the profile, the grid, the weight and p but not on s
-or q, so it keeps them for its last few calls: a sweep over s and q on one
-profile transforms once.
+norm ``lp_besov_norm_1d``, their cross-check, cuts each band from one real
+even spectrum and reduces it by ``_band_norm`` under the weight |t|^e:
+half-line samples dotted with a cached weight table, or at e = 0 and p = 2
+Parseval's sum over the band's spectrum.  Its band norms depend on the
+profile, the grid, e and p but not on s or q, so it keeps them for its
+last few calls: a sweep over s and q on one profile transforms once.
 
 Both memos (``_LiveMemo``) hold entries of live profile objects only, by
 weak reference, check the samples they were computed from before every
@@ -632,7 +633,8 @@ def lp_besov_norm_1d(g: RadialProfile, params: SpaceParams,
         spec = _even_dft(x, n)
         spec *= n
         # band j's half spectrum: its window times spec on [a, b), zero
-        # elsewhere; one buffer serves every band
+        # elsewhere; one buffer, zeroed on [a, b) after each band, serves
+        # every band (a fresh zeroed array per band costs more)
         X = np.zeros(n // 2 + 1)
         norms = []
         for j in range(len(edges) - 1):

@@ -25,9 +25,5 @@ class QuadratureError(RadialfsError):
     """A quadrature error estimate exceeded its tolerance."""
 
 
-class DivergenceError(RadialfsError):
-    """An integral or norm diverges on the given input."""
-
-
 class ConfigError(RadialfsError):
     """An experiment configuration is invalid."""

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from radialfs import experiments
 from radialfs.bump import smoothstep
 from radialfs.bv import BVProfile, RadonMeasure1D, bv_decay_check, staircase
-from radialfs.errors import DivergenceError, InvalidParameterError
+from radialfs.errors import InvalidParameterError
 from radialfs.experiments import BV_DECAY_RTOL, ExperimentConfig, run_experiment
 
 
@@ -104,16 +104,16 @@ def pairing_identity_residuals(g: BVProfile, d: int) -> np.ndarray:
 
     Evaluated against the fixed family of 12 C^1_c test functions, with
     their derivatives in closed form, and the left side by scipy's adaptive
-    quad between the jumps; for a valid (profile, measure) pair the
-    residuals are quadrature error.
+    quad between the jumps, where g is its left limit; for a valid
+    (profile, measure) pair the residuals are quadrature error.
     """
     res = []
     atol = 1e-3 * (1.0 + g.derivative._tail(0.0, d))
     locs, masses = np.array(g.derivative.atoms, dtype=float).reshape(-1, 2).T
     for phi, dphi, b in _test_functions_c1c():
-        f = lambda t: float(g(np.array([t]))[0] * (dphi(t) * t ** (d - 1)
-                                                   + phi(t) * (d - 1) * t ** (d - 2)))
-        edges = (0.0, *(br for br in g.breaks if br < b), b)
+        f = lambda t: float(g.value_left(t) * (dphi(t) * t ** (d - 1)
+                                               + phi(t) * (d - 1) * t ** (d - 2)))
+        edges = (0.0, *(r for r in g.radii if r < b), b)
         lhs = sum(quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
                   for lo, hi in zip(edges[:-1], edges[1:]))
         rhs = -float(np.sum(phi(locs) * locs ** (d - 1) * masses))
@@ -183,11 +183,15 @@ class TestDecay:
         rep = bv_decay_check(g, [3.0], d=3)
         assert rep.lhs[0] == rep.tail_bound[0]
 
-    def test_profile_not_vanishing_at_infinity_raises(self):
-        one = lambda r: np.ones_like(np.asarray(r, float))
-        g = BVProfile((1.0,), (one, one), RadonMeasure1D())
-        with pytest.raises(DivergenceError):
-            bv_decay_check(g, [0.5], d=2)
+    def test_left_limit_is_the_step_below_and_zero_past_the_last(self):
+        # a staircase holds one value per step, so it vanishes past its last
+        # radius, and its derivative measure is its whole variation
+        g = staircase([(1.0, 3.0), (2.0, -1.0)])
+        r = [0.5, 1.0, 1.5, 2.0, 2.5, 1e6]
+        assert g.value_left(r).tolist() == [3.0, 3.0, -1.0, -1.0, 0.0, 0.0]
+        assert g.derivative.atoms == ((1.0, -4.0), (2.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="one value per step"):
+            BVProfile((1.0,), (1.0, 1.0), RadonMeasure1D(((1.0, -1.0),)))
 
     def test_eventually_decreasing_tail(self):
         g = staircase([(1.0, 1.0), (2.0, 0.5), (4.0, 0.25)])
